@@ -6,16 +6,10 @@ host time (virtual time is free — these numbers say how fast the
 *simulator* runs, not how fast the simulated cloud is):
 
 * ``solver_solves_per_s``   — HBSS ``solve_hour`` calls per second;
-* ``solver_parallel_solves_per_s`` — the same solve fanned over a
-  thread pool (``--jobs``), after asserting the parallel plan set is
-  *identical* to the serial reference (the determinism contract);
 * ``solver_batched_solves_per_s`` — HBSS with ``wave_size > 1``, which
   funnels each wave of fresh candidates through the cross-plan stacked
   Monte-Carlo kernel, gated on bit-identity with the scalar-reference
   fallback (``batched_evaluation=False``) on the same seed;
-* ``solver_process_solves_per_s`` — the hour fan-out over forked worker
-  *processes* (``parallel_backend="process"``), gated on the same
-  serial-equality contract as the thread pool;
 * ``executor_events_per_s`` — simulation events per second through the
   *serving phase*: an open-loop arrival trace injected into a deployed
   workflow, timed over the event-loop drain only (deploy and trace
@@ -38,9 +32,8 @@ host time (virtual time is free — these numbers say how fast the
   on hot paths;
 * ``telemetry_overhead_pct``  — events/s cost of a live
   :class:`~repro.obs.timeseries.WindowedSampler` on the serving phase,
-  gated by an absolute ceiling (5 % by default) and paired with
-  byte-identity aborts on the windowed series (same seed twice, and
-  serial vs thread-fan-out solves).
+  gated by an absolute ceiling (5 % by default) and paired with a
+  byte-identity abort on the windowed series (same seed twice).
 
 Results are written as ``BENCH_<label>.json`` (schema
 ``caribou.bench/v1``) and optionally compared against a committed
@@ -61,7 +54,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -102,7 +94,6 @@ from repro.obs.profile import Profiler, set_profiler  # noqa: E402
 from repro.obs.timeseries import (  # noqa: E402
     TelemetryConfig,
     WindowedSampler,
-    series_to_jsonl,
 )
 from repro.obs.trace import Tracer  # noqa: E402
 
@@ -114,8 +105,6 @@ THROUGHPUT_METRICS = (
     "executor_events_per_s",
     "mc_samples_per_s",
     "solver_batched_solves_per_s",
-    "solver_parallel_solves_per_s",
-    "solver_process_solves_per_s",
     "service_jobs_per_s",
     "solver_solves_per_s",
     "workload_gen_events_per_s",
@@ -303,56 +292,23 @@ def bench_solver(smoke: bool) -> Dict[str, float]:
     }
 
 
-def _solved_workload(
-    smoke: bool,
-    jobs: int,
-    backend: Optional[str] = None,
-    settings=None,
-    n_hours: Optional[int] = None,
-):
-    """Fresh same-seeded deployment, warmed up and solved with ``jobs``
-    workers; returns ``(plan_set, solve_wall_s, n_hours)``.  ``backend``
-    and ``settings`` pass straight through to ``solve_plan_set``."""
+def _solved_workload(smoke: bool, settings: SolverSettings):
+    """Fresh same-seeded deployment, warmed up and solved under
+    ``settings``; returns ``(plan_set, solve_wall_s, n_hours)``."""
     cloud = SimulatedCloud(seed=7)
     app = get_app(APP)
     deployed, executor, _ = deploy_benchmark(app, cloud)
     warm_up(executor, app, "small", n=6 if smoke else 12)
-    if n_hours is None:
-        n_hours = 2 if smoke else 8
-    hours = list(range(n_hours))
-    kwargs = {}
-    if settings is not None:
-        kwargs["solver_settings"] = settings
+    hours = list(range(2 if smoke else 8))
     t0 = time.perf_counter()
     plan_set = solve_plan_set(
         deployed,
         executor,
         TransmissionScenario.best_case(),
+        solver_settings=settings,
         hours=hours,
-        jobs=jobs,
-        backend=backend,
-        **kwargs,
     )
     return plan_set, time.perf_counter() - t0, len(hours)
-
-
-def bench_parallel_solver(smoke: bool, jobs: int) -> Dict[str, float]:
-    """Parallel solves/sec — and the determinism contract: the parallel
-    plan set must be *identical* to the serial reference on the same
-    seed.  A mismatch is a correctness bug, not a perf number, so it
-    aborts the bench."""
-    serial_ps, _, _ = _solved_workload(smoke, jobs=1)
-    parallel_ps, elapsed, n_hours = _solved_workload(smoke, jobs=jobs)
-    if parallel_ps.to_dict() != serial_ps.to_dict():
-        raise RuntimeError(
-            f"parallel plan set (jobs={jobs}) differs from the serial "
-            "reference on the same seed — determinism contract violated"
-        )
-    return {
-        "solver_parallel_solves_per_s": n_hours / max(elapsed, 1e-9),
-        "solver_parallel_jobs": float(jobs),
-        "solver_parallel_wall_s": elapsed,
-    }
 
 
 #: HBSS candidate wave size for the batched-solver bench: big enough to
@@ -369,10 +325,8 @@ def bench_batched_solver(smoke: bool) -> Dict[str, float]:
     correctness bug, so it aborts the bench."""
     wave = dataclasses.replace(BENCH_SOLVER_SETTINGS, wave_size=BATCH_WAVE)
     scalar = dataclasses.replace(wave, batched_evaluation=False)
-    scalar_ps, _, _ = _solved_workload(smoke, jobs=1, settings=scalar)
-    batched_ps, elapsed, n_hours = _solved_workload(
-        smoke, jobs=1, settings=wave
-    )
+    scalar_ps, _, _ = _solved_workload(smoke, scalar)
+    batched_ps, elapsed, n_hours = _solved_workload(smoke, wave)
     if batched_ps.to_dict() != scalar_ps.to_dict():
         raise RuntimeError(
             f"batched plan set (wave_size={BATCH_WAVE}) differs from the "
@@ -383,29 +337,6 @@ def bench_batched_solver(smoke: bool) -> Dict[str, float]:
         "solver_batched_solves_per_s": n_hours / max(elapsed, 1e-9),
         "solver_batched_wave": float(BATCH_WAVE),
         "solver_batched_wall_s": elapsed,
-    }
-
-
-def bench_process_solver(smoke: bool, jobs: int) -> Dict[str, float]:
-    """Process-pool solves/sec — the hour fan-out over forked workers.
-    Same determinism contract as the thread pool: the process plan set
-    must be identical to the serial reference on the same seed.  Runs a
-    full 24-hour day even in smoke so the one-off fork cost is amortised
-    the way real solves amortise it."""
-    n_hours = 24
-    serial_ps, _, _ = _solved_workload(smoke, jobs=1, n_hours=n_hours)
-    process_ps, elapsed, n_hours = _solved_workload(
-        smoke, jobs=jobs, backend="process", n_hours=n_hours
-    )
-    if process_ps.to_dict() != serial_ps.to_dict():
-        raise RuntimeError(
-            f"process plan set (jobs={jobs}) differs from the serial "
-            "reference on the same seed — determinism contract violated"
-        )
-    return {
-        "solver_process_solves_per_s": n_hours / max(elapsed, 1e-9),
-        "solver_process_jobs": float(jobs),
-        "solver_process_wall_s": elapsed,
     }
 
 
@@ -707,7 +638,7 @@ def _serving_run(
     }
 
 
-def bench_telemetry(smoke: bool, jobs: int) -> Dict[str, float]:
+def bench_telemetry(smoke: bool) -> Dict[str, float]:
     """Windowed-telemetry overhead and determinism on the serving path.
 
     Overhead: the ``bench_executor`` workload with a live
@@ -718,10 +649,8 @@ def bench_telemetry(smoke: bool, jobs: int) -> Dict[str, float]:
     not notice it at all.
 
     Determinism (abort, not a metric — mirroring the solver benches'
-    bit-identity contracts): two same-seed telemetered serving runs
-    must dump byte-identical series, and a full Caribou run's merged
-    series must be byte-identical between the serial solver and the
-    thread fan-out (``jobs``) on one seed.
+    bit-identity contracts): same-seed telemetered serving runs must
+    dump byte-identical series.
     """
     window_s = 10.0 if smoke else 60.0
     repeats = 3
@@ -748,36 +677,23 @@ def bench_telemetry(smoke: bool, jobs: int) -> Dict[str, float]:
 
     telemetry = TelemetryConfig(window_s=3600.0)
     app = get_app(APP)
-    serial = run_caribou(
+    outcome = run_caribou(
         app, "small", ("us-east-1", "ca-central-1"), seed=3,
         n_invocations=4 if smoke else 12, telemetry=telemetry,
     )
-    threaded = run_caribou(
-        app, "small", ("us-east-1", "ca-central-1"), seed=3,
-        n_invocations=4 if smoke else 12, telemetry=telemetry,
-        jobs=jobs, backend="thread",
-    )
-    serial_dump = series_to_jsonl(serial.series or [])
-    threaded_dump = series_to_jsonl(threaded.series or [])
-    if serial_dump != threaded_dump:
-        raise RuntimeError(
-            f"telemetry series differ between serial and jobs={jobs} "
-            "thread solves on one seed — windowed sampling must be "
-            "backend-invariant"
-        )
-    if not serial.series:
+    if not outcome.series:
         raise RuntimeError("telemetered Caribou run produced no series")
 
     overhead = (base - telemetered) / max(base, 1e-9) * 100.0
     return {
         "telemetry_overhead_pct": overhead,
         "telemetry_windows": float(telemetered_runs[0]["windows"]),
-        "telemetry_points": float(len(serial.series)),
+        "telemetry_points": float(len(outcome.series)),
         "telemetry_window_s": window_s,
     }
 
 
-def run_bench(label: str, smoke: bool, jobs: int) -> Dict[str, Any]:
+def run_bench(label: str, smoke: bool) -> Dict[str, Any]:
     """Run every workload and assemble the benchmark document."""
     units = {
         "executor_events_per_s": "events/s",
@@ -791,8 +707,6 @@ def run_bench(label: str, smoke: bool, jobs: int) -> Dict[str, Any]:
         "service_jobs_per_s": "jobs/s",
         "service_steps": "steps",
         "solver_batched_solves_per_s": "solves/s",
-        "solver_parallel_solves_per_s": "solves/s",
-        "solver_process_solves_per_s": "solves/s",
         "solver_solves_per_s": "solves/s",
         "telemetry_overhead_pct": "%",
         "telemetry_points": "points",
@@ -806,16 +720,14 @@ def run_bench(label: str, smoke: bool, jobs: int) -> Dict[str, Any]:
     solver = bench_solver(smoke)
     phases = solver.pop("phases")
     raw.update(solver)
-    raw.update(bench_parallel_solver(smoke, jobs))
     raw.update(bench_batched_solver(smoke))
-    raw.update(bench_process_solver(smoke, jobs))
     raw.update(bench_executor(smoke))
     raw.update(bench_workload_gen(smoke))
     raw.update(bench_fleet(smoke))
     raw.update(bench_service(smoke))
     raw.update(bench_solver_quality(smoke))
     raw.update(bench_tracer_overhead(smoke))
-    raw.update(bench_telemetry(smoke, jobs))
+    raw.update(bench_telemetry(smoke))
 
     metrics = {
         name: {"unit": units.get(name, "s" if name.endswith("_s") else ""),
@@ -858,21 +770,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write the result to BENCH_baseline.json")
     parser.add_argument("--out-dir", default=str(REPO_ROOT),
                         help="directory for BENCH_<label>.json")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for the parallel-solver "
-                             "bench (default: min(4, CPUs), at least 2 "
-                             "so the threaded path is always exercised)")
     args = parser.parse_args(argv)
 
-    jobs = args.jobs
-    if jobs is None:
-        jobs = max(2, min(4, os.cpu_count() or 1))
-    if jobs < 2:
-        print("--jobs must be >= 2 (the serial case is benched anyway)",
-              file=sys.stderr)
-        return 2
-
-    doc = run_bench(args.label, args.smoke, jobs)
+    doc = run_bench(args.label, args.smoke)
     problems = validate_bench(doc)
     if problems:
         for problem in problems:

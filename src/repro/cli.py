@@ -156,7 +156,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         outcome = run_caribou(
             app, args.size, regions, seed=args.seed,
             n_invocations=args.invocations, fault_plan=fault_plan,
-            tracer=tracer, jobs=args.jobs, backend=args.backend,
+            tracer=tracer,
             solver_settings=_solver_settings(args),
             telemetry=telemetry,
         )
@@ -458,7 +458,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     plan_set = solve_plan_set(
         deployed, executor, scenario,
         solver_settings=_solver_settings(args),
-        stats=stats, jobs=args.jobs, backend=args.backend,
+        stats=stats,
     )
     print(f"24-hour plan set for {app.name} over {', '.join(regions)}:")
     last = None
@@ -523,15 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "to FILE as JSON; render it with `caribou "
                             "report FILE`")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--jobs", type=int, default=None,
-                       help="solver hour fan-out: worker threads for the "
-                            "24-hour solve (0 = one per CPU; default "
-                            "serial); the plan set is identical for any "
-                            "worker count")
-    p_run.add_argument("--backend", choices=("thread", "process"), default=None,
-                       help="worker pool flavour for the hour fan-out "
-                            "(default thread); 'process' forks worker "
-                            "processes and returns the identical plan set")
     p_run.add_argument("--solver", choices=("hbss", "coarse", "exhaustive", "exact"),
                        default=None,
                        help="search strategy (default hbss; 'exact' runs the "
@@ -568,15 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--regions", default=None)
     p_solve.add_argument("--worst-case", action="store_true")
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--jobs", type=int, default=None,
-                         help="solver hour fan-out: worker threads for the "
-                              "24-hour solve (0 = one per CPU; default "
-                              "serial)")
-    p_solve.add_argument("--backend", choices=("thread", "process"),
-                         default=None,
-                         help="worker pool flavour for the hour fan-out "
-                              "(default thread); 'process' forks worker "
-                              "processes and returns the identical plan set")
     p_solve.add_argument("--solver", choices=("hbss", "coarse", "exhaustive", "exact"),
                        default=None,
                        help="search strategy (default hbss; 'exact' runs the "

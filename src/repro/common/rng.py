@@ -30,10 +30,6 @@ def derive_seed(root_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-#: Backwards-compatible alias (pre-existing internal name).
-_derive_seed = derive_seed
-
-
 class RngRegistry:
     """Hands out named, independent, reproducible RNG streams."""
 
@@ -53,13 +49,13 @@ class RngRegistry:
         """
         if name not in self._streams:
             self._streams[name] = np.random.default_rng(
-                _derive_seed(self._seed, name)
+                derive_seed(self._seed, name)
             )
         return self._streams[name]
 
     def fresh(self, name: str) -> np.random.Generator:
         """Return a brand-new generator for ``name`` (resets the stream)."""
-        self._streams[name] = np.random.default_rng(_derive_seed(self._seed, name))
+        self._streams[name] = np.random.default_rng(derive_seed(self._seed, name))
         return self._streams[name]
 
     def snapshot(self) -> Dict[str, dict]:

@@ -352,8 +352,8 @@ class DeploymentManager:
     ) -> MigrationReport:
         evaluator = self.make_evaluator()
         # Per-hour registry substreams (``solver:{wf}:hour={h}``) keep
-        # each hour's walk reproducible whatever order — or thread —
-        # solves it in, and persistent across checks.
+        # each hour's walk reproducible whatever hours are solved, and
+        # persistent across checks.
         registry = self._cloud.env.rng
         name = self._d.name
         solver = HBSSSolver(

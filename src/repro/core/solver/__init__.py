@@ -25,7 +25,7 @@ from repro.core.solver.evaluation import (
 )
 from repro.core.solver.exact import ExactSolver, LowerBoundTables
 from repro.core.solver.exhaustive import ExhaustiveSolver
-from repro.core.solver.hbss import HBSSSolver, SolveResult, resolve_jobs
+from repro.core.solver.hbss import HBSSSolver, SolveResult
 
 __all__ = [
     "EvaluationCache",
@@ -39,5 +39,4 @@ __all__ = [
     "ExhaustiveSolver",
     "ExactSolver",
     "LowerBoundTables",
-    "resolve_jobs",
 ]

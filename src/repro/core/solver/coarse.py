@@ -11,13 +11,10 @@ while shifting the rest (§5.1) — which is exactly what Fig. 7's
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence, Tuple
 
 from repro.common.errors import SolverError
 from repro.core.solver.evaluation import PlanEvaluator
-from repro.core.solver.hbss import resolve_jobs
-from repro.core.solver.parallel import process_map
 from repro.metrics.montecarlo import WorkflowEstimate
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 
@@ -100,67 +97,12 @@ class CoarseSolver:
         self,
         hours: Optional[Sequence[int]] = None,
         enforce_tolerances: bool = True,
-        jobs: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> HourlyPlanSet:
-        """Per-hour winners over the day, optionally fanned over a
-        worker pool (``jobs``; ``None`` defers to
-        ``settings.parallel_hours``; ``backend`` picks thread vs
-        fork-based process workers, defaulting to
-        ``settings.parallel_backend``).  Deterministic regardless of
-        worker count or backend: the evaluator's per-plan RNG substreams
-        make every estimate order-independent."""
+        """Per-hour winners over the day."""
         hour_list = list(hours) if hours is not None else list(range(24))
         if not hour_list:
             raise ValueError("need at least one hour to solve for")
-        if backend is None:
-            backend = self._ev.settings.parallel_backend
-        if backend not in ("thread", "process"):
-            raise ValueError(
-                f"backend must be 'thread' or 'process', got {backend!r}"
-            )
-        n_jobs = resolve_jobs(
-            jobs, self._ev.settings.parallel_hours, len(hour_list)
-        )
-        if n_jobs <= 1:
-            plans = [
-                self._best_plan_for_hour(h, enforce_tolerances)
-                for h in hour_list
-            ]
-        elif backend == "process":
-            outputs = process_map(
-                self._hour_task,
-                [(h, enforce_tolerances) for h in hour_list],
-                n_jobs,
-            )
-            plans = []
-            for plan, deltas in outputs:
-                if deltas:
-                    self._ev.stats.bump(**deltas)
-                plans.append(plan)
-        else:
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                plans = list(
-                    pool.map(
-                        lambda h: self._best_plan_for_hour(
-                            h, enforce_tolerances
-                        ),
-                        hour_list,
-                    )
-                )
+        plans = [
+            self._best_plan_for_hour(h, enforce_tolerances) for h in hour_list
+        ]
         return HourlyPlanSet(dict(zip(hour_list, plans)))
-
-    def _hour_task(self, task: Tuple[int, bool]):
-        """Process-pool work unit: solve one hour in a forked child and
-        ship back the winning plan plus a counter-delta dict (the stats
-        object itself holds a lock and is not picklable)."""
-        hour, enforce_tolerances = task
-        before = self._ev.stats.snapshot()
-        plan = self._best_plan_for_hour(hour, enforce_tolerances)
-        after = self._ev.stats.snapshot()
-        deltas = {
-            name: after[name] - before[name]
-            for name in after
-            if after[name] != before[name]
-        }
-        return plan, deltas

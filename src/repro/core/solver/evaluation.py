@@ -42,16 +42,6 @@ class SolverSettings:
     (``alpha = |N| x |R| x 6``); ``beta`` its bias, ``gamma`` the initial
     temperature with ``gamma_decay`` applied per accepted move.
 
-    ``parallel_hours`` is the worker count ``solve_day`` uses to fan its
-    independent per-hour solves over (per-hour RNG substreams make the
-    result identical to the serial reference regardless of scheduling —
-    see :meth:`HBSSSolver.solve_day`).  ``1`` (default) keeps the serial
-    reference path; ``0`` means one worker per CPU.
-    ``parallel_backend`` picks how those workers run: ``"thread"``
-    (default; GIL-bound but cheap to start) or ``"process"`` (fork-based
-    multicore pool, see :mod:`repro.core.solver.parallel`).  Both are
-    bit-identical to serial.
-
     ``wave_size`` is the number of candidate plans an HBSS iteration
     wave generates before evaluating them; waves of two or more are
     evaluated through the cross-plan batched Monte-Carlo kernel
@@ -77,8 +67,6 @@ class SolverSettings:
     beta: float = 0.2
     gamma: float = 1.0
     gamma_decay: float = 0.99
-    parallel_hours: int = 1
-    parallel_backend: str = "thread"
     wave_size: int = 1
     batched_evaluation: bool = True
     solver: str = "hbss"
@@ -100,16 +88,6 @@ class SolverSettings:
             raise ValueError(
                 f"gamma_decay must be in (0, 1], got {self.gamma_decay}"
             )
-        if self.parallel_hours < 0:
-            raise ValueError(
-                f"parallel_hours must be >= 0 (0 = one worker per CPU), "
-                f"got {self.parallel_hours}"
-            )
-        if self.parallel_backend not in ("thread", "process"):
-            raise ValueError(
-                f"parallel_backend must be 'thread' or 'process', "
-                f"got {self.parallel_backend!r}"
-            )
         if self.wave_size <= 0:
             raise ValueError(
                 f"wave_size must be positive, got {self.wave_size}"
@@ -130,15 +108,13 @@ class SolverStats:
     accumulate wall time into it.  All counters are cumulative over the
     evaluator's lifetime, so a 24-hour ``solve_day`` reports totals.
 
-    Concurrent hour workers share one instance; use :meth:`bump` (a
-    lock-guarded multi-field add) instead of ``stats.field += n`` on any
-    path that can run inside a parallel ``solve_day``.  The count
-    *totals* are scheduling-invariant: per distinct plan exactly one
-    profile build happens (the evaluator's per-digest build locks
-    guarantee it) and every other lookup is a hit, so serial and
-    parallel solves report identical counters — only ``wall_time_s`` is
-    machine/scheduling dependent, and deterministic surfaces (run
-    reports) already exclude it.
+    A caller's own threads may share one instance; use :meth:`bump` (a
+    lock-guarded multi-field add) instead of ``stats.field += n``.  The
+    count *totals* are scheduling-invariant: per distinct plan exactly
+    one profile build happens (the evaluator's per-digest build locks
+    guarantee it) and every other lookup is a hit — only
+    ``wall_time_s`` is machine dependent, and deterministic surfaces
+    (run reports) already exclude it.
 
     Attributes:
         simulations_run: Monte-Carlo profile runs actually simulated.
@@ -173,42 +149,11 @@ class SolverStats:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    #: Counter fields carried across the process-pool boundary.
-    COUNTER_FIELDS = (
-        "simulations_run",
-        "samples_drawn",
-        "profiles_built",
-        "profile_cache_hits",
-        "estimates_computed",
-        "estimate_cache_hits",
-        "bnb_nodes_expanded",
-        "bnb_nodes_pruned",
-        "bnb_hours_solved",
-        "bnb_bound_tightness_pct",
-        "wall_time_s",
-    )
-
     def bump(self, **deltas: float) -> None:
         """Atomically add ``deltas`` to the named counters."""
         with self._lock:
             for name, delta in deltas.items():
                 setattr(self, name, getattr(self, name) + delta)
-
-    def snapshot(self) -> Dict[str, float]:
-        """A plain-dict copy of the counters.
-
-        :class:`SolverStats` itself holds a ``threading.Lock`` and is
-        not picklable; process-pool hour workers snapshot before/after
-        their solve and ship the *delta* dict back to the parent (see
-        ``HBSSSolver.solve_day``).  Note the scheduling-invariance
-        promise above holds for serial and thread runs only: process
-        workers start from a fork-time cache copy, so plans already
-        cached in the parent may be rebuilt per worker and the summed
-        build/hit counters can exceed the serial ones.  Plan *results*
-        remain bit-identical.
-        """
-        with self._lock:
-            return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
 
     def summary(self) -> str:
         """One-line human-readable digest for CLI/harness output."""
@@ -250,7 +195,7 @@ class EvaluationCache:
     callers declare the current ``(metrics_version, forecast_version)``
     pair via :meth:`sync` and the cache clears itself whenever the pair
     changes (new telemetry collected, forecasts refit).  All access is
-    lock-guarded; per-digest build locks let concurrent hour workers
+    lock-guarded; per-digest build locks let concurrent callers
     block on a profile already being built instead of duplicating the
     simulation.
     """
@@ -362,7 +307,7 @@ class SharedEvaluationCache:
 class PlanEvaluator:
     """Answers metric/tolerance queries over a shared evaluation cache.
 
-    Thread-safe: concurrent per-hour solver workers may share one
+    Thread-safe: a caller's own threads may share one
     evaluator.  Distinct plans build their profiles concurrently; the
     same plan is only ever simulated once (build locks), and the
     per-plan RNG substreams of the underlying estimator make every
@@ -517,7 +462,7 @@ class PlanEvaluator:
             self.stats.bump(profile_cache_hits=1)
             return profile
         # Build outside the cache lock (the simulation is the expensive
-        # part); the per-digest lock makes racing workers for the *same*
+        # part); the per-digest lock makes racing threads for the *same*
         # plan wait for one build instead of duplicating it.
         with build_lock:
             with cache.lock:
@@ -538,9 +483,9 @@ class PlanEvaluator:
         Values are bit-identical to per-plan :meth:`profile` builds
         (each plan draws from its own digest-keyed substream), so
         prefetching only changes *when* profiles are built, never what
-        they contain.  Safe under concurrent hour workers: per-digest
+        they contain.  Safe under concurrent callers: per-digest
         build locks are acquired in sorted-digest order (no deadlock
-        against other prefetchers), and any plan another worker finishes
+        against other prefetchers), and any plan another thread finishes
         first is simply skipped.  No-op when ``batched_evaluation`` is
         disabled in the settings — callers need no branch.
         """

@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence, Tuple
 
 from repro.common.errors import SolverError
 from repro.core.solver.evaluation import PlanEvaluator
 from repro.core.solver.exact import BOUND_SAFETY, LowerBoundTables
-from repro.core.solver.hbss import resolve_jobs
-from repro.core.solver.parallel import process_map
 from repro.metrics.montecarlo import WorkflowEstimate
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 
@@ -122,62 +119,10 @@ class ExhaustiveSolver:
         self,
         hours: Optional[Sequence[int]] = None,
         enforce_tolerances: bool = True,
-        jobs: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> HourlyPlanSet:
-        """Exact per-hour optima over the day, optionally fanned over a
-        worker pool (``jobs``; ``None`` defers to
-        ``settings.parallel_hours``; ``backend`` defaults to
-        ``settings.parallel_backend``) — the enumeration is
-        deterministic and the shared evaluator order-independent, so any
-        worker count or backend returns the identical set."""
+        """Exact per-hour optima over the day."""
         hour_list = list(hours) if hours is not None else list(range(24))
         if not hour_list:
             raise ValueError("need at least one hour to solve for")
-        if backend is None:
-            backend = self._ev.settings.parallel_backend
-        if backend not in ("thread", "process"):
-            raise ValueError(
-                f"backend must be 'thread' or 'process', got {backend!r}"
-            )
-        n_jobs = resolve_jobs(
-            jobs, self._ev.settings.parallel_hours, len(hour_list)
-        )
-        if n_jobs <= 1:
-            plans = [
-                self.solve_hour(h, enforce_tolerances)[0] for h in hour_list
-            ]
-        elif backend == "process":
-            outputs = process_map(
-                self._hour_task,
-                [(h, enforce_tolerances) for h in hour_list],
-                n_jobs,
-            )
-            plans = []
-            for plan, deltas in outputs:
-                if deltas:
-                    self._ev.stats.bump(**deltas)
-                plans.append(plan)
-        else:
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                plans = list(
-                    pool.map(
-                        lambda h: self.solve_hour(h, enforce_tolerances)[0],
-                        hour_list,
-                    )
-                )
+        plans = [self.solve_hour(h, enforce_tolerances)[0] for h in hour_list]
         return HourlyPlanSet(dict(zip(hour_list, plans)))
-
-    def _hour_task(self, task: Tuple[int, bool]):
-        """Process-pool work unit (forked child): winning plan plus a
-        plain counter-delta dict (``SolverStats`` is not picklable)."""
-        hour, enforce_tolerances = task
-        before = self._ev.stats.snapshot()
-        plan = self.solve_hour(hour, enforce_tolerances)[0]
-        after = self._ev.stats.snapshot()
-        deltas = {
-            name: after[name] - before[name]
-            for name in after
-            if after[name] != before[name]
-        }
-        return plan, deltas

@@ -19,37 +19,25 @@ Two departures from the paper's terse pseudo-code are documented here:
   regions that previously produced accepted deployments are preferred —
   with probability ``beta`` of an unbiased uniform draw.
 
-Determinism under parallelism
------------------------------
-The 24 per-hour solves of a day are independent, so ``solve_day`` can
-fan them over a thread pool (``SolverSettings.parallel_hours`` /
-``jobs``).  Three mechanisms make the parallel result *identical* to the
-serial reference, not merely statistically equivalent:
+Independent hours
+-----------------
+``solve_day`` runs the per-hour walks one after another, and an hour's
+result depends on nothing but that hour:
 
 1. **Per-hour RNG substreams.** Each hour's walk draws from its own
    generator — either ``rng_factory(hour)`` (the Deployment Manager
    passes the registry stream ``solver:{workflow}:hour={h}``) or a
    substream derived from a constructor-drawn salt and a per-solve
-   epoch.  No hour's draws depend on when any other hour runs.
-2. **Order-independent evaluation.** The shared
-   :class:`~repro.core.solver.evaluation.PlanEvaluator` is thread-safe
-   and the Monte-Carlo estimator simulates every plan from a substream
-   keyed by the plan's digest, so cache warm-up order cannot perturb
-   any cached value.
-3. **Deferred observability.** Workers never touch the shared tracer or
-   metrics registry; they return their iteration events, which are
-   replayed in hour order after the pool drains.  The virtual clock is
-   frozen while solving, so the replayed spans are byte-identical to
-   inline serial recording.
+   epoch.  No hour's draws depend on which other hours were solved.
+2. **Order-independent evaluation.** The Monte-Carlo estimator
+   simulates every plan from a substream keyed by the plan's digest, so
+   cache warm-up order cannot perturb any cached value.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -64,15 +52,11 @@ import numpy as np
 
 from repro.common.rng import derive_seed
 from repro.core.solver.evaluation import PlanEvaluator
-from repro.core.solver.parallel import process_map
 from repro.metrics.montecarlo import WorkflowEstimate
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.profile import profiled_phase
 from repro.obs.trace import NULL_TRACER, Tracer
-
-#: One collected iteration event: (span name, span attributes).
-_IterationEvent = Tuple[str, Dict[str, object]]
 
 
 @dataclass
@@ -94,17 +78,6 @@ class SolveResult:
     plans_evaluated: int
 
     @property
-    def feasible_found(self) -> int:
-        """Deprecated alias for :attr:`plans_evaluated` (the old name
-        suggested only accepted plans were counted, which was the bug)."""
-        warnings.warn(
-            "SolveResult.feasible_found is deprecated; use plans_evaluated",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.plans_evaluated
-
-    @property
     def offloaded_nodes(self) -> Tuple[str, ...]:
         """Nodes the best plan places away from the plan's modal region
         — a quick signal of fine-grained behaviour.  Modal-count ties
@@ -121,17 +94,6 @@ class SolveResult:
         )
 
 
-def resolve_jobs(jobs: Optional[int], default: int, n_tasks: int) -> int:
-    """Normalise a worker-count knob: ``None`` defers to ``default``,
-    ``0`` means one worker per CPU, and the result is clamped to
-    ``[1, n_tasks]``."""
-    if jobs is None:
-        jobs = default
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    return max(1, min(int(jobs), max(1, n_tasks)))
-
-
 class HBSSSolver:
     """Alg. 1, parameterised by a :class:`PlanEvaluator`."""
 
@@ -144,7 +106,7 @@ class HBSSSolver:
         rng_factory: Optional[Callable[[int], np.random.Generator]] = None,
     ):
         """Args:
-        evaluator: Shared (thread-safe) plan evaluator.
+        evaluator: Plan evaluator (may be shared with other solvers).
         rng: Solver-owned stream.  One salt is drawn from it up front;
             when ``rng_factory`` is omitted, each hour's walk runs on a
             substream derived from that salt, the solve epoch, and the
@@ -171,17 +133,12 @@ class HBSSSolver:
     ) -> SolveResult:
         """Find the best deployment plan for one hour of the day."""
         self._solves += 1
-        result, events = self._solve_hour(
-            hour, self._rng_for_hour(hour), warm_start_plan
-        )
-        return self._emit_hour(result, events)
+        return self._solve_hour(hour, warm_start_plan)
 
     def solve_day(
         self,
         hours: Optional[Sequence[int]] = None,
-        jobs: Optional[int] = None,
         warm_start: Optional[HourlyPlanSet] = None,
-        backend: Optional[str] = None,
     ) -> Tuple[HourlyPlanSet, List[SolveResult]]:
         """Generate plans for each requested hour (§5.1: "24 plans are
         generated per solve — one for each hour, given sufficient carbon
@@ -190,66 +147,26 @@ class HBSSSolver:
 
         Args:
             hours: Hours of the day to solve for (default: all 24).
-            jobs: Workers for the hour fan-out.  ``None`` defers to
-                ``settings.parallel_hours``, ``0`` means one per CPU,
-                ``1`` is the serial reference path.  Any value returns
-                the identical plan set (see the module docstring).
             warm_start: Previous plan set to seed each hour's walk from
                 (§5.2's checks re-solve a barely-moved problem) — each
                 hour starts at ``warm_start.plan_for_hour(h)`` when that
                 plan is still compliant, falling back to home.
-            backend: ``"thread"`` or ``"process"`` (``None`` defers to
-                ``settings.parallel_backend``).  The process backend
-                forks true-multicore workers (see
-                :mod:`repro.core.solver.parallel`): per-hour tasks and
-                results are picklable, worker RNG states are merged back
-                into the per-hour streams, and counter deltas are summed
-                into the shared stats — the plan set stays bit-identical
-                to serial.
         """
         hour_list = list(hours) if hours is not None else list(range(24))
         if not hour_list:
             raise ValueError("need at least one hour to solve for")
-        if backend is None:
-            backend = self._ev.settings.parallel_backend
-        if backend not in ("thread", "process"):
-            raise ValueError(
-                f"backend must be 'thread' or 'process', got {backend!r}"
-            )
         self._solves += 1
-        n_jobs = resolve_jobs(
-            jobs, self._ev.settings.parallel_hours, len(hour_list)
-        )
-        # Materialise each hour's substream and warm start up front, in
-        # hour order, so neither depends on worker scheduling.
-        tasks = [
-            (
-                h,
-                self._rng_for_hour(h),
-                warm_start.plan_for_hour(h % 24)
-                if warm_start is not None
-                else None,
-            )
-            for h in hour_list
-        ]
         with self._tracer.span(
             "solve", f"hours={len(hour_list)}", n_hours=len(hour_list)
         ) as scope, profiled_phase("solver.solve_day"):
-            if n_jobs <= 1:
-                collected = [self._solve_hour(*task) for task in tasks]
-            elif backend == "process":
-                collected = self._solve_day_process(tasks, n_jobs)
-            else:
-                with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                    collected = list(
-                        pool.map(lambda task: self._solve_hour(*task), tasks)
-                    )
-            # Replay per-hour spans/metrics in hour order — the virtual
-            # clock did not advance while solving, so this is
-            # byte-identical to inline serial recording.
             results = [
-                self._emit_hour(result, events)
-                for result, events in collected
+                self._solve_hour(
+                    h,
+                    warm_start.plan_for_hour(h % 24)
+                    if warm_start is not None
+                    else None,
+                )
+                for h in hour_list
             ]
             scope.set(
                 iterations=sum(r.iterations for r in results),
@@ -260,50 +177,6 @@ class HBSSSolver:
         return HourlyPlanSet(plans), results
 
     # -- per-hour plumbing ------------------------------------------------------
-    def _solve_day_process(
-        self,
-        tasks: List[Tuple[int, np.random.Generator, Optional[DeploymentPlan]]],
-        n_jobs: int,
-    ) -> List[Tuple[SolveResult, List[_IterationEvent]]]:
-        """Fan the per-hour tasks over a fork-based process pool.
-
-        Workers inherit the whole solver by fork (nothing unpicklable
-        crosses the boundary) and return, per hour: the result, its
-        deferred events, the final state of the hour's RNG, and a
-        counter-delta dict.  The parent then (a) advances its own
-        per-hour registry streams to the returned states — so a later
-        serial solve continues from exactly where a serial run would
-        have — and (b) sums the deltas into the shared stats.
-        """
-        outputs = process_map(self._solve_hour_task, tasks, n_jobs)
-        collected = []
-        for (hour, _rng, _warm), out in zip(tasks, outputs):
-            result, events, rng_state, deltas = out
-            if self._rng_factory is not None:
-                # The worker advanced a pickled *copy* of the hour's
-                # stream; mirror its final state onto the parent's.
-                self._rng_factory(hour).bit_generator.state = rng_state
-            if deltas:
-                self._ev.stats.bump(**deltas)
-            collected.append((result, events))
-        return collected
-
-    def _solve_hour_task(
-        self,
-        task: Tuple[int, np.random.Generator, Optional[DeploymentPlan]],
-    ) -> Tuple[SolveResult, List[_IterationEvent], dict, Dict[str, float]]:
-        """Process-pool work unit (runs in a forked child)."""
-        hour, rng, warm_start_plan = task
-        before = self._ev.stats.snapshot()
-        result, events = self._solve_hour(hour, rng, warm_start_plan)
-        after = self._ev.stats.snapshot()
-        deltas = {
-            name: after[name] - before[name]
-            for name in after
-            if after[name] != before[name]
-        }
-        return result, events, rng.bit_generator.state, deltas
-
     def _rng_for_hour(self, hour: int) -> np.random.Generator:
         if self._rng_factory is not None:
             return self._rng_factory(hour)
@@ -311,41 +184,16 @@ class HBSSSolver:
             derive_seed(self._hour_salt, f"solve={self._solves}:hour={hour}")
         )
 
-    def _emit_hour(
-        self, result: SolveResult, events: List[_IterationEvent]
-    ) -> SolveResult:
-        """Record one finished hour's spans and counters (main thread)."""
-        with self._tracer.span(
-            "solver_hour", f"hour={result.hour}", hour=result.hour
-        ) as scope:
-            for name, attrs in events:
-                self._tracer.record("solver_iteration", name, **attrs)
-            scope.set(
-                iterations=result.iterations,
-                accepted=result.accepted,
-                plans_evaluated=result.plans_evaluated,
-            )
-        self._metrics.counter("solver.hours_solved").inc()
-        self._metrics.counter("solver.iterations").inc(result.iterations)
-        self._metrics.counter("solver.accepted").inc(result.accepted)
-        self._metrics.counter("solver.plans_evaluated").inc(
-            result.plans_evaluated
-        )
-        return result
-
     def _solve_hour(
-        self,
-        hour: int,
-        rng: np.random.Generator,
-        warm_start_plan: Optional[DeploymentPlan] = None,
-    ) -> Tuple[SolveResult, List[_IterationEvent]]:
-        """One hour's HBSS walk.  Runs on a worker thread during a
-        parallel ``solve_day``: touches only the (thread-safe) evaluator
-        and its own ``rng``, and returns iteration events instead of
-        recording them."""
+        self, hour: int, warm_start_plan: Optional[DeploymentPlan] = None
+    ) -> SolveResult:
+        """One hour's HBSS walk on the hour's own RNG substream, traced
+        as a ``solver_hour`` span over its ``solver_iteration`` spans."""
         start_time = time.perf_counter()
-        events: List[_IterationEvent] = []
-        with profiled_phase("solver.solve_hour"):
+        rng = self._rng_for_hour(hour)
+        with self._tracer.span(
+            "solver_hour", f"hour={hour}", hour=hour
+        ) as scope, profiled_phase("solver.solve_hour"):
             ev = self._ev
             dag = ev.dag
             settings = ev.settings
@@ -425,16 +273,13 @@ class HBSSSolver:
                         gamma, current_metric, metric, rng
                     )
                     if self._tracer.enabled:
-                        events.append(
-                            (
-                                f"hour={hour}#{iteration}",
-                                {
-                                    "hour": hour,
-                                    "iteration": iteration,
-                                    "metric": metric,
-                                    "accepted": took,
-                                },
-                            )
+                        self._tracer.record(
+                            "solver_iteration",
+                            f"hour={hour}#{iteration}",
+                            hour=hour,
+                            iteration=iteration,
+                            metric=metric,
+                            accepted=took,
                         )
                     if took:
                         current, current_metric = candidate, metric
@@ -455,8 +300,19 @@ class HBSSSolver:
                 accepted=accepted,
                 plans_evaluated=len(deployments),
             )
+            scope.set(
+                iterations=result.iterations,
+                accepted=result.accepted,
+                plans_evaluated=result.plans_evaluated,
+            )
+        self._metrics.counter("solver.hours_solved").inc()
+        self._metrics.counter("solver.iterations").inc(result.iterations)
+        self._metrics.counter("solver.accepted").inc(result.accepted)
+        self._metrics.counter("solver.plans_evaluated").inc(
+            result.plans_evaluated
+        )
         ev.stats.bump(wall_time_s=time.perf_counter() - start_time)
-        return result, events
+        return result
 
     # -- Alg. 1 internals ---------------------------------------------------------
     def _gen_new_deployment_with_bias(

@@ -50,6 +50,13 @@ class TriggerSettings:
     min_check_period_s: float = 3600.0
     max_check_period_s: float = 24 * 3600.0
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.min_check_period_s <= self.max_check_period_s:
+            raise ValueError(
+                "check periods must satisfy 0 < min <= max, got "
+                f"min={self.min_check_period_s}, max={self.max_check_period_s}"
+            )
+
 
 @dataclass
 class EarnReport:
@@ -175,17 +182,16 @@ class TokenBucket:
         violently to single-period noise.
         """
         s = self.settings
+        band = s.max_check_period_s - s.min_check_period_s
         cost = self.solve_cost_g(framework_intensity, 24)
         deficit = max(0.0, cost - self.tokens_g)
-        if deficit == 0.0:
+        if deficit == 0.0 or band == 0.0:
             return s.min_check_period_s
         if self._last_earn_rate_g_per_s <= 0.0:
             return s.max_check_period_s
         time_to_fill = deficit / self._last_earn_rate_g_per_s
         midpoint = (s.min_check_period_s + s.max_check_period_s) / 2.0
-        steepness = (s.max_check_period_s - s.min_check_period_s) / 8.0
-        z = (time_to_fill - midpoint) / steepness
+        # A narrow band makes z hugely negative; exp overflows past ~709.
+        z = max(-700.0, (time_to_fill - midpoint) / (band / 8.0))
         sigmoid = 1.0 / (1.0 + math.exp(-z))
-        return s.min_check_period_s + sigmoid * (
-            s.max_check_period_s - s.min_check_period_s
-        )
+        return s.min_check_period_s + sigmoid * band

@@ -203,19 +203,13 @@ def solve_plan_set(
     hours: Optional[Sequence[int]] = None,
     intensity_fn=None,
     stats: Optional[SolverStats] = None,
-    jobs: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> HourlyPlanSet:
     """Solve a 24-hour plan set over the week-averaged diurnal profile
     and return it (not yet migrated).  Pass a :class:`SolverStats` to
     collect simulation/caching/wall-time counters for the run.
 
-    ``jobs`` controls the hour fan-out (``None`` defers to
-    ``solver_settings.parallel_hours``) and ``backend`` how the workers
-    run (``"thread"`` or ``"process"``; ``None`` defers to
-    ``solver_settings.parallel_backend``); each hour draws from its own
-    registry substream, so the returned plan set is identical for any
-    worker count or backend.
+    Each hour draws from its own registry substream
+    (``solver:{name}:hour={h}``).
 
     ``solver_settings.solver`` picks the search strategy — ``"hbss"``
     (default), ``"coarse"``, ``"exhaustive"``, or ``"exact"`` (the
@@ -230,17 +224,11 @@ def solve_plan_set(
     cloud = deployed.cloud
     which = solver_settings.solver
     if which == "coarse":
-        return CoarseSolver(evaluator).solve_day(
-            hours, jobs=jobs, backend=backend
-        )
+        return CoarseSolver(evaluator).solve_day(hours)
     if which == "exhaustive":
-        return ExhaustiveSolver(evaluator).solve_day(
-            hours, jobs=jobs, backend=backend
-        )
+        return ExhaustiveSolver(evaluator).solve_day(hours)
     if which == "exact":
-        return ExactSolver(evaluator).solve_day(
-            hours, jobs=jobs, backend=backend
-        )
+        return ExactSolver(evaluator).solve_day(hours)
     solver = HBSSSolver(
         evaluator,
         cloud.env.rng.get(f"solver:{deployed.name}"),
@@ -250,7 +238,7 @@ def solve_plan_set(
             f"solver:{deployed.name}:hour={h}"
         ),
     )
-    plan_set, _ = solver.solve_day(hours, jobs=jobs, backend=backend)
+    plan_set, _ = solver.solve_day(hours)
     return plan_set
 
 
@@ -512,8 +500,6 @@ def run_caribou(
     label: Optional[str] = None,
     fault_plan: Optional[FaultPlan] = None,
     tracer: Optional[Tracer] = None,
-    jobs: Optional[int] = None,
-    backend: Optional[str] = None,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> RunOutcome:
     """Caribou fine-grained deployment over a region set (Fig. 7 "Fine").
@@ -539,7 +525,7 @@ def run_caribou(
     solver_stats = SolverStats()
     plan_set = solve_plan_set(
         deployed, executor, scenario_for_solver, solver_settings,
-        stats=solver_stats, jobs=jobs, backend=backend,
+        stats=solver_stats,
     )
     migrator = DeploymentMigrator(utility, deployed, executor)
     report = migrator.migrate(plan_set)

@@ -370,12 +370,24 @@ class MetricsManager:
         else:
             # §7.1: fall back to the home region's distribution.
             home = self._config.home_region
-            if region == home:
-                raise ValueError(
-                    f"no execution history or prior for node {node!r} in "
-                    f"the home region {home!r}"
-                )
-            dist = self.execution_time_dist(node, home)
+            if region != home:
+                dist = self.execution_time_dist(node, home)
+            else:
+                # A long fully-shifted run leaves no home sample in the
+                # window: pool what the node did record elsewhere, in
+                # invocation order like the per-region samples above.
+                pooled = [
+                    dur
+                    for s in self._invocations.values()
+                    for n, (_r, dur) in s.node_executions.items()
+                    if n == node
+                ]
+                if not pooled:
+                    raise ValueError(
+                        f"no execution history or prior for node {node!r} "
+                        f"in any region (home {home!r})"
+                    )
+                dist = EmpiricalDistribution(pooled)
         self._derived_cache[key] = dist
         return dist
 

@@ -29,9 +29,9 @@ caller-supplied generator, and ``estimate_profile`` seeds a fresh
 ``numpy`` generator from ``derive_seed(salt, plan.digest())``.  Two
 consequences the solver stack relies on:
 
-* profiles are **order-independent** — concurrently solving hours (or a
-  re-ordered cache-warming schedule) cannot perturb any plan's draws,
-  so serial and parallel ``solve_day`` produce bit-identical plan sets;
+* profiles are **order-independent** — the order in which hours are
+  solved (or a re-ordered cache-warming schedule) cannot perturb any
+  plan's draws;
 * re-profiling the same plan on the same estimator reproduces the same
   result, which is what makes a digest-keyed profile cache semantically
   transparent (a hit equals a recompute).
@@ -495,8 +495,8 @@ class MonteCarloEstimator:
     def _bump_stats(self, simulations: int, samples: int) -> None:
         if self._stats is None:
             return
-        # ``bump`` (SolverStats) is lock-guarded for parallel hour
-        # workers; plain attribute sinks keep working single-threaded.
+        # ``bump`` (SolverStats) is lock-guarded; plain attribute sinks
+        # keep working single-threaded.
         bump = getattr(self._stats, "bump", None)
         if bump is not None:
             bump(simulations_run=simulations, samples_drawn=samples)

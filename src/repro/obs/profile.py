@@ -58,11 +58,9 @@ class _PhaseScope:
 class Profiler:
     """Accumulates wall time per named phase.
 
-    Thread-safe: the nesting stack is thread-local (a worker's phases
-    nest under the worker's own enclosing phases, never a sibling
-    thread's) and accumulation into the shared stats table is
-    lock-guarded — the parallel ``solve_day`` hour workers all report
-    ``solver.solve_hour`` into one table concurrently.
+    Thread-safe: the nesting stack is thread-local (a thread's phases
+    nest under its own enclosing phases, never a sibling thread's) and
+    accumulation into the shared stats table is lock-guarded.
     """
 
     enabled = True

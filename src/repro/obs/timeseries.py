@@ -14,10 +14,9 @@ samples every registry instrument into per-window points keyed by
 
 Collection is driven by a simulator-scheduled flush event, so sampling
 happens at exact virtual-time window boundaries and is bit-reproducible
-across serial/thread/process solver backends and both event loops: the
-virtual clock never advances during a solve, so every instrument delta
-lands in the same window no matter how the wall-clock work was fanned
-out.  A run without a sampler attached schedules nothing and is
+across both event loops: the virtual clock never advances during a
+solve, so every instrument delta lands in the same window however long
+the solve took on the wall clock.  A run without a sampler attached schedules nothing and is
 byte-identical to today (the :data:`~repro.obs.trace.NULL_TRACER`
 contract, extended to time series).
 

@@ -1,4 +1,4 @@
-"""Tests for cross-plan batched evaluation and the process solver backend.
+"""Tests for cross-plan batched evaluation.
 
 The contracts under test:
 
@@ -7,7 +7,7 @@ The contracts under test:
   scalar reference) — same doubles, same key order, same sample counts —
   even when plans converge at different sample counts.
 * Every solver produces the same plan set with batched evaluation on or
-  off, and with thread, process, or serial hour fan-out.
+  off.
 * The PR 6 bugfix regressions: estimator knob guards, the
   lexicographic ``offloaded_nodes`` modal tie-break, and the
   ``client_region`` warning.
@@ -26,7 +26,6 @@ from repro.core.solver import (
     SolverSettings,
 )
 from repro.core.solver.hbss import SolveResult
-from repro.core.solver.parallel import fork_available, process_map
 from repro.data.latency import LatencySource
 from repro.data.pricing import PricingSource
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
@@ -351,94 +350,3 @@ class TestBatchedSolverEquivalence:
         built = ev.prefetch_profiles(plans)
         assert built == len({p.digest() for p in plans})
         assert ev.prefetch_profiles(plans) == 0  # all cached now
-
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="fork start method unavailable"
-)
-
-
-class TestProcessBackend:
-    """The process pool honours the same determinism contract as the
-    thread pool, plus the RNG merge-back that keeps later serial solves
-    on the same stream."""
-
-    @needs_fork
-    def test_hbss_process_identical_to_serial(self, chain_dag):
-        hours = list(range(4))
-        _, serial = _hbss(chain_dag)
-        _, forked = _hbss(chain_dag)
-        ps_serial, res_serial = serial.solve_day(hours, jobs=1)
-        ps_proc, res_proc = forked.solve_day(hours, jobs=2,
-                                             backend="process")
-        assert ps_proc.to_dict() == ps_serial.to_dict()
-        for a, b in zip(res_serial, res_proc):
-            assert (a.hour, a.iterations, a.accepted, a.plans_evaluated) == (
-                b.hour, b.iterations, b.accepted, b.plans_evaluated
-            )
-            assert a.best_estimate.mean_carbon_g == b.best_estimate.mean_carbon_g
-
-    @needs_fork
-    def test_hbss_rng_streams_merged_back(self, chain_dag):
-        # A serial solve AFTER a process solve must match a serial solve
-        # after a serial solve: worker RNG end-states are merged back.
-        def double_solve(backend):
-            rngs = {}
-
-            def factory(hour):
-                if hour not in rngs:
-                    rngs[hour] = np.random.default_rng(1000 + hour)
-                return rngs[hour]
-
-            ev = make_evaluator(chain_dag, seed=5)
-            solver = HBSSSolver(ev, np.random.default_rng(5),
-                                rng_factory=factory)
-            kwargs = {"jobs": 2, "backend": backend} if backend else {"jobs": 1}
-            solver.solve_day([0, 1], **kwargs)
-            return solver.solve_day([0, 1], jobs=1)[0].to_dict()
-
-        assert double_solve("process") == double_solve(None)
-
-    @needs_fork
-    def test_coarse_process_identical(self, chain_dag):
-        ev = make_evaluator(chain_dag)
-        solver = CoarseSolver(ev)
-        assert solver.solve_day(jobs=2, backend="process").to_dict() == \
-            solver.solve_day(jobs=1).to_dict()
-
-    @needs_fork
-    def test_exhaustive_process_identical(self):
-        ev = make_evaluator(tiny_dag())
-        solver = ExhaustiveSolver(ev)
-        assert (
-            solver.solve_day(hours=[0, 6, 12], jobs=2,
-                             backend="process").to_dict()
-            == solver.solve_day(hours=[0, 6, 12], jobs=1).to_dict()
-        )
-
-    @needs_fork
-    def test_settings_backend_is_the_default(self, chain_dag):
-        _, serial = _hbss(chain_dag)
-        _, forked = _hbss(chain_dag, parallel_backend="process",
-                          parallel_hours=2)
-        hours = [0, 1, 2]
-        assert forked.solve_day(hours)[0].to_dict() == \
-            serial.solve_day(hours, jobs=1)[0].to_dict()
-
-    def test_bogus_backend_rejected(self, chain_dag):
-        _, solver = _hbss(chain_dag)
-        with pytest.raises(ValueError, match="backend"):
-            solver.solve_day([0], backend="greenlet")
-        with pytest.raises(ValueError, match="parallel_backend"):
-            SolverSettings(parallel_backend="greenlet")
-        with pytest.raises(ValueError, match="wave_size"):
-            SolverSettings(wave_size=0)
-
-    @needs_fork
-    def test_process_map_basic(self):
-        assert process_map(_square, [1, 2, 3], 2) == [1, 4, 9]
-        assert process_map(_square, [], 2) == []
-
-
-def _square(x):
-    return x * x

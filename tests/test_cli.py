@@ -9,9 +9,10 @@ from repro.obs.report import REPORT_SCHEMA
 
 
 class TestParser:
-    def test_requires_command(self):
+    def test_requires_command(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+        assert "arguments are required" in capsys.readouterr().err
 
     def test_list_parses(self):
         args = build_parser().parse_args(["list"])
@@ -23,9 +24,10 @@ class TestParser:
         assert args.invocations == 20
         assert args.coarse is None
 
-    def test_invalid_size_rejected(self):
+    def test_invalid_size_rejected(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "x", "--size", "huge"])
+        assert "invalid choice: 'huge'" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -104,6 +106,7 @@ class TestObservabilityFlags:
         # --report implies tracing, so the critical-path section exists.
         assert doc["critical_path"]["n_requests"] > 0
         assert doc["per_region"]  # ledger-derived usage present
+        assert "report            : ->" in capsys.readouterr().out
 
     def test_report_renders_saved_report(self, tmp_path, capsys):
         report_file = tmp_path / "report.json"

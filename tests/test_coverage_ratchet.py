@@ -52,7 +52,7 @@ class TestRatchet:
         assert ratchet.main([str(report), "--ratchet-file", str(floor)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_update_raises_floor(self, paths):
+    def test_update_raises_floor(self, paths, capsys):
         report, floor = paths
         write_report(report, 85.3)
         assert (
@@ -60,14 +60,16 @@ class TestRatchet:
             == 0
         )
         assert json.loads(floor.read_text())["min_line_coverage_pct"] == 85.3
+        assert "floor raised: 70.00% -> 85.30%" in capsys.readouterr().out
 
-    def test_update_never_lowers_floor(self, paths):
+    def test_update_never_lowers_floor(self, paths, capsys):
         report, floor = paths
         write_report(report, 60.0)
         ratchet.main([str(report), "--update", "--ratchet-file", str(floor)])
         assert json.loads(floor.read_text())["min_line_coverage_pct"] == 70.0
+        assert "floor unchanged" in capsys.readouterr().out
 
-    def test_update_respects_ceiling(self, paths):
+    def test_update_respects_ceiling(self, paths, capsys):
         report, floor = paths
         write_report(report, 99.9)
         ratchet.main([str(report), "--update", "--ratchet-file", str(floor)])
@@ -75,10 +77,13 @@ class TestRatchet:
             json.loads(floor.read_text())["min_line_coverage_pct"]
             == ratchet.CEILING_PCT
         )
+        assert "floor raised: 70.00% -> 98.00%" in capsys.readouterr().out
 
-    def test_missing_report_is_an_error(self, paths):
+    def test_missing_report_is_an_error(self, paths, capsys):
         report, floor = paths
         assert ratchet.main([str(report), "--ratchet-file", str(floor)]) == 2
+        captured = capsys.readouterr()
+        assert "coverage report not found" in captured.out + captured.err
 
     def test_least_covered_sorted_ascending(self, paths, capsys):
         report, floor = paths

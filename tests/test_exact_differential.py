@@ -121,24 +121,18 @@ class TestAppDifferential:
 
 
 class TestSolveDayParity:
-    """Serial, thread, and process backends: identical plan sets."""
+    """Two fresh same-seed exact solves: identical plan sets."""
 
-    def _solve(self, jobs, backend):
+    def test_repeat_solve_matches(self):
+        def solve():
+            ev = make_evaluator(chain(3))
+            return ExactSolver(ev).solve_day(hours=[0, 6, 12, 18]).to_dict()
+
+        assert solve() == solve()
+
+    def test_solve_day_accumulates_stats(self):
         ev = make_evaluator(chain(3))
-        solver = ExactSolver(ev)
-        return solver.solve_day(
-            hours=[0, 6, 12, 18], jobs=jobs, backend=backend
-        ).to_dict()
-
-    def test_thread_matches_serial(self):
-        assert self._solve(1, "thread") == self._solve(3, "thread")
-
-    def test_process_matches_serial(self):
-        assert self._solve(1, "thread") == self._solve(3, "process")
-
-    def test_process_backend_accumulates_stats(self):
-        ev = make_evaluator(chain(3))
-        ExactSolver(ev).solve_day(hours=[0, 6], jobs=2, backend="process")
+        ExactSolver(ev).solve_day(hours=[0, 6])
         assert ev.stats.bnb_hours_solved == 2
         assert ev.stats.bnb_nodes_expanded > 0
 

@@ -121,9 +121,9 @@ class TestRunCaribou:
         assert math.isfinite(ratio) and ratio > 0
 
 
-class TestBackendEquivalence:
-    """Full harness runs are invariant to the solver backend — with and
-    without chaos faults in play."""
+class TestRunReproducibility:
+    """Two full harness runs on one seed agree on plans, latency, carbon
+    and regions — with and without chaos faults in play."""
 
     def _outcome_key(self, out):
         return (
@@ -135,26 +135,24 @@ class TestBackendEquivalence:
         )
 
     @pytest.mark.parametrize("chaos", [False, True])
-    def test_process_backend_matches_serial_run(self, chaos):
+    def test_same_seed_runs_match(self, chaos):
         from repro.cloud.faults import FaultPlan
-        from repro.core.solver.parallel import fork_available
 
-        if not fork_available():
-            pytest.skip("fork start method unavailable")
         app = get_app("dna_visualization")
         fault_plan = (
             FaultPlan().with_invocation_failures(0.1) if chaos else None
         )
-        runs = {}
-        for backend in (None, "process"):
-            out = run_caribou(
-                app, "small", ("us-east-1", "ca-central-1"), seed=11,
-                n_invocations=6, warmup=5, days=1, solver_settings=FAST,
-                fault_plan=fault_plan,
-                jobs=2 if backend else None, backend=backend,
+        first, second = (
+            self._outcome_key(
+                run_caribou(
+                    app, "small", ("us-east-1", "ca-central-1"), seed=11,
+                    n_invocations=6, warmup=5, days=1, solver_settings=FAST,
+                    fault_plan=fault_plan,
+                )
             )
-            runs[backend] = self._outcome_key(out)
-        assert runs["process"] == runs[None]
+            for _ in range(2)
+        )
+        assert second == first
 
 
 class TestSolvePlanSet:

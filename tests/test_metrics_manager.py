@@ -82,6 +82,27 @@ class TestIngestion:
         with pytest.raises(ValueError, match="home"):
             mm.execution_time_dist("a", "us-east-1")
 
+    def test_fully_shifted_history_pools_other_regions(self, setup):
+        # After a long fully-shifted run the window holds no home-region
+        # sample: the home distribution (and, through it, any region the
+        # node never ran in) pools what the node did record, in
+        # invocation order.
+        mm, ledger = setup
+        for rid, region, duration in (
+            ("r1", "us-west-2", 4.0),
+            ("r2", "ca-central-1", 2.0),
+            ("r3", "us-west-2", 6.0),
+        ):
+            ledger.record_execution(exec_rec("a", region, rid, duration=duration))
+        mm.collect(10.0)
+        home = mm.execution_time_dist("a", "us-east-1")
+        assert list(home.samples) == [4.0, 2.0, 6.0]
+        assert mm.execution_time_dist("a", "us-west-1") is home
+        # Regions with their own history keep it.
+        assert mm.execution_time_dist("a", "us-west-2").mean() == 5.0
+        with pytest.raises(ValueError, match="any region"):
+            mm.execution_time_dist("b", "us-east-1")
+
     def test_priors_used_before_history(self, setup):
         mm, _ = setup
         mm.register_execution_prior("a", "us-east-1", [4.0])

@@ -51,7 +51,8 @@ class FixtureData:
         return EmpiricalDistribution([0.0])
 
 
-def make_estimator(dag, data=None, scenario=None, seed=0, **kwargs):
+def make_estimator(dag, data=None, scenario=None, seed=0,
+                   client_region="us-east-1", **kwargs):
     return MonteCarloEstimator(
         dag,
         data or FixtureData(),
@@ -59,6 +60,7 @@ def make_estimator(dag, data=None, scenario=None, seed=0, **kwargs):
         CostModel(PricingSource()),
         TransferLatencyModel(LatencySource()),
         np.random.default_rng(seed),
+        client_region=client_region,
         **kwargs,
     )
 
@@ -325,7 +327,11 @@ class TestClientRegion:
     def test_default_client_follows_kv_then_plan(self, chain_dag):
         # Without client_region or kv_region the legacy fallback keeps
         # the client co-located with the start node (documented).
-        est = make_estimator(chain_dag, self.InputHeavy(edge_bytes=1e3))
+        with pytest.warns(UserWarning, match="client_region"):
+            est = make_estimator(
+                chain_dag, self.InputHeavy(edge_bytes=1e3),
+                client_region=None,
+            )
         shifted = DeploymentPlan.single_region(chain_dag, "us-west-1")
         profile = est.estimate_profile(shifted)
         assert ("us-west-1", "us-west-1") in profile.bytes_by_route

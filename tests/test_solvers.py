@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.common.clock import VirtualClock
 from repro.common.errors import SolverError
 from repro.core.solver import (
     CoarseSolver,
@@ -21,6 +22,7 @@ from repro.metrics.distributions import EmpiricalDistribution
 from repro.metrics.latency import TransferLatencyModel
 from repro.model.config import FunctionConstraints, Tolerances, WorkflowConfig
 from repro.model.plan import DeploymentPlan
+from repro.obs.trace import Tracer
 
 REGIONS = ("us-east-1", "us-west-1", "us-west-2", "ca-central-1")
 
@@ -273,8 +275,6 @@ class TestHBSS:
             best_estimate=est, iterations=1, accepted=1, plans_evaluated=1,
         )
         assert res.offloaded_nodes == ("c",)
-        with pytest.deprecated_call():
-            assert res.feasible_found == 1
 
 
 class TestCoarseSolver:
@@ -366,6 +366,8 @@ class TestSolverSettings:
             SolverSettings(gamma_decay=0.0)
         with pytest.raises(ValueError, match="gamma_decay"):
             SolverSettings(gamma_decay=1.01)
+        with pytest.raises(ValueError, match="wave_size"):
+            SolverSettings(wave_size=0)
         SolverSettings(gamma=0.0, gamma_decay=1.0)  # boundary values OK
 
 
@@ -425,74 +427,67 @@ def _counters(stats):
 
 
 class TestParallelSolveDay:
-    """The tentpole contract: any worker count, identical plan set."""
+    """The contract of the one way a day is solved (the class and test
+    names predate the removal of the worker-pool backends): two fresh
+    same-seed solvers return identical plan sets, per-hour results,
+    counters and solver spans."""
 
-    def _hbss(self, dag, seed=5, **settings_kw):
+    def _hbss(self, dag, seed=5, tracer=None):
         settings = SolverSettings(batch_size=40, max_samples=120,
-                                  cov_threshold=0.1, **settings_kw)
+                                  cov_threshold=0.1)
         ev = make_evaluator(dag, settings=settings, seed=seed)
-        return ev, HBSSSolver(ev, np.random.default_rng(seed))
+        return ev, HBSSSolver(ev, np.random.default_rng(seed), tracer=tracer)
 
     def test_hbss_parallel_identical_to_serial(self, chain_dag):
         hours = list(range(6))
-        _, serial = self._hbss(chain_dag)
-        _, threaded = self._hbss(chain_dag)
-        ps_serial, res_serial = serial.solve_day(hours, jobs=1)
-        ps_par, res_par = threaded.solve_day(hours, jobs=3)
-        assert ps_par.to_dict() == ps_serial.to_dict()
-        for a, b in zip(res_serial, res_par):
+        tracers = [Tracer(VirtualClock()), Tracer(VirtualClock())]
+        _, first = self._hbss(chain_dag, tracer=tracers[0])
+        _, second = self._hbss(chain_dag, tracer=tracers[1])
+        ps_first, res_first = first.solve_day(hours)
+        ps_second, res_second = second.solve_day(hours)
+        assert ps_second.to_dict() == ps_first.to_dict()
+        for a, b in zip(res_first, res_second):
             assert (a.hour, a.iterations, a.accepted, a.plans_evaluated) == (
                 b.hour, b.iterations, b.accepted, b.plans_evaluated
             )
             assert a.best_plan == b.best_plan
             assert a.best_estimate.mean_carbon_g == b.best_estimate.mean_carbon_g
+        # Iteration spans are recorded as the walk goes, inside their
+        # hour's span: one solver_hour per hour, each iteration its
+        # child, and the whole trace byte-equal across the two runs.
+        spans = tracers[0].spans
+        hour_spans = [s for s in spans if s.kind == "solver_hour"]
+        assert [s.attrs["hour"] for s in hour_spans] == hours
+        iteration_spans = [s for s in spans if s.kind == "solver_iteration"]
+        assert iteration_spans
+        by_id = {s.span_id: s for s in spans}
+        for span in iteration_spans:
+            parent = by_id[span.parent_id]
+            assert parent.kind == "solver_hour"
+            assert parent.attrs["hour"] == span.attrs["hour"]
+        assert tracers[0].to_jsonl() == tracers[1].to_jsonl()
 
     def test_hbss_parallel_stats_match_serial(self, chain_dag):
         hours = list(range(4))
-        ev_serial, serial = self._hbss(chain_dag)
-        ev_par, threaded = self._hbss(chain_dag)
-        serial.solve_day(hours, jobs=1)
-        threaded.solve_day(hours, jobs=4)
-        assert _counters(ev_par.stats) == _counters(ev_serial.stats)
-
-    def test_parallel_hours_setting_is_the_default(self, chain_dag):
-        # jobs=None defers to SolverSettings.parallel_hours.
-        hours = [0, 1, 2]
-        _, serial = self._hbss(chain_dag)
-        _, threaded = self._hbss(chain_dag, parallel_hours=3)
-        ps_serial, _ = serial.solve_day(hours)
-        ps_par, _ = threaded.solve_day(hours)
-        assert ps_par.to_dict() == ps_serial.to_dict()
+        ev_first, first = self._hbss(chain_dag)
+        ev_second, second = self._hbss(chain_dag)
+        first.solve_day(hours)
+        second.solve_day(hours)
+        assert _counters(ev_second.stats) == _counters(ev_first.stats)
 
     def test_coarse_parallel_identical(self, chain_dag):
-        ev = make_evaluator(chain_dag)
-        solver = CoarseSolver(ev)
-        ps_serial = solver.solve_day(jobs=1)
-        ps_par = solver.solve_day(jobs=4)
-        assert ps_par.to_dict() == ps_serial.to_dict()
+        first, second = make_evaluator(chain_dag), make_evaluator(chain_dag)
+        ps_first = CoarseSolver(first).solve_day()
+        ps_second = CoarseSolver(second).solve_day()
+        assert ps_second.to_dict() == ps_first.to_dict()
+        assert _counters(second.stats) == _counters(first.stats)
 
     def test_exhaustive_parallel_identical(self):
-        ev = make_evaluator(tiny_dag())
-        solver = ExhaustiveSolver(ev)
-        ps_serial = solver.solve_day(hours=[0, 6, 12], jobs=1)
-        ps_par = solver.solve_day(hours=[0, 6, 12], jobs=3)
-        assert ps_par.to_dict() == ps_serial.to_dict()
-
-    def test_resolve_jobs(self):
-        import os as _os
-
-        from repro.core.solver import resolve_jobs
-
-        assert resolve_jobs(None, 1, 24) == 1
-        assert resolve_jobs(None, 4, 24) == 4
-        assert resolve_jobs(8, 1, 3) == 3      # clamped to task count
-        assert resolve_jobs(-2, 1, 24) == 1    # floor of one worker
-        cpus = _os.cpu_count() or 1
-        assert resolve_jobs(0, 1, 24) == max(1, min(cpus, 24))
-
-    def test_parallel_hours_validation(self):
-        with pytest.raises(ValueError):
-            SolverSettings(parallel_hours=-1)
+        first, second = make_evaluator(tiny_dag()), make_evaluator(tiny_dag())
+        ps_first = ExhaustiveSolver(first).solve_day(hours=[0, 6, 12])
+        ps_second = ExhaustiveSolver(second).solve_day(hours=[0, 6, 12])
+        assert ps_second.to_dict() == ps_first.to_dict()
+        assert _counters(second.stats) == _counters(first.stats)
 
 
 class TestWarmStart:

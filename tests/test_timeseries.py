@@ -392,16 +392,6 @@ class TestHarnessTelemetry:
         )
         assert again.prom == telemetered_outcome.prom
 
-    def test_thread_backend_series_identical(self, telemetered_outcome):
-        threaded = run_caribou(
-            get_app("text2speech_censoring"), "small", REGIONS,
-            seed=3, n_invocations=4, jobs=2, backend="thread",
-            telemetry=TelemetryConfig(window_s=3600.0),
-        )
-        assert series_to_jsonl(threaded.series) == series_to_jsonl(
-            telemetered_outcome.series
-        )
-
     def test_untelemetered_run_unchanged(self):
         """NullTracer contract, extended: no TelemetryConfig => no series,
         no prom, and the measured means match a telemetered twin."""

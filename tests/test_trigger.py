@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.trigger import EarnReport, TokenBucket
+from repro.core.trigger import EarnReport, TokenBucket, TriggerSettings
 
 
 @pytest.fixture
@@ -154,8 +154,8 @@ class TestCheckCadence:
 class TestCadenceContract:
     """Regression coverage for the trigger/manager loop (§5.2)."""
 
-    def _earning_bucket(self):
-        bucket = TokenBucket(n_nodes=7, n_regions=4)
+    def _earning_bucket(self, settings=TriggerSettings()):
+        bucket = TokenBucket(n_nodes=7, n_regions=4, settings=settings)
         bucket.earn(
             invocations=500, avg_runtime_s=2.0, avg_memory_mb=1769,
             home_intensity=400.0, best_intensity=34.0, period_s=3600.0,
@@ -181,6 +181,29 @@ class TestCadenceContract:
             bucket.tokens_g = cost * fill
             delays.append(bucket.next_check_delay_s(400.0))
         assert delays == sorted(delays)
+
+    def _full_deficit_bucket(self, min_s, max_s):
+        bucket = self._earning_bucket(
+            TriggerSettings(min_check_period_s=min_s, max_check_period_s=max_s)
+        )
+        bucket.tokens_g = 0.0  # earn rate retained
+        return bucket
+
+    def test_empty_band_checks_at_the_fixed_period(self):
+        # min == max used to divide by zero in the sigmoid's steepness.
+        bucket = self._full_deficit_bucket(3600.0, 3600.0)
+        assert bucket.next_check_delay_s(400.0) == 3600.0
+        for bad in ((0.0, 3600.0), (-1.0, 3600.0), (7200.0, 3600.0)):
+            with pytest.raises(ValueError, match="check periods"):
+                TriggerSettings(
+                    min_check_period_s=bad[0], max_check_period_s=bad[1]
+                )
+
+    def test_narrow_band_does_not_overflow(self):
+        # A one-second band puts z near -4 * (min + max): exp(-z) used
+        # to raise OverflowError.
+        bucket = self._full_deficit_bucket(3600.0, 3601.0)
+        assert 3600.0 <= bucket.next_check_delay_s(400.0) <= 3601.0
 
     def test_no_deficit_checks_at_min_period(self):
         bucket = self._earning_bucket()
