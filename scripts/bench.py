@@ -6,10 +6,6 @@ host time (virtual time is free — these numbers say how fast the
 *simulator* runs, not how fast the simulated cloud is):
 
 * ``solver_solves_per_s``   — HBSS ``solve_hour`` calls per second;
-* ``solver_batched_solves_per_s`` — HBSS with ``wave_size > 1``, which
-  funnels each wave of fresh candidates through the cross-plan stacked
-  Monte-Carlo kernel, gated on bit-identity with the scalar-reference
-  fallback (``batched_evaluation=False``) on the same seed;
 * ``executor_events_per_s`` — simulation events per second through the
   *serving phase*: an open-loop arrival trace injected into a deployed
   workflow, timed over the event-loop drain only (deploy and trace
@@ -52,7 +48,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -104,7 +99,6 @@ BENCH_SCHEMA = "caribou.bench/v1"
 THROUGHPUT_METRICS = (
     "executor_events_per_s",
     "mc_samples_per_s",
-    "solver_batched_solves_per_s",
     "service_jobs_per_s",
     "solver_solves_per_s",
     "workload_gen_events_per_s",
@@ -289,54 +283,6 @@ def bench_solver(smoke: bool) -> Dict[str, float]:
         "mc_wall_s": mc_s,
         "mc_samples": float(stats.samples_drawn),
         "phases": profiler.snapshot(),  # hoisted into the doc by run_bench
-    }
-
-
-def _solved_workload(smoke: bool, settings: SolverSettings):
-    """Fresh same-seeded deployment, warmed up and solved under
-    ``settings``; returns ``(plan_set, solve_wall_s, n_hours)``."""
-    cloud = SimulatedCloud(seed=7)
-    app = get_app(APP)
-    deployed, executor, _ = deploy_benchmark(app, cloud)
-    warm_up(executor, app, "small", n=6 if smoke else 12)
-    hours = list(range(2 if smoke else 8))
-    t0 = time.perf_counter()
-    plan_set = solve_plan_set(
-        deployed,
-        executor,
-        TransmissionScenario.best_case(),
-        solver_settings=settings,
-        hours=hours,
-    )
-    return plan_set, time.perf_counter() - t0, len(hours)
-
-
-#: HBSS candidate wave size for the batched-solver bench: big enough to
-#: keep the stacked kernel busy, small enough that smoke stays fast.
-BATCH_WAVE = 8
-
-
-def bench_batched_solver(smoke: bool) -> Dict[str, float]:
-    """Wave-batched solves/sec — HBSS with ``wave_size > 1`` funnels
-    every wave of fresh candidates through the cross-plan stacked
-    Monte-Carlo kernel.  Gate: the batched run must produce the
-    *bit-identical* plan set of the scalar-reference fallback
-    (``batched_evaluation=False``) on the same seed; a mismatch is a
-    correctness bug, so it aborts the bench."""
-    wave = dataclasses.replace(BENCH_SOLVER_SETTINGS, wave_size=BATCH_WAVE)
-    scalar = dataclasses.replace(wave, batched_evaluation=False)
-    scalar_ps, _, _ = _solved_workload(smoke, scalar)
-    batched_ps, elapsed, n_hours = _solved_workload(smoke, wave)
-    if batched_ps.to_dict() != scalar_ps.to_dict():
-        raise RuntimeError(
-            f"batched plan set (wave_size={BATCH_WAVE}) differs from the "
-            "scalar-reference fallback on the same seed — batched kernel "
-            "bit-identity violated"
-        )
-    return {
-        "solver_batched_solves_per_s": n_hours / max(elapsed, 1e-9),
-        "solver_batched_wave": float(BATCH_WAVE),
-        "solver_batched_wall_s": elapsed,
     }
 
 
@@ -706,7 +652,6 @@ def run_bench(label: str, smoke: bool) -> Dict[str, Any]:
         "service_jobs": "jobs",
         "service_jobs_per_s": "jobs/s",
         "service_steps": "steps",
-        "solver_batched_solves_per_s": "solves/s",
         "solver_solves_per_s": "solves/s",
         "telemetry_overhead_pct": "%",
         "telemetry_points": "points",
@@ -720,7 +665,6 @@ def run_bench(label: str, smoke: bool) -> Dict[str, Any]:
     solver = bench_solver(smoke)
     phases = solver.pop("phases")
     raw.update(solver)
-    raw.update(bench_batched_solver(smoke))
     raw.update(bench_executor(smoke))
     raw.update(bench_workload_gen(smoke))
     raw.update(bench_fleet(smoke))

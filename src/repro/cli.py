@@ -102,9 +102,6 @@ def _default_chaos_plan(regions: Sequence[str], home: str) -> FaultPlan:
 def _solver_settings(args: argparse.Namespace):
     """The bench defaults, with any CLI solver knobs applied."""
     settings = BENCH_SOLVER_SETTINGS
-    wave = getattr(args, "wave", None)
-    if wave:
-        settings = dataclasses.replace(settings, wave_size=wave)
     solver = getattr(args, "solver", None)
     if solver:
         settings = dataclasses.replace(settings, solver=solver)
@@ -485,6 +482,13 @@ def cmd_carbon(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="caribou",
@@ -502,9 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_deploy.set_defaults(func=cmd_deploy)
 
     p_run = sub.add_parser("run", help="deploy + solve + run invocations")
-    p_run.add_argument("app")
+    p_run.add_argument("app", choices=sorted(ALL_APPS))
     p_run.add_argument("--size", choices=("small", "large"), default="small")
-    p_run.add_argument("-n", "--invocations", type=int, default=20)
+    p_run.add_argument("-n", "--invocations", type=_positive_int, default=20)
     p_run.add_argument("--regions", default=None)
     p_run.add_argument("--coarse", metavar="REGION", default=None,
                        help="static single-region deployment instead of Caribou")
@@ -527,10 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="search strategy (default hbss; 'exact' runs the "
                             "provably-optimal branch-and-bound)")
-    p_run.add_argument("--wave", type=int, default=None,
-                       help="HBSS candidate wave size: evaluate this many "
-                            "fresh candidates per batched kernel call "
-                            "(default 1 = the paper's serial trajectory)")
     p_run.add_argument("--trace-sample", type=int, default=1,
                        help="keep every N-th request's spans in the trace "
                             "(default 1 = record everything); cuts tracer "
@@ -554,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_solve = sub.add_parser("solve", help="print the solved 24-hour plan set")
-    p_solve.add_argument("app")
+    p_solve.add_argument("app", choices=sorted(ALL_APPS))
     p_solve.add_argument("--size", choices=("small", "large"), default="small")
     p_solve.add_argument("--regions", default=None)
     p_solve.add_argument("--worst-case", action="store_true")
@@ -563,10 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="search strategy (default hbss; 'exact' runs the "
                             "provably-optimal branch-and-bound)")
-    p_solve.add_argument("--wave", type=int, default=None,
-                         help="HBSS candidate wave size: evaluate this many "
-                              "fresh candidates per batched kernel call "
-                              "(default 1 = the paper's serial trajectory)")
     p_solve.set_defaults(func=cmd_solve)
 
     p_report = sub.add_parser(

@@ -75,11 +75,6 @@ class CoarseSolver:
         plans = [
             DeploymentPlan.single_region(ev.dag, region) for region in regions
         ]
-        if len(plans) > 1:
-            # Build all uncached single-region profiles in one stacked
-            # kernel call (values identical to lazy per-plan builds;
-            # no-op when batched evaluation is disabled).
-            ev.prefetch_profiles(plans)
         best_plan: Optional[DeploymentPlan] = None
         best_metric = float("inf")
         for plan in plans:

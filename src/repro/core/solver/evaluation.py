@@ -42,17 +42,6 @@ class SolverSettings:
     (``alpha = |N| x |R| x 6``); ``beta`` its bias, ``gamma`` the initial
     temperature with ``gamma_decay`` applied per accepted move.
 
-    ``wave_size`` is the number of candidate plans an HBSS iteration
-    wave generates before evaluating them; waves of two or more are
-    evaluated through the cross-plan batched Monte-Carlo kernel
-    (:meth:`~repro.metrics.montecarlo.MonteCarloEstimator.estimate_profiles`).
-    ``1`` (default) preserves Alg. 1's serial generate-then-accept
-    trajectory exactly; larger waves trade some search adaptivity for
-    kernel throughput and are a deliberate algorithm variant, not a
-    drop-in equivalent.  ``batched_evaluation`` gates the batched kernel
-    itself: when False, wave candidates fall back to per-plan profile
-    builds (bit-identical values — the differential tests rely on it).
-
     ``solver`` picks which search strategy the harness/CLI runs:
     ``"hbss"`` (Alg. 1, the production default), ``"coarse"``
     (single-region), ``"exhaustive"`` (full enumeration, refuses >100k
@@ -67,8 +56,6 @@ class SolverSettings:
     beta: float = 0.2
     gamma: float = 1.0
     gamma_decay: float = 0.99
-    wave_size: int = 1
-    batched_evaluation: bool = True
     solver: str = "hbss"
 
     def __post_init__(self) -> None:
@@ -87,10 +74,6 @@ class SolverSettings:
         if not 0.0 < self.gamma_decay <= 1.0:
             raise ValueError(
                 f"gamma_decay must be in (0, 1], got {self.gamma_decay}"
-            )
-        if self.wave_size <= 0:
-            raise ValueError(
-                f"wave_size must be positive, got {self.wave_size}"
             )
         if self.solver not in ("hbss", "coarse", "exhaustive", "exact"):
             raise ValueError(
@@ -477,60 +460,24 @@ class PlanEvaluator:
             return profile
 
     def prefetch_profiles(self, plans: Sequence[DeploymentPlan]) -> int:
-        """Build every uncached plan profile through the cross-plan
-        batched kernel; returns the number of profiles built.
+        """Build every uncached plan profile up front; returns the
+        number of profiles built.
 
         Values are bit-identical to per-plan :meth:`profile` builds
         (each plan draws from its own digest-keyed substream), so
         prefetching only changes *when* profiles are built, never what
-        they contain.  Safe under concurrent callers: per-digest
-        build locks are acquired in sorted-digest order (no deadlock
-        against other prefetchers), and any plan another thread finishes
-        first is simply skipped.  No-op when ``batched_evaluation`` is
-        disabled in the settings — callers need no branch.
+        they contain.  A plan another thread finishes between the cache
+        check and the build is counted as built here.
         """
-        if not self.settings.batched_evaluation:
-            return 0
-        unique: Dict[str, DeploymentPlan] = {}
-        for plan in plans:
-            unique.setdefault(plan.digest(), plan)
         cache = self._cache
-        with cache.lock:
-            missing = [
-                (digest, plan)
-                for digest, plan in unique.items()
-                if digest not in cache._profiles
-            ]
-            locks = {
-                digest: cache._build_locks.setdefault(digest, threading.Lock())
-                for digest, _ in missing
-            }
-        if not missing:
-            return 0
-        acquired = []
-        try:
-            for digest in sorted(locks):
-                locks[digest].acquire()
-                acquired.append(locks[digest])
+        built = 0
+        for digest, plan in {p.digest(): p for p in plans}.items():
             with cache.lock:
-                to_build = [
-                    (digest, plan)
-                    for digest, plan in missing
-                    if digest not in cache._profiles
-                ]
-            if not to_build:
-                return 0
-            profiles = self._estimator.estimate_profiles(
-                [plan for _, plan in to_build]
-            )
-            with cache.lock:
-                for (digest, _), profile in zip(to_build, profiles):
-                    cache._profiles[digest] = profile
-            self.stats.bump(profiles_built=len(to_build))
-            return len(to_build)
-        finally:
-            for lock in acquired:
-                lock.release()
+                cached = digest in cache._profiles
+            if not cached:
+                self.profile(plan)
+                built += 1
+        return built
 
     def estimate(self, plan: DeploymentPlan, hour: int) -> WorkflowEstimate:
         key = (plan.digest(), hour)

@@ -23,10 +23,6 @@ from repro.model.plan import DeploymentPlan, HourlyPlanSet
 #: Refuse to enumerate spaces larger than this (the whole point of HBSS).
 DEFAULT_MAX_PLANS = 100_000
 
-#: Plans per batched-prefetch wave: bounds the stacked kernel's working
-#: set (wave x max_samples doubles per accumulator array).
-PREFETCH_WAVE = 64
-
 
 class ExhaustiveSolver:
     """Enumerates every compliant plan; exact but exponential."""
@@ -96,11 +92,6 @@ class ExhaustiveSolver:
                 candidates.append(plan)
         else:
             candidates = all_plans
-        # Prefetch profiles in bounded waves through the cross-plan
-        # batched kernel — every surviving plan gets ranked below
-        # anyway, so this only front-loads (and batches) the work.
-        for lo in range(0, len(candidates), PREFETCH_WAVE):
-            ev.prefetch_profiles(candidates[lo : lo + PREFETCH_WAVE])
         best_plan: Optional[DeploymentPlan] = None
         best_metric = float("inf")
         for plan in candidates:

@@ -235,62 +235,40 @@ class HBSSSolver:
 
             iterations = 0
             accepted = 0
-            wave_size = settings.wave_size
-            # The walk proceeds in waves: generate ``wave_size``
-            # candidates from the current state, evaluate, then run the
-            # serial acceptance pass over them.  ``wave_size=1`` is
-            # exactly Alg. 1's generate-then-accept trajectory (same
-            # draws in the same order); larger waves prefetch their
-            # fresh candidates through the cross-plan batched kernel
-            # (profile values are bit-identical to per-plan builds, so
-            # batched on/off cannot change the trajectory — only waves
-            # greater than one are a distinct search variant).
             while iterations < alpha and len(deployments) < space:
-                wave: List[Tuple[DeploymentPlan, int]] = []
-                while len(wave) < wave_size and iterations < alpha:
-                    candidate = self._gen_new_deployment_with_bias(
-                        current, hour, accepted_regions, rng
+                candidate = self._gen_new_deployment_with_bias(
+                    current, hour, accepted_regions, rng
+                )
+                iterations += 1
+                if candidate in deployments:
+                    continue
+                if ev.tolerance_violated(candidate, hour):
+                    deployments[candidate] = math.inf
+                    continue
+                metric = ev.metric(candidate, hour)
+                deployments[candidate] = metric
+                took = metric < current_metric or self._mut(
+                    gamma, current_metric, metric, rng
+                )
+                if self._tracer.enabled:
+                    self._tracer.record(
+                        "solver_iteration",
+                        f"hour={hour}#{iterations}",
+                        hour=hour,
+                        iteration=iterations,
+                        metric=metric,
+                        accepted=took,
                     )
-                    iterations += 1
-                    wave.append((candidate, iterations))
-                if wave_size > 1:
-                    fresh = [
-                        cand for cand, _ in wave if cand not in deployments
-                    ]
-                    if len(fresh) > 1:
-                        ev.prefetch_profiles(fresh)
-                for candidate, iteration in wave:
-                    if len(deployments) >= space:
-                        break
-                    if candidate in deployments:
-                        continue
-                    if ev.tolerance_violated(candidate, hour):
-                        deployments[candidate] = math.inf
-                        continue
-                    metric = ev.metric(candidate, hour)
-                    deployments[candidate] = metric
-                    took = metric < current_metric or self._mut(
-                        gamma, current_metric, metric, rng
-                    )
-                    if self._tracer.enabled:
-                        self._tracer.record(
-                            "solver_iteration",
-                            f"hour={hour}#{iteration}",
-                            hour=hour,
-                            iteration=iteration,
-                            metric=metric,
-                            accepted=took,
+                if took:
+                    current, current_metric = candidate, metric
+                    gamma *= ev.settings.gamma_decay
+                    accepted += 1
+                    for region in set(candidate.assignments.values()):
+                        accepted_regions[region] = (
+                            accepted_regions.get(region, 0) + 1
                         )
-                    if took:
-                        current, current_metric = candidate, metric
-                        gamma *= ev.settings.gamma_decay
-                        accepted += 1
-                        for region in set(candidate.assignments.values()):
-                            accepted_regions[region] = (
-                                accepted_regions.get(region, 0) + 1
-                            )
-                        if metric < best_metric:
-                            best_plan, best_metric = candidate, metric
+                    if metric < best_metric:
+                        best_plan, best_metric = candidate, metric
 
             result = SolveResult(
                 hour=hour,

@@ -48,28 +48,6 @@ class CostModel:
         gb_seconds = (memory_mb / 1024.0) * durations
         return gb_seconds * prices.lambda_gb_second + prices.lambda_invocation
 
-    def execution_cost_stacked(
-        self, regions: "list[str]", durations_s: np.ndarray, memory_mb: float
-    ) -> np.ndarray:
-        """Vectorised :meth:`execution_cost` over per-row regions.
-
-        ``regions[p]`` prices row ``p`` of the ``(n_rows, batch)``
-        duration matrix; rates broadcast as ``(n_rows, 1)`` columns so
-        each element sees exactly the scalar arithmetic (bit-identity
-        for the cross-plan Monte-Carlo kernel).
-        """
-        durations = np.asarray(durations_s, dtype=float)
-        if np.any(durations < 0) or memory_mb <= 0:
-            raise ValueError("duration must be >= 0 and memory positive")
-        rates = np.array(
-            [self._pricing.prices(r).lambda_gb_second for r in regions]
-        )[:, None]
-        fees = np.array(
-            [self._pricing.prices(r).lambda_invocation for r in regions]
-        )[:, None]
-        gb_seconds = (memory_mb / 1024.0) * durations
-        return gb_seconds * rates + fees
-
     def transmission_cost(
         self, src_region: str, dst_region: str, size_bytes: float
     ) -> float:
@@ -92,36 +70,6 @@ class CostModel:
             raise ValueError("size_bytes must be non-negative")
         per_gb = self._pricing.egress_per_gb(src_region, dst_region)
         return per_gb * (sizes / (1024.0**3))
-
-    def transmission_cost_stacked(
-        self, routes: "list[tuple[str, str]]", size_bytes: np.ndarray
-    ) -> np.ndarray:
-        """Vectorised :meth:`transmission_cost` over per-row routes
-        (``(n_rows, 1)`` rate columns; see :meth:`execution_cost_stacked`).
-        """
-        sizes = np.asarray(size_bytes, dtype=float)
-        if np.any(sizes < 0):
-            raise ValueError("size_bytes must be non-negative")
-        per_gb = np.array(
-            [self._pricing.egress_per_gb(src, dst) for src, dst in routes]
-        )[:, None]
-        return per_gb * (sizes / (1024.0**3))
-
-    def messaging_cost_column(
-        self, regions: "list[str]", n_publishes: int = 1
-    ) -> np.ndarray:
-        """``(n_rows, 1)`` column of :meth:`messaging_cost` per region."""
-        return np.array(
-            [self.messaging_cost(r, n_publishes) for r in regions]
-        )[:, None]
-
-    def kv_cost_column(
-        self, regions: "list[str]", n_reads: int = 0, n_writes: int = 0
-    ) -> np.ndarray:
-        """``(n_rows, 1)`` column of :meth:`kv_cost` per region."""
-        return np.array(
-            [self.kv_cost(r, n_reads, n_writes) for r in regions]
-        )[:, None]
 
     def messaging_cost(self, region: str, n_publishes: int = 1) -> float:
         """SNS publish cost in ``region``."""

@@ -54,25 +54,3 @@ class TransferLatencyModel:
             raise ValueError("size_bytes must be non-negative")
         bandwidth = self._intra_bw if src == dst else self._inter_bw
         return self._latency.one_way(src, dst) + sizes / bandwidth
-
-    def estimate_stacked(
-        self, routes: "list[tuple[str, str]]", size_bytes: np.ndarray
-    ) -> np.ndarray:
-        """Vectorised :meth:`estimate` over per-row routes.
-
-        ``routes[p]`` prices row ``p`` of the ``(n_routes, batch)`` size
-        matrix.  Base latency and bandwidth broadcast as
-        ``(n_routes, 1)`` columns, so every element undergoes exactly
-        the scalar arithmetic — the cross-plan Monte-Carlo kernel's
-        bit-identity relies on this.
-        """
-        sizes = np.asarray(size_bytes, dtype=float)
-        if np.any(sizes < 0):
-            raise ValueError("size_bytes must be non-negative")
-        base = np.array(
-            [self._latency.one_way(src, dst) for src, dst in routes]
-        )[:, None]
-        bandwidth = np.array(
-            [self._intra_bw if src == dst else self._inter_bw for src, dst in routes]
-        )[:, None]
-        return base + sizes / bandwidth

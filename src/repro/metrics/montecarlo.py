@@ -59,23 +59,6 @@ arithmetic in the same order per element, so the two produce
 bit-identical :class:`PlanProfile`\\ s (and therefore bit-identical
 :class:`WorkflowEstimate`\\ s) from identical seeds — the property the
 differential test in ``tests/test_montecarlo.py`` locks down.
-
-Cross-plan batching (``estimate_profiles``)
--------------------------------------------
-The solver's inner loop evaluates *many* candidate plans per hour, each
-with a small batch size, so per-call numpy dispatch overhead dominates.
-:meth:`MonteCarloEstimator.estimate_profiles` amortises it: every plan
-still draws from its own digest-keyed substream in the canonical order
-above (so each plan's randomness is exactly what a solo
-``estimate_profile`` would have consumed), but the simulation arithmetic
-runs once over a stacked ``(n_plans, batch)`` matrix with per-plan
-pricing parameters broadcast as ``(n_plans, 1)`` columns.  Because every
-element-wise operation is the same IEEE-754 operation the per-plan
-kernel performs, the stacked kernel is bit-identical to per-plan
-evaluation.  Convergence is masked per plan: a plan whose latency and
-cost estimators hit the stopping rule leaves the active set and stops
-consuming samples, while the rest continue — exactly the per-plan
-stopping points of solo runs.
 """
 
 from __future__ import annotations
@@ -213,30 +196,6 @@ class PlanProfile:
     def n_samples(self) -> int:
         return len(self.latencies)
 
-    @property
-    def exec_energy(self) -> List[Dict[str, float]]:
-        """Back-compat per-sample view: ``[{region: kWh}, ...]``."""
-        return [
-            {
-                region: float(arr[i])
-                for region, arr in self.energy_by_region.items()
-                if arr[i] != 0.0
-            }
-            for i in range(self.n_samples)
-        ]
-
-    @property
-    def route_bytes(self) -> List[Dict[Tuple[str, str], float]]:
-        """Back-compat per-sample view: ``[{route: bytes}, ...]``."""
-        return [
-            {
-                route: float(arr[i])
-                for route, arr in self.bytes_by_route.items()
-                if arr[i] != 0.0
-            }
-            for i in range(self.n_samples)
-        ]
-
     def carbon_samples(
         self, carbon_at: Callable[[str], float]
     ) -> "np.ndarray":
@@ -314,9 +273,8 @@ class _BatchAccumulators:
     def window(self, lo: int, hi: int) -> "_BatchAccumulators":
         """A view of samples ``[lo, hi)`` sharing this accumulator's
         storage.  The kernels write batches through these views, so a
-        profile run fills one preallocated buffer incrementally instead
-        of concatenating per-batch arrays (which made every convergence
-        check O(total samples so far)).
+        profile run fills one preallocated buffer incrementally and
+        every convergence check reads a prefix of it.
         """
         view = _BatchAccumulators.__new__(_BatchAccumulators)
         view.n = hi - lo
@@ -425,8 +383,7 @@ class MonteCarloEstimator:
 
         Results accumulate into one preallocated ``max_samples`` buffer
         through slice views, so each convergence check reads a
-        contiguous prefix instead of re-concatenating every batch
-        (previously O(n²) across the run).  The final batch is clamped
+        contiguous prefix.  The final batch is clamped
         to the remaining budget, so the sample cap is honoured exactly
         even when ``batch_size`` does not divide ``max_samples``.
         """
@@ -455,35 +412,21 @@ class MonteCarloEstimator:
     def estimate_profiles(
         self, plans: Sequence[DeploymentPlan]
     ) -> List[PlanProfile]:
-        """Profile many candidate plans through one stacked kernel.
+        """Profile many candidate plans: one :meth:`estimate_profile`
+        run per distinct plan, in first-seen order.
 
-        Each plan draws from its own digest-keyed substream in the
-        canonical order, so results are bit-identical to per-plan
-        :meth:`estimate_profile` calls (the differential tests lock this
-        down); the simulation arithmetic runs once per wave over a
-        ``(n_active_plans, batch)`` matrix.  Convergence is masked per
-        plan: a converged plan leaves the active set and stops drawing.
-
-        Duplicate plans (same digest) are simulated once and share the
-        resulting profile object.  With ``vectorized=False`` this falls
-        back to per-plan scalar-reference runs — same results, kept for
-        differential testing.
+        Each plan draws from its own digest-keyed substream, so results
+        are bit-identical to per-plan :meth:`estimate_profile` calls in
+        any order.  Duplicate plans (same digest) are simulated once and
+        share the resulting profile object.
         """
-        if not plans:
-            return []
         for plan in plans:
             self._check_coverage(plan)
-        if not self._vectorized:
-            return [self.estimate_profile(p) for p in plans]
-        unique: Dict[str, DeploymentPlan] = {}
+        by_digest: Dict[str, PlanProfile] = {}
         for plan in plans:
-            unique.setdefault(plan.digest(), plan)
-        uniq_plans = list(unique.values())
-        if len(uniq_plans) == 1:
-            profiles = [self.estimate_profile(uniq_plans[0])]
-        else:
-            profiles = self._estimate_profiles_stacked(uniq_plans)
-        by_digest = dict(zip(unique.keys(), profiles))
+            digest = plan.digest()
+            if digest not in by_digest:
+                by_digest[digest] = self.estimate_profile(plan)
         return [by_digest[plan.digest()] for plan in plans]
 
     # -- internals -----------------------------------------------------------
@@ -518,51 +461,6 @@ class MonteCarloEstimator:
             carbon_model=self._carbon,
         )
 
-    def _estimate_profiles_stacked(
-        self, plans: List[DeploymentPlan]
-    ) -> List[PlanProfile]:
-        """The cross-plan driver: lockstep waves over the active set.
-
-        All active plans have always drawn the same number of samples,
-        so one wave draws a uniform ``n`` per plan, stacks the draws
-        into ``(n_active, n)`` matrices, runs the stacked kernel once,
-        and re-checks each plan's stopping rule on its own prefix.
-        Substreams are independent, so a plan's exit never perturbs the
-        draws of the plans that continue.
-        """
-        n_plans = len(plans)
-        rngs = [self.plan_rng(p) for p in plans]
-        fulls = [self._make_accumulators(p, self._max) for p in plans]
-        totals = [0] * n_plans
-        active = list(range(n_plans))
-        n_filled = 0
-        with profiled_phase("mc.estimate_profiles"):
-            while active and n_filled < self._max:
-                n = min(self._batch, self._max - n_filled)
-                per_plan = [
-                    self._draw_batch(plans[i], n, rngs[i]) for i in active
-                ]
-                stacked = self._stack_draws(per_plan)
-                windows = [
-                    fulls[i].window(n_filled, n_filled + n) for i in active
-                ]
-                self._simulate_batch_stacked(
-                    [plans[i] for i in active], stacked, windows
-                )
-                n_filled += n
-                still_active = []
-                for i in active:
-                    totals[i] = n_filled
-                    if n_filled < self._max and not self._converged(
-                        fulls[i].latency[:n_filled], fulls[i].cost[:n_filled]
-                    ):
-                        still_active.append(i)
-                active = still_active
-
-        self._bump_stats(simulations=n_plans, samples=sum(totals))
-        return [
-            self._profile_from(fulls[i], totals[i]) for i in range(n_plans)
-        ]
     def _converged(self, *series: "np.ndarray") -> bool:
         """Relative-standard-error stopping rule, with the degenerate
         cases handled explicitly:
@@ -815,207 +713,6 @@ class MonteCarloEstimator:
                 executed[node], np.maximum(latency, finish[node]), latency
             )
         acc.latency[:] = np.where(np.isfinite(latency), latency, 0.0)
-
-    @staticmethod
-    def _stack_draws(per_plan: List[_BatchDraws]) -> _BatchDraws:
-        """Stack per-plan ``(n,)`` draw vectors into ``(n_plans, n)``
-        matrices (row order = plan order).  Reuses :class:`_BatchDraws`
-        as the container; only the stacked kernel consumes it."""
-        first = per_plan[0]
-        return _BatchDraws(
-            n=first.n,
-            cond={
-                key: np.stack([d.cond[key] for d in per_plan])
-                for key in first.cond
-            },
-            input_sizes=np.stack([d.input_sizes for d in per_plan]),
-            edge_sizes={
-                key: np.stack([d.edge_sizes[key] for d in per_plan])
-                for key in first.edge_sizes
-            },
-            exec_times={
-                key: np.stack([d.exec_times[key] for d in per_plan])
-                for key in first.exec_times
-            },
-        )
-
-    def _simulate_batch_stacked(
-        self,
-        plans: List[DeploymentPlan],
-        draws: _BatchDraws,
-        accs: List[_BatchAccumulators],
-    ) -> None:
-        """The cross-plan kernel: one topological walk prices a whole
-        wave with ``(n_plans, n)`` matrix ops.
-
-        This mirrors :meth:`_simulate_batch` operation-for-operation;
-        per-plan pricing parameters enter as ``(n_plans, 1)`` columns
-        (built from the *same scalar lookups* the per-plan kernel uses),
-        so broadcasting performs the identical IEEE-754 operation on
-        every element and each row is bit-identical to a solo run.  Rows
-        whose edge mask is all-False still flow through the arithmetic —
-        they only ever add zeros, which is exactly what the per-plan
-        kernel's short-circuit skips.
-        """
-        dag = self._dag
-        n_plans, n = len(plans), draws.n
-        resolved = [self._client_and_kv(p) for p in plans]
-        clients = [client for client, _ in resolved]
-        kv_regions = [kv for _, kv in resolved]
-
-        taken: Dict[Tuple[str, str], np.ndarray] = {}
-        always = np.ones((n_plans, n), dtype=bool)
-        for e in dag.edges:
-            if e.conditional:
-                p_taken = self._data.edge_probability(e.src, e.dst)
-                taken[(e.src, e.dst)] = draws.cond[(e.src, e.dst)] < p_taken
-            else:
-                taken[(e.src, e.dst)] = always
-
-        executed: Dict[str, np.ndarray] = {}
-        finish: Dict[str, np.ndarray] = {}
-        cost = np.zeros((n_plans, n))
-
-        for node in self._order:
-            in_edges = dag.in_edges(node)
-            regions = [p.region_of(node) for p in plans]
-            if not in_edges:
-                exec_mask = np.ones((n_plans, n), dtype=bool)
-                sizes = draws.input_sizes
-                routes = list(zip(clients, regions))
-                arrival = self._latency.estimate_stacked(routes, sizes)
-                for row, route in enumerate(routes):
-                    accs[row].route_bytes[route] += sizes[row]
-                cost += self._cost.transmission_cost_stacked(routes, sizes)
-            else:
-                is_sync = dag.is_sync_node(node)
-                exec_mask = np.zeros((n_plans, n), dtype=bool)
-                arrival = np.zeros((n_plans, n))
-                for e in in_edges:
-                    active = taken[(e.src, e.dst)] & executed[e.src]
-                    if not active.any():
-                        continue
-                    src_regions = [p.region_of(e.src) for p in plans]
-                    sizes = draws.edge_sizes[(e.src, e.dst)]
-                    masked_sizes = np.where(active, sizes, 0.0)
-                    if is_sync:
-                        in_routes = list(zip(src_regions, kv_regions))
-                        out_routes = list(zip(kv_regions, regions))
-                        hop1 = self._latency.estimate_stacked(in_routes, sizes)
-                        hop2 = self._latency.estimate_stacked(out_routes, sizes)
-                        edge_latency = hop1 + hop2
-                        for row in range(n_plans):
-                            accs[row].route_bytes[in_routes[row]] += (
-                                masked_sizes[row]
-                            )
-                            accs[row].route_bytes[out_routes[row]] += (
-                                masked_sizes[row]
-                            )
-                        cost += np.where(
-                            active,
-                            self._cost.transmission_cost_stacked(
-                                in_routes, sizes
-                            ),
-                            0.0,
-                        )
-                        cost += np.where(
-                            active,
-                            self._cost.transmission_cost_stacked(
-                                out_routes, sizes
-                            ),
-                            0.0,
-                        )
-                        cost += np.where(
-                            active,
-                            self._cost.kv_cost_column(
-                                kv_regions, n_reads=1, n_writes=2
-                            ),
-                            0.0,
-                        )
-                    else:
-                        routes = list(zip(src_regions, regions))
-                        edge_latency = self._latency.estimate_stacked(
-                            routes, sizes
-                        )
-                        for row, route in enumerate(routes):
-                            accs[row].route_bytes[route] += masked_sizes[row]
-                        cost += np.where(
-                            active,
-                            self._cost.transmission_cost_stacked(routes, sizes),
-                            0.0,
-                        )
-                    cost += np.where(
-                        active, self._cost.messaging_cost_column(regions), 0.0
-                    )
-                    arrival = np.where(
-                        active,
-                        np.maximum(arrival, finish[e.src] + edge_latency),
-                        arrival,
-                    )
-                    exec_mask = exec_mask | active
-
-            durations = draws.exec_times[node]
-            ext_region, ext_bytes = self._data.node_external_bytes(node)
-            if ext_region is not None and ext_bytes > 0:
-                ext_latency = np.array(
-                    [
-                        self._latency.estimate(ext_region, region, ext_bytes)
-                        for region in regions
-                    ]
-                )[:, None]
-                durations = durations + ext_latency
-                ext_added = np.where(exec_mask, ext_bytes, 0.0)
-                ext_cost = np.array(
-                    [
-                        self._cost.transmission_cost(
-                            ext_region, region, ext_bytes
-                        )
-                        for region in regions
-                    ]
-                )[:, None]
-                for row, region in enumerate(regions):
-                    accs[row].route_bytes[(ext_region, region)] += (
-                        ext_added[row]
-                    )
-                cost += np.where(exec_mask, ext_cost, 0.0)
-
-            finish[node] = arrival + durations
-            executed[node] = exec_mask
-            memory = self._data.node_memory_mb(node)
-            n_vcpu = self._data.node_vcpu(node)
-            util = self._data.node_cpu_utilization(node)
-            energy = (
-                self._carbon.execution_energy_kwh_batch(
-                    durations_s=durations,
-                    memory_mb=memory,
-                    n_vcpu=n_vcpu,
-                    cpu_total_times_s=durations * n_vcpu * util,
-                )
-                * self._carbon.pue
-            )
-            masked_energy = np.where(exec_mask, energy, 0.0)
-            for row, region in enumerate(regions):
-                accs[row].energy[region] += masked_energy[row]
-            cost += np.where(
-                exec_mask,
-                self._cost.execution_cost_stacked(regions, durations, memory),
-                0.0,
-            )
-            cost += np.where(
-                exec_mask,
-                self._cost.kv_cost_column(kv_regions, n_reads=1),
-                0.0,
-            )
-
-        latency = np.full((n_plans, n), -np.inf)
-        for node in self._order:
-            latency = np.where(
-                executed[node], np.maximum(latency, finish[node]), latency
-            )
-        final = np.where(np.isfinite(latency), latency, 0.0)
-        for row in range(n_plans):
-            accs[row].latency[:] = final[row]
-            accs[row].cost[:] = cost[row]
 
     def _simulate_batch_reference(
         self, plan: DeploymentPlan, draws: _BatchDraws, acc: _BatchAccumulators

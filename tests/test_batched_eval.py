@@ -1,13 +1,13 @@
-"""Tests for cross-plan batched evaluation.
+"""Tests for the bulk profile conveniences and the PR 6 bugfixes.
 
 The contracts under test:
 
 * ``MonteCarloEstimator.estimate_profiles`` is *bit-identical* to the
   per-plan ``estimate_profile`` loop (and to the ``vectorized=False``
   scalar reference) — same doubles, same key order, same sample counts —
-  even when plans converge at different sample counts.
-* Every solver produces the same plan set with batched evaluation on or
-  off.
+  even when plans converge at different sample counts; duplicate plans
+  share one profile object.
+* ``PlanEvaluator.prefetch_profiles`` returns how many profiles it built.
 * The PR 6 bugfix regressions: estimator knob guards, the
   lexicographic ``offloaded_nodes`` modal tie-break, and the
   ``client_region`` warning.
@@ -18,13 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.solver import (
-    CoarseSolver,
-    ExhaustiveSolver,
-    HBSSSolver,
-    PlanEvaluator,
-    SolverSettings,
-)
+from repro.core.solver import PlanEvaluator, SolverSettings
 from repro.core.solver.hbss import SolveResult
 from repro.data.latency import LatencySource
 from repro.data.pricing import PricingSource
@@ -34,7 +28,6 @@ from repro.metrics.distributions import EmpiricalDistribution
 from repro.metrics.latency import TransferLatencyModel
 from repro.metrics.montecarlo import MonteCarloEstimator
 from repro.model.config import WorkflowConfig
-from repro.model.dag import Edge, Node, WorkflowDAG
 from repro.model.plan import DeploymentPlan
 
 REGIONS = ("us-east-1", "us-west-1", "us-west-2", "ca-central-1")
@@ -118,16 +111,6 @@ def make_evaluator(dag, settings=None, seed=0):
     )
 
 
-def tiny_dag() -> WorkflowDAG:
-    """a -> b: small enough for the exhaustive solver."""
-    dag = WorkflowDAG("tiny")
-    for name in ("a", "b"):
-        dag.add_node(Node(name=name, function=name))
-    dag.add_edge(Edge("a", "b"))
-    dag.validate()
-    return dag
-
-
 def some_plans(dag, n=6):
     """A deterministic mix of single-region and mixed plans."""
     nodes = dag.node_names
@@ -159,7 +142,8 @@ def assert_profiles_identical(a, b):
 
 
 class TestEstimateProfilesBitIdentity:
-    """The tentpole contract: one stacked kernel, the same doubles."""
+    """``estimate_profiles`` is a loop over the one kernel: the same
+    doubles as solo ``estimate_profile`` calls."""
 
     @pytest.mark.parametrize("dag_name", ["chain_dag", "diamond_dag"])
     def test_batched_matches_solo(self, dag_name, request):
@@ -182,8 +166,8 @@ class TestEstimateProfilesBitIdentity:
 
     def test_staggered_convergence_stays_identical(self, diamond_dag):
         # A bimodal conditional makes convergence plan-dependent: plans
-        # must leave the lockstep wave at different sample counts
-        # without perturbing the ones still drawing.
+        # stop at different sample counts, and a plan's draws must not
+        # depend on which plans were profiled before it.
         data = FixtureData(cond_prob=0.5, exec_seconds=5.0)
         kwargs = dict(batch_size=20, max_samples=400, cov_threshold=0.05)
         plans = some_plans(diamond_dag, n=8)
@@ -290,59 +274,9 @@ class TestOffloadedNodesTieBreak:
         assert result.offloaded_nodes == ("c",)
 
 
-def _hbss(dag, seed=5, **settings_kw):
-    settings = SolverSettings(batch_size=40, max_samples=120,
-                              cov_threshold=0.1, **settings_kw)
-    ev = make_evaluator(dag, settings=settings, seed=seed)
-    return ev, HBSSSolver(ev, np.random.default_rng(seed))
-
-
 class TestBatchedSolverEquivalence:
-    """batched_evaluation=False is the scalar reference: every solver
-    must produce the identical plan set either way."""
-
-    @pytest.mark.parametrize("wave_size", [1, 3])
-    def test_hbss_batched_matches_scalar(self, chain_dag, wave_size):
-        hours = list(range(4))
-        _, batched = _hbss(chain_dag, wave_size=wave_size)
-        _, scalar = _hbss(chain_dag, wave_size=wave_size,
-                          batched_evaluation=False)
-        ps_b, res_b = batched.solve_day(hours)
-        ps_s, res_s = scalar.solve_day(hours)
-        assert ps_b.to_dict() == ps_s.to_dict()
-        for a, b in zip(res_b, res_s):
-            assert a.best_estimate.mean_carbon_g == b.best_estimate.mean_carbon_g
-
-    def test_hbss_wave_one_matches_default(self, chain_dag):
-        # wave_size=1 (the default) IS the paper's serial trajectory;
-        # spelling it explicitly must not change a single draw.
-        hours = list(range(3))
-        _, default = _hbss(chain_dag)
-        _, explicit = _hbss(chain_dag, wave_size=1)
-        assert default.solve_day(hours)[0].to_dict() == \
-            explicit.solve_day(hours)[0].to_dict()
-
-    def test_coarse_batched_matches_scalar(self, chain_dag):
-        plan_sets = {}
-        for batched in (True, False):
-            settings = SolverSettings(batch_size=40, max_samples=120,
-                                      cov_threshold=0.1,
-                                      batched_evaluation=batched)
-            ev = make_evaluator(chain_dag, settings=settings)
-            plan_sets[batched] = CoarseSolver(ev).solve_day().to_dict()
-        assert plan_sets[True] == plan_sets[False]
-
-    def test_exhaustive_batched_matches_scalar(self):
-        plan_sets = {}
-        for batched in (True, False):
-            settings = SolverSettings(batch_size=40, max_samples=120,
-                                      cov_threshold=0.1,
-                                      batched_evaluation=batched)
-            ev = make_evaluator(tiny_dag(), settings=settings)
-            plan_sets[batched] = (
-                ExhaustiveSolver(ev).solve_day(hours=[0, 12]).to_dict()
-            )
-        assert plan_sets[True] == plan_sets[False]
+    """``prefetch_profiles`` builds through the same per-plan path the
+    solvers' lazy ``profile`` lookups use."""
 
     def test_prefetch_counts_as_built_profiles(self, chain_dag):
         ev = make_evaluator(chain_dag)

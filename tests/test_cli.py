@@ -26,8 +26,24 @@ class TestParser:
 
     def test_invalid_size_rejected(self, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "x", "--size", "huge"])
+            build_parser().parse_args(
+                ["run", "dna_visualization", "--size", "huge"]
+            )
         assert "invalid choice: 'huge'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "solve"])
+    def test_unknown_app_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_invocations_rejected(self, n, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "dna_visualization", "-n", n])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -142,8 +158,8 @@ class TestObservabilityFlags:
 class TestTelemetryFlags:
     def test_run_parses_telemetry_flags(self):
         args = build_parser().parse_args(
-            ["run", "x", "--timeseries", "s.jsonl", "--window", "60",
-             "--slo", "--export-prom", "p.txt"]
+            ["run", "dna_visualization", "--timeseries", "s.jsonl",
+             "--window", "60", "--slo", "--export-prom", "p.txt"]
         )
         assert args.timeseries == "s.jsonl"
         assert args.window == 60.0
@@ -152,7 +168,8 @@ class TestTelemetryFlags:
 
     def test_slo_accepts_explicit_specs(self):
         args = build_parser().parse_args(
-            ["run", "x", "--slo", "p95(executor.request_latency_s)<=2",
+            ["run", "dna_visualization",
+             "--slo", "p95(executor.request_latency_s)<=2",
              "--slo", "ratio(ledger.carbon_g/ledger.requests)<=0.5"]
         )
         assert len(args.slo) == 2

@@ -9,6 +9,7 @@ cannot check: a certified optimum on a search space beyond the
 exhaustive limit.
 """
 
+import functools
 import math
 
 import pytest
@@ -96,16 +97,30 @@ class TestFixtureDifferential:
             assert_same_optimum(ev, hour=hour)
 
 
+@pytest.fixture(scope="module")
+def app_evaluator():
+    """``app_name -> evaluator``, built once per app for the module: the
+    ``enforce`` parametrisations share one :class:`EvaluationCache`, so
+    the exhaustive oracle simulates each plan space once."""
+
+    @functools.cache
+    def build(app_name):
+        cloud = SimulatedCloud(seed=7)
+        app = ALL_APPS[app_name]
+        deployed, executor, _ = deploy_benchmark(app, cloud)
+        warm_up(executor, app, "small", n=6)
+        return build_plan_evaluator(deployed, TransmissionScenario.best_case())
+
+    return build
+
+
 class TestAppDifferential:
     """Every example application, solved by both strategies."""
 
     @pytest.mark.parametrize("app_name", sorted(ALL_APPS))
     @pytest.mark.parametrize("enforce", [True, False])
-    def test_app_optimum_matches(self, app_name, enforce):
-        cloud = SimulatedCloud(seed=7)
-        deployed, executor, _ = deploy_benchmark(ALL_APPS[app_name], cloud)
-        warm_up(executor, ALL_APPS[app_name], "small", n=6)
-        ev = build_plan_evaluator(deployed, TransmissionScenario.best_case())
+    def test_app_optimum_matches(self, app_evaluator, app_name, enforce):
+        ev = app_evaluator(app_name)
         assert ev.search_space_size() <= 100_000
         assert_same_optimum(ev, enforce=enforce)
 

@@ -205,9 +205,11 @@ class TestEstimates:
         )
         profile = est.estimate_profile(plan)
         # Fan-in data from b (us-west-1) must hop through the KV region.
-        routes = set()
-        for sample in profile.route_bytes:
-            routes.update(sample.keys())
+        routes = {
+            route
+            for route, sizes in profile.bytes_by_route.items()
+            if sizes.any()
+        }
         assert ("us-west-1", "us-east-1") in routes  # b -> KV
         assert ("us-east-1", "us-west-1") in routes  # KV -> d
 

@@ -366,8 +366,6 @@ class TestSolverSettings:
             SolverSettings(gamma_decay=0.0)
         with pytest.raises(ValueError, match="gamma_decay"):
             SolverSettings(gamma_decay=1.01)
-        with pytest.raises(ValueError, match="wave_size"):
-            SolverSettings(wave_size=0)
         SolverSettings(gamma=0.0, gamma_decay=1.0)  # boundary values OK
 
 
