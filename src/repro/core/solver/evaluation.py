@@ -287,6 +287,20 @@ class SharedEvaluationCache:
         return sum(c.invalidations for c in scopes)
 
 
+class LazyTable(dict):
+    """A dict that computes a missing key's value with ``fill(key)`` on
+    first lookup and keeps it — hits stay plain C dict lookups, and a
+    key nobody asks for never runs ``fill``."""
+
+    def __init__(self, fill: Callable[[str], float]):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key: str) -> float:
+        value = self[key] = self._fill(key)
+        return value
+
+
 class PlanEvaluator:
     """Answers metric/tolerance queries over a shared evaluation cache.
 
@@ -341,6 +355,8 @@ class PlanEvaluator:
         self.settings = settings
         self.stats = stats if stats is not None else SolverStats()
         self._intensity_fn = intensity_fn
+        #: ``{hour: {region: intensity}}``, filled on first lookup.
+        self._intensities: Dict[int, LazyTable] = {}
         self._kv_region = kv_region or config.home_region
         self._client_region = client_region or config.home_region
         self._data = data
@@ -373,6 +389,7 @@ class PlanEvaluator:
                 )
             self._permitted[node] = allowed
         self.regions = tuple(regions)
+        self._home_plan = DeploymentPlan.single_region(dag, config.home_region)
 
     # -- model access (read-only; the exact solver's bound tables price
     # -- minimum-support contributions through the same models the
@@ -402,8 +419,23 @@ class PlanEvaluator:
         return self._client_region
 
     def intensity(self, region: str, hour: int) -> float:
-        """The grid intensity the estimate cache prices with."""
-        return self._intensity_fn(region, hour)
+        """The grid intensity the estimate cache prices with.
+
+        ``intensity_fn`` runs at most once per (region, hour) over the
+        evaluator's lifetime: the ``(digest, hour)`` estimate cache
+        already assumes it is a pure function for that long (two racing
+        threads may both compute a missing entry — the same value).
+        """
+        return self._intensities_at(hour)[region]
+
+    def _intensities_at(self, hour: int) -> LazyTable:
+        table = self._intensities.get(hour)
+        if table is None:
+            fn = self._intensity_fn
+            table = self._intensities.setdefault(
+                hour, LazyTable(lambda region: fn(region, hour))
+            )
+        return table
 
     # -- candidate space -----------------------------------------------------
     def permitted_regions(self, node: str) -> Tuple[str, ...]:
@@ -419,7 +451,9 @@ class PlanEvaluator:
         return size
 
     def home_plan(self) -> DeploymentPlan:
-        return DeploymentPlan.single_region(self.dag, self.config.home_region)
+        """The all-home deployment — one object per evaluator, so its
+        digest and hash are computed once however often it is priced."""
+        return self._home_plan
 
     def is_plan_compliant(self, plan: DeploymentPlan) -> bool:
         return all(
@@ -488,9 +522,7 @@ class PlanEvaluator:
             self.stats.bump(estimate_cache_hits=1)
             return estimate
         profile = self.profile(plan)
-        estimate = profile.estimate_at(
-            lambda region: self._intensity_fn(region, hour)
-        )
+        estimate = profile.estimate_at(self._intensities_at(hour).__getitem__)
         with cache.lock:
             # Concurrent same-key computes are only possible for shared
             # anchors (e.g. the home baseline); the value is a pure

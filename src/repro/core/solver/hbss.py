@@ -43,6 +43,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -51,7 +52,7 @@ from typing import (
 import numpy as np
 
 from repro.common.rng import derive_seed
-from repro.core.solver.evaluation import PlanEvaluator
+from repro.core.solver.evaluation import LazyTable, PlanEvaluator
 from repro.metrics.montecarlo import WorkflowEstimate
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -92,6 +93,16 @@ class SolveResult:
                 if r != modal
             )
         )
+
+
+def _weighted_index(rng: np.random.Generator, p: "np.ndarray") -> int:
+    """``int(rng.choice(len(p), p=p))`` for a 1-D ``p`` summing to 1 —
+    the same index from the same single ``rng.random()`` draw (what
+    ``Generator.choice`` does after validating ``p``; equality pinned
+    by ``tests/test_solvers.py::TestWeightedIndexDifferential``)."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 class HBSSSolver:
@@ -208,6 +219,11 @@ class HBSSSolver:
             gamma = settings.gamma
 
             accepted_regions: Dict[str, int] = {r: 0 for r in ev.regions}
+            # The carbon half of the region bias, per region for this
+            # hour (looked up on first use, like the intensity itself).
+            bias_denominators = LazyTable(
+                lambda region: max(1.0, ev.intensity(region, hour))
+            )
             # Memo of *every* distinct deployment examined — accepted or
             # not — so complete exploration (Alg. 1 line 9) can actually
             # fire.  Tolerance violators are memoized as +inf: evaluated,
@@ -237,7 +253,7 @@ class HBSSSolver:
             accepted = 0
             while iterations < alpha and len(deployments) < space:
                 candidate = self._gen_new_deployment_with_bias(
-                    current, hour, accepted_regions, rng
+                    current, bias_denominators, accepted_regions, rng
                 )
                 iterations += 1
                 if candidate in deployments:
@@ -296,12 +312,16 @@ class HBSSSolver:
     def _gen_new_deployment_with_bias(
         self,
         current: DeploymentPlan,
-        hour: int,
+        bias_denominators: Mapping[str, float],
         accepted_regions: Dict[str, int],
         rng: np.random.Generator,
     ) -> DeploymentPlan:
         """``GenNewDeplWBias``: mutate 1-2 node assignments with a
-        carbon-and-history-biased region draw."""
+        carbon-and-history-biased region draw.
+
+        ``bias_denominators`` maps a region to ``max(1, intensity)`` at
+        the hour being solved.
+        """
         ev = self._ev
         assignments = dict(current.assignments)
         nodes = ev.dag.node_names
@@ -318,17 +338,13 @@ class HBSSSolver:
             else:
                 weights = np.array(
                     [
-                        (1.0 + accepted_regions.get(r, 0))
-                        / max(1.0, self._intensity(r, hour))
+                        (1.0 + accepted_regions.get(r, 0)) / bias_denominators[r]
                         for r in options
                     ]
                 )
                 weights /= weights.sum()
-                assignments[node] = options[int(rng.choice(len(options), p=weights))]
+                assignments[node] = options[_weighted_index(rng, weights)]
         return DeploymentPlan(assignments)
-
-    def _intensity(self, region: str, hour: int) -> float:
-        return self._ev._intensity_fn(region, hour)
 
     def _mut(
         self,

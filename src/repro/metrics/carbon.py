@@ -190,21 +190,6 @@ class CarbonModel:
         ef = self.scenario.energy_factor(intra_region)
         return route_intensity * ef * size_gb
 
-    def transmission_carbon_g_batch(
-        self,
-        route_intensity: float,
-        size_bytes: np.ndarray,
-        intra_region: bool,
-    ) -> np.ndarray:
-        """Vectorised Eq. 7.5 over a size vector (same op order as the
-        scalar path, see :meth:`execution_energy_kwh_batch`)."""
-        sizes = np.asarray(size_bytes, dtype=float)
-        if np.any(sizes < 0):
-            raise ValueError("size_bytes must be non-negative")
-        size_gb = sizes / (1024.0**3)
-        ef = self.scenario.energy_factor(intra_region)
-        return route_intensity * ef * size_gb
-
     def with_scenario(self, scenario: TransmissionScenario) -> "CarbonModel":
         """A copy of this model under a different transmission scenario
         (used to re-price one simulated run under both paper scenarios)."""

@@ -61,18 +61,18 @@ class EmpiricalDistribution:
 
     def mean(self) -> float:
         self._require_nonempty()
-        return float(np.mean(self._samples))
+        return float(np.mean(self._as_array()))
 
     def std(self) -> float:
         self._require_nonempty()
-        return float(np.std(self._samples))
+        return float(np.std(self._as_array()))
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (0-100)."""
         self._require_nonempty()
         if not 0 <= q <= 100:
             raise ValueError(f"percentile q must be in [0, 100], got {q}")
-        return float(np.percentile(self._samples, q))
+        return float(np.percentile(self._as_array(), q))
 
     def p95(self) -> float:
         """The tail value the paper uses for QoS checks (§7.1)."""
@@ -80,11 +80,11 @@ class EmpiricalDistribution:
 
     def min(self) -> float:
         self._require_nonempty()
-        return float(np.min(self._samples))
+        return float(np.min(self._as_array()))
 
     def max(self) -> float:
         self._require_nonempty()
-        return float(np.max(self._samples))
+        return float(np.max(self._as_array()))
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         """Bootstrap-resample from the observations."""

@@ -65,12 +65,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.rng import derive_seed
+from repro.common.units import GB
 from repro.metrics.carbon import CarbonModel
 from repro.metrics.cost import CostModel
 from repro.metrics.distributions import EmpiricalDistribution
@@ -165,6 +166,31 @@ class WorkflowEstimate:
         raise ValueError(f"unknown priority {priority!r}")
 
 
+def _p95(values: "np.ndarray") -> float:
+    """The 95th percentile of a finite 1-D float array — the same double
+    as ``float(np.percentile(values, 95))``.
+
+    ``np.percentile``'s default (linear) method on one quantile is a
+    partition around the two neighbouring order statistics plus numpy's
+    lerp; doing just that skips its general-purpose argument handling,
+    which dominated re-pricing a profile.  The equality is the contract
+    (``tests/test_montecarlo.py::TestP95Differential``), not an
+    approximation.
+    """
+    n = values.size
+    virtual = (n - 1) * 0.95
+    lo = math.floor(virtual)
+    hi = min(lo + 1, n - 1)
+    part = np.partition(values, (lo, hi))
+    below = float(part[lo])
+    above = float(part[hi])
+    t = virtual - lo
+    diff = above - below
+    if t >= 0.5:
+        return above - diff * (1 - t)
+    return below + diff * t
+
+
 @dataclass
 class PlanProfile:
     """Hour-independent Monte-Carlo profile of one deployment plan.
@@ -177,6 +203,14 @@ class PlanProfile:
     energy aggregated per region and the bytes aggregated per route, so
     the 24 hourly evaluations of §5.1 can re-price a single simulation
     run exactly instead of re-running it.
+
+    Each quantity is paid for at the rate it changes: the latency and
+    cost statistics and the check that no route carries negative bytes
+    happen once per profile, on its first pricing; only the carbon
+    vector, its mean and its p95 are per hour.  That is sound because
+    the arrays never change afterwards — the estimator hands them over
+    read-only; whoever builds a profile by hand must not write to them
+    after the first pricing.
 
     Attributes:
         latencies / costs: Per-sample end-to-end values.
@@ -191,6 +225,11 @@ class PlanProfile:
     energy_by_region: Dict[str, "np.ndarray"]
     bytes_by_route: Dict[Tuple[str, str], "np.ndarray"]
     carbon_model: CarbonModel
+    #: (mean latency, p95 latency, mean cost, p95 cost), set by the
+    #: first pricing together with the route-bytes check.
+    _hour_independent: Optional[Tuple[float, float, float, float]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_samples(self) -> int:
@@ -200,39 +239,60 @@ class PlanProfile:
         self, carbon_at: Callable[[str], float]
     ) -> "np.ndarray":
         """Per-sample total carbon under the given hourly intensities."""
-        out = self._exec_carbon_samples(carbon_at)
-        for (src, dst), sizes in self.bytes_by_route.items():
-            route_intensity = (carbon_at(src) + carbon_at(dst)) / 2.0
-            out = out + self.carbon_model.transmission_carbon_g_batch(
-                route_intensity=route_intensity,
-                size_bytes=sizes,
-                intra_region=(src == dst),
+        self._first_pricing()
+        return self._add_transmission(
+            self._exec_carbon_samples(carbon_at), carbon_at
+        )
+
+    def estimate_at(self, carbon_at: Callable[[str], float]) -> WorkflowEstimate:
+        """Full :class:`WorkflowEstimate` under the given intensities."""
+        mean_latency, tail_latency, mean_cost, tail_cost = self._first_pricing()
+        exec_only = self._exec_carbon_samples(carbon_at)
+        carbon = self._add_transmission(exec_only, carbon_at)
+        return WorkflowEstimate(
+            mean_latency_s=mean_latency,
+            tail_latency_s=tail_latency,
+            mean_cost_usd=mean_cost,
+            tail_cost_usd=tail_cost,
+            mean_carbon_g=float(carbon.mean()),
+            tail_carbon_g=_p95(carbon),
+            mean_exec_carbon_g=float(exec_only.mean()),
+            mean_trans_carbon_g=float((carbon - exec_only).mean()),
+            n_samples=self.n_samples,
+        )
+
+    def _first_pricing(self) -> Tuple[float, float, float, float]:
+        stats = self._hour_independent
+        if stats is None:
+            for sizes in self.bytes_by_route.values():
+                if np.any(sizes < 0):
+                    raise ValueError("size_bytes must be non-negative")
+            stats = self._hour_independent = (
+                float(self.latencies.mean()),
+                _p95(self.latencies),
+                float(self.costs.mean()),
+                _p95(self.costs),
             )
-        return out
+        return stats
 
     def _exec_carbon_samples(
         self, carbon_at: Callable[[str], float]
     ) -> "np.ndarray":
         out = np.zeros(self.n_samples)
         for region, energy in self.energy_by_region.items():
-            out = out + energy * carbon_at(region)
+            out += energy * carbon_at(region)
         return out
 
-    def estimate_at(self, carbon_at: Callable[[str], float]) -> WorkflowEstimate:
-        """Full :class:`WorkflowEstimate` under the given intensities."""
-        carbon = self.carbon_samples(carbon_at)
-        exec_only = self._exec_carbon_samples(carbon_at)
-        return WorkflowEstimate(
-            mean_latency_s=float(self.latencies.mean()),
-            tail_latency_s=float(np.percentile(self.latencies, 95)),
-            mean_cost_usd=float(self.costs.mean()),
-            tail_cost_usd=float(np.percentile(self.costs, 95)),
-            mean_carbon_g=float(carbon.mean()),
-            tail_carbon_g=float(np.percentile(carbon, 95)),
-            mean_exec_carbon_g=float(exec_only.mean()),
-            mean_trans_carbon_g=float((carbon - exec_only).mean()),
-            n_samples=self.n_samples,
-        )
+    def _add_transmission(
+        self, exec_carbon: "np.ndarray", carbon_at: Callable[[str], float]
+    ) -> "np.ndarray":
+        """``exec_carbon`` plus Eq. 7.5 per route, as a new vector."""
+        energy_factor = self.carbon_model.scenario.energy_factor
+        out = exec_carbon.copy()
+        for (src, dst), sizes in self.bytes_by_route.items():
+            route_intensity = (carbon_at(src) + carbon_at(dst)) / 2.0
+            out += (route_intensity * energy_factor(src == dst)) * (sizes / GB)
+        return out
 
 
 @dataclass
@@ -448,15 +508,21 @@ class MonteCarloEstimator:
             self._stats.samples_drawn += samples
 
     def _profile_from(self, full: _BatchAccumulators, n: int) -> PlanProfile:
+        def frozen(arr: "np.ndarray") -> "np.ndarray":
+            # Read-only, so what the profile computes once on its first
+            # pricing can never go stale.
+            out = arr[:n].copy()
+            out.setflags(write=False)
+            return out
+
         return PlanProfile(
-            latencies=full.latency[:n].copy(),
-            costs=full.cost[:n].copy(),
+            latencies=frozen(full.latency),
+            costs=frozen(full.cost),
             energy_by_region={
-                region: arr[:n].copy() for region, arr in full.energy.items()
+                region: frozen(arr) for region, arr in full.energy.items()
             },
             bytes_by_route={
-                route: arr[:n].copy()
-                for route, arr in full.route_bytes.items()
+                route: frozen(arr) for route, arr in full.route_bytes.items()
             },
             carbon_model=self._carbon,
         )

@@ -127,7 +127,18 @@ class DeploymentPlan:
         )
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.assignments.items())))
+        # Memoized like :meth:`digest`: HBSS hashes every candidate
+        # into its per-hour memo of examined deployments.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(tuple(sorted(self.assignments.items())))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> Dict[str, object]:
+        # String hashes are per-process (PYTHONHASHSEED), so a memoized
+        # hash must not travel with a pickled plan.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DeploymentPlan):

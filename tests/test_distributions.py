@@ -44,6 +44,22 @@ class TestEmpiricalDistribution:
         dist.extend([1.0, 2.0, 3.0, 4.0, 5.0])
         assert list(dist.samples) == [3.0, 4.0, 5.0]
 
+    def test_stats_track_adds_and_equal_the_list_based_results(self):
+        # The statistics read the cached observation array; it must be
+        # rebuilt on every add (also past the sliding-window cap) and
+        # give the very doubles numpy gives for the sample list.
+        rng = np.random.default_rng(7)
+        dist = EmpiricalDistribution(max_samples=40)
+        for value in rng.lognormal(0.0, 2.0, size=100):
+            dist.add(float(value))
+            samples = list(dist.samples)
+            assert dist.mean() == float(np.mean(samples))
+            assert dist.std() == float(np.std(samples))
+            assert dist.min() == float(np.min(samples))
+            assert dist.max() == float(np.max(samples))
+            for q in (0, 50, 95, 100):
+                assert dist.percentile(q) == float(np.percentile(samples, q))
+
     def test_sampling_draws_from_observations(self):
         dist = EmpiricalDistribution([10.0, 20.0])
         rng = np.random.default_rng(0)

@@ -1,16 +1,28 @@
 """Tests for the Monte-Carlo end-to-end estimator (§7.1)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.apps import ALL_APPS
+from repro.cloud.provider import SimulatedCloud
 from repro.data.latency import LatencySource
 from repro.data.pricing import PricingSource
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel
 from repro.metrics.distributions import EmpiricalDistribution
 from repro.metrics.latency import TransferLatencyModel
-from repro.metrics.montecarlo import MonteCarloEstimator
+from repro.experiments.harness import (
+    build_plan_evaluator,
+    deploy_benchmark,
+    warm_up,
+)
+from repro.metrics.montecarlo import MonteCarloEstimator, PlanProfile, _p95
 from repro.model.plan import DeploymentPlan
+from tests import reprice_oracle
 
 
 class FixtureData:
@@ -413,3 +425,150 @@ class TestPlanProfile:
         samples = profile.carbon_samples(lambda r: 100.0)
         assert len(samples) == profile.n_samples
         assert np.all(samples > 0)
+
+
+class TestProfileArraysAreFrozen:
+    """Statistics computed once per profile stay valid only because the
+    arrays cannot change afterwards."""
+
+    def test_estimator_profiles_are_read_only(self, diamond_dag):
+        plan = DeploymentPlan(
+            {"a": "us-west-1", "b": "us-east-1", "c": "ca-central-1",
+             "d": "us-west-2"}
+        )
+        profile = make_estimator(
+            diamond_dag, kv_region="us-east-1"
+        ).estimate_profile(plan)
+        arrays = [profile.latencies, profile.costs]
+        arrays += list(profile.energy_by_region.values())
+        arrays += list(profile.bytes_by_route.values())
+        assert len(arrays) > 4
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("price", ["estimate_at", "carbon_samples"])
+    def test_hand_built_negative_bytes_rejected_on_first_pricing(self, price):
+        profile = PlanProfile(
+            latencies=np.array([1.0, 2.0]),
+            costs=np.array([0.1, 0.2]),
+            energy_by_region={"us-east-1": np.array([1e-6, 2e-6])},
+            bytes_by_route={("us-east-1", "us-west-2"): np.array([5.0, -1.0])},
+            carbon_model=CarbonModel(TransmissionScenario.best_case()),
+        )
+        with pytest.raises(ValueError, match="size_bytes must be non-negative"):
+            getattr(profile, price)(lambda r: 100.0)
+
+
+class TestRepricingDifferential:
+    """``PlanProfile.estimate_at`` / ``carbon_samples`` against the
+    pre-hoisting arithmetic kept in ``tests/reprice_oracle.py``: every
+    field of every estimate ``==``, on real application profiles."""
+
+    N_RANDOM_PLANS = 20
+
+    @pytest.mark.parametrize("app_name", sorted(ALL_APPS))
+    def test_every_hour_of_every_plan_equals_the_oracle(self, app_name):
+        app = ALL_APPS[app_name]
+        cloud = SimulatedCloud(seed=5)
+        deployed, executor, _ = deploy_benchmark(app, cloud)
+        warm_up(executor, app, "small", n=8)
+        rng = np.random.default_rng(11)
+        compared = 0
+        for scenario in (
+            TransmissionScenario.best_case(),
+            TransmissionScenario.worst_case(),
+        ):
+            ev = build_plan_evaluator(deployed, scenario)
+            nodes = ev.dag.node_names
+            plans = [ev.home_plan()]
+            # An all-intra-region plan away from home, where compliance
+            # allows one (every route src == dst except the client's).
+            for region in ev.regions:
+                plan = DeploymentPlan.single_region(ev.dag, region)
+                if region != ev.config.home_region and ev.is_plan_compliant(plan):
+                    plans.append(plan)
+                    break
+            for _ in range(self.N_RANDOM_PLANS):
+                plans.append(DeploymentPlan({
+                    n: str(rng.choice(ev.permitted_regions(n))) for n in nodes
+                }))
+            for plan in plans:
+                profile = ev.profile(plan)
+                for hour in range(24):
+                    def carbon_at(region, hour=hour):
+                        return ev.intensity(region, hour)
+
+                    got = profile.estimate_at(carbon_at)
+                    want = reprice_oracle.estimate_at(profile, carbon_at)
+                    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+                    assert got == ev.estimate(plan, hour)
+                    assert np.array_equal(
+                        profile.carbon_samples(carbon_at),
+                        reprice_oracle.carbon_samples(profile, carbon_at),
+                    )
+                    compared += 1
+        assert compared >= 2 * (self.N_RANDOM_PLANS + 1) * 24
+
+
+def _finite_arrays():
+    """Float arrays of size 1..2000 spanning 1e-12..1e9 in magnitude,
+    with constants and heavy ties: drawn by numpy from a hypothesis
+    seed (a 2000-element ``st.lists`` is too slow to explore)."""
+
+    def build(seed, n, exponent, shape, signed):
+        rng = np.random.default_rng(seed)
+        values = rng.lognormal(0.0, 1.5, size=n)
+        if signed:
+            values = values - np.median(values)
+        if shape == "constant":
+            values = np.full(n, values[0])
+        elif shape == "ties":
+            values = rng.choice(values[: max(1, n // 50)], size=n)
+        elif shape == "rounded":
+            values = np.round(values, 1)
+        return values * 10.0**exponent
+
+    return st.builds(
+        build,
+        seed=st.integers(0, 2**32 - 1),
+        n=st.one_of(st.integers(1, 4), st.integers(1, 2000)),
+        exponent=st.integers(-12, 9),
+        shape=st.sampled_from(["plain", "constant", "ties", "rounded"]),
+        signed=st.booleans(),
+    )
+
+
+class TestP95Differential:
+    """The selection-based p95 is ``np.percentile``'s double, exactly —
+    on the newest numpy and (CI's ``numpy-floor`` job) the oldest one
+    ``pyproject.toml`` admits."""
+
+    @settings(max_examples=400)
+    @given(_finite_arrays())
+    def test_equals_np_percentile(self, values):
+        assert _p95(values) == float(np.percentile(values, 95))
+
+    @settings(max_examples=200)
+    @given(st.lists(
+        st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, width=64),
+        min_size=1, max_size=40,
+    ))
+    def test_equals_np_percentile_on_arbitrary_small_arrays(self, values):
+        arr = np.array(values, dtype=float)
+        assert _p95(arr) == float(np.percentile(arr, 95))
+
+    @pytest.mark.parametrize("values", [
+        [3.5], [1.0, 2.0], [2.0, 1.0], [0.0, 0.0, 0.0], [1e-12, 1e9],
+        list(range(20)), list(range(21)), [5.0] * 19 + [7.0],
+    ])
+    def test_edge_sizes(self, values):
+        arr = np.array(values, dtype=float)
+        assert _p95(arr) == float(np.percentile(arr, 95))
+
+    def test_input_left_untouched_and_read_only_accepted(self):
+        arr = np.random.default_rng(0).random(100)
+        before = arr.copy()
+        arr.setflags(write=False)
+        _p95(arr)
+        assert np.array_equal(arr, before)

@@ -13,6 +13,7 @@ from repro.core.solver import (
     SolverSettings,
     SolverStats,
 )
+from repro.core.solver.hbss import _weighted_index
 from repro.model.dag import Edge, Node, WorkflowDAG
 from repro.data.latency import LatencySource
 from repro.data.pricing import PricingSource
@@ -72,7 +73,8 @@ def intensity_fn(region, hour):
 
 
 def make_evaluator(dag, config=None, data=None, settings=None,
-                   scenario=None, seed=0, regions=REGIONS):
+                   scenario=None, seed=0, regions=REGIONS,
+                   intensity_fn=intensity_fn):
     return PlanEvaluator(
         dag=dag,
         config=config or WorkflowConfig(home_region="us-east-1"),
@@ -133,6 +135,28 @@ class TestPlanEvaluator:
         p2 = ev.profile(DeploymentPlan(dict(plan.assignments)))
         assert p1 is p2
         assert ev.plans_profiled == 1
+
+    def test_intensity_is_looked_up_lazily_and_once(self, chain_dag):
+        calls = []
+
+        def only_hour_3(region, hour):
+            calls.append((region, hour))
+            if hour != 3:
+                raise KeyError(hour)
+            return INTENSITY[region]
+
+        ev = make_evaluator(chain_dag, intensity_fn=only_hour_3)
+        plan = ev.home_plan()
+        first = ev.estimate(plan, 3)
+        assert ev.intensity("us-east-1", 3) == INTENSITY["us-east-1"]
+        assert ev.estimate(DeploymentPlan.single_region(
+            chain_dag, "us-west-2"), 3) != first
+        # One call per region asked about, none for other hours.
+        assert sorted(calls) == [("us-east-1", 3), ("us-west-2", 3)]
+        # A failing lookup is not remembered as a value.
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                ev.intensity("us-east-1", 4)
 
     def test_tolerance_violated_latency(self, chain_dag):
         config = WorkflowConfig(
@@ -597,3 +621,24 @@ class TestCoarseCandidateCaching:
         solver = CoarseSolver(ev)
         first = solver.candidate_regions()
         assert solver.candidate_regions() is first
+
+
+class TestWeightedIndexDifferential:
+    """HBSS's biased region draw is ``Generator.choice(k, p=w)`` without
+    the argument validation: same index, same generator position."""
+
+    def test_equals_generator_choice_and_consumes_the_same_draws(self):
+        shapes = np.random.default_rng(99)
+        for seed in range(1500):
+            k = int(shapes.integers(2, 9))
+            weights = shapes.random(k) ** int(shapes.integers(1, 6))
+            if seed % 7 == 0:  # near-degenerate biases
+                weights[int(shapes.integers(k))] *= 1e9
+            weights /= weights.sum()
+            reference = np.random.default_rng(seed)
+            twin = np.random.default_rng(seed)
+            for _ in range(5):
+                assert _weighted_index(twin, weights) == int(
+                    reference.choice(k, p=weights)
+                )
+            assert twin.random() == reference.random()
