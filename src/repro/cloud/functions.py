@@ -23,6 +23,7 @@ effects (successor invocations) take place.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
@@ -143,11 +144,13 @@ class FaasContext:
         return self.memory_mb / MEMORY_MB_PER_VCPU
 
 
+@functools.cache
 def _region_speed_factor(region: str) -> float:
     """Deterministic per-region execution-speed multiplier.
 
     Derived from the region name so every experiment sees the same
-    hardware spread (±4 %) without configuration.
+    hardware spread (±4 %) without configuration.  Pure in the name and
+    asked once per invocation, so computed once per region.
     """
     h = 0
     for ch in region:

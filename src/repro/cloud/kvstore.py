@@ -96,6 +96,10 @@ class KeyValueStore:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics if metrics is not None else NULL_METRICS
         self._tables: Dict[str, Dict[str, Any]] = {}
+        # (table, key) -> (stored object, decoder, decoded value); see
+        # :meth:`get`.  Holding the stored object keeps its identity
+        # from being reused while the entry lives.
+        self._decoded: Dict[Tuple[str, str], Tuple[Any, Callable, Any]] = {}
         # Instruments are fixed for the store's lifetime (one region
         # label); resolve them once instead of per operation.
         self._ctr_reads = self._metrics.counter("kv.reads", region=region)
@@ -195,13 +199,40 @@ class KeyValueStore:
         default: Any = None,
         workflow: str = "",
         request_id: str = "",
+        decode: Optional[Callable[[Any], Any]] = None,
     ) -> Tuple[Any, float]:
-        """Fetch ``key``.  Returns ``(value or default, latency)``."""
+        """Fetch ``key``.  Returns ``(value or default, latency)``.
+
+        With ``decode`` the value comes back as ``decode(copy of the
+        item)``, computed once per write of the item: the result is
+        kept until the stored object is replaced.  Every write path
+        stores a fresh copy (and ``delete`` removes it), so the stored
+        object's identity *is* the item's version and the writers need
+        no invalidation.  The read itself — fault check, ledger record,
+        latency, span, counters — is the same with or without
+        ``decode``.  A missing key returns ``default`` undecoded.  The
+        decoded object is shared by every reader of that version: treat
+        it as read-only, and pass a ``decode`` that is a pure function
+        of the item.
+        """
         self._check_fault(workflow)
         caller = caller_region or self.region
         latency = self._meter(table, caller, False, workflow, request_id, op="get")
-        value = self._table(table).get(key, default)
-        return _snapshot(value), latency
+        tbl = self._table(table)
+        if decode is None:
+            return _snapshot(tbl.get(key, default)), latency
+        stored = tbl.get(key)
+        if stored is None:
+            self._decoded.pop((table, key), None)
+            return default, latency
+        memo = self._decoded.get((table, key))
+        # ``==``, not ``is``: a bound classmethod is a new object on
+        # every attribute access.
+        if memo is not None and memo[0] is stored and memo[1] == decode:
+            return memo[2], latency
+        value = decode(_snapshot(stored))
+        self._decoded[(table, key)] = (stored, decode, value)
+        return value, latency
 
     def delete(
         self,

@@ -38,7 +38,12 @@ from repro.cloud.faults import ReliabilityStats
 from repro.cloud.provider import SimulatedCloud
 from repro.cloud.pubsub import Message
 from repro.cloud.simulator import EventHandle
-from repro.common.errors import CaribouError, WorkflowDefinitionError
+from repro.common.errors import (
+    CaribouError,
+    KeyValueStoreError,
+    RegionUnavailableError,
+    WorkflowDefinitionError,
+)
 from repro.core.api import (
     ExecutionContext,
     FunctionSpec,
@@ -176,6 +181,12 @@ class CaribouExecutor:
         self._spec_of_node: Dict[str, FunctionSpec] = {
             n.name: self._wf.function(n.function) for n in self._dag.nodes
         }
+        # node -> pub/sub topic of its function (``_topic_for`` is a
+        # subclass hook, but a pure function of the workflow).
+        self._topic_of_node: Dict[str, str] = {
+            node: self._topic_for(spec.name)
+            for node, spec in self._spec_of_node.items()
+        }
         # Precompiled deadness-propagation plan: the same semantics as
         # module-level :func:`propagate_dead` + Eq. 4.1 checks, but with
         # the per-node annotation-class edge lists and string keys built
@@ -203,6 +214,7 @@ class CaribouExecutor:
             for n, _ins in self._dead_plan
         }
         self._sync_nodes: Tuple[str, ...] = self._dag.sync_nodes
+        self._sync_set: FrozenSet[str] = frozenset(self._sync_nodes)
         self._sync_in_keys: Dict[str, Tuple[str, ...]] = {
             s: tuple(f"{e.src}->{e.dst}" for e in self._dag.in_edges(s))
             for s in self._sync_nodes
@@ -228,6 +240,10 @@ class CaribouExecutor:
         self._latency_hist = self._metrics.histogram(
             "executor.request_latency_s", workflow=self._d.name
         )
+        # The executor's counters, resolved on first use — a series
+        # must not show in the exposition before its first update — and
+        # reused from then on.
+        self._counters: Dict[Tuple[str, str], Any] = {}
         self._completed = 0
         self._failed = 0
         self._timed_out = 0
@@ -318,7 +334,7 @@ class CaribouExecutor:
             workflow=self._d.name,
             request_id=rid,
         )
-        topic = self._topic_for(self._spec_of_node[start].name)
+        topic = self._topic_of_node[start]
         try:
             self._cloud.pubsub.publish(
                 topic,
@@ -336,28 +352,37 @@ class CaribouExecutor:
     def home_plan(self) -> DeploymentPlan:
         return DeploymentPlan.single_region(self._dag, self._d.config.home_region)
 
+    def staged_plan_set(self, caller_region: str) -> Optional[HourlyPlanSet]:
+        """The staged plan set as read from ``caller_region``, or ``None``
+        when nothing is staged — the one reader of the staged item
+        (wrapper, Deployment Manager and temporal shifter).
+
+        Every call is a full simulated KV read; only the decoding is
+        shared (:meth:`KeyValueStore.get` with ``decode``), so the
+        returned object is the same for every reader until the item is
+        rewritten and must not be mutated.  KV faults propagate.
+        """
+        plan_set, _lat = self._d.kv().get(
+            self._d.meta_table,
+            META_PLAN_KEY,
+            caller_region=caller_region,
+            workflow=self._d.name,
+            decode=HourlyPlanSet.from_dict,
+        )
+        return plan_set
+
     def fetch_active_plan(self) -> DeploymentPlan:
         """Read the staged plan set from the KV store; fall back to the
         home region when none exists, it has expired (§5.2), or the
         store itself is unreachable (outage / injected KV error)."""
         try:
-            raw, _lat = self._d.kv().get(
-                self._d.meta_table,
-                META_PLAN_KEY,
-                caller_region=self._d.config.home_region,
-                workflow=self._d.name,
-            )
-        except CaribouError:
+            plan_set = self.staged_plan_set(self._d.config.home_region)
+        except (KeyValueStoreError, RegionUnavailableError):
             self._home_fallbacks += 1
-            self._metrics.counter(
-                "executor.home_fallbacks", workflow=self._d.name
-            ).inc()
+            self._counter("executor.home_fallbacks").inc()
             return self.home_plan()
         now = self._cloud.now()
-        if raw is None:
-            return self.home_plan()
-        plan_set = HourlyPlanSet.from_dict(raw)
-        if plan_set.is_expired(now):
+        if plan_set is None or plan_set.is_expired(now):
             return self.home_plan()
         hour_of_day = int(now // 3600.0) % 24
         plan = plan_set.plan_for_hour(hour_of_day)
@@ -413,7 +438,7 @@ class CaribouExecutor:
                         edge_label=f"$reroute->{node}",
                     )
                     return
-            if self._dag.is_sync_node(node):
+            if node in self._sync_set:
                 self._start_sync_node(node, region, body)
             else:
                 payloads = [self._decode_payload(p) for p in body["payloads"]]
@@ -485,7 +510,7 @@ class CaribouExecutor:
                 return Payload(content=None, size_bytes=total_out)
 
             event = payloads[0].content if payloads else None
-            if self._dag.is_sync_node(node):
+            if node in self._sync_set:
                 event = None  # sync nodes read via get_predecessor_data()
             self._cloud.functions.invoke(
                 workflow=self._d.name,
@@ -506,7 +531,6 @@ class CaribouExecutor:
     # --------------------------------------------------------- intent routing
     def _process_intents(self, ctx: ExecutionContext, faas_ctx, body: Dict) -> None:
         node = ctx.node
-        plan = DeploymentPlan(body["plan"])
         rid = ctx.request_id
         region = faas_ctx.region
         end = faas_ctx.end_s
@@ -522,7 +546,7 @@ class CaribouExecutor:
             covered.add(dst)
             if not intent.conditional_value:
                 self._schedule_skip(end, node, dst, region, rid, body)
-            elif self._dag.is_sync_node(dst):
+            elif dst in self._sync_set:
                 self._schedule_sync_send(
                     end, node, dst, region, rid, intent.payload, body
                 )
@@ -677,15 +701,19 @@ class CaribouExecutor:
                 # Explicit marks always win over propagated ones.
                 ann[key] = value
             # Inlined propagate_dead over the precompiled plan (see
-            # __init__) — identical fixed-point semantics.
+            # __init__) — identical fixed-point semantics.  A node can
+            # only be dead downstream of a 0-edge (the other values are
+            # 1 and the ``True`` sync flags), so without one the walk
+            # would find nothing.
             get = ann.get
-            dead: set = set()
-            for n, ins in self._dead_plan:
-                if all(get(k) == 0 or src in dead for src, k in ins):
-                    dead.add(n)
-            for n in dead:
-                for k in self._dead_out[n]:
-                    ann.setdefault(k, 0)
+            if 0 in ann.values():
+                dead: set = set()
+                for n, ins in self._dead_plan:
+                    if all(get(k) == 0 or src in dead for src, k in ins):
+                        dead.add(n)
+                for n in dead:
+                    for k in self._dead_out[n]:
+                        ann.setdefault(k, 0)
             for s in self._sync_nodes:
                 flag = self._sync_flags[s]
                 if get(flag):
@@ -777,31 +805,17 @@ class CaribouExecutor:
         edge_label: str,
     ) -> None:
         plan = body["plan"]
-        function = self._spec_of_node[node].name
         target_region = plan[node]
-        topic = self._topic_for(function)
+        topic = self._topic_of_node[node]
         home = self._d.config.home_region
-
-        def unusable(region: str) -> bool:
-            """Whether publishing to ``region`` cannot possibly succeed."""
-            if not self._cloud.pubsub.topic_exists(topic, region):
-                return True
-            if self._faults is not None and self._faults.enabled:
-                if self._faults.region_down(region):
-                    self._faults.record("region_outage")
-                    return True
-                if self._faults.partitioned(source_region, region):
-                    self._faults.record("network_partition")
-                    return True
-            return False
 
         # §6.1: if the planned deployment is not materialised (failed
         # migration) or its region is unreachable, fall back home.
-        if target_region != home and unusable(target_region):
+        if target_region != home and self._unusable(
+            topic, target_region, source_region
+        ):
             self._home_fallbacks += 1
-            self._metrics.counter(
-                "executor.home_fallbacks", workflow=self._d.name
-            ).inc()
+            self._counter("executor.home_fallbacks").inc()
             target_region = home
             body = dict(body)
             body["plan"] = dict(plan)
@@ -812,7 +826,7 @@ class CaribouExecutor:
             workflow=self._d.name,
             request_id=request_id,
         )
-        if unusable(target_region):
+        if self._unusable(topic, target_region, source_region):
             # The home region itself is unusable.  Raising here would
             # escape a scheduled callback and crash the event loop, so
             # dead-letter the message instead — the listener marks the
@@ -835,6 +849,28 @@ class CaribouExecutor:
         except CaribouError as exc:
             self._cloud.pubsub.dead_letter(topic, message, repr(exc))
 
+    def _unusable(self, topic: str, region: str, source_region: str) -> bool:
+        """Whether publishing to ``region`` cannot possibly succeed."""
+        if not self._cloud.pubsub.topic_exists(topic, region):
+            return True
+        if self._faults is not None and self._faults.enabled:
+            if self._faults.region_down(region):
+                self._faults.record("region_outage")
+                return True
+            if self._faults.partitioned(source_region, region):
+                self._faults.record("network_partition")
+                return True
+        return False
+
+    def _counter(self, name: str, status: str = ""):
+        counter = self._counters.get((name, status))
+        if counter is None:
+            labels = {"status": status} if status else {}
+            counter = self._counters[(name, status)] = self._metrics.counter(
+                name, workflow=self._d.name, **labels
+            )
+        return counter
+
     # -- request lifecycle -------------------------------------------------------
     def _begin_request(self, rid: str) -> None:
         """Track a request end to end: every tracked request finishes as
@@ -842,7 +878,7 @@ class CaribouExecutor:
         self._requests[rid] = "pending"
         self._request_t0[rid] = self._cloud.env.now()
         self._tracer.open_request(rid, self._d.name)
-        self._metrics.counter("executor.requests", workflow=self._d.name).inc()
+        self._counter("executor.requests").inc()
         timeout = self._d.config.request_timeout_s
         if timeout is not None:
             self._watchdogs[rid] = self._cloud.env.schedule(
@@ -861,13 +897,9 @@ class CaribouExecutor:
             # arrival rates this is the simulator's dominant heap churn
             # (the compaction machinery exists for exactly this), so
             # keep it observable.
-            self._metrics.counter(
-                "executor.watchdogs_cancelled", workflow=self._d.name
-            ).inc()
+            self._counter("executor.watchdogs_cancelled").inc()
         self._tracer.close_request(rid, status)
-        self._metrics.counter(
-            "executor.requests_finished", workflow=self._d.name, status=status
-        ).inc()
+        self._counter("executor.requests_finished", status).inc()
         t0 = self._request_t0.pop(rid, None)
         if t0 is not None:
             self._latency_hist.observe(self._cloud.env.now() - t0)
@@ -890,11 +922,7 @@ class CaribouExecutor:
             if t0 is not None:
                 self._latency_hist.observe(self._cloud.env.now() - t0)
             self._tracer.close_request(rid, "timed_out")
-            self._metrics.counter(
-                "executor.requests_finished",
-                workflow=self._d.name,
-                status="timed_out",
-            ).inc()
+            self._counter("executor.requests_finished", "timed_out").inc()
 
     def _on_dead_letter(self, topic: str, message: Message, error: str) -> None:
         """Pub/sub gave up on one of our messages: the request cannot

@@ -222,11 +222,8 @@ class DeploymentManager:
         )
 
         # Expire a stale plan: traffic reverts to the home region (§5.2).
-        active, _ = self._d.kv().get(
-            self._d.meta_table, "active_plan", caller_region=self._d.kv_region,
-            workflow=self._d.name,
-        )
-        if active is not None and HourlyPlanSet.from_dict(active).is_expired(now):
+        staged = self._executor.staged_plan_set(self._d.kv_region)
+        if staged is not None and staged.is_expired(now):
             self._executor.clear_plan()
 
         # Earn tokens from the past period (sliding window), starting

@@ -88,8 +88,8 @@ class TemporalShifter:
             Manager's forecast accessor for forecast-driven shifting.
         """
         self._executor = executor
-        self._cloud = executor._d.cloud
-        self._dag = executor._d.dag
+        self._cloud = executor.deployed.cloud
+        self._dag = executor.deployed.dag
         if intensity_fn is None:
             source = self._cloud.carbon_source
             intensity_fn = lambda region, hour: source.intensity_at_hour(
@@ -107,22 +107,13 @@ class TemporalShifter:
         to a clean region scores well even if the home grid is dirty.
         """
         hour = int(start_s // SECONDS_PER_HOUR)
-        plan_set_raw, _ = self._executor._d.kv().get(
-            self._executor._d.meta_table, "active_plan",
-            caller_region=self._executor._d.config.home_region,
-            workflow=self._executor._d.name,
-        )
-        if plan_set_raw is None:
-            regions = [self._executor._d.config.home_region] * len(self._dag)
+        home = self._executor.deployed.config.home_region
+        plan_set = self._executor.staged_plan_set(home)
+        if plan_set is None or plan_set.is_expired(start_s):
+            regions = [home] * len(self._dag)
         else:
-            from repro.model.plan import HourlyPlanSet
-
-            plan_set = HourlyPlanSet.from_dict(plan_set_raw)
-            if plan_set.is_expired(start_s):
-                regions = [self._executor._d.config.home_region] * len(self._dag)
-            else:
-                plan = plan_set.plan_for_hour(hour % 24)
-                regions = [plan.region_of(n) for n in self._dag.node_names]
+            plan = plan_set.plan_for_hour(hour % 24)
+            regions = [plan.region_of(n) for n in self._dag.node_names]
         intensities = [self._intensity_fn(r, hour) for r in regions]
         return sum(intensities) / len(intensities)
 

@@ -1,9 +1,18 @@
 """Tests for the cross-regional execution runtime (§6.2)."""
 
-import pytest
+import itertools
+import json
+import os
+import random
 
-from repro.apps import get_app
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps import ALL_APPS, get_app
+from repro.cloud.faults import FaultPlan
 from repro.cloud.provider import SimulatedCloud
+from repro.common.errors import CaribouError, ConfigurationError
 from repro.core.api import Payload, Workflow
 from repro.core.deployer import DeploymentUtility
 from repro.core.executor import (
@@ -16,6 +25,7 @@ from repro.experiments.harness import deploy_benchmark
 from repro.model.config import WorkflowConfig
 from repro.model.dag import Edge, Node, WorkflowDAG
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
+from tests import chaos_capture, plan_fetch_oracle
 
 
 @pytest.fixture
@@ -342,3 +352,285 @@ class TestRequestLifecycle:
     def test_rejects_non_positive_timeout(self):
         with pytest.raises(Exception, match="request_timeout_s"):
             WorkflowConfig(home_region="us-east-1", request_timeout_s=0.0)
+
+
+def kv_writes(cloud, deployed):
+    return sum(r.write for r in cloud.ledger.kv_accesses_for(deployed.name))
+
+
+def kv_reads(cloud, deployed):
+    return sum(not r.write for r in cloud.ledger.kv_accesses_for(deployed.name))
+
+
+class TestStagedPlanSetIsDecodedOncePerWrite:
+    """The plan read pays per request only for what varies per request:
+    one simulated KV read per fetch, one decoding per staged plan set,
+    and everything time-dependent re-evaluated on every call."""
+
+    def daily(self, deployed, region, **kwargs):
+        return HourlyPlanSet.daily(
+            DeploymentPlan.single_region(deployed.dag, region), **kwargs
+        )
+
+    def test_next_fetch_sees_every_write(self, t2s_deployment):
+        cloud, _app, deployed, executor, _ = t2s_deployment
+        executor.stage_plan_set(self.daily(deployed, "us-west-2"))
+        for _ in range(3):
+            assert executor.fetch_active_plan().regions_used == ("us-west-2",)
+        executor.stage_plan_set(self.daily(deployed, "ca-central-1"))
+        assert executor.fetch_active_plan().regions_used == ("ca-central-1",)
+        executor.clear_plan()
+        assert executor.fetch_active_plan().regions_used == ("us-east-1",)
+        # Another actor writing the item directly is seen as well.
+        deployed.kv().put(
+            deployed.meta_table, "active_plan",
+            self.daily(deployed, "us-west-1").to_dict(),
+        )
+        assert executor.fetch_active_plan().regions_used == ("us-west-1",)
+
+    def test_expiry_and_hour_are_evaluated_per_call(self, t2s_deployment):
+        cloud, _app, deployed, executor, _ = t2s_deployment
+        plans = {
+            0: DeploymentPlan.single_region(deployed.dag, "us-west-2"),
+            1: DeploymentPlan.single_region(deployed.dag, "ca-central-1"),
+        }
+        executor.stage_plan_set(HourlyPlanSet(plans, expires_at_s=2 * 3600.0))
+        writes = kv_writes(cloud, deployed)
+        assert executor.fetch_active_plan().regions_used == ("us-west-2",)
+        cloud.env.clock.advance_to(3600.0 + 1.0)
+        assert executor.fetch_active_plan().regions_used == ("ca-central-1",)
+        cloud.env.clock.advance_to(2 * 3600.0)
+        assert executor.fetch_active_plan().regions_used == ("us-east-1",)
+        assert kv_writes(cloud, deployed) == writes  # no write in between
+
+    def test_one_read_per_fetch_one_decoding_per_stage(
+        self, t2s_deployment, monkeypatch
+    ):
+        cloud, _app, deployed, executor, _ = t2s_deployment
+        decodings = []
+        from_dict = HourlyPlanSet.from_dict
+        monkeypatch.setattr(
+            HourlyPlanSet, "from_dict",
+            classmethod(lambda cls, data: decodings.append(1) or from_dict(data)),
+        )
+        for stage, region in enumerate(("us-west-2", "ca-central-1"), start=1):
+            executor.stage_plan_set(self.daily(deployed, region))
+            reads = kv_reads(cloud, deployed)
+            first = executor.staged_plan_set("us-east-1")
+            for n in range(1, 6):
+                executor.fetch_active_plan()
+                assert kv_reads(cloud, deployed) == reads + 1 + n
+            assert executor.staged_plan_set("us-east-1") is first
+            assert len(decodings) == stage
+
+    def test_handed_out_plans_do_not_alias_message_bodies(self, t2s_deployment):
+        cloud, app, deployed, executor, _ = t2s_deployment
+        executor.stage_plan_set(self.daily(deployed, "us-east-1"))
+        bodies = []
+        publish = cloud.pubsub.publish
+        cloud.pubsub.publish = lambda topic, region, message, **kw: (
+            bodies.append(message.body), publish(topic, region, message, **kw)
+        )[1]
+        executor.invoke(app.make_input("small"))
+        bodies[0]["plan"]["upload"] = "nowhere"  # a wrapper scribbling on its copy
+        assert executor.fetch_active_plan().region_of("upload") == "us-east-1"
+
+    def test_malformed_item_raises_as_before(self, t2s_deployment):
+        _cloud, _app, deployed, executor, _ = t2s_deployment
+        item = self.daily(deployed, "us-west-2").to_dict()
+        item["plans_by_hour"] = {"99": item["plans_by_hour"]["0"]}
+        deployed.kv().put(deployed.meta_table, "active_plan", item)
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                executor.fetch_active_plan()
+        assert executor.reliability().home_fallbacks == 0
+
+    def test_instruments_and_topics_are_resolved_once(self, t2s_deployment):
+        cloud, app, _deployed, executor, _ = t2s_deployment
+        lookups = []
+        counter = cloud.metrics.counter
+        cloud.metrics.counter = lambda name, **labels: (
+            lookups.append(name), counter(name, **labels)
+        )[1]
+        executor._topic_for = None  # noqa: SLF001 — any per-message call would raise
+        for _ in range(4):
+            executor.invoke(app.make_input("small"))
+        cloud.run_until_idle()
+        ours = [name for name in lookups if name.startswith("executor.")]
+        assert sorted(ours) == [
+            "executor.requests",
+            "executor.requests_finished",
+            "executor.watchdogs_cancelled",
+        ]
+        assert executor.reliability().completed_requests == 4
+
+
+PLAN_SET_BUILDERS = (
+    lambda dag: HourlyPlanSet.daily(DeploymentPlan.single_region(dag, "us-west-2")),
+    lambda dag: HourlyPlanSet(
+        {
+            h: DeploymentPlan.single_region(
+                dag, ("us-east-1", "us-west-1", "us-west-2", "ca-central-1")[h % 4]
+            )
+            for h in range(24)
+        }
+    ),
+    lambda dag: HourlyPlanSet(
+        {6: DeploymentPlan.single_region(dag, "ca-central-1")}
+    ),
+    # Covers only part of the DAG: the wrapper must fall back home.
+    lambda dag: HourlyPlanSet.daily(
+        DeploymentPlan({dag.start_node: "us-west-1"})
+    ),
+)
+
+plan_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("stage"),
+            st.integers(0, len(PLAN_SET_BUILDERS) - 1),
+            st.one_of(st.none(), st.floats(1.0, 4 * 3600.0)),
+        ),
+        st.tuples(st.just("put_raw"), st.integers(0, len(PLAN_SET_BUILDERS) - 1)),
+        st.tuples(st.just("put_malformed")),
+        st.tuples(st.just("rewrite")),
+        st.tuples(st.just("clear")),
+        st.tuples(st.just("advance"), st.floats(0.5, 3 * 3600.0)),
+        st.tuples(st.just("fetch")),
+        st.tuples(st.just("invoke")),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+class TestPlanFetchDifferential:
+    """The decoded read against the former ``fetch_active_plan`` body
+    (``tests/plan_fetch_oracle.py``) over twin same-seed clouds."""
+
+    def world(self, seed, oracle):
+        # KV errors start once the deployment itself is through.
+        cloud = SimulatedCloud(
+            seed=seed, fault_plan=FaultPlan().with_kv_errors(0.15, start_s=60.0)
+        )
+        app = get_app("text2speech_censoring")
+        deployed, executor, _ = deploy_benchmark(app, cloud)
+        cloud.env.clock.advance_to(60.0)
+        if oracle:
+            executor.fetch_active_plan = (
+                lambda: plan_fetch_oracle.fetch_active_plan(executor)
+            )
+        return cloud, app, deployed, executor
+
+    def apply(self, world, op):
+        cloud, app, deployed, executor = world
+        kind = op[0]
+        kv, table = deployed.kv(), deployed.meta_table
+        try:
+            if kind == "stage":
+                plan_set = PLAN_SET_BUILDERS[op[1]](deployed.dag)
+                plan_set.created_at_s = cloud.now()
+                if op[2] is not None:
+                    plan_set.expires_at_s = cloud.now() + op[2]
+                executor.stage_plan_set(plan_set)
+            elif kind == "put_raw":
+                kv.put(table, "active_plan",
+                       PLAN_SET_BUILDERS[op[1]](deployed.dag).to_dict())
+            elif kind == "put_malformed":
+                kv.put(table, "active_plan", {"plans_by_hour": {"99": {}}})
+            elif kind == "rewrite":
+                kv.update(table, "active_plan", lambda cur: cur)
+            elif kind == "clear":
+                executor.clear_plan()
+            elif kind == "advance":
+                cloud.env.clock.advance(op[1])
+            elif kind == "fetch":
+                return dict(executor.fetch_active_plan().assignments)
+            elif kind == "invoke":
+                rid = executor.invoke(app.make_input("small"))
+                cloud.run_until_idle()
+                return executor.request_status(rid)
+        except (CaribouError, KeyError) as exc:
+            return type(exc).__name__
+        return None
+
+    @settings(max_examples=60)
+    @given(ops=plan_ops, seed=st.integers(0, 5))
+    def test_interleavings_agree(self, ops, seed):
+        new, old = self.world(seed, oracle=False), self.world(seed, oracle=True)
+        for op in ops:
+            assert self.apply(new, op) == self.apply(old, op), op
+        (cloud_n, _, _, ex_n), (cloud_o, _, _, ex_o) = new, old
+        assert cloud_n.ledger.kv_accesses == cloud_o.ledger.kv_accesses
+        assert ex_n.reliability() == ex_o.reliability()
+        assert cloud_n.metrics.snapshot() == cloud_o.metrics.snapshot()
+        assert cloud_n.now() == cloud_o.now()
+        assert cloud_n.faults._rng.random() == cloud_o.faults._rng.random()  # noqa: SLF001
+
+
+class TestChaosCaptureDifferential:
+    """A seeded chaos run serialises byte-equal to the capture taken on
+    the parent commit (see ``tests/chaos_capture.py``)."""
+
+    @pytest.mark.parametrize("app_name", chaos_capture.APPS)
+    def test_ledger_trace_and_metrics_match_the_capture(self, app_name):
+        got = chaos_capture.capture(app_name)
+        golden = chaos_capture.GOLDEN
+        if os.environ.get("UPDATE_GOLDEN"):
+            pinned = json.loads(golden.read_text()) if golden.exists() else {}
+            pinned[app_name] = got
+            golden.write_text(
+                json.dumps(pinned, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+            )
+        assert got == json.loads(golden.read_text(encoding="utf-8"))[app_name]
+
+
+class TestAnnotateGuardDifferential:
+    """``_annotate`` skips the deadness walk while no edge is annotated
+    0; the former closure (``plan_fetch_oracle.annotate_mutate``) walked
+    every time.  Both must produce the same annotation item and claim
+    the same sync nodes from every state a request can reach — checked
+    on a superset: every 0/1 marking of the annotation-class edges in
+    every order where that is enumerable, a seeded sample otherwise."""
+
+    EXHAUSTIVE_MAX_EDGES = 5
+    SAMPLES = 250
+
+    def sequences(self, keys):
+        n = len(keys)
+        if n <= self.EXHAUSTIVE_MAX_EDGES:
+            for values in itertools.product((0, 1), repeat=n):
+                for order in itertools.permutations(range(n)):
+                    yield [(keys[i], values[i]) for i in order]
+            return
+        rng = random.Random(n)
+        for i in range(self.SAMPLES):
+            p_skip = (0.0, 0.1, 0.5)[i % 3]
+            order = rng.sample(range(n), n)
+            yield [(keys[j], int(rng.random() >= p_skip)) for j in order]
+
+    @pytest.mark.parametrize("app_name", sorted(ALL_APPS))
+    def test_guarded_walk_matches_unconditional_walk(self, app_name):
+        cloud = SimulatedCloud(seed=4)
+        deployed, executor, _ = deploy_benchmark(get_app(app_name), cloud)
+        keys = sorted(
+            f"{src}->{dst}" for src, dst in annotation_class_edges(deployed.dag)
+        )
+        kv, table = deployed.kv(), deployed.annotation_table
+        guard_skipped = guard_walked = 0
+        for n, marks in enumerate(self.sequences(keys)):
+            rid = f"seq-{n}"
+            state = None
+            for key, value in marks:
+                got_invoke = executor._annotate(rid, "us-east-1", {key: value})  # noqa: SLF001
+                state, want_invoke = plan_fetch_oracle.annotate_mutate(
+                    executor, state, {key: value}
+                )
+                assert kv.get(table, rid)[0] == state
+                assert got_invoke == want_invoke
+                if 0 in state.values():
+                    guard_walked += 1
+                else:
+                    guard_skipped += 1
+        if keys:  # both sides of the guard were exercised
+            assert guard_skipped and guard_walked
