@@ -40,15 +40,7 @@ def _text2speech_metrics():
     metrics = MetricsManager(
         deployed.dag, deployed.config, cloud.ledger, cloud.carbon_source
     )
-    for spec in deployed.workflow.functions:
-        if spec.external_data is not None:
-            for node in deployed.dag.node_names:
-                if deployed.dag.node(node).function == spec.name:
-                    metrics.declare_external_data(
-                        node,
-                        spec.external_data.region,
-                        spec.external_data.size_bytes,
-                    )
+    metrics.declare_function_external_data(deployed.workflow.functions)
     metrics.collect(cloud.now())
     return cloud, deployed, metrics
 

@@ -24,8 +24,9 @@ from repro.apps import ALL_APPS, get_app
 from repro.cloud.faults import FaultPlan
 from repro.cloud.provider import SimulatedCloud
 from repro.common.clock import SECONDS_PER_DAY
+from repro.common.errors import CaribouError
 from repro.core.solver import SolverStats
-from repro.data.regions import EVALUATION_REGIONS
+from repro.data.regions import EVALUATION_REGIONS, all_regions
 from repro.experiments.harness import (
     BENCH_SOLVER_SETTINGS,
     HOME_REGION,
@@ -51,12 +52,6 @@ from repro.obs.timeseries import (
 from repro.obs.trace import Tracer
 
 
-def _parse_regions(raw: Optional[str]) -> tuple:
-    if not raw:
-        return tuple(EVALUATION_REGIONS)
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
 def cmd_list(_args: argparse.Namespace) -> int:
     print(f"{'workflow':28s} {'stages':>6s} {'sync':>5s} {'cond':>5s}  description")
     for app in ALL_APPS.values():
@@ -70,7 +65,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 def cmd_deploy(args: argparse.Namespace) -> int:
     app = get_app(args.app)
-    cloud = SimulatedCloud(seed=args.seed, regions=_parse_regions(args.regions))
+    cloud = SimulatedCloud(seed=args.seed, regions=args.regions)
     deployed, _executor, _utility = deploy_benchmark(app, cloud)
     print(f"deployed {deployed.name!r} to {deployed.config.home_region}")
     print(f"  nodes: {', '.join(deployed.dag.node_names)}")
@@ -120,21 +115,20 @@ def _telemetry_config(args: argparse.Namespace) -> Optional[TelemetryConfig]:
     if not wants:
         return None
     slos = []
-    for raw in slo_args:
-        if raw == "":  # bare --slo: the stock objectives
+    for spec in slo_args:
+        if spec == "":  # bare --slo: the stock objectives
             slos.extend(DEFAULT_SLOS)
         else:
-            slos.append(parse_slo(raw))
+            slos.append(spec)
     return TelemetryConfig(window_s=args.window, slos=tuple(slos))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     app = get_app(args.app)
-    regions = _parse_regions(args.regions)
     fault_plan = None
     if args.chaos:
         home = args.coarse if args.coarse else HOME_REGION
-        fault_plan = _default_chaos_plan(regions, home)
+        fault_plan = _default_chaos_plan(args.regions, home)
     # --report needs a trace for its critical-path section; tracing is
     # pure observation, so enabling it never changes the run itself.
     tracer = (
@@ -151,7 +145,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     else:
         outcome = run_caribou(
-            app, args.size, regions, seed=args.seed,
+            app, args.size, args.regions, seed=args.seed,
             n_invocations=args.invocations, fault_plan=fault_plan,
             tracer=tracer,
             solver_settings=_solver_settings(args),
@@ -243,7 +237,7 @@ def cmd_fleet_report(args: argparse.Namespace) -> int:
     from repro.core.solver import SolverSettings
 
     app = get_app(args.app)
-    cloud = SimulatedCloud(seed=args.seed, regions=_parse_regions(args.regions))
+    cloud = SimulatedCloud(seed=args.seed, regions=args.regions)
     utility = DeploymentUtility(cloud)
     # Bench-style fleet knobs: no forecast gate and no token bucket, so
     # every checked workflow actually solves and the rollup shows real
@@ -295,13 +289,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
     """Submit a workflow as a durable job (state SUBMITTED)."""
     from repro.service import JobRecord, SUBMITTED
 
-    if args.app not in ALL_APPS:
-        print(
-            f"caribou submit: unknown workflow {args.app!r} "
-            f"(available: {', '.join(sorted(ALL_APPS))})",
-            file=sys.stderr,
-        )
-        return 2
     store = _job_store(args)
     seq = len(store.job_ids()) + 1
     job_id = args.job_id or f"{args.app}-{seq:04d}"
@@ -390,7 +377,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceEngine
 
     store = _job_store(args)
-    cloud = SimulatedCloud(seed=args.seed, regions=_parse_regions(args.regions))
+    cloud = SimulatedCloud(seed=args.seed, regions=args.regions)
     engine = ServiceEngine(cloud, store)
     hydrated = engine.recover()
     executed = engine.run(max_steps=args.steps)
@@ -442,8 +429,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     app = get_app(args.app)
-    regions = _parse_regions(args.regions)
-    cloud = SimulatedCloud(seed=args.seed, regions=regions)
+    cloud = SimulatedCloud(seed=args.seed, regions=args.regions)
     deployed, executor, _utility = deploy_benchmark(app, cloud)
     warm_up(executor, app, args.size, n=10)
     scenario = (
@@ -457,7 +443,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         solver_settings=_solver_settings(args),
         stats=stats,
     )
-    print(f"24-hour plan set for {app.name} over {', '.join(regions)}:")
+    print(f"24-hour plan set for {app.name} over {', '.join(args.regions)}:")
     last = None
     for hour in range(24):
         plan = plan_set.plan_for_hour(hour)
@@ -489,19 +475,56 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _positive_float(raw: str) -> float:
+    value = float(raw)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {raw}")
+    return value
+
+
+def _region_list(raw: str) -> tuple:
+    """``--regions r1,r2``: catalogue names, the home region among them."""
+    regions = tuple(part.strip() for part in raw.split(",") if part.strip())
+    known = sorted(r.name for r in all_regions())
+    unknown = [r for r in regions if r not in known]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown region {', '.join(unknown)} (known: {', '.join(known)})"
+        )
+    if HOME_REGION not in regions:
+        raise argparse.ArgumentTypeError(
+            f"must include the home region {HOME_REGION}"
+        )
+    return regions
+
+
+def _slo_spec(raw: str):
+    """One ``--slo`` value, parsed; bare ``--slo`` arrives as ``""``."""
+    if raw == "":
+        return raw
+    try:
+        return parse_slo(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="caribou",
         description="Caribou reproduction CLI (simulated cloud).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    regions_flag = dict(
+        type=_region_list, default=tuple(EVALUATION_REGIONS), metavar="R1,R2",
+        help=f"comma-separated region set, {HOME_REGION} included",
+    )
 
     p_list = sub.add_parser("list", help="list benchmark workflows")
     p_list.set_defaults(func=cmd_list)
 
     p_deploy = sub.add_parser("deploy", help="initial deployment of a workflow")
-    p_deploy.add_argument("app")
-    p_deploy.add_argument("--regions", default=None)
+    p_deploy.add_argument("app", choices=sorted(ALL_APPS))
+    p_deploy.add_argument("--regions", **regions_flag)
     p_deploy.add_argument("--seed", type=int, default=0)
     p_deploy.set_defaults(func=cmd_deploy)
 
@@ -509,8 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("app", choices=sorted(ALL_APPS))
     p_run.add_argument("--size", choices=("small", "large"), default="small")
     p_run.add_argument("-n", "--invocations", type=_positive_int, default=20)
-    p_run.add_argument("--regions", default=None)
+    p_run.add_argument("--regions", **regions_flag)
     p_run.add_argument("--coarse", metavar="REGION", default=None,
+                       choices=EVALUATION_REGIONS,
                        help="static single-region deployment instead of Caribou")
     p_run.add_argument("--chaos", action="store_true",
                        help="inject the stock fault schedule (region outage, "
@@ -531,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="search strategy (default hbss; 'exact' runs the "
                             "provably-optimal branch-and-bound)")
-    p_run.add_argument("--trace-sample", type=int, default=1,
+    p_run.add_argument("--trace-sample", type=_positive_int, default=1,
                        help="keep every N-th request's spans in the trace "
                             "(default 1 = record everything); cuts tracer "
                             "overhead on hot paths")
@@ -539,11 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample every metric into per-window points on "
                             "the virtual clock and write the series to FILE "
                             "as JSONL (render with `caribou dash FILE`)")
-    p_run.add_argument("--window", type=float, default=DEFAULT_WINDOW_S,
+    p_run.add_argument("--window", type=_positive_float,
+                       default=DEFAULT_WINDOW_S,
                        help="telemetry window in virtual seconds "
                             "(default 3600 = the solver's hour granularity)")
     p_run.add_argument("--slo", metavar="SPEC", action="append", nargs="?",
-                       const="", default=None,
+                       const="", default=None, type=_slo_spec,
                        help="evaluate an SLO per window, e.g. "
                             "'p95(executor.request_latency_s)<=1.0' or "
                             "'rate(a/b)<=0.01@0.999'; repeatable; bare "
@@ -556,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="print the solved 24-hour plan set")
     p_solve.add_argument("app", choices=sorted(ALL_APPS))
     p_solve.add_argument("--size", choices=("small", "large"), default="small")
-    p_solve.add_argument("--regions", default=None)
+    p_solve.add_argument("--regions", **regions_flag)
     p_solve.add_argument("--worst-case", action="store_true")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--solver", choices=("hbss", "coarse", "exhaustive", "exact"),
@@ -605,14 +630,14 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet-report",
         help="run a small managed fleet and print its control-loop rollup",
     )
-    p_fleet.add_argument("app")
+    p_fleet.add_argument("app", choices=sorted(ALL_APPS))
     p_fleet.add_argument("-w", "--workflows", type=int, default=4,
                          help="fleet size: copies of APP to manage "
                               "(default 4)")
     p_fleet.add_argument("-n", "--invocations", type=int, default=2,
                          help="warm-up invocations per workflow (default 2)")
     p_fleet.add_argument("--size", choices=("small", "large"), default="small")
-    p_fleet.add_argument("--regions", default=None)
+    p_fleet.add_argument("--regions", **regions_flag)
     p_fleet.add_argument("--seed", type=int, default=0)
     p_fleet.add_argument("--json", action="store_true",
                          help="emit the raw rollup as JSON instead of "
@@ -623,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit a workflow as a durable job (drive it with `serve`)",
     )
-    p_submit.add_argument("app")
+    p_submit.add_argument("app", choices=sorted(ALL_APPS))
     p_submit.add_argument("--size", choices=("small", "large"),
                           default="small")
     p_submit.add_argument("--job-id", default=None,
@@ -660,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--steps", type=int, default=16,
                          help="maximum pipeline steps to execute "
                               "(default 16)")
-    p_serve.add_argument("--regions", default=None)
+    p_serve.add_argument("--regions", **regions_flag)
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.set_defaults(func=cmd_serve)
 
@@ -669,7 +694,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, CaribouError) as exc:
+        # An unreadable/unwritable path or a request the framework
+        # refuses gets what argparse gives bad flags: one line, exit 2.
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            message = f"{exc.filename}: {exc.strerror}"
+        print(f"caribou {args.command}: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

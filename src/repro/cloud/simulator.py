@@ -49,7 +49,6 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.common.clock import VirtualClock
 from repro.common.rng import RngRegistry
-from repro.obs.profile import profiled_phase
 
 #: Event lifecycle states (ints, not an Enum — the loop reads them
 #: millions of times and Enum attribute access costs ~10x).
@@ -331,36 +330,33 @@ class SimulationEnvironment:
         heap = self._heap
         heappop = heapq.heappop
         advance_to = self.clock.advance_to
-        # One phase per run() call, not per event — the per-event cost of
-        # a timer would dwarf many event actions and skew the numbers.
-        with profiled_phase("sim.run"):
-            while heap and executed < budget:
-                head_time, _seq, head_event = heap[0]
-                if head_event.state != _PENDING:
-                    heappop(heap)
+        while heap and executed < budget:
+            head_time, _seq, head_event = heap[0]
+            if head_event.state != _PENDING:
+                heappop(heap)
+                self._cancelled_in_heap -= 1
+                continue
+            if until is not None and head_time > until:
+                break
+            # Batched same-timestamp dispatch: one clock advance and
+            # one outer iteration cover every event tied at
+            # ``head_time`` — including ones their actions schedule
+            # at the same instant (higher seq => popped after every
+            # earlier tie, preserving FIFO exactly).
+            advance_to(head_time)
+            while heap and heap[0][0] == head_time and executed < budget:
+                _, _, event = heappop(heap)
+                if event.state != _PENDING:
                     self._cancelled_in_heap -= 1
                     continue
-                if until is not None and head_time > until:
-                    break
-                # Batched same-timestamp dispatch: one clock advance and
-                # one outer iteration cover every event tied at
-                # ``head_time`` — including ones their actions schedule
-                # at the same instant (higher seq => popped after every
-                # earlier tie, preserving FIFO exactly).
-                advance_to(head_time)
-                while heap and heap[0][0] == head_time and executed < budget:
-                    _, _, event = heappop(heap)
-                    if event.state != _PENDING:
-                        self._cancelled_in_heap -= 1
-                        continue
-                    event.state = _EXECUTED
-                    action = event.action
-                    event.action = None
-                    self._executed += 1
-                    executed += 1
-                    action()
-            if until is not None and self.clock.now() < until:
-                advance_to(until)
+                event.state = _EXECUTED
+                action = event.action
+                event.action = None
+                self._executed += 1
+                executed += 1
+                action()
+        if until is not None and self.clock.now() < until:
+            advance_to(until)
         return executed
 
     def run_until_idle(self, max_events: int = 10_000_000) -> int:

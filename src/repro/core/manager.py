@@ -113,13 +113,7 @@ class DeploymentManager:
             self._cloud.carbon_source,
             forecasts=forecasts,
         )
-        for spec in deployed.workflow.functions:
-            if spec.external_data is not None:
-                for node in deployed.dag.node_names:
-                    if deployed.dag.node(node).function == spec.name:
-                        self.metrics.declare_external_data(
-                            node, spec.external_data.region, spec.external_data.size_bytes
-                        )
+        self.metrics.declare_function_external_data(deployed.workflow.functions)
 
         self.bucket = TokenBucket(
             n_nodes=len(deployed.dag),

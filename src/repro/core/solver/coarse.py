@@ -10,7 +10,6 @@ while shifting the rest (§5.1) — which is exactly what Fig. 7's
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence, Tuple
 
 from repro.common.errors import SolverError
@@ -63,7 +62,6 @@ class CoarseSolver:
         """The winning plan only — no estimate forced on the caller
         (``solve_day`` discards per-hour estimates, and the winner's
         mean metric was already computed while ranking)."""
-        start_time = time.perf_counter()
         ev = self._ev
         regions = self.candidate_regions()
         if not regions:
@@ -85,7 +83,6 @@ class CoarseSolver:
                 best_plan, best_metric = plan, metric
         if best_plan is None:
             best_plan = ev.home_plan()
-        ev.stats.bump(wall_time_s=time.perf_counter() - start_time)
         return best_plan
 
     def solve_day(

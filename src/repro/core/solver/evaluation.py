@@ -87,17 +87,15 @@ class SolverStats:
     """Instrumentation counters shared across one solver run.
 
     The :class:`PlanEvaluator` owns one (or accepts a caller-provided
-    instance) and threads it into the Monte-Carlo estimator; solvers
-    accumulate wall time into it.  All counters are cumulative over the
-    evaluator's lifetime, so a 24-hour ``solve_day`` reports totals.
+    instance) and threads it into the Monte-Carlo estimator.  All
+    counters are cumulative over the evaluator's lifetime, so a 24-hour
+    ``solve_day`` reports totals.
 
     A caller's own threads may share one instance; use :meth:`bump` (a
     lock-guarded multi-field add) instead of ``stats.field += n``.  The
     count *totals* are scheduling-invariant: per distinct plan exactly
     one profile build happens (the evaluator's per-digest build locks
-    guarantee it) and every other lookup is a hit — only
-    ``wall_time_s`` is machine dependent, and deterministic surfaces
-    (run reports) already exclude it.
+    guarantee it) and every other lookup is a hit.
 
     Attributes:
         simulations_run: Monte-Carlo profile runs actually simulated.
@@ -114,7 +112,6 @@ class SolverStats:
         bnb_hours_solved: Hour solves the exact solver completed;
             divides ``bnb_bound_tightness_pct`` (a cumulative sum of
             per-hour root-bound/optimum ratios) into an average.
-        wall_time_s: Solver time spent inside ``solve_hour`` calls.
     """
 
     simulations_run: int = 0
@@ -127,7 +124,6 @@ class SolverStats:
     bnb_nodes_pruned: int = 0
     bnb_hours_solved: int = 0
     bnb_bound_tightness_pct: float = 0.0
-    wall_time_s: float = 0.0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -150,8 +146,7 @@ class SolverStats:
             f"{self.profiles_built} profiles built, "
             f"profile cache hit rate {hit_rate:.0%}, "
             f"{self.estimates_computed} estimates computed "
-            f"({self.estimate_cache_hits} cached), "
-            f"solver wall time {self.wall_time_s:.2f}s"
+            f"({self.estimate_cache_hits} cached)"
         )
         if self.bnb_hours_solved:
             tightness = self.bnb_bound_tightness_pct / self.bnb_hours_solved

@@ -58,14 +58,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SolverError
 from repro.core.solver.evaluation import PlanEvaluator
 from repro.metrics.montecarlo import WorkflowEstimate
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
-from repro.obs.profile import profiled_phase
 
 #: Relative slack applied to every lower bound before a prune
 #: comparison: absorbs float re-association drift between the bound's
@@ -451,13 +449,7 @@ class ExactSolver:
     def solve_hour(
         self, hour: int, enforce_tolerances: bool = True
     ) -> Tuple[DeploymentPlan, WorkflowEstimate]:
-        with profiled_phase("solver.solve_hour"):
-            return self._solve_hour(hour, enforce_tolerances)
-
-    def _solve_hour(
-        self, hour: int, enforce_tolerances: bool
-    ) -> Tuple[DeploymentPlan, WorkflowEstimate]:
-        start_time = time.perf_counter()
+        """Provably optimal plan, and its estimate, for one hour."""
         ev = self._ev
         b = self.bounds
         layer = b.hour_layer(hour)
@@ -580,7 +572,6 @@ class ExactSolver:
             bnb_nodes_pruned=pruned,
             bnb_hours_solved=1,
             bnb_bound_tightness_pct=min(100.0, max(0.0, tightness)),
-            wall_time_s=time.perf_counter() - start_time,
         )
         return best_plan, ev.estimate(best_plan, hour)
 
@@ -590,11 +581,8 @@ class ExactSolver:
         enforce_tolerances: bool = True,
     ) -> HourlyPlanSet:
         """Provably optimal per-hour plans over the day."""
-        with profiled_phase("solver.solve_day"):
-            hour_list = list(hours) if hours is not None else list(range(24))
-            if not hour_list:
-                raise ValueError("need at least one hour to solve for")
-            plans = [
-                self.solve_hour(h, enforce_tolerances)[0] for h in hour_list
-            ]
-            return HourlyPlanSet(dict(zip(hour_list, plans)))
+        hour_list = list(hours) if hours is not None else list(range(24))
+        if not hour_list:
+            raise ValueError("need at least one hour to solve for")
+        plans = [self.solve_hour(h, enforce_tolerances)[0] for h in hour_list]
+        return HourlyPlanSet(dict(zip(hour_list, plans)))

@@ -11,7 +11,6 @@ close HBSS gets at a fraction of the evaluations.
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Optional, Sequence, Tuple
 
 from repro.common.errors import SolverError
@@ -35,7 +34,6 @@ class ExhaustiveSolver:
     def solve_hour(
         self, hour: int, enforce_tolerances: bool = True
     ) -> Tuple[DeploymentPlan, WorkflowEstimate]:
-        start_time = time.perf_counter()
         ev = self._ev
         space = ev.search_space_size()
         if space > self._max_plans:
@@ -103,7 +101,6 @@ class ExhaustiveSolver:
         if best_plan is None:
             # Every plan violates tolerances: fall back to home (§6.1).
             best_plan = ev.home_plan()
-        ev.stats.bump(wall_time_s=time.perf_counter() - start_time)
         return best_plan, ev.estimate(best_plan, hour)
 
     def solve_day(

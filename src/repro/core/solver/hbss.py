@@ -37,7 +37,6 @@ result depends on nothing but that hour:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -56,7 +55,6 @@ from repro.core.solver.evaluation import LazyTable, PlanEvaluator
 from repro.metrics.montecarlo import WorkflowEstimate
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.obs.profile import profiled_phase
 from repro.obs.trace import NULL_TRACER, Tracer
 
 
@@ -169,7 +167,7 @@ class HBSSSolver:
         self._solves += 1
         with self._tracer.span(
             "solve", f"hours={len(hour_list)}", n_hours=len(hour_list)
-        ) as scope, profiled_phase("solver.solve_day"):
+        ) as scope:
             results = [
                 self._solve_hour(
                     h,
@@ -200,11 +198,10 @@ class HBSSSolver:
     ) -> SolveResult:
         """One hour's HBSS walk on the hour's own RNG substream, traced
         as a ``solver_hour`` span over its ``solver_iteration`` spans."""
-        start_time = time.perf_counter()
         rng = self._rng_for_hour(hour)
         with self._tracer.span(
             "solver_hour", f"hour={hour}", hour=hour
-        ) as scope, profiled_phase("solver.solve_hour"):
+        ) as scope:
             ev = self._ev
             dag = ev.dag
             settings = ev.settings
@@ -305,7 +302,6 @@ class HBSSSolver:
         self._metrics.counter("solver.plans_evaluated").inc(
             result.plans_evaluated
         )
-        ev.stats.bump(wall_time_s=time.perf_counter() - start_time)
         return result
 
     # -- Alg. 1 internals ---------------------------------------------------------

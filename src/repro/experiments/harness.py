@@ -206,7 +206,7 @@ def solve_plan_set(
 ) -> HourlyPlanSet:
     """Solve a 24-hour plan set over the week-averaged diurnal profile
     and return it (not yet migrated).  Pass a :class:`SolverStats` to
-    collect simulation/caching/wall-time counters for the run.
+    collect simulation/caching counters for the run.
 
     Each hour draws from its own registry substream
     (``solver:{name}:hour={h}``).
@@ -259,13 +259,7 @@ def build_plan_evaluator(
     metrics = MetricsManager(
         deployed.dag, deployed.config, cloud.ledger, cloud.carbon_source
     )
-    for spec in deployed.workflow.functions:
-        if spec.external_data is not None:
-            for node in deployed.dag.node_names:
-                if deployed.dag.node(node).function == spec.name:
-                    metrics.declare_external_data(
-                        node, spec.external_data.region, spec.external_data.size_bytes
-                    )
+    metrics.declare_function_external_data(deployed.workflow.functions)
     metrics.collect(cloud.now())
 
     if intensity_fn is None:
@@ -377,8 +371,9 @@ def _run_measurement(
                 "trans_carbon_g": fp.trans_carbon_g,
             }
 
+    measured = set(rids)
     regions_used = tuple(
-        sorted({r.region for r in ledger.executions if r.request_id in set(rids)})
+        sorted({r.region for r in ledger.executions if r.request_id in measured})
     )
     reliability = (
         executor.reliability() if hasattr(executor, "reliability") else None

@@ -194,6 +194,20 @@ class MetricsManager:
         self._dag.node(node)
         self._external[node] = (region, float(size_bytes))
 
+    def declare_function_external_data(self, functions) -> None:
+        """Declare each function spec's ``external_data`` (when it has
+        one) on every DAG node that function backs."""
+        for spec in functions:
+            if spec.external_data is None:
+                continue
+            for node in self._dag.node_names:
+                if self._dag.node(node).function == spec.name:
+                    self.declare_external_data(
+                        node,
+                        spec.external_data.region,
+                        spec.external_data.size_bytes,
+                    )
+
     def register_execution_prior(
         self, node: str, region: str, samples: Sequence[float]
     ) -> None:

@@ -78,7 +78,6 @@ from repro.metrics.distributions import EmpiricalDistribution
 from repro.metrics.latency import TransferLatencyModel
 from repro.model.dag import WorkflowDAG
 from repro.model.plan import DeploymentPlan
-from repro.obs.profile import profiled_phase
 
 BATCH_SIZE = 200
 MAX_SAMPLES = 2000
@@ -451,20 +450,17 @@ class MonteCarloEstimator:
         rng = self.plan_rng(plan)
         full = self._make_accumulators(plan, self._max)
         n_total = 0
-        with profiled_phase("mc.estimate_profile"):
-            while n_total < self._max:
-                n = min(self._batch, self._max - n_total)
-                draws = self._draw_batch(plan, n, rng)
-                window = full.window(n_total, n_total + n)
-                if self._vectorized:
-                    self._simulate_batch(plan, draws, window)
-                else:
-                    self._simulate_batch_reference(plan, draws, window)
-                n_total += n
-                if self._converged(
-                    full.latency[:n_total], full.cost[:n_total]
-                ):
-                    break
+        while n_total < self._max:
+            n = min(self._batch, self._max - n_total)
+            draws = self._draw_batch(plan, n, rng)
+            window = full.window(n_total, n_total + n)
+            if self._vectorized:
+                self._simulate_batch(plan, draws, window)
+            else:
+                self._simulate_batch_reference(plan, draws, window)
+            n_total += n
+            if self._converged(full.latency[:n_total], full.cost[:n_total]):
+                break
 
         self._bump_stats(simulations=1, samples=n_total)
         return self._profile_from(full, n_total)

@@ -24,6 +24,9 @@ Everything is inert by default: services hold the no-op
 never touches the RNG, and never schedules events — a run with tracing
 disabled is byte-identical (ledger and all) to one built before this
 package existed.
+
+Every timestamp here is virtual: nothing under ``src/`` reads the host
+clock, and host time is measured from outside by ``bench/run.py``.
 """
 
 from repro.obs.critical_path import (
@@ -40,14 +43,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-)
-from repro.obs.profile import (
-    NULL_PROFILER,
-    NullProfiler,
-    Profiler,
-    get_profiler,
-    profiled_phase,
-    set_profiler,
 )
 from repro.obs.render import (
     load_jsonl,
@@ -96,11 +91,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_METRICS",
-    "NULL_PROFILER",
     "NULL_TRACER",
-    "NullProfiler",
     "NullTracer",
-    "Profiler",
     "REPORT_SCHEMA",
     "RequestPath",
     "RunReport",
@@ -122,19 +114,16 @@ __all__ = [
     "diff_runs",
     "diff_series",
     "evaluate_slos",
-    "get_profiler",
     "ledger_series",
     "load_jsonl",
     "load_series_jsonl",
     "merge_series",
     "parse_slo",
-    "profiled_phase",
     "render_critical_path",
     "render_dashboard",
     "render_prometheus",
     "render_span_tree",
     "render_trace_summary",
     "series_to_jsonl",
-    "set_profiler",
     "sparkline",
 ]

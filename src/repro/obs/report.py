@@ -9,9 +9,8 @@ carbon/cost, the :class:`~repro.obs.metrics.MetricsRegistry` snapshot,
 plus a markdown rendering.
 
 Determinism is a hard requirement (the golden-report regression test
-pins the quickstart report byte-for-byte), so wall-clock values are
-excluded: solver stats drop ``wall_time_s``, and nothing here reads the
-host clock.  Every float in the document derives from the virtual
+pins the quickstart report byte-for-byte), and nothing here reads the
+host clock: every float in the document derives from the virtual
 simulation alone.
 """
 
@@ -357,8 +356,6 @@ def build_run_report(
     solver = None
     if outcome.solver_stats is not None:
         s = outcome.solver_stats
-        # wall_time_s is host-dependent and intentionally excluded: the
-        # report must be byte-stable across machines for the golden test.
         solver = {
             "estimate_cache_hits": s.estimate_cache_hits,
             "estimates_computed": s.estimates_computed,

@@ -45,6 +45,7 @@ from repro.core.api import Workflow
 from repro.core.deployer import DeploymentUtility
 from repro.core.executor import CaribouExecutor, DeployedWorkflow
 from repro.core.fleet import FleetManager
+from repro.core.manager import DEFAULT_PLAN_LIFETIME_S
 from repro.core.migrator import DeploymentMigrator
 from repro.core.solver import SolverSettings, SolverStats
 from repro.core.trigger import TriggerSettings
@@ -360,7 +361,7 @@ class ServiceEngine:
         )
         now = self._cloud.now()
         plan_set.created_at_s = now
-        plan_set.expires_at_s = now + 3 * SECONDS_PER_DAY
+        plan_set.expires_at_s = now + DEFAULT_PLAN_LIFETIME_S
         # The expensive output is durable: recovery re-applies this
         # dict instead of re-running the solver.
         record.artifacts["plan_set"] = plan_set.to_dict()

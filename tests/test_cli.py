@@ -31,7 +31,9 @@ class TestParser:
             )
         assert "invalid choice: 'huge'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "solve"])
+    @pytest.mark.parametrize(
+        "command", ["run", "solve", "fleet-report", "submit"]
+    )
     def test_unknown_app_rejected(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "nope"])
@@ -44,6 +46,53 @@ class TestParser:
             main(["run", "dna_visualization", "-n", n])
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+
+class TestBadInput:
+    """Bad input is one line on stderr and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["run", "--coarse", "bogus"], "invalid choice: 'bogus'"),
+         (["run", "--window", "0"], "must be > 0"),
+         (["run", "--trace-sample", "0"], "must be >= 1"),
+         (["run", "--slo", "garbage"], "SLO spec needs '<='")]
+        + [([command, "--regions", regions], message)
+           for command in ("run", "solve", "deploy")
+           for regions, message in (
+               ("us-east-1,bogus-1", "unknown region bogus-1"),
+               ("us-west-2", "must include the home region us-east-1"))],
+    )
+    def test_rejected_by_the_parser(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["dna_visualization"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, n_paths, name",
+        [("report", 1, "absent.json"), ("dash", 1, "absent.jsonl"),
+         ("diff", 2, "absent.json")],
+    )
+    def test_missing_input_file(self, command, n_paths, name, tmp_path,
+                                capsys):
+        missing = str(tmp_path / name)
+        assert main([command] + [missing] * n_paths) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"caribou {command}: {missing}: No such file or directory\n"
+        )
+
+    def test_framework_refusal_is_one_line(self, capsys):
+        # 6 regions ^ 7 nodes is past the exhaustive solver's plan limit:
+        # valid to the parser, refused (SolverError) by the framework.
+        assert main(["solve", "image_processing", "--solver", "exhaustive",
+                     "--regions", "us-east-1,us-east-2,us-west-1,us-west-2,"
+                                  "ca-central-1,ca-west-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("caribou solve: search space has 279936 plans")
+        assert err.count("\n") == 1
 
 
 class TestCommands:
@@ -60,9 +109,11 @@ class TestCommands:
         assert "deployed 'rag_ingestion'" in out
         assert "extract_metadata" in out
 
-    def test_deploy_unknown_app(self):
-        with pytest.raises(KeyError):
+    def test_deploy_unknown_app(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["deploy", "ghost_app"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'ghost_app'" in capsys.readouterr().err
 
     def test_run_coarse(self, capsys):
         assert main(["run", "dna_visualization", "-n", "4",

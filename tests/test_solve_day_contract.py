@@ -53,7 +53,7 @@ def _counters(stats):
     return {
         f.name: getattr(stats, f.name)
         for f in dataclasses.fields(stats)
-        if f.name not in ("wall_time_s", "_lock")
+        if f.name != "_lock"
     }
 
 

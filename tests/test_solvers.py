@@ -409,12 +409,6 @@ class TestSolverStats:
         assert ev.stats.estimates_computed == 2
         assert ev.stats.simulations_run == 1  # no re-simulation
 
-    def test_hbss_accumulates_wall_time(self, chain_dag):
-        ev = make_evaluator(chain_dag)
-        solver = HBSSSolver(ev, np.random.default_rng(1))
-        solver.solve_hour(0)
-        assert ev.stats.wall_time_s > 0.0
-
     def test_shared_stats_object(self, chain_dag):
         stats = SolverStats()
         ev = PlanEvaluator(
@@ -444,7 +438,7 @@ _COUNTER_FIELDS = (
 
 
 def _counters(stats):
-    """Scheduling-invariant counter totals (wall time excluded)."""
+    """Scheduling-invariant counter totals."""
     return {name: getattr(stats, name) for name in _COUNTER_FIELDS}
 
 

@@ -7,7 +7,8 @@ deltas + quantiles, sparse emission, partial close), the simulator's
 on its own), the ledger-derived per-window carbon series, the JSONL and
 Prometheus exporters, and the end-to-end determinism contract: a
 telemetered ``run_caribou`` produces byte-identical series across
-same-seed reruns and across serial vs threaded solver backends.
+same-seed reruns, and a sampler on the open-loop serving path costs one
+event per window and leaves the ledger untouched.
 """
 
 import io
@@ -16,8 +17,10 @@ import json
 import pytest
 
 from repro.apps import get_app
+from repro.cloud.provider import SimulatedCloud
 from repro.cloud.simulator import RepeatingEvent, SimulationEnvironment
-from repro.experiments.harness import run_caribou
+from repro.data.workload import OpenLoopInjector, WorkloadSpec, generate_trace
+from repro.experiments.harness import deploy_benchmark, run_caribou
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
     DEFAULT_WINDOW_S,
@@ -407,3 +410,46 @@ class TestHarnessTelemetry:
         )
         assert plain.mean_service_time_s == telemetered.mean_service_time_s
         assert plain.per_scenario == telemetered.per_scenario
+
+
+# ------------------------------------------------- sampler on the serving path
+def _serving_run(window_s):
+    """One minute of open-loop traffic (20 req/s, steady) against
+    text2speech, optionally with a live sampler attached."""
+    cloud = SimulatedCloud(seed=3)
+    _deployed, executor, _ = deploy_benchmark(
+        get_app("text2speech_censoring"), cloud
+    )
+    spec = WorkloadSpec(
+        base_rate_per_s=20.0, duration_s=60.0, profile="steady"
+    )
+    trace = generate_trace(spec, cloud.env.rng.get("bench.workload"))
+    sampler = None
+    if window_s is not None:
+        sampler = WindowedSampler(cloud.metrics, window_s=window_s)
+        sampler.attach(cloud.env)
+    OpenLoopInjector(executor, trace).start()
+    cloud.env.run_until_idle()
+    if sampler is not None:
+        sampler.close()
+    executions = [
+        (r.request_id, r.node, r.region, r.start_s, r.duration_s)
+        for r in cloud.ledger.executions
+    ]
+    return cloud.env.events_executed, executions, sampler
+
+
+class TestServingTelemetry:
+    def test_sampler_costs_one_event_per_window_and_changes_nothing(self):
+        """What the retired wall-clock "telemetry overhead <= 5 %" gate
+        stood for, stated without a clock: sampling happens only at
+        window boundaries and never perturbs the run it observes."""
+        plain_events, plain_executions, _ = _serving_run(None)
+        events, executions, sampler = _serving_run(10.0)
+        _, _, again = _serving_run(10.0)
+
+        assert sampler.windows_flushed > 0
+        assert sampler.to_jsonl() == again.to_jsonl()
+        assert events == plain_events + sampler.windows_flushed
+        assert len({e[0] for e in executions}) > 1000
+        assert executions == plain_executions
