@@ -215,7 +215,10 @@ def cmd_diff(args: argparse.Namespace) -> int:
 def cmd_dash(args: argparse.Namespace) -> int:
     """Render the offline terminal dashboard for a series dump, with
     SLO budget lines when a run report is supplied alongside."""
-    points, window_s = load_series_jsonl(args.series)
+    # Opened here, not by the loader's path-or-text guess: a missing
+    # file is then an OSError whatever its name looks like.
+    with open(args.series, "r", encoding="utf-8") as fh:
+        points, window_s = load_series_jsonl(fh)
     slo = None
     if args.report:
         with open(args.report, "r", encoding="utf-8") as fh:

@@ -37,6 +37,13 @@ class ConfigurationError(CaribouError):
     retryable = False
 
 
+class MalformedInputError(CaribouError, ValueError):
+    """A file handed to the tooling is not the artifact it should be
+    (e.g. ``caribou dash`` given something that is not a series dump)."""
+
+    retryable = False
+
+
 class DeploymentError(CaribouError):
     """A deployment or migration step failed."""
 

@@ -122,20 +122,9 @@ class LowerBoundTables:
         kv = ev.kv_region
         client = ev.client_region
 
-        # Guaranteed-execution analysis: a node runs in *every* sample
-        # iff it is the start node or has an unconditional in-edge from
-        # a guaranteed node.  Only guaranteed contributions may enter
-        # the bound; everything else prices as 0.
-        guaranteed = set()
-        for name in self.order:
-            ins = dag.in_edges(name)
-            if not ins:
-                guaranteed.add(name)
-            elif any(
-                (not e.conditional) and e.src in guaranteed for e in ins
-            ):
-                guaranteed.add(name)
-        self.guaranteed = frozenset(guaranteed)
+        # Only contributions guaranteed to occur in *every* sample may
+        # enter the bound; everything else prices as 0.
+        guaranteed = self.guaranteed = dag.guaranteed_nodes()
         self.guaranteed_in_edges: Tuple[Tuple, ...] = tuple(
             tuple(
                 e

@@ -147,9 +147,10 @@ class CarbonModel:
         """Vectorised :meth:`execution_energy_kwh` over duration vectors.
 
         Replicates the scalar Eq. 7.2-7.4 arithmetic element for element
-        (same operation order, same clamping), so the vectorized
-        Monte-Carlo kernel produces bit-identical energies to the scalar
-        reference path.
+        (same operation order, same clamping) and is elementwise, so the
+        Monte-Carlo estimator can price an execution-time support once
+        and gather by drawn indices: the energies equal the scalar
+        reference's on the drawn sample, bit for bit.
         """
         durations = np.asarray(durations_s, dtype=float)
         cpu_totals = np.asarray(cpu_total_times_s, dtype=float)

@@ -37,9 +37,10 @@ class CostModel:
     ) -> np.ndarray:
         """Vectorised :meth:`execution_cost` over a duration vector.
 
-        Mirrors the scalar arithmetic exactly (same operation order) so
-        the vectorized Monte-Carlo kernel is bit-identical to the scalar
-        reference path.
+        Mirrors the scalar arithmetic exactly (same operation order) and
+        is elementwise, so the Monte-Carlo estimator can price an
+        execution-time support once and gather by drawn indices: the
+        doubles equal the scalar reference's on the drawn sample.
         """
         durations = np.asarray(durations_s, dtype=float)
         if np.any(durations < 0) or memory_mb <= 0:
@@ -64,12 +65,18 @@ class CostModel:
     def transmission_cost_batch(
         self, src_region: str, dst_region: str, size_bytes: np.ndarray
     ) -> np.ndarray:
-        """Vectorised :meth:`transmission_cost` over a size vector."""
+        """Vectorised :meth:`transmission_cost` over a size vector
+        (elementwise, like :meth:`execution_cost_batch`)."""
         sizes = np.asarray(size_bytes, dtype=float)
         if np.any(sizes < 0):
             raise ValueError("size_bytes must be non-negative")
         per_gb = self._pricing.egress_per_gb(src_region, dst_region)
         return per_gb * (sizes / (1024.0**3))
+
+    def egress_per_gb(self, src_region: str, dst_region: str) -> float:
+        """USD per GB moved from ``src`` to ``dst``: the route scalar
+        :meth:`transmission_cost` multiplies the payload (in GB) by."""
+        return self._pricing.egress_per_gb(src_region, dst_region)
 
     def messaging_cost(self, region: str, n_publishes: int = 1) -> float:
         """SNS publish cost in ``region``."""

@@ -94,24 +94,23 @@ class EmpiricalDistribution:
             return float(rng.choice(arr))
         return rng.choice(arr, size=size, replace=True)
 
-    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Bootstrap-resample ``n`` observations as one ``(n,)`` vector.
+    def support(self) -> np.ndarray:
+        """The observations, oldest first, as a read-only float array.
 
-        The Monte-Carlo estimator's hot path: a single index draw on the
-        cached observation array replaces ``n`` scalar :meth:`sample`
-        calls.  Consumes exactly one ``rng.integers`` call, which the
-        estimator's determinism note relies on.
+        What the Monte-Carlo estimator resamples from: it prices this
+        array once and then draws *indices* into it, one
+        ``rng.integers(0, len(support), size=n)`` call per batch.  The
+        array is a snapshot — a later :meth:`add` builds a new one and
+        leaves this one as it was.
         """
         self._require_nonempty()
-        if n <= 0:
-            raise ValueError(f"batch size must be positive, got {n}")
-        arr = self._as_array()
-        return arr[rng.integers(0, len(arr), size=n)]
+        return self._as_array()
 
     def _as_array(self) -> np.ndarray:
         """The observations as a cached float array (rebuilt on append)."""
         if self._array is None:
             self._array = np.asarray(self._samples, dtype=float)
+            self._array.setflags(write=False)
         return self._array
 
     def scaled(self, factor: float) -> "EmpiricalDistribution":

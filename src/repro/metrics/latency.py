@@ -11,6 +11,8 @@ simulated network so estimates and measurements agree.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from repro.cloud.network import (
@@ -33,24 +35,31 @@ class TransferLatencyModel:
         self._inter_bw = inter_region_bandwidth
         self._intra_bw = intra_region_bandwidth
 
+    def route_terms(self, src: str, dst: str) -> Tuple[float, float]:
+        """``(one-way latency s, bandwidth bytes/s)`` of the route: the
+        two scalars :meth:`estimate` combines with the payload size."""
+        bandwidth = self._intra_bw if src == dst else self._inter_bw
+        return self._latency.one_way(src, dst), bandwidth
+
     def estimate(self, src: str, dst: str, size_bytes: float) -> float:
         """Expected one-way transfer latency in seconds."""
         if size_bytes < 0:
             raise ValueError(f"size_bytes must be non-negative, got {size_bytes}")
-        bandwidth = self._intra_bw if src == dst else self._inter_bw
-        return self._latency.one_way(src, dst) + size_bytes / bandwidth
+        one_way, bandwidth = self.route_terms(src, dst)
+        return one_way + size_bytes / bandwidth
 
     def estimate_batch(
         self, src: str, dst: str, size_bytes: np.ndarray
     ) -> np.ndarray:
         """Vectorised :meth:`estimate` over a ``(n,)`` size vector.
 
-        Element-for-element the same arithmetic as the scalar path, so
-        the vectorized Monte-Carlo kernel stays bit-identical to its
-        scalar reference.
+        Element for element the same arithmetic as the scalar path, and
+        elementwise: applied to a distribution's support and gathered by
+        drawn indices it gives the same doubles as applied to the drawn
+        sample, which is how the Monte-Carlo estimator uses it.
         """
         sizes = np.asarray(size_bytes, dtype=float)
         if np.any(sizes < 0):
             raise ValueError("size_bytes must be non-negative")
-        bandwidth = self._intra_bw if src == dst else self._inter_bw
-        return self._latency.one_way(src, dst) + sizes / bandwidth
+        one_way, bandwidth = self.route_terms(src, dst)
+        return one_way + sizes / bandwidth

@@ -37,28 +37,74 @@ consequences the solver stack relies on:
   transparent (a hit equals a recompute).
 
 Within one plan's profile run, randomness is consumed in *batch-major,
-structure-minor* order.  For every batch of ``B`` simulations it draws,
-in this exact sequence:
+structure-minor* order, and only by ``_draw_batch``.  Every bootstrap
+draw is an *index* into the support of the distribution it resamples
+(``EmpiricalDistribution.support()``).  For every batch of ``B``
+simulations it draws, in this exact sequence:
 
 1. one uniform matrix ``rng.random((B, n_conditional_edges))`` realising
    every conditional edge for the whole batch (edges enumerated in
-   ``dag.edges`` order);
-2. the end-user input sizes, ``input_size_dist().sample_batch(rng, B)``;
+   ``dag.edges`` order; no call when the DAG has none);
+2. the end-user input sizes,
+   ``rng.integers(0, len(input_support), size=B)``;
 3. for each node in (lexicographic) topological order: one
-   ``sample_batch(rng, B)`` per incoming edge's payload-size
-   distribution (in ``dag.in_edges`` order), then one
-   ``sample_batch(rng, B)`` from the node's per-region execution-time
-   distribution.
+   ``rng.integers(0, len(support), size=B)`` per incoming edge's
+   payload-size support (in ``dag.in_edges`` order), then one for the
+   node's per-region execution-time support.
 
-Payload and duration vectors are drawn for *every* edge and node, even
-those a particular sample skips — bootstrap draws are i.i.d., so masking
-unused values leaves the estimate's distribution unchanged.  Both the
-vectorized kernel and the retained scalar reference path
-(``vectorized=False``) consume this one stream and perform the same
-arithmetic in the same order per element, so the two produce
+One ``integers`` call per distribution, never merged: the call sequence
+is the contract, and whether numpy would consume the stream identically
+for a merged call is not something to rely on across its versions.
+Indices are drawn for *every* edge and node, even those a particular
+sample skips — bootstrap draws are i.i.d., so masking unused values
+leaves the estimate's distribution unchanged.
+
+What is computed when
+~~~~~~~~~~~~~~~~~~~~~
+Everything the kernel derives from a drawn value — Eq. 7.2-7.4 energy,
+Lambda cost, egress cost, transfer latency — is an *elementwise*
+function ``f`` of it, so ``f(support)[idx] == f(support[idx])`` bit for
+bit.  Each quantity is therefore paid for at the rate it changes:
+
+* **once per estimator** (lazily, per key): the DAG walk order, in-edges,
+  sync nodes, guaranteed nodes (``WorkflowDAG.guaranteed_nodes``), every
+  ``node_*`` / ``edge_probability`` / ``*_dist`` read of ``data``; per
+  *(node, region)* the durations, energy and execution cost over the
+  execution-time support; per *(client, region)* arrival latency and
+  egress over the input-size support; per *route* three scalars
+  (one-way latency, bandwidth, USD/GB); per region the SNS publish and
+  KV request costs.  The models' ``*_batch`` methods run here, on the
+  supports, with all their validation;
+* **once per plan**: dictionary lookups resolving the plan against those
+  tables (``_plan_steps``);
+* **once per batch**: the index draws, one 1-D gather per table, the
+  route arithmetic on the gathered payload sizes, and the accumulation.
+
+Because validation runs on a whole support, it is *stricter* than a
+per-sample check: a negative payload size or a non-positive duration
+among the observations raises the models' ``ValueError`` even if no
+sample would have drawn it.
+
+This rests on one assumption: **``data`` does not change under a live
+estimator.**  Its answers are read once and kept; build a new estimator
+after new observations are collected (every caller does —
+``EvaluationCache`` already assumes it).
+
+Masks are static where the DAG allows it: a *guaranteed* node runs in
+every sample and an *always-active* edge (unconditional, from a
+guaranteed node) is taken in every sample, so the kernel adds their
+contributions unmasked.  That is exact, not approximate —
+``np.where(all_true, x, 0.0)`` is ``x`` — and the sequence of additions
+into each per-sample accumulator is the scalar path's, term for term
+(float addition is not associative).
+
+The retained scalar reference path (``vectorized=False``) consumes the
+same index draws, reads ``support[idx[i]]`` and prices that one value
+with the scalar model methods, one sample at a time.  The two produce
 bit-identical :class:`PlanProfile`\\ s (and therefore bit-identical
 :class:`WorkflowEstimate`\\ s) from identical seeds — the property the
-differential test in ``tests/test_montecarlo.py`` locks down.
+differential tests in ``tests/test_montecarlo.py`` and
+``tests/test_montecarlo_kernel.py`` lock down.
 """
 
 from __future__ import annotations
@@ -66,7 +112,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -163,6 +218,24 @@ class WorkflowEstimate:
         if priority == "latency":
             return self.mean_latency_s
         raise ValueError(f"unknown priority {priority!r}")
+
+
+_sum = np.add.reduce
+
+
+def _mean_and_std(values: "np.ndarray") -> Tuple[float, float]:
+    """``(values.mean(), values.std(ddof=1))`` of a 1-D float array of
+    at least two elements — the same doubles, spelt as the four ufunc
+    calls numpy's own wrappers end in.  Their per-call argument handling
+    cost more than the arithmetic on a few hundred samples, twice per
+    convergence check; the equality is the contract
+    (``tests/test_montecarlo.py::TestConvergedDifferential``).
+    """
+    n = values.size
+    mean = _sum(values) / n
+    deviations = values - mean
+    deviations *= deviations
+    return float(mean), math.sqrt(_sum(deviations) / (n - 1))
 
 
 def _p95(values: "np.ndarray") -> float:
@@ -296,13 +369,150 @@ class PlanProfile:
 
 @dataclass
 class _BatchDraws:
-    """One batch worth of pre-drawn randomness (see determinism note)."""
+    """One batch worth of pre-drawn randomness (see determinism note):
+    conditional-edge uniforms, and bootstrap *indices* into the support
+    of every distribution the plan samples."""
 
     n: int
+    uniforms: Optional["np.ndarray"]  # (n, n_conditional_edges)
+    input_idx: "np.ndarray"
+    edge_idx: Dict[Tuple[str, str], "np.ndarray"]
+    exec_idx: Dict[str, "np.ndarray"]
+
+
+@dataclass
+class _BatchValues:
+    """The drawn values themselves, ``support[idx]``: what the scalar
+    reference path reads one sample at a time."""
+
     cond: Dict[Tuple[str, str], "np.ndarray"]  # uniforms, conditional edges
     input_sizes: "np.ndarray"
     edge_sizes: Dict[Tuple[str, str], "np.ndarray"]
     exec_times: Dict[str, "np.ndarray"]
+
+
+@dataclass(frozen=True)
+class _EdgeSpec:
+    """One DAG edge as the estimator sees it; read from ``data`` once."""
+
+    key: Tuple[str, str]
+    src: str
+    #: Column of the batch's uniform matrix, ``None`` if unconditional.
+    cond_col: Optional[int]
+    probability: float
+    #: Unconditional from a guaranteed node: taken in every sample.
+    always_active: bool
+    sizes: "np.ndarray"  # payload-size support, bytes
+
+
+@dataclass(frozen=True)
+class _NodeSpec:
+    """One DAG node's region-independent facts; read from ``data`` once."""
+
+    name: str
+    in_edges: Tuple[_EdgeSpec, ...]
+    is_sync: bool
+    #: Runs in every sample (``WorkflowDAG.guaranteed_nodes``).
+    guaranteed: bool
+    memory_mb: float
+    n_vcpu: float
+    cpu_utilization: float
+    #: ``(region, bytes)`` of pinned external data, or ``None``.
+    external: Optional[Tuple[str, float]]
+
+
+@dataclass(frozen=True)
+class _WorkflowSpec:
+    """The plan-independent half of a profile run."""
+
+    nodes: Tuple[_NodeSpec, ...]  # topological order
+    n_conditional: int
+    input_sizes: "np.ndarray"  # end-user input-size support, bytes
+
+
+@dataclass(frozen=True)
+class _NodeTable:
+    """A node priced in one region, over its execution-time support.
+
+    ``durations`` is the support plus the (scalar) external-data read
+    latency; ``energy`` (kWh, PUE-adjusted) and ``exec_cost`` (USD) are
+    the models' ``*_batch`` methods applied to it.  Gathering any of the
+    three by a drawn index vector gives what the same method returns on
+    the drawn durations, bit for bit — all three are elementwise.
+    """
+
+    exec_times: "np.ndarray"
+    durations: "np.ndarray"
+    energy: "np.ndarray"
+    exec_cost: "np.ndarray"
+    external_route: Optional[Tuple[str, str]]
+    external_bytes: "np.ndarray"  # 0-d, like the next
+    external_cost: "np.ndarray"
+
+
+@dataclass(frozen=True)
+class _InputTable:
+    """The end-user input priced from the client to one start region,
+    over the input-size support."""
+
+    route: Tuple[str, str]  # (client, start region)
+    arrival: "np.ndarray"  # s
+    egress: "np.ndarray"  # USD
+
+
+#: One network leg of an edge: ``(route, one-way s, bandwidth B/s, USD/GB)``
+#: — scalars only (as 0-d arrays, see ``_scalar``); the batch combines
+#: them with the gathered payload sizes.
+_Leg = Tuple[Tuple[str, str], "np.ndarray", "np.ndarray", "np.ndarray"]
+
+
+class _NodeStep(NamedTuple):
+    """A node under one plan: its spec, region and priced tables, and per
+    in-edge the legs its payload travels (one, or two through the KV
+    region for a sync node).  Built per profile, hence a tuple."""
+
+    spec: _NodeSpec
+    region: str
+    table: _NodeTable
+    input_table: Optional[_InputTable]  # start node only
+    legs: Tuple[Tuple[_Leg, ...], ...]
+    publish_cost: "np.ndarray"  # 0-d
+
+
+class _PlanSteps(NamedTuple):
+    """A plan resolved against the estimator's tables, in topological
+    order: everything a batch needs besides its random draws."""
+
+    workflow: "_WorkflowSpec"
+    nodes: Tuple[_NodeStep, ...]
+    #: 0-d: plan retrieval per executed node; and a sync fan-in's
+    #: annotation update + data write + data read.
+    kv_read_cost: "np.ndarray"
+    kv_relay_cost: "np.ndarray"
+
+
+def _scalar(value: float) -> "np.ndarray":
+    """``value`` as a 0-d float array: the same double in every ufunc,
+    minus the Python-float conversion numpy repeats on each call."""
+    out = np.array(value, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+_BYTES_PER_GB = _scalar(GB)
+_ZERO = _scalar(0.0)
+
+
+def _add(target: "np.ndarray", values, mask: Optional["np.ndarray"]) -> None:
+    """``target += values`` where ``mask`` holds; everywhere if ``None``.
+
+    The unmasked form is exact, not an approximation of the masked one:
+    ``np.where(all_true, values, 0.0)`` *is* ``values``.
+    """
+    if mask is None:
+        target += values
+    else:
+        target += np.where(mask, values, 0.0)
 
 
 class _BatchAccumulators:
@@ -345,7 +555,14 @@ class _BatchAccumulators:
 
 
 class MonteCarloEstimator:
-    """Estimates end-to-end workflow metrics for a deployment plan."""
+    """Estimates end-to-end workflow metrics for a deployment plan.
+
+    ``data`` must not change while the estimator is in use: everything
+    read from it (and everything the pricing models derive from it) is
+    computed once and kept for the estimator's lifetime — see "What is
+    computed when" in the module docstring.  Build the estimator after
+    the metrics have been collected, and a new one after they move.
+    """
 
     def __init__(
         self,
@@ -381,7 +598,7 @@ class MonteCarloEstimator:
             construction; pass it explicitly).
         batch_size / max_samples / cov_threshold: Stopping rule knobs
             (paper defaults: 200 / 2000 / 0.05).
-        vectorized: Use the numpy-batched kernel (default).  ``False``
+        vectorized: Use the production kernel (default).  ``False``
             selects the retained scalar reference path, kept for
             differential testing and the throughput benchmark.
         stats: Optional counter sink (``SolverStats``); the estimator
@@ -419,6 +636,14 @@ class MonteCarloEstimator:
         self._vectorized = vectorized
         self._stats = stats
         self._order = dag.topological_order()
+        # Everything read from ``data`` or priced by the models, filled
+        # on first use and kept for the estimator's lifetime.
+        self._workflow: Optional[_WorkflowSpec] = None
+        self._node_tables: Dict[Tuple[str, str], _NodeTable] = {}
+        self._input_tables: Dict[Tuple[str, str], _InputTable] = {}
+        self._route_legs: Dict[Tuple[str, str], _Leg] = {}
+        self._publish_costs: Dict[str, np.ndarray] = {}
+        self._kv_costs: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     def estimate(
         self,
@@ -448,16 +673,17 @@ class MonteCarloEstimator:
         """
         self._check_coverage(plan)
         rng = self.plan_rng(plan)
-        full = self._make_accumulators(plan, self._max)
+        steps = self._plan_steps(plan)
+        full = self._make_accumulators(steps, self._max)
         n_total = 0
         while n_total < self._max:
             n = min(self._batch, self._max - n_total)
-            draws = self._draw_batch(plan, n, rng)
+            draws = self._draw_batch(steps, n, rng)
             window = full.window(n_total, n_total + n)
             if self._vectorized:
-                self._simulate_batch(plan, draws, window)
+                self._simulate_batch(steps, draws, window)
             else:
-                self._simulate_batch_reference(plan, draws, window)
+                self._simulate_batch_reference(plan, steps, draws, window)
             n_total += n
             if self._converged(full.latency[:n_total], full.cost[:n_total]):
                 break
@@ -540,10 +766,9 @@ class MonteCarloEstimator:
             arr = np.asarray(values)
             if arr.size < 2:
                 return False
-            std = arr.std(ddof=1)
+            mean, std = _mean_and_std(arr)
             if std == 0.0:
                 continue
-            mean = arr.mean()
             if mean <= 0:
                 return False
             if std / math.sqrt(arr.size) / mean >= self._cov:
@@ -562,228 +787,337 @@ class MonteCarloEstimator:
             derive_seed(self._plan_salt, plan.digest())
         )
 
+    # -- per-estimator tables (filled lazily, never invalidated) -----------
+    def _workflow_spec(self) -> _WorkflowSpec:
+        """The DAG in topological order with every region-independent
+        fact the kernel needs, read from ``data`` exactly once."""
+        if self._workflow is not None:
+            return self._workflow
+        dag, data = self._dag, self._data
+        guaranteed = dag.guaranteed_nodes()
+        cond_cols = {
+            (e.src, e.dst): j
+            for j, e in enumerate(e for e in dag.edges if e.conditional)
+        }
+        specs = []
+        for node in self._order:
+            in_edges = []
+            for e in dag.in_edges(node):
+                key = (e.src, e.dst)
+                sizes = data.edge_size_dist(e.src, e.dst).support()
+                # Routes are priced from scalars on the gathered sizes,
+                # past the models' ``*_batch`` methods: their size check
+                # is made here instead, once.
+                if np.any(sizes < 0):
+                    raise ValueError("size_bytes must be non-negative")
+                in_edges.append(
+                    _EdgeSpec(
+                        key=key,
+                        src=e.src,
+                        cond_col=cond_cols.get(key),
+                        probability=(
+                            data.edge_probability(e.src, e.dst)
+                            if e.conditional
+                            else 1.0
+                        ),
+                        always_active=(
+                            not e.conditional and e.src in guaranteed
+                        ),
+                        sizes=sizes,
+                    )
+                )
+            ext_region, ext_bytes = data.node_external_bytes(node)
+            specs.append(
+                _NodeSpec(
+                    name=node,
+                    in_edges=tuple(in_edges),
+                    is_sync=dag.is_sync_node(node),
+                    guaranteed=node in guaranteed,
+                    memory_mb=data.node_memory_mb(node),
+                    n_vcpu=data.node_vcpu(node),
+                    cpu_utilization=data.node_cpu_utilization(node),
+                    external=(
+                        (ext_region, ext_bytes)
+                        if ext_region is not None and ext_bytes > 0
+                        else None
+                    ),
+                )
+            )
+        self._workflow = _WorkflowSpec(
+            nodes=tuple(specs),
+            n_conditional=len(cond_cols),
+            input_sizes=data.input_size_dist().support(),
+        )
+        return self._workflow
+
+    def _node_table(self, spec: _NodeSpec, region: str) -> _NodeTable:
+        table = self._node_tables.get((spec.name, region))
+        if table is not None:
+            return table
+        exec_times = self._data.execution_time_dist(spec.name, region).support()
+        durations = exec_times
+        external_route, external_bytes, external_cost = None, _ZERO, _ZERO
+        if spec.external is not None:
+            # Fixed external data reads follow the node when it moves
+            # (§9.1: external storage stays at the home region).
+            ext_region, external_bytes = spec.external
+            external_route = (ext_region, region)
+            durations = exec_times + self._latency.estimate(
+                ext_region, region, external_bytes
+            )
+            external_cost = _scalar(
+                self._cost.transmission_cost(ext_region, region, external_bytes)
+            )
+            external_bytes = _scalar(external_bytes)
+        energy = (
+            self._carbon.execution_energy_kwh_batch(
+                durations_s=durations,
+                memory_mb=spec.memory_mb,
+                n_vcpu=spec.n_vcpu,
+                cpu_total_times_s=durations * spec.n_vcpu * spec.cpu_utilization,
+            )
+            * self._carbon.pue
+        )
+        table = self._node_tables[(spec.name, region)] = _NodeTable(
+            exec_times=exec_times,
+            durations=durations,
+            energy=energy,
+            exec_cost=self._cost.execution_cost_batch(
+                region, durations, spec.memory_mb
+            ),
+            external_route=external_route,
+            external_bytes=external_bytes,
+            external_cost=external_cost,
+        )
+        return table
+
+    def _input_table(self, client: str, region: str) -> _InputTable:
+        table = self._input_tables.get((client, region))
+        if table is None:
+            sizes = self._workflow_spec().input_sizes
+            table = self._input_tables[(client, region)] = _InputTable(
+                route=(client, region),
+                arrival=self._latency.estimate_batch(client, region, sizes),
+                egress=self._cost.transmission_cost_batch(client, region, sizes),
+            )
+        return table
+
+    def _leg(self, src: str, dst: str) -> _Leg:
+        leg = self._route_legs.get((src, dst))
+        if leg is None:
+            one_way, bandwidth = self._latency.route_terms(src, dst)
+            leg = self._route_legs[(src, dst)] = (
+                (src, dst),
+                _scalar(one_way),
+                _scalar(bandwidth),
+                _scalar(self._cost.egress_per_gb(src, dst)),
+            )
+        return leg
+
+    def _plan_steps(self, plan: DeploymentPlan) -> _PlanSteps:
+        """Resolve ``plan`` against the tables: dictionary lookups only,
+        once every key it touches has been priced."""
+        client, kv = self._client_and_kv(plan)
+        kv_costs = self._kv_costs.get(kv)
+        if kv_costs is None:
+            kv_costs = self._kv_costs[kv] = (
+                _scalar(self._cost.kv_cost(kv, n_reads=1)),
+                _scalar(self._cost.kv_cost(kv, n_reads=1, n_writes=2)),
+            )
+        workflow = self._workflow_spec()
+        region_of = plan.assignments
+        nodes = []
+        for spec in workflow.nodes:
+            region = region_of[spec.name]
+            input_table = None
+            if not spec.in_edges:
+                # The end-user input arrives from the client near the
+                # home region (§6.2); a shifted start node pays for it.
+                input_table = self._input_table(client, region)
+                legs: Tuple[Tuple[_Leg, ...], ...] = ()
+            elif spec.is_sync:
+                # Fan-in data is relayed through the KV store (Fig. 5):
+                # src -> KV region -> sync node.
+                kv_to_node = self._leg(kv, region)
+                legs = tuple(
+                    (self._leg(region_of[e.src], kv), kv_to_node)
+                    for e in spec.in_edges
+                )
+            else:
+                legs = tuple(
+                    (self._leg(region_of[e.src], region),)
+                    for e in spec.in_edges
+                )
+            publish_cost = self._publish_costs.get(region)
+            if publish_cost is None:
+                publish_cost = self._publish_costs[region] = _scalar(
+                    self._cost.messaging_cost(region)
+                )
+            nodes.append(
+                _NodeStep(
+                    spec,
+                    region,
+                    self._node_table(spec, region),
+                    input_table,
+                    legs,
+                    publish_cost,
+                )
+            )
+        return _PlanSteps(workflow, tuple(nodes), *kv_costs)
+
+    # -- per-batch work ------------------------------------------------------
     def _draw_batch(
-        self, plan: DeploymentPlan, n: int, rng: np.random.Generator
+        self, steps: _PlanSteps, n: int, rng: np.random.Generator
     ) -> _BatchDraws:
         """Draw one batch of randomness in the canonical order (see the
-        determinism note in the module docstring)."""
-        dag = self._dag
-        cond: Dict[Tuple[str, str], np.ndarray] = {}
-        cond_edges = [e for e in dag.edges if e.conditional]
-        if cond_edges:
-            uniforms = rng.random((n, len(cond_edges)))
-            for j, e in enumerate(cond_edges):
-                cond[(e.src, e.dst)] = uniforms[:, j]
-        input_sizes = self._data.input_size_dist().sample_batch(rng, n)
-        edge_sizes: Dict[Tuple[str, str], np.ndarray] = {}
-        exec_times: Dict[str, np.ndarray] = {}
-        for node in self._order:
-            for e in dag.in_edges(node):
-                edge_sizes[(e.src, e.dst)] = self._data.edge_size_dist(
-                    e.src, e.dst
-                ).sample_batch(rng, n)
-            region = plan.region_of(node)
-            exec_times[node] = self._data.execution_time_dist(
-                node, region
-            ).sample_batch(rng, n)
+        determinism note in the module docstring).  The only place a
+        profile consumes its RNG stream."""
+        workflow = steps.workflow
+        uniforms = None
+        if workflow.n_conditional:
+            uniforms = rng.random((n, workflow.n_conditional))
+        input_idx = rng.integers(0, len(workflow.input_sizes), size=n)
+        edge_idx: Dict[Tuple[str, str], np.ndarray] = {}
+        exec_idx: Dict[str, np.ndarray] = {}
+        for step in steps.nodes:
+            for edge in step.spec.in_edges:
+                edge_idx[edge.key] = rng.integers(0, len(edge.sizes), size=n)
+            exec_idx[step.spec.name] = rng.integers(
+                0, len(step.table.exec_times), size=n
+            )
         return _BatchDraws(
             n=n,
-            cond=cond,
-            input_sizes=input_sizes,
-            edge_sizes=edge_sizes,
-            exec_times=exec_times,
+            uniforms=uniforms,
+            input_idx=input_idx,
+            edge_idx=edge_idx,
+            exec_idx=exec_idx,
         )
 
     def _make_accumulators(
-        self, plan: DeploymentPlan, n: int
+        self, steps: _PlanSteps, n: int
     ) -> _BatchAccumulators:
         """Pre-register every energy region and byte route the plan can
         touch, in processing order, so both kernels share key order."""
-        dag = self._dag
-        client, kv = self._client_and_kv(plan)
         acc = _BatchAccumulators(n)
-        for node in self._order:
-            region = plan.region_of(node)
-            in_edges = dag.in_edges(node)
-            if not in_edges:
-                acc.touch_route(client, region)
-            else:
-                is_sync = dag.is_sync_node(node)
-                for e in in_edges:
-                    src_region = plan.region_of(e.src)
-                    if is_sync:
-                        acc.touch_route(src_region, kv)
-                        acc.touch_route(kv, region)
-                    else:
-                        acc.touch_route(src_region, region)
-            ext_region, ext_bytes = self._data.node_external_bytes(node)
-            if ext_region is not None and ext_bytes > 0:
-                acc.touch_route(ext_region, region)
-            acc.touch_energy(region)
+        for step in steps.nodes:
+            if step.input_table is not None:
+                acc.touch_route(*step.input_table.route)
+            for edge_legs in step.legs:
+                for route, _one_way, _bandwidth, _per_gb in edge_legs:
+                    acc.touch_route(*route)
+            if step.table.external_route is not None:
+                acc.touch_route(*step.table.external_route)
+            acc.touch_energy(step.region)
         return acc
 
-    def _edge_taken(
-        self, draws: _BatchDraws
-    ) -> Dict[Tuple[str, str], "np.ndarray"]:
-        """Realise every edge for the whole batch: ``(n,)`` bool masks."""
-        taken: Dict[Tuple[str, str], np.ndarray] = {}
-        always = np.ones(draws.n, dtype=bool)
-        for e in self._dag.edges:
-            if e.conditional:
-                p = self._data.edge_probability(e.src, e.dst)
-                taken[(e.src, e.dst)] = draws.cond[(e.src, e.dst)] < p
-            else:
-                taken[(e.src, e.dst)] = always
-        return taken
-
     def _simulate_batch(
-        self, plan: DeploymentPlan, draws: _BatchDraws, acc: _BatchAccumulators
+        self, steps: _PlanSteps, draws: _BatchDraws, acc: _BatchAccumulators
     ) -> None:
-        """The vectorized kernel: one topological walk prices the whole
-        batch with ``(n,)`` array ops instead of ``n`` Python walks."""
-        dag = self._dag
+        """The production kernel: one topological walk prices the whole
+        batch with ``(n,)`` array ops, gathering every per-sample
+        quantity from the priced tables by the drawn indices.
+
+        ``None`` as an execution mask means *every sample*: guaranteed
+        nodes and always-active edges (a property of the DAG alone) take
+        the unmasked arithmetic, everything else the masked one.
+        """
         n = draws.n
-        client, kv_region = self._client_and_kv(plan)
-        taken = self._edge_taken(draws)
-
-        executed: Dict[str, np.ndarray] = {}
-        finish: Dict[str, np.ndarray] = {}
         cost = acc.cost
+        route_bytes = acc.route_bytes
+        kv_read_cost = steps.kv_read_cost
+        executed: Dict[str, Optional[np.ndarray]] = {}
+        finish: Dict[str, np.ndarray] = {}
+        # The start node runs in every sample, so the running maximum is
+        # over a non-empty set for each of them.
+        latency = None
 
-        for node in self._order:
-            in_edges = dag.in_edges(node)
-            region = plan.region_of(node)
-            if not in_edges:
-                exec_mask = np.ones(n, dtype=bool)
-                # The end-user input arrives from the client near the
-                # home region (§6.2); a shifted start node pays for it.
-                sizes = draws.input_sizes
-                arrival = self._latency.estimate_batch(client, region, sizes)
-                acc.route_bytes[(client, region)] += sizes
-                cost += self._cost.transmission_cost_batch(client, region, sizes)
+        for spec, region, table, input_table, legs, publish in steps.nodes:
+            exec_mask = None
+            if input_table is not None:
+                idx = draws.input_idx
+                arrival = input_table.arrival[idx]
+                route_bytes[input_table.route] += (
+                    steps.workflow.input_sizes[idx]
+                )
+                cost += input_table.egress[idx]
             else:
-                is_sync = dag.is_sync_node(node)
-                exec_mask = np.zeros(n, dtype=bool)
-                arrival = np.zeros(n)
-                for e in in_edges:
-                    active = taken[(e.src, e.dst)] & executed[e.src]
-                    if not active.any():
-                        continue
-                    src_region = plan.region_of(e.src)
-                    sizes = draws.edge_sizes[(e.src, e.dst)]
-                    masked_sizes = np.where(active, sizes, 0.0)
-                    if is_sync:
-                        # Fan-in data is relayed through the KV store
-                        # (Fig. 5): src -> KV region -> sync node.
-                        hop1 = self._latency.estimate_batch(
-                            src_region, kv_region, sizes
-                        )
-                        hop2 = self._latency.estimate_batch(
-                            kv_region, region, sizes
-                        )
-                        edge_latency = hop1 + hop2
-                        acc.route_bytes[(src_region, kv_region)] += masked_sizes
-                        acc.route_bytes[(kv_region, region)] += masked_sizes
-                        cost += np.where(
-                            active,
-                            self._cost.transmission_cost_batch(
-                                src_region, kv_region, sizes
-                            ),
-                            0.0,
-                        )
-                        cost += np.where(
-                            active,
-                            self._cost.transmission_cost_batch(
-                                kv_region, region, sizes
-                            ),
-                            0.0,
-                        )
-                        # Annotation update + data write + data read.
-                        cost += np.where(
-                            active,
-                            self._cost.kv_cost(kv_region, n_reads=1, n_writes=2),
-                            0.0,
-                        )
+                arrival = _ZERO
+                for edge, edge_legs in zip(spec.in_edges, legs):
+                    if edge.always_active:
+                        active = None
                     else:
-                        edge_latency = self._latency.estimate_batch(
-                            src_region, region, sizes
+                        active = executed[edge.src]
+                        if edge.cond_col is not None:
+                            taken = (
+                                draws.uniforms[:, edge.cond_col]
+                                < edge.probability
+                            )
+                            active = taken if active is None else taken & active
+                        if not active.any():
+                            continue
+                    sizes = edge.sizes[draws.edge_idx[edge.key]]
+                    size_gb = sizes / _BYTES_PER_GB
+                    edge_latency = None
+                    for route, one_way, bandwidth, per_gb in edge_legs:
+                        hop = one_way + sizes / bandwidth
+                        edge_latency = (
+                            hop if edge_latency is None else edge_latency + hop
                         )
-                        acc.route_bytes[(src_region, region)] += masked_sizes
-                        cost += np.where(
-                            active,
-                            self._cost.transmission_cost_batch(
-                                src_region, region, sizes
-                            ),
-                            0.0,
-                        )
+                        _add(route_bytes[route], sizes, active)
+                        _add(cost, per_gb * size_gb, active)
+                    if spec.is_sync:
+                        # Annotation update + data write + data read.
+                        _add(cost, steps.kv_relay_cost, active)
                     # One SNS publish per taken edge (§6.2).
-                    cost += np.where(
-                        active, self._cost.messaging_cost(region), 0.0
-                    )
-                    arrival = np.where(
-                        active,
-                        np.maximum(arrival, finish[e.src] + edge_latency),
-                        arrival,
-                    )
-                    exec_mask = exec_mask | active
+                    _add(cost, publish, active)
+                    reached = np.maximum(arrival, finish[edge.src] + edge_latency)
+                    if active is None:
+                        arrival = reached
+                    else:
+                        arrival = np.where(active, reached, arrival)
+                        exec_mask = (
+                            active if exec_mask is None else exec_mask | active
+                        )
+                if spec.guaranteed:
+                    exec_mask = None
+                elif exec_mask is None:
+                    # No in-edge fired in any sample of this batch.
+                    exec_mask = np.zeros(n, dtype=bool)
 
-            durations = draws.exec_times[node]
-            # Fixed external data reads follow the node when it moves
-            # (§9.1: external storage stays at the home region).
-            ext_region, ext_bytes = self._data.node_external_bytes(node)
-            if ext_region is not None and ext_bytes > 0:
-                durations = durations + self._latency.estimate(
-                    ext_region, region, ext_bytes
-                )
-                acc.route_bytes[(ext_region, region)] += np.where(
-                    exec_mask, ext_bytes, 0.0
-                )
-                cost += np.where(
+            idx = draws.exec_idx[spec.name]
+            if table.external_route is not None:
+                _add(
+                    route_bytes[table.external_route],
+                    table.external_bytes,
                     exec_mask,
-                    self._cost.transmission_cost(ext_region, region, ext_bytes),
-                    0.0,
                 )
-
-            finish[node] = arrival + durations
-            executed[node] = exec_mask
-            memory = self._data.node_memory_mb(node)
-            n_vcpu = self._data.node_vcpu(node)
-            util = self._data.node_cpu_utilization(node)
-            energy = (
-                self._carbon.execution_energy_kwh_batch(
-                    durations_s=durations,
-                    memory_mb=memory,
-                    n_vcpu=n_vcpu,
-                    cpu_total_times_s=durations * n_vcpu * util,
-                )
-                * self._carbon.pue
-            )
-            acc.energy[region] += np.where(exec_mask, energy, 0.0)
-            cost += np.where(
-                exec_mask,
-                self._cost.execution_cost_batch(region, durations, memory),
-                0.0,
-            )
+                _add(cost, table.external_cost, exec_mask)
+            done = finish[spec.name] = arrival + table.durations[idx]
+            executed[spec.name] = exec_mask
+            _add(acc.energy[region], table.energy[idx], exec_mask)
+            _add(cost, table.exec_cost[idx], exec_mask)
             # Per-execution DP retrieval from the KV store (§6.2).
-            cost += np.where(
-                exec_mask, self._cost.kv_cost(kv_region, n_reads=1), 0.0
-            )
-
-        latency = np.full(n, -np.inf)
-        for node in self._order:
-            latency = np.where(
-                executed[node], np.maximum(latency, finish[node]), latency
-            )
-        acc.latency[:] = np.where(np.isfinite(latency), latency, 0.0)
+            _add(cost, kv_read_cost, exec_mask)
+            if exec_mask is None:
+                latency = done if latency is None else np.maximum(latency, done)
+            else:
+                latency = np.where(exec_mask, np.maximum(latency, done), latency)
+        acc.latency[:] = latency
 
     def _simulate_batch_reference(
-        self, plan: DeploymentPlan, draws: _BatchDraws, acc: _BatchAccumulators
+        self,
+        plan: DeploymentPlan,
+        steps: _PlanSteps,
+        draws: _BatchDraws,
+        acc: _BatchAccumulators,
     ) -> None:
         """The scalar reference path: walks the DAG one sample at a time
-        exactly like the pre-vectorization ``_simulate_once``, but reads
-        the shared pre-drawn batch so it stays bit-comparable to the
-        vectorized kernel.  Kept for differential testing and as the
-        baseline of ``benchmarks/test_estimator_throughput.py``."""
+        exactly like the pre-vectorization ``_simulate_once``, reading
+        ``support[idx]`` of the shared pre-drawn batch and pricing each
+        drawn value with the scalar model methods, so it stays
+        bit-comparable to the production kernel.  Kept for differential
+        testing and as the baseline of
+        ``benchmarks/test_estimator_throughput.py``."""
         dag = self._dag
         client, kv_region = self._client_and_kv(plan)
         edge_prob = {
@@ -791,13 +1125,29 @@ class MonteCarloEstimator:
             for e in dag.edges
             if e.conditional
         }
+        edges = [e for step in steps.nodes for e in step.spec.in_edges]
+        values = _BatchValues(
+            cond={
+                e.key: draws.uniforms[:, e.cond_col]
+                for e in edges
+                if e.cond_col is not None
+            },
+            input_sizes=steps.workflow.input_sizes[draws.input_idx],
+            edge_sizes={e.key: e.sizes[draws.edge_idx[e.key]] for e in edges},
+            exec_times={
+                step.spec.name: step.table.exec_times[
+                    draws.exec_idx[step.spec.name]
+                ]
+                for step in steps.nodes
+            },
+        )
         for i in range(draws.n):
-            self._simulate_once(plan, draws, i, acc, client, kv_region, edge_prob)
+            self._simulate_once(plan, values, i, acc, client, kv_region, edge_prob)
 
     def _simulate_once(
         self,
         plan: DeploymentPlan,
-        draws: _BatchDraws,
+        draws: _BatchValues,
         i: int,
         acc: _BatchAccumulators,
         client: str,

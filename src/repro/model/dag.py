@@ -86,6 +86,7 @@ class WorkflowDAG:
         # the networkx views per call is measurable at open-loop rates.
         self._in_edges_memo: Dict[str, Tuple[Edge, ...]] = {}
         self._out_edges_memo: Dict[str, Tuple[Edge, ...]] = {}
+        self._guaranteed_memo: Optional[FrozenSet[str]] = None
 
     # -- construction -------------------------------------------------------
     def add_node(self, node: Node) -> None:
@@ -96,6 +97,7 @@ class WorkflowDAG:
         self._validated = False
         self._in_edges_memo.clear()
         self._out_edges_memo.clear()
+        self._guaranteed_memo = None
 
     def add_edge(self, edge: Edge) -> None:
         if edge.src not in self._nodes:
@@ -115,6 +117,7 @@ class WorkflowDAG:
         self._validated = False
         self._in_edges_memo.clear()
         self._out_edges_memo.clear()
+        self._guaranteed_memo = None
 
     def validate(self) -> None:
         """Check the §4 structural rules; raise on violation."""
@@ -228,6 +231,27 @@ class WorkflowDAG:
         self._ensure_valid()
         # lexicographic tie-break for determinism
         return list(nx.lexicographical_topological_sort(self._graph))
+
+    def guaranteed_nodes(self) -> FrozenSet[str]:
+        """Nodes that run in *every* invocation: the start node, and any
+        node with an unconditional in-edge from a guaranteed node.
+
+        An edge is correspondingly *always active* iff it is
+        unconditional and its source is guaranteed.  A property of the
+        graph alone (no probabilities): the lower-bound tables may only
+        price guaranteed work, and the Monte-Carlo kernel needs no
+        execution mask for it.
+        """
+        if self._guaranteed_memo is None:
+            guaranteed: Set[str] = set()
+            for name in self.topological_order():
+                ins = self.in_edges(name)
+                if not ins or any(
+                    not e.conditional and e.src in guaranteed for e in ins
+                ):
+                    guaranteed.add(name)
+            self._guaranteed_memo = frozenset(guaranteed)
+        return self._guaranteed_memo
 
     def descendants(self, node: str) -> FrozenSet[str]:
         self.node(node)

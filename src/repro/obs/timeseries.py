@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.common.errors import MalformedInputError
 from repro.obs.metrics import MetricsRegistry, format_bound, parse_key
 
 #: Default sampling window: one virtual hour, the solver's plan granularity.
@@ -369,10 +370,16 @@ def load_series_jsonl(source) -> Tuple[List[Dict[str, Any]], float]:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         return [], DEFAULT_WINDOW_S
-    header = json.loads(lines[0])
-    if header.get("schema") != SERIES_SCHEMA:
-        raise ValueError(
-            f"not a series dump (schema={header.get('schema')!r}, "
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError:
+        raise MalformedInputError(
+            "not a series dump (the first line is not a JSON header)"
+        ) from None
+    schema = header.get("schema") if isinstance(header, dict) else None
+    if schema != SERIES_SCHEMA:
+        raise MalformedInputError(
+            f"not a series dump (schema={schema!r}, "
             f"expected {SERIES_SCHEMA!r})"
         )
     window_s = float(header.get("window_s", DEFAULT_WINDOW_S))

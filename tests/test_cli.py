@@ -84,6 +84,31 @@ class TestBadInput:
             f"caribou {command}: {missing}: No such file or directory\n"
         )
 
+    def test_dash_missing_file_without_jsonl_suffix(self, tmp_path, capsys):
+        # The loader guesses path-or-text from the name; the command
+        # must not: a missing ``.txt`` is a missing file, not bad JSON.
+        missing = str(tmp_path / "nosuchfile.txt")
+        assert main(["dash", missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"caribou dash: {missing}: No such file or directory\n"
+        )
+
+    @pytest.mark.parametrize(
+        "content", ["hello, not json\n", "[1, 2]\n",
+                    '{"schema": "something.else/v9"}\n'],
+    )
+    def test_dash_file_that_is_not_a_series_dump(self, content, tmp_path,
+                                                 capsys):
+        path = tmp_path / "notes.txt"
+        path.write_text(content)
+        assert main(["dash", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("caribou dash: not a series dump (")
+        assert captured.err.count("\n") == 1
+
     def test_framework_refusal_is_one_line(self, capsys):
         # 6 regions ^ 7 nodes is past the exhaustive solver's plan limit:
         # valid to the parser, refused (SolverError) by the framework.

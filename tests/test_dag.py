@@ -129,3 +129,54 @@ class TestQueries:
 
     def test_len(self, diamond_dag):
         assert len(diamond_dag) == 4
+
+
+class TestGuaranteedNodes:
+    """The one guaranteed-execution analysis, shared by the lower-bound
+    tables (what may enter a bound) and the Monte-Carlo kernel (what
+    needs no mask)."""
+
+    def test_diamond(self, diamond_dag):
+        # a -> b is unconditional, a -> c conditional; d joins both.
+        assert diamond_dag.guaranteed_nodes() == {"a", "b", "d"}
+        # c -> d is unconditional but not *always active*: its source
+        # may not run.
+        edge = diamond_dag.edge("c", "d")
+        assert not edge.conditional
+        assert edge.src not in diamond_dag.guaranteed_nodes()
+
+    def test_chain_is_all_guaranteed(self, chain_dag):
+        assert chain_dag.guaranteed_nodes() == {"a", "b", "c"}
+
+    def test_everything_behind_a_conditional_edge_is_not(self):
+        dag = build("abcd", [("a", "b", True), ("b", "c"), ("a", "d")])
+        assert dag.guaranteed_nodes() == {"a", "d"}
+
+    @pytest.mark.parametrize(
+        "app_name",
+        ["dna_visualization", "image_processing", "rag_ingestion",
+         "text2speech_censoring", "video_analytics"],
+    )
+    def test_every_node_of_the_table1_apps(self, app_name):
+        from repro.apps import ALL_APPS
+        from repro.core.analysis import analyze_workflow
+
+        dag = analyze_workflow(ALL_APPS[app_name].build_workflow())
+        # Text2Speech's one conditional edge (profanity_detection ->
+        # censoring) does not matter: censoring is also reached
+        # unconditionally via conversion.  Only that edge keeps its mask.
+        assert dag.guaranteed_nodes() == set(dag.node_names)
+        conditional = [e.key for e in dag.edges if e.conditional]
+        assert conditional == (
+            ["profanity_detection->censoring"]
+            if app_name == "text2speech_censoring" else []
+        )
+
+    def test_cached_and_dropped_on_mutation(self):
+        dag = build("ab", [("a", "b", True)])
+        first = dag.guaranteed_nodes()
+        assert first == {"a"}
+        assert dag.guaranteed_nodes() is first
+        dag.add_node(Node(name="c", function="c"))
+        dag.add_edge(Edge("a", "c"))
+        assert dag.guaranteed_nodes() == {"a", "c"}

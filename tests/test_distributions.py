@@ -70,6 +70,21 @@ class TestEmpiricalDistribution:
         dist = EmpiricalDistribution([7.0])
         assert dist.sample(np.random.default_rng(0)) == 7.0
 
+    def test_support_is_a_read_only_snapshot_in_arrival_order(self):
+        dist = EmpiricalDistribution([3.0, 1.0, 2.0], max_samples=3)
+        support = dist.support()
+        assert support.tolist() == [3.0, 1.0, 2.0]
+        assert support is dist.support()
+        with pytest.raises(ValueError):
+            support[0] = 9.0
+        dist.add(5.0)  # drops the oldest; the old snapshot is untouched
+        assert support.tolist() == [3.0, 1.0, 2.0]
+        assert dist.support().tolist() == [1.0, 2.0, 5.0]
+
+    def test_support_of_nothing_raises(self):
+        with pytest.raises(ValueError, match="no samples"):
+            EmpiricalDistribution().support()
+
     def test_scaled(self):
         dist = EmpiricalDistribution([1.0, 2.0])
         scaled = dist.scaled(2.0)

@@ -9,6 +9,7 @@ from repro.common.errors import (
     ConfigurationError,
     DeploymentError,
     KeyValueStoreError,
+    MalformedInputError,
     MessageDeliveryError,
     RegionUnavailableError,
     SolverError,
@@ -23,6 +24,7 @@ class TestErrorHierarchy:
             WorkflowDefinitionError, ConfigurationError, DeploymentError,
             RegionUnavailableError, SolverError, ToleranceViolatedError,
             KeyValueStoreError, ConditionalCheckFailed, MessageDeliveryError,
+            MalformedInputError,
         ):
             assert issubclass(exc, CaribouError)
 
@@ -30,6 +32,8 @@ class TestErrorHierarchy:
         assert issubclass(RegionUnavailableError, DeploymentError)
         assert issubclass(ToleranceViolatedError, SolverError)
         assert issubclass(ConditionalCheckFailed, KeyValueStoreError)
+        # Callers that caught the loaders' bare ValueError keep working.
+        assert issubclass(MalformedInputError, ValueError)
 
     def test_catchable_as_base(self):
         with pytest.raises(CaribouError):

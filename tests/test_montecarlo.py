@@ -20,7 +20,13 @@ from repro.experiments.harness import (
     deploy_benchmark,
     warm_up,
 )
-from repro.metrics.montecarlo import MonteCarloEstimator, PlanProfile, _p95
+from repro.metrics.montecarlo import (
+    MonteCarloEstimator,
+    PlanProfile,
+    _mean_and_std,
+    _p95,
+)
+from repro.model.dag import Node, WorkflowDAG
 from repro.model.plan import DeploymentPlan
 from tests import reprice_oracle
 
@@ -571,4 +577,70 @@ class TestP95Differential:
         before = arr.copy()
         arr.setflags(write=False)
         _p95(arr)
+        assert np.array_equal(arr, before)
+
+
+def _converged_oracle(cov, *series):
+    """The stopping rule as it was spelt with numpy's own methods."""
+    for arr in series:
+        if arr.size < 2:
+            return False
+        std = arr.std(ddof=1)
+        if std == 0.0:
+            continue
+        mean = arr.mean()
+        if mean <= 0:
+            return False
+        if std / np.sqrt(arr.size) / mean >= cov:
+            return False
+    return True
+
+
+class TestConvergedDifferential:
+    """The stopping rule's mean and sample standard deviation are
+    ``arr.mean()`` / ``arr.std(ddof=1)``'s doubles, exactly, and so is
+    every decision taken from them — on the numpy floor too."""
+
+    @settings(max_examples=400)
+    @given(_finite_arrays().filter(lambda a: a.size >= 2))
+    def test_mean_and_std_equal_the_numpy_methods(self, values):
+        mean, std = _mean_and_std(values)
+        assert mean == float(values.mean())
+        assert std == float(values.std(ddof=1))
+
+    @settings(max_examples=200)
+    @given(_finite_arrays(), _finite_arrays(),
+           st.sampled_from([1e-9, 0.01, 0.05, 0.08, 0.2, 1.0]))
+    def test_decisions_equal_the_oracle(self, latencies, costs, cov):
+        dag = WorkflowDAG("one")
+        dag.add_node(Node(name="a", function="a"))
+        est = make_estimator(dag, cov_threshold=cov)
+        # Every prefix a profile run would check, as views like its own.
+        for n in {1, 2, 3, latencies.size // 2, latencies.size}:
+            if 1 <= n <= min(latencies.size, costs.size):
+                assert est._converged(latencies[:n], costs[:n]) == (
+                    _converged_oracle(cov, latencies[:n], costs[:n])
+                )
+
+    @pytest.mark.parametrize("values, expected", [
+        ([1.0], False),                    # n < 2
+        ([3.7] * 5, True),                 # zero variance
+        ([0.0] * 5, True),                 # ... whatever the mean
+        ([-2.0] * 5, True),
+        ([-1.0, 1.0] * 50, False),         # zero mean with spread
+        ([-3.0, -1.0] * 50, False),        # negative mean with spread
+        ([0.1, 100.0, 0.2, 90.0], False),  # wide
+        ([1.0, 1.0001] * 50, True),        # tight
+    ])
+    def test_degenerate_series(self, chain_dag, values, expected):
+        est = make_estimator(chain_dag)
+        arr = np.array(values)
+        assert est._converged(arr) is expected
+        assert _converged_oracle(0.05, arr) is expected
+
+    def test_input_left_untouched_and_read_only_accepted(self):
+        arr = np.random.default_rng(0).random(100)
+        before = arr.copy()
+        arr.setflags(write=False)
+        _mean_and_std(arr)
         assert np.array_equal(arr, before)
