@@ -3,9 +3,10 @@
 The solver's inner loop is ``MonteCarloEstimator.estimate_profile``;
 vectorizing it (batched draws + array pricing) is what makes the 24-hour
 HBSS solve cheap.  This bench measures samples/second of the vectorized
-kernel against the retained scalar reference path on the Text2Speech
-benchmark (5 stages, conditional edge, sync node, pinned external data —
-every pricing path exercised) and asserts the >=5x target.
+kernel against the scalar reference path (``tests/montecarlo_oracle.py``)
+on the Text2Speech benchmark (5 stages, conditional edge, sync node,
+pinned external data — every pricing path exercised) and asserts the
+>=5x target.
 
 The two kernels consume the same RNG stream and perform the same
 arithmetic per element, so before timing we also cross-check that they
@@ -27,6 +28,7 @@ from repro.metrics.latency import TransferLatencyModel
 from repro.metrics.manager import MetricsManager
 from repro.metrics.montecarlo import MonteCarloEstimator
 from repro.model.plan import DeploymentPlan
+from tests.montecarlo_oracle import ScalarReferenceEstimator
 
 SPEEDUP_TARGET = 5.0
 
@@ -46,7 +48,8 @@ def _text2speech_metrics():
 
 
 def _make_estimator(cloud, deployed, metrics, vectorized, seed=0):
-    return MonteCarloEstimator(
+    estimator = MonteCarloEstimator if vectorized else ScalarReferenceEstimator
+    return estimator(
         deployed.dag,
         metrics,
         CarbonModel(TransmissionScenario.best_case()),
@@ -58,7 +61,6 @@ def _make_estimator(cloud, deployed, metrics, vectorized, seed=0):
         batch_size=200,
         max_samples=2000,
         cov_threshold=1e-9,  # force the full 2000 samples every run
-        vectorized=vectorized,
     )
 
 
@@ -116,8 +118,8 @@ def test_estimator_throughput_smoke():
     plan = DeploymentPlan.single_region(
         deployed.dag, deployed.config.home_region
     )
-    for vectorized in (True, False):
-        est = MonteCarloEstimator(
+    for estimator in (MonteCarloEstimator, ScalarReferenceEstimator):
+        est = estimator(
             deployed.dag,
             metrics,
             CarbonModel(TransmissionScenario.best_case()),
@@ -129,6 +131,5 @@ def test_estimator_throughput_smoke():
             batch_size=50,
             max_samples=100,
             cov_threshold=1e-9,
-            vectorized=vectorized,
         )
         assert est.estimate_profile(plan).n_samples == 100

@@ -400,7 +400,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     """Render a saved run report (JSON) or analyze a trace (JSONL)."""
     if args.file.endswith(".jsonl"):
-        spans = load_jsonl(args.file)
+        with open(args.file, "r", encoding="utf-8") as fh:
+            spans = load_jsonl(fh)
         analysis = analyze_trace(spans)
         print(
             f"{analysis.n_requests} requests, "

@@ -38,8 +38,8 @@ minutes.  Three choices carry that budget:
   at the current timestamp join the same batch after every
   already-queued tie (their ``seq`` is higher), which is exactly the
   FIFO order the serial loop produced — ordering is byte-identical to
-  the legacy loop (see ``repro.cloud._legacy_simulator`` and the
-  differential tests).
+  the legacy loop (kept as the oracle ``tests/event_loop_oracle.py``,
+  see ``tests/test_simulator_differential.py``).
 """
 
 from __future__ import annotations

@@ -8,13 +8,9 @@ self-rescheduling check chain per workflow, so a busy workflow is
 checked hourly while an idle one backs off to the daily cadence —
 independently, exactly as the sigmoid rule dictates per bucket.
 
-At fleet scale the managers stop being islands.  Three resources are
+At fleet scale the managers stop being islands.  Two resources are
 shared across every registered workflow:
 
-* **Evaluation cache** — one
-  :class:`~repro.core.solver.SharedEvaluationCache` whose per-workflow
-  scopes keep Monte-Carlo results correct (digests hash plan content,
-  not learned metrics) while accounting rolls up fleet-wide.
 * **Carbon forecasts** — one
   :class:`~repro.metrics.manager.CarbonForecastProvider`; forecasts are
   per grid region, so the first manager to check each day pays for the
@@ -23,6 +19,15 @@ shared across every registered workflow:
   :class:`~repro.obs.metrics.MetricsRegistry` already spans workflows;
   :meth:`fleet_report` snapshots it alongside the cache and forecast
   counters so one document describes the whole sweep.
+
+The evaluation cache is deliberately *not* shared: each
+:class:`~repro.core.manager.DeploymentManager` keeps its own
+:class:`~repro.core.solver.EvaluationCache`, and :meth:`fleet_report`
+rolls their counters up.  Plan digests hash plan *content* only, so two
+workflows with identical DAG shapes can collide on a digest while their
+learned metrics — and therefore the correct profiles — differ; one
+flat cache across the fleet would serve workflow A's Monte-Carlo
+results to workflow B.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from repro.cloud.provider import SimulatedCloud
 from repro.core.deployer import DeploymentUtility
 from repro.core.executor import CaribouExecutor, DeployedWorkflow
 from repro.core.manager import CheckReport, DeploymentManager
-from repro.core.solver import SharedEvaluationCache, SolverSettings
+from repro.core.solver import SolverSettings
 from repro.core.trigger import TriggerSettings
 from repro.metrics.carbon import TransmissionScenario
 from repro.metrics.manager import CarbonForecastProvider
@@ -72,9 +77,6 @@ class FleetManager:
         self._use_token_bucket = use_token_bucket
         self._fixed_granularity = fixed_granularity
         self._entries: Dict[str, FleetEntry] = {}
-        #: Fleet-shared solver cache; each manager solves against its
-        #: own scope (see SharedEvaluationCache for why not one flat map).
-        self.evaluation_cache = SharedEvaluationCache()
         #: Fleet-shared daily forecasts (per grid region, fit once).
         self.forecasts = CarbonForecastProvider(cloud.carbon_source)
 
@@ -96,7 +98,6 @@ class FleetManager:
             use_token_bucket=self._use_token_bucket,
             fixed_granularity=self._fixed_granularity,
             forecasts=self.forecasts,
-            evaluation_cache=self.evaluation_cache.scope(deployed.name),
         )
         self._entries[deployed.name] = FleetEntry(
             deployed=deployed, executor=executor, manager=manager
@@ -106,9 +107,9 @@ class FleetManager:
     def unregister(self, workflow_name: str) -> None:
         """Remove a workflow from fleet management.
 
-        Stops the manager's pending check chain *before* dropping its
-        cache scope (an armed ``run_for`` chain would otherwise keep
-        solving into an orphaned scope), and raises :class:`KeyError`
+        Stops the manager's pending check chain *before* dropping it and
+        its evaluation cache (an armed ``run_for`` chain would otherwise
+        keep solving for an unmanaged workflow), and raises :class:`KeyError`
         for unknown workflows — matching :meth:`manager_for` — so
         service-layer cancel paths cannot mask typo'd names.
         """
@@ -119,7 +120,6 @@ class FleetManager:
                 f"workflow {workflow_name!r} is not fleet-managed"
             ) from None
         entry.manager.stop()
-        self.evaluation_cache.drop_scope(workflow_name)
 
     @property
     def workflows(self) -> Tuple[str, ...]:
@@ -212,11 +212,12 @@ class FleetManager:
                 "solves": wf_solves,
                 "tokens_g": manager.bucket.tokens_g,
             }
+        caches = [e.manager.evaluation_cache for e in self._entries.values()]
         return {
-            "cache_estimates": self.evaluation_cache.estimates_cached,
-            "cache_invalidations": self.evaluation_cache.invalidations,
-            "cache_profiles": self.evaluation_cache.profiles_cached,
-            "cache_scopes": self.evaluation_cache.scopes,
+            "cache_estimates": sum(c.estimates_cached for c in caches),
+            "cache_invalidations": sum(c.invalidations for c in caches),
+            "cache_profiles": sum(c.profiles_cached for c in caches),
+            "cache_scopes": len(caches),
             "checks": checks,
             "forecast_version": self.forecasts.version,
             "invocations_observed": invocations,

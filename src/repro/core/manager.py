@@ -87,7 +87,6 @@ class DeploymentManager:
         use_forecast: bool = True,
         fixed_granularity: int = 24,
         forecasts: Optional[CarbonForecastProvider] = None,
-        evaluation_cache: Optional[EvaluationCache] = None,
     ):
         self._d = deployed
         self._executor = executor
@@ -136,7 +135,7 @@ class DeploymentManager:
         self._last_forecast_day: int = -1
         #: Pending self-rescheduled check (run_for's chain); retained so
         #: stop()/unregister can cancel it instead of letting armed
-        #: checks keep solving into a dropped cache scope.
+        #: checks keep solving for an unmanaged workflow.
         self._pending_check: Optional["EventHandle"] = None
         self.reports: List[CheckReport] = []
         self.plan_history: List[Tuple[float, HourlyPlanSet]] = []
@@ -145,12 +144,9 @@ class DeploymentManager:
         #: so stale entries are dropped exactly when metrics/forecasts
         #: actually changed (§5.2 checks often re-solve a barely-moved
         #: problem — discarding the cache each time wasted most of the
-        #: previous solve's Monte-Carlo work).  A fleet passes each
-        #: manager its scope of a
-        #: :class:`~repro.core.solver.SharedEvaluationCache` here.
-        self.evaluation_cache = (
-            evaluation_cache if evaluation_cache is not None else EvaluationCache()
-        )
+        #: previous solve's Monte-Carlo work).  One per workflow, never
+        #: shared: digests hash plan content, not learned metrics.
+        self.evaluation_cache = EvaluationCache()
         #: Cumulative solver counters across this manager's lifetime.
         self.solver_stats = SolverStats()
         # §5.2: a token is "the carbon intensity differential between
@@ -307,7 +303,7 @@ class DeploymentManager:
         ``self._pending_check`` so :meth:`stop` (and through it
         ``FleetManager.unregister``) can cancel the loop; without that
         handle an unregistered workflow's armed checks kept firing —
-        solving, migrating, and writing into a dropped cache scope —
+        solving and migrating a workflow no longer under management —
         for the rest of the horizon.
         """
         horizon = self._cloud.now() + duration_s

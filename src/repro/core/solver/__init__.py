@@ -19,7 +19,6 @@ from repro.core.solver.coarse import CoarseSolver
 from repro.core.solver.evaluation import (
     EvaluationCache,
     PlanEvaluator,
-    SharedEvaluationCache,
     SolverSettings,
     SolverStats,
 )
@@ -29,7 +28,6 @@ from repro.core.solver.hbss import HBSSSolver, SolveResult
 
 __all__ = [
     "EvaluationCache",
-    "SharedEvaluationCache",
     "PlanEvaluator",
     "SolverSettings",
     "SolverStats",

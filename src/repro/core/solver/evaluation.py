@@ -11,8 +11,7 @@ developer's tolerance).
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,13 +88,8 @@ class SolverStats:
     The :class:`PlanEvaluator` owns one (or accepts a caller-provided
     instance) and threads it into the Monte-Carlo estimator.  All
     counters are cumulative over the evaluator's lifetime, so a 24-hour
-    ``solve_day`` reports totals.
-
-    A caller's own threads may share one instance; use :meth:`bump` (a
-    lock-guarded multi-field add) instead of ``stats.field += n``.  The
-    count *totals* are scheduling-invariant: per distinct plan exactly
-    one profile build happens (the evaluator's per-digest build locks
-    guarantee it) and every other lookup is a hit.
+    ``solve_day`` reports totals.  Per distinct plan exactly one profile
+    build happens; every other lookup is a hit.
 
     Attributes:
         simulations_run: Monte-Carlo profile runs actually simulated.
@@ -124,15 +118,6 @@ class SolverStats:
     bnb_nodes_pruned: int = 0
     bnb_hours_solved: int = 0
     bnb_bound_tightness_pct: float = 0.0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def bump(self, **deltas: float) -> None:
-        """Atomically add ``deltas`` to the named counters."""
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
 
     def summary(self) -> str:
         """One-line human-readable digest for CLI/harness output."""
@@ -172,17 +157,12 @@ class EvaluationCache:
     Entries are only valid for one version of the learned inputs:
     callers declare the current ``(metrics_version, forecast_version)``
     pair via :meth:`sync` and the cache clears itself whenever the pair
-    changes (new telemetry collected, forecasts refit).  All access is
-    lock-guarded; per-digest build locks let concurrent callers
-    block on a profile already being built instead of duplicating the
-    simulation.
+    changes (new telemetry collected, forecasts refit).
     """
 
     def __init__(self) -> None:
-        self.lock = threading.Lock()
         self._profiles: Dict[str, PlanProfile] = {}
         self._estimates: Dict[Tuple[str, int], WorkflowEstimate] = {}
-        self._build_locks: Dict[str, threading.Lock] = {}
         self._version: Optional[Tuple[object, object]] = None
         #: Times :meth:`sync` dropped a populated cache (observability).
         self.invalidations = 0
@@ -191,95 +171,23 @@ class EvaluationCache:
         """Declare the current input versions; returns True if stale
         entries were dropped."""
         version = (metrics_version, forecast_version)
-        with self.lock:
-            if version == self._version:
-                return False
-            had_entries = bool(self._profiles or self._estimates)
-            self._profiles.clear()
-            self._estimates.clear()
-            self._build_locks.clear()
-            self._version = version
-            if had_entries:
-                self.invalidations += 1
-            return had_entries
-
-    def clear(self) -> None:
-        """Drop everything (keeps the declared version)."""
-        with self.lock:
-            self._profiles.clear()
-            self._estimates.clear()
-            self._build_locks.clear()
+        if version == self._version:
+            return False
+        had_entries = bool(self._profiles or self._estimates)
+        self._profiles.clear()
+        self._estimates.clear()
+        self._version = version
+        if had_entries:
+            self.invalidations += 1
+        return had_entries
 
     @property
     def profiles_cached(self) -> int:
-        with self.lock:
-            return len(self._profiles)
+        return len(self._profiles)
 
     @property
     def estimates_cached(self) -> int:
-        with self.lock:
-            return len(self._estimates)
-
-
-class SharedEvaluationCache:
-    """Fleet-wide cache facade: one accounting surface, per-workflow scopes.
-
-    Plan digests hash plan *content* only, so two workflows with
-    identical DAG shapes can collide on a digest while their learned
-    metrics — and therefore the correct profiles — differ.  Sharing one
-    flat :class:`EvaluationCache` across a fleet would silently serve
-    workflow A's Monte-Carlo results to workflow B.  Instead the fleet
-    shares this object and each :class:`~repro.core.manager.DeploymentManager`
-    gets its own *scope* (a plain ``EvaluationCache``): entries stay
-    correct per workflow, while capacity accounting, invalidation
-    counts, and observability roll up fleet-wide.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._scopes: Dict[str, EvaluationCache] = {}
-
-    def scope(self, name: str) -> EvaluationCache:
-        """The (created-on-first-use) cache scope for one workflow."""
-        with self._lock:
-            cache = self._scopes.get(name)
-            if cache is None:
-                cache = self._scopes[name] = EvaluationCache()
-            return cache
-
-    def drop_scope(self, name: str) -> None:
-        with self._lock:
-            self._scopes.pop(name, None)
-
-    def clear_all(self) -> None:
-        """Drop every scope's entries (versions are kept)."""
-        with self._lock:
-            scopes = list(self._scopes.values())
-        for cache in scopes:
-            cache.clear()
-
-    @property
-    def scopes(self) -> int:
-        with self._lock:
-            return len(self._scopes)
-
-    @property
-    def profiles_cached(self) -> int:
-        with self._lock:
-            scopes = list(self._scopes.values())
-        return sum(c.profiles_cached for c in scopes)
-
-    @property
-    def estimates_cached(self) -> int:
-        with self._lock:
-            scopes = list(self._scopes.values())
-        return sum(c.estimates_cached for c in scopes)
-
-    @property
-    def invalidations(self) -> int:
-        with self._lock:
-            scopes = list(self._scopes.values())
-        return sum(c.invalidations for c in scopes)
+        return len(self._estimates)
 
 
 class LazyTable(dict):
@@ -299,9 +207,7 @@ class LazyTable(dict):
 class PlanEvaluator:
     """Answers metric/tolerance queries over a shared evaluation cache.
 
-    Thread-safe: a caller's own threads may share one
-    evaluator.  Distinct plans build their profiles concurrently; the
-    same plan is only ever simulated once (build locks), and the
+    The same plan is only ever simulated once per cache version, and the
     per-plan RNG substreams of the underlying estimator make every
     cached value independent of build order.
     """
@@ -418,8 +324,7 @@ class PlanEvaluator:
 
         ``intensity_fn`` runs at most once per (region, hour) over the
         evaluator's lifetime: the ``(digest, hour)`` estimate cache
-        already assumes it is a pure function for that long (two racing
-        threads may both compute a missing entry — the same value).
+        already assumes it is a pure function for that long.
         """
         return self._intensities_at(hour)[region]
 
@@ -427,8 +332,8 @@ class PlanEvaluator:
         table = self._intensities.get(hour)
         if table is None:
             fn = self._intensity_fn
-            table = self._intensities.setdefault(
-                hour, LazyTable(lambda region: fn(region, hour))
+            table = self._intensities[hour] = LazyTable(
+                lambda region: fn(region, hour)
             )
         return table
 
@@ -463,30 +368,14 @@ class PlanEvaluator:
 
     def profile(self, plan: DeploymentPlan) -> PlanProfile:
         digest = plan.digest()
-        cache = self._cache
-        with cache.lock:
-            profile = cache._profiles.get(digest)
-            if profile is None:
-                build_lock = cache._build_locks.setdefault(
-                    digest, threading.Lock()
-                )
+        profiles = self._cache._profiles
+        profile = profiles.get(digest)
         if profile is not None:
-            self.stats.bump(profile_cache_hits=1)
+            self.stats.profile_cache_hits += 1
             return profile
-        # Build outside the cache lock (the simulation is the expensive
-        # part); the per-digest lock makes racing threads for the *same*
-        # plan wait for one build instead of duplicating it.
-        with build_lock:
-            with cache.lock:
-                profile = cache._profiles.get(digest)
-            if profile is not None:
-                self.stats.bump(profile_cache_hits=1)
-                return profile
-            profile = self._estimator.estimate_profile(plan)
-            with cache.lock:
-                cache._profiles[digest] = profile
-            self.stats.bump(profiles_built=1)
-            return profile
+        profile = profiles[digest] = self._estimator.estimate_profile(plan)
+        self.stats.profiles_built += 1
+        return profile
 
     def prefetch_profiles(self, plans: Sequence[DeploymentPlan]) -> int:
         """Build every uncached plan profile up front; returns the
@@ -495,36 +384,28 @@ class PlanEvaluator:
         Values are bit-identical to per-plan :meth:`profile` builds
         (each plan draws from its own digest-keyed substream), so
         prefetching only changes *when* profiles are built, never what
-        they contain.  A plan another thread finishes between the cache
-        check and the build is counted as built here.
+        they contain.
         """
-        cache = self._cache
+        profiles = self._cache._profiles
         built = 0
         for digest, plan in {p.digest(): p for p in plans}.items():
-            with cache.lock:
-                cached = digest in cache._profiles
-            if not cached:
+            if digest not in profiles:
                 self.profile(plan)
                 built += 1
         return built
 
     def estimate(self, plan: DeploymentPlan, hour: int) -> WorkflowEstimate:
         key = (plan.digest(), hour)
-        cache = self._cache
-        with cache.lock:
-            estimate = cache._estimates.get(key)
+        estimates = self._cache._estimates
+        estimate = estimates.get(key)
         if estimate is not None:
-            self.stats.bump(estimate_cache_hits=1)
+            self.stats.estimate_cache_hits += 1
             return estimate
         profile = self.profile(plan)
-        estimate = profile.estimate_at(self._intensities_at(hour).__getitem__)
-        with cache.lock:
-            # Concurrent same-key computes are only possible for shared
-            # anchors (e.g. the home baseline); the value is a pure
-            # function of the cached profile, so first-write-wins keeps
-            # every reader consistent.
-            estimate = cache._estimates.setdefault(key, estimate)
-        self.stats.bump(estimates_computed=1)
+        estimate = estimates[key] = profile.estimate_at(
+            self._intensities_at(hour).__getitem__
+        )
+        self.stats.estimates_computed += 1
         return estimate
 
     def baseline(self, hour: int) -> WorkflowEstimate:

@@ -556,12 +556,11 @@ class ExactSolver:
         tightness = (
             100.0 * root_bound / best_metric if best_metric > 0 else 0.0
         )
-        ev.stats.bump(
-            bnb_nodes_expanded=expanded,
-            bnb_nodes_pruned=pruned,
-            bnb_hours_solved=1,
-            bnb_bound_tightness_pct=min(100.0, max(0.0, tightness)),
-        )
+        stats = ev.stats
+        stats.bnb_nodes_expanded += expanded
+        stats.bnb_nodes_pruned += pruned
+        stats.bnb_hours_solved += 1
+        stats.bnb_bound_tightness_pct += min(100.0, max(0.0, tightness))
         return best_plan, ev.estimate(best_plan, hour)
 
     def solve_day(

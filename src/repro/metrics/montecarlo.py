@@ -98,12 +98,13 @@ contributions unmasked.  That is exact, not approximate —
 into each per-sample accumulator is the scalar path's, term for term
 (float addition is not associative).
 
-The retained scalar reference path (``vectorized=False``) consumes the
-same index draws, reads ``support[idx[i]]`` and prices that one value
-with the scalar model methods, one sample at a time.  The two produce
-bit-identical :class:`PlanProfile`\\ s (and therefore bit-identical
-:class:`WorkflowEstimate`\\ s) from identical seeds — the property the
-differential tests in ``tests/test_montecarlo.py`` and
+The tests hold the path this kernel replaced as an oracle
+(``tests/montecarlo_oracle.py::ScalarReferenceEstimator``): it consumes
+the same index draws, reads ``support[idx[i]]`` and prices that one
+value with the scalar model methods, one sample at a time.  The two
+produce bit-identical :class:`PlanProfile`\\ s (and therefore
+bit-identical :class:`WorkflowEstimate`\\ s) from identical seeds — the
+property the differential tests in ``tests/test_montecarlo.py`` and
 ``tests/test_montecarlo_kernel.py`` lock down.
 """
 
@@ -380,17 +381,6 @@ class _BatchDraws:
     exec_idx: Dict[str, "np.ndarray"]
 
 
-@dataclass
-class _BatchValues:
-    """The drawn values themselves, ``support[idx]``: what the scalar
-    reference path reads one sample at a time."""
-
-    cond: Dict[Tuple[str, str], "np.ndarray"]  # uniforms, conditional edges
-    input_sizes: "np.ndarray"
-    edge_sizes: Dict[Tuple[str, str], "np.ndarray"]
-    exec_times: Dict[str, "np.ndarray"]
-
-
 @dataclass(frozen=True)
 class _EdgeSpec:
     """One DAG edge as the estimator sees it; read from ``data`` once."""
@@ -516,12 +506,13 @@ def _add(target: "np.ndarray", values, mask: Optional["np.ndarray"]) -> None:
 
 
 class _BatchAccumulators:
-    """Per-batch result arrays shared by both simulation kernels.
+    """Per-batch result arrays a simulation kernel writes into.
 
     Energy/route keys are pre-registered from the plan's static pricing
     schedule (every region and route the plan *could* touch, in
-    processing order) so both kernels accumulate — and later sum — in
-    exactly the same key order, which the bit-identity guarantee needs.
+    processing order) so the kernel and the tests' scalar oracle
+    accumulate — and later sum — in exactly the same key order, which
+    the bit-identity guarantee needs.
     """
 
     def __init__(self, n: int):
@@ -577,7 +568,6 @@ class MonteCarloEstimator:
         batch_size: int = BATCH_SIZE,
         max_samples: int = MAX_SAMPLES,
         cov_threshold: float = COV_THRESHOLD,
-        vectorized: bool = True,
         stats: Optional[EstimatorStatsSink] = None,
     ):
         """Args:
@@ -598,9 +588,6 @@ class MonteCarloEstimator:
             construction; pass it explicitly).
         batch_size / max_samples / cov_threshold: Stopping rule knobs
             (paper defaults: 200 / 2000 / 0.05).
-        vectorized: Use the production kernel (default).  ``False``
-            selects the retained scalar reference path, kept for
-            differential testing and the throughput benchmark.
         stats: Optional counter sink (``SolverStats``); the estimator
             increments ``simulations_run`` and ``samples_drawn``.
         """
@@ -633,7 +620,6 @@ class MonteCarloEstimator:
         self._batch = batch_size
         self._max = max_samples
         self._cov = cov_threshold
-        self._vectorized = vectorized
         self._stats = stats
         self._order = dag.topological_order()
         # Everything read from ``data`` or priced by the models, filled
@@ -679,16 +665,14 @@ class MonteCarloEstimator:
         while n_total < self._max:
             n = min(self._batch, self._max - n_total)
             draws = self._draw_batch(steps, n, rng)
-            window = full.window(n_total, n_total + n)
-            if self._vectorized:
-                self._simulate_batch(steps, draws, window)
-            else:
-                self._simulate_batch_reference(plan, steps, draws, window)
+            self._simulate_batch(steps, draws, full.window(n_total, n_total + n))
             n_total += n
             if self._converged(full.latency[:n_total], full.cost[:n_total]):
                 break
 
-        self._bump_stats(simulations=1, samples=n_total)
+        if self._stats is not None:
+            self._stats.simulations_run += 1
+            self._stats.samples_drawn += n_total
         return self._profile_from(full, n_total)
 
     def estimate_profiles(
@@ -716,18 +700,6 @@ class MonteCarloEstimator:
         if not plan.covers(self._dag):
             missing = set(self._dag.node_names) - set(plan.assignments)
             raise ValueError(f"plan does not cover nodes: {sorted(missing)}")
-
-    def _bump_stats(self, simulations: int, samples: int) -> None:
-        if self._stats is None:
-            return
-        # ``bump`` (SolverStats) is lock-guarded; plain attribute sinks
-        # keep working single-threaded.
-        bump = getattr(self._stats, "bump", None)
-        if bump is not None:
-            bump(simulations_run=simulations, samples_drawn=samples)
-        else:
-            self._stats.simulations_run += simulations
-            self._stats.samples_drawn += samples
 
     def _profile_from(self, full: _BatchAccumulators, n: int) -> PlanProfile:
         def frozen(arr: "np.ndarray") -> "np.ndarray":
@@ -997,7 +969,7 @@ class MonteCarloEstimator:
         self, steps: _PlanSteps, n: int
     ) -> _BatchAccumulators:
         """Pre-register every energy region and byte route the plan can
-        touch, in processing order, so both kernels share key order."""
+        touch, in processing order (see :class:`_BatchAccumulators`)."""
         acc = _BatchAccumulators(n)
         for step in steps.nodes:
             if step.input_table is not None:
@@ -1103,150 +1075,3 @@ class MonteCarloEstimator:
             else:
                 latency = np.where(exec_mask, np.maximum(latency, done), latency)
         acc.latency[:] = latency
-
-    def _simulate_batch_reference(
-        self,
-        plan: DeploymentPlan,
-        steps: _PlanSteps,
-        draws: _BatchDraws,
-        acc: _BatchAccumulators,
-    ) -> None:
-        """The scalar reference path: walks the DAG one sample at a time
-        exactly like the pre-vectorization ``_simulate_once``, reading
-        ``support[idx]`` of the shared pre-drawn batch and pricing each
-        drawn value with the scalar model methods, so it stays
-        bit-comparable to the production kernel.  Kept for differential
-        testing and as the baseline of
-        ``benchmarks/test_estimator_throughput.py``."""
-        dag = self._dag
-        client, kv_region = self._client_and_kv(plan)
-        edge_prob = {
-            (e.src, e.dst): self._data.edge_probability(e.src, e.dst)
-            for e in dag.edges
-            if e.conditional
-        }
-        edges = [e for step in steps.nodes for e in step.spec.in_edges]
-        values = _BatchValues(
-            cond={
-                e.key: draws.uniforms[:, e.cond_col]
-                for e in edges
-                if e.cond_col is not None
-            },
-            input_sizes=steps.workflow.input_sizes[draws.input_idx],
-            edge_sizes={e.key: e.sizes[draws.edge_idx[e.key]] for e in edges},
-            exec_times={
-                step.spec.name: step.table.exec_times[
-                    draws.exec_idx[step.spec.name]
-                ]
-                for step in steps.nodes
-            },
-        )
-        for i in range(draws.n):
-            self._simulate_once(plan, values, i, acc, client, kv_region, edge_prob)
-
-    def _simulate_once(
-        self,
-        plan: DeploymentPlan,
-        draws: _BatchValues,
-        i: int,
-        acc: _BatchAccumulators,
-        client: str,
-        kv_region: str,
-        edge_prob: Dict[Tuple[str, str], float],
-    ) -> None:
-        """One scalar simulation, writing sample ``i`` of the batch."""
-        dag = self._dag
-
-        # 1. Realise the conditional edges.
-        edge_taken: Dict[Tuple[str, str], bool] = {}
-        for edge in dag.edges:
-            if edge.conditional:
-                u = float(draws.cond[(edge.src, edge.dst)][i])
-                edge_taken[(edge.src, edge.dst)] = u < edge_prob[
-                    (edge.src, edge.dst)
-                ]
-            else:
-                edge_taken[(edge.src, edge.dst)] = True
-
-        # 2. Walk in topological order computing per-node finish times.
-        executed: Dict[str, bool] = {}
-        finish: Dict[str, float] = {}
-        cost = 0.0
-
-        for node in self._order:
-            in_edges = dag.in_edges(node)
-            region = plan.region_of(node)
-            if not in_edges:
-                executed[node] = True
-                input_size = float(draws.input_sizes[i])
-                arrival = self._latency.estimate(client, region, input_size)
-                acc.route_bytes[(client, region)][i] += input_size
-                cost += self._cost.transmission_cost(client, region, input_size)
-            else:
-                taken_from = [
-                    e
-                    for e in in_edges
-                    if executed.get(e.src, False) and edge_taken[(e.src, e.dst)]
-                ]
-                if not taken_from:
-                    executed[node] = False
-                    continue
-                executed[node] = True
-                is_sync = dag.is_sync_node(node)
-                arrival = 0.0
-                for e in taken_from:
-                    src_region = plan.region_of(e.src)
-                    size = float(draws.edge_sizes[(e.src, e.dst)][i])
-                    if is_sync:
-                        hop1 = self._latency.estimate(src_region, kv_region, size)
-                        hop2 = self._latency.estimate(kv_region, region, size)
-                        edge_latency = hop1 + hop2
-                        acc.route_bytes[(src_region, kv_region)][i] += size
-                        acc.route_bytes[(kv_region, region)][i] += size
-                        cost += self._cost.transmission_cost(
-                            src_region, kv_region, size
-                        )
-                        cost += self._cost.transmission_cost(
-                            kv_region, region, size
-                        )
-                        cost += self._cost.kv_cost(kv_region, n_reads=1, n_writes=2)
-                    else:
-                        edge_latency = self._latency.estimate(
-                            src_region, region, size
-                        )
-                        acc.route_bytes[(src_region, region)][i] += size
-                        cost += self._cost.transmission_cost(
-                            src_region, region, size
-                        )
-                    cost += self._cost.messaging_cost(region)
-                    arrival = max(arrival, finish[e.src] + edge_latency)
-
-            duration = float(draws.exec_times[node][i])
-            ext_region, ext_bytes = self._data.node_external_bytes(node)
-            if ext_region is not None and ext_bytes > 0:
-                duration = duration + self._latency.estimate(
-                    ext_region, region, ext_bytes
-                )
-                acc.route_bytes[(ext_region, region)][i] += ext_bytes
-                cost += self._cost.transmission_cost(ext_region, region, ext_bytes)
-
-            finish[node] = arrival + duration
-            memory = self._data.node_memory_mb(node)
-            n_vcpu = self._data.node_vcpu(node)
-            util = self._data.node_cpu_utilization(node)
-            acc.energy[region][i] += (
-                self._carbon.execution_energy_kwh(
-                    duration_s=duration,
-                    memory_mb=memory,
-                    n_vcpu=n_vcpu,
-                    cpu_total_time_s=duration * n_vcpu * util,
-                )
-                * self._carbon.pue
-            )
-            cost += self._cost.execution_cost(region, duration, memory)
-            cost += self._cost.kv_cost(kv_region, n_reads=1)
-
-        acc.latency[i] = max(
-            (finish[n] for n in finish if executed.get(n, False)), default=0.0
-        )
-        acc.cost[i] = cost

@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.common.errors import MalformedInputError
+from repro.obs.report import RunReport
 from repro.obs.timeseries import SERIES_SCHEMA, load_series_jsonl
 
 #: Substrings marking metrics where a *decrease* is the improvement.
@@ -51,7 +53,8 @@ def load_run_artifact(path: str) -> Tuple[str, Any]:
     """Load ``path`` as ``("report", doc)`` or ``("series", (points, w))``.
 
     Detection: a first line carrying the series schema header is a
-    series dump; anything that parses as a JSON object is a report.
+    series dump; anything else must be a :class:`RunReport` document
+    (:class:`MalformedInputError` otherwise).
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -62,10 +65,10 @@ def load_run_artifact(path: str) -> Tuple[str, Any]:
         header = None
     if isinstance(header, dict) and header.get("schema") == SERIES_SCHEMA:
         return "series", load_series_jsonl(text)
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: neither a RunReport nor a series dump")
-    return "report", doc
+    try:
+        return "report", RunReport.from_json(text).doc
+    except MalformedInputError as exc:
+        raise MalformedInputError(f"{path}: {exc}") from None
 
 
 # ------------------------------------------------------------------ flattening

@@ -15,6 +15,7 @@ import json
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
+from repro.common.errors import MalformedInputError
 from repro.obs.trace import Span, Tracer
 
 
@@ -26,7 +27,8 @@ def _spans_of(source: Union[Tracer, Sequence[Span]]) -> List[Span]:
 
 
 def load_jsonl(source) -> List[Span]:
-    """Load spans from a JSONL path, file object, or string."""
+    """Load spans from a JSONL path, file object, or string;
+    :class:`MalformedInputError` on a line that is not a span."""
     if hasattr(source, "read"):
         text = source.read()
     else:
@@ -35,10 +37,15 @@ def load_jsonl(source) -> List[Span]:
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
     spans = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line:
-            spans.append(Span.from_dict(json.loads(line)))
+            try:
+                spans.append(Span.from_dict(json.loads(line)))
+            except (TypeError, ValueError) as exc:
+                raise MalformedInputError(
+                    f"not a trace (line {number} is not a span: {exc})"
+                ) from None
     return spans
 
 

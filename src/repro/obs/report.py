@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Union
 
+from repro.common.errors import MalformedInputError
 from repro.obs.critical_path import analyze_trace
 from repro.obs.trace import Span, Tracer
 
@@ -71,9 +72,16 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        doc = json.loads(text)
+        """Parse a report; :class:`MalformedInputError` if ``text`` is
+        not JSON, not an object, or carries another schema."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError:
+            raise MalformedInputError("not a run report (not JSON)") from None
+        if not isinstance(doc, dict):
+            raise MalformedInputError("not a run report (not a JSON object)")
         if doc.get("schema") != REPORT_SCHEMA:
-            raise ValueError(
+            raise MalformedInputError(
                 f"not a run report (schema={doc.get('schema')!r}, "
                 f"expected {REPORT_SCHEMA!r})"
             )

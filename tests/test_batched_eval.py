@@ -3,10 +3,10 @@
 The contracts under test:
 
 * ``MonteCarloEstimator.estimate_profiles`` is *bit-identical* to the
-  per-plan ``estimate_profile`` loop (and to the ``vectorized=False``
-  scalar reference) — same doubles, same key order, same sample counts —
-  even when plans converge at different sample counts; duplicate plans
-  share one profile object.
+  per-plan ``estimate_profile`` loop (and to the scalar reference in
+  ``tests/montecarlo_oracle.py``) — same doubles, same key order, same
+  sample counts — even when plans converge at different sample counts;
+  duplicate plans share one profile object.
 * ``PlanEvaluator.prefetch_profiles`` returns how many profiles it built.
 * The PR 6 bugfix regressions: estimator knob guards, the
   lexicographic ``offloaded_nodes`` modal tie-break, and the
@@ -29,6 +29,7 @@ from repro.metrics.latency import TransferLatencyModel
 from repro.metrics.montecarlo import MonteCarloEstimator
 from repro.model.config import WorkflowConfig
 from repro.model.plan import DeploymentPlan
+from tests.montecarlo_oracle import ScalarReferenceEstimator
 
 REGIONS = ("us-east-1", "us-west-1", "us-west-2", "ca-central-1")
 
@@ -82,8 +83,8 @@ def intensity_fn(region, hour):
 
 
 def make_estimator(dag, data=None, seed=0, client_region="us-east-1",
-                   **kwargs):
-    return MonteCarloEstimator(
+                   estimator=MonteCarloEstimator, **kwargs):
+    return estimator(
         dag,
         data or FixtureData(),
         CarbonModel(TransmissionScenario.best_case()),
@@ -159,7 +160,9 @@ class TestEstimateProfilesBitIdentity:
     def test_batched_matches_scalar_reference(self, diamond_dag):
         plans = some_plans(diamond_dag)
         batched = make_estimator(diamond_dag).estimate_profiles(plans)
-        scalar_est = make_estimator(diamond_dag, vectorized=False)
+        scalar_est = make_estimator(
+            diamond_dag, estimator=ScalarReferenceEstimator
+        )
         scalar = scalar_est.estimate_profiles(plans)
         for a, b in zip(batched, scalar):
             assert_profiles_identical(a, b)

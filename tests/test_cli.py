@@ -1,6 +1,10 @@
 """Tests for the CLI (deployment utility command line, §6.1/§8)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +111,46 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("caribou dash: not a series dump (")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, name, content, message",
+        [("report", "r.json", "hello, not json\n",
+          "not a run report (not JSON)"),
+         ("report", "r.json", "[1, 2]\n",
+          "not a run report (not a JSON object)"),
+         ("report", "r.json", '{"schema": "x"}\n',
+          "not a run report (schema='x'"),
+         ("report", "t.jsonl", '{"a": 1}\n',
+          "not a trace (line 1 is not a span"),
+         ("report", "t.jsonl", "hello, not json\n",
+          "not a trace (line 1 is not a span"),
+         ("diff", "r.json", '{"schema": "x"}\n',
+          "r.json: not a run report (schema='x'")],
+    )
+    def test_malformed_report_or_trace(self, command, name, content,
+                                       message, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(content)
+        n_paths = 2 if command == "diff" else 1
+        assert main([command] + [str(path)] * n_paths) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"caribou {command}: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_dash_report_that_is_not_a_run_report(self, tmp_path, capsys):
+        series = tmp_path / "run.series.jsonl"
+        series.write_text("")
+        report = tmp_path / "report.json"
+        report.write_text('{"schema": "x"}\n')
+        assert main(["dash", str(series), "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "caribou dash: not a run report (schema='x'"
+        )
         assert captured.err.count("\n") == 1
 
     def test_framework_refusal_is_one_line(self, capsys):
@@ -224,11 +268,11 @@ class TestObservabilityFlags:
         assert "invocation" in out
         assert "end-to-end" in out  # per-request path renderings
 
-    def test_report_rejects_non_report_json(self, tmp_path):
+    def test_report_rejects_non_report_json(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"schema": "something/else"}')
-        with pytest.raises(ValueError, match="not a run report"):
-            main(["report", str(bogus)])
+        assert main(["report", str(bogus)]) == 2
+        assert "not a run report" in capsys.readouterr().err
 
 
 class TestTelemetryFlags:
@@ -339,3 +383,25 @@ class TestFleetReportCommand:
         }
         for entry in doc["per_workflow"].values():
             assert entry["invocations_observed"] == 1
+
+
+class TestCrossProcessDeterminism:
+    """For a given seed the output is the same in every process, whatever
+    ``PYTHONHASHSEED`` says: no result may depend on ``set`` or ``dict``
+    iteration over hashed strings."""
+
+    def test_solve_is_byte_equal_under_different_hash_seeds(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = set()
+        for hash_seed in ("1", "2", "77"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")])
+            )
+            outputs.add(subprocess.run(
+                [sys.executable, "-m", "repro.cli", "solve",
+                 "dna_visualization"],
+                env=env, capture_output=True, check=True, timeout=300,
+            ).stdout)
+        assert len(outputs) == 1
+        assert b"24-hour plan set" in outputs.pop()

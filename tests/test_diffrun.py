@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.common.errors import MalformedInputError
 from repro.obs.diffrun import (
     diff_reports,
     diff_runs,
@@ -12,6 +13,7 @@ from repro.obs.diffrun import (
     flatten_series,
     regression_direction,
 )
+from repro.obs.report import REPORT_SCHEMA
 from repro.obs.timeseries import export_series
 
 
@@ -155,8 +157,8 @@ class TestDiffRuns:
 
     def test_auto_detects_reports(self, tmp_path):
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-        pa.write_text(json.dumps({"carbon_g": 1.0}))
-        pb.write_text(json.dumps({"carbon_g": 2.0}))
+        pa.write_text(json.dumps({"schema": REPORT_SCHEMA, "carbon_g": 1.0}))
+        pb.write_text(json.dumps({"schema": REPORT_SCHEMA, "carbon_g": 2.0}))
         text = diff_runs(str(pa), str(pb))
         assert text.startswith("## Report diff:")
         assert str(pa) in text and str(pb) in text
@@ -164,7 +166,7 @@ class TestDiffRuns:
     def test_mixed_kinds_rejected(self, tmp_path):
         series = self._series_file(tmp_path, "a.jsonl", TestDiffSeries.A)
         report = tmp_path / "b.json"
-        report.write_text(json.dumps({"x": 1.0}))
+        report.write_text(json.dumps({"schema": REPORT_SCHEMA, "x": 1.0}))
         with pytest.raises(ValueError, match="cannot diff"):
             diff_runs(series, str(report))
 
@@ -172,4 +174,10 @@ class TestDiffRuns:
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2, 3]")
         with pytest.raises(ValueError):
+            diff_runs(str(bad), str(bad))
+
+    def test_object_without_the_report_schema_rejected(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"carbon_g": 1.0}))
+        with pytest.raises(MalformedInputError, match="not a run report"):
             diff_runs(str(bad), str(bad))

@@ -189,15 +189,13 @@ class TestFleetScale:
         assert fleet["checks"] == n
         assert fleet["solves"] == n
         assert fleet["invocations_observed"] == 2 * n
-        # One evaluation-cache scope per workflow, all behind the single
-        # shared accounting surface.
-        assert manager.evaluation_cache.scopes == n
+        # One evaluation cache per workflow, rolled up by the report.
         assert fleet["cache_scopes"] == n
         assert fleet["cache_estimates"] > 0
-        # Unregistering drops exactly that workflow's scope.
+        # Unregistering drops exactly that workflow's cache.
         victim = manager.workflows[0]
         manager.unregister(victim)
-        assert manager.evaluation_cache.scopes == n - 1
+        assert manager.fleet_report()["cache_scopes"] == n - 1
 
 
 class TestPerWorkflowReport:
@@ -244,8 +242,8 @@ class TestUnregisterLifecycle:
     """Unregistering must actually stop the control loop.
 
     Regression: ``run_for`` used to discard its pending event handle,
-    so ``unregister`` dropped the cache scope while the self-scheduled
-    check chain kept firing against the orphaned manager forever.
+    so ``unregister`` dropped the manager while the self-scheduled
+    check chain kept firing against it forever.
     """
 
     def test_unregister_unknown_workflow_raises(self, fleet):
@@ -268,16 +266,16 @@ class TestUnregisterLifecycle:
         victim_manager = manager.manager_for(victim)
         checks_before = len(victim_manager.reports)
         assert checks_before >= 2  # the chain was live before unregistering
-        scopes_before = manager.evaluation_cache.scopes
+        scopes_before = manager.fleet_report()["cache_scopes"]
 
         manager.unregister(victim)
-        assert manager.evaluation_cache.scopes == scopes_before - 1
+        assert manager.fleet_report()["cache_scopes"] == scopes_before - 1
 
         cloud.run_until_idle()
         # No check fired for the victim after unregistration...
         assert len(victim_manager.reports) == checks_before
-        # ...no scope reappeared for it...
-        assert manager.evaluation_cache.scopes == scopes_before - 1
+        # ...no cache reappeared for it...
+        assert manager.fleet_report()["cache_scopes"] == scopes_before - 1
         # ...while the survivor's chain ran on to the horizon.
         assert len(manager.manager_for(survivor).reports) > checks_before
 

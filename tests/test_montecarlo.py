@@ -29,6 +29,7 @@ from repro.metrics.montecarlo import (
 from repro.model.dag import Node, WorkflowDAG
 from repro.model.plan import DeploymentPlan
 from tests import reprice_oracle
+from tests.montecarlo_oracle import ScalarReferenceEstimator
 
 
 class FixtureData:
@@ -70,8 +71,9 @@ class FixtureData:
 
 
 def make_estimator(dag, data=None, scenario=None, seed=0,
-                   client_region="us-east-1", **kwargs):
-    return MonteCarloEstimator(
+                   client_region="us-east-1", estimator=MonteCarloEstimator,
+                   **kwargs):
+    return estimator(
         dag,
         data or FixtureData(),
         CarbonModel(scenario or TransmissionScenario.best_case()),
@@ -258,9 +260,10 @@ class RichData(FixtureData):
 
 
 class TestDifferential:
-    """The vectorized kernel and the scalar reference path must be
-    bit-identical from identical seeds (same RNG stream, same arithmetic
-    order per element)."""
+    """The production kernel and the scalar reference path
+    (``tests/montecarlo_oracle.py``) must be bit-identical from
+    identical seeds (same RNG stream, same arithmetic order per
+    element)."""
 
     def _profile(self, dag, plan, vectorized, **kwargs):
         est = make_estimator(
@@ -269,7 +272,9 @@ class TestDifferential:
             seed=123,
             kv_region="us-east-1",
             client_region="us-east-1",
-            vectorized=vectorized,
+            estimator=(
+                MonteCarloEstimator if vectorized else ScalarReferenceEstimator
+            ),
             batch_size=50,
             max_samples=200,
             cov_threshold=1e-9,  # force the full 200 samples in both

@@ -1,4 +1,5 @@
-"""The Monte-Carlo production kernel against its scalar reference.
+"""The Monte-Carlo production kernel against its scalar reference
+(``tests/montecarlo_oracle.py``).
 
 The kernel prices each distribution's *support* once per estimator and
 gathers by drawn indices; the reference prices every drawn value on its
@@ -30,6 +31,7 @@ from repro.metrics.manager import MetricsManager
 from repro.metrics.montecarlo import MonteCarloEstimator
 from repro.model.dag import Edge, Node, WorkflowDAG
 from repro.model.plan import DeploymentPlan
+from tests.montecarlo_oracle import ScalarReferenceEstimator
 
 REGIONS = ("us-east-1", "us-west-1", "us-west-2", "ca-central-1")
 
@@ -90,7 +92,8 @@ def make_estimator(dag, data, vectorized=True, seed=123,
                    kv_region="us-east-1", client_region="us-east-1",
                    cloud=None, **kwargs):
     kwargs.setdefault("cov_threshold", 1e-9)  # run to the cap
-    return MonteCarloEstimator(
+    estimator = MonteCarloEstimator if vectorized else ScalarReferenceEstimator
+    return estimator(
         dag,
         data,
         CarbonModel(TransmissionScenario.best_case()),
@@ -99,7 +102,6 @@ def make_estimator(dag, data, vectorized=True, seed=123,
         np.random.default_rng(seed),
         kv_region=kv_region,
         client_region=client_region,
-        vectorized=vectorized,
         **kwargs,
     )
 

@@ -1,10 +1,18 @@
-"""Nothing under ``src/`` reads the host clock.
+"""Nothing under ``src/`` reads the host clock or starts a thread.
 
 The simulation runs on :class:`repro.common.clock.VirtualClock`; how long
 the host took is measured from outside, by ``bench/run.py``.  A host
 timestamp inside ``src/`` is dead weight or, worse, an input to a
-decision that then differs between machines.  The check is textual, so a
-docstring that spells one of these out trips it too: reword it.
+decision that then differs between machines.
+
+The simulation is also single-threaded: concurrency is expressed through
+virtual-time events, and the solver, the control loop and the service
+engine are plain loops over their own state.  So no module under
+``src/`` imports a thread, process or event-loop library, and nothing
+there needs a lock.
+
+Both checks are textual, so a docstring that spells one of these out
+trips them too: reword it.
 """
 
 import re
@@ -27,6 +35,12 @@ CLOCK_MODULE = "repro/common/clock.py"
 CLOCK_IMPORT = "import datetime as _dt\n"
 CLOCK_NAMES = {"datetime", "timezone", "timedelta"}
 
+THREADS = re.compile(
+    r"^\s*(?:import|from)\s+"
+    r"(?:threading|_thread|multiprocessing|concurrent|asyncio)\b",
+    re.MULTILINE,
+)
+
 
 def host_clock_reads(rel, text):
     hits = []
@@ -34,6 +48,14 @@ def host_clock_reads(rel, text):
         text = text.replace(CLOCK_IMPORT, "", 1)
         hits = sorted(set(re.findall(r"\b_dt\.(\w+)", text)) - CLOCK_NAMES)
     return hits + [m.group(0).strip() for m in HOST_CLOCK.finditer(text)]
+
+
+def thread_imports(rel, text):
+    return [m.group(0).strip() for m in THREADS.finditer(text)]
+
+
+def violations(rel, text):
+    return host_clock_reads(rel, text) + thread_imports(rel, text)
 
 
 @pytest.mark.parametrize(
@@ -50,20 +72,38 @@ def host_clock_reads(rel, text):
         (CLOCK_MODULE, CLOCK_IMPORT + "from datetime import date\n"),
         (CLOCK_MODULE, CLOCK_IMPORT + "d = _dt.date(2023, 1, 1)\n"),
         (CLOCK_MODULE, CLOCK_IMPORT + "t = _dt.datetime.now()\n"),
+        ("repro/x.py", "import threading\n"),
+        ("repro/x.py", "    from threading import Lock\n"),
+        ("repro/x.py", "import _thread\n"),
+        ("repro/x.py", "import multiprocessing as mp\n"),
+        ("repro/x.py", "from concurrent.futures import ThreadPoolExecutor\n"),
+        ("repro/x.py", "import concurrent.futures\n"),
+        ("repro/x.py", "from concurrent import futures\n"),
+        ("repro/x.py", "import asyncio\n"),
     ],
 )
 def test_checker_flags(rel, text):
-    assert host_clock_reads(rel, text)
+    assert violations(rel, text)
 
 
-def test_src_never_reads_the_host_clock():
-    assert host_clock_reads("repro/x.py", "now = self._clock.now()\n") == []
+def scan_src(check):
+    """``{file: hits}`` of ``check`` over every module under ``src/``."""
     files = sorted(SRC.rglob("*.py"))
     assert len(files) > 50
     found = {}
     for path in files:
         rel = path.relative_to(SRC).as_posix()
-        hits = host_clock_reads(rel, path.read_text())
+        hits = check(rel, path.read_text())
         if hits:
             found[rel] = hits
-    assert found == {}
+    return found
+
+
+def test_src_never_reads_the_host_clock():
+    assert host_clock_reads("repro/x.py", "now = self._clock.now()\n") == []
+    assert scan_src(host_clock_reads) == {}
+
+
+def test_src_never_starts_a_thread():
+    assert thread_imports("repro/x.py", "import threadpoolctl\nn_threads = 2\n") == []
+    assert scan_src(thread_imports) == {}

@@ -5,7 +5,7 @@ cancellation + compaction, batched same-timestamp dispatch) promised
 byte-identical event ordering — FIFO among timestamp ties — and clock
 trajectories.  These tests drive the *same* deterministic workload
 through the new loop and through the preserved pre-rewrite loop
-(:mod:`repro.cloud._legacy_simulator`) and compare what both promise:
+(``tests/event_loop_oracle.py``) and compare what both promise:
 execution order, execution times, and the final clock.
 
 Two layers:
@@ -25,8 +25,8 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.cloud._legacy_simulator import LegacySimulationEnvironment
 from repro.cloud.simulator import SimulationEnvironment
+from tests.event_loop_oracle import LegacySimulationEnvironment
 
 
 def _chaos_storm(env, seed: int, n_roots: int = 40, max_depth: int = 4):
