@@ -15,7 +15,6 @@ from repro.apps import get_app
 from repro.cloud.provider import SimulatedCloud
 from repro.core.solver import (
     CoarseSolver,
-    ExhaustiveSolver,
     HBSSSolver,
     PlanEvaluator,
     SolverSettings,
@@ -25,6 +24,7 @@ from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel
 from repro.metrics.latency import TransferLatencyModel
 from repro.metrics.manager import MetricsManager
+from tests.exhaustive_oracle import ExhaustiveSolver
 
 SETTINGS = SolverSettings(batch_size=40, max_samples=120, cov_threshold=0.12)
 

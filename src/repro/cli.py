@@ -555,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "to FILE as JSON; render it with `caribou "
                             "report FILE`")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--solver", choices=("hbss", "coarse", "exhaustive", "exact"),
+    p_run.add_argument("--solver", choices=("hbss", "coarse", "exact"),
                        default=None,
                        help="search strategy (default hbss; 'exact' runs the "
                             "provably-optimal branch-and-bound)")
@@ -588,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--regions", **regions_flag)
     p_solve.add_argument("--worst-case", action="store_true")
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--solver", choices=("hbss", "coarse", "exhaustive", "exact"),
+    p_solve.add_argument("--solver", choices=("hbss", "coarse", "exact"),
                        default=None,
                        help="search strategy (default hbss; 'exact' runs the "
                             "provably-optimal branch-and-bound)")

@@ -4,15 +4,15 @@ The search space for a workflow with nodes ``N`` over regions ``R`` is
 ``|R|^|N|``.  Caribou's production solver is Heuristic-Biased Stochastic
 Sampling (:mod:`repro.core.solver.hbss`, Alg. 1); the paper also
 discusses the coarse single-region approach (``O(|R|)``, globally
-suboptimal) and notes that exhaustive/BFS search "proved intractable" —
-both are provided as baselines for comparison and ablation:
+suboptimal), provided as a baseline, and notes that exhaustive/BFS
+search "proved intractable":
 
 * :class:`~repro.core.solver.hbss.HBSSSolver`
 * :class:`~repro.core.solver.coarse.CoarseSolver`
-* :class:`~repro.core.solver.exhaustive.ExhaustiveSolver`
 * :class:`~repro.core.solver.exact.ExactSolver` — provably optimal
-  branch-and-bound with admissible per-node lower bounds; tractable for
-  mid-size spaces where exhaustive enumeration refuses
+  branch-and-bound with admissible per-node lower bounds; returns the
+  optimum full enumeration would (enumeration itself is kept only as
+  the test oracle ``tests/exhaustive_oracle.py``)
 """
 
 from repro.core.solver.coarse import CoarseSolver
@@ -23,7 +23,6 @@ from repro.core.solver.evaluation import (
     SolverStats,
 )
 from repro.core.solver.exact import ExactSolver, LowerBoundTables
-from repro.core.solver.exhaustive import ExhaustiveSolver
 from repro.core.solver.hbss import HBSSSolver, SolveResult
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "HBSSSolver",
     "SolveResult",
     "CoarseSolver",
-    "ExhaustiveSolver",
     "ExactSolver",
     "LowerBoundTables",
 ]

@@ -43,9 +43,8 @@ class SolverSettings:
 
     ``solver`` picks which search strategy the harness/CLI runs:
     ``"hbss"`` (Alg. 1, the production default), ``"coarse"``
-    (single-region), ``"exhaustive"`` (full enumeration, refuses >100k
-    plans), or ``"exact"`` (provably optimal branch-and-bound, see
-    :mod:`repro.core.solver.exact`).
+    (single-region), or ``"exact"`` (provably optimal branch-and-bound,
+    see :mod:`repro.core.solver.exact`).
     """
 
     batch_size: int = 100
@@ -74,10 +73,10 @@ class SolverSettings:
             raise ValueError(
                 f"gamma_decay must be in (0, 1], got {self.gamma_decay}"
             )
-        if self.solver not in ("hbss", "coarse", "exhaustive", "exact"):
+        if self.solver not in ("hbss", "coarse", "exact"):
             raise ValueError(
-                f"solver must be one of 'hbss', 'coarse', 'exhaustive', "
-                f"'exact', got {self.solver!r}"
+                f"solver must be one of 'hbss', 'coarse', 'exact', "
+                f"got {self.solver!r}"
             )
 
 

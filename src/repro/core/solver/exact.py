@@ -7,8 +7,8 @@ state carries an *admissible* lower bound on the objective of every
 completion, so popping a state whose bound already meets the incumbent
 proves the incumbent optimal — typically after exploring a vanishing
 fraction of the ``prod_n |permitted(n)|`` space, which makes mid-size
-DAGs (10^8-10^9 plans) tractable where :class:`ExhaustiveSolver`
-refuses anything past 100k.
+DAGs (10^8-10^9 plans) tractable where full enumeration (the test
+oracle ``tests/exhaustive_oracle.py``) refuses anything past 100k.
 
 Bounding function
 -----------------
@@ -43,7 +43,7 @@ latency floor already exceeds the §9.4 augmented-baseline threshold
 cannot complete into a compliant plan (the p95 tail of any completion
 is at least the per-sample floor) and is cut.  Complete plans still go
 through the evaluator's exact Monte-Carlo tolerance check, so the
-returned plan is precisely the best plan ``ExhaustiveSolver`` would
+returned plan is precisely the best plan full enumeration would
 have kept — bit-identical metric, same home fallback when nothing is
 feasible.
 
@@ -98,10 +98,9 @@ class _HourLayer:
 class LowerBoundTables:
     """Admissible per-sample lower-bound tables for one evaluator.
 
-    Shared by :class:`ExactSolver` (incremental prefix bounds) and
-    :class:`~repro.core.solver.exhaustive.ExhaustiveSolver` (whole-plan
-    bounds used to skip provably tolerance-dead plans before they are
-    simulated).  Construction runs no Monte-Carlo simulation — only
+    Used by :class:`ExactSolver` (incremental prefix bounds); the
+    whole-plan bounds let full enumeration (``tests/exhaustive_oracle.py``)
+    skip provably tolerance-dead plans before they are simulated.  Construction runs no Monte-Carlo simulation — only
     support minima and deterministic pricing lookups.
     """
 
@@ -390,8 +389,8 @@ class LowerBoundTables:
 
         Every Monte-Carlo sample of the plan — hence every mean and
         every p95 tail — is at least these values, which is what lets
-        the exhaustive solver discard provably tolerance-dead plans
-        without simulating them.
+        full enumeration discard provably tolerance-dead plans without
+        simulating them.
         """
         layer = self.hour_layer(hour)
         assigned: List[str] = []
@@ -415,7 +414,7 @@ class ExactSolver:
 
     Shares the :class:`PlanEvaluator` (and its cache, stats and RNG
     substreams) with every other solver, so its metric values are
-    bit-identical to what ``ExhaustiveSolver``/HBSS would compute for
+    bit-identical to what enumeration or HBSS would compute for
     the same plan.  Raises :class:`SolverError` once ``max_expansions``
     states have been expanded without closing the search.
     """

@@ -32,17 +32,40 @@ result depends on nothing but that hour:
 2. **Order-independent evaluation.** The Monte-Carlo estimator
    simulates every plan from a substream keyed by the plan's digest, so
    cache warm-up order cannot perturb any cached value.
+
+One iteration, draw for draw
+----------------------------
+Inside the walk a deployment is its regions in ``dag.node_names``
+order, and the memo is keyed by that tuple; a :class:`DeploymentPlan`
+is built only on a memo miss, for the plans that get a tolerance check
+and a price.  An iteration makes exactly the generator calls that
+drawing with ``Generator.choice`` makes, in the same order, and gets
+the same indices:
+
+* the mutated nodes are ``rng.choice(n, k, replace=False)`` for
+  ``k in (1, 2)`` rebuilt from ``rng.integers`` — numpy's Floyd sample
+  followed by its one-step shuffle (:func:`_choose_nodes`);
+* the biased region is ``rng.choice(len(options), p=weights)``: one
+  ``rng.random()`` bisected into a CDF over the node's permitted
+  regions, which :func:`_bias_cdf` computes with choice's numpy
+  operations and which is kept — shared by nodes with the same permitted
+  regions — until the next accept, the only time the weights change.
+
+Neither ``Generator.choice`` nor a weight array appears on the
+per-iteration path.  ``tests/test_solvers.py`` pins both draws against
+``Generator.choice`` and the whole walk against the former
+implementation kept in ``tests/hbss_walk_oracle.py``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -93,14 +116,36 @@ class SolveResult:
         )
 
 
-def _weighted_index(rng: np.random.Generator, p: "np.ndarray") -> int:
-    """``int(rng.choice(len(p), p=p))`` for a 1-D ``p`` summing to 1 —
-    the same index from the same single ``rng.random()`` draw (what
-    ``Generator.choice`` does after validating ``p``; equality pinned
-    by ``tests/test_solvers.py::TestWeightedIndexDifferential``)."""
+def _choose_nodes(rng: np.random.Generator, n: int, k: int) -> Tuple[int, ...]:
+    """``tuple(rng.choice(n, size=k, replace=False))`` for ``k in (1, 2)``
+    — the same indices from the same generator calls (equality pinned by
+    ``tests/test_solvers.py::TestChoiceReproductionDifferential``).
+
+    For ``n`` up to 10 000 numpy samples with Floyd's algorithm — the
+    j-th pick is uniform on ``[0, n-k+j]``, replaced by ``n-k+j``
+    itself when already taken — then shuffles the ``k`` picks; for two
+    picks the shuffle is one ``integers(2)`` draw that swaps on 0.
+    """
+    if k == 1:
+        return (int(rng.integers(n)),)
+    first = int(rng.integers(n - 1))
+    second = int(rng.integers(n))
+    if second == first:
+        second = n - 1
+    return (second, first) if rng.integers(2) == 0 else (first, second)
+
+
+def _bias_cdf(weights: Sequence[float]) -> List[float]:
+    """The CDF ``Generator.choice(len(weights), p=w)`` draws from, for
+    ``w`` the normalised ``weights``: the same numpy operations, so
+    ``bisect_right(cdf, rng.random())`` returns choice's index from the
+    same single draw (pinned by
+    ``tests/test_solvers.py::TestWeightedIndexDifferential``)."""
+    p = np.array(weights)
+    p /= p.sum()
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return cdf.tolist()
 
 
 class HBSSSolver:
@@ -206,13 +251,17 @@ class HBSSSolver:
             dag = ev.dag
             settings = ev.settings
             nodes = dag.node_names
+            n_nodes = len(nodes)
+            options = [ev.permitted_regions(node) for node in nodes]
             n_regions = len(ev.regions)
-            alpha = len(nodes) * n_regions * settings.alpha_per_node_region
+            alpha = n_nodes * n_regions * settings.alpha_per_node_region
             space = ev.search_space_size()
+            beta = settings.beta
 
             home = ev.home_plan()
-            current = home
-            current_metric = ev.metric(current, hour)
+            # The walk's deployment: its regions in ``nodes`` order.
+            current = [home.assignments[node] for node in nodes]
+            current_metric = ev.metric(home, hour)
             gamma = settings.gamma
 
             accepted_regions: Dict[str, int] = {r: 0 for r in ev.regions}
@@ -221,12 +270,18 @@ class HBSSSolver:
             bias_denominators = LazyTable(
                 lambda region: max(1.0, ev.intensity(region, hour))
             )
+            # Biased-draw CDFs by permitted-region tuple (nodes with the
+            # same options share one): built on first use, dropped on
+            # every accept — the only time the weights change.
+            cdfs: Dict[Tuple[str, ...], List[float]] = {}
             # Memo of *every* distinct deployment examined — accepted or
             # not — so complete exploration (Alg. 1 line 9) can actually
             # fire.  Tolerance violators are memoized as +inf: evaluated,
             # never a candidate for "best".
-            deployments: Dict[DeploymentPlan, float] = {home: current_metric}
-            best_plan, best_metric = current, current_metric
+            deployments: Dict[Tuple[str, ...], float] = {
+                tuple(current): current_metric
+            }
+            best_plan, best_metric = home, current_metric
 
             # Warm start (§5.2 re-solves a barely-moved problem): begin
             # the walk at the previous plan set's plan for this hour when
@@ -237,29 +292,54 @@ class HBSSSolver:
                 and warm_start_plan.covers(dag)
                 and ev.is_plan_compliant(warm_start_plan)
             ):
+                warm = [warm_start_plan.assignments[node] for node in nodes]
                 if ev.tolerance_violated(warm_start_plan, hour):
-                    deployments[warm_start_plan] = math.inf
+                    deployments[tuple(warm)] = math.inf
                 else:
                     warm_metric = ev.metric(warm_start_plan, hour)
-                    deployments[warm_start_plan] = warm_metric
-                    current, current_metric = warm_start_plan, warm_metric
+                    deployments[tuple(warm)] = warm_metric
+                    current, current_metric = warm, warm_metric
                     if warm_metric < best_metric:
                         best_plan, best_metric = warm_start_plan, warm_metric
 
             iterations = 0
             accepted = 0
             while iterations < alpha and len(deployments) < space:
-                candidate = self._gen_new_deployment_with_bias(
-                    current, bias_denominators, accepted_regions, rng
-                )
+                # GenNewDeplWBias: re-draw 1-2 nodes' regions with a
+                # carbon-and-history-biased draw.
+                regions = current.copy()
+                k = 1 if rng.random() < 0.7 else min(2, n_nodes)
+                for idx in _choose_nodes(rng, n_nodes, k):
+                    node_options = options[idx]
+                    if len(node_options) == 1:
+                        regions[idx] = node_options[0]
+                    elif rng.random() < beta:
+                        regions[idx] = node_options[
+                            int(rng.integers(len(node_options)))
+                        ]
+                    else:
+                        cdf = cdfs.get(node_options)
+                        if cdf is None:
+                            cdf = cdfs[node_options] = _bias_cdf(
+                                [
+                                    (1.0 + accepted_regions.get(r, 0))
+                                    / bias_denominators[r]
+                                    for r in node_options
+                                ]
+                            )
+                        regions[idx] = node_options[
+                            bisect_right(cdf, rng.random())
+                        ]
                 iterations += 1
-                if candidate in deployments:
+                key = tuple(regions)
+                if key in deployments:
                     continue
+                candidate = DeploymentPlan(dict(zip(nodes, regions)))
                 if ev.tolerance_violated(candidate, hour):
-                    deployments[candidate] = math.inf
+                    deployments[key] = math.inf
                     continue
                 metric = ev.metric(candidate, hour)
-                deployments[candidate] = metric
+                deployments[key] = metric
                 took = metric < current_metric or self._mut(
                     gamma, current_metric, metric, rng
                 )
@@ -273,13 +353,14 @@ class HBSSSolver:
                         accepted=took,
                     )
                 if took:
-                    current, current_metric = candidate, metric
-                    gamma *= ev.settings.gamma_decay
+                    current, current_metric = regions, metric
+                    gamma *= settings.gamma_decay
                     accepted += 1
-                    for region in set(candidate.assignments.values()):
+                    for region in set(regions):
                         accepted_regions[region] = (
                             accepted_regions.get(region, 0) + 1
                         )
+                    cdfs.clear()
                     if metric < best_metric:
                         best_plan, best_metric = candidate, metric
 
@@ -305,43 +386,6 @@ class HBSSSolver:
         return result
 
     # -- Alg. 1 internals ---------------------------------------------------------
-    def _gen_new_deployment_with_bias(
-        self,
-        current: DeploymentPlan,
-        bias_denominators: Mapping[str, float],
-        accepted_regions: Dict[str, int],
-        rng: np.random.Generator,
-    ) -> DeploymentPlan:
-        """``GenNewDeplWBias``: mutate 1-2 node assignments with a
-        carbon-and-history-biased region draw.
-
-        ``bias_denominators`` maps a region to ``max(1, intensity)`` at
-        the hour being solved.
-        """
-        ev = self._ev
-        assignments = dict(current.assignments)
-        nodes = ev.dag.node_names
-        n_mutations = 1 if rng.random() < 0.7 else min(2, len(nodes))
-        chosen = rng.choice(len(nodes), size=n_mutations, replace=False)
-        for idx in np.atleast_1d(chosen):
-            node = nodes[int(idx)]
-            options = ev.permitted_regions(node)
-            if len(options) == 1:
-                assignments[node] = options[0]
-                continue
-            if rng.random() < ev.settings.beta:
-                assignments[node] = options[int(rng.integers(len(options)))]
-            else:
-                weights = np.array(
-                    [
-                        (1.0 + accepted_regions.get(r, 0)) / bias_denominators[r]
-                        for r in options
-                    ]
-                )
-                weights /= weights.sum()
-                assignments[node] = options[_weighted_index(rng, weights)]
-        return DeploymentPlan(assignments)
-
     def _mut(
         self,
         gamma: float,

@@ -31,7 +31,6 @@ from repro.core.migrator import DeploymentMigrator
 from repro.core.solver import (
     CoarseSolver,
     ExactSolver,
-    ExhaustiveSolver,
     HBSSSolver,
     PlanEvaluator,
     SolverSettings,
@@ -212,8 +211,8 @@ def solve_plan_set(
     (``solver:{name}:hour={h}``).
 
     ``solver_settings.solver`` picks the search strategy — ``"hbss"``
-    (default), ``"coarse"``, ``"exhaustive"``, or ``"exact"`` (the
-    branch-and-bound optimum)."""
+    (default), ``"coarse"``, or ``"exact"`` (the branch-and-bound
+    optimum)."""
     evaluator = build_plan_evaluator(
         deployed,
         scenario,
@@ -225,8 +224,6 @@ def solve_plan_set(
     which = solver_settings.solver
     if which == "coarse":
         return CoarseSolver(evaluator).solve_day(hours)
-    if which == "exhaustive":
-        return ExhaustiveSolver(evaluator).solve_day(hours)
     if which == "exact":
         return ExactSolver(evaluator).solve_day(hours)
     solver = HBSSSolver(

@@ -1,4 +1,5 @@
-"""Differential tests: ExactSolver vs ExhaustiveSolver.
+"""Differential tests: ExactSolver vs the ExhaustiveSolver oracle
+(``tests/exhaustive_oracle.py``).
 
 The branch-and-bound solver claims the same optimum as full enumeration
 at a fraction of the Monte-Carlo work.  These tests hold it to that
@@ -16,7 +17,7 @@ import pytest
 
 from repro.apps import ALL_APPS
 from repro.common.errors import SolverError
-from repro.core.solver import ExactSolver, ExhaustiveSolver
+from repro.core.solver import ExactSolver
 from repro.experiments.harness import (
     build_plan_evaluator,
     deploy_benchmark,
@@ -28,6 +29,7 @@ from repro.model.dag import Edge, Node, WorkflowDAG
 from repro.model.plan import DeploymentPlan
 from repro.cloud.provider import SimulatedCloud
 
+from tests.exhaustive_oracle import ExhaustiveSolver
 from tests.test_solvers import FixtureData, make_evaluator, tiny_dag
 
 

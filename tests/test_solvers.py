@@ -1,19 +1,32 @@
-"""Tests for the solver stack: evaluation, HBSS, coarse, exhaustive."""
+"""Tests for the solver stack: evaluation, HBSS, coarse, and the
+exhaustive oracle."""
+
+import bisect
+import collections
+import functools
+import sys
 
 import numpy as np
 import pytest
 
+from repro.apps import ALL_APPS
+from repro.cloud.provider import SimulatedCloud
 from repro.common.clock import VirtualClock
 from repro.common.errors import SolverError
 from repro.core.solver import (
     CoarseSolver,
-    ExhaustiveSolver,
     HBSSSolver,
     PlanEvaluator,
     SolverSettings,
     SolverStats,
 )
-from repro.core.solver.hbss import _weighted_index
+from repro.core.solver import hbss
+from repro.core.solver.hbss import _bias_cdf, _choose_nodes
+from repro.experiments.harness import (
+    build_plan_evaluator,
+    deploy_benchmark,
+    warm_up,
+)
 from repro.model.dag import Edge, Node, WorkflowDAG
 from repro.data.latency import LatencySource
 from repro.data.pricing import PricingSource
@@ -22,8 +35,11 @@ from repro.metrics.cost import CostModel
 from repro.metrics.distributions import EmpiricalDistribution
 from repro.metrics.latency import TransferLatencyModel
 from repro.model.config import FunctionConstraints, Tolerances, WorkflowConfig
-from repro.model.plan import DeploymentPlan
+from repro.model.plan import DeploymentPlan, HourlyPlanSet
 from repro.obs.trace import Tracer
+
+from tests.exhaustive_oracle import ExhaustiveSolver
+from tests.hbss_walk_oracle import LegacyHBSSSolver
 
 REGIONS = ("us-east-1", "us-west-1", "us-west-2", "ca-central-1")
 
@@ -619,7 +635,8 @@ class TestCoarseCandidateCaching:
 
 class TestWeightedIndexDifferential:
     """HBSS's biased region draw is ``Generator.choice(k, p=w)`` without
-    the argument validation: same index, same generator position."""
+    calling it: one ``random()`` bisected into a CDF that is computed
+    once and reused — same index, same generator position."""
 
     def test_equals_generator_choice_and_consumes_the_same_draws(self):
         shapes = np.random.default_rng(99)
@@ -628,11 +645,269 @@ class TestWeightedIndexDifferential:
             weights = shapes.random(k) ** int(shapes.integers(1, 6))
             if seed % 7 == 0:  # near-degenerate biases
                 weights[int(shapes.integers(k))] *= 1e9
-            weights /= weights.sum()
+            cdf = _bias_cdf(weights.tolist())
+            p = weights / weights.sum()
+            # Bit-equal to the CDF Generator.choice builds from p, so
+            # the draws below agree at every boundary, not just these.
+            choice_cdf = p.cumsum()
+            choice_cdf /= choice_cdf[-1]
+            assert cdf == choice_cdf.tolist()
             reference = np.random.default_rng(seed)
             twin = np.random.default_rng(seed)
-            for _ in range(5):
-                assert _weighted_index(twin, weights) == int(
-                    reference.choice(k, p=weights)
+            for _ in range(5):  # the cached CDF serves every draw
+                assert bisect.bisect_right(cdf, twin.random()) == int(
+                    reference.choice(k, p=p)
                 )
             assert twin.random() == reference.random()
+
+
+class TestChoiceReproductionDifferential:
+    """HBSS picks the nodes to mutate as ``Generator.choice(n, k,
+    replace=False)`` would, without calling it: same indices in the same
+    order, same generator position."""
+
+    def test_equals_generator_choice_and_consumes_the_same_draws(self):
+        for seed in range(1500):
+            reference = np.random.default_rng(seed)
+            twin = np.random.default_rng(seed)
+            for n in range(1, 14):
+                for k in (1, 2)[:n]:
+                    want = tuple(
+                        int(i) for i in reference.choice(n, k, replace=False)
+                    )
+                    assert _choose_nodes(twin, n, k) == want, (seed, n, k)
+                    assert twin.random() == reference.random()
+
+
+class CountingGenerator(np.random.Generator):
+    """A generator that counts its ``choice`` calls (numpy's methods are
+    compiled, so ``sys.setprofile`` does not see them)."""
+
+    choices = 0
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return super().choice(*args, **kwargs)
+
+
+def _walk(solver_cls, ev, hours, seed, warm_start=None):
+    """One ``solve_day`` with a tracer and a generator per hour; returns
+    everything the run leaves behind that two walks must agree on."""
+    gens = {h: CountingGenerator(np.random.PCG64([seed, h])) for h in hours}
+    tracer = Tracer(VirtualClock())
+    solver = solver_cls(
+        ev, np.random.default_rng(seed), tracer=tracer,
+        rng_factory=gens.__getitem__,
+    )
+    plan_set, results = solver.solve_day(hours, warm_start=warm_start)
+    return {
+        "plan_set": plan_set.to_dict(),  # plans with key order and metadata
+        "results": results,
+        "rng_states": [gens[h].bit_generator.state for h in hours],
+        "counters": _counters(ev.stats),
+        "trace": tracer.to_jsonl(),
+    }
+
+
+def _assert_walks_equal(make_ev, hours, seed, warm_start=None):
+    """Production and the oracle on twin same-seed evaluators."""
+    got = _walk(HBSSSolver, make_ev(), hours, seed, warm_start)
+    want = _walk(LegacyHBSSSolver, make_ev(), hours, seed, warm_start)
+    assert got == want
+    return got
+
+
+#: Walk-differential fidelity: the walk does not depend on it, so keep
+#: the Monte-Carlo work per memo miss small.
+WALK_SETTINGS = SolverSettings(batch_size=20, max_samples=40,
+                               cov_threshold=0.2)
+
+
+@pytest.fixture(scope="module")
+def app_twins():
+    """``app_name -> (seed -> fresh evaluator)`` over one warmed-up
+    deployment per app: every call builds an evaluator with its own
+    cache and stats over the same learned inputs."""
+
+    @functools.cache
+    def build(app_name):
+        cloud = SimulatedCloud(seed=11)
+        app = ALL_APPS[app_name]
+        deployed, executor, _ = deploy_benchmark(app, cloud)
+        warm_up(executor, app, "small", n=6)
+        base = build_plan_evaluator(
+            deployed, TransmissionScenario.best_case(),
+            solver_settings=WALK_SETTINGS,
+        )
+
+        def make(seed):
+            return PlanEvaluator(
+                dag=base.dag, config=base.config, data=base.data,
+                regions=base.regions, intensity_fn=base._intensity_fn,
+                carbon_model=base.carbon_model, cost_model=base.cost_model,
+                latency_model=base.latency_model,
+                rng=np.random.default_rng(seed), kv_region=base.kv_region,
+                client_region=base.client_region, settings=base.settings,
+            )
+
+        return make
+
+    return build
+
+
+class TestWalkDifferential:
+    """The walk against the former implementation
+    (``tests/hbss_walk_oracle.py``): every ``SolveResult`` field, every
+    hour's generator end state, the evaluator's counters and the
+    ``solver_iteration`` spans, byte for byte."""
+
+    @pytest.mark.parametrize("app_name", sorted(ALL_APPS))
+    def test_apps_cold_and_warm_started(self, app_twins, app_name):
+        make = app_twins(app_name)
+        for seed in (1, 2):
+            cold = _assert_walks_equal(
+                functools.partial(make, seed), [3, 15], seed
+            )
+            assert '"solver_iteration"' in cold["trace"]
+            warm = HourlyPlanSet.from_dict(cold["plan_set"])
+            _assert_walks_equal(
+                functools.partial(make, seed), [3, 9, 15], seed + 10, warm
+            )
+
+    def test_fixture_dags_many_seeds(self, chain_dag, diamond_dag):
+        for dag in (chain_dag, diamond_dag, tiny_dag()):
+            for seed in range(4):
+                _assert_walks_equal(
+                    functools.partial(make_evaluator, dag, seed=seed),
+                    [0, 7], seed,
+                )
+
+    def test_tolerance_violating_warm_start(self, chain_dag):
+        config = WorkflowConfig(
+            home_region="us-east-1", tolerances=Tolerances(latency=0.0)
+        )
+        make = functools.partial(
+            make_evaluator, chain_dag, config=config,
+            data=FixtureData(exec_seconds=0.2),
+        )
+        warm = DeploymentPlan(
+            {"a": "us-east-1", "b": "us-west-1", "c": "us-east-1"}
+        )
+        assert make().tolerance_violated(warm, 0)
+        for seed in range(3):
+            _assert_walks_equal(make, [0], seed, HourlyPlanSet.daily(warm))
+
+    def test_warm_start_equal_to_home(self, chain_dag):
+        make = functools.partial(make_evaluator, chain_dag)
+        warm = HourlyPlanSet.daily(
+            DeploymentPlan.single_region(chain_dag, "us-east-1")
+        )
+        for seed in range(3):
+            _assert_walks_equal(make, [0, 12], seed, warm)
+
+    def test_one_node_dag(self):
+        dag = WorkflowDAG("solo")
+        dag.add_node(Node(name="only", function="only"))
+        dag.validate()
+        for seed in range(3):
+            _assert_walks_equal(
+                functools.partial(make_evaluator, dag), [0, 5], seed
+            )
+
+    def test_node_with_one_permitted_region(self, diamond_dag):
+        config = WorkflowConfig(
+            home_region="us-east-1",
+            function_constraints={
+                "b": FunctionConstraints(
+                    allowed_regions=frozenset({"us-east-1"})
+                )
+            },
+        )
+        make = functools.partial(make_evaluator, diamond_dag, config=config)
+        assert make().permitted_regions("b") == ("us-east-1",)
+        for seed in range(3):
+            _assert_walks_equal(make, [0, 18], seed)
+
+
+def _count_walk_work(solver, hour, warm_start_plan=None):
+    """``solver.solve_hour`` under ``sys.setprofile``: returns the result
+    and, for hbss.py, ``DeploymentPlan.__init__`` runs, ``numpy.array``
+    calls per calling function, and one ``(node index, accepts so far)``
+    pair per bias-CDF build."""
+    counts = collections.Counter()
+    cdf_builds = []
+    plan_init = DeploymentPlan.__init__.__code__
+    bias_cdf = _bias_cdf.__code__
+
+    def profile(frame, event, arg):
+        if event == "call":
+            if frame.f_code is plan_init:
+                counts["DeploymentPlan.__init__"] += 1
+            elif frame.f_code is bias_cdf:
+                walk = frame.f_back.f_locals
+                cdf_builds.append((walk["idx"], walk["accepted"]))
+        elif (
+            event == "c_call"
+            and arg is np.array
+            and frame.f_code.co_filename == hbss.__file__
+        ):
+            counts[f"np.array in {frame.f_code.co_name}"] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = solver.solve_hour(hour, warm_start_plan)
+    finally:
+        sys.setprofile(None)
+    return result, counts, cdf_builds
+
+
+class TestWalkWorkCounts:
+    """What one iteration costs, counted rather than timed: no
+    ``Generator.choice``, no ``numpy.array`` outside a bias-CDF rebuild,
+    a ``DeploymentPlan`` only for a newly memoised candidate, and a
+    node's CDF rebuilt only after an accept."""
+
+    def _check(self, ev, hour, seed, warm_start_plan=None):
+        rng = CountingGenerator(np.random.PCG64(seed))
+        solver = HBSSSolver(ev, np.random.default_rng(seed),
+                            rng_factory=lambda h: rng)
+        result, counts, cdf_builds = _count_walk_work(
+            solver, hour, warm_start_plan
+        )
+        assert result.iterations > result.plans_evaluated > 1
+        assert rng.choices == 0
+        assert counts["np.array in _solve_hour"] == 0
+        assert counts["np.array in _bias_cdf"] == len(cdf_builds) > 0
+        assert set(counts) <= {
+            "DeploymentPlan.__init__", "np.array in _bias_cdf"
+        }
+        # Home (and a priced warm start) were built before the walk.
+        seeded = 1 + (warm_start_plan is not None)
+        assert counts["DeploymentPlan.__init__"] == (
+            result.plans_evaluated - seeded
+        )
+        # At most one build per node between two accepts.
+        assert len(set(cdf_builds)) == len(cdf_builds)
+        assert len(cdf_builds) <= len(ev.dag) * (result.accepted + 1)
+        return result
+
+    def test_app_walk(self, app_twins):
+        make = app_twins("text2speech_censoring")
+        for seed in (1, 2):
+            self._check(make(seed), 3, seed)
+
+    def test_warm_started_walk(self, diamond_dag):
+        ev = make_evaluator(diamond_dag)
+        warm = DeploymentPlan.single_region(diamond_dag, "us-west-1")
+        self._check(ev, 0, 4, warm)
+
+    def test_the_oracle_is_what_was_counted(self, diamond_dag):
+        """The counters see what the former walk did: one ``choice``
+        and one ``DeploymentPlan`` per iteration."""
+        ev = make_evaluator(diamond_dag)
+        rng = CountingGenerator(np.random.PCG64(4))
+        solver = LegacyHBSSSolver(ev, np.random.default_rng(4),
+                                  rng_factory=lambda h: rng)
+        result, counts, _ = _count_walk_work(solver, 0)
+        assert rng.choices == result.iterations
+        assert counts["DeploymentPlan.__init__"] == result.iterations
