@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.clock import SECONDS_PER_HOUR
+from repro.common.errors import KeyValueStoreError, RegionUnavailableError
 from repro.core.api import Payload
 from repro.core.executor import CaribouExecutor
 
@@ -105,10 +106,16 @@ class TemporalShifter:
         Uses the plan in force at that hour: each node contributes its
         region's intensity, so a slot whose plan offloads heavy stages
         to a clean region scores well even if the home grid is dirty.
+        When the plan set cannot be read (KV outage or injected KV
+        error) the slot is priced with every node at home — the same
+        fallback the executor's ``fetch_active_plan`` takes.
         """
         hour = int(start_s // SECONDS_PER_HOUR)
         home = self._executor.deployed.config.home_region
-        plan_set = self._executor.staged_plan_set(home)
+        try:
+            plan_set = self._executor.staged_plan_set(home)
+        except (KeyValueStoreError, RegionUnavailableError):
+            plan_set = None
         if plan_set is None or plan_set.is_expired(start_s):
             regions = [home] * len(self._dag)
         else:

@@ -6,18 +6,34 @@ previous week as input."  Implemented from scratch: additive
 triple-exponential smoothing with a 24-hour season, fit either with
 supplied smoothing parameters or by a small grid search minimising
 one-step-ahead squared error.
+
+The grid search runs the one-step recurrence for all 75 (alpha, beta,
+gamma) candidates at once, as length-75 vectors: candidate ``i`` gets
+the same IEEE operations in the same order as a scalar run with its
+parameters, so each sum of squared errors is the scalar run's double,
+and ``np.argmin`` keeps the first of equal minima, as a strict ``<``
+scan over the candidates in grid order does.  The scalar search it
+replaced is kept as the tests' oracle (``tests/forecast_oracle.py``);
+``tests/test_forecast.py::TestGridSearchDifferential`` holds the two
+equal, candidate for candidate — on CI's ``numpy-floor`` job too.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 SEASON_LENGTH = 24
+
+_SMOOTHING_GRID = (0.05, 0.15, 0.3, 0.5, 0.8)
+_TREND_GRID = (0.01, 0.05, 0.15)
+#: The (alpha, beta, gamma) candidates of the grid search, in the order
+#: ties are broken (first wins).
+_GRID = tuple(itertools.product(_SMOOTHING_GRID, _TREND_GRID, _SMOOTHING_GRID))
+_ALPHA, _BETA, _GAMMA = (np.array(column) for column in zip(*_GRID))
 
 
 @dataclass(frozen=True)
@@ -127,35 +143,34 @@ class HoltWintersForecaster:
             season[t % m] = g * (y[t] - level) + (1 - g) * s
         return level, trend, season
 
-    def _one_step_sse(self, y: np.ndarray, params: HoltWintersParams) -> float:
+    def _grid_sse(self, y: np.ndarray) -> np.ndarray:
+        """One-step-ahead SSE of every ``_GRID`` candidate, as a vector.
+
+        The scalar recurrence with each parameter a vector over the
+        candidates: level, trend and each season slot start as the
+        shared scalars of :meth:`_initial_state` and become vectors once
+        updated, and every step evaluates the scalar run's expressions
+        in the scalar run's order (``level + trend`` is computed once
+        and used twice, as the same double)."""
         level, trend, season = self._initial_state(y)
-        a, b, g = params.alpha, params.beta, params.gamma
+        slots = season.tolist()
+        a, b, g = _ALPHA, _BETA, _GAMMA
+        keep_a, keep_b, keep_g = 1 - a, 1 - b, 1 - g
         m = self._m
         sse = 0.0
-        for t in range(len(y)):
-            s = season[t % m]
-            pred = level + trend + s
-            err = y[t] - pred
+        for t, y_t in enumerate(y.tolist()):
+            s = slots[t % m]
+            level_trend = level + trend
+            err = y_t - (level_trend + s)
             sse += err * err
             prev_level = level
-            level = a * (y[t] - s) + (1 - a) * (level + trend)
-            trend = b * (level - prev_level) + (1 - b) * trend
-            season[t % m] = g * (y[t] - level) + (1 - g) * s
+            level = a * (y_t - s) + keep_a * level_trend
+            trend = b * (level - prev_level) + keep_b * trend
+            slots[t % m] = g * (y_t - level) + keep_g * s
         return sse
 
     def _grid_search(self, y: np.ndarray) -> HoltWintersParams:
-        grid = (0.05, 0.15, 0.3, 0.5, 0.8)
-        trend_grid = (0.01, 0.05, 0.15)
-        best: Optional[HoltWintersParams] = None
-        best_sse = math.inf
-        for a, b, g in itertools.product(grid, trend_grid, grid):
-            params = HoltWintersParams(a, b, g)
-            sse = self._one_step_sse(y, params)
-            if sse < best_sse:
-                best_sse = sse
-                best = params
-        assert best is not None
-        return best
+        return HoltWintersParams(*_GRID[int(np.argmin(self._grid_sse(y)))])
 
 
 def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:

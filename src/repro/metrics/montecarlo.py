@@ -45,19 +45,27 @@ simulations it draws, in this exact sequence:
 1. one uniform matrix ``rng.random((B, n_conditional_edges))`` realising
    every conditional edge for the whole batch (edges enumerated in
    ``dag.edges`` order; no call when the DAG has none);
-2. the end-user input sizes,
-   ``rng.integers(0, len(input_support), size=B)``;
-3. for each node in (lexicographic) topological order: one
-   ``rng.integers(0, len(support), size=B)`` per incoming edge's
-   payload-size support (in ``dag.in_edges`` order), then one for the
-   node's per-region execution-time support.
+2. one index matrix ``rng.integers(0, highs, size=(m, B))``, where
+   ``highs`` is the ``(m, 1)`` int64 column of support lengths (built
+   once per plan, ``_PlanSteps.highs``) in this order: the end-user
+   input sizes; then, for each node in (lexicographic) topological
+   order, each incoming edge's payload-size support (in
+   ``dag.in_edges`` order) followed by the node's per-region
+   execution-time support.  Row ``i`` indexes distribution ``i``.
 
-One ``integers`` call per distribution, never merged: the call sequence
-is the contract, and whether numpy would consume the stream identically
-for a merged call is not something to rely on across its versions.
-Indices are drawn for *every* edge and node, even those a particular
-sample skips — bootstrap draws are i.i.d., so masking unused values
-leaves the estimate's distribution unchanged.
+The matrix is exactly what ``m`` separate
+``rng.integers(0, len(support), size=B)`` calls in that order would
+return, row for row, and it leaves the generator in the same state:
+numpy fills a broadcast output in C order, each element through the
+same bounded 32-bit Lemire draw a scalar-bound call makes, and a
+support of length 1 consumes nothing in either form.  That equality is
+the contract (``tests/test_montecarlo_kernel.py::
+TestBroadcastDrawDifferential``, on the newest numpy and CI's
+``numpy-floor`` job); the per-distribution calls it replaced are the
+oracle's ``_draw_batch``.  Indices are drawn for *every* edge and
+node, even those a particular sample skips — bootstrap draws are
+i.i.d., so masking unused values leaves the estimate's distribution
+unchanged.
 
 What is computed when
 ~~~~~~~~~~~~~~~~~~~~~
@@ -76,8 +84,10 @@ bit.  Each quantity is therefore paid for at the rate it changes:
   KV request costs.  The models' ``*_batch`` methods run here, on the
   supports, with all their validation;
 * **once per plan**: dictionary lookups resolving the plan against those
-  tables (``_plan_steps``);
-* **once per batch**: the index draws, one 1-D gather per table, the
+  tables, and the column of support lengths the draw reads
+  (``_plan_steps``); one accumulator buffer, every result vector a row
+  of it;
+* **once per batch**: the two draw calls, one 1-D gather per table, the
   route arithmetic on the gathered payload sizes, and the accumulation.
 
 Because validation runs on a whole support, it is *stricter* than a
@@ -99,9 +109,10 @@ into each per-sample accumulator is the scalar path's, term for term
 (float addition is not associative).
 
 The tests hold the path this kernel replaced as an oracle
-(``tests/montecarlo_oracle.py::ScalarReferenceEstimator``): it consumes
-the same index draws, reads ``support[idx[i]]`` and prices that one
-value with the scalar model methods, one sample at a time.  The two
+(``tests/montecarlo_oracle.py::ScalarReferenceEstimator``): it draws
+the same indices one ``integers`` call per distribution, reads
+``support[idx[i]]`` and prices that one value with the scalar model
+methods, one sample at a time.  The two
 produce bit-identical :class:`PlanProfile`\\ s (and therefore
 bit-identical :class:`WorkflowEstimate`\\ s) from identical seeds — the
 property the differential tests in ``tests/test_montecarlo.py`` and
@@ -116,6 +127,7 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
+    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -224,6 +236,25 @@ class WorkflowEstimate:
 _sum = np.add.reduce
 
 
+def _scalar(value: float) -> "np.ndarray":
+    """``value`` as a 0-d float array: the same double in every ufunc,
+    minus the Python-float conversion numpy repeats on each call."""
+    out = np.array(value, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+_BYTES_PER_GB = _scalar(GB)
+_ZERO = _scalar(0.0)
+
+
+def _mean(values: "np.ndarray") -> float:
+    """``float(values.mean())`` of a non-empty 1-D float array: the
+    ufunc reduction and the division numpy's wrapper ends in, without
+    its argument handling (see :func:`_mean_and_std`)."""
+    return float(_sum(values) / values.size)
+
+
 def _mean_and_std(values: "np.ndarray") -> Tuple[float, float]:
     """``(values.mean(), values.std(ddof=1))`` of a 1-D float array of
     at least two elements — the same doubles, spelt as the four ufunc
@@ -246,7 +277,9 @@ def _p95(values: "np.ndarray") -> float:
     ``np.percentile``'s default (linear) method on one quantile is a
     partition around the two neighbouring order statistics plus numpy's
     lerp; doing just that skips its general-purpose argument handling,
-    which dominated re-pricing a profile.  The equality is the contract
+    which dominated re-pricing a profile.  The partition runs in place
+    on a copy — what the ``np.partition`` wrapper does, minus its
+    dispatch.  The equality is the contract
     (``tests/test_montecarlo.py::TestP95Differential``), not an
     approximation.
     """
@@ -254,7 +287,8 @@ def _p95(values: "np.ndarray") -> float:
     virtual = (n - 1) * 0.95
     lo = math.floor(virtual)
     hi = min(lo + 1, n - 1)
-    part = np.partition(values, (lo, hi))
+    part = values.copy()
+    part.partition((lo, hi))
     below = float(part[lo])
     above = float(part[hi])
     t = virtual - lo
@@ -283,7 +317,9 @@ class PlanProfile:
     vector, its mean and its p95 are per hour.  That is sound because
     the arrays never change afterwards — the estimator hands them over
     read-only; whoever builds a profile by hand must not write to them
-    after the first pricing.
+    after the first pricing.  Nothing derived from the arrays is kept:
+    a profile cache holds thousands of profiles, so even a few hundred
+    bytes each show in peak memory.
 
     Attributes:
         latencies / costs: Per-sample end-to-end values.
@@ -327,10 +363,10 @@ class PlanProfile:
             tail_latency_s=tail_latency,
             mean_cost_usd=mean_cost,
             tail_cost_usd=tail_cost,
-            mean_carbon_g=float(carbon.mean()),
+            mean_carbon_g=_mean(carbon),
             tail_carbon_g=_p95(carbon),
-            mean_exec_carbon_g=float(exec_only.mean()),
-            mean_trans_carbon_g=float((carbon - exec_only).mean()),
+            mean_exec_carbon_g=_mean(exec_only),
+            mean_trans_carbon_g=_mean(carbon - exec_only),
             n_samples=self.n_samples,
         )
 
@@ -341,9 +377,9 @@ class PlanProfile:
                 if np.any(sizes < 0):
                     raise ValueError("size_bytes must be non-negative")
             stats = self._hour_independent = (
-                float(self.latencies.mean()),
+                _mean(self.latencies),
                 _p95(self.latencies),
-                float(self.costs.mean()),
+                _mean(self.costs),
                 _p95(self.costs),
             )
         return stats
@@ -359,12 +395,16 @@ class PlanProfile:
     def _add_transmission(
         self, exec_carbon: "np.ndarray", carbon_at: Callable[[str], float]
     ) -> "np.ndarray":
-        """``exec_carbon`` plus Eq. 7.5 per route, as a new vector."""
+        """``exec_carbon`` plus Eq. 7.5 per route, as a new vector.  The
+        energy factor depends on the route only through ``src == dst``,
+        so the scenario is asked twice per call, not once per route."""
         energy_factor = self.carbon_model.scenario.energy_factor
+        intra, inter = energy_factor(True), energy_factor(False)
         out = exec_carbon.copy()
         for (src, dst), sizes in self.bytes_by_route.items():
             route_intensity = (carbon_at(src) + carbon_at(dst)) / 2.0
-            out += (route_intensity * energy_factor(src == dst)) * (sizes / GB)
+            factor = intra if src == dst else inter
+            out += (route_intensity * factor) * (sizes / _BYTES_PER_GB)
         return out
 
 
@@ -479,18 +519,9 @@ class _PlanSteps(NamedTuple):
     #: annotation update + data write + data read.
     kv_read_cost: "np.ndarray"
     kv_relay_cost: "np.ndarray"
-
-
-def _scalar(value: float) -> "np.ndarray":
-    """``value`` as a 0-d float array: the same double in every ufunc,
-    minus the Python-float conversion numpy repeats on each call."""
-    out = np.array(value, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
-_BYTES_PER_GB = _scalar(GB)
-_ZERO = _scalar(0.0)
+    #: ``(m, 1)`` int64: the length of every support a batch draws
+    #: indices into, one row per distribution in draw order.
+    highs: "np.ndarray"
 
 
 def _add(target: "np.ndarray", values, mask: Optional["np.ndarray"]) -> None:
@@ -506,29 +537,32 @@ def _add(target: "np.ndarray", values, mask: Optional["np.ndarray"]) -> None:
 
 
 class _BatchAccumulators:
-    """Per-batch result arrays a simulation kernel writes into.
+    """Per-sample result vectors a simulation kernel writes into: rows of
+    one ``(2 + regions + routes, n)`` buffer — latency, cost, then one
+    energy row per region and one byte row per route.
 
-    Energy/route keys are pre-registered from the plan's static pricing
-    schedule (every region and route the plan *could* touch, in
-    processing order) so the kernel and the tests' scalar oracle
-    accumulate — and later sum — in exactly the same key order, which
-    the bit-identity guarantee needs.
+    Energy/route keys come from the plan's static pricing schedule
+    (every region and route the plan *could* touch, in processing
+    order) so the kernel and the tests' scalar oracle accumulate — and
+    later sum — in exactly the same key order, which the bit-identity
+    guarantee needs.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        self.latency = np.zeros(n)
-        self.cost = np.zeros(n)
-        self.energy: Dict[str, np.ndarray] = {}
-        self.route_bytes: Dict[Tuple[str, str], np.ndarray] = {}
-
-    def touch_energy(self, region: str) -> None:
-        if region not in self.energy:
-            self.energy[region] = np.zeros(self.n)
-
-    def touch_route(self, src: str, dst: str) -> None:
-        if (src, dst) not in self.route_bytes:
-            self.route_bytes[(src, dst)] = np.zeros(self.n)
+    def __init__(
+        self,
+        buffer: "np.ndarray",
+        regions: Iterable[str],
+        routes: Iterable[Tuple[str, str]],
+    ):
+        self.buffer = buffer
+        self.n = buffer.shape[1]
+        self.latency = buffer[0]
+        self.cost = buffer[1]
+        rows = iter(buffer[2:])
+        self.energy: Dict[str, np.ndarray] = dict(zip(regions, rows))
+        self.route_bytes: Dict[Tuple[str, str], np.ndarray] = dict(
+            zip(routes, rows)
+        )
 
     def window(self, lo: int, hi: int) -> "_BatchAccumulators":
         """A view of samples ``[lo, hi)`` sharing this accumulator's
@@ -536,13 +570,9 @@ class _BatchAccumulators:
         profile run fills one preallocated buffer incrementally and
         every convergence check reads a prefix of it.
         """
-        view = _BatchAccumulators.__new__(_BatchAccumulators)
-        view.n = hi - lo
-        view.latency = self.latency[lo:hi]
-        view.cost = self.cost[lo:hi]
-        view.energy = {k: v[lo:hi] for k, v in self.energy.items()}
-        view.route_bytes = {k: v[lo:hi] for k, v in self.route_bytes.items()}
-        return view
+        return _BatchAccumulators(
+            self.buffer[:, lo:hi], self.energy, self.route_bytes
+        )
 
 
 class MonteCarloEstimator:
@@ -702,22 +732,17 @@ class MonteCarloEstimator:
             raise ValueError(f"plan does not cover nodes: {sorted(missing)}")
 
     def _profile_from(self, full: _BatchAccumulators, n: int) -> PlanProfile:
-        def frozen(arr: "np.ndarray") -> "np.ndarray":
-            # Read-only, so what the profile computes once on its first
-            # pricing can never go stale.
-            out = arr[:n].copy()
-            out.setflags(write=False)
-            return out
-
+        # One copy of the filled prefix, read-only so what the profile
+        # computes once on its first pricing can never go stale; every
+        # vector the profile holds is a row of it.
+        buffer = full.buffer[:, :n].copy()
+        buffer.setflags(write=False)
+        rows = _BatchAccumulators(buffer, full.energy, full.route_bytes)
         return PlanProfile(
-            latencies=frozen(full.latency),
-            costs=frozen(full.cost),
-            energy_by_region={
-                region: frozen(arr) for region, arr in full.energy.items()
-            },
-            bytes_by_route={
-                route: frozen(arr) for route, arr in full.route_bytes.items()
-            },
+            latencies=rows.latency,
+            costs=rows.cost,
+            energy_by_region=rows.energy,
+            bytes_by_route=rows.route_bytes,
             carbon_model=self._carbon,
         )
 
@@ -899,6 +924,7 @@ class MonteCarloEstimator:
         workflow = self._workflow_spec()
         region_of = plan.assignments
         nodes = []
+        highs = [len(workflow.input_sizes)]
         for spec in workflow.nodes:
             region = region_of[spec.name]
             input_table = None
@@ -925,38 +951,40 @@ class MonteCarloEstimator:
                 publish_cost = self._publish_costs[region] = _scalar(
                     self._cost.messaging_cost(region)
                 )
+            table = self._node_table(spec, region)
+            for edge in spec.in_edges:
+                highs.append(len(edge.sizes))
+            highs.append(len(table.exec_times))
             nodes.append(
-                _NodeStep(
-                    spec,
-                    region,
-                    self._node_table(spec, region),
-                    input_table,
-                    legs,
-                    publish_cost,
-                )
+                _NodeStep(spec, region, table, input_table, legs, publish_cost)
             )
-        return _PlanSteps(workflow, tuple(nodes), *kv_costs)
+        return _PlanSteps(
+            workflow,
+            tuple(nodes),
+            *kv_costs,
+            np.array(highs, dtype=np.int64).reshape(-1, 1),
+        )
 
     # -- per-batch work ------------------------------------------------------
     def _draw_batch(
         self, steps: _PlanSteps, n: int, rng: np.random.Generator
     ) -> _BatchDraws:
         """Draw one batch of randomness in the canonical order (see the
-        determinism note in the module docstring).  The only place a
+        determinism note in the module docstring): at most one
+        ``random`` and exactly one ``integers`` call.  The only place a
         profile consumes its RNG stream."""
         workflow = steps.workflow
         uniforms = None
         if workflow.n_conditional:
             uniforms = rng.random((n, workflow.n_conditional))
-        input_idx = rng.integers(0, len(workflow.input_sizes), size=n)
+        rows = iter(rng.integers(0, steps.highs, size=(len(steps.highs), n)))
+        input_idx = next(rows)
         edge_idx: Dict[Tuple[str, str], np.ndarray] = {}
         exec_idx: Dict[str, np.ndarray] = {}
         for step in steps.nodes:
             for edge in step.spec.in_edges:
-                edge_idx[edge.key] = rng.integers(0, len(edge.sizes), size=n)
-            exec_idx[step.spec.name] = rng.integers(
-                0, len(step.table.exec_times), size=n
-            )
+                edge_idx[edge.key] = next(rows)
+            exec_idx[step.spec.name] = next(rows)
         return _BatchDraws(
             n=n,
             uniforms=uniforms,
@@ -968,19 +996,22 @@ class MonteCarloEstimator:
     def _make_accumulators(
         self, steps: _PlanSteps, n: int
     ) -> _BatchAccumulators:
-        """Pre-register every energy region and byte route the plan can
-        touch, in processing order (see :class:`_BatchAccumulators`)."""
-        acc = _BatchAccumulators(n)
+        """One zeroed buffer with a row for every energy region and byte
+        route the plan can touch, keyed in processing order (see
+        :class:`_BatchAccumulators`)."""
+        regions: Dict[str, None] = {}
+        routes: Dict[Tuple[str, str], None] = {}
         for step in steps.nodes:
             if step.input_table is not None:
-                acc.touch_route(*step.input_table.route)
+                routes[step.input_table.route] = None
             for edge_legs in step.legs:
                 for route, _one_way, _bandwidth, _per_gb in edge_legs:
-                    acc.touch_route(*route)
+                    routes[route] = None
             if step.table.external_route is not None:
-                acc.touch_route(*step.table.external_route)
-            acc.touch_energy(step.region)
-        return acc
+                routes[step.table.external_route] = None
+            regions[step.region] = None
+        buffer = np.zeros((2 + len(regions) + len(routes), n))
+        return _BatchAccumulators(buffer, regions, routes)
 
     def _simulate_batch(
         self, steps: _PlanSteps, draws: _BatchDraws, acc: _BatchAccumulators

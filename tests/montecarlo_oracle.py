@@ -12,11 +12,14 @@ lock down, and the baseline ``benchmarks/test_estimator_throughput.py``
 times the kernel against.
 
 :class:`ScalarReferenceEstimator` is a :class:`MonteCarloEstimator`
-whose batch kernel is the reference: it inherits ``_draw_batch`` (so
-both sides consume the same draws), the convergence rule and the
-accumulator layout, and swaps only ``_simulate_batch``.  The reference
-needs the plan itself, which the production kernel does not, so
-``_plan_steps`` records it.  ``_BatchValues``,
+whose batch kernel *and draw* are the reference: it inherits the
+convergence rule and the accumulator layout, and swaps
+``_simulate_batch`` and ``_draw_batch``.  The draw is the former
+production one, one ``rng.integers`` call per distribution; production
+makes one broadcast call per batch, so every differential against this
+oracle checks the draw as well as the kernel.  The reference needs the
+plan itself, which the production kernel does not, so ``_plan_steps``
+records it.  ``_BatchValues``, ``_draw_batch``,
 ``_simulate_batch_reference`` and ``_simulate_once`` are kept verbatim.
 Not shipped: nothing under ``src/`` imports it.
 """
@@ -54,6 +57,33 @@ class ScalarReferenceEstimator(MonteCarloEstimator):
     def _plan_steps(self, plan: DeploymentPlan) -> _PlanSteps:
         self._plan = plan
         return super()._plan_steps(plan)
+
+    def _draw_batch(
+        self, steps: _PlanSteps, n: int, rng: np.random.Generator
+    ) -> _BatchDraws:
+        """Draw one batch of randomness in the canonical order (see the
+        determinism note in the module docstring).  The only place a
+        profile consumes its RNG stream."""
+        workflow = steps.workflow
+        uniforms = None
+        if workflow.n_conditional:
+            uniforms = rng.random((n, workflow.n_conditional))
+        input_idx = rng.integers(0, len(workflow.input_sizes), size=n)
+        edge_idx: Dict[Tuple[str, str], np.ndarray] = {}
+        exec_idx: Dict[str, np.ndarray] = {}
+        for step in steps.nodes:
+            for edge in step.spec.in_edges:
+                edge_idx[edge.key] = rng.integers(0, len(edge.sizes), size=n)
+            exec_idx[step.spec.name] = rng.integers(
+                0, len(step.table.exec_times), size=n
+            )
+        return _BatchDraws(
+            n=n,
+            uniforms=uniforms,
+            input_idx=input_idx,
+            edge_idx=edge_idx,
+            exec_idx=exec_idx,
+        )
 
     def _simulate_batch(
         self, steps: _PlanSteps, draws: _BatchDraws, acc: _BatchAccumulators

@@ -1,6 +1,9 @@
 """Tests for the Monte-Carlo end-to-end estimator (§7.1)."""
 
+import collections
 import dataclasses
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -520,6 +523,67 @@ class TestRepricingDifferential:
                     )
                     compared += 1
         assert compared >= 2 * (self.N_RANDOM_PLANS + 1) * 24
+
+
+def _numpy_wrapper_calls(fn):
+    """Calls ``fn`` under ``sys.setprofile``, counting entries into the
+    ``np.partition`` wrapper and ``ndarray.mean`` (the C method and the
+    Python ``_mean`` it ends in)."""
+    wrappers = {("fromnumeric.py", "partition"), ("_methods.py", "_mean")}
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            where = (os.path.basename(code.co_filename), code.co_name)
+            if where in wrappers:
+                calls[where[1]] += 1
+        elif event == "c_call" and getattr(arg, "__qualname__", "") == (
+            "ndarray.mean"
+        ):
+            calls["ndarray.mean"] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestRepricingWorkCounts:
+    """Re-pricing a profile calls neither the ``np.partition`` wrapper nor
+    ``ndarray.mean`` — not on the first pricing, not after."""
+
+    def _profile(self, diamond_dag):
+        est = make_estimator(diamond_dag, RichData(cond_prob=0.5),
+                             kv_region="us-east-1")
+        return est.estimate_profile(DeploymentPlan(
+            {"a": "us-west-1", "b": "us-east-1", "c": "ca-central-1",
+             "d": "us-west-2"}
+        ))
+
+    def test_no_numpy_wrappers(self, diamond_dag):
+        profile = self._profile(diamond_dag)
+        intensities = {"us-east-1": 400.0, "us-west-1": 375.0,
+                       "us-west-2": 392.0, "ca-central-1": 34.0}
+
+        def reprice():
+            for scale in (1.0, 0.5, 2.0):  # the first pricing, then two
+                profile.estimate_at(lambda r: intensities[r] * scale)
+                profile.carbon_samples(lambda r: intensities[r] * scale)
+
+        assert _numpy_wrapper_calls(reprice) == {}
+
+    def test_the_counter_sees_what_it_forbids(self, diamond_dag):
+        profile = self._profile(diamond_dag)
+        calls = _numpy_wrapper_calls(
+            lambda: reprice_oracle.estimate_at(profile, lambda r: 100.0)
+        )
+        assert calls["ndarray.mean"] == calls["_mean"] == 5
+        assert _numpy_wrapper_calls(
+            lambda: np.partition(profile.latencies, 3)
+        ) == {"partition": 1}
 
 
 def _finite_arrays():

@@ -6,12 +6,16 @@ gathers by drawn indices; the reference prices every drawn value on its
 own.  "Elementwise on the support equals elementwise on the sample" is
 what makes the two bit-identical, and it has to hold on the oldest
 numpy ``pyproject.toml`` admits too (CI's ``numpy-floor`` job runs this
-file).  Work counts — how often ``data`` is asked for anything — are
-pinned here as well: they are what the kernel's speed rests on.
+file).  So does the draw: one broadcast ``integers`` call per batch
+stands in for one call per distribution (``TestBroadcastDrawDifferential``).
+Work counts — how often ``data`` is asked for anything, how many draw
+calls a batch makes — are pinned here as well: they are what the
+kernel's speed rests on.
 """
 
 import collections
 import functools
+import sys
 
 import numpy as np
 import pytest
@@ -405,3 +409,153 @@ class TestSupportIsValidatedWhole:
         for _ in range(2):
             with pytest.raises(ValueError):
                 est.estimate_profile(plan)
+
+
+# ------------------------------------------------------------------ the draw
+def _twin_draws(seed, highs, n, n_cond):
+    """The per-distribution calls and the broadcast call from twin
+    generators: ``(rows, matrix, reference, twin)``."""
+    reference = np.random.default_rng(seed)
+    twin = np.random.default_rng(seed)
+    if n_cond:
+        assert np.array_equal(
+            reference.random((n, n_cond)), twin.random((n, n_cond))
+        )
+    rows = [reference.integers(0, int(h), size=n) for h in highs]
+    column = np.array(highs, dtype=np.int64).reshape(-1, 1)
+    matrix = twin.integers(0, column, size=(len(highs), n))
+    return rows, matrix, reference, twin
+
+
+class TestBroadcastDrawDifferential:
+    """One ``rng.integers(0, highs, size=(m, n))`` call is the ``m``
+    calls ``rng.integers(0, highs[i], size=n)`` it replaced: the same
+    rows, the same generator state afterwards — the buffered 32-bit half
+    (``has_uint32`` / ``uinteger``) included — and the same next draw.
+    numpy promises none of this; CI's ``numpy-floor`` job checks it on
+    the oldest numpy ``pyproject.toml`` admits."""
+
+    def test_equals_one_call_per_distribution(self):
+        shapes = np.random.default_rng(2024)
+        buffered = collections.Counter()
+        for seed in range(2400):
+            m = int(shapes.integers(1, 21))
+            highs = np.where(
+                shapes.random(m) < 0.5,
+                shapes.choice([1, 2, 2**20], size=m),
+                shapes.integers(1, 2**20 + 1, size=m),
+            )
+            if seed % 50 == 0:
+                highs[:] = 1
+            n = (1, 37, 100)[seed % 3]
+            n_cond = (0, 1 + seed % 5)[seed % 2]
+            rows, matrix, reference, twin = _twin_draws(seed, highs, n, n_cond)
+            assert matrix.shape == (m, n)
+            if seed % 100 == 0:  # length-1 supports consume nothing
+                assert not matrix.any()
+                assert twin.bit_generator.state == (
+                    np.random.default_rng(seed).bit_generator.state
+                )
+            for row, want in zip(matrix, rows):
+                assert np.array_equal(row, want), seed
+            state = twin.bit_generator.state
+            assert state == reference.bit_generator.state, seed
+            buffered[state["has_uint32"]] += 1
+            assert twin.random() == reference.random()
+        # Both parities of 32-bit draws came up: the buffered half was
+        # exercised, not just skipped.
+        assert buffered[0] > 100 and buffered[1] > 100
+
+    @pytest.mark.parametrize("app_name", sorted(ALL_APPS))
+    def test_production_draw_equals_the_oracle_draw(self, app_name):
+        _cloud, dag, metrics = learned_app(app_name)
+        est = make_estimator(dag, metrics, kv_region=None)
+        for plan in random_plans(dag, 10):
+            steps = est._plan_steps(plan)
+            reference, twin = est.plan_rng(plan), est.plan_rng(plan)
+            for n in (1, 37, 200):
+                got = MonteCarloEstimator._draw_batch(est, steps, n, twin)
+                want = ScalarReferenceEstimator._draw_batch(
+                    est, steps, n, reference
+                )
+                assert (got.uniforms is None) == (want.uniforms is None)
+                if got.uniforms is not None:
+                    assert np.array_equal(got.uniforms, want.uniforms)
+                assert np.array_equal(got.input_idx, want.input_idx)
+                for got_idx, want_idx in ((got.edge_idx, want.edge_idx),
+                                          (got.exec_idx, want.exec_idx)):
+                    assert list(got_idx) == list(want_idx)
+                    for key, idx in got_idx.items():
+                        assert np.array_equal(idx, want_idx[key]), key
+                assert twin.bit_generator.state == reference.bit_generator.state
+
+
+class CountingGenerator(np.random.Generator):
+    """``integers`` and ``random`` as Python methods, so ``sys.setprofile``
+    sees them (numpy's own are compiled); the stream is untouched."""
+
+    def integers(self, *args, **kwargs):
+        return super().integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        return super().random(*args, **kwargs)
+
+
+def _draw_calls(estimator, plan):
+    """``(profile, integers calls, random calls)`` of one profile run
+    drawing from a :class:`CountingGenerator` on the plan's stream."""
+    plan_rng = estimator.plan_rng
+    estimator.plan_rng = lambda p: CountingGenerator(plan_rng(p).bit_generator)
+    calls = collections.Counter()
+    codes = {
+        CountingGenerator.integers.__code__: "integers",
+        CountingGenerator.random.__code__: "random",
+    }
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = estimator.estimate_profile(plan)
+    finally:
+        sys.setprofile(None)
+        del estimator.plan_rng
+    return result, calls["integers"], calls["random"]
+
+
+class TestDrawWorkCounts:
+    """One ``integers`` call per batch, and one ``random`` call per batch
+    of a DAG with conditional edges — whatever the number of
+    distributions."""
+
+    def test_one_integers_call_per_batch(self, diamond_dag):
+        data = diamond_data(0.5)
+        kwargs = dict(batch_size=30, max_samples=100)  # 30 + 30 + 30 + 10
+        counted = make_estimator(diamond_dag, data, **kwargs)
+        plain = make_estimator(diamond_dag, data, **kwargs)
+        for plan in random_plans(diamond_dag, 5):
+            profile, integers, random = _draw_calls(counted, plan)
+            assert_profiles_identical(profile, plain.estimate_profile(plan))
+            assert profile.n_samples == 100
+            assert integers == random == 4
+
+    def test_on_an_app_without_conditional_edges(self):
+        cloud, dag, metrics = learned_app("image_processing")
+        assert not any(e.conditional for e in dag.edges)
+        est = make_estimator(dag, metrics, cloud=cloud, batch_size=40,
+                             max_samples=80)
+        for plan in random_plans(dag, 3):
+            profile, integers, random = _draw_calls(est, plan)
+            assert (integers, random) == (2, 0)
+
+    def test_the_oracle_is_what_was_counted(self, diamond_dag):
+        """The former draw: one ``integers`` call per distribution."""
+        est = make_estimator(diamond_dag, diamond_data(0.5), vectorized=False,
+                             batch_size=50, max_samples=100)
+        distributions = 1 + len(diamond_dag.edges) + len(diamond_dag)
+        _profile, integers, random = _draw_calls(
+            est, random_plans(diamond_dag, 1)[0]
+        )
+        assert (integers, random) == (2 * distributions, 2)

@@ -129,6 +129,43 @@ class TestTemporalShifter:
         assert decision.scheduled_at_s == pytest.approx(2 * SECONDS_PER_HOUR)
         assert decision.chosen_intensity == pytest.approx(20.0)
 
+    def test_unreadable_plan_set_prices_slots_at_home(self):
+        """A KV error on the plan-set read prices the slot with every
+        node at home (the executor's own fallback) instead of raising
+        out of ``submit`` — here, out of the event loop that called it."""
+        from repro.cloud.faults import FaultPlan
+        from repro.model.plan import DeploymentPlan, HourlyPlanSet
+
+        overrides = v_shaped_overrides()
+        overrides["CA-QC"] = [20.0] * (24 * 7)
+        # Every KV operation fails from t = 60 s on, after the deployment.
+        cloud = SimulatedCloud(
+            seed=62, carbon_overrides=overrides,
+            fault_plan=FaultPlan().with_kv_errors(1.0, start_s=60.0),
+        )
+        app = get_app("dna_visualization")
+        deployed, executor, utility = deploy_benchmark(app, cloud)
+        spec = deployed.workflow.function("visualize")
+        utility.deploy_function(deployed, executor, spec, "ca-central-1",
+                                copy_image_from="us-east-1")
+        home = DeploymentPlan.single_region(deployed.dag, "us-east-1")
+        away = DeploymentPlan.single_region(deployed.dag, "ca-central-1")
+        executor.stage_plan_set(HourlyPlanSet({0: home, 2: away, 3: home}))
+        assert cloud.now() < 60.0
+        shifter = TemporalShifter(executor)
+        decisions = []
+        cloud.env.schedule_at(60.0, lambda: decisions.append(shifter.submit(
+            app.make_input("small"),
+            TemporalPolicy(max_delay_s=2.5 * SECONDS_PER_HOUR),
+        )))
+        cloud.run_until_idle()
+        assert cloud.faults.injected["kv_error"] > 0
+        [decision] = decisions
+        # Readable, hour 2 would win at 20 (the test above); priced at
+        # home every slot is the dirty grid, so the earliest wins.
+        assert set(decision.slot_intensities.values()) == {500.0}
+        assert decision.scheduled_at_s == decision.submitted_at_s == 60.0
+
 
 class TestEmbodiedModel:
     def make_record(self, duration=3600.0, memory=1769, n_vcpu=1.0):
