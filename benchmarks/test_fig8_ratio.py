@@ -69,10 +69,13 @@ def test_fig8_ratio_vs_savings(fig7_results, benchmark):
     # Timed kernel: re-pricing a stored run under a fresh scenario.
     from repro.metrics.accounting import CarbonAccountant
     from repro.metrics.carbon import CarbonModel, TransmissionScenario
+    from repro.metrics.cost import CostModel
     from repro.data.carbon import CarbonIntensitySource
+    from repro.data.pricing import PricingSource
 
     source = CarbonIntensitySource(hours=24 * 7, seed=100)
     accountant = CarbonAccountant(
-        source, CarbonModel(TransmissionScenario.best_case())
+        source, CarbonModel(TransmissionScenario.best_case()),
+        CostModel(PricingSource()),
     )
     benchmark(lambda: accountant.with_scenario(TransmissionScenario.equal(0.002)))

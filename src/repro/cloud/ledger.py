@@ -11,8 +11,10 @@ data-processing (Fig. 4, orange vs yellow).
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Callable, DefaultDict, Dict, List, Optional, TypeVar
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,13 +103,15 @@ class KvAccessRecord:
     request_id: str = ""
 
 
-@dataclass
-class RegionUsage:
-    """Everything one region did during a run, grouped for pricing.
+K = TypeVar("K")
 
-    Transmissions are attributed to their *source* region (egress is
-    billed and powered where the bytes leave).  Raw record lists are
-    kept so callers can price them under any transmission scenario.
+
+@dataclass(slots=True)
+class RecordGroup:
+    """The records :meth:`MeteringLedger.group` put under one key.
+
+    Raw record lists, in ledger order, so callers can price them under
+    any transmission scenario (``CarbonAccountant.price``).
     """
 
     executions: List[ExecutionRecord] = field(default_factory=list)
@@ -126,6 +130,22 @@ class RegionUsage:
     @property
     def bytes_out(self) -> float:
         return sum(r.size_bytes for r in self.transmissions)
+
+    @property
+    def service_time_s(self) -> float:
+        """First execution start to last execution end (§9.1); the group
+        must hold at least one execution."""
+        execs = self.executions
+        return max(e.end_s for e in execs) - min(e.start_s for e in execs)
+
+
+def _select(records: list, workflow: Optional[str], request_id: Optional[str]) -> list:
+    return [
+        r
+        for r in records
+        if (workflow is None or r.workflow == workflow)
+        and (request_id is None or r.request_id == request_id)
+    ]
 
 
 class MeteringLedger:
@@ -154,42 +174,22 @@ class MeteringLedger:
     def executions_for(
         self, workflow: Optional[str] = None, request_id: Optional[str] = None
     ) -> List[ExecutionRecord]:
-        return [
-            r
-            for r in self.executions
-            if (workflow is None or r.workflow == workflow)
-            and (request_id is None or r.request_id == request_id)
-        ]
+        return _select(self.executions, workflow, request_id)
 
     def transmissions_for(
         self, workflow: Optional[str] = None, request_id: Optional[str] = None
     ) -> List[TransmissionRecord]:
-        return [
-            r
-            for r in self.transmissions
-            if (workflow is None or r.workflow == workflow)
-            and (request_id is None or r.request_id == request_id)
-        ]
+        return _select(self.transmissions, workflow, request_id)
 
     def messages_for(
         self, workflow: Optional[str] = None, request_id: Optional[str] = None
     ) -> List[MessagingRecord]:
-        return [
-            r
-            for r in self.messages
-            if (workflow is None or r.workflow == workflow)
-            and (request_id is None or r.request_id == request_id)
-        ]
+        return _select(self.messages, workflow, request_id)
 
     def kv_accesses_for(
         self, workflow: Optional[str] = None, request_id: Optional[str] = None
     ) -> List[KvAccessRecord]:
-        return [
-            r
-            for r in self.kv_accesses
-            if (workflow is None or r.workflow == workflow)
-            and (request_id is None or r.request_id == request_id)
-        ]
+        return _select(self.kv_accesses, workflow, request_id)
 
     def request_ids(self, workflow: str) -> List[str]:
         """Distinct request ids seen for ``workflow``, in arrival order."""
@@ -199,35 +199,50 @@ class MeteringLedger:
                 seen[r.request_id] = None
         return list(seen)
 
+    def group(
+        self,
+        key: Callable[[Any, str], K],
+        workflow: Optional[str] = None,
+        since_s: float = -math.inf,
+        until_s: float = math.inf,
+    ) -> Dict[K, RecordGroup]:
+        """Group the records of ``workflow`` (every workflow if ``None``)
+        that started in ``[since_s, until_s)`` by ``key(record, region)``.
+
+        ``region`` is the region that performed the record; a
+        transmission is performed by its *source* region (egress is
+        billed and powered where the bytes leave).  One pass per record
+        kind, in ledger order, so each group's lists keep ledger order
+        and keys appear first-seen across executions, transmissions,
+        messages, then KV accesses.
+        """
+        groups: DefaultDict[K, RecordGroup] = defaultdict(RecordGroup)
+        every = workflow is None
+        for r in self.executions:
+            if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
+                groups[key(r, r.region)].executions.append(r)
+        for r in self.transmissions:
+            if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
+                groups[key(r, r.src_region)].transmissions.append(r)
+        for r in self.messages:
+            if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
+                groups[key(r, r.region)].messages.append(r)
+        for r in self.kv_accesses:
+            if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
+                groups[key(r, r.region)].kv_accesses.append(r)
+        return dict(groups)
+
     def usage_by_region(
         self, workflow: Optional[str] = None
-    ) -> Dict[str, RegionUsage]:
-        """Group every record by the region that performed it.
+    ) -> Dict[str, RecordGroup]:
+        """Every record grouped by the region that performed it.
 
         The result covers the *whole* ledger window (warm-up, framework
         traffic, and measured requests alike) — it answers "what did
         each region do", not "what did one invocation cost".  Keys are
         sorted for deterministic serialisation.
         """
-        usage: Dict[str, RegionUsage] = {}
-
-        def bucket(region: str) -> RegionUsage:
-            if region not in usage:
-                usage[region] = RegionUsage()
-            return usage[region]
-
-        for rec in self.executions:
-            if workflow is None or rec.workflow == workflow:
-                bucket(rec.region).executions.append(rec)
-        for trans in self.transmissions:
-            if workflow is None or trans.workflow == workflow:
-                bucket(trans.src_region).transmissions.append(trans)
-        for msg in self.messages:
-            if workflow is None or msg.workflow == workflow:
-                bucket(msg.region).messages.append(msg)
-        for access in self.kv_accesses:
-            if workflow is None or access.workflow == workflow:
-                bucket(access.region).kv_accesses.append(access)
+        usage = self.group(lambda rec, region: region, workflow)
         return {region: usage[region] for region in sorted(usage)}
 
     def service_time(self, workflow: str, request_id: str) -> float:
@@ -236,7 +251,7 @@ class MeteringLedger:
         execs = self.executions_for(workflow, request_id)
         if not execs:
             raise KeyError(f"no executions for {workflow}/{request_id}")
-        return max(e.end_s for e in execs) - min(e.start_s for e in execs)
+        return RecordGroup(executions=execs).service_time_s
 
     def clear(self) -> None:
         self.executions.clear()

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.apps.base import BenchmarkApp, default_config
 from repro.cloud.faults import FaultPlan, ReliabilityStats
+from repro.cloud.ledger import RecordGroup
 from repro.cloud.provider import SimulatedCloud
 from repro.common.clock import SECONDS_PER_DAY
 from repro.core.deployer import DeploymentUtility
@@ -318,46 +319,35 @@ def _run_measurement(
     if sampler is not None:
         sampler.close()
 
-    ledger = cloud.ledger
+    # One ledger pass: every measured request's records.  A request that
+    # failed before any record was written prices as an empty group.
+    by_request = cloud.ledger.group(lambda rec, region: rec.request_id, deployed.name)
+    measured = [by_request.get(rid, RecordGroup()) for rid in rids]
     # Under fault injection some requests fail before any execution is
     # recorded; measure service time only over requests that actually ran.
-    service_times = []
-    for rid in rids:
-        try:
-            service_times.append(ledger.service_time(deployed.name, rid))
-        except KeyError:
-            continue
+    ran = [group for group in measured if group.executions]
+    service_times = [group.service_time_s for group in ran]
+    regions_used = tuple(sorted({r.region for group in ran for r in group.executions}))
 
     per_scenario: Dict[str, ScenarioStats] = {}
     per_region: Dict[str, Dict[str, Dict[str, float]]] = {}
-    region_usage = ledger.usage_by_region(deployed.name)
+    region_usage = cloud.ledger.usage_by_region(deployed.name)
     for scenario in scenarios:
         accountant = CarbonAccountant(
             cloud.carbon_source,
             CarbonModel(scenario),
             CostModel(cloud.pricing_source),
         )
-        carbons, execs, trans, costs = [], [], [], []
-        for rid in rids:
-            fp = accountant.price_workflow(ledger, deployed.name, rid)
-            carbons.append(fp.carbon_g)
-            execs.append(fp.exec_carbon_g)
-            trans.append(fp.trans_carbon_g)
-            costs.append(fp.cost_usd)
+        fps = [accountant.price(group) for group in measured]
         per_scenario[scenario.name] = ScenarioStats(
-            mean_carbon_g=float(np.mean(carbons)),
-            mean_exec_carbon_g=float(np.mean(execs)),
-            mean_trans_carbon_g=float(np.mean(trans)),
-            mean_cost_usd=float(np.mean(costs)),
+            mean_carbon_g=float(np.mean([fp.carbon_g for fp in fps])),
+            mean_exec_carbon_g=float(np.mean([fp.exec_carbon_g for fp in fps])),
+            mean_trans_carbon_g=float(np.mean([fp.trans_carbon_g for fp in fps])),
+            mean_cost_usd=float(np.mean([fp.cost_usd for fp in fps])),
         )
         per_region[scenario.name] = {}
         for region, usage in region_usage.items():
-            fp = accountant.price(
-                executions=usage.executions,
-                transmissions=usage.transmissions,
-                messages=usage.messages,
-                kv_accesses=usage.kv_accesses,
-            )
+            fp = accountant.price(usage)
             per_region[scenario.name][region] = {
                 "bytes_out": usage.bytes_out,
                 "carbon_g": fp.carbon_g,
@@ -368,10 +358,6 @@ def _run_measurement(
                 "trans_carbon_g": fp.trans_carbon_g,
             }
 
-    measured = set(rids)
-    regions_used = tuple(
-        sorted({r.region for r in ledger.executions if r.request_id in measured})
-    )
     reliability = (
         executor.reliability() if hasattr(executor, "reliability") else None
     )

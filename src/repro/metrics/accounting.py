@@ -11,13 +11,12 @@ scenarios (§9.1 fairness rule 4) without re-running.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, Optional
 
 from repro.cloud.ledger import (
     ExecutionRecord,
-    KvAccessRecord,
-    MessagingRecord,
     MeteringLedger,
+    RecordGroup,
     TransmissionRecord,
 )
 from repro.data.carbon import CarbonIntensitySource
@@ -38,27 +37,20 @@ class InvocationFootprint:
     n_executions: int = 0
     n_transmissions: int = 0
 
-    def merged(self, other: "InvocationFootprint") -> "InvocationFootprint":
-        return InvocationFootprint(
-            carbon_g=self.carbon_g + other.carbon_g,
-            exec_carbon_g=self.exec_carbon_g + other.exec_carbon_g,
-            trans_carbon_g=self.trans_carbon_g + other.trans_carbon_g,
-            cost_usd=self.cost_usd + other.cost_usd,
-            exec_seconds=self.exec_seconds + other.exec_seconds,
-            bytes_moved=self.bytes_moved + other.bytes_moved,
-            n_executions=self.n_executions + other.n_executions,
-            n_transmissions=self.n_transmissions + other.n_transmissions,
-        )
-
 
 class CarbonAccountant:
-    """Prices ledger records under one transmission scenario."""
+    """Prices ledger records under one transmission scenario.
+
+    Grouping is the ledger's job (:meth:`MeteringLedger.group`); pricing
+    a group is :meth:`price`'s.  :meth:`price_by_request` and
+    :meth:`price_workflow` compose the two.
+    """
 
     def __init__(
         self,
         carbon_source: CarbonIntensitySource,
         carbon_model: CarbonModel,
-        cost_model: Optional[CostModel] = None,
+        cost_model: CostModel,
     ):
         self._source = carbon_source
         self._carbon = carbon_model
@@ -91,43 +83,34 @@ class CarbonAccountant:
         )
 
     # -- aggregation ----------------------------------------------------------------
-    def price(
-        self,
-        executions: Sequence[ExecutionRecord] = (),
-        transmissions: Sequence[TransmissionRecord] = (),
-        messages: Sequence[MessagingRecord] = (),
-        kv_accesses: Sequence[KvAccessRecord] = (),
-    ) -> InvocationFootprint:
+    def price(self, group: RecordGroup) -> InvocationFootprint:
+        """Carbon and cost of one record group, each record at the
+        intensity of its own start time: executions, transmissions,
+        messages, then KV accesses, each in ledger order."""
         fp = InvocationFootprint()
-        for rec in executions:
+        cost = self._cost
+        for rec in group.executions:
             carbon = self.execution_carbon_g(rec)
             fp.exec_carbon_g += carbon
             fp.carbon_g += carbon
             fp.exec_seconds += rec.duration_s
             fp.n_executions += 1
-            if self._cost is not None:
-                fp.cost_usd += self._cost.execution_cost(
-                    rec.region, rec.duration_s, rec.memory_mb
-                )
-        for rec in transmissions:
+            fp.cost_usd += cost.execution_cost(rec.region, rec.duration_s, rec.memory_mb)
+        for rec in group.transmissions:
             carbon = self.transmission_carbon_g(rec)
             fp.trans_carbon_g += carbon
             fp.carbon_g += carbon
             fp.bytes_moved += rec.size_bytes
             fp.n_transmissions += 1
-            if self._cost is not None:
-                fp.cost_usd += self._cost.transmission_cost(
-                    rec.src_region, rec.dst_region, rec.size_bytes
-                )
-        if self._cost is not None:
-            for msg in messages:
-                fp.cost_usd += self._cost.messaging_cost(msg.region)
-            for access in kv_accesses:
-                fp.cost_usd += self._cost.kv_cost(
-                    access.region,
-                    n_reads=0 if access.write else 1,
-                    n_writes=1 if access.write else 0,
-                )
+            fp.cost_usd += cost.transmission_cost(rec.src_region, rec.dst_region, rec.size_bytes)
+        for msg in group.messages:
+            fp.cost_usd += cost.messaging_cost(msg.region)
+        for access in group.kv_accesses:
+            fp.cost_usd += cost.kv_cost(
+                access.region,
+                n_reads=0 if access.write else 1,
+                n_writes=1 if access.write else 0,
+            )
         return fp
 
     def price_by_request(
@@ -137,69 +120,13 @@ class CarbonAccountant:
         since_s: float = float("-inf"),
         until_s: float = float("inf"),
     ) -> Dict[str, InvocationFootprint]:
-        """Price every invocation of a workflow in one ledger pass.
-
-        O(records) total, unlike calling :meth:`price_workflow` per
-        request id (which scans the whole ledger each time) — the shape
-        the Deployment Manager needs when computing realised savings
-        over thousands of invocations (§5.2).
-        """
-        groups: Dict[str, InvocationFootprint] = {}
-
-        def fp_for(rid: str) -> InvocationFootprint:
-            if rid not in groups:
-                groups[rid] = InvocationFootprint()
-            return groups[rid]
-
-        for rec in ledger.executions:
-            if rec.workflow != workflow or not (since_s <= rec.start_s < until_s):
-                continue
-            fp = fp_for(rec.request_id)
-            carbon = self.execution_carbon_g(rec)
-            fp.exec_carbon_g += carbon
-            fp.carbon_g += carbon
-            fp.exec_seconds += rec.duration_s
-            fp.n_executions += 1
-            if self._cost is not None:
-                fp.cost_usd += self._cost.execution_cost(
-                    rec.region, rec.duration_s, rec.memory_mb
-                )
-        for rec in ledger.transmissions:
-            if rec.workflow != workflow or not (since_s <= rec.start_s < until_s):
-                continue
-            if not rec.request_id:
-                continue
-            fp = fp_for(rec.request_id)
-            carbon = self.transmission_carbon_g(rec)
-            fp.trans_carbon_g += carbon
-            fp.carbon_g += carbon
-            fp.bytes_moved += rec.size_bytes
-            fp.n_transmissions += 1
-            if self._cost is not None:
-                fp.cost_usd += self._cost.transmission_cost(
-                    rec.src_region, rec.dst_region, rec.size_bytes
-                )
-        if self._cost is not None:
-            for msg in ledger.messages:
-                if msg.workflow != workflow or not (
-                    since_s <= msg.start_s < until_s
-                ):
-                    continue
-                fp_for(msg.request_id).cost_usd += self._cost.messaging_cost(
-                    msg.region
-                )
-            for access in ledger.kv_accesses:
-                if access.workflow != workflow or not (
-                    since_s <= access.start_s < until_s
-                ):
-                    continue
-                fp_for(access.request_id).cost_usd += self._cost.kv_cost(
-                    access.region,
-                    n_reads=0 if access.write else 1,
-                    n_writes=1 if access.write else 0,
-                )
+        """Price every invocation of a workflow started in the window,
+        in one ledger pass, keyed by request id in first-seen order.
+        Framework traffic (empty request id) belongs to no invocation
+        and is left out."""
+        groups = ledger.group(lambda rec, region: rec.request_id, workflow, since_s, until_s)
         groups.pop("", None)
-        return groups
+        return {rid: self.price(group) for rid, group in groups.items()}
 
     def price_workflow(
         self,
@@ -211,29 +138,8 @@ class CarbonAccountant:
     ) -> InvocationFootprint:
         """Price every record of a workflow (optionally one invocation,
         optionally restricted to a time window)."""
-
-        def in_window(start: float) -> bool:
-            return since_s <= start < until_s
-
-        return self.price(
-            executions=[
-                r
-                for r in ledger.executions_for(workflow, request_id)
-                if in_window(r.start_s)
-            ],
-            transmissions=[
-                r
-                for r in ledger.transmissions_for(workflow, request_id)
-                if in_window(r.start_s)
-            ],
-            messages=[
-                r
-                for r in ledger.messages_for(workflow, request_id)
-                if in_window(r.start_s)
-            ],
-            kv_accesses=[
-                r
-                for r in ledger.kv_accesses_for(workflow, request_id)
-                if in_window(r.start_s)
-            ],
+        wanted = ledger.group(
+            lambda rec, region: request_id is None or rec.request_id == request_id,
+            workflow, since_s, until_s,
         )
+        return self.price(wanted.get(True, RecordGroup()))

@@ -238,10 +238,13 @@ def ledger_series(
 ) -> List[Dict[str, Any]]:
     """Per-window, per-region carbon/cost/traffic series from the ledger.
 
-    Buckets every metering record into the virtual-time window of its
-    start timestamp and prices each (window, region) group through the
-    given :class:`~repro.metrics.accounting.CarbonAccountant` (i.e.
-    under *one* transmission scenario).  Emitted metrics:
+    Groups every metering record by the virtual-time window of its
+    start timestamp, its region and its workflow
+    (:meth:`~repro.cloud.ledger.MeteringLedger.group`) and prices each
+    group through the given
+    :class:`~repro.metrics.accounting.CarbonAccountant`'s ``price`` (i.e.
+    under *one* transmission scenario), the same path per-request
+    pricing takes.  Emitted metrics:
 
     * ``ledger.carbon_g{region=..,workflow=..}`` — total carbon/window;
     * ``ledger.cost_usd{...}`` — total cost/window;
@@ -257,39 +260,16 @@ def ledger_series(
     def wstart(t: float) -> float:
         return (t // window_s) * window_s
 
-    groups: Dict[Tuple[float, str, str], Dict[str, list]] = {}
-
-    def bucket(t: float, region: str, wf: str) -> Dict[str, list]:
-        key = (wstart(t), region, wf)
-        if key not in groups:
-            groups[key] = {
-                "executions": [], "transmissions": [],
-                "messages": [], "kv_accesses": [],
-            }
-        return groups[key]
-
+    groups = ledger.group(
+        lambda rec, region: (wstart(rec.start_s), region, rec.workflow), workflow
+    )
     first_exec: Dict[str, Tuple[float, str]] = {}
     for rec in ledger.executions:
         if workflow is not None and rec.workflow != workflow:
             continue
-        bucket(rec.start_s, rec.region, rec.workflow)["executions"].append(rec)
         seen = first_exec.get(rec.request_id)
         if seen is None or rec.start_s < seen[0]:
             first_exec[rec.request_id] = (rec.start_s, rec.workflow)
-    for rec in ledger.transmissions:
-        if workflow is not None and rec.workflow != workflow:
-            continue
-        bucket(rec.start_s, rec.src_region, rec.workflow)[
-            "transmissions"
-        ].append(rec)
-    for rec in ledger.messages:
-        if workflow is not None and rec.workflow != workflow:
-            continue
-        bucket(rec.start_s, rec.region, rec.workflow)["messages"].append(rec)
-    for rec in ledger.kv_accesses:
-        if workflow is not None and rec.workflow != workflow:
-            continue
-        bucket(rec.start_s, rec.region, rec.workflow)["kv_accesses"].append(rec)
 
     requests: Dict[Tuple[float, str], int] = {}
     for t, wf in first_exec.values():
@@ -297,13 +277,8 @@ def ledger_series(
         requests[key] = requests.get(key, 0) + 1
 
     points: List[Dict[str, Any]] = []
-    for (window, region, wf), recs in groups.items():
-        fp = accountant.price(
-            executions=recs["executions"],
-            transmissions=recs["transmissions"],
-            messages=recs["messages"],
-            kv_accesses=recs["kv_accesses"],
-        )
+    for (window, region, wf), group in groups.items():
+        fp = accountant.price(group)
         labels = f"{{region={region},workflow={wf}}}"
         points.append(
             {"metric": f"ledger.carbon_g{labels}", "window": window,

@@ -1,19 +1,31 @@
 """Tests for ledger record pricing (carbon/cost accounting)."""
 
-import pytest
+import json
+import math
+import os
+import typing
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps import get_app
 from repro.cloud.ledger import (
     ExecutionRecord,
     KvAccessRecord,
     MessagingRecord,
     MeteringLedger,
+    RecordGroup,
     TransmissionRecord,
 )
 from repro.data.carbon import CarbonIntensitySource
 from repro.data.pricing import PricingSource
+from repro.experiments import harness
 from repro.metrics.accounting import CarbonAccountant
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel
+from repro.obs.timeseries import ledger_series
+from tests import chaos_capture, ledger_capture, ledger_pricing_oracle
 
 
 @pytest.fixture
@@ -69,7 +81,7 @@ class TestSingleRecords:
 
 class TestAggregation:
     def test_price_combines_components(self, accountant):
-        fp = accountant.price(
+        fp = accountant.price(RecordGroup(
             executions=[exec_rec()],
             transmissions=[trans_rec()],
             messages=[MessagingRecord(workflow="wf", topic="t",
@@ -78,7 +90,7 @@ class TestAggregation:
             kv_accesses=[KvAccessRecord(workflow="wf", table="t",
                                         region="us-east-1", start_s=0.0,
                                         write=True, request_id="r1")],
-        )
+        ))
         assert fp.carbon_g == pytest.approx(fp.exec_carbon_g + fp.trans_carbon_g)
         assert fp.n_executions == 1
         assert fp.n_transmissions == 1
@@ -106,22 +118,6 @@ class TestAggregation:
         ledger.record_execution(late)
         fp = accountant.price_workflow(ledger, "wf", since_s=1000.0)
         assert fp.n_executions == 1
-
-    def test_merged(self, accountant):
-        fp1 = accountant.price(executions=[exec_rec()])
-        fp2 = accountant.price(transmissions=[trans_rec()])
-        merged = fp1.merged(fp2)
-        assert merged.carbon_g == pytest.approx(fp1.carbon_g + fp2.carbon_g)
-        assert merged.n_executions == 1
-        assert merged.n_transmissions == 1
-
-    def test_cost_optional(self, carbon_source):
-        acc = CarbonAccountant(
-            carbon_source, CarbonModel(TransmissionScenario.best_case())
-        )
-        fp = acc.price(executions=[exec_rec()])
-        assert fp.cost_usd == 0.0
-        assert fp.carbon_g > 0.0
 
 
 class TestPriceByRequest:
@@ -163,3 +159,183 @@ class TestPriceByRequest:
             kind="image", edge="crane:x",
         ))
         assert accountant.price_by_request(ledger, "wf") == {}
+
+
+class TestLedgerPricingGolden:
+    """Chaos-ledger pricing, grouping and harness outcomes against the
+    digests captured before the grouped rewrite
+    (see ``tests/ledger_capture.py``)."""
+
+    @pytest.mark.parametrize("app_name", ledger_capture.APPS)
+    def test_pricing_matches_the_capture(self, app_name):
+        got = ledger_capture.capture(app_name)
+        golden = ledger_capture.GOLDEN
+        if os.environ.get("UPDATE_GOLDEN"):
+            pinned = json.loads(golden.read_text()) if golden.exists() else {}
+            pinned[app_name] = got
+            golden.write_text(
+                json.dumps(pinned, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+            )
+        assert got == json.loads(golden.read_text(encoding="utf-8"))[app_name]
+
+
+# ---------------------------------------------------------------- differential
+WORKFLOWS = ("wf_a", "wf_b")
+REQUEST_IDS = ("", "r1", "r2", "r3")
+REGIONS = ("us-east-1", "us-west-1", "us-west-2", "ca-central-1")
+#: Window edges of the 600 s and 3600 s grids, so records land on them.
+EDGES_S = (0.0, 600.0, 1200.0, 3600.0, 4200.0, 7200.0)
+WINDOWS = ((-math.inf, math.inf), (600.0, math.inf), (600.0, 3600.0), (3600.0, 4200.0))
+SERIES_WINDOWS_S = (600.0, 1000.0, 3600.0)
+#: A synthetic, hour-varying trace: a grouping that priced records in a
+#: different order would change the float sums.
+SOURCE = CarbonIntensitySource(hours=24, seed=5)
+
+_starts = st.one_of(st.sampled_from(EDGES_S), st.floats(0.0, 3 * 3600.0))
+_base = dict(
+    workflow=st.sampled_from(WORKFLOWS),
+    request_id=st.sampled_from(REQUEST_IDS),
+    start_s=_starts,
+)
+
+
+@st.composite
+def _execution(draw):
+    duration = draw(st.floats(0.01, 900.0))
+    return ExecutionRecord(
+        node="n", function="f", region=draw(st.sampled_from(REGIONS)),
+        duration_s=duration, memory_mb=draw(st.sampled_from((128, 1769, 3008))),
+        n_vcpu=1.0, cpu_total_time_s=duration * draw(st.floats(0.0, 1.0)),
+        cold_start=draw(st.booleans()), payload_bytes=0.0, output_bytes=0.0,
+        **{k: draw(v) for k, v in _base.items()},
+    )
+
+
+_transmission = st.builds(
+    TransmissionRecord,
+    src_region=st.sampled_from(REGIONS), dst_region=st.sampled_from(REGIONS),
+    size_bytes=st.floats(0.0, 2e9), latency_s=st.just(0.1), **_base,
+)
+_message = st.builds(
+    MessagingRecord, topic=st.just("t"), region=st.sampled_from(REGIONS),
+    size_bytes=st.floats(0.0, 1e6), **_base,
+)
+_kv_access = st.builds(
+    KvAccessRecord, table=st.just("t"), region=st.sampled_from(REGIONS),
+    write=st.booleans(), **_base,
+)
+
+
+@st.composite
+def ledgers(draw) -> MeteringLedger:
+    """Two workflows, the empty request id, intra- and inter-region
+    routes, every record kind; a request may exist only as messages or
+    KV accesses."""
+    ledger = MeteringLedger()
+    for rec in draw(st.lists(_execution(), max_size=12)):
+        ledger.record_execution(rec)
+    for rec in draw(st.lists(_transmission, max_size=12)):
+        ledger.record_transmission(rec)
+    for rec in draw(st.lists(_message, max_size=8)):
+        ledger.record_message(rec)
+    for rec in draw(st.lists(_kv_access, max_size=8)):
+        ledger.record_kv_access(rec)
+    return ledger
+
+
+def _accountants(scenario: TransmissionScenario, source=SOURCE, pricing=None):
+    args = (source, CarbonModel(scenario), CostModel(pricing or PricingSource()))
+    return CarbonAccountant(*args), ledger_pricing_oracle.ScanAccountant(*args)
+
+
+def _assert_matches_oracle(
+    ledger, production, oracle, windows=WINDOWS, request_ids=REQUEST_IDS
+) -> None:
+    """All five grouped paths equal the per-caller scans, key order and
+    record identity included."""
+    workflows = sorted({r.workflow for r in ledger.executions} | set(WORKFLOWS))
+    for workflow in (None, *workflows):
+        got = ledger.usage_by_region(workflow)
+        want = ledger_pricing_oracle.usage_by_region(ledger, workflow)
+        assert list(got.items()) == list(want.items())
+        for region, group in got.items():
+            for kind in ledger_capture.KINDS:
+                assert all(
+                    a is b for a, b in zip(getattr(group, kind), getattr(want[region], kind))
+                )
+            assert production.price(group) == oracle.price(
+                executions=group.executions, transmissions=group.transmissions,
+                messages=group.messages, kv_accesses=group.kv_accesses,
+            )
+        for window_s in SERIES_WINDOWS_S:
+            assert ledger_series(ledger, production, window_s, workflow) == (
+                ledger_pricing_oracle.ledger_series(ledger, oracle, window_s, workflow)
+            )
+    for workflow in workflows:
+        for since, until in windows:
+            got = production.price_by_request(ledger, workflow, since, until)
+            want = oracle.price_by_request(ledger, workflow, since, until)
+            assert list(got.items()) == list(want.items())
+            for rid in (None, *request_ids, "no-such-request"):
+                assert production.price_workflow(ledger, workflow, rid, since, until) == (
+                    oracle.price_workflow(ledger, workflow, rid, since, until)
+                )
+
+
+class TestLedgerPricingDifferential:
+    """``MeteringLedger.group`` + ``CarbonAccountant.price`` against the
+    scans they replaced (``tests/ledger_pricing_oracle.py``)."""
+
+    @settings(max_examples=150)
+    @given(ledger=ledgers(), worst=st.booleans())
+    def test_random_ledgers_match_the_oracle(self, ledger, worst):
+        scenario = (TransmissionScenario.worst_case if worst else TransmissionScenario.best_case)()
+        _assert_matches_oracle(ledger, *_accountants(scenario))
+
+    @pytest.mark.parametrize("app_name", chaos_capture.APPS)
+    def test_chaos_ledgers_match_the_oracle(self, app_name):
+        cloud, _tracer, executor = chaos_capture.chaos_run(app_name)
+        ledger, workflow = cloud.ledger, executor.deployed.name
+        for scenario in ledger_capture.SCENARIOS.values():
+            _assert_matches_oracle(
+                ledger,
+                *_accountants(scenario, cloud.carbon_source, cloud.pricing_source),
+                windows=ledger_capture.windows(ledger, workflow),
+                request_ids=ledger_capture.request_ids(ledger, workflow),
+            )
+
+
+class TestHarnessLedgerPasses:
+    """The harness reads the ledger a fixed number of times, however
+    many requests it measured."""
+
+    COUNTED = ("executions_for", "transmissions_for", "messages_for",
+               "kv_accesses_for", "service_time", "group")
+
+    def _ledger_queries(self, monkeypatch, n_invocations: int) -> int:
+        calls = []
+        for name in self.COUNTED:
+            method = getattr(MeteringLedger, name)
+
+            def counted(*args, _method=method, **kwargs):
+                calls.append(1)
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(MeteringLedger, name, counted)
+        outcome = harness.run_coarse(
+            get_app("text2speech_censoring"), "small", "us-west-2",
+            seed=1, n_invocations=n_invocations, days=0.5,
+        )
+        assert outcome.n_invocations == n_invocations
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_queries_do_not_grow_with_requests(self, monkeypatch):
+        assert self._ledger_queries(monkeypatch, 40) == self._ledger_queries(monkeypatch, 5)
+
+
+@pytest.mark.parametrize("cls", [CarbonAccountant, MeteringLedger])
+def test_public_method_annotations_resolve(cls):
+    for name, member in vars(cls).items():
+        if callable(member) and not name.startswith("_"):
+            typing.get_type_hints(member)
