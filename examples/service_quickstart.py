@@ -7,7 +7,9 @@ up, solve, migrate), this example hands the same lifecycle to
 ``repro.service``:
 
 1. declare a diamond workflow with the ``@task`` / builder API — no
-   hand-built config dicts, no AST analysis;
+   hand-built config dicts, no source parsing: the builder declares its
+   call sites, and the engine lowers them through the same
+   ``analyze_workflow`` that reads Listing-1 handlers;
 2. register the builder and ``submit()`` it as a job, alongside a
    stock benchmark app submitted by name;
 3. ``run()`` the engine: each tick advances jobs one step through

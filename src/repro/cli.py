@@ -293,9 +293,10 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from repro.service import JobRecord, SUBMITTED
 
     store = _job_store(args)
-    seq = len(store.job_ids()) + 1
-    job_id = args.job_id or f"{args.app}-{seq:04d}"
-    if store.load(job_id) is not None:
+    job_id = args.job_id
+    if not job_id:
+        job_id, _seq = store.free_job_id(args.app, len(store.job_ids()) + 1)
+    elif store.load(job_id) is not None:
         print(f"caribou submit: job {job_id!r} already exists", file=sys.stderr)
         return 2
     record = JobRecord(job_id=job_id, app=args.app, input_size=args.size)

@@ -8,11 +8,15 @@ each registered handler's source with :mod:`ast` and recovers:
 * DAG edges — every ``invoke_serverless_function(data, target, [cond])``
   call site, with the edge marked *conditional* when the third argument
   is present and not literally ``True``;
-* fan-out — a call site inside a loop expands the target function into
-  its declared ``max_instances`` stages (each execution stage is a
-  separate DAG node, §4);
+* fan-out — any call site to a function declaring ``max_instances`` > 1
+  targets all of its stages (each execution stage is a separate DAG
+  node, §4); at runtime the k-th call of one execution runs on stage
+  ``f:k`` (:func:`intent_stage`);
 * synchronisation nodes — handlers calling ``get_predecessor_data``.
 
+A handler that carries a declared ``_caribou_analysis`` (the
+:mod:`repro.service.builder` front-end generates such handlers) is not
+parsed: its declared call sites are lowered exactly like parsed ones.
 The resulting :class:`~repro.model.dag.WorkflowDAG` is validated against
 the §4 structural rules (single start node, acyclic, sync nodes declare
 fan-in intent).
@@ -24,7 +28,7 @@ import ast
 import inspect
 import textwrap
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import WorkflowDefinitionError
 from repro.core.api import FunctionSpec, Workflow
@@ -37,7 +41,6 @@ class CallSite:
 
     target: str
     conditional: bool
-    in_loop: bool
 
 
 @dataclass(frozen=True)
@@ -57,23 +60,7 @@ class _HandlerVisitor(ast.NodeVisitor):
         self._known = known_functions
         self.call_sites: List[CallSite] = []
         self.uses_predecessor_data = False
-        self._loop_depth = 0
 
-    # loops ------------------------------------------------------------------
-    def visit_For(self, node: ast.For) -> None:
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:  # pragma: no cover
-        self.visit_For(node)  # type: ignore[arg-type]
-
-    def visit_While(self, node: ast.While) -> None:
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
-    # calls ------------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         name = self._called_name(node)
         if name == "invoke_serverless_function":
@@ -92,13 +79,10 @@ class _HandlerVisitor(ast.NodeVisitor):
         return None
 
     def _handle_invoke(self, node: ast.Call) -> None:
-        target = self._resolve_target(node)
-        conditional = self._is_conditional(node)
         self.call_sites.append(
             CallSite(
-                target=target,
-                conditional=conditional,
-                in_loop=self._loop_depth > 0,
+                target=self._resolve_target(node),
+                conditional=self._is_conditional(node),
             )
         )
 
@@ -151,7 +135,11 @@ class _HandlerVisitor(ast.NodeVisitor):
 
 
 def analyze_function(spec: FunctionSpec, known: Dict[str, str]) -> FunctionAnalysis:
-    """Run static analysis over one handler's source."""
+    """Run static analysis over one handler's source, or return the
+    analysis the handler declares (``handler._caribou_analysis``)."""
+    declared = getattr(spec.handler, "_caribou_analysis", None)
+    if declared is not None:
+        return declared
     try:
         source = textwrap.dedent(inspect.getsource(spec.handler))
     except (OSError, TypeError) as exc:
@@ -174,6 +162,24 @@ def stage_names(spec: FunctionSpec) -> Tuple[str, ...]:
     if spec.max_instances == 1:
         return (spec.name,)
     return tuple(f"{spec.name}:{i}" for i in range(spec.max_instances))
+
+
+def intent_stage(spec: FunctionSpec, call_index: int) -> str:
+    """DAG node run by the ``call_index``-th invocation of ``spec`` in one
+    execution: stage ``f:k`` for call k of a multi-instance function."""
+    if spec.max_instances == 1:
+        if call_index > 0:
+            raise WorkflowDefinitionError(
+                f"function {spec.name!r} invoked {call_index + 1} "
+                "times in one execution but declares max_instances=1"
+            )
+        return spec.name
+    if call_index >= spec.max_instances:
+        raise WorkflowDefinitionError(
+            f"function {spec.name!r} fan-out exceeded its declared "
+            f"max_instances={spec.max_instances}"
+        )
+    return f"{spec.name}:{call_index}"
 
 
 def analyze_workflow(workflow: Workflow) -> WorkflowDAG:
@@ -213,18 +219,11 @@ def analyze_workflow(workflow: Workflow) -> WorkflowDAG:
         src_stages = stage_names(spec)
         seen_targets: Dict[Tuple[str, bool], None] = {}
         for site in analysis.call_sites:
-            target_spec = workflow.function(site.target)
-            if not site.in_loop and target_spec.max_instances > 1:
-                # A single (non-loop) call still targets stage 0 only;
-                # further stages are reached by additional call sites or
-                # loop iterations at runtime.
-                dst_stages: Sequence[str] = stage_names(target_spec)
-            else:
-                dst_stages = stage_names(target_spec)
             key = (site.target, site.conditional)
             if key in seen_targets:
                 continue  # several call sites to the same target == one edge set
             seen_targets[key] = None
+            dst_stages = stage_names(workflow.function(site.target))
             for src in src_stages:
                 for dst in dst_stages:
                     if not dag.has_edge(src, dst):

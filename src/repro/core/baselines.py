@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.core.analysis import intent_stage
 from repro.core.api import ExecutionContext, Payload
 from repro.core.executor import (
     HEADER_BYTES,
@@ -175,11 +176,9 @@ class StepFunctionsOrchestrator:
     def _process_intents(self, ctx: ExecutionContext, node: str, rid: str) -> None:
         covered: set = set()
         for intent in ctx.intents:
-            spec = self._wf.function(intent.target_function)
-            if spec.max_instances == 1:
-                dst = spec.name
-            else:
-                dst = f"{spec.name}:{intent.call_index}"
+            dst = intent_stage(
+                self._wf.function(intent.target_function), intent.call_index
+            )
             covered.add(dst)
             if not intent.conditional_value:
                 self._mark_skip(node, dst, rid)

@@ -2,7 +2,9 @@
 
 Mirrors the paper's CLI-driven steps:
 
-1. static analysis over the source generates the workflow DAG;
+1. static analysis over the source generates the workflow DAG
+   (:func:`~repro.core.analysis.analyze_workflow`, whichever front-end
+   declared the workflow);
 2. the utility creates IAM roles, pushes the Docker image to the
    container registry, creates the function and its messaging topic in
    the home region with the function subscribed to it;
@@ -26,7 +28,6 @@ from repro.core.analysis import analyze_workflow
 from repro.core.api import FunctionSpec, Workflow
 from repro.core.executor import CaribouExecutor, DeployedWorkflow, topic_name
 from repro.model.config import WorkflowConfig
-from repro.model.dag import WorkflowDAG
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 
 #: Default container image size: a Python Lambda image with typical
@@ -47,20 +48,15 @@ class DeploymentUtility:
         config: WorkflowConfig,
         kv_region: Optional[str] = None,
         image_size_bytes: float = DEFAULT_IMAGE_SIZE_BYTES,
-        dag: Optional["WorkflowDAG"] = None,
     ) -> Tuple[DeployedWorkflow, CaribouExecutor]:
         """Initial deployment to the home region.
 
         Function-level constraints declared in code (the decorator's
         ``regions_and_providers``) are merged into the manifest config;
         explicit manifest entries win when both exist.
-
-        ``dag`` bypasses static analysis for workflows whose DAG was
-        constructed explicitly (the ``repro.service`` builder API);
-        without it the DAG is recovered from handler source as usual.
         """
         deployed, executor = self.attach(
-            workflow, config, kv_region=kv_region, dag=dag, subscribe=False
+            workflow, config, kv_region=kv_region, subscribe=False
         )
         config = deployed.config
         dag = deployed.dag
@@ -104,7 +100,6 @@ class DeploymentUtility:
         workflow: Workflow,
         config: WorkflowConfig,
         kv_region: Optional[str] = None,
-        dag: Optional[WorkflowDAG] = None,
         subscribe: bool = True,
     ) -> Tuple[DeployedWorkflow, CaribouExecutor]:
         """Build fresh runtime handles for a workflow *without* deploying.
@@ -124,9 +119,6 @@ class DeploymentUtility:
                 f"home region {config.home_region!r} is not offered by this "
                 f"provider (available: {list(self._cloud.regions)})"
             )
-        if dag is None:
-            dag = analyze_workflow(workflow)
-
         merged = dict(config.function_constraints)
         for spec in workflow.functions:
             if spec.constraints is not None and spec.name not in merged:
@@ -134,8 +126,8 @@ class DeploymentUtility:
         config = dataclasses.replace(config, function_constraints=merged)
 
         deployed = DeployedWorkflow(
-            workflow=workflow,
-            dag=dag,
+            workflow,
+            analyze_workflow(workflow),
             config=config,
             cloud=self._cloud,
             kv_region=kv_region or config.home_region,

@@ -44,13 +44,8 @@ from repro.common.errors import (
     RegionUnavailableError,
     WorkflowDefinitionError,
 )
-from repro.core.api import (
-    ExecutionContext,
-    FunctionSpec,
-    InvocationIntent,
-    Payload,
-    Workflow,
-)
+from repro.core.analysis import intent_stage
+from repro.core.api import ExecutionContext, FunctionSpec, Payload, Workflow
 from repro.model.config import WorkflowConfig
 from repro.model.dag import WorkflowDAG
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
@@ -537,7 +532,9 @@ class CaribouExecutor:
 
         covered: set = set()
         for intent in ctx.intents:
-            dst = self._resolve_stage(intent)
+            dst = intent_stage(
+                self._wf.function(intent.target_function), intent.call_index
+            )
             if not self._dag.has_edge(node, dst):
                 raise WorkflowDefinitionError(
                     f"runtime invocation {node}->{dst} has no DAG edge; "
@@ -570,22 +567,6 @@ class CaribouExecutor:
         # own entry points are unaffected.
         if not self._dag.out_edges(node) and rid in self._requests:
             self._complete_request(rid)
-
-    def _resolve_stage(self, intent: InvocationIntent) -> str:
-        spec = self._wf.function(intent.target_function)
-        if spec.max_instances == 1:
-            if intent.call_index > 0:
-                raise WorkflowDefinitionError(
-                    f"function {spec.name!r} invoked {intent.call_index + 1} "
-                    "times in one execution but declares max_instances=1"
-                )
-            return spec.name
-        if intent.call_index >= spec.max_instances:
-            raise WorkflowDefinitionError(
-                f"function {spec.name!r} fan-out exceeded its declared "
-                f"max_instances={spec.max_instances}"
-            )
-        return f"{spec.name}:{intent.call_index}"
 
     # -- direct edges ---------------------------------------------------------
     def _schedule_direct_send(

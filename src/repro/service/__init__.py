@@ -15,11 +15,12 @@ service:
   ``FleetManager`` machinery, with per-step retry/backoff and
   recovery-on-restart from the store.
 * :mod:`repro.service.builder` — the ``@task`` / ``workflow(...)``
-  builder API compiling plain-Python DAG declarations into
-  ``WorkflowDAG`` + ``WorkflowConfig``.
+  builder API turning plain-Python DAG declarations into a
+  ``core.api.Workflow`` whose handlers declare their call sites, so
+  ``analyze_workflow`` lowers it like any Listing-1 workflow.
 """
 
-from repro.service.builder import CompiledWorkflow, WorkflowBuilder, task, workflow
+from repro.service.builder import WorkflowBuilder, task, workflow
 from repro.service.engine import ServiceEngine
 from repro.service.jobstore import (
     ANALYZED,
@@ -43,7 +44,6 @@ from repro.service.jobstore import (
 __all__ = [
     "ANALYZED",
     "CANCELLED",
-    "CompiledWorkflow",
     "DEPLOYED",
     "FAILED",
     "JOB_STATES",

@@ -1,70 +1,29 @@
 """Decorator/builder developer API: plain-Python DAG declarations.
 
-The paper's Listing-1 style (``Workflow`` + ``serverless_function``
-decorators whose bodies call ``invoke_serverless_function``) requires
-the AST analyzer to recover the DAG from handler source.  This module
-offers the complementary *explicit* style — declare tasks with
-:func:`task`, chain them with :meth:`WorkflowBuilder.then` /
-:meth:`~WorkflowBuilder.branch` — and compiles the declaration straight
-into a :class:`~repro.model.dag.WorkflowDAG` + runtime
-:class:`~repro.core.api.Workflow` + ``WorkflowConfig``::
+The explicit counterpart of the paper's Listing 1: declare tasks with
+:func:`task`, chain them with ``then`` / ``branch`` / ``join``, and
+``build()`` a plain :class:`~repro.core.api.Workflow` — the object
+Listing 1 produces, deployed the same way::
 
-    @task(memory_mb=512)
-    def fetch(payload):
-        return payload
+    wf = workflow("pipeline").then(fetch).branch(left, right).join(merge).build()
+    deployed, executor = DeploymentUtility(cloud).deploy(wf, default_config())
 
-    @task()
-    def render(payload):
-        return payload
-
-    compiled = workflow("pipeline").then(fetch).then(render).build()
-    deployed, executor = DeploymentUtility(cloud).deploy(
-        compiled.workflow, compiled.config, dag=compiled.dag
-    )
-
-The generated handlers route through the normal runtime API
-(``invoke_serverless_function`` with string targets, and
-``get_predecessor_data`` at fan-ins), so the executor treats a built
-workflow identically to a hand-written one.  Because the DAG is
-constructed directly, no static analysis runs — ``deploy(dag=...)``
-bypasses it.
+Generated handlers call the normal runtime API (``invoke_serverless_function``,
+``get_predecessor_data`` at fan-ins) and declare their call sites as a
+``_caribou_analysis``: :func:`~repro.core.analysis.analyze_workflow` lowers
+those like the ones it parses from Listing-1 source, and parses nothing here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.apps.base import default_config
 from repro.cloud.functions import WorkProfile
 from repro.common.errors import WorkflowDefinitionError
+from repro.core.analysis import CallSite, FunctionAnalysis
 from repro.core.api import Payload, Workflow
-from repro.model.config import FunctionConstraints, WorkflowConfig
-from repro.model.dag import Edge, Node, WorkflowDAG
 
-
-@dataclass
-class TaskSpec:
-    """One ``@task``-declared stage."""
-
-    name: str
-    fn: Callable[[Any], Any]
-    memory_mb: int = 1769
-    profile: Optional[WorkProfile] = None
-    allowed_regions: Optional[Sequence[str]] = None
-    disallowed_regions: Sequence[str] = ()
-
-    def constraints(self) -> Optional[FunctionConstraints]:
-        if self.allowed_regions is None and not self.disallowed_regions:
-            return None
-        return FunctionConstraints(
-            allowed_regions=(
-                frozenset(self.allowed_regions)
-                if self.allowed_regions is not None
-                else None
-            ),
-            disallowed_regions=frozenset(self.disallowed_regions),
-        )
+TaskFn = Callable[[Any], Any]
 
 
 def task(
@@ -74,199 +33,95 @@ def task(
     profile: Optional[WorkProfile] = None,
     allowed_regions: Optional[Sequence[str]] = None,
     disallowed_regions: Sequence[str] = (),
-) -> Callable[[Callable[[Any], Any]], Callable[[Any], Any]]:
-    """Declare a plain function as a workflow task.
+) -> Callable[[TaskFn], TaskFn]:
+    """Declare a plain function as a workflow task: it stays a normal
+    callable carrying its ``Workflow.serverless_function`` arguments.  At
+    runtime it receives the upstream payload content (a list of contents
+    at fan-ins) and returns the downstream payload (a
+    :class:`~repro.core.api.Payload` to set ``size_bytes``)."""
+    rules: Dict[str, List[Dict[str, str]]] = {}
+    if allowed_regions is not None:
+        rules["allowed_regions"] = [{"region": r} for r in allowed_regions]
+    if disallowed_regions:
+        rules["disallowed_regions"] = [{"region": r} for r in disallowed_regions]
 
-    The function keeps working as a normal Python callable; the
-    attached spec is only read when the task is wired into a
-    :class:`WorkflowBuilder`.  At runtime the function receives the
-    upstream payload content (a list of contents at fan-ins) and its
-    return value becomes the payload for downstream tasks (return a
-    :class:`~repro.core.api.Payload` to control ``size_bytes``).
-    """
-
-    def decorator(fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
-        fn._caribou_task = TaskSpec(  # type: ignore[attr-defined]
-            name=name or fn.__name__,
-            fn=fn,
-            memory_mb=memory_mb,
-            profile=profile,
-            allowed_regions=allowed_regions,
-            disallowed_regions=tuple(disallowed_regions),
+    def decorator(fn: TaskFn) -> TaskFn:
+        fn._caribou_task = dict(  # type: ignore[attr-defined]
+            name=name or fn.__name__, memory_mb=memory_mb, profile=profile,
+            regions_and_providers=rules or None,
         )
         return fn
 
     return decorator
 
 
-def _spec_of(obj: Any) -> TaskSpec:
-    if isinstance(obj, TaskSpec):
-        return obj
-    spec = getattr(obj, "_caribou_task", None)
-    if spec is None:
-        if callable(obj):
-            # Un-decorated callables are accepted with defaults.
-            return TaskSpec(name=obj.__name__, fn=obj)
-        raise WorkflowDefinitionError(
-            f"{obj!r} is not a @task-declared function"
-        )
-    return spec
-
-
-@dataclass
-class CompiledWorkflow:
-    """The build output: everything the deployment utility needs."""
-
-    workflow: Workflow
-    dag: WorkflowDAG
-    config: WorkflowConfig
-
-
 class WorkflowBuilder:
-    """Fluent DAG construction over ``@task`` functions.
-
-    ``then(t)`` chains the current tail(s) into ``t`` (a multi-tail
-    chain makes ``t`` a sync node); ``branch(a, b, ...)`` fans the
-    current tail out.  ``join(t)`` is ``then(t)`` spelled for
-    readability at explicit fan-ins.
-    """
+    """Fluent DAG construction over ``@task`` functions: ``branch(a, b,
+    ...)`` wires every current tail into each task, which become the new
+    tails; ``then(t)`` / ``join(t)`` is ``branch(t)`` (a sync node when
+    several tails feed it).  The first task is the entry point."""
 
     def __init__(self, name: str, version: str = "0.1"):
         if not name:
             raise WorkflowDefinitionError("workflow name must be non-empty")
         self.name = name
         self.version = version
-        self._tasks: Dict[str, TaskSpec] = {}
+        #: task name -> (function, ``serverless_function`` arguments)
+        self._tasks: Dict[str, Tuple[TaskFn, Dict[str, Any]]] = {}
         self._edges: List[Tuple[str, str]] = []
         self._tails: List[str] = []
-        self._entry: Optional[str] = None
 
-    # -- wiring -------------------------------------------------------------
-    def _add_task(self, spec: TaskSpec) -> str:
-        if spec.name in self._tasks:
-            raise WorkflowDefinitionError(
-                f"workflow {self.name!r}: duplicate task {spec.name!r}"
-            )
-        self._tasks[spec.name] = spec
-        if self._entry is None:
-            self._entry = spec.name
-        return spec.name
+    def then(self, task_fn: TaskFn) -> "WorkflowBuilder":
+        return self.branch(task_fn)
 
-    def then(self, task_fn: Any) -> "WorkflowBuilder":
-        """Chain from every current tail into ``task_fn``."""
-        spec = _spec_of(task_fn)
-        name = self._add_task(spec)
-        for tail in self._tails:
-            self._edges.append((tail, name))
-        self._tails = [name]
-        return self
+    join = then  # spelled for readability at fan-ins
 
-    def branch(self, *task_fns: Any) -> "WorkflowBuilder":
-        """Fan out from the current tail(s) into several tasks."""
+    def branch(self, *task_fns: TaskFn) -> "WorkflowBuilder":
         if not task_fns:
             raise WorkflowDefinitionError("branch() needs at least one task")
-        tails = list(self._tails)
-        names = []
+        tails, self._tails = self._tails, []
         for task_fn in task_fns:
-            spec = _spec_of(task_fn)
-            name = self._add_task(spec)
-            for tail in tails:
-                self._edges.append((tail, name))
-            names.append(name)
-        self._tails = names
+            if not callable(task_fn):  # un-decorated callables take the defaults
+                raise WorkflowDefinitionError(f"{task_fn!r} is not a @task-declared function")
+            kwargs = getattr(task_fn, "_caribou_task", {"name": task_fn.__name__})
+            name = kwargs["name"]
+            if name in self._tasks:
+                raise WorkflowDefinitionError(f"workflow {self.name!r}: duplicate task {name!r}")
+            self._tasks[name] = (task_fn, kwargs)
+            self._edges.extend((tail, name) for tail in tails)
+            self._tails.append(name)
         return self
 
-    def join(self, task_fn: Any) -> "WorkflowBuilder":
-        """Fan the current branches back in (``task_fn`` becomes a sync
-        node when more than one branch feeds it)."""
-        return self.then(task_fn)
-
-    # -- compilation --------------------------------------------------------
-    def build(
-        self,
-        home_region: str = "us-east-1",
-        config: Optional[WorkflowConfig] = None,
-        name: Optional[str] = None,
-        **config_kwargs: Any,
-    ) -> CompiledWorkflow:
-        """Compile into (runtime Workflow, WorkflowDAG, WorkflowConfig).
-
-        ``name`` overrides the workflow/DAG name (the service engine
-        uses it to give each job an isolated deployment namespace).
-        """
+    def build(self) -> Workflow:
+        """A fresh runtime ``Workflow`` (new handlers on every call)."""
         if not self._tasks:
-            raise WorkflowDefinitionError(
-                f"workflow {self.name!r} declares no tasks"
-            )
-        wf_name = name or self.name
-
-        dag = WorkflowDAG(wf_name)
-        for spec in self._tasks.values():
-            dag.add_node(
-                Node(name=spec.name, function=spec.name,
-                     memory_mb=spec.memory_mb)
-            )
-        for src, dst in self._edges:
-            dag.add_edge(Edge(src=src, dst=dst))
-        dag.validate()
-
-        wf = Workflow(wf_name, version=self.version)
-        for spec in self._tasks.values():
-            targets = tuple(e.dst for e in dag.out_edges(spec.name))
-            handler = _make_handler(
-                wf, spec, targets, is_sync=dag.is_sync_node(spec.name)
-            )
-            raw_constraints = spec.constraints()
-            wf.serverless_function(
-                name=spec.name,
-                memory_mb=spec.memory_mb,
-                profile=spec.profile,
-                entry_point=spec.name == self._entry,
-            )(handler)
-            if raw_constraints is not None:
-                # serverless_function only parses the paper-style dict;
-                # attach the already-built constraints directly.
-                wf.function(spec.name).constraints = raw_constraints
-
-        cfg = config or default_config(
-            home_region=home_region,
-            benchmarking_fraction=config_kwargs.pop(
-                "benchmarking_fraction", 0.0
-            ),
-            **config_kwargs,
-        )
-        return CompiledWorkflow(workflow=wf, dag=dag, config=cfg)
+            raise WorkflowDefinitionError(f"workflow {self.name!r} declares no tasks")
+        wf = Workflow(self.name, version=self.version)
+        entry = next(iter(self._tasks))
+        for name, (fn, kwargs) in self._tasks.items():
+            targets = tuple(dst for src, dst in self._edges if src == name)
+            fan_in = sum(dst == name for _src, dst in self._edges) > 1
+            handler = _make_handler(wf, fn, name, targets, fan_in)
+            wf.serverless_function(entry_point=name == entry, **kwargs)(handler)
+        return wf
 
 
 def _make_handler(
-    wf: Workflow,
-    spec: TaskSpec,
-    targets: Tuple[str, ...],
-    is_sync: bool,
-) -> Callable[[Any], Any]:
-    """Wrap a task function as a runtime serverless handler.
-
-    Fan-ins read predecessor payloads via ``get_predecessor_data()``
-    (which also marks the node as sync at runtime); every out-edge
-    becomes an ``invoke_serverless_function`` intent carrying the task's
-    return value.
-    """
-    fn = spec.fn
+    wf: Workflow, fn: TaskFn, name: str, targets: Tuple[str, ...], fan_in: bool
+) -> Callable[[Any], None]:
+    """``fn`` as a handler invoking every target unconditionally with its result."""
 
     def handler(event: Any) -> None:
-        if is_sync:
-            data = wf.get_predecessor_data()
-            result = fn([p.content for p in data])
-        else:
-            result = fn(event)
-        if targets:
-            payload = (
-                result if isinstance(result, Payload) else Payload(content=result)
-            )
-            for target in targets:
-                wf.invoke_serverless_function(payload, target)
+        if fan_in:
+            event = [p.content for p in wf.get_predecessor_data()]
+        result = fn(event)
+        payload = result if isinstance(result, Payload) else Payload(content=result)
+        for target in targets:
+            wf.invoke_serverless_function(payload, target)
 
-    handler.__name__ = f"{spec.name}_handler"
+    handler.__name__ = f"{name}_handler"
+    sites = tuple(CallSite(target, conditional=False) for target in targets)
+    handler._caribou_analysis = FunctionAnalysis(name, sites, fan_in)  # type: ignore[attr-defined]
     return handler
 
 

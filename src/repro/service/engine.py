@@ -35,9 +35,10 @@ failing moves the job to ``FAILED`` with the error journaled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.apps import ALL_APPS, get_app
+from repro.apps.base import default_config
 from repro.cloud.provider import SimulatedCloud
 from repro.common.clock import SECONDS_PER_DAY
 from repro.common.errors import CaribouError
@@ -52,7 +53,6 @@ from repro.core.trigger import TriggerSettings
 from repro.experiments.harness import solve_plan_set, warm_up
 from repro.metrics.carbon import TransmissionScenario
 from repro.model.config import WorkflowConfig
-from repro.model.dag import WorkflowDAG
 from repro.model.plan import HourlyPlanSet
 from repro.obs.trace import NULL_TRACER
 from repro.service.builder import WorkflowBuilder
@@ -91,7 +91,6 @@ class JobRuntime:
 
     workflow: Workflow
     config: WorkflowConfig
-    dag: Optional[WorkflowDAG]
     deployed: Optional[DeployedWorkflow] = None
     executor: Optional[CaribouExecutor] = None
 
@@ -137,9 +136,7 @@ class ServiceEngine:
         )
         self.solver_stats = SolverStats()
         self._runtime: Dict[str, JobRuntime] = {}
-        self._factories: Dict[
-            str, Callable[[str], Tuple[Workflow, WorkflowConfig, WorkflowDAG]]
-        ] = {}
+        self._builders: Dict[str, WorkflowBuilder] = {}
         self._metrics = getattr(cloud, "metrics", None)
         self._tracer = getattr(cloud, "tracer", NULL_TRACER)
         self._submit_counter = 0
@@ -149,35 +146,27 @@ class ServiceEngine:
     # -- workflow sources ---------------------------------------------------
     def register_workflow(self, builder: WorkflowBuilder) -> None:
         """Make a builder-declared workflow submittable by name."""
-
-        def factory(job_id: str) -> Tuple[Workflow, WorkflowConfig, WorkflowDAG]:
-            compiled = builder.build(home_region=self._home_region, name=job_id)
-            return compiled.workflow, compiled.config, compiled.dag
-
-        self._factories[builder.name] = factory
+        self._builders[builder.name] = builder
 
     def _build_workflow(self, record: JobRecord) -> JobRuntime:
         """(Re)construct the workflow objects for a job — deterministic,
         so recovery rebuilds exactly what the original step deployed."""
-        if record.app in self._factories:
-            wf, config, dag = self._factories[record.app](record.job_id)
-            return JobRuntime(workflow=wf, config=config, dag=dag)
-        if record.app in ALL_APPS:
-            from repro.apps.base import default_config
-
-            app = get_app(record.app)
-            wf = app.build_workflow()
-            # Isolated per-job namespace: two jobs of the same app must
-            # not collide in the fleet registry or the KV tables.
-            wf.name = record.job_id
-            config = default_config(
-                home_region=self._home_region, benchmarking_fraction=0.0
+        if record.app in self._builders:
+            wf = self._builders[record.app].build()
+        elif record.app in ALL_APPS:
+            wf = get_app(record.app).build_workflow()
+        else:
+            raise CaribouError(
+                f"job {record.job_id!r}: unknown workflow source {record.app!r} "
+                "(not a benchmark app, not a registered builder)"
             )
-            return JobRuntime(workflow=wf, config=config, dag=None)
-        raise CaribouError(
-            f"job {record.job_id!r}: unknown workflow source {record.app!r} "
-            "(not a benchmark app, not a registered builder)"
+        # Isolated per-job namespace: two jobs of the same workflow must
+        # not collide in the fleet registry or the KV tables.
+        wf.name = record.job_id
+        config = default_config(
+            home_region=self._home_region, benchmarking_fraction=0.0
         )
+        return JobRuntime(workflow=wf, config=config)
 
     # -- submission / queries -----------------------------------------------
     def submit(
@@ -187,17 +176,16 @@ class ServiceEngine:
         job_id: Optional[str] = None,
     ) -> JobRecord:
         """Create a durable job record in ``SUBMITTED``."""
-        if app not in self._factories and app not in ALL_APPS:
+        if app not in self._builders and app not in ALL_APPS:
             raise KeyError(
                 f"unknown workflow {app!r}: pick a benchmark app "
                 f"({', '.join(sorted(ALL_APPS))}) or register a builder"
             )
         self._submit_counter += 1
         if job_id is None:
-            job_id = f"{app}-{self._submit_counter:04d}"
-            while self._store.load(job_id) is not None:
-                self._submit_counter += 1
-                job_id = f"{app}-{self._submit_counter:04d}"
+            job_id, self._submit_counter = self._store.free_job_id(
+                app, self._submit_counter
+            )
         elif self._store.load(job_id) is not None:
             raise ValueError(f"job {job_id!r} already exists")
         now = self._cloud.now()
@@ -335,9 +323,7 @@ class ServiceEngine:
 
     # -- step bodies ---------------------------------------------------------
     def _do_deploy(self, record: JobRecord, runtime: JobRuntime) -> None:
-        deployed, executor = self.utility.deploy(
-            runtime.workflow, runtime.config, dag=runtime.dag
-        )
+        deployed, executor = self.utility.deploy(runtime.workflow, runtime.config)
         runtime.deployed, runtime.executor = deployed, executor
         record.artifacts["nodes"] = list(deployed.dag.node_names)
         record.artifacts["home_region"] = deployed.config.home_region
@@ -486,15 +472,11 @@ class ServiceEngine:
             runtime.workflow.name, entry, runtime.config.home_region
         ):
             # Same-process restart: cloud state survived; attach only.
-            deployed, executor = self.utility.attach(
-                runtime.workflow, runtime.config, dag=runtime.dag
-            )
+            deployed, executor = self.utility.attach(runtime.workflow, runtime.config)
         else:
             # Fresh cloud (cross-process serve): re-establish the
             # recorded deployment, then re-apply the persisted plan.
-            deployed, executor = self.utility.deploy(
-                runtime.workflow, runtime.config, dag=runtime.dag
-            )
+            deployed, executor = self.utility.deploy(runtime.workflow, runtime.config)
             raw = record.artifacts.get("plan_set")
             if raw is not None and record.step_done("migrate"):
                 migrator = DeploymentMigrator(self.utility, deployed, executor)

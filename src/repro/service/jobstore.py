@@ -225,6 +225,13 @@ class JobStore:
     def job_ids(self) -> Tuple[str, ...]:
         return tuple(sorted(self._read_all()))
 
+    def free_job_id(self, app: str, seq: int) -> Tuple[str, int]:
+        """The first unused id ``{app}-{n:04d}`` with ``n >= seq``, and
+        its ``n`` — the one job-id allocator (engine and CLI)."""
+        while self.load(f"{app}-{seq:04d}") is not None:
+            seq += 1
+        return f"{app}-{seq:04d}", seq
+
     # -- backend hooks ------------------------------------------------------
     def _write(self, job_id: str, doc: Dict[str, Any]) -> None:
         raise NotImplementedError

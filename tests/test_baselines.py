@@ -3,8 +3,12 @@
 import pytest
 
 from repro.apps import get_app
+from repro.apps.base import default_config
 from repro.cloud.provider import SimulatedCloud
+from repro.common.errors import WorkflowDefinitionError
+from repro.core.api import Payload, Workflow
 from repro.core.baselines import SnsOrchestrator, StepFunctionsOrchestrator
+from repro.core.deployer import DeploymentUtility
 from repro.experiments.harness import deploy_benchmark
 
 
@@ -84,6 +88,37 @@ class TestStepFunctionsOrchestrator:
         sf.invoke(app.make_input("small"), request_id="dup")
         with pytest.raises(ValueError):
             sf.invoke(app.make_input("small"), request_id="dup")
+
+    def test_fan_out_overflow_raises_like_caribou(self):
+        """Three calls to a ``max_instances=2`` function: both executors
+        refuse the third stage with the same definition error (Caribou's
+        subscriber raises it into the pub/sub dead-letter queue)."""
+        wf = Workflow("ovf")
+
+        @wf.serverless_function(name="a", entry_point=True)
+        def a(event):
+            for _ in range(3):
+                wf.invoke_serverless_function(event, w)
+
+        @wf.serverless_function(name="w", max_instances=2)
+        def w(event):
+            wf.invoke_serverless_function(event, join)
+
+        @wf.serverless_function(name="join")
+        def join(event):
+            wf.get_predecessor_data()
+
+        cloud = SimulatedCloud(seed=24)
+        deployed, executor = DeploymentUtility(cloud).deploy(wf, default_config())
+        error = "function 'w' fan-out exceeded its declared max_instances=2"
+        StepFunctionsOrchestrator(deployed).invoke(Payload())
+        with pytest.raises(WorkflowDefinitionError, match=error):
+            cloud.run_until_idle()
+        executor.invoke(Payload(), force_home=True)
+        cloud.run_until_idle()
+        [(topic, _message, reason)] = cloud.pubsub.dead_letters
+        assert topic == "ovf.a"
+        assert reason == repr(WorkflowDefinitionError(error))
 
 
 class TestOverheadOrdering:

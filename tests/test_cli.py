@@ -218,6 +218,18 @@ class TestCommands:
         assert "us-east-1" in out
         assert len(out.strip().splitlines()) == 4  # header + 3 hours
 
+    def test_submit_skips_ids_already_taken(self, tmp_path, capsys):
+        store = str(tmp_path / "jobs.json")
+        app = "dna_visualization"
+        assert main(["submit", app, "--store", store,
+                     "--job-id", f"{app}-0002"]) == 0
+        # One job in the store: the automatic id must not be -0002.
+        assert main(["submit", app, "--store", store]) == 0
+        assert main(["submit", app, "--store", store]) == 0
+        out = capsys.readouterr().out
+        assert f"submitted {app}-0003" in out
+        assert f"submitted {app}-0004" in out
+
 
 class TestObservabilityFlags:
     def test_run_metrics_dump(self, tmp_path, capsys):

@@ -27,6 +27,12 @@ class TestExamples:
         assert "ca-central-1" in out
         assert "shifting opportunity" in out
 
+    def test_service_quickstart(self, capsys):
+        # The script asserts its own recovery contract (0 re-solves).
+        out = run_example("service_quickstart.py", capsys)
+        assert "0 simulations run" in out
+        assert "under fleet management: dna_visualization-0002, doc-pipeline-0001" in out
+
     @pytest.mark.slow
     def test_compliance_constrained_shifting(self, capsys):
         out = run_example("compliance_constrained_shifting.py", capsys)

@@ -1,12 +1,14 @@
 """Tests for the durable service layer (job store, engine, builder)."""
 
 import json
+import os
 
 import pytest
 
 from repro.cloud.faults import FaultPlan
 from repro.cloud.provider import SimulatedCloud
 from repro.common.clock import SECONDS_PER_DAY
+from repro.core.analysis import analyze_workflow
 from repro.core.api import Payload
 from repro.service import (
     ANALYZED,
@@ -26,6 +28,7 @@ from repro.service import (
     workflow,
 )
 from repro.service.jobstore import JobStateError
+from tests import front_end_capture
 
 APP = "dna_visualization"
 
@@ -420,22 +423,21 @@ def merge(payloads):
 
 class TestBuilder:
     def test_diamond_compiles_to_dag(self):
-        compiled = (
+        wf = (
             workflow("diamond").then(fetch).branch(left, right).join(merge)
             .build()
         )
-        dag = compiled.dag
+        dag = analyze_workflow(wf)
         assert set(dag.node_names) == {"fetch", "left", "right", "merge"}
         assert dag.start_node == "fetch"
         assert dag.sync_nodes == ("merge",)
         assert dag.node("fetch").memory_mb == 512
-        assert compiled.workflow.entry_function.name == "fetch"
-        assert compiled.config.home_region == "us-east-1"
+        assert wf.entry_function.name == "fetch"
 
     def test_linear_chain(self):
-        compiled = workflow("chain").then(fetch).then(left).build()
-        assert [e.key for e in compiled.dag.edges] == ["fetch->left"]
-        assert compiled.dag.sync_nodes == ()
+        dag = analyze_workflow(workflow("chain").then(fetch).then(left).build())
+        assert [e.key for e in dag.edges] == ["fetch->left"]
+        assert dag.sync_nodes == ()
 
     def test_duplicate_task_rejected(self):
         from repro.common.errors import WorkflowDefinitionError
@@ -450,17 +452,22 @@ class TestBuilder:
             workflow("empty").build()
 
     def test_name_override_isolates_jobs(self):
-        compiled = workflow("pipe").then(fetch).build(name="pipe-0001")
-        assert compiled.workflow.name == "pipe-0001"
-        assert compiled.dag.name == "pipe-0001"
+        _cloud, _store, engine = make_engine()
+        engine.register_workflow(workflow("pipe").then(fetch).then(left))
+        a, b = engine.submit("pipe"), engine.submit("pipe")
+        engine.tick()  # deploy both
+        assert (a.job_id, b.job_id) == ("pipe-0001", "pipe-0002")
+        for job in (a, b):
+            deployed = engine._runtime[job.job_id].deployed  # noqa: SLF001
+            assert (deployed.name, deployed.dag.name) == (job.job_id, job.job_id)
 
     def test_constraints_attach(self):
         @task(allowed_regions=["us-east-1", "us-west-1"])
         def pinned(payload):
             return payload
 
-        compiled = workflow("pinned-wf").then(pinned).build()
-        constraints = compiled.workflow.function("pinned").constraints
+        wf = workflow("pinned-wf").then(pinned).build()
+        constraints = wf.function("pinned").constraints
         assert constraints is not None
         assert constraints.allowed_regions == frozenset(
             {"us-east-1", "us-west-1"}
@@ -475,6 +482,7 @@ class TestBuilder:
         final = engine.job(record.job_id)
         assert final.state == MONITORING
         assert final.artifacts["nodes"] == ["fetch", "left", "right", "merge"]
+        assert final.artifacts["home_region"] == "us-east-1"
         # The deployed builder workflow serves real invocations: the
         # engine's warm-up traffic completed through the sync node.
         executions = [
@@ -499,3 +507,24 @@ class TestBuilder:
         assert resumed.recover() == 1
         resumed.run(max_steps=5)
         assert resumed.job(record.job_id).state == MONITORING
+
+
+class TestFrontEndGolden:
+    """Both front-ends' DAGs and a builder job's run against the capture
+    taken while the builder still lowered its own DAG (see
+    ``tests/front_end_capture.py``)."""
+
+    @pytest.fixture(scope="class")
+    def captured(self):
+        got = front_end_capture.capture()
+        golden = front_end_capture.GOLDEN
+        if os.environ.get("UPDATE_GOLDEN"):
+            golden.write_text(
+                json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+            )
+        return got, json.loads(golden.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("section", ["apps", "builder", "engine"])
+    def test_front_end_matches_the_capture(self, captured, section):
+        got, want = captured
+        assert got[section] == want[section]
