@@ -10,20 +10,22 @@
   orchestrator: per-edge state transitions inside one service, central
   (free) synchronisation state, and no per-hop publish/delivery
   overheads, which is why it is the fastest of the three.
+
+Both walk the same :class:`~repro.core.executor.RouteTable` and apply
+the same :class:`~repro.core.executor.JoinRule` as Caribou.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.core.analysis import intent_stage
 from repro.core.api import ExecutionContext, Payload
 from repro.core.executor import (
-    HEADER_BYTES,
     CaribouExecutor,
     DeployedWorkflow,
-    propagate_dead,
-    sync_condition_met,
+    RouteTable,
+    _encode,
+    topic_name,
 )
 from repro.model.plan import DeploymentPlan
 
@@ -41,7 +43,7 @@ class SnsOrchestrator(CaribouExecutor):
 
     def __init__(self, deployed: DeployedWorkflow):
         super().__init__(deployed)
-        self._home = deployed.config.home_region
+        self._plan_entries = 0  # no DP piggyback
 
     def setup(self) -> None:
         """Create the baseline's own topics + subscriptions (home only)."""
@@ -61,31 +63,13 @@ class SnsOrchestrator(CaribouExecutor):
     ) -> str:
         """Direct invocation: no plan fetch, no benchmarking sampling."""
         self._request_counter += 1
-        rid = request_id or f"{self._d.name}-sns-r{self._request_counter:06d}"
-        start = self._dag.start_node
-        body = {
-            "node": start,
-            "request_id": rid,
-            "plan": dict(self.home_plan().assignments),
-            "payloads": [self._encode_payload(payload)],
-            "benchmark": False,
-        }
-        self._publish_to_node(
-            node=start,
-            body=body,
-            payload_bytes=payload.size_bytes,
-            source_region=self._home,
-            request_id=rid,
-            edge_label="",
-        )
+        rid = request_id or f"{self._name}-sns-r{self._request_counter:06d}"
+        self._send(self._start, rid, dict(self.home_plan().assignments),
+                   [_encode(payload)], False, payload.size_bytes, self._home, "")
         return rid
 
-    # -- hooks ------------------------------------------------------------------
     def _topic_for(self, function: str) -> str:
         return f"{self.TOPIC_PREFIX}:{self._d.name}.{function}"
-
-    def _message_bytes(self, payload_bytes: float) -> float:
-        return payload_bytes + HEADER_BYTES  # no DP piggyback
 
 
 class StepFunctionsOrchestrator:
@@ -99,18 +83,17 @@ class StepFunctionsOrchestrator:
 
     def __init__(self, deployed: DeployedWorkflow):
         self._d = deployed
-        self._dag = deployed.dag
+        self._name = deployed.name
         self._wf = deployed.workflow
         self._cloud = deployed.cloud
+        self._env = deployed.cloud.env
         self._home = deployed.config.home_region
         self._sf = deployed.cloud.stepfunctions(self._home)
-        self._topo = self._dag.topological_order()
-        from repro.core.executor import annotation_class_edges
-
-        self._annotated = annotation_class_edges(self._dag)
-        self._spec_of_node = {
-            n.name: self._wf.function(n.function) for n in self._dag.nodes
-        }
+        self._routes = RouteTable(
+            self._wf, deployed.dag, lambda function: topic_name(self._name, function)
+        )
+        self._join = self._routes.join
+        self._sync_nodes = tuple(self._join.in_keys)
         self._request_counter = 0
         # Per-execution central state: annotations + buffered sync data.
         self._ann: Dict[str, Dict] = {}
@@ -118,33 +101,31 @@ class StepFunctionsOrchestrator:
 
     def invoke(self, payload: Payload, request_id: Optional[str] = None) -> str:
         self._request_counter += 1
-        rid = request_id or f"{self._d.name}-sf-r{self._request_counter:06d}"
+        rid = request_id or f"{self._name}-sf-r{self._request_counter:06d}"
         self._sf.start_execution(rid)
         self._ann[rid] = {}
         self._sync_buffers[rid] = {}
-        delay = self._sf.transition_delay()
-        self._cloud.env.schedule(
-            delay, lambda: self._run_node(self._dag.start_node, [payload], rid)
+        start = self._d.dag.start_node
+        self._env.schedule(
+            self._sf.transition_delay(), lambda: self._run_node(start, [payload], rid)
         )
         return rid
 
     # -- internals --------------------------------------------------------------
     def _run_node(self, node: str, payloads: List[Payload], rid: str) -> None:
-        spec = self._spec_of_node[node]
-        input_bytes = sum(p.size_bytes for p in payloads)
-
+        route = self._routes[node]
+        spec = route.spec
         # Fixed external data reads (same fairness rule as Caribou).
         if spec.external_data is not None:
             self._cloud.network.transfer(
                 spec.external_data.region,
                 self._home,
                 spec.external_data.size_bytes,
-                workflow=self._d.name,
+                workflow=self._name,
                 request_id=rid,
                 kind="data",
                 edge=f"external:{node}",
             )
-
         ctx = ExecutionContext(node=node, request_id=rid, predecessor_data=payloads)
 
         def wrapped(event: Any, faas_ctx) -> Any:
@@ -153,84 +134,51 @@ class StepFunctionsOrchestrator:
                 spec.handler(event)
             finally:
                 self._wf.pop_context()
-            self._cloud.env.schedule_at(
-                faas_ctx.end_s, lambda: self._process_intents(ctx, node, rid)
-            )
-            total_out = sum(i.payload.size_bytes for i in ctx.intents)
-            return Payload(content=None, size_bytes=total_out)
+            self._env.schedule_at(faas_ctx.end_s, lambda: self._hand_off(ctx, rid))
+            return Payload(content=None, size_bytes=sum([i.payload.size_bytes for i in ctx.intents]))
 
-        event = payloads[0].content if payloads else None
-        if self._dag.is_sync_node(node):
-            event = None
         self._cloud.functions.invoke(
-            workflow=self._d.name,
+            workflow=self._name,
             function=spec.name,
             region=self._home,
-            body=event,
-            payload_bytes=input_bytes,
+            body=payloads[0].content if payloads and not route.sync else None,
+            payload_bytes=sum([p.size_bytes for p in payloads]),
             node=node,
             request_id=rid,
             handler_override=wrapped,
         )
 
-    def _process_intents(self, ctx: ExecutionContext, node: str, rid: str) -> None:
-        covered: set = set()
-        for intent in ctx.intents:
-            dst = intent_stage(
-                self._wf.function(intent.target_function), intent.call_index
-            )
-            covered.add(dst)
-            if not intent.conditional_value:
-                self._mark_skip(node, dst, rid)
+    def _hand_off(self, ctx: ExecutionContext, rid: str) -> None:
+        """Resolve every out-edge of a finished state centrally."""
+        ann = self._ann[rid]
+        buffers = self._sync_buffers[rid]
+        for hop, payload in self._routes.resolve(ctx.node, ctx.intents):
+            if payload is None:
+                if not hop.annotated:
+                    continue
+                fired = self._join.apply(ann, {hop.key: 0})
+                for _sync_node in self._sync_nodes:
+                    delay = self._sf.transition_delay()
             else:
-                self._route(node, dst, intent.payload, rid)
-        for edge in self._dag.out_edges(node):
-            if edge.dst not in covered:
-                self._mark_skip(node, edge.dst, rid)
+                # Payload passes through the orchestrator: one intra-region hop.
+                transfer = self._cloud.network.transfer(
+                    self._home,
+                    self._home,
+                    payload.size_bytes,
+                    workflow=self._name,
+                    request_id=rid,
+                    kind="data",
+                    edge=hop.key,
+                )
+                delay = transfer.latency_s + self._sf.transition_delay()
+                if hop.sync:
+                    buffers.setdefault(hop.dst, []).append(payload)
+                    self._sf.record_arrival(rid, hop.dst)
+                else:
+                    self._schedule(delay, hop.dst, [payload], rid)
+                fired = self._join.apply(ann, {hop.key: 1}) if hop.annotated else ()
+            for sync_node in fired:
+                self._schedule(delay, sync_node, buffers.get(sync_node, []), rid)
 
-    def _route(self, src: str, dst: str, payload: Payload, rid: str) -> None:
-        # Payload passes through the orchestrator: one intra-region hop.
-        transfer = self._cloud.network.transfer(
-            self._home,
-            self._home,
-            payload.size_bytes,
-            workflow=self._d.name,
-            request_id=rid,
-            kind="data",
-            edge=f"{src}->{dst}",
-        )
-        delay = transfer.latency_s + self._sf.transition_delay()
-        ann = self._ann[rid]
-        if self._dag.is_sync_node(dst):
-            self._sync_buffers[rid].setdefault(dst, []).append(payload)
-            self._sf.record_arrival(rid, dst)
-            if (src, dst) in self._annotated:
-                ann[f"{src}->{dst}"] = 1
-            self._check_sync(dst, rid, delay)
-        else:
-            if (src, dst) in self._annotated:
-                ann[f"{src}->{dst}"] = 1
-            self._cloud.env.schedule(
-                delay, lambda: self._run_node(dst, [payload], rid)
-            )
-
-    def _mark_skip(self, src: str, dst: str, rid: str) -> None:
-        if (src, dst) not in self._annotated:
-            return
-        ann = self._ann[rid]
-        ann[f"{src}->{dst}"] = 0
-        propagate_dead(self._dag, self._annotated, ann, self._topo)
-        for sync_node in self._dag.sync_nodes:
-            self._check_sync(sync_node, rid, self._sf.transition_delay())
-
-    def _check_sync(self, sync_node: str, rid: str, delay: float) -> None:
-        ann = self._ann[rid]
-        flag = f"__invoked__:{sync_node}"
-        if ann.get(flag):
-            return
-        if sync_condition_met(self._dag, ann, sync_node):
-            ann[flag] = True
-            payloads = self._sync_buffers[rid].get(sync_node, [])
-            self._cloud.env.schedule(
-                delay, lambda: self._run_node(sync_node, payloads, rid)
-            )
+    def _schedule(self, delay: float, node: str, payloads: List[Payload], rid: str) -> None:
+        self._env.schedule(delay, lambda: self._run_node(node, payloads, rid))

@@ -19,6 +19,12 @@ handlers run unchanged while the wrapper
 * routes 10 % of invocations to execute fully at the home region for
   benchmarking and metric collection (§6.2).
 
+Everything the wrapper needs to know about a workflow is compiled once,
+into a :class:`RouteTable` (per node: its function, topic, and the
+successor hops keyed by the intent that takes them) and a
+:class:`JoinRule` (Eq. 4.1 plus skip propagation).  Caribou, the plain-
+SNS baseline and the Step Functions baseline all read these two.
+
 Implementation note on skip propagation: the paper's path-based rule
 (§4) can over-cancel edges whose source is also reachable via a live
 path.  We implement the exact fixed point instead: a node is *dead* iff
@@ -32,7 +38,7 @@ relevant subgraph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.cloud.faults import ReliabilityStats
 from repro.cloud.provider import SimulatedCloud
@@ -45,7 +51,13 @@ from repro.common.errors import (
     WorkflowDefinitionError,
 )
 from repro.core.analysis import intent_stage
-from repro.core.api import ExecutionContext, FunctionSpec, Payload, Workflow
+from repro.core.api import (
+    ExecutionContext,
+    FunctionSpec,
+    InvocationIntent,
+    Payload,
+    Workflow,
+)
 from repro.model.config import WorkflowConfig
 from repro.model.dag import WorkflowDAG
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
@@ -85,41 +97,149 @@ def annotation_class_edges(dag: WorkflowDAG) -> FrozenSet[Tuple[str, str]]:
     )
 
 
-def propagate_dead(
-    dag: WorkflowDAG,
-    annotated_edges: FrozenSet[Tuple[str, str]],
-    ann: Dict,
-    topo_order: List[str],
-) -> None:
-    """Fixed-point deadness over the annotation-class subgraph.
+class JoinRule:
+    """Eq. 4.1 and the deadness fixed point over one DAG, compiled once.
 
-    A node is dead iff all its annotation-class in-edges are annotated 0
-    or originate from dead nodes; dead nodes' annotation-class out-edges
-    are annotated 0 in turn (in-place on ``ann``).  This is the exact
-    semantics behind the paper's §4 skip-propagation rule.
+    ``apply`` is the whole atomic step of the join protocol: write the
+    explicit marks, propagate deadness (a node is dead iff all its
+    annotation-class in-edges are 0 or come from dead nodes; its
+    annotation-class out-edges then default to 0), and claim every sync
+    node whose in-edges are all annotated with at least one taken.
     """
-    dead: set = set()
-    start = dag.start_node
-    for n in topo_order:
-        if n == start:
-            continue
-        in_edges = [e for e in dag.in_edges(n) if (e.src, e.dst) in annotated_edges]
-        if not in_edges:
-            continue  # fed by non-annotated edges: cannot judge, assume live
-        if all(
-            ann.get(f"{e.src}->{e.dst}") == 0 or e.src in dead for e in in_edges
-        ):
-            dead.add(n)
-    for n in dead:
-        for e in dag.out_edges(n):
-            if (e.src, e.dst) in annotated_edges:
-                ann.setdefault(f"{e.src}->{e.dst}", 0)
+
+    __slots__ = ("dead_plan", "dead_out", "in_keys", "flags")
+
+    def __init__(self, dag: WorkflowDAG, annotated: FrozenSet[Tuple[str, str]]):
+        start = dag.start_node
+        plan = []
+        for n in dag.topological_order():
+            ins = tuple(
+                (e.src, f"{e.src}->{e.dst}")
+                for e in dag.in_edges(n)
+                if (e.src, e.dst) in annotated
+            )
+            if n != start and ins:
+                plan.append((n, ins))
+        #: ``(node, ((src, edge key), ...))`` in topological order.
+        self.dead_plan: Tuple[Tuple[str, Tuple[Tuple[str, str], ...]], ...] = tuple(plan)
+        self.dead_out: Dict[str, Tuple[str, ...]] = {
+            n: tuple(
+                f"{e.src}->{e.dst}"
+                for e in dag.out_edges(n)
+                if (e.src, e.dst) in annotated
+            )
+            for n, _ins in plan
+        }
+        self.in_keys: Dict[str, Tuple[str, ...]] = {
+            s: tuple(f"{e.src}->{e.dst}" for e in dag.in_edges(s))
+            for s in dag.sync_nodes
+        }
+        #: The annotation item's "already invoked" flag per sync node.
+        self.flags: Dict[str, str] = {s: f"__invoked__:{s}" for s in dag.sync_nodes}
+
+    def apply(self, ann: Dict, marks: Dict[str, int]) -> List[str]:
+        """Apply ``marks`` to ``ann`` in place; return the sync nodes
+        whose invocation condition this made true, in DAG order."""
+        ann.update(marks)  # explicit marks win over propagated ones
+        get = ann.get
+        # A node can only be dead downstream of a 0-edge (the other
+        # values are 1 and the ``True`` flags): without one, skip the walk.
+        if 0 in ann.values():
+            dead: set = set()
+            for n, ins in self.dead_plan:
+                if all(get(k) == 0 or src in dead for src, k in ins):
+                    dead.add(n)
+            for n in dead:
+                for k in self.dead_out[n]:
+                    ann.setdefault(k, 0)
+        fired = []
+        for s, keys in self.in_keys.items():
+            flag = self.flags[s]
+            if get(flag):
+                continue
+            values = [get(k) for k in keys]
+            # Values are None, 0 or 1: all annotated, at least one taken.
+            if None not in values and 1 in values:
+                ann[flag] = True
+                fired.append(s)
+        return fired
 
 
-def sync_condition_met(dag: WorkflowDAG, ann: Dict, sync_node: str) -> bool:
-    """Eq. 4.1: all in-edges annotated, at least one taken."""
-    values = [ann.get(f"{e.src}->{e.dst}") for e in dag.in_edges(sync_node)]
-    return all(v is not None for v in values) and any(v == 1 for v in values)
+class Hop(NamedTuple):
+    """One DAG edge as the wrapper hands it off."""
+
+    dst: str
+    key: str  # "src->dst": annotation key and transfer label
+    annotated: bool
+    sync: bool  # dst is a synchronisation node
+
+
+class Route(NamedTuple):
+    """One node: what runs there and where its intents lead."""
+
+    spec: FunctionSpec
+    topic: str
+    sync: bool
+    #: Out-edges in DAG order (uncovered ones are implicit skips).
+    out: Tuple[Hop, ...]
+    #: ``(target function, call index)`` of an intent -> its hop.
+    hops: Dict[Tuple[str, int], Hop]
+
+
+class RouteTable:
+    """Per-node routes of one workflow, compiled once per engine."""
+
+    def __init__(
+        self, workflow: Workflow, dag: WorkflowDAG, topic_for: Callable[[str], str]
+    ):
+        self._wf = workflow
+        annotated = annotation_class_edges(dag)
+        self.join = JoinRule(dag, annotated)
+        sync = frozenset(dag.sync_nodes)
+        self.routes: Dict[str, Route] = {}
+        for node in dag.nodes:
+            spec = workflow.function(node.function)
+            out = tuple(
+                Hop(e.dst, f"{e.src}->{e.dst}", (e.src, e.dst) in annotated, e.dst in sync)
+                for e in dag.out_edges(node.name)
+            )
+            hops = {}
+            for hop in out:
+                target = workflow.function(dag.node(hop.dst).function)
+                for k in range(target.max_instances):
+                    if intent_stage(target, k) == hop.dst:
+                        hops[(target.name, k)] = hop
+            self.routes[node.name] = Route(
+                spec, topic_for(spec.name), node.name in sync, out, hops
+            )
+
+    def __getitem__(self, node: str) -> Route:
+        return self.routes[node]
+
+    def resolve(
+        self, node: str, intents: List[InvocationIntent]
+    ) -> List[Tuple[Hop, Optional[Payload]]]:
+        """Each out-edge of ``node`` once, with the payload it carries or
+        ``None`` for a skip: the intents in call order, then the out-edges
+        no intent covered (smaller fan-out than declared, or an
+        untriggered branch)."""
+        route = self.routes[node]
+        steps: List[Tuple[Hop, Optional[Payload]]] = []
+        for intent in intents:
+            hop = route.hops.get((intent.target_function, intent.call_index))
+            if hop is None:
+                dst = intent_stage(
+                    self._wf.function(intent.target_function), intent.call_index
+                )
+                raise WorkflowDefinitionError(
+                    f"runtime invocation {node}->{dst} has no DAG edge; "
+                    "static analysis and runtime behaviour diverge"
+                )
+            steps.append((hop, intent.payload if intent.conditional_value else None))
+        if len(steps) < len(route.out):
+            covered = {hop for hop, _payload in steps}
+            steps.extend((hop, None) for hop in route.out if hop not in covered)
+        return steps
 
 
 @dataclass
@@ -156,6 +276,31 @@ class DeployedWorkflow:
         return self.cloud.kvstore(self.kv_region)
 
 
+class _Request:
+    """One tracked request.  ``status`` is ``"pending"`` until the one
+    terminal transition (:meth:`CaribouExecutor._finish`), which clears
+    ``t0`` and ``watchdog``; ``None`` marks an untracked request whose
+    join arrivals are recorded for a tracer."""
+
+    __slots__ = ("status", "t0", "watchdog", "arrivals")
+
+    def __init__(self, status: Optional[str], t0: Optional[float] = None):
+        self.status = status
+        self.t0 = t0  # virtual admission time
+        self.watchdog: Optional[EventHandle] = None
+        #: Edge annotations in arrival order, ``(edge, value, t)``; kept
+        #: only while a tracer is attached.
+        self.arrivals: Optional[List[Tuple[str, int, float]]] = None
+
+
+def _encode(payload: Payload) -> Dict:
+    return {"content": payload.content, "size_bytes": payload.size_bytes}
+
+
+def _decode(raw: Dict) -> Payload:
+    return Payload(content=raw["content"], size_bytes=raw["size_bytes"])
+
+
 class CaribouExecutor:
     """Runtime wrapper + invocation client for one deployed workflow."""
 
@@ -164,84 +309,35 @@ class CaribouExecutor:
         self._dag = deployed.dag
         self._wf = deployed.workflow
         self._cloud = deployed.cloud
-        self._rng = deployed.cloud.env.rng.get(f"executor:{deployed.name}")
+        self._env = deployed.cloud.env
+        self._pubsub = deployed.cloud.pubsub
+        self._name = deployed.name
+        self._home = deployed.config.home_region
+        self._rng = deployed.cloud.env.rng.get(f"executor:{self._name}")
         self._request_counter = 0
-        # Edges upstream of any sync node are annotation-class (see
-        # module docstring).
-        self._annotated_edges: FrozenSet[Tuple[str, str]] = annotation_class_edges(
-            self._dag
-        )
-        self._topo = self._dag.topological_order()
-        # node -> FunctionSpec
-        self._spec_of_node: Dict[str, FunctionSpec] = {
-            n.name: self._wf.function(n.function) for n in self._dag.nodes
-        }
-        # node -> pub/sub topic of its function (``_topic_for`` is a
-        # subclass hook, but a pure function of the workflow).
-        self._topic_of_node: Dict[str, str] = {
-            node: self._topic_for(spec.name)
-            for node, spec in self._spec_of_node.items()
-        }
-        # Precompiled deadness-propagation plan: the same semantics as
-        # module-level :func:`propagate_dead` + Eq. 4.1 checks, but with
-        # the per-node annotation-class edge lists and string keys built
-        # once here instead of per annotation (``_annotate`` runs on
-        # every skip/invoke message, so the walks dominate at open-loop
-        # request rates).
-        start = self._dag.start_node
-        self._dead_plan: List[Tuple[str, Tuple[Tuple[str, str], ...]]] = []
-        for n in self._topo:
-            if n == start:
-                continue
-            ins = tuple(
-                (e.src, f"{e.src}->{e.dst}")
-                for e in self._dag.in_edges(n)
-                if (e.src, e.dst) in self._annotated_edges
-            )
-            if ins:
-                self._dead_plan.append((n, ins))
-        self._dead_out: Dict[str, Tuple[str, ...]] = {
-            n: tuple(
-                f"{e.src}->{e.dst}"
-                for e in self._dag.out_edges(n)
-                if (e.src, e.dst) in self._annotated_edges
-            )
-            for n, _ins in self._dead_plan
-        }
-        self._sync_nodes: Tuple[str, ...] = self._dag.sync_nodes
-        self._sync_set: FrozenSet[str] = frozenset(self._sync_nodes)
-        self._sync_in_keys: Dict[str, Tuple[str, ...]] = {
-            s: tuple(f"{e.src}->{e.dst}" for e in self._dag.in_edges(s))
-            for s in self._sync_nodes
-        }
-        self._sync_flags: Dict[str, str] = {
-            s: f"__invoked__:{s}" for s in self._sync_nodes
-        }
+        self._routes = RouteTable(self._wf, self._dag, self._topic_for)
+        self._join = self._routes.join
+        self._start = self._dag.start_node
+        self._input_label = f"$input->{self._start}"
+        #: DP entries piggybacked on every message (0 for plain SNS).
+        self._plan_entries = len(self._dag)
+        self._annotation_table = deployed.annotation_table
+        self._data_table = deployed.data_table
         # -- observability --------------------------------------------------
         self._tracer = getattr(deployed.cloud, "tracer", NULL_TRACER)
         self._metrics = getattr(deployed.cloud, "metrics", NULL_METRICS)
         # -- reliability bookkeeping ---------------------------------------
         self._faults = getattr(deployed.cloud, "faults", None)
-        # request id -> "pending" | "completed" | "failed" | "timed_out"
-        self._requests: Dict[str, str] = {}
-        # Ordered edge-annotation arrivals per request: (edge, value, t).
-        # Pure bookkeeping for trace analysis, so only kept while a real
-        # tracer is attached — untraced runs allocate nothing here.
-        self._join_arrivals: Dict[str, List[Tuple[str, int, float]]] = {}
-        self._watchdogs: Dict[str, EventHandle] = {}
-        # Virtual-time admission stamp per in-flight request, feeding the
-        # end-to-end latency histogram (cached: one instrument, hot path).
-        self._request_t0: Dict[str, float] = {}
+        self._requests: Dict[str, _Request] = {}
+        # Cached: one instrument on the hot path.
         self._latency_hist = self._metrics.histogram(
-            "executor.request_latency_s", workflow=self._d.name
+            "executor.request_latency_s", workflow=self._name
         )
         # The executor's counters, resolved on first use — a series
         # must not show in the exposition before its first update — and
         # reused from then on.
         self._counters: Dict[Tuple[str, str], Any] = {}
-        self._completed = 0
-        self._failed = 0
-        self._timed_out = 0
+        self._finished = {"completed": 0, "failed": 0, "timed_out": 0}
         self._home_fallbacks = 0
         deployed.cloud.pubsub.add_dead_letter_listener(self._on_dead_letter)
 
@@ -265,10 +361,7 @@ class CaribouExecutor:
         (§6.2), and publishes the start message.  Returns the request id;
         advance the simulation to let the workflow run.
         """
-        self._request_counter += 1
-        rid = request_id or f"{self._d.name}-r{self._request_counter:06d}"
-        self._begin_request(rid)
-
+        rid = self._begin_request(request_id)
         # Draw the benchmarking coin unconditionally: short-circuiting it
         # behind ``force_home`` would desynchronise the executor's RNG
         # stream between runs that warm up (force_home=True) and runs
@@ -281,23 +374,8 @@ class CaribouExecutor:
             active = plan
         else:
             active = self.fetch_active_plan()
-
-        start = self._dag.start_node
-        body = {
-            "node": start,
-            "request_id": rid,
-            "plan": dict(active.assignments),
-            "payloads": [self._encode_payload(payload)],
-            "benchmark": benchmark,
-        }
-        self._publish_to_node(
-            node=start,
-            body=body,
-            payload_bytes=payload.size_bytes,
-            source_region=self._d.config.home_region,
-            request_id=rid,
-            edge_label=f"$input->{start}",
-        )
+        self._send(self._start, rid, dict(active.assignments), [_encode(payload)],
+                   benchmark, payload.size_bytes, self._home, self._input_label)
         return rid
 
     def invoke_direct(self, payload: Payload, request_id: Optional[str] = None) -> str:
@@ -311,41 +389,13 @@ class CaribouExecutor:
         proxy path of :meth:`invoke`, which is the price of not running
         the CLI proxy.
         """
-        self._request_counter += 1
-        rid = request_id or f"{self._d.name}-r{self._request_counter:06d}"
-        self._begin_request(rid)
-        start = self._dag.start_node
-        home = self._d.config.home_region
-        body = {
-            "node": start,
-            "request_id": rid,
-            "plan": None,  # resolved by the home-region wrapper
-            "payloads": [self._encode_payload(payload)],
-            "benchmark": False,
-        }
-        message = Message(
-            body=body,
-            size_bytes=self._message_bytes(payload.size_bytes),
-            workflow=self._d.name,
-            request_id=rid,
-        )
-        topic = self._topic_of_node[start]
-        try:
-            self._cloud.pubsub.publish(
-                topic,
-                home,
-                message,
-                source_region=home,
-                edge_label=f"$input->{start}",
-            )
-        except CaribouError as exc:
-            # Home region refused the publish (outage): the request is
-            # explicitly failed, not silently lost.
-            self._cloud.pubsub.dead_letter(topic, message, repr(exc))
+        rid = self._begin_request(request_id)
+        self._send(self._start, rid, None, [_encode(payload)], False,
+                   payload.size_bytes, self._home, self._input_label)
         return rid
 
     def home_plan(self) -> DeploymentPlan:
-        return DeploymentPlan.single_region(self._dag, self._d.config.home_region)
+        return DeploymentPlan.single_region(self._dag, self._home)
 
     def staged_plan_set(self, caller_region: str) -> Optional[HourlyPlanSet]:
         """The staged plan set as read from ``caller_region``, or ``None``
@@ -361,7 +411,7 @@ class CaribouExecutor:
             self._d.meta_table,
             META_PLAN_KEY,
             caller_region=caller_region,
-            workflow=self._d.name,
+            workflow=self._name,
             decode=HourlyPlanSet.from_dict,
         )
         return plan_set
@@ -371,12 +421,12 @@ class CaribouExecutor:
         home region when none exists, it has expired (§5.2), or the
         store itself is unreachable (outage / injected KV error)."""
         try:
-            plan_set = self.staged_plan_set(self._d.config.home_region)
+            plan_set = self.staged_plan_set(self._home)
         except (KeyValueStoreError, RegionUnavailableError):
             self._home_fallbacks += 1
             self._counter("executor.home_fallbacks").inc()
             return self.home_plan()
-        now = self._cloud.now()
+        now = self._env.now()
         if plan_set is None or plan_set.is_expired(now):
             return self.home_plan()
         hour_of_day = int(now // 3600.0) % 24
@@ -392,16 +442,16 @@ class CaribouExecutor:
             self._d.meta_table,
             META_PLAN_KEY,
             plan_set.to_dict(),
-            caller_region=self._d.config.home_region,
-            workflow=self._d.name,
+            caller_region=self._home,
+            workflow=self._name,
         )
 
     def clear_plan(self) -> None:
         self._d.kv().delete(
             self._d.meta_table,
             META_PLAN_KEY,
-            caller_region=self._d.config.home_region,
-            workflow=self._d.name,
+            caller_region=self._home,
+            workflow=self._name,
         )
 
     # ------------------------------------------------------- wrapper plumbing
@@ -412,32 +462,23 @@ class CaribouExecutor:
         message and dispatches to the wrapped execution."""
 
         def subscriber(message: Message) -> None:
-            body = dict(message.body)
+            body = message.body
             node = body["node"]
-            if body.get("plan") is None:
+            if body["plan"] is None:
                 # Direct-to-home request (§6.2): resolve the DP here and
                 # re-route to the planned region when it is not us.
                 plan = self.fetch_active_plan()
-                body["plan"] = dict(plan.assignments)
-                target = plan.region_of(node)
-                if target != region:
-                    payload_bytes = sum(
-                        p["size_bytes"] for p in body["payloads"]
-                    )
-                    self._publish_to_node(
-                        node=node,
-                        body=body,
-                        payload_bytes=payload_bytes,
-                        source_region=region,
-                        request_id=body["request_id"],
-                        edge_label=f"$reroute->{node}",
-                    )
+                body = dict(body, plan=dict(plan.assignments))
+                if plan.region_of(node) != region:
+                    self._send(node, body["request_id"], body["plan"],
+                               body["payloads"], body["benchmark"],
+                               sum([p["size_bytes"] for p in body["payloads"]]),
+                               region, f"$reroute->{node}")
                     return
-            if node in self._sync_set:
+            if self._routes[node].sync:
                 self._start_sync_node(node, region, body)
             else:
-                payloads = [self._decode_payload(p) for p in body["payloads"]]
-                self._execute_node(node, region, payloads, body)
+                self._execute_node(node, region, [_decode(p) for p in body["payloads"]], body)
 
         return subscriber
 
@@ -445,280 +486,175 @@ class CaribouExecutor:
         """Sync nodes first load fan-in data from the KV store (Fig. 5)."""
         rid = body["request_id"]
         stored, kv_latency = self._d.kv().get(
-            self._d.data_table,
+            self._data_table,
             f"{rid}:{node}",
             caller_region=region,
-            workflow=self._d.name,
+            workflow=self._name,
             request_id=rid,
         )
-        payloads = [self._decode_payload(p) for p in (stored or [])]
-        total = sum(p.size_bytes for p in payloads)
+        payloads = [_decode(p) for p in (stored or [])]
         transfer = self._cloud.network.transfer(
             self._d.kv_region,
             region,
-            total,
-            workflow=self._d.name,
+            sum([p.size_bytes for p in payloads]),
+            workflow=self._name,
             request_id=rid,
             kind="data",
             edge=f"syncload:{node}",
         )
-        delay = kv_latency + transfer.latency_s
-        self._cloud.env.schedule(
-            delay,
-            self._guarded(rid, lambda: self._execute_node(node, region, payloads, body)),
+        self._env.schedule(
+            kv_latency + transfer.latency_s,
+            self._guarded(rid, self._execute_node, node, region, payloads, body),
         )
 
     def _execute_node(
         self, node: str, region: str, payloads: List[Payload], body: Dict
     ) -> None:
-        spec = self._spec_of_node[node]
+        route = self._routes[node]
+        spec = route.spec
         rid = body["request_id"]
-        input_bytes = sum(p.size_bytes for p in payloads)
-
         # Fixed external data reads follow the node (§9.1 rule 1).
-        external_delay = 0.0
         if spec.external_data is not None:
             transfer = self._cloud.network.transfer(
                 spec.external_data.region,
                 region,
                 spec.external_data.size_bytes,
-                workflow=self._d.name,
+                workflow=self._name,
                 request_id=rid,
                 kind="data",
                 edge=f"external:{node}",
             )
-            external_delay = transfer.latency_s
+            if transfer.latency_s > 0:
+                self._env.schedule(
+                    transfer.latency_s,
+                    self._guarded(rid, self._run, route, node, region, payloads, body),
+                )
+                return
+        self._run(route, node, region, payloads, body)
 
-        def run() -> None:
-            ctx = ExecutionContext(
-                node=node, request_id=rid, predecessor_data=payloads
-            )
+    def _run(
+        self, route: Route, node: str, region: str, payloads: List[Payload], body: Dict
+    ) -> None:
+        rid = body["request_id"]
+        ctx = ExecutionContext(node=node, request_id=rid, predecessor_data=payloads)
 
-            def wrapped(event: Any, faas_ctx) -> Any:
-                self._wf.push_context(ctx)
-                try:
-                    spec.handler(event)
-                finally:
-                    self._wf.pop_context()
-                self._process_intents(ctx, faas_ctx, body)
-                total_out = sum(i.payload.size_bytes for i in ctx.intents)
-                return Payload(content=None, size_bytes=total_out)
+        def wrapped(event: Any, faas_ctx) -> Any:
+            self._wf.push_context(ctx)
+            try:
+                route.spec.handler(event)
+            finally:
+                self._wf.pop_context()
+            self._hand_off_all(route, ctx, faas_ctx, body)
+            return Payload(content=None, size_bytes=sum([i.payload.size_bytes for i in ctx.intents]))
 
-            event = payloads[0].content if payloads else None
-            if node in self._sync_set:
-                event = None  # sync nodes read via get_predecessor_data()
-            self._cloud.functions.invoke(
-                workflow=self._d.name,
-                function=spec.name,
-                region=region,
-                body=event,
-                payload_bytes=input_bytes,
-                node=node,
-                request_id=rid,
-                handler_override=wrapped,
-            )
-
-        if external_delay > 0:
-            self._cloud.env.schedule(external_delay, self._guarded(rid, run))
-        else:
-            run()
+        # Sync nodes read their input via get_predecessor_data().
+        event = payloads[0].content if payloads and not route.sync else None
+        self._cloud.functions.invoke(
+            workflow=self._name,
+            function=route.spec.name,
+            region=region,
+            body=event,
+            payload_bytes=sum([p.size_bytes for p in payloads]),
+            node=node,
+            request_id=rid,
+            handler_override=wrapped,
+        )
 
     # --------------------------------------------------------- intent routing
-    def _process_intents(self, ctx: ExecutionContext, faas_ctx, body: Dict) -> None:
-        node = ctx.node
+    def _hand_off_all(self, route: Route, ctx: ExecutionContext, faas_ctx, body: Dict) -> None:
+        """Schedule every out-edge's hand-off at the node's end.  A skip
+        of a non-annotated edge has no downstream sync node to release,
+        so it costs nothing."""
         rid = ctx.request_id
         region = faas_ctx.region
         end = faas_ctx.end_s
-
-        covered: set = set()
-        for intent in ctx.intents:
-            dst = intent_stage(
-                self._wf.function(intent.target_function), intent.call_index
-            )
-            if not self._dag.has_edge(node, dst):
-                raise WorkflowDefinitionError(
-                    f"runtime invocation {node}->{dst} has no DAG edge; "
-                    "static analysis and runtime behaviour diverge"
-                )
-            covered.add(dst)
-            if not intent.conditional_value:
-                self._schedule_skip(end, node, dst, region, rid, body)
-            elif dst in self._sync_set:
-                self._schedule_sync_send(
-                    end, node, dst, region, rid, intent.payload, body
-                )
+        for hop, payload in self._routes.resolve(ctx.node, ctx.intents):
+            if payload is not None and hop.sync:
+                step = self._ship
+            elif payload is not None or hop.annotated:
+                step = self._hand_off
             else:
-                self._schedule_direct_send(
-                    end, node, dst, region, rid, intent.payload, body
-                )
-
-        # Out-edges never invoked this execution are implicit skips
-        # (smaller fan-out than declared, or an untriggered branch).
-        for edge in self._dag.out_edges(node):
-            if edge.dst not in covered:
-                self._schedule_skip(end, node, edge.dst, region, rid, body)
-
+                continue
+            self._env.schedule_at(
+                end, self._guarded(rid, step, rid, region, hop, payload, body)
+            )
         # A terminal node executing is the request reaching its end: mark
         # it completed.  Done synchronously (its execution record is
         # already written) rather than via an event at ``end`` — an extra
         # event there would extend the run's idle point and shift the
         # virtual clock relative to fault-free pre-tracking behaviour.
-        # Guarded on tracked requests so baseline subclasses with their
-        # own entry points are unaffected.
-        if not self._dag.out_edges(node) and rid in self._requests:
-            self._complete_request(rid)
+        if not route.out:
+            self._finish(rid, "completed")
 
-    # -- direct edges ---------------------------------------------------------
-    def _schedule_direct_send(
-        self,
-        at_s: float,
-        src: str,
-        dst: str,
-        src_region: str,
-        rid: str,
-        payload: Payload,
-        body: Dict,
+    def _ship(self, rid: str, region: str, hop: Hop, payload: Payload, body: Dict) -> None:
+        """A sync edge first ships its data to the KV store region."""
+        transfer = self._cloud.network.transfer(
+            region,
+            self._d.kv_region,
+            payload.size_bytes,
+            workflow=self._name,
+            request_id=rid,
+            kind="data",
+            edge=hop.key,
+        )
+        self._env.schedule(
+            transfer.latency_s,
+            self._guarded(rid, self._hand_off, rid, region, hop, payload, body),
+        )
+
+    def _hand_off(
+        self, rid: str, region: str, hop: Hop, payload: Optional[Payload], body: Dict
     ) -> None:
-        def send() -> None:
-            if (src, dst) in self._annotated_edges:
-                self._annotate(rid, src_region, {f"{src}->{dst}": 1})
-            new_body = {
-                "node": dst,
-                "request_id": rid,
-                "plan": body["plan"],
-                "payloads": [self._encode_payload(payload)],
-                "benchmark": body.get("benchmark", False),
-            }
-            self._publish_to_node(
-                node=dst,
-                body=new_body,
-                payload_bytes=payload.size_bytes,
-                source_region=src_region,
+        """One edge resolves: store fan-in data, annotate the edge (1
+        taken, 0 skipped), then publish to the successor or to every
+        sync node the annotation released."""
+        if payload is not None and hop.sync:
+            encoded = _encode(payload)
+            self._d.kv().update(
+                self._data_table,
+                f"{rid}:{hop.dst}",
+                lambda cur: (cur or []) + [encoded],
+                caller_region=region,
+                workflow=self._name,
                 request_id=rid,
-                edge_label=f"{src}->{dst}",
             )
+        fired = self._annotate(rid, region, {hop.key: int(payload is not None)}) if hop.annotated else ()
+        plan = body["plan"]
+        if payload is not None and not hop.sync:
+            self._send(hop.dst, rid, plan, [_encode(payload)], body["benchmark"],
+                       payload.size_bytes, region, hop.key)
+        # The last predecessor publishes the (data-free) invocation; the
+        # sync node loads its data from the KV store itself.
+        for sync_node in fired:
+            self._send(sync_node, rid, plan, [], body["benchmark"], 0.0, region, "")
 
-        self._cloud.env.schedule_at(at_s, self._guarded(rid, send))
-
-    # -- sync edges -------------------------------------------------------------
-    def _schedule_sync_send(
-        self,
-        at_s: float,
-        src: str,
-        dst: str,
-        src_region: str,
-        rid: str,
-        payload: Payload,
-        body: Dict,
-    ) -> None:
-        def send() -> None:
-            # Ship the intermediate data to the KV store region.
-            transfer = self._cloud.network.transfer(
-                src_region,
-                self._d.kv_region,
-                payload.size_bytes,
-                workflow=self._d.name,
-                request_id=rid,
-                kind="data",
-                edge=f"{src}->{dst}",
-            )
-
-            def store_and_check() -> None:
-                kv = self._d.kv()
-                encoded = self._encode_payload(payload)
-                kv.update(
-                    self._d.data_table,
-                    f"{rid}:{dst}",
-                    lambda cur: (cur or []) + [encoded],
-                    caller_region=src_region,
-                    workflow=self._d.name,
-                    request_id=rid,
-                )
-                to_invoke = self._annotate(
-                    rid, src_region, {f"{src}->{dst}": 1}
-                )
-                for sync_node in to_invoke:
-                    self._invoke_sync_node(sync_node, src_region, rid, body)
-
-            self._cloud.env.schedule(
-                transfer.latency_s, self._guarded(rid, store_and_check)
-            )
-
-        self._cloud.env.schedule_at(at_s, self._guarded(rid, send))
-
-    # -- skips ---------------------------------------------------------------------
-    def _schedule_skip(
-        self,
-        at_s: float,
-        src: str,
-        dst: str,
-        src_region: str,
-        rid: str,
-        body: Dict,
-    ) -> None:
-        if (src, dst) not in self._annotated_edges:
-            return  # no sync node downstream: nothing can deadlock
-
-        def skip() -> None:
-            to_invoke = self._annotate(rid, src_region, {f"{src}->{dst}": 0})
-            for sync_node in to_invoke:
-                self._invoke_sync_node(sync_node, src_region, rid, body)
-
-        self._cloud.env.schedule_at(at_s, self._guarded(rid, skip))
-
-    # -- the atomic annotation + condition-check step ----------------------------
     def _annotate(
         self, rid: str, caller_region: str, marks: Dict[str, int]
     ) -> List[str]:
-        """Atomically apply edge annotations, propagate deadness, and
-        claim any sync nodes whose invocation condition (Eq. 4.1) just
-        became true.  Returns the sync nodes this caller must invoke.
-        """
-        to_invoke: List[str] = []
+        """Atomically apply edge annotations (:meth:`JoinRule.apply`
+        inside one KV update) and return the sync nodes this caller
+        must invoke."""
+        fired: List[str] = []
 
         def mutate(current: Optional[Dict]) -> Dict:
             ann: Dict = dict(current or {})
-            for key, value in marks.items():
-                # Explicit marks always win over propagated ones.
-                ann[key] = value
-            # Inlined propagate_dead over the precompiled plan (see
-            # __init__) — identical fixed-point semantics.  A node can
-            # only be dead downstream of a 0-edge (the other values are
-            # 1 and the ``True`` sync flags), so without one the walk
-            # would find nothing.
-            get = ann.get
-            if 0 in ann.values():
-                dead: set = set()
-                for n, ins in self._dead_plan:
-                    if all(get(k) == 0 or src in dead for src, k in ins):
-                        dead.add(n)
-                for n in dead:
-                    for k in self._dead_out[n]:
-                        ann.setdefault(k, 0)
-            for s in self._sync_nodes:
-                flag = self._sync_flags[s]
-                if get(flag):
-                    continue
-                values = [get(k) for k in self._sync_in_keys[s]]
-                if all(v is not None for v in values) and any(v == 1 for v in values):
-                    ann[flag] = True
-                    to_invoke.append(s)
+            fired.extend(self._join.apply(ann, marks))
             return ann
 
         self._d.kv().update(
-            self._d.annotation_table,
+            self._annotation_table,
             rid,
             mutate,
             caller_region=caller_region,
-            workflow=self._d.name,
+            workflow=self._name,
             request_id=rid,
         )
         if self._tracer.enabled:
-            self._record_join(rid, marks, to_invoke)
-        return to_invoke
+            self._record_join(rid, marks, fired)
+        return fired
 
     def _record_join(
-        self, rid: str, marks: Dict[str, int], to_invoke: List[str]
+        self, rid: str, marks: Dict[str, int], fired: List[str]
     ) -> None:
         """Trace-side record of the join protocol: remember annotation
         arrival order and emit one ``sync_gate`` span per sync node whose
@@ -726,93 +662,85 @@ class CaribouExecutor:
         the explicit mark of the completing call (deadness-propagated
         edges carry no timed arrival of their own); ``arrivals`` maps
         each directly-annotated in-edge to its annotation time."""
-        now = self._cloud.now()
-        arrivals = self._join_arrivals.setdefault(rid, [])
+        now = self._env.now()
+        rec = self._requests.get(rid)
+        if rec is None:
+            rec = self._requests[rid] = _Request(None)
+        if rec.arrivals is None:
+            rec.arrivals = []
+        arrivals = rec.arrivals
         for edge, value in marks.items():
             arrivals.append((edge, value, now))
-        if not to_invoke:
+        if not fired:
             return
         gate = next(iter(marks))
-        for sync_node in to_invoke:
-            in_edges = {
-                f"{e.src}->{e.dst}" for e in self._dag.in_edges(sync_node)
-            }
-            arrived = {e: t for e, _v, t in arrivals if e in in_edges}
+        for sync_node in fired:
+            in_keys = self._join.in_keys[sync_node]
             self._tracer.record(
                 "sync_gate",
                 sync_node,
-                workflow=self._d.name,
+                workflow=self._name,
                 request_id=rid,
                 sync_node=sync_node,
                 gate=gate,
-                arrivals=arrived,
+                arrivals={e: t for e, _v, t in arrivals if e in in_keys},
             )
 
     def join_order(self, rid: str) -> Tuple[Tuple[str, int, float], ...]:
         """Edge annotations of one request in arrival order, as
         ``(edge, value, time)`` triples.  Populated only while a tracer
         is attached (the data exists for trace verification)."""
-        return tuple(self._join_arrivals.get(rid, ()))
+        rec = self._requests.get(rid)
+        return tuple(rec.arrivals or ()) if rec is not None else ()
 
-    def _invoke_sync_node(
-        self, sync_node: str, src_region: str, rid: str, body: Dict
-    ) -> None:
-        """The last predecessor publishes the (data-free) invocation
-        message; the sync node loads data from the KV store itself."""
-        new_body = {
-            "node": sync_node,
-            "request_id": rid,
-            "plan": body["plan"],
-            "payloads": [],
-            "benchmark": body.get("benchmark", False),
-        }
-        self._publish_to_node(
-            node=sync_node,
-            body=new_body,
-            payload_bytes=0.0,
-            source_region=src_region,
-            request_id=rid,
-            edge_label="",
-        )
-
-    # -- publication helper ------------------------------------------------------
-    def _publish_to_node(
+    # -- publication ---------------------------------------------------------------
+    def _send(
         self,
         node: str,
-        body: Dict,
+        rid: str,
+        plan: Optional[Dict[str, str]],
+        payloads: List[Dict],
+        benchmark: bool,
         payload_bytes: float,
         source_region: str,
-        request_id: str,
         edge_label: str,
     ) -> None:
-        plan = body["plan"]
-        target_region = plan[node]
-        topic = self._topic_of_node[node]
-        home = self._d.config.home_region
-
-        # §6.1: if the planned deployment is not materialised (failed
-        # migration) or its region is unreachable, fall back home.
-        if target_region != home and self._unusable(
-            topic, target_region, source_region
-        ):
-            self._home_fallbacks += 1
-            self._counter("executor.home_fallbacks").inc()
-            target_region = home
-            body = dict(body)
-            body["plan"] = dict(plan)
-            body["plan"][node] = home
+        """Publish one invocation of ``node`` — the only place a message
+        body is built.  ``plan=None`` is a direct-to-home request whose
+        plan the home wrapper resolves."""
+        topic = self._routes[node].topic
+        home = self._home
+        target = home
+        deliverable = True
+        if plan is not None:
+            target = plan[node]
+            deliverable = not self._unusable(topic, target, source_region)
+            # §6.1: if the planned deployment is not materialised (failed
+            # migration) or its region is unreachable, fall back home.
+            if not deliverable and target != home:
+                self._home_fallbacks += 1
+                self._counter("executor.home_fallbacks").inc()
+                plan = dict(plan)
+                plan[node] = target = home
+                deliverable = not self._unusable(topic, home, source_region)
         message = Message(
-            body=body,
-            size_bytes=self._message_bytes(payload_bytes),
-            workflow=self._d.name,
-            request_id=request_id,
+            body={
+                "node": node,
+                "request_id": rid,
+                "plan": plan,
+                "payloads": payloads,
+                "benchmark": benchmark,
+            },
+            size_bytes=message_size(payload_bytes, self._plan_entries),
+            workflow=self._name,
+            request_id=rid,
         )
-        if self._unusable(topic, target_region, source_region):
+        if not deliverable:
             # The home region itself is unusable.  Raising here would
             # escape a scheduled callback and crash the event loop, so
             # dead-letter the message instead — the listener marks the
             # request failed.
-            self._cloud.pubsub.dead_letter(
+            self._pubsub.dead_letter(
                 topic,
                 message,
                 f"no deliverable region for node {node!r} "
@@ -820,19 +748,19 @@ class CaribouExecutor:
             )
             return
         try:
-            self._cloud.pubsub.publish(
+            self._pubsub.publish(
                 topic,
-                target_region,
+                target,
                 message,
                 source_region=source_region,
                 edge_label=edge_label,
             )
         except CaribouError as exc:
-            self._cloud.pubsub.dead_letter(topic, message, repr(exc))
+            self._pubsub.dead_letter(topic, message, repr(exc))
 
     def _unusable(self, topic: str, region: str, source_region: str) -> bool:
         """Whether publishing to ``region`` cannot possibly succeed."""
-        if not self._cloud.pubsub.topic_exists(topic, region):
+        if not self._pubsub.topic_exists(topic, region):
             return True
         if self._faults is not None and self._faults.enabled:
             if self._faults.region_down(region):
@@ -848,32 +776,36 @@ class CaribouExecutor:
         if counter is None:
             labels = {"status": status} if status else {}
             counter = self._counters[(name, status)] = self._metrics.counter(
-                name, workflow=self._d.name, **labels
+                name, workflow=self._name, **labels
             )
         return counter
 
     # -- request lifecycle -------------------------------------------------------
-    def _begin_request(self, rid: str) -> None:
+    def _begin_request(self, request_id: Optional[str]) -> str:
         """Track a request end to end: every tracked request finishes as
         completed, failed, or timed out — never silently lost."""
-        self._requests[rid] = "pending"
-        self._request_t0[rid] = self._cloud.env.now()
-        self._tracer.open_request(rid, self._d.name)
+        self._request_counter += 1
+        rid = request_id or f"{self._name}-r{self._request_counter:06d}"
+        rec = self._requests[rid] = _Request("pending", self._env.now())
+        self._tracer.open_request(rid, self._name)
         self._counter("executor.requests").inc()
         timeout = self._d.config.request_timeout_s
         if timeout is not None:
-            self._watchdogs[rid] = self._cloud.env.schedule(
-                timeout, lambda: self._expire_request(rid)
+            rec.watchdog = self._env.schedule(
+                timeout, lambda: self._finish(rid, "timed_out")
             )
+        return rid
 
-    def _finish_request(self, rid: str, status: str) -> bool:
-        """First terminal transition wins; cancels the watchdog so the
-        no-fault event schedule is untouched by the timeout machinery."""
-        if self._requests.get(rid) != "pending":
-            return False
-        self._requests[rid] = status
-        handle = self._watchdogs.pop(rid, None)
-        if handle is not None and handle.cancel():
+    def _finish(self, rid: str, status: str) -> None:
+        """The one terminal transition: the first of completion, failure
+        or the watchdog wins.  Cancels the watchdog so the no-fault event
+        schedule is untouched by the timeout machinery, and drops the
+        request's in-flight state (its status stays readable)."""
+        rec = self._requests.get(rid)
+        if rec is None or rec.status != "pending":
+            return
+        rec.status = status
+        if rec.watchdog is not None and rec.watchdog.cancel():
             # One cancelled entry per finished request: at open-loop
             # arrival rates this is the simulator's dominant heap churn
             # (the compaction machinery exists for exactly this), so
@@ -881,59 +813,38 @@ class CaribouExecutor:
             self._counter("executor.watchdogs_cancelled").inc()
         self._tracer.close_request(rid, status)
         self._counter("executor.requests_finished", status).inc()
-        t0 = self._request_t0.pop(rid, None)
-        if t0 is not None:
-            self._latency_hist.observe(self._cloud.env.now() - t0)
-        return True
-
-    def _complete_request(self, rid: str) -> None:
-        if self._finish_request(rid, "completed"):
-            self._completed += 1
-
-    def _fail_request(self, rid: str) -> None:
-        if self._finish_request(rid, "failed"):
-            self._failed += 1
-
-    def _expire_request(self, rid: str) -> None:
-        if self._requests.get(rid) == "pending":
-            self._requests[rid] = "timed_out"
-            self._watchdogs.pop(rid, None)
-            self._timed_out += 1
-            t0 = self._request_t0.pop(rid, None)
-            if t0 is not None:
-                self._latency_hist.observe(self._cloud.env.now() - t0)
-            self._tracer.close_request(rid, "timed_out")
-            self._counter("executor.requests_finished", "timed_out").inc()
+        self._latency_hist.observe(self._env.now() - rec.t0)
+        rec.t0 = rec.watchdog = None
+        self._finished[status] += 1
 
     def _on_dead_letter(self, topic: str, message: Message, error: str) -> None:
         """Pub/sub gave up on one of our messages: the request cannot
         finish normally, so mark it failed."""
-        if message.workflow != self._d.name:
-            return
-        if message.request_id:
-            self._fail_request(message.request_id)
+        if message.workflow == self._name and message.request_id:
+            self._finish(message.request_id, "failed")
 
-    def _guarded(self, rid: str, fn: Callable[[], None]) -> Callable[[], None]:
+    def _guarded(self, rid: str, fn: Callable[..., None], *args: Any) -> Callable[[], None]:
         """Wrap a scheduled continuation so a framework fault marks the
         request failed instead of crashing the event loop (exceptions in
         scheduled callbacks are not retried by pub/sub)."""
 
         def run() -> None:
             try:
-                fn()
+                fn(*args)
             except CaribouError:
-                self._fail_request(rid)
+                self._finish(rid, "failed")
 
         return run
 
     def request_status(self, rid: str) -> Optional[str]:
         """``"pending"``/``"completed"``/``"failed"``/``"timed_out"``, or
         ``None`` for unknown request ids."""
-        return self._requests.get(rid)
+        rec = self._requests.get(rid)
+        return rec.status if rec is not None else None
 
     def pending_requests(self) -> Tuple[str, ...]:
         return tuple(
-            rid for rid, status in self._requests.items() if status == "pending"
+            rid for rid, rec in self._requests.items() if rec.status == "pending"
         )
 
     def reliability(self) -> ReliabilityStats:
@@ -943,29 +854,16 @@ class CaribouExecutor:
         shared across workflows); the remaining counters are scoped to
         this workflow.
         """
-        pubsub = self._cloud.pubsub
         return ReliabilityStats(
             injected=self._faults.snapshot() if self._faults is not None else {},
-            retries=pubsub.retry_count(self._d.name),
-            dead_letters=pubsub.dead_letter_count(self._d.name),
+            retries=self._pubsub.retry_count(self._name),
+            dead_letters=self._pubsub.dead_letter_count(self._name),
             home_fallbacks=self._home_fallbacks,
-            completed_requests=self._completed,
-            failed_requests=self._failed,
-            timed_out_requests=self._timed_out,
+            completed_requests=self._finished["completed"],
+            failed_requests=self._finished["failed"],
+            timed_out_requests=self._finished["timed_out"],
         )
 
-    # -- subclass hooks (the plain-SNS baseline overrides these) --------------------
+    # -- subclass hook (the plain-SNS baseline overrides it) ------------------------
     def _topic_for(self, function: str) -> str:
-        return topic_name(self._d.name, function)
-
-    def _message_bytes(self, payload_bytes: float) -> float:
-        return message_size(payload_bytes, len(self._dag))
-
-    # -- payload codec -------------------------------------------------------------
-    @staticmethod
-    def _encode_payload(payload: Payload) -> Dict:
-        return {"content": payload.content, "size_bytes": payload.size_bytes}
-
-    @staticmethod
-    def _decode_payload(raw: Dict) -> Payload:
-        return Payload(content=raw["content"], size_bytes=raw["size_bytes"])
+        return topic_name(self._name, function)

@@ -59,20 +59,22 @@ def annotate_mutate(
         # Explicit marks always win over propagated ones.
         ann[key] = value
     # Inlined propagate_dead over the precompiled plan (see
-    # __init__) — identical fixed-point semantics.
+    # __init__) — identical fixed-point semantics.  The plan is read
+    # from the executor's compiled join rule.
+    rule = executor._join
     get = ann.get
     dead: set = set()
-    for n, ins in executor._dead_plan:
+    for n, ins in rule.dead_plan:
         if all(get(k) == 0 or src in dead for src, k in ins):
             dead.add(n)
     for n in dead:
-        for k in executor._dead_out[n]:
+        for k in rule.dead_out[n]:
             ann.setdefault(k, 0)
-    for s in executor._sync_nodes:
-        flag = executor._sync_flags[s]
+    for s in rule.in_keys:
+        flag = rule.flags[s]
         if get(flag):
             continue
-        values = [get(k) for k in executor._sync_in_keys[s]]
+        values = [get(k) for k in rule.in_keys[s]]
         if all(v is not None for v in values) and any(v == 1 for v in values):
             ann[flag] = True
             to_invoke.append(s)

@@ -6,8 +6,8 @@ slowdown — every request's critical-path segments must tile its
 end-to-end interval exactly (attributions sum to the virtual latency
 within 1e-9), and every sync barrier's reported gating branch must
 match the executor's actual join order, re-derived independently by
-replaying the recorded annotation arrivals through the pure Eq. 4.1
-helpers (``propagate_dead`` / ``sync_condition_met``).
+replaying the recorded annotation arrivals through the compiled join
+rule (``JoinRule.apply``: deadness propagation plus Eq. 4.1).
 """
 
 import math
@@ -18,11 +18,7 @@ from repro.apps import get_app
 from repro.cloud.faults import FaultPlan
 from repro.cloud.provider import SimulatedCloud
 from repro.common.clock import SECONDS_PER_DAY
-from repro.core.executor import (
-    annotation_class_edges,
-    propagate_dead,
-    sync_condition_met,
-)
+from repro.core.executor import JoinRule, annotation_class_edges
 from repro.experiments.harness import deploy_benchmark
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 from repro.obs.critical_path import (
@@ -96,20 +92,14 @@ def traced_run(request):
 
 def _replay_gates(dag, arrivals):
     """Independent re-derivation of each sync node's gating edge from
-    the executor's recorded annotation order, using the same pure
-    fixed-point helpers the runtime's atomic update applies."""
-    annotated = annotation_class_edges(dag)
-    topo = dag.topological_order()
+    the executor's recorded annotation order, through a fresh copy of
+    the join rule the runtime's atomic update applies."""
+    rule = JoinRule(dag, annotation_class_edges(dag))
     ann = {}
     gates = {}
     for edge, value, _t in arrivals:
-        ann[edge] = value
-        propagate_dead(dag, annotated, ann, topo)
-        for s in dag.sync_nodes:
-            if s in gates:
-                continue
-            if sync_condition_met(dag, ann, s):
-                gates[s] = edge
+        for s in rule.apply(ann, {edge: value}):
+            gates[s] = edge
     return gates
 
 

@@ -15,12 +15,7 @@ from repro.cloud.provider import SimulatedCloud
 from repro.common.errors import CaribouError, ConfigurationError
 from repro.core.api import Payload, Workflow
 from repro.core.deployer import DeploymentUtility
-from repro.core.executor import (
-    annotation_class_edges,
-    message_size,
-    propagate_dead,
-    sync_condition_met,
-)
+from repro.core.executor import JoinRule, annotation_class_edges, message_size
 from repro.experiments.harness import deploy_benchmark
 from repro.model.config import WorkflowConfig
 from repro.model.dag import Edge, Node, WorkflowDAG
@@ -245,18 +240,28 @@ class TestSkipPropagationHelpers:
 
     def test_transitive_dead_propagation(self):
         dag = self.build_deep_dag()
-        edges = annotation_class_edges(dag)
-        ann = {"a->b": 0}  # conditional edge not taken
-        propagate_dead(dag, edges, ann, dag.topological_order())
+        rule = JoinRule(dag, annotation_class_edges(dag))
+        ann = {}
+        assert rule.apply(ann, {"a->b": 0}) == []  # conditional edge not taken
         # b dead -> c dead -> edge c->s annotated 0.
         assert ann["b->c"] == 0
         assert ann["c->s"] == 0
 
     def test_condition_requires_all_resolved(self):
         dag = self.build_deep_dag()
-        assert not sync_condition_met(dag, {"d->s": 1}, "s")
-        assert sync_condition_met(dag, {"d->s": 1, "c->s": 0}, "s")
-        assert not sync_condition_met(dag, {"d->s": 0, "c->s": 0}, "s")
+        rule = JoinRule(dag, annotation_class_edges(dag))
+        assert rule.apply({}, {"d->s": 1}) == []
+        assert rule.apply({}, {"d->s": 1, "c->s": 0}) == ["s"]
+        assert rule.apply({}, {"d->s": 0, "c->s": 0}) == []
+
+    def test_sync_node_fires_once(self):
+        dag = self.build_deep_dag()
+        rule = JoinRule(dag, annotation_class_edges(dag))
+        ann = {}
+        assert rule.apply(ann, {"c->s": 1}) == []
+        assert rule.apply(ann, {"d->s": 1}) == ["s"]
+        assert ann["__invoked__:s"] is True
+        assert rule.apply(ann, {"d->s": 1}) == []
 
     def test_deep_skip_end_to_end(self):
         """A conditional skip two hops above a sync node releases it."""
