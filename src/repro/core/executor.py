@@ -584,7 +584,7 @@ class CaribouExecutor:
         # event there would extend the run's idle point and shift the
         # virtual clock relative to fault-free pre-tracking behaviour.
         if not route.out:
-            self._finish(rid, "completed")
+            self._finish(rid, "completed", end)
 
     def _ship(self, rid: str, region: str, hop: Hop, payload: Payload, body: Dict) -> None:
         """A sync edge first ships its data to the KV store region."""
@@ -796,11 +796,15 @@ class CaribouExecutor:
             )
         return rid
 
-    def _finish(self, rid: str, status: str) -> None:
+    def _finish(self, rid: str, status: str, end_s: Optional[float] = None) -> None:
         """The one terminal transition: the first of completion, failure
         or the watchdog wins.  Cancels the watchdog so the no-fault event
         schedule is untouched by the timeout machinery, and drops the
-        request's in-flight state (its status stays readable)."""
+        request's in-flight state (its status stays readable).
+
+        The latency ends at ``end_s``, else now: a completion is
+        registered when the terminal node is *invoked*, so it passes
+        that node's end."""
         rec = self._requests.get(rid)
         if rec is None or rec.status != "pending":
             return
@@ -813,7 +817,7 @@ class CaribouExecutor:
             self._counter("executor.watchdogs_cancelled").inc()
         self._tracer.close_request(rid, status)
         self._counter("executor.requests_finished", status).inc()
-        self._latency_hist.observe(self._env.now() - rec.t0)
+        self._latency_hist.observe((self._env.now() if end_s is None else end_s) - rec.t0)
         rec.t0 = rec.watchdog = None
         self._finished[status] += 1
 

@@ -354,6 +354,28 @@ class TestRequestLifecycle:
         assert executor.request_status(rid) == "completed"
         assert executor.reliability().timed_out_requests == 0
 
+    @pytest.mark.parametrize("app_name", sorted(ALL_APPS))
+    def test_latency_ends_when_the_terminal_node_ends(self, app_name):
+        """``executor.request_latency_s`` spans invocation to the end of
+        the terminal node's execution, not to its arrival."""
+        cloud = SimulatedCloud(seed=3)
+        app = get_app(app_name)
+        deployed, executor, _ = deploy_benchmark(app, cloud)
+        hist = cloud.metrics.histogram(
+            "executor.request_latency_s", workflow=deployed.name
+        )
+        terminal = {n for n in deployed.dag.node_names if not deployed.dag.out_edges(n)}
+        for _ in range(3):
+            count, total, t0 = hist.count, hist.total, cloud.now()
+            rid = executor.invoke(app.make_input("small"), force_home=True)
+            cloud.run_until_idle()
+            (end,) = [
+                e.end_s for e in cloud.ledger.executions_for(deployed.name, rid)
+                if e.node in terminal
+            ]
+            assert hist.count == count + 1
+            assert hist.total - total == pytest.approx(end - t0, rel=1e-12)
+
     def test_rejects_non_positive_timeout(self):
         with pytest.raises(Exception, match="request_timeout_s"):
             WorkflowConfig(home_region="us-east-1", request_timeout_s=0.0)
