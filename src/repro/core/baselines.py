@@ -17,7 +17,8 @@ the same :class:`~repro.core.executor.JoinRule` as Caribou.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.api import ExecutionContext, Payload
 from repro.core.executor import (
@@ -25,6 +26,7 @@ from repro.core.executor import (
     DeployedWorkflow,
     RouteTable,
     _encode,
+    _NodeRunner,
     topic_name,
 )
 from repro.model.plan import DeploymentPlan
@@ -72,13 +74,15 @@ class SnsOrchestrator(CaribouExecutor):
         return f"{self.TOPIC_PREFIX}:{self._d.name}.{function}"
 
 
-class StepFunctionsOrchestrator:
+class StepFunctionsOrchestrator(_NodeRunner):
     """Centralised state-machine execution of the same workflow.
 
     The orchestrator holds all control state in the Step Functions
-    service (home region): each edge is a cheap state transition, fan-in
-    payloads are buffered centrally, and conditional skips are resolved
-    in memory — no pub/sub hops and no KV round trips.
+    service (home region): each taken edge is a cheap state transition,
+    as is each sync state a skip releases; fan-in payloads are buffered
+    centrally, and conditional skips are resolved in memory — no
+    pub/sub hops and no KV round trips.  An execution finishes, and its
+    state is dropped, when its last scheduled state has handed off.
     """
 
     def __init__(self, deployed: DeployedWorkflow):
@@ -93,11 +97,12 @@ class StepFunctionsOrchestrator:
             self._wf, deployed.dag, lambda function: topic_name(self._name, function)
         )
         self._join = self._routes.join
-        self._sync_nodes = tuple(self._join.in_keys)
         self._request_counter = 0
-        # Per-execution central state: annotations + buffered sync data.
+        # Per-execution central state: annotations, buffered sync data
+        # and the number of states scheduled but not yet handed off.
         self._ann: Dict[str, Dict] = {}
         self._sync_buffers: Dict[str, Dict[str, List[Payload]]] = {}
+        self._outstanding: Dict[str, int] = {}
 
     def invoke(self, payload: Payload, request_id: Optional[str] = None) -> str:
         self._request_counter += 1
@@ -105,61 +110,31 @@ class StepFunctionsOrchestrator:
         self._sf.start_execution(rid)
         self._ann[rid] = {}
         self._sync_buffers[rid] = {}
-        start = self._d.dag.start_node
-        self._env.schedule(
-            self._sf.transition_delay(), lambda: self._run_node(start, [payload], rid)
+        self._outstanding[rid] = 0
+        self._schedule(
+            self._sf.transition_delay(), self._d.dag.start_node, [payload], rid
         )
         return rid
 
     # -- internals --------------------------------------------------------------
-    def _run_node(self, node: str, payloads: List[Payload], rid: str) -> None:
-        route = self._routes[node]
-        spec = route.spec
-        # Fixed external data reads (same fairness rule as Caribou).
-        if spec.external_data is not None:
-            self._cloud.network.transfer(
-                spec.external_data.region,
-                self._home,
-                spec.external_data.size_bytes,
-                workflow=self._name,
-                request_id=rid,
-                kind="data",
-                edge=f"external:{node}",
-            )
-        ctx = ExecutionContext(node=node, request_id=rid, predecessor_data=payloads)
-
-        def wrapped(event: Any, faas_ctx) -> Any:
-            self._wf.push_context(ctx)
-            try:
-                spec.handler(event)
-            finally:
-                self._wf.pop_context()
-            self._env.schedule_at(faas_ctx.end_s, lambda: self._hand_off(ctx, rid))
-            return Payload(content=None, size_bytes=sum([i.payload.size_bytes for i in ctx.intents]))
-
-        self._cloud.functions.invoke(
-            workflow=self._name,
-            function=spec.name,
-            region=self._home,
-            body=payloads[0].content if payloads and not route.sync else None,
-            payload_bytes=sum([p.size_bytes for p in payloads]),
-            node=node,
-            request_id=rid,
-            handler_override=wrapped,
+    def _schedule(self, delay: float, node: str, payloads: List[Payload], rid: str) -> None:
+        self._outstanding[rid] += 1
+        self._env.schedule(
+            delay, partial(self._execute_node, node, self._home, payloads, {"request_id": rid})
         )
+
+    def _guarded(self, rid: str, fn: Callable[..., None], *args: Any) -> Callable[[], None]:
+        return partial(fn, *args)  # faults propagate: no failure tracking
+
+    def _hand_off_all(self, route, ctx: ExecutionContext, faas_ctx, body: Dict) -> None:
+        self._env.schedule_at(faas_ctx.end_s, partial(self._hand_off, ctx, body["request_id"]))
 
     def _hand_off(self, ctx: ExecutionContext, rid: str) -> None:
         """Resolve every out-edge of a finished state centrally."""
         ann = self._ann[rid]
         buffers = self._sync_buffers[rid]
         for hop, payload in self._routes.resolve(ctx.node, ctx.intents):
-            if payload is None:
-                if not hop.annotated:
-                    continue
-                fired = self._join.apply(ann, {hop.key: 0})
-                for _sync_node in self._sync_nodes:
-                    delay = self._sf.transition_delay()
-            else:
+            if payload is not None:
                 # Payload passes through the orchestrator: one intra-region hop.
                 transfer = self._cloud.network.transfer(
                     self._home,
@@ -176,9 +151,12 @@ class StepFunctionsOrchestrator:
                     self._sf.record_arrival(rid, hop.dst)
                 else:
                     self._schedule(delay, hop.dst, [payload], rid)
-                fired = self._join.apply(ann, {hop.key: 1}) if hop.annotated else ()
-            for sync_node in fired:
-                self._schedule(delay, sync_node, buffers.get(sync_node, []), rid)
-
-    def _schedule(self, delay: float, node: str, payloads: List[Payload], rid: str) -> None:
-        self._env.schedule(delay, lambda: self._run_node(node, payloads, rid))
+            if hop.annotated:
+                for sync_node in self._join.apply(ann, {hop.key: int(payload is not None)}):
+                    if payload is None:  # a skip moves no data: one transition
+                        delay = self._sf.transition_delay()
+                    self._schedule(delay, sync_node, buffers.get(sync_node, []), rid)
+        self._outstanding[rid] -= 1
+        if not self._outstanding[rid]:
+            self._sf.finish_execution(rid)
+            del self._ann[rid], self._sync_buffers[rid], self._outstanding[rid]

@@ -301,7 +301,71 @@ def _decode(raw: Dict) -> Payload:
     return Payload(content=raw["content"], size_bytes=raw["size_bytes"])
 
 
-class CaribouExecutor:
+class _NodeRunner:
+    """Runs one node the way the wrapper does: the fixed external read
+    first (§9.1 rule 1), then the user handler inside its execution
+    context, then :meth:`_hand_off_all` at the handler's return.
+
+    Engines provide ``_routes``, ``_cloud``, ``_env``, ``_name``,
+    ``_wf``, ``_guarded(rid, fn, *args)`` (how a deferred step fails) and
+    ``_hand_off_all(route, ctx, faas_ctx, body)``; ``body`` carries at
+    least the ``request_id``.
+    """
+
+    def _execute_node(
+        self, node: str, region: str, payloads: List[Payload], body: Dict
+    ) -> None:
+        route = self._routes[node]
+        spec = route.spec
+        rid = body["request_id"]
+        if spec.external_data is not None:
+            transfer = self._cloud.network.transfer(
+                spec.external_data.region,
+                region,
+                spec.external_data.size_bytes,
+                workflow=self._name,
+                request_id=rid,
+                kind="data",
+                edge=f"external:{node}",
+            )
+            if transfer.latency_s > 0:
+                self._env.schedule(
+                    transfer.latency_s,
+                    self._guarded(rid, self._run, route, node, region, payloads, body),
+                )
+                return
+        self._run(route, node, region, payloads, body)
+
+    def _run(
+        self, route: Route, node: str, region: str, payloads: List[Payload], body: Dict
+    ) -> None:
+        rid = body["request_id"]
+        ctx = ExecutionContext(node=node, request_id=rid, predecessor_data=payloads)
+
+        def wrapped(event: Any, faas_ctx) -> Any:
+            self._wf.push_context(ctx)
+            try:
+                route.spec.handler(event)
+            finally:
+                self._wf.pop_context()
+            self._hand_off_all(route, ctx, faas_ctx, body)
+            return Payload(content=None, size_bytes=sum([i.payload.size_bytes for i in ctx.intents]))
+
+        # Sync nodes read their input via get_predecessor_data().
+        event = payloads[0].content if payloads and not route.sync else None
+        self._cloud.functions.invoke(
+            workflow=self._name,
+            function=route.spec.name,
+            region=region,
+            body=event,
+            payload_bytes=sum([p.size_bytes for p in payloads]),
+            node=node,
+            request_id=rid,
+            handler_override=wrapped,
+        )
+
+
+class CaribouExecutor(_NodeRunner):
     """Runtime wrapper + invocation client for one deployed workflow."""
 
     def __init__(self, deployed: DeployedWorkflow):
@@ -505,59 +569,6 @@ class CaribouExecutor:
         self._env.schedule(
             kv_latency + transfer.latency_s,
             self._guarded(rid, self._execute_node, node, region, payloads, body),
-        )
-
-    def _execute_node(
-        self, node: str, region: str, payloads: List[Payload], body: Dict
-    ) -> None:
-        route = self._routes[node]
-        spec = route.spec
-        rid = body["request_id"]
-        # Fixed external data reads follow the node (§9.1 rule 1).
-        if spec.external_data is not None:
-            transfer = self._cloud.network.transfer(
-                spec.external_data.region,
-                region,
-                spec.external_data.size_bytes,
-                workflow=self._name,
-                request_id=rid,
-                kind="data",
-                edge=f"external:{node}",
-            )
-            if transfer.latency_s > 0:
-                self._env.schedule(
-                    transfer.latency_s,
-                    self._guarded(rid, self._run, route, node, region, payloads, body),
-                )
-                return
-        self._run(route, node, region, payloads, body)
-
-    def _run(
-        self, route: Route, node: str, region: str, payloads: List[Payload], body: Dict
-    ) -> None:
-        rid = body["request_id"]
-        ctx = ExecutionContext(node=node, request_id=rid, predecessor_data=payloads)
-
-        def wrapped(event: Any, faas_ctx) -> Any:
-            self._wf.push_context(ctx)
-            try:
-                route.spec.handler(event)
-            finally:
-                self._wf.pop_context()
-            self._hand_off_all(route, ctx, faas_ctx, body)
-            return Payload(content=None, size_bytes=sum([i.payload.size_bytes for i in ctx.intents]))
-
-        # Sync nodes read their input via get_predecessor_data().
-        event = payloads[0].content if payloads and not route.sync else None
-        self._cloud.functions.invoke(
-            workflow=self._name,
-            function=route.spec.name,
-            region=region,
-            body=event,
-            payload_bytes=sum([p.size_bytes for p in payloads]),
-            node=node,
-            request_id=rid,
-            handler_override=wrapped,
         )
 
     # --------------------------------------------------------- intent routing

@@ -10,6 +10,8 @@ from repro.core.api import Payload, Workflow
 from repro.core.baselines import SnsOrchestrator, StepFunctionsOrchestrator
 from repro.core.deployer import DeploymentUtility
 from repro.experiments.harness import deploy_benchmark
+from repro.model.dag import Edge, Node, WorkflowDAG
+from tests.test_executor_properties import build_runtime
 
 
 @pytest.fixture(params=["text2speech_censoring", "image_processing",
@@ -119,6 +121,84 @@ class TestStepFunctionsOrchestrator:
         [(topic, _message, reason)] = cloud.pubsub.dead_letters
         assert topic == "ovf.a"
         assert reason == repr(WorkflowDefinitionError(error))
+
+
+class TestStepFunctionsAccounting:
+    """Step Functions accounts for a request the way Caribou does."""
+
+    @pytest.mark.parametrize("app_name", ["dna_visualization", "rag_ingestion",
+                                          "text2speech_censoring", "video_analytics"])
+    def test_waits_for_the_external_read(self, app_name):
+        """A node with a fixed external read is invoked once the read
+        lands; with warm containers it starts exactly then."""
+        cloud = SimulatedCloud(seed=25)
+        app = get_app(app_name)
+        deployed, _, _ = deploy_benchmark(app, cloud)
+        sf = StepFunctionsOrchestrator(deployed)
+        sf.invoke(app.make_input("small"))  # warms every container
+        cloud.run_until_idle()
+        rid = sf.invoke(app.make_input("small"))
+        cloud.run_until_idle()
+        reads = {
+            t.edge.split(":", 1)[1]: t.start_s + t.latency_s
+            for t in cloud.ledger.transmissions_for(deployed.name, rid)
+            if t.edge.startswith("external:")
+        }
+        assert reads  # the app declares external data
+        for e in cloud.ledger.executions_for(deployed.name, rid):
+            if e.node in reads:
+                assert not e.cold_start
+                assert e.start_s == reads[e.node]
+
+    def test_one_transition_per_taken_edge_or_released_state(self):
+        """a->b is skipped two hops above the sync node s: the skip
+        releases nothing, so it costs no transition."""
+        dag = WorkflowDAG("deep")
+        for n in "abcds":
+            dag.add_node(Node(n, n))
+        for src, dst in ("ab", "bc", "cs", "ad", "ds"):
+            dag.add_edge(Edge(src, dst, conditional=(src, dst) == ("a", "b")))
+        dag.validate()
+        cloud, deployed, _ = build_runtime(dag, {("a", "b"): False}, seed=26)
+        sf = StepFunctionsOrchestrator(deployed)
+        rid = sf.invoke(Payload(content="go"))
+        cloud.run_until_idle()
+        ran = {e.node for e in cloud.ledger.executions_for(deployed.name, rid)}
+        assert ran == {"a", "d", "s"}
+        # Start, a->d, d->s.
+        assert cloud.stepfunctions("us-east-1").transitions == 3
+
+    @pytest.mark.parametrize("with_profanity", [True, False])
+    def test_executions_finish_and_drop_their_state(self, with_profanity):
+        from repro.apps.text2speech import make_input
+
+        cloud = SimulatedCloud(seed=27)
+        deployed, _, _ = deploy_benchmark(get_app("text2speech_censoring"), cloud)
+        sf = StepFunctionsOrchestrator(deployed)
+        rids = [sf.invoke(make_input("small", with_profanity)) for _ in range(3)]
+        cloud.run_until_idle()
+        service = cloud.stepfunctions("us-east-1")
+        assert all(service.is_finished(rid) for rid in rids)
+        assert sf._ann == {} and sf._sync_buffers == {}  # noqa: SLF001
+
+    def test_multi_sink_execution_finishes_after_its_last_state(self):
+        dag = WorkflowDAG("sinks")
+        for n in "abcd":
+            dag.add_node(Node(n, n))
+        for src, dst in ("ab", "ac", "cd"):
+            dag.add_edge(Edge(src, dst))
+        dag.validate()
+        cloud, deployed, _ = build_runtime(dag, {}, seed=28)
+        sf = StepFunctionsOrchestrator(deployed)
+        rid = sf.invoke(Payload(content="go"))
+        service = cloud.stepfunctions("us-east-1")
+        finished_at = []
+        while cloud.env.step():
+            if not finished_at and service.is_finished(rid):
+                finished_at.append(cloud.now())
+        ends = [e.end_s for e in cloud.ledger.executions_for(deployed.name, rid)]
+        assert len(ends) == 4
+        assert finished_at == [max(ends)]
 
 
 class TestOverheadOrdering:

@@ -31,7 +31,7 @@ def test_case_matches_the_capture(name):
     got = executor_capture.capture_case(name, SHAPES)
     if os.environ.get("UPDATE_GOLDEN"):
         pinned = executor_capture.load()
-        pinned["cases"][name] = got
+        pinned["cases"][name] = GOLDEN["cases"][name] = got
         executor_capture.GOLDEN.write_text(
             json.dumps(pinned, indent=1, sort_keys=True) + "\n", encoding="utf-8"
         )
