@@ -24,7 +24,6 @@ from repro.core.api import ExecutionContext, Payload
 from repro.core.executor import (
     CaribouExecutor,
     DeployedWorkflow,
-    RouteTable,
     _encode,
     _NodeRunner,
     topic_name,
@@ -86,18 +85,8 @@ class StepFunctionsOrchestrator(_NodeRunner):
     """
 
     def __init__(self, deployed: DeployedWorkflow):
-        self._d = deployed
-        self._name = deployed.name
-        self._wf = deployed.workflow
-        self._cloud = deployed.cloud
-        self._env = deployed.cloud.env
-        self._home = deployed.config.home_region
+        super().__init__(deployed, partial(topic_name, deployed.name))
         self._sf = deployed.cloud.stepfunctions(self._home)
-        self._routes = RouteTable(
-            self._wf, deployed.dag, lambda function: topic_name(self._name, function)
-        )
-        self._join = self._routes.join
-        self._request_counter = 0
         # Per-execution central state: annotations, buffered sync data
         # and the number of states scheduled but not yet handed off.
         self._ann: Dict[str, Dict] = {}

@@ -306,11 +306,21 @@ class _NodeRunner:
     first (§9.1 rule 1), then the user handler inside its execution
     context, then :meth:`_hand_off_all` at the handler's return.
 
-    Engines provide ``_routes``, ``_cloud``, ``_env``, ``_name``,
-    ``_wf``, ``_guarded(rid, fn, *args)`` (how a deferred step fails) and
-    ``_hand_off_all(route, ctx, faas_ctx, body)``; ``body`` carries at
-    least the ``request_id``.
+    Engines provide ``_guarded(rid, fn, *args)`` (how a deferred step
+    fails) and ``_hand_off_all(route, ctx, faas_ctx, body)``; ``body``
+    carries at least the ``request_id``.
     """
+
+    def __init__(self, deployed: DeployedWorkflow, topic_for: Callable[[str], str]):
+        self._d = deployed
+        self._name = deployed.name
+        self._wf = deployed.workflow
+        self._cloud = deployed.cloud
+        self._env = deployed.cloud.env
+        self._home = deployed.config.home_region
+        self._request_counter = 0
+        self._routes = RouteTable(self._wf, deployed.dag, topic_for)
+        self._join = self._routes.join
 
     def _execute_node(
         self, node: str, region: str, payloads: List[Payload], body: Dict
@@ -349,7 +359,8 @@ class _NodeRunner:
             finally:
                 self._wf.pop_context()
             self._hand_off_all(route, ctx, faas_ctx, body)
-            return Payload(content=None, size_bytes=sum([i.payload.size_bytes for i in ctx.intents]))
+            out_bytes = sum([i.payload.size_bytes for i in ctx.intents])
+            return Payload(content=None, size_bytes=out_bytes)
 
         # Sync nodes read their input via get_predecessor_data().
         event = payloads[0].content if payloads and not route.sync else None
@@ -369,18 +380,10 @@ class CaribouExecutor(_NodeRunner):
     """Runtime wrapper + invocation client for one deployed workflow."""
 
     def __init__(self, deployed: DeployedWorkflow):
-        self._d = deployed
+        super().__init__(deployed, self._topic_for)
         self._dag = deployed.dag
-        self._wf = deployed.workflow
-        self._cloud = deployed.cloud
-        self._env = deployed.cloud.env
         self._pubsub = deployed.cloud.pubsub
-        self._name = deployed.name
-        self._home = deployed.config.home_region
         self._rng = deployed.cloud.env.rng.get(f"executor:{self._name}")
-        self._request_counter = 0
-        self._routes = RouteTable(self._wf, self._dag, self._topic_for)
-        self._join = self._routes.join
         self._start = self._dag.start_node
         self._input_label = f"$input->{self._start}"
         #: DP entries piggybacked on every message (0 for plain SNS).
@@ -580,12 +583,9 @@ class CaribouExecutor(_NodeRunner):
         region = faas_ctx.region
         end = faas_ctx.end_s
         for hop, payload in self._routes.resolve(ctx.node, ctx.intents):
-            if payload is not None and hop.sync:
-                step = self._ship
-            elif payload is not None or hop.annotated:
-                step = self._hand_off
-            else:
+            if payload is None and not hop.annotated:
                 continue
+            step = self._ship if payload is not None and hop.sync else self._hand_off
             self._env.schedule_at(
                 end, self._guarded(rid, step, rid, region, hop, payload, body)
             )
@@ -629,7 +629,8 @@ class CaribouExecutor(_NodeRunner):
                 workflow=self._name,
                 request_id=rid,
             )
-        fired = self._annotate(rid, region, {hop.key: int(payload is not None)}) if hop.annotated else ()
+        taken = int(payload is not None)
+        fired = self._annotate(rid, region, {hop.key: taken}) if hop.annotated else ()
         plan = body["plan"]
         if payload is not None and not hop.sync:
             self._send(hop.dst, rid, plan, [_encode(payload)], body["benchmark"],
@@ -705,17 +706,8 @@ class CaribouExecutor(_NodeRunner):
         return tuple(rec.arrivals or ()) if rec is not None else ()
 
     # -- publication ---------------------------------------------------------------
-    def _send(
-        self,
-        node: str,
-        rid: str,
-        plan: Optional[Dict[str, str]],
-        payloads: List[Dict],
-        benchmark: bool,
-        payload_bytes: float,
-        source_region: str,
-        edge_label: str,
-    ) -> None:
+    def _send(self, node: str, rid: str, plan: Optional[Dict[str, str]], payloads: List[Dict],
+              benchmark: bool, payload_bytes: float, source_region: str, edge_label: str) -> None:
         """Publish one invocation of ``node`` — the only place a message
         body is built.  ``plan=None`` is a direct-to-home request whose
         plan the home wrapper resolves."""
