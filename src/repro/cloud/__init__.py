@@ -10,7 +10,6 @@ equivalents with the same API shapes the framework layers consume:
 * :mod:`repro.cloud.pubsub` — at-least-once pub/sub (SNS substitute).
 * :mod:`repro.cloud.kvstore` — distributed KV store with atomic
   conditional updates (DynamoDB substitute).
-* :mod:`repro.cloud.storage` — object storage (S3 substitute).
 * :mod:`repro.cloud.registry` — container registry + crane-style copy.
 * :mod:`repro.cloud.network` — inter-region transfer model.
 * :mod:`repro.cloud.stepfunctions` — centralised orchestrator baseline.

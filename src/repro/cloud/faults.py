@@ -260,10 +260,6 @@ class FaultInjector:
     def enabled(self) -> bool:
         return bool(self._plan)
 
-    @property
-    def plan(self) -> FaultPlan:
-        return self._plan
-
     def record(self, kind: str) -> None:
         """Tally one fired fault of ``kind`` (services call this at the
         moment a fault actually blocks an operation)."""

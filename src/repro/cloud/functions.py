@@ -88,10 +88,6 @@ class WorkProfile:
         """Expected duration for an input of ``input_bytes``."""
         return self.base_seconds + self.seconds_per_mb * (input_bytes / (1024.0 * 1024.0))
 
-    def output_size(self, input_bytes: float) -> float:
-        """Deterministic output payload size for ``input_bytes`` input."""
-        return self.output_base_bytes + self.output_bytes_per_input_byte * input_bytes
-
 
 @dataclass(frozen=True)
 class FunctionDeployment:
@@ -386,4 +382,4 @@ class FunctionService:
         size = getattr(output, "size_bytes", None)
         if size is not None:
             return float(size)
-        return profile.output_size(payload_bytes)
+        return profile.output_base_bytes + profile.output_bytes_per_input_byte * payload_bytes

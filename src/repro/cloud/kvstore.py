@@ -172,9 +172,6 @@ class KeyValueStore:
     def _table(self, name: str) -> Dict[str, Any]:
         return self._tables.setdefault(name, {})
 
-    def tables(self) -> Tuple[str, ...]:
-        return tuple(self._tables)
-
     # -- operations ---------------------------------------------------------
     def put(
         self,

@@ -2,7 +2,7 @@
 
 Wires one :class:`~repro.cloud.simulator.SimulationEnvironment` together
 with every service the framework needs — network, functions, pub/sub,
-object storage, container registries, IAM, Step Functions — plus the
+key-value stores, container registries, IAM, Step Functions — plus the
 synthetic external data sources (carbon, pricing, latency).  One
 ``SimulatedCloud`` is one self-consistent "world" for an experiment.
 """
@@ -20,7 +20,6 @@ from repro.cloud.pubsub import PubSubService
 from repro.cloud.registry import ContainerRegistry, IamService
 from repro.cloud.simulator import SimulationEnvironment
 from repro.cloud.stepfunctions import StepFunctionsService
-from repro.cloud.storage import ObjectStore
 from repro.data.carbon import CarbonIntensitySource
 from repro.data.latency import LatencySource
 from repro.data.pricing import PricingSource
@@ -92,7 +91,6 @@ class SimulatedCloud:
             self.env, self.network, self.ledger, faults=self.faults,
             tracer=self.tracer, metrics=self.metrics,
         )
-        self.storage = ObjectStore(self.env, self.network)
         self.registry = ContainerRegistry(self.env, self.network)
         self.iam = IamService()
         self._kvstores: Dict[str, KeyValueStore] = {}

@@ -54,8 +54,6 @@ class _Topic:
     name: str
     region: str
     subscriber: Optional[Callable[[Message], None]] = None
-    delivered: int = 0
-    dead_lettered: int = 0
 
 
 class PubSubService:
@@ -118,11 +116,6 @@ class PubSubService:
         """
         topic = self._require_topic(name, region)
         topic.subscriber = handler
-
-    def topic_stats(self, name: str, region: str) -> Tuple[int, int]:
-        """(delivered, dead_lettered) counts for a topic."""
-        topic = self._require_topic(name, region)
-        return topic.delivered, topic.dead_lettered
 
     @property
     def dead_letters(self) -> List[Tuple[str, Message, str]]:
@@ -271,7 +264,6 @@ class PubSubService:
                     retryable=getattr(exc, "retryable", True),
                 )
                 return
-            topic.delivered += 1
             ctr = self._ctr_deliveries.get(topic.region)
             if ctr is None:
                 ctr = self._ctr_deliveries[topic.region] = self._metrics.counter(
@@ -294,7 +286,6 @@ class PubSubService:
         (``retryable=False``, e.g. a malformed workflow) — re-running the
         user handler cannot change those, so they dead-letter at once."""
         if not retryable or attempt >= MAX_DELIVERY_ATTEMPTS:
-            topic.dead_lettered += 1
             self.dead_letter(topic.name, message, error)
             return
         self._metrics.counter("pubsub.retries").inc()

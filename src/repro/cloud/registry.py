@@ -91,17 +91,12 @@ class ContainerRegistry:
     def delete(self, region: str, name: str, tag: str) -> None:
         self._images.pop((region, f"{name}:{tag}"), None)
 
-    def images_in(self, region: str) -> Tuple[ImageManifest, ...]:
-        return tuple(
-            manifest for (r, _), manifest in self._images.items() if r == region
-        )
-
 
 class IamService:
     """Identity and access management roles (§6.1 step 2).
 
-    One role per (workflow, function, region); deployment fails fast if
-    the role is missing, which is how mis-configured manifests surface.
+    One role per (workflow, function, region), created when the function
+    is deployed there and deleted when it is removed.
     """
 
     def __init__(self) -> None:
@@ -109,15 +104,6 @@ class IamService:
 
     def create_role(self, role_name: str, policy: Optional[dict] = None) -> None:
         self._roles[role_name] = dict(policy or {})
-
-    def role_exists(self, role_name: str) -> bool:
-        return role_name in self._roles
-
-    def get_policy(self, role_name: str) -> Dict[str, object]:
-        try:
-            return dict(self._roles[role_name])
-        except KeyError:
-            raise DeploymentError(f"IAM role {role_name!r} does not exist") from None
 
     def delete_role(self, role_name: str) -> None:
         self._roles.pop(role_name, None)

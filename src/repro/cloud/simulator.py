@@ -283,31 +283,6 @@ class SimulationEnvironment:
         self.compactions += 1
 
     # -- stepping ----------------------------------------------------------------
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next pending event, or None if idle."""
-        heap = self._heap
-        while heap and heap[0][2].state != _PENDING:
-            heapq.heappop(heap)
-            self._cancelled_in_heap -= 1
-        return heap[0][0] if heap else None
-
-    def step(self) -> bool:
-        """Run the next event.  Returns False when the queue is empty."""
-        heap = self._heap
-        while heap:
-            time, _seq, event = heapq.heappop(heap)
-            if event.state != _PENDING:
-                self._cancelled_in_heap -= 1
-                continue
-            self.clock.advance_to(time)
-            event.state = _EXECUTED
-            action = event.action
-            event.action = None
-            self._executed += 1
-            action()
-            return True
-        return False
-
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> int:

@@ -16,7 +16,7 @@ from repro.common.errors import (
     WorkflowDefinitionError,
 )
 from repro.common.rng import RngRegistry
-from repro.common.units import GB, KB, MB, gb, kb, mb
+from repro.common.units import GB, KB, MB, kb, mb
 
 __all__ = [
     "VirtualClock",
@@ -35,5 +35,4 @@ __all__ = [
     "GB",
     "kb",
     "mb",
-    "gb",
 ]

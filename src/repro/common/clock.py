@@ -6,14 +6,13 @@ deterministic and lets a week of simulated operation (Fig. 11 of the
 paper) run in milliseconds.
 
 Time is represented as a float number of seconds since the *epoch* of the
-experiment.  The default epoch corresponds to 2023-10-15 00:00 UTC, the
-start of the carbon-data window the paper evaluates on (§9.1).
+experiment, :data:`DEFAULT_EPOCH` (2023-10-15 00:00 UTC), the start of
+the carbon-data window the paper evaluates on (§9.1).
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Callable, List
 
 SECONDS_PER_MINUTE = 60.0
 SECONDS_PER_HOUR = 3600.0
@@ -27,42 +26,17 @@ class VirtualClock:
     """A monotonically advancing simulated clock.
 
     The clock only moves when :meth:`advance` or :meth:`advance_to` is
-    called, typically by the discrete-event simulator.  Observers can be
-    registered to be told whenever time moves, which the metrics layer
-    uses to roll hourly carbon windows forward.
+    called, typically by the discrete-event simulator.
     """
 
-    def __init__(self, epoch: _dt.datetime = DEFAULT_EPOCH, start: float = 0.0):
+    def __init__(self, start: float = 0.0):
         if start < 0:
             raise ValueError(f"start must be non-negative, got {start}")
-        self._epoch = epoch
         self._now = float(start)
-        self._observers: List[Callable[[float], None]] = []
-
-    @property
-    def epoch(self) -> _dt.datetime:
-        """The real-world datetime that simulated t=0 maps onto."""
-        return self._epoch
 
     def now(self) -> float:
         """Current simulated time in seconds since the epoch."""
         return self._now
-
-    def datetime(self) -> _dt.datetime:
-        """Current simulated time as a timezone-aware datetime."""
-        return self._epoch + _dt.timedelta(seconds=self._now)
-
-    def hour_of_day(self) -> int:
-        """Hour of day (0-23) at the current simulated time."""
-        return self.datetime().hour
-
-    def hour_index(self) -> int:
-        """Whole hours elapsed since the epoch (index into hourly series)."""
-        return int(self._now // SECONDS_PER_HOUR)
-
-    def day_index(self) -> int:
-        """Whole days elapsed since the epoch."""
-        return int(self._now // SECONDS_PER_DAY)
 
     def advance(self, seconds: float) -> float:
         """Move the clock forward by ``seconds`` and return the new time."""
@@ -77,16 +51,4 @@ class VirtualClock:
                 f"cannot move time backwards: now={self._now}, target={timestamp}"
             )
         self._now = float(timestamp)
-        for observer in self._observers:
-            observer(self._now)
         return self._now
-
-    def subscribe(self, observer: Callable[[float], None]) -> None:
-        """Register ``observer(now)`` to be called after every advance."""
-        self._observers.append(observer)
-
-    def unsubscribe(self, observer: Callable[[float], None]) -> None:
-        self._observers.remove(observer)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VirtualClock(now={self._now:.3f}, {self.datetime().isoformat()})"

@@ -21,27 +21,3 @@ def kb(n: float) -> float:
 def mb(n: float) -> float:
     """``n`` mebibytes in bytes."""
     return n * MB
-
-
-def gb(n: float) -> float:
-    """``n`` gibibytes in bytes."""
-    return n * GB
-
-
-def bytes_to_gb(n_bytes: float) -> float:
-    """Convert bytes to GB (the unit the carbon/cost models use)."""
-    return n_bytes / GB
-
-
-def ms(n: float) -> float:
-    """``n`` milliseconds in seconds."""
-    return n / 1000.0
-
-
-def hours(n: float) -> float:
-    """``n`` hours in seconds."""
-    return n * 3600.0
-
-
-def watts_to_kw(n_watts: float) -> float:
-    return n_watts / 1000.0

@@ -141,25 +141,6 @@ class FleetManager:
             name: entry.manager.check() for name, entry in self._entries.items()
         }
 
-    def run_for(
-        self, duration_s: float, stagger_s: float = 60.0
-    ) -> None:
-        """Schedule each workflow's self-rescheduling check chain.
-
-        ``stagger_s`` offsets the first checks so simultaneous solves do
-        not pile up at t=0 — the same reason the real framework spreads
-        workflow processing across its periodic sweep.  Offsets wrap
-        within the horizon: with hundreds of workflows a raw
-        ``index * stagger_s`` would push tail workflows' first check
-        past ``duration_s`` and they would never be checked at all.
-        """
-        if duration_s <= 0:
-            return
-        for index, entry in enumerate(self._entries.values()):
-            entry.manager.run_for(
-                duration_s, first_check_delay_s=(index * stagger_s) % duration_s
-            )
-
     # -- reporting ------------------------------------------------------------------
     def summary(self) -> List[Tuple[str, int, int, float]]:
         """(workflow, checks, solves, tokens) per managed workflow."""

@@ -202,24 +202,3 @@ class DeploymentMigrator:
         if self._pending is None:
             return None
         return self.migrate(self._pending)
-
-    def replace_pending(self, plan_set: HourlyPlanSet) -> None:
-        """A newer plan supersedes a parked one ("until it is replaced
-        by a new one")."""
-        self._pending = plan_set
-
-    # -- housekeeping -----------------------------------------------------------------
-    def decommission_unused(self, plan_set: HourlyPlanSet) -> List[Tuple[str, str]]:
-        """Remove function deployments no plan hour routes to, keeping
-        the home region untouched (it is the permanent fallback)."""
-        needed = self.required_deployments(plan_set)
-        home = self._d.config.home_region
-        removed: List[Tuple[str, str]] = []
-        for deployment in self._d.cloud.functions.deployments_of(self._d.name):
-            key = (deployment.function, deployment.region)
-            if deployment.region == home or key in needed:
-                continue
-            spec = self._d.workflow.function(deployment.function)
-            self._utility.remove_function(self._d, spec, deployment.region)
-            removed.append(key)
-        return removed

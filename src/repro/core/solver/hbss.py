@@ -99,22 +99,6 @@ class SolveResult:
     accepted: int
     plans_evaluated: int
 
-    @property
-    def offloaded_nodes(self) -> Tuple[str, ...]:
-        """Nodes the best plan places away from the plan's modal region
-        — a quick signal of fine-grained behaviour.  Modal-count ties
-        break lexicographically: iterating a set would make the winner
-        (and thus reports) depend on PYTHONHASHSEED."""
-        regions = list(self.best_plan.assignments.values())
-        modal = min(set(regions), key=lambda r: (-regions.count(r), r))
-        return tuple(
-            sorted(
-                n
-                for n, r in self.best_plan.assignments.items()
-                if r != modal
-            )
-        )
-
 
 def _choose_nodes(rng: np.random.Generator, n: int, k: int) -> Tuple[int, ...]:
     """``tuple(rng.choice(n, size=k, replace=False))`` for ``k in (1, 2)``

@@ -65,10 +65,6 @@ class ShiftDecision:
         return self.scheduled_at_s - self.submitted_at_s
 
     @property
-    def immediate_intensity(self) -> float:
-        return self.slot_intensities[min(self.slot_intensities)]
-
-    @property
     def chosen_intensity(self) -> float:
         return self.slot_intensities[self.scheduled_at_s]
 
@@ -176,13 +172,3 @@ class TemporalShifter:
         )
         self.decisions.append(decision)
         return decision
-
-    # -- reporting -----------------------------------------------------------------
-    def mean_intensity_improvement(self) -> float:
-        """Average relative intensity reduction achieved by waiting."""
-        gains = []
-        for d in self.decisions:
-            immediate = d.slot_intensities[min(d.slot_intensities)]
-            if immediate > 0:
-                gains.append(1.0 - d.chosen_intensity / immediate)
-        return sum(gains) / len(gains) if gains else 0.0

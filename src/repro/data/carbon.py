@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -219,14 +219,3 @@ class CarbonIntensitySource:
         a = self.intensity_at(src, time_s)
         b = self.intensity_at(dst, time_s)
         return (a + b) / 2.0
-
-    def hourly_window(
-        self, region: "Region | str", start_hour: int, hours: int
-    ) -> np.ndarray:
-        """``hours`` consecutive hourly values starting at ``start_hour``."""
-        trace = self._traces[self._zone_of(region)]
-        idx = np.arange(start_hour, start_hour + hours) % self._hours
-        return trace[idx].copy()
-
-    def zones(self) -> Iterable[str]:
-        return self._traces.keys()

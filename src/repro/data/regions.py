@@ -85,8 +85,3 @@ def get_region(name: str) -> Region:
 def all_regions() -> Tuple[Region, ...]:
     """Every region in the catalogue."""
     return NORTH_AMERICA
-
-
-def evaluation_regions() -> Tuple[Region, ...]:
-    """The four regions the paper's evaluation is restricted to."""
-    return tuple(_BY_NAME[n] for n in EVALUATION_REGIONS)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,33 +33,6 @@ class InvocationTrace:
 
     def __iter__(self) -> Iterator[float]:
         return iter(self.timestamps)
-
-    def count_in(self, start_s: float, end_s: float) -> int:
-        """Number of invocations in ``[start_s, end_s)``."""
-        arr = np.asarray(self.timestamps)
-        return int(np.count_nonzero((arr >= start_s) & (arr < end_s)))
-
-    def daily_counts(self) -> List[int]:
-        """Invocations per simulated day."""
-        days = max(1, int(math.ceil(self.duration_s / SECONDS_PER_DAY)))
-        return [
-            self.count_in(d * SECONDS_PER_DAY, (d + 1) * SECONDS_PER_DAY)
-            for d in range(days)
-        ]
-
-    def hourly_counts(self) -> List[int]:
-        """Invocations per simulated hour."""
-        hrs = max(1, int(math.ceil(self.duration_s / SECONDS_PER_HOUR)))
-        return [
-            self.count_in(h * SECONDS_PER_HOUR, (h + 1) * SECONDS_PER_HOUR)
-            for h in range(hrs)
-        ]
-
-    def slice(self, start_s: float, end_s: float) -> "InvocationTrace":
-        """Sub-trace covering ``[start_s, end_s)``, re-based to t=0."""
-        arr = np.asarray(self.timestamps)
-        sel = arr[(arr >= start_s) & (arr < end_s)] - start_s
-        return InvocationTrace(tuple(float(t) for t in sel), end_s - start_s)
 
 
 def azure_like_trace(
@@ -130,18 +103,3 @@ def azure_like_trace(
     timestamps = np.interp(arrival_mass, cum, grid_times[: len(cum)])
     timestamps = timestamps[timestamps < duration]
     return InvocationTrace(tuple(float(t) for t in timestamps), duration)
-
-
-def uniform_trace(
-    days: float, invocations_per_day: float, seed: int = 0
-) -> InvocationTrace:
-    """Evenly spaced invocations (the paper's §9.2 uniform pattern)."""
-    total = int(round(days * invocations_per_day))
-    if total <= 0:
-        return InvocationTrace((), days * SECONDS_PER_DAY)
-    duration = days * SECONDS_PER_DAY
-    step = duration / total
-    # Offset by half a step so invocations fall inside the window.
-    return InvocationTrace(
-        tuple((i + 0.5) * step for i in range(total)), duration
-    )

@@ -45,10 +45,6 @@ class EmpiricalDistribution:
         if len(self._samples) > self._max:
             del self._samples[0 : len(self._samples) - self._max]
 
-    def extend(self, samples: Iterable[float]) -> None:
-        for s in samples:
-            self.add(float(s))
-
     def __len__(self) -> int:
         return len(self._samples)
 
@@ -112,24 +108,6 @@ class EmpiricalDistribution:
             self._array = np.asarray(self._samples, dtype=float)
             self._array.setflags(write=False)
         return self._array
-
-    def scaled(self, factor: float) -> "EmpiricalDistribution":
-        """A copy with every sample multiplied by ``factor``.
-
-        Used when a region has no history and the home region's
-        execution-time distribution is borrowed (§7.1), optionally
-        adjusted for relative region speed.
-        """
-        if factor <= 0:
-            raise ValueError(f"factor must be positive, got {factor}")
-        return EmpiricalDistribution(
-            (s * factor for s in self._samples), max_samples=self._max
-        )
-
-    def merged_with(self, other: "EmpiricalDistribution") -> "EmpiricalDistribution":
-        out = EmpiricalDistribution(self._samples, max_samples=self._max)
-        out.extend(other.samples)
-        return out
 
     def _require_nonempty(self) -> None:
         if not self._samples:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -174,10 +174,6 @@ class MetricsManager:
         self._util_n: Dict[str, int] = {}
         # Declared fixed external data per node: node -> (region, bytes).
         self._external: Dict[str, Tuple[str, float]] = {}
-        # Optional priors for cold-started model data.
-        self._prior_exec: Dict[Tuple[str, str], EmpiricalDistribution] = {}
-        self._prior_sizes: Dict[Tuple[str, str], EmpiricalDistribution] = {}
-        self._prior_input: Optional[EmpiricalDistribution] = None
         # Derived-distribution cache: the Monte-Carlo estimator queries
         # these once per *sample*, so rebuilding from the invocation
         # store each time would dominate solve time.  Invalidated
@@ -207,20 +203,6 @@ class MetricsManager:
                         spec.external_data.region,
                         spec.external_data.size_bytes,
                     )
-
-    def register_execution_prior(
-        self, node: str, region: str, samples: Sequence[float]
-    ) -> None:
-        """Seed an execution-time distribution before any history exists."""
-        self._prior_exec[(node, region)] = EmpiricalDistribution(samples)
-
-    def register_size_prior(
-        self, src: str, dst: str, samples: Sequence[float]
-    ) -> None:
-        self._prior_sizes[(src, dst)] = EmpiricalDistribution(samples)
-
-    def register_input_prior(self, samples: Sequence[float]) -> None:
-        self._prior_input = EmpiricalDistribution(samples)
 
     # -- ingestion ------------------------------------------------------------
     def collect(self, now_s: float) -> int:
@@ -379,8 +361,6 @@ class MetricsManager:
         ]
         if samples:
             dist = EmpiricalDistribution(samples)
-        elif (node, region) in self._prior_exec:
-            dist = self._prior_exec[(node, region)]
         else:
             # §7.1: fall back to the home region's distribution.
             home = self._config.home_region
@@ -398,7 +378,7 @@ class MetricsManager:
                 ]
                 if not pooled:
                     raise ValueError(
-                        f"no execution history or prior for node {node!r} "
+                        f"no execution history for node {node!r} "
                         f"in any region (home {home!r})"
                     )
                 dist = EmpiricalDistribution(pooled)
@@ -440,12 +420,8 @@ class MetricsManager:
         ]
         if samples:
             dist = EmpiricalDistribution(samples)
-        elif (src, dst) in self._prior_sizes:
-            dist = self._prior_sizes[(src, dst)]
         else:
-            raise ValueError(
-                f"no payload-size history or prior for edge {src}->{dst}"
-            )
+            raise ValueError(f"no payload-size history for edge {src}->{dst}")
         self._derived_cache[key] = dist
         return dist
 
@@ -480,8 +456,6 @@ class MetricsManager:
         ]
         if samples:
             dist = EmpiricalDistribution(samples)
-        elif self._prior_input is not None:
-            dist = self._prior_input
         else:
             # No observed client inputs (e.g. model built from partial
             # telemetry): a zero-size input keeps the estimator total.

@@ -11,7 +11,7 @@ regions are eligible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -166,9 +166,3 @@ class WorkflowConfig:
     ) -> Tuple[str, ...]:
         """Filter ``candidates`` down to regions ``function`` may run in."""
         return tuple(r for r in candidates if self.permits(function, r))
-
-    def with_tolerances(self, tolerances: Tolerances) -> "WorkflowConfig":
-        return replace(self, tolerances=tolerances)
-
-    def with_home_region(self, region: str) -> "WorkflowConfig":
-        return replace(self, home_region=region)

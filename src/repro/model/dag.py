@@ -184,11 +184,6 @@ class WorkflowDAG:
         self._ensure_valid()
         return next(n for n in self._nodes if self._graph.in_degree(n) == 0)
 
-    @property
-    def terminal_nodes(self) -> Tuple[str, ...]:
-        """Nodes with no outgoing edges."""
-        return tuple(n for n in self._nodes if self._graph.out_degree(n) == 0)
-
     def in_edges(self, node: str) -> Tuple[Edge, ...]:
         cached = self._in_edges_memo.get(node)
         if cached is None:
@@ -206,14 +201,6 @@ class WorkflowDAG:
                 self._edges[(u, v)] for u, v in self._graph.out_edges(node)
             )
         return cached
-
-    def predecessors(self, node: str) -> Tuple[str, ...]:
-        self.node(node)
-        return tuple(self._graph.predecessors(node))
-
-    def successors(self, node: str) -> Tuple[str, ...]:
-        self.node(node)
-        return tuple(self._graph.successors(node))
 
     def is_sync_node(self, node: str) -> bool:
         """A node with more than one incoming edge (§4)."""
@@ -256,47 +243,6 @@ class WorkflowDAG:
     def descendants(self, node: str) -> FrozenSet[str]:
         self.node(node)
         return frozenset(nx.descendants(self._graph, node))
-
-    def paths_between(self, src: str, dst: str) -> List[List[str]]:
-        """All simple paths from ``src`` to ``dst``."""
-        self.node(src)
-        self.node(dst)
-        return [list(p) for p in nx.all_simple_paths(self._graph, src, dst)]
-
-    def downstream_sync_nodes(self, node: str) -> Tuple[str, ...]:
-        """Sync nodes reachable from ``node`` (used by the conditional-
-        DAG skip-propagation rule, §4)."""
-        reach = self.descendants(node)
-        return tuple(n for n in self.topological_order() if n in reach and self.is_sync_node(n))
-
-    def critical_path(self, node_weights: Dict[str, float]) -> Tuple[List[str], float]:
-        """Longest start-to-terminal path under per-node weights.
-
-        Edge costs can be folded into the destination node's weight by
-        callers (the Monte-Carlo estimator does its own richer version;
-        this helper serves structural analyses and tests).
-        """
-        self._ensure_valid()
-        order = self.topological_order()
-        dist: Dict[str, float] = {}
-        prev: Dict[str, Optional[str]] = {}
-        for n in order:
-            w = node_weights.get(n, 0.0)
-            preds = list(self._graph.predecessors(n))
-            if not preds:
-                dist[n] = w
-                prev[n] = None
-            else:
-                best = max(preds, key=lambda p: dist[p])
-                dist[n] = dist[best] + w
-                prev[n] = best
-        end = max(dist, key=lambda n: dist[n])
-        path: List[str] = []
-        cur: Optional[str] = end
-        while cur is not None:
-            path.append(cur)
-            cur = prev[cur]
-        return list(reversed(path)), dist[end]
 
     def subgraph_signature(self) -> str:
         """Stable structural fingerprint (used to key solver caches)."""

@@ -76,29 +76,6 @@ class DeploymentPlan:
         """Whether every DAG node has an assignment."""
         return set(self.assignments) >= set(dag.node_names)
 
-    def with_metadata(
-        self,
-        version: Optional[int] = None,
-        created_at_s: Optional[float] = None,
-        expires_at_s: Optional[float] = None,
-    ) -> "DeploymentPlan":
-        return DeploymentPlan(
-            assignments=self.assignments,
-            version=self.version if version is None else version,
-            created_at_s=self.created_at_s if created_at_s is None else created_at_s,
-            expires_at_s=self.expires_at_s if expires_at_s is None else expires_at_s,
-        )
-
-    def moved_nodes(self, other: "DeploymentPlan") -> Tuple[str, ...]:
-        """Nodes whose region differs between this plan and ``other``."""
-        return tuple(
-            sorted(
-                n
-                for n in self.assignments
-                if other.assignments.get(n) != self.assignments[n]
-            )
-        )
-
     def to_dict(self) -> Dict[str, object]:
         """Serialise for storage in the distributed key-value store."""
         return {

@@ -10,8 +10,8 @@ package provides that visibility without perturbing the simulation:
   deterministic JSONL;
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
   histograms the cloud services and the Caribou runtime report into;
-* :mod:`~repro.obs.render` — span-tree and summary renderers for the
-  ``caribou run --trace`` CLI path and offline analysis;
+* :mod:`~repro.obs.render` — JSONL trace loading and the summary
+  renderer behind ``caribou report``;
 * :mod:`~repro.obs.timeseries` — windowed virtual-time sampling of the
   registry into per-window series, with Prometheus/JSONL exporters;
 * :mod:`~repro.obs.slo` — declarative per-window SLOs with
@@ -46,7 +46,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.render import (
     load_jsonl,
-    render_span_tree,
     render_trace_summary,
 )
 from repro.obs.dash import render_dashboard, sparkline
@@ -122,7 +121,6 @@ __all__ = [
     "render_critical_path",
     "render_dashboard",
     "render_prometheus",
-    "render_span_tree",
     "render_trace_summary",
     "series_to_jsonl",
     "sparkline",

@@ -28,7 +28,7 @@ no simulation state.  Analysis of the same trace is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.obs.trace import Span, Tracer
 
@@ -98,11 +98,6 @@ class SyncGateReport:
     t: float
 
     @property
-    def gate_branch(self) -> str:
-        """Source node of the gating edge (the straggling branch)."""
-        return self.gate_edge.split("->", 1)[0]
-
-    @property
     def straggle_s(self) -> float:
         """How long the barrier waited between the first arrival and
         the gating one (0.0 when only one edge ever arrived)."""
@@ -141,13 +136,6 @@ class RequestPath:
         for seg in self.segments:
             out[seg.node] = out.get(seg.node, 0.0) + seg.duration_s
         return dict(sorted(out.items()))
-
-    def shares(self) -> Dict[str, float]:
-        """Fraction of end-to-end latency per kind (sums to 1.0)."""
-        total = self.latency_s
-        if total <= 0.0:
-            return {}
-        return {k: v / total for k, v in self.by_kind().items()}
 
 
 def compute_critical_path(

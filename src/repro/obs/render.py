@@ -1,19 +1,16 @@
-"""Trace rendering and offline-analysis helpers.
+"""Trace loading and the summary renderer behind ``caribou report``.
 
 Turns a span list (live :class:`~repro.obs.trace.Tracer` or a JSONL
-file re-loaded with :func:`load_jsonl`) into:
-
-* a per-kind summary table (:func:`render_trace_summary`) — span
-  counts, total/mean virtual duration — plus request terminal states;
-* an indented span tree (:func:`render_span_tree`) following
-  parent/child links, optionally scoped to one request.
+file re-loaded with :func:`load_jsonl`) into a per-kind summary table
+(:func:`render_trace_summary`) — span counts, total/mean virtual
+duration — plus request terminal states.
 """
 
 from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.common.errors import MalformedInputError
 from repro.obs.trace import Span, Tracer
@@ -76,86 +73,3 @@ def render_trace_summary(source: Union[Tracer, Sequence[Span]]) -> str:
         lines.append(f"requests: {summary}")
     return "\n".join(lines)
 
-
-def render_span_tree(
-    source: Union[Tracer, Sequence[Span]],
-    request_id: Optional[str] = None,
-    max_spans: int = 200,
-) -> str:
-    """Indented tree of spans (depth-first, creation order).
-
-    Args:
-        source: Tracer or span sequence.
-        request_id: Restrict to one request's tree.
-        max_spans: Truncate huge traces (a note marks the cut).
-    """
-    spans = _spans_of(source)
-    if request_id is not None:
-        spans = [s for s in spans if s.request_id == request_id]
-    if not spans:
-        return "(no spans)"
-
-    ids = {s.span_id for s in spans}
-    children: Dict[Optional[int], List[Span]] = {}
-    for span in spans:
-        parent = span.parent_id if span.parent_id in ids else None
-        children.setdefault(parent, []).append(span)
-
-    lines: List[str] = []
-    truncated = False
-
-    def walk(parent: Optional[int], depth: int) -> None:
-        nonlocal truncated
-        for span in children.get(parent, ()):
-            if len(lines) >= max_spans:
-                truncated = True
-                return
-            end = span.t1 if span.t1 is not None else span.t0
-            extra = ""
-            if span.kind == "request":
-                extra = f" [{span.attrs.get('status', 'open')}]"
-            elif "error" in span.attrs:
-                extra = f" [error={span.attrs['error']}]"
-            lines.append(
-                f"{'  ' * depth}{span.kind}:{span.name}"
-                f" ({span.t0:.3f}..{end:.3f}, {end - span.t0:.4f}s){extra}"
-            )
-            walk(span.span_id, depth + 1)
-
-    walk(None, 0)
-    if truncated:
-        lines.append(f"... truncated at {max_spans} spans")
-    return "\n".join(lines)
-
-
-def spans_by_kind(
-    source: Union[Tracer, Sequence[Span]], kind: str
-) -> List[Span]:
-    """All spans of one kind (test/analysis convenience)."""
-    return [s for s in _spans_of(source) if s.kind == kind]
-
-
-def requests_in(source: Union[Tracer, Sequence[Span]]) -> List[str]:
-    """Distinct request ids in first-seen order."""
-    seen: "OrderedDict[str, None]" = OrderedDict()
-    for span in _spans_of(source):
-        if span.request_id:
-            seen.setdefault(span.request_id, None)
-    return list(seen)
-
-
-def group_by_request(
-    source: Union[Tracer, Sequence[Span]],
-) -> Dict[str, List[Span]]:
-    """request id -> its spans (roots included), creation order."""
-    grouped: Dict[str, List[Span]] = {}
-    for span in _spans_of(source):
-        if span.request_id:
-            grouped.setdefault(span.request_id, []).append(span)
-    return grouped
-
-
-def iter_lines(spans: Iterable[Span]) -> Iterable[str]:
-    """JSONL lines for an arbitrary span iterable."""
-    for span in spans:
-        yield json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":"))

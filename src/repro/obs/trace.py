@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, TextIO
+from typing import Any, Dict, List, Optional
 
 from repro.common.clock import VirtualClock
 
@@ -363,9 +363,6 @@ class Tracer:
             with open(destination, "w", encoding="utf-8") as fh:
                 fh.write(text)
 
-    def request_root(self, request_id: str) -> Optional[Span]:
-        return self._request_roots.get(request_id)
-
     def __len__(self) -> int:
         return len(self.spans)
 
@@ -422,9 +419,6 @@ class NullTracer:
     def export(self, destination) -> None:
         pass
 
-    def request_root(self, request_id: str) -> None:
-        return None
-
     def __len__(self) -> int:
         return 0
 
@@ -432,14 +426,3 @@ class NullTracer:
 #: Shared no-op tracer every service defaults to.
 NULL_TRACER = NullTracer()
 
-
-def iter_children(spans: Iterable[Span], parent_id: int) -> List[Span]:
-    """Direct children of ``parent_id``, in creation order."""
-    return [s for s in spans if s.parent_id == parent_id]
-
-
-def write_jsonl(spans: Iterable[Span], fh: TextIO) -> None:
-    """Serialise an arbitrary span iterable (offline analysis helper)."""
-    for span in spans:
-        fh.write(json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":")))
-        fh.write("\n")

@@ -193,7 +193,7 @@ class TestStepFunctionsAccounting:
         rid = sf.invoke(Payload(content="go"))
         service = cloud.stepfunctions("us-east-1")
         finished_at = []
-        while cloud.env.step():
+        while cloud.env.run(max_events=1):
             if not finished_at and service.is_finished(rid):
                 finished_at.append(cloud.now())
         ends = [e.end_s for e in cloud.ledger.executions_for(deployed.name, rid)]

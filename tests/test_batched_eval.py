@@ -8,8 +8,7 @@ The contracts under test:
   sample counts — even when plans converge at different sample counts;
   duplicate plans share one profile object.
 * ``PlanEvaluator.prefetch_profiles`` returns how many profiles it built.
-* The PR 6 bugfix regressions: estimator knob guards, the
-  lexicographic ``offloaded_nodes`` modal tie-break, and the
+* The PR 6 bugfix regressions: estimator knob guards and the
   ``client_region`` warning.
 """
 
@@ -19,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.core.solver import PlanEvaluator, SolverSettings
-from repro.core.solver.hbss import SolveResult
 from repro.data.latency import LatencySource
 from repro.data.pricing import PricingSource
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
@@ -248,33 +246,6 @@ class TestClientRegionWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             make_evaluator(chain_dag)
-
-
-class TestOffloadedNodesTieBreak:
-    """PR 6 bugfix: modal-count ties resolved lexicographically, not by
-    set-iteration order (which follows PYTHONHASHSEED)."""
-
-    def _result(self, assignments):
-        return SolveResult(
-            hour=0,
-            best_plan=DeploymentPlan(assignments),
-            best_estimate=None,
-            iterations=1,
-            accepted=1,
-            plans_evaluated=1,
-        )
-
-    def test_two_way_tie_is_lexicographic(self):
-        result = self._result({"a": "us-west-2", "b": "ca-central-1"})
-        # Both regions host one node: ca-central-1 wins the tie, so the
-        # us-west-2 node is the offloaded one — regardless of hash seed.
-        assert result.offloaded_nodes == ("a",)
-
-    def test_majority_still_wins_over_lexicographic(self):
-        result = self._result(
-            {"a": "us-west-2", "b": "us-west-2", "c": "ca-central-1"}
-        )
-        assert result.offloaded_nodes == ("c",)
 
 
 class TestBatchedSolverEquivalence:

@@ -1,15 +1,8 @@
 """Tests for the virtual clock."""
 
-import datetime
-
 import pytest
 
-from repro.common.clock import (
-    DEFAULT_EPOCH,
-    SECONDS_PER_DAY,
-    SECONDS_PER_HOUR,
-    VirtualClock,
-)
+from repro.common.clock import DEFAULT_EPOCH, VirtualClock
 
 
 class TestVirtualClock:
@@ -43,46 +36,8 @@ class TestVirtualClock:
         with pytest.raises(ValueError):
             clock.advance_to(5.0)
 
-    def test_datetime_maps_epoch(self):
-        clock = VirtualClock()
-        assert clock.datetime() == DEFAULT_EPOCH
-        clock.advance(SECONDS_PER_DAY)
-        assert clock.datetime() == DEFAULT_EPOCH + datetime.timedelta(days=1)
-
     def test_default_epoch_is_evaluation_window_start(self):
         # §9.1: carbon data from 2023-10-15.
         assert DEFAULT_EPOCH.year == 2023
         assert DEFAULT_EPOCH.month == 10
         assert DEFAULT_EPOCH.day == 15
-
-    def test_hour_of_day(self):
-        clock = VirtualClock()
-        assert clock.hour_of_day() == 0
-        clock.advance(13.5 * SECONDS_PER_HOUR)
-        assert clock.hour_of_day() == 13
-
-    def test_hour_index_monotonic(self):
-        clock = VirtualClock()
-        clock.advance(25 * SECONDS_PER_HOUR)
-        assert clock.hour_index() == 25
-
-    def test_day_index(self):
-        clock = VirtualClock()
-        clock.advance(3.7 * SECONDS_PER_DAY)
-        assert clock.day_index() == 3
-
-    def test_observers_called_on_advance(self):
-        clock = VirtualClock()
-        seen = []
-        clock.subscribe(seen.append)
-        clock.advance(1.0)
-        clock.advance(2.0)
-        assert seen == [1.0, 3.0]
-
-    def test_unsubscribe_stops_notifications(self):
-        clock = VirtualClock()
-        seen = []
-        clock.subscribe(seen.append)
-        clock.unsubscribe(seen.append)
-        clock.advance(1.0)
-        assert seen == []

@@ -131,9 +131,8 @@ class TestCriticalPathProperties:
         for path in analyze_trace(tracer).requests:
             if path.latency_s <= 0:
                 continue
-            assert math.fsum(path.shares().values()) == pytest.approx(
-                1.0, abs=1e-9
-            )
+            shares = [v / path.latency_s for v in path.by_kind().values()]
+            assert math.fsum(shares) == pytest.approx(1.0, abs=1e-9)
 
     def test_sync_gates_match_executor_join_order(self, traced_run):
         tracer, executor, rids = traced_run

@@ -79,9 +79,6 @@ class TestQueries:
         assert diamond_dag.is_sync_node("d")
         assert not diamond_dag.is_sync_node("b")
 
-    def test_terminal_nodes(self, diamond_dag):
-        assert diamond_dag.terminal_nodes == ("d",)
-
     def test_in_out_edges(self, diamond_dag):
         assert {e.src for e in diamond_dag.in_edges("d")} == {"b", "c"}
         assert {e.dst for e in diamond_dag.out_edges("a")} == {"b", "c"}
@@ -103,25 +100,11 @@ class TestQueries:
         assert diamond_dag.descendants("a") == {"b", "c", "d"}
         assert diamond_dag.descendants("d") == frozenset()
 
-    def test_paths_between(self, diamond_dag):
-        paths = diamond_dag.paths_between("a", "d")
-        assert sorted(paths) == [["a", "b", "d"], ["a", "c", "d"]]
-
-    def test_downstream_sync_nodes(self, diamond_dag):
-        assert diamond_dag.downstream_sync_nodes("b") == ("d",)
-        assert diamond_dag.downstream_sync_nodes("d") == ()
-
     def test_unknown_node_query(self, diamond_dag):
         with pytest.raises(KeyError):
             diamond_dag.node("ghost")
         with pytest.raises(KeyError):
             diamond_dag.edge("a", "ghost")
-
-    def test_critical_path(self, diamond_dag):
-        weights = {"a": 1.0, "b": 5.0, "c": 1.0, "d": 1.0}
-        path, length = diamond_dag.critical_path(weights)
-        assert path == ["a", "b", "d"]
-        assert length == pytest.approx(7.0)
 
     def test_signature_stable_and_distinct(self, diamond_dag, chain_dag):
         assert diamond_dag.subgraph_signature() == diamond_dag.subgraph_signature()

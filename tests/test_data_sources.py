@@ -9,7 +9,6 @@ from repro.data.pricing import PricingSource
 from repro.data.regions import (
     EVALUATION_REGIONS,
     all_regions,
-    evaluation_regions,
     get_region,
 )
 
@@ -24,7 +23,6 @@ class TestRegions:
         assert set(EVALUATION_REGIONS) == {
             "us-east-1", "us-west-1", "us-west-2", "ca-central-1",
         }
-        assert len(evaluation_regions()) == 4
 
     def test_us_east_regions_share_grid(self):
         # §2.1: us-east-1 and us-east-2 are on the same grid.
@@ -134,12 +132,6 @@ class TestCarbonIntensitySource:
     def test_unknown_override_zone_rejected(self):
         with pytest.raises(KeyError):
             CarbonIntensitySource(hours=24, overrides={"XX": [1.0] * 24})
-
-    def test_hourly_window(self):
-        source = CarbonIntensitySource(hours=48)
-        window = source.hourly_window("us-east-1", 10, 5)
-        trace = source.trace("us-east-1")
-        assert np.allclose(window, trace[10:15])
 
 
 class TestPricing:

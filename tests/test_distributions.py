@@ -40,8 +40,9 @@ class TestEmpiricalDistribution:
             dist.add(float("inf"))
 
     def test_sliding_window_caps_samples(self):
-        dist = EmpiricalDistribution(max_samples=3)
-        dist.extend([1.0, 2.0, 3.0, 4.0, 5.0])
+        dist = EmpiricalDistribution([1.0, 2.0, 3.0], max_samples=3)
+        dist.add(4.0)
+        dist.add(5.0)
         assert list(dist.samples) == [3.0, 4.0, 5.0]
 
     def test_stats_track_adds_and_equal_the_list_based_results(self):
@@ -84,20 +85,6 @@ class TestEmpiricalDistribution:
     def test_support_of_nothing_raises(self):
         with pytest.raises(ValueError, match="no samples"):
             EmpiricalDistribution().support()
-
-    def test_scaled(self):
-        dist = EmpiricalDistribution([1.0, 2.0])
-        scaled = dist.scaled(2.0)
-        assert list(scaled.samples) == [2.0, 4.0]
-        assert list(dist.samples) == [1.0, 2.0]  # original untouched
-        with pytest.raises(ValueError):
-            dist.scaled(0.0)
-
-    def test_merged(self):
-        a = EmpiricalDistribution([1.0])
-        b = EmpiricalDistribution([2.0])
-        merged = a.merged_with(b)
-        assert sorted(merged.samples) == [1.0, 2.0]
 
     def test_invalid_max_samples(self):
         with pytest.raises(ValueError):

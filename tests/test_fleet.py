@@ -91,30 +91,6 @@ class TestOperation:
         # The busy workflow is checked at least as often as the idle one.
         assert busy.next_check_delay_s <= idle.next_check_delay_s
 
-    def test_run_for_drives_both_loops(self, fleet):
-        cloud, manager, entries = fleet
-        for name, (app, _d, executor) in entries.items():
-            for i in range(6):
-                cloud.env.schedule(
-                    i * 600.0,
-                    lambda a=app, e=executor: e.invoke(a.make_input("small"),
-                                                       force_home=True),
-                )
-        manager.run_for(SECONDS_PER_DAY)
-        cloud.run_until_idle()
-        for name, checks, _solves, _tokens in manager.summary():
-            assert checks >= 2, name
-
-    def test_staggered_first_checks(self, fleet):
-        cloud, manager, entries = fleet
-        manager.run_for(4 * SECONDS_PER_HOUR, stagger_s=120.0)
-        cloud.run_until_idle()
-        first_times = [
-            m.reports[0].time_s
-            for m in (manager.manager_for(n) for n in manager.workflows)
-        ]
-        assert len(set(round(t, 3) for t in first_times)) == len(first_times)
-
 
 def _build_fleet(n, seed=91, app_name="dna_visualization", **manager_kwargs):
     """A fleet of ``n`` uniquified copies of one app under one manager."""
@@ -142,36 +118,8 @@ def _build_fleet(n, seed=91, app_name="dna_visualization", **manager_kwargs):
 
 
 class TestFleetScale:
-    """Hundred-workflow sweeps: the stagger-wrap regression and one
-    shared-cache ``check_all`` cycle across the whole fleet."""
-
-    def test_stagger_wraps_so_every_workflow_is_checked(self):
-        # Regression: a raw ``index * stagger_s`` first-check offset put
-        # workflow #24 onward past the one-day horizon (24 * 1h = the
-        # full day), so most of a 100-workflow fleet was never checked.
-        cloud, manager, _app, _executors = _build_fleet(
-            100,
-            trigger_settings=TriggerSettings(
-                min_check_period_s=SECONDS_PER_DAY,
-                max_check_period_s=SECONDS_PER_DAY,
-            ),
-        )
-        manager.run_for(SECONDS_PER_DAY, stagger_s=SECONDS_PER_HOUR)
-        cloud.run_until_idle()
-        unchecked = [
-            name for name in manager.workflows
-            if not manager.manager_for(name).reports
-        ]
-        assert unchecked == []
-        first_times = [
-            manager.manager_for(name).reports[0].time_s
-            for name in manager.workflows
-        ]
-        assert max(first_times) < SECONDS_PER_DAY
-        # The wrap folds offsets onto a 24-slot cycle, four workflows
-        # per slot — not 100 distinct offsets, and never a pile-up of
-        # the whole tail at the horizon.
-        assert len(set(first_times)) == 24
+    """A hundred-workflow shared-cache ``check_all`` cycle across the
+    whole fleet."""
 
     def test_shared_cache_sweep_solves_whole_fleet(self):
         n = 100
@@ -241,7 +189,8 @@ class TestPerWorkflowReport:
 class TestUnregisterLifecycle:
     """Unregistering must actually stop the control loop.
 
-    Regression: ``run_for`` used to discard its pending event handle,
+    Regression: ``DeploymentManager.run_for`` used to discard its
+    pending event handle,
     so ``unregister`` dropped the manager while the self-scheduled
     check chain kept firing against it forever.
     """
@@ -260,7 +209,10 @@ class TestUnregisterLifecycle:
             ),
         )
         victim, survivor = manager.workflows
-        manager.run_for(SECONDS_PER_DAY, stagger_s=60.0)
+        for index, name in enumerate(manager.workflows):
+            manager.manager_for(name).run_for(
+                SECONDS_PER_DAY, first_check_delay_s=index * 60.0
+            )
         cloud.env.run(until=5 * SECONDS_PER_HOUR)
 
         victim_manager = manager.manager_for(victim)

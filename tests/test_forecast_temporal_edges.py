@@ -10,7 +10,7 @@ import pytest
 
 from repro.apps import get_app
 from repro.cloud.provider import SimulatedCloud
-from repro.common.clock import SECONDS_PER_HOUR, VirtualClock
+from repro.common.clock import SECONDS_PER_HOUR
 from repro.core.temporal import TemporalPolicy, TemporalShifter
 from repro.experiments.harness import deploy_benchmark
 from repro.metrics.forecast import (
@@ -95,22 +95,6 @@ class TestForecastEdges:
     def test_mape_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             mape([1.0, 2.0], [1.0])
-
-
-class TestClockHourWraparound:
-    def test_hour_of_day_wraps_midnight(self):
-        clock = VirtualClock()
-        clock.advance(23 * SECONDS_PER_HOUR + 1800.0)  # 23:30
-        assert clock.hour_of_day() == 23
-        clock.advance(SECONDS_PER_HOUR)  # 00:30 next day
-        assert clock.hour_of_day() == 0
-        assert clock.day_index() == 1
-
-    def test_hour_index_keeps_counting(self):
-        clock = VirtualClock()
-        clock.advance(25 * SECONDS_PER_HOUR)
-        assert clock.hour_index() == 25
-        assert clock.hour_of_day() == 1
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from repro.cloud.functions import (
     CONTAINER_KEEPALIVE_S,
     MEMORY_MB_PER_VCPU,
     FunctionDeployment,
+    FunctionService,
     WorkProfile,
 )
 from repro.common.errors import DeploymentError, RegionUnavailableError
@@ -37,7 +38,7 @@ class TestWorkProfile:
         profile = WorkProfile(
             base_seconds=1.0, output_bytes_per_input_byte=0.5, output_base_bytes=100
         )
-        assert profile.output_size(1000) == pytest.approx(600)
+        assert FunctionService._output_size(profile, 1000, None) == pytest.approx(600)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -103,11 +103,6 @@ class TestIngestion:
         with pytest.raises(ValueError, match="any region"):
             mm.execution_time_dist("b", "us-east-1")
 
-    def test_priors_used_before_history(self, setup):
-        mm, _ = setup
-        mm.register_execution_prior("a", "us-east-1", [4.0])
-        assert mm.execution_time_dist("a", "us-east-1").mean() == 4.0
-
     def test_edge_size_dist(self, setup):
         mm, ledger = setup
         ledger.record_execution(exec_rec("a", "us-east-1", "r1"))
@@ -118,10 +113,10 @@ class TestIngestion:
         assert mm.edge_size_dist("a", "b").mean() == pytest.approx(5e6)
 
     def test_edge_size_prior_fallback(self, setup):
+        # There is no prior to fall back to: an edge with no payload
+        # history cannot be sized.
         mm, _ = setup
-        mm.register_size_prior("a", "b", [123.0])
-        assert mm.edge_size_dist("a", "b").mean() == 123.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no payload-size history"):
             mm.edge_size_dist("b", "c")
 
     def test_utilization_from_insights(self, setup):
@@ -269,11 +264,6 @@ class TestInputSizeLearning:
         ))
         mm.collect(10.0)
         assert mm.input_size_dist().mean() == pytest.approx(7e5)
-
-    def test_input_prior_fallback(self, setup):
-        mm, _ = setup
-        mm.register_input_prior([1234.0])
-        assert mm.input_size_dist().mean() == 1234.0
 
     def test_zero_default_without_data(self, setup):
         mm, _ = setup

@@ -1,9 +1,7 @@
-"""Tests for the network model and object storage."""
+"""Tests for the network model, container registry and IAM."""
 
 import pytest
 
-from repro.cloud.storage import ObjectNotFound
-from repro.common.errors import CaribouError
 from repro.common.units import mb
 
 
@@ -49,50 +47,6 @@ class TestNetwork:
             assert latency > 0
 
 
-class TestObjectStore:
-    def test_put_get_roundtrip(self, cloud):
-        cloud.storage.create_bucket("inputs", "us-east-1")
-        cloud.storage.put_object("inputs", "f.txt", 1024, content="hello")
-        obj, _latency = cloud.storage.get_object("inputs", "f.txt")
-        assert obj.content == "hello"
-        assert obj.size_bytes == 1024
-
-    def test_bucket_region_pinned(self, cloud):
-        cloud.storage.create_bucket("b", "ca-central-1")
-        assert cloud.storage.bucket_region("b") == "ca-central-1"
-        with pytest.raises(CaribouError):
-            cloud.storage.create_bucket("b", "us-east-1")
-
-    def test_recreate_same_region_idempotent(self, cloud):
-        cloud.storage.create_bucket("b", "us-east-1")
-        cloud.storage.create_bucket("b", "us-east-1")  # no error
-
-    def test_missing_object(self, cloud):
-        cloud.storage.create_bucket("b", "us-east-1")
-        with pytest.raises(ObjectNotFound):
-            cloud.storage.get_object("b", "nope")
-
-    def test_missing_bucket(self, cloud):
-        with pytest.raises(ObjectNotFound):
-            cloud.storage.get_object("ghost", "k")
-
-    def test_cross_region_get_billed_from_bucket(self, cloud):
-        cloud.storage.create_bucket("b", "us-east-1")
-        cloud.storage.put_object("b", "k", mb(5), workflow="wf")
-        cloud.ledger.transmissions.clear()
-        cloud.storage.get_object("b", "k", caller_region="us-west-1", workflow="wf")
-        rec = cloud.ledger.transmissions_for("wf")[0]
-        assert rec.src_region == "us-east-1"  # sender pays egress
-        assert rec.dst_region == "us-west-1"
-
-    def test_head_and_list(self, cloud):
-        cloud.storage.create_bucket("b", "us-east-1")
-        cloud.storage.put_object("b", "k1", 10)
-        cloud.storage.put_object("b", "k2", 20)
-        assert cloud.storage.head_object("b", "k2").size_bytes == 20
-        assert set(cloud.storage.list_objects("b")) == {"k1", "k2"}
-
-
 class TestRegistryAndIam:
     def test_push_and_copy(self, cloud):
         cloud.registry.push("us-east-1", "wf/fn", "1.0", mb(250))
@@ -127,13 +81,6 @@ class TestRegistryAndIam:
 
     def test_iam_roles(self, cloud):
         cloud.iam.create_role("wf-fn-us-east-1", {"allow": "*"})
-        assert cloud.iam.role_exists("wf-fn-us-east-1")
-        assert cloud.iam.get_policy("wf-fn-us-east-1") == {"allow": "*"}
+        assert cloud.iam.roles() == ("wf-fn-us-east-1",)
         cloud.iam.delete_role("wf-fn-us-east-1")
-        assert not cloud.iam.role_exists("wf-fn-us-east-1")
-
-    def test_missing_role_policy_raises(self, cloud):
-        from repro.common.errors import DeploymentError
-
-        with pytest.raises(DeploymentError):
-            cloud.iam.get_policy("ghost")
+        assert cloud.iam.roles() == ()

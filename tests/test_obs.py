@@ -13,10 +13,8 @@ from repro.obs import (
     Span,
     Tracer,
     load_jsonl,
-    render_span_tree,
     render_trace_summary,
 )
-from repro.obs.trace import iter_children
 
 
 @pytest.fixture
@@ -74,10 +72,10 @@ class TestTracer:
         assert span.t1 is not None
 
     def test_request_root_parents_async_spans(self, tracer):
-        tracer.open_request("r1", workflow="wf")
+        root = tracer.open_request("r1", workflow="wf")
         # No scope on the stack: the request id resolves the parent.
         span = tracer.record("invocation", "wf.f", request_id="r1")
-        assert span.parent_id == tracer.request_root("r1").span_id
+        assert span.parent_id == root.span_id
 
     def test_scope_wins_over_request_root(self, tracer):
         tracer.open_request("r1")
@@ -86,33 +84,31 @@ class TestTracer:
         assert child.parent_id == scope.span.span_id
 
     def test_close_request_sets_status(self, tracer, clock):
-        tracer.open_request("r1")
+        root = tracer.open_request("r1")
         clock.advance(3.0)
         tracer.close_request("r1", "completed")
-        root = tracer.request_root("r1")
         assert root.attrs["status"] == "completed"
         assert root.t1 == 3.0
 
     def test_close_request_first_terminal_wins(self, tracer):
-        tracer.open_request("r1")
+        root = tracer.open_request("r1")
         tracer.close_request("r1", "completed")
         tracer.close_request("r1", "failed")
-        assert tracer.request_root("r1").attrs["status"] == "completed"
+        assert root.attrs["status"] == "completed"
 
     def test_finalize_closes_open_spans_as_pending(self, tracer, clock):
-        tracer.open_request("r1")
+        root = tracer.open_request("r1")
         clock.advance(1.0)
         tracer.finalize()
-        root = tracer.request_root("r1")
         assert root.t1 == 1.0
         assert root.attrs["status"] == "pending"
 
     def test_finalize_extends_parents_over_children(self, tracer):
-        tracer.open_request("r1")
+        root = tracer.open_request("r1")
         tracer.close_request("r1", "completed")  # t1 = 0.0
         tracer.record("invocation", "wf.f", request_id="r1", t0=0.0, t1=9.0)
         tracer.finalize()
-        assert tracer.request_root("r1").t1 == 9.0
+        assert root.t1 == 9.0
 
     def test_jsonl_round_trip(self, tracer):
         tracer.open_request("r1", workflow="wf")
@@ -135,15 +131,6 @@ class TestTracer:
         path = tmp_path / "trace.jsonl"
         tracer.export(str(path))
         assert load_jsonl(str(path))[0].kind == "kv"
-
-    def test_iter_children(self, tracer):
-        root = tracer.open_request("r1")
-        tracer.record("kv", "a", request_id="r1")
-        tracer.record("kv", "b", request_id="r1")
-        assert [s.name for s in iter_children(tracer.spans, root.span_id)] == [
-            "a",
-            "b",
-        ]
 
     def test_len_counts_spans(self, tracer):
         assert len(tracer) == 0
@@ -218,7 +205,6 @@ class TestNullTracer:
         NULL_TRACER.finalize()
         assert NULL_TRACER.to_jsonl() == ""
         assert len(NULL_TRACER) == 0
-        assert NULL_TRACER.request_root("r") is None
 
     def test_null_scope_never_swallows(self):
         with pytest.raises(KeyError):
@@ -381,29 +367,3 @@ class TestRenderers:
 
     def test_summary_empty(self):
         assert render_trace_summary([]) == "(empty trace)"
-
-    def test_tree_indents_children(self):
-        lines = render_span_tree(self._sample_spans()).splitlines()
-        assert lines[0].startswith("request:r1")
-        assert lines[1].startswith("  publish:")
-        assert lines[2].startswith("    transfer:")
-
-    def test_tree_filters_by_request(self):
-        spans = self._sample_spans() + [
-            Span(3, "request", "r2", 0.0, 1.0, None, "wf", "r2",
-                 {"status": "failed"})
-        ]
-        text = render_span_tree(spans, request_id="r2")
-        assert "r2" in text and "publish" not in text
-
-    def test_tree_truncates(self):
-        spans = [
-            Span(i, "kv", f"op{i}", 0.0, 0.0, None, "wf", "r") for i in range(10)
-        ]
-        text = render_span_tree(spans, max_spans=3)
-        assert "truncated at 3 spans" in text
-
-    def test_orphan_parents_treated_as_roots(self):
-        # Span 2's parent (1) is filtered out: it must still render.
-        spans = [Span(2, "transfer", "a->b", 0.0, 0.5, 1, "wf", "r1", {})]
-        assert "transfer:a->b" in render_span_tree(spans)

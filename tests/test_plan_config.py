@@ -36,11 +36,6 @@ class TestDeploymentPlan:
         assert hash(p1) == hash(p2)
         assert p1 != DeploymentPlan({"a": "x2"})
 
-    def test_moved_nodes(self):
-        p1 = DeploymentPlan({"a": "r1", "b": "r1"})
-        p2 = DeploymentPlan({"a": "r1", "b": "r2"})
-        assert p1.moved_nodes(p2) == ("b",)
-
     def test_serialization_roundtrip(self):
         plan = DeploymentPlan(
             {"a": "us-east-1"}, version=3, created_at_s=5.0, expires_at_s=10.0
@@ -189,10 +184,3 @@ class TestWorkflowConfig:
         assert cfg.permitted_regions_for_function(None, regions) == (
             "us-east-1", "ca-central-1",
         )
-
-    def test_with_helpers(self):
-        cfg = WorkflowConfig(home_region="us-east-1")
-        cfg2 = cfg.with_tolerances(Tolerances(latency=0.1))
-        assert cfg2.tolerances.latency == 0.1
-        cfg3 = cfg.with_home_region("us-west-2")
-        assert cfg3.home_region == "us-west-2"

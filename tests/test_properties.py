@@ -66,16 +66,6 @@ class TestDagProperties:
         for node in dag.node_names:
             assert dag.is_sync_node(node) == (len(dag.in_edges(node)) > 1)
 
-    @given(random_dags())
-    @settings(max_examples=30, deadline=None)
-    def test_critical_path_is_valid_path(self, dag):
-        weights = {n: 1.0 for n in dag.node_names}
-        path, length = dag.critical_path(weights)
-        assert path[0] == dag.start_node
-        for a, b in zip(path, path[1:]):
-            assert dag.has_edge(a, b)
-        assert length == pytest.approx(len(path))
-
 
 # -------------------------------------------------------------- plan props
 class TestPlanProperties:

@@ -105,7 +105,7 @@ class TestRetrySemantics:
         )
         cloud.run_until_idle()
         assert len(attempts) == 2
-        assert cloud.pubsub.topic_stats("t", "us-east-1") == (1, 0)
+        assert cloud.pubsub.dead_letters == []
 
     def test_message_dead_lettered_after_max_attempts(self, cloud):
         cloud.pubsub.create_topic("t", "us-east-1")
@@ -122,7 +122,6 @@ class TestRetrySemantics:
         )
         cloud.run_until_idle()
         assert len(attempts) == MAX_DELIVERY_ATTEMPTS
-        assert cloud.pubsub.topic_stats("t", "us-east-1") == (0, 1)
         assert len(cloud.pubsub.dead_letters) == 1
 
     def test_no_subscriber_dead_letters(self, cloud):
@@ -168,7 +167,6 @@ class TestRetrySemantics:
         )
         cloud.run_until_idle()
         assert len(attempts) == 1
-        assert cloud.pubsub.topic_stats("t", "us-east-1") == (0, 1)
         assert cloud.pubsub.dead_letter_count("wf") == 1
         assert cloud.pubsub.retry_count("wf") == 0
 
@@ -258,7 +256,6 @@ class TestRetryHandles:
         # (the workflow is going away; counting them as losses would lie).
         assert len(attempts) == 2
         assert cloud.pubsub.dead_letter_count("wf") == 0
-        assert cloud.pubsub.topic_stats("t", "us-east-1") == (0, 0)
 
     def test_cancel_is_scoped_to_one_workflow(self, cloud):
         attempts = self._arm(cloud, "alpha", "beta")

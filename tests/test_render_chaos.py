@@ -3,10 +3,9 @@
 A chaos run (network partition + region outage + invocation failures)
 produces the nastiest traces the repo can generate: retries, dead
 requests, home-region fallbacks, and error-annotated spans.  The
-renderers of :mod:`repro.obs.render` must stay deterministic (same run,
-same text — the CLI diff-tests depend on it) and truncation-safe (a
-``max_spans`` cut never raises, never emits a partial line, and always
-marks the cut).
+renderers behind ``caribou report`` — the trace summary and the
+per-request critical path — must render every request and stay
+deterministic (same run, same text — the CLI diff-tests depend on it).
 """
 
 from __future__ import annotations
@@ -19,14 +18,8 @@ from repro.apps import get_app
 from repro.cloud.faults import FaultPlan
 from repro.common.clock import SECONDS_PER_DAY
 from repro.experiments.harness import run_caribou
-from repro.obs.render import (
-    group_by_request,
-    iter_lines,
-    load_jsonl,
-    render_span_tree,
-    render_trace_summary,
-    requests_in,
-)
+from repro.obs.critical_path import analyze_trace, render_critical_path
+from repro.obs.render import load_jsonl, render_trace_summary
 from repro.obs.trace import Tracer
 
 REGIONS = ("us-east-1", "us-west-2", "ca-central-1")
@@ -85,95 +78,32 @@ class TestChaosTraceShape:
         assert "failed" in statuses
 
     def test_every_request_renders(self, chaos_spans):
-        for rid in requests_in(chaos_spans):
-            text = render_span_tree(chaos_spans, request_id=rid)
-            assert text != "(no spans)"
-            assert text.startswith("request:")
+        paths = analyze_trace(chaos_spans).requests
+        assert len(paths) == sum(1 for s in chaos_spans if s.kind == "request")
+        for path in paths:
+            text = render_critical_path(path)
+            assert text.startswith(f"request {path.request_id} [")
 
 
 class TestDeterminism:
     def test_rerun_renders_identically(self, chaos_spans):
         """Same seed + same fault plan => byte-identical renderings."""
         again = list(_chaos_trace().spans)
-        assert render_span_tree(again) == render_span_tree(chaos_spans)
         assert render_trace_summary(again) == render_trace_summary(
             chaos_spans
         )
 
     def test_jsonl_round_trip_renders_identically(self, chaos_spans):
-        text = "\n".join(iter_lines(chaos_spans))
-        reloaded = load_jsonl(io.StringIO(text))
-        assert render_span_tree(reloaded) == render_span_tree(chaos_spans)
+        tracer = _chaos_trace()
+        reloaded = load_jsonl(io.StringIO(tracer.to_jsonl()))
         assert render_trace_summary(reloaded) == render_trace_summary(
             chaos_spans
         )
 
     def test_render_does_not_mutate_input(self, chaos_spans):
         before = [(s.span_id, s.t0, s.t1, dict(s.attrs)) for s in chaos_spans]
-        render_span_tree(chaos_spans)
         render_trace_summary(chaos_spans)
+        for path in analyze_trace(chaos_spans).requests:
+            render_critical_path(path)
         after = [(s.span_id, s.t0, s.t1, dict(s.attrs)) for s in chaos_spans]
         assert before == after
-
-
-class TestTruncation:
-    @pytest.mark.parametrize("max_spans", [1, 2, 7, 50, 199])
-    def test_truncation_is_safe_at_any_cut(self, chaos_spans, max_spans):
-        text = render_span_tree(chaos_spans, max_spans=max_spans)
-        lines = text.splitlines()
-        assert lines[-1] == f"... truncated at {max_spans} spans"
-        # Exactly max_spans rendered lines plus the truncation marker.
-        assert len(lines) == max_spans + 1
-        # No partial lines: every rendered span line carries a duration.
-        for line in lines[:-1]:
-            assert "s)" in line
-
-    def test_truncated_output_is_prefix_of_full(self, chaos_spans):
-        full = render_span_tree(chaos_spans, max_spans=10**9).splitlines()
-        cut = render_span_tree(chaos_spans, max_spans=25).splitlines()
-        assert cut[:-1] == full[:25]
-
-    def test_no_marker_when_under_limit(self, chaos_spans):
-        rid = requests_in(chaos_spans)[0]
-        text = render_span_tree(chaos_spans, request_id=rid, max_spans=10**9)
-        assert "truncated" not in text
-
-    def test_failed_requests_survive_rendering(self, chaos_spans):
-        text = render_span_tree(chaos_spans, max_spans=10**9)
-        assert "[failed]" in text
-        assert "[completed]" in text
-
-    def test_group_by_request_covers_all_requests(self, chaos_spans):
-        grouped = group_by_request(chaos_spans)
-        assert set(grouped) == set(requests_in(chaos_spans))
-        assert all(grouped.values())
-
-    def test_zero_budget_renders_only_the_marker(self, chaos_spans):
-        text = render_span_tree(chaos_spans, max_spans=0)
-        assert text == "... truncated at 0 spans"
-
-    def test_exact_span_count_needs_no_marker(self, chaos_spans):
-        n = len(render_span_tree(chaos_spans, max_spans=10**9).splitlines())
-        exact = render_span_tree(chaos_spans, max_spans=n)
-        assert "truncated" not in exact
-        assert len(exact.splitlines()) == n
-        # One fewer flips truncation on: the boundary is exclusive of
-        # nothing — max_spans is a hard line budget.
-        cut = render_span_tree(chaos_spans, max_spans=n - 1)
-        assert cut.splitlines()[-1] == f"... truncated at {n - 1} spans"
-
-    def test_request_scoped_truncation(self, chaos_spans):
-        rid = requests_in(chaos_spans)[0]
-        cut = render_span_tree(chaos_spans, request_id=rid, max_spans=2)
-        lines = cut.splitlines()
-        assert lines[-1] == "... truncated at 2 spans"
-        # The scoped cut is a prefix of the scoped full render.
-        full = render_span_tree(chaos_spans, request_id=rid)
-        assert lines[:-1] == full.splitlines()[:2]
-
-    def test_truncation_never_splits_multibyte_output(self, chaos_spans):
-        # Rendered lines survive an encode/decode round trip at every
-        # small cut (guards against slicing inside composed glyphs).
-        for max_spans in (1, 3, 11):
-            text = render_span_tree(chaos_spans, max_spans=max_spans)
-            assert text == text.encode("utf-8").decode("utf-8")

@@ -1,21 +1,9 @@
 """Tests for RNG streams and unit helpers."""
 
 import numpy as np
-import pytest
 
 from repro.common.rng import RngRegistry
-from repro.common.units import (
-    GB,
-    KB,
-    MB,
-    bytes_to_gb,
-    gb,
-    hours,
-    kb,
-    mb,
-    ms,
-    watts_to_kw,
-)
+from repro.common.units import GB, KB, MB, kb, mb
 
 
 class TestRngRegistry:
@@ -66,14 +54,3 @@ class TestUnits:
     def test_helpers(self):
         assert kb(2) == 2048
         assert mb(1) == MB
-        assert gb(0.5) == GB / 2
-
-    def test_bytes_to_gb_roundtrip(self):
-        assert bytes_to_gb(gb(3.5)) == pytest.approx(3.5)
-
-    def test_time_helpers(self):
-        assert ms(1500) == pytest.approx(1.5)
-        assert hours(2) == 7200
-
-    def test_watts(self):
-        assert watts_to_kw(750) == pytest.approx(0.75)

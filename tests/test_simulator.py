@@ -101,16 +101,6 @@ class TestRun:
         env.run_until_idle()
         assert env.events_executed == 5
 
-    def test_peek_time_skips_cancelled(self):
-        env = SimulationEnvironment()
-        h = env.schedule(1.0, lambda: None)
-        env.schedule(2.0, lambda: None)
-        h.cancel()
-        assert env.peek_time() == 2.0
-
-    def test_idle_peek_is_none(self):
-        assert SimulationEnvironment().peek_time() is None
-
     def test_max_events_counts_executions_only(self):
         """Cancelled entries skipped by the loop must not consume the
         ``max_events`` budget (the old loop's double-bookkeeping bug)."""

@@ -128,7 +128,7 @@ class TestPerObjectMemos:
         expected = hash(tuple(sorted(plan.assignments.items())))
         assert hash(plan) == expected
         assert hash(plan) == expected  # memoised value, second read
-        restamped = plan.with_metadata(version=7, created_at_s=5.0)
+        restamped = DeploymentPlan(plan.assignments, version=7, created_at_s=5.0)
         assert hash(restamped) == expected
         assert len({plan, restamped}) == 1
 

@@ -302,20 +302,6 @@ class TestHBSS:
         # run still terminates by exhaustion, not the iteration budget.
         assert result.iterations < 24
 
-    def test_offloaded_nodes_signal(self, chain_dag):
-        from repro.core.solver.hbss import SolveResult
-        from repro.metrics.montecarlo import WorkflowEstimate
-
-        est = WorkflowEstimate(1, 1, 1, 1, 1, 1, 1, 0, 10)
-        res = SolveResult(
-            hour=0,
-            best_plan=DeploymentPlan(
-                {"a": "us-east-1", "b": "us-east-1", "c": "ca-central-1"}
-            ),
-            best_estimate=est, iterations=1, accepted=1, plans_evaluated=1,
-        )
-        assert res.offloaded_nodes == ("c",)
-
 
 class TestCoarseSolver:
     def test_picks_cleanest_region(self, chain_dag):

@@ -1,18 +1,12 @@
-"""Tests for the extensions: temporal shifting and embodied accounting."""
+"""Tests for the temporal-shifting extension."""
 
-import numpy as np
 import pytest
 
 from repro.apps import get_app
-from repro.cloud.ledger import ExecutionRecord
 from repro.cloud.provider import SimulatedCloud
 from repro.common.clock import SECONDS_PER_HOUR
 from repro.core.temporal import TemporalPolicy, TemporalShifter
 from repro.experiments.harness import deploy_benchmark
-from repro.metrics.embodied import (
-    EmbodiedCarbonModel,
-    ranking_invariant_under_embodied,
-)
 
 
 def v_shaped_overrides(trough_hour=3, low=50.0, high=500.0):
@@ -98,9 +92,15 @@ class TestTemporalShifter:
 
     def test_improvement_reported(self, shifter_setup):
         cloud, app, executor, shifter = shifter_setup
-        shifter.submit(app.make_input("small"),
-                       TemporalPolicy(max_delay_s=5 * SECONDS_PER_HOUR))
-        assert shifter.mean_intensity_improvement() > 0.8  # 500 -> 50
+        decision = shifter.submit(
+            app.make_input("small"),
+            TemporalPolicy(max_delay_s=5 * SECONDS_PER_HOUR),
+        )
+        # The decision records the slot it left and the one it took.
+        assert shifter.decisions == [decision]
+        immediate = decision.slot_intensities[decision.submitted_at_s]
+        assert immediate == pytest.approx(500.0)
+        assert 1.0 - decision.chosen_intensity / immediate > 0.8  # 500 -> 50
 
     def test_joint_with_geo_plan(self):
         """A slot scores by the plan in force: offloading hours win."""
@@ -166,49 +166,3 @@ class TestTemporalShifter:
         assert set(decision.slot_intensities.values()) == {500.0}
         assert decision.scheduled_at_s == decision.submitted_at_s == 60.0
 
-
-class TestEmbodiedModel:
-    def make_record(self, duration=3600.0, memory=1769, n_vcpu=1.0):
-        return ExecutionRecord(
-            workflow="wf", node="n", function="n", region="us-east-1",
-            request_id="r", start_s=0.0, duration_s=duration,
-            memory_mb=memory, n_vcpu=n_vcpu, cpu_total_time_s=duration,
-            cold_start=False, payload_bytes=0, output_bytes=0,
-        )
-
-    def test_embodied_scales_with_resources(self):
-        model = EmbodiedCarbonModel()
-        one = model.record_embodied_g(self.make_record())
-        double_time = model.record_embodied_g(self.make_record(duration=7200))
-        assert double_time == pytest.approx(2 * one)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            EmbodiedCarbonModel().execution_embodied_g(-1.0, 1769, 1.0)
-
-    def test_total(self):
-        model = EmbodiedCarbonModel()
-        records = [self.make_record(), self.make_record()]
-        assert model.total_embodied_g(records) == pytest.approx(
-            2 * model.record_embodied_g(records[0])
-        )
-
-    def test_ranking_invariance_same_resources(self):
-        # The §7.1 argument: equal embodied per unit of resource cannot
-        # reorder plans that consume the same resources.
-        operational = [10.0, 2.0, 5.0, 7.0]
-        resources = [(3.0, 5.0)] * 4
-        assert ranking_invariant_under_embodied(operational, resources)
-
-    def test_ranking_can_change_with_different_resources(self):
-        # Sanity: the invariance claim is about equal resource use; with
-        # wildly different resource footprints the order can flip, which
-        # is exactly why the paper scopes the argument to placement
-        # decisions of the same workload.
-        operational = [10.0, 9.0]
-        resources = [(0.0, 0.0), (1000.0, 1000.0)]
-        assert not ranking_invariant_under_embodied(operational, resources)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ranking_invariant_under_embodied([1.0], [])

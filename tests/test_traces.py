@@ -4,32 +4,13 @@ import numpy as np
 import pytest
 
 from repro.common.clock import SECONDS_PER_DAY
-from repro.data.traces import InvocationTrace, azure_like_trace, uniform_trace
-
-
-class TestUniformTrace:
-    def test_count(self):
-        trace = uniform_trace(days=2, invocations_per_day=100)
-        assert len(trace) == 200
-
-    def test_evenly_spaced(self):
-        trace = uniform_trace(days=1, invocations_per_day=4)
-        gaps = np.diff(list(trace))
-        assert np.allclose(gaps, gaps[0])
-
-    def test_all_within_duration(self):
-        trace = uniform_trace(days=1, invocations_per_day=10)
-        assert all(0 <= t < SECONDS_PER_DAY for t in trace)
-
-    def test_empty(self):
-        trace = uniform_trace(days=1, invocations_per_day=0)
-        assert len(trace) == 0
+from repro.data.traces import azure_like_trace
 
 
 class TestAzureLikeTrace:
     def test_mean_daily_rate(self):
         trace = azure_like_trace(days=7, mean_daily_invocations=1600, seed=0)
-        daily = trace.daily_counts()
+        daily, _ = np.histogram(list(trace), bins=7, range=(0.0, 7 * SECONDS_PER_DAY))
         assert len(daily) == 7
         # Mean within 15 % of target (§9.7 uses ~1.6K/day).
         assert 1600 * 0.85 < np.mean(daily) < 1600 * 1.15
@@ -44,7 +25,9 @@ class TestAzureLikeTrace:
             days=14, mean_daily_invocations=5000, diurnal_amplitude=0.8,
             peak_hour=14.0, burstiness=1.0, seed=2,
         )
-        hourly = np.array(trace.hourly_counts()).reshape(14, 24).mean(axis=0)
+        counts, _ = np.histogram(list(trace), bins=14 * 24,
+                                 range=(0.0, 14 * SECONDS_PER_DAY))
+        hourly = counts.reshape(14, 24).mean(axis=0)
         peak = int(np.argmax(hourly))
         trough = int(np.argmin(hourly))
         assert abs(peak - 14) <= 3
@@ -73,15 +56,3 @@ class TestAzureLikeTrace:
         with pytest.raises(ValueError):
             azure_like_trace(days=1, burstiness=0)
 
-
-class TestInvocationTrace:
-    def test_count_in_window(self):
-        trace = InvocationTrace((1.0, 2.0, 3.0, 10.0), duration_s=20.0)
-        assert trace.count_in(0.0, 5.0) == 3
-        assert trace.count_in(5.0, 20.0) == 1
-
-    def test_slice_rebases(self):
-        trace = InvocationTrace((1.0, 6.0, 11.0), duration_s=20.0)
-        sub = trace.slice(5.0, 15.0)
-        assert list(sub) == [1.0, 6.0]
-        assert sub.duration_s == 10.0
