@@ -488,7 +488,8 @@ def _positive_float(raw: str) -> float:
 
 
 def _region_list(raw: str) -> tuple:
-    """``--regions r1,r2``: catalogue names, the home region among them."""
+    """``--regions r1,r2``: distinct catalogue names, the home region
+    among them."""
     regions = tuple(part.strip() for part in raw.split(",") if part.strip())
     known = sorted(r.name for r in all_regions())
     unknown = [r for r in regions if r not in known]
@@ -496,6 +497,9 @@ def _region_list(raw: str) -> tuple:
         raise argparse.ArgumentTypeError(
             f"unknown region {', '.join(unknown)} (known: {', '.join(known)})"
         )
+    duplicated = sorted({r for r in regions if regions.count(r) > 1})
+    if duplicated:
+        raise argparse.ArgumentTypeError(f"duplicate region {', '.join(duplicated)}")
     if HOME_REGION not in regions:
         raise argparse.ArgumentTypeError(
             f"must include the home region {HOME_REGION}"

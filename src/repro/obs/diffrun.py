@@ -218,7 +218,7 @@ def diff_runs(path_a: str, path_b: str) -> str:
     kind_a, data_a = load_run_artifact(path_a)
     kind_b, data_b = load_run_artifact(path_b)
     if kind_a != kind_b:
-        raise ValueError(
+        raise MalformedInputError(
             f"cannot diff {kind_a} ({path_a}) against {kind_b} ({path_b})"
         )
     if kind_a == "series":

@@ -34,7 +34,7 @@ import tempfile
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.common.errors import CaribouError
+from repro.common.errors import CaribouError, MalformedInputError
 
 # -- states -----------------------------------------------------------------
 SUBMITTED = "SUBMITTED"
@@ -195,9 +195,16 @@ class JobRecord:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "JobRecord":
-        data = dict(doc)
-        data["journal"] = [JournalEntry(**e) for e in doc.get("journal", ())]
-        return cls(**data)
+        """Rebuild a record from :meth:`to_dict` output;
+        :class:`MalformedInputError` when ``doc`` is not one."""
+        if not isinstance(doc, dict):
+            raise MalformedInputError("not a job record (not a JSON object)")
+        try:
+            data = dict(doc)
+            data["journal"] = [JournalEntry(**e) for e in doc.get("journal", ())]
+            return cls(**data)
+        except TypeError as exc:  # missing, unknown or non-mapping fields
+            raise MalformedInputError(f"not a job record ({exc})") from None
 
 
 class JobStore:
@@ -307,10 +314,30 @@ class LocalJobStore(JobStore):
         self._path = path
 
     def _load_file(self) -> Dict[str, Dict[str, Any]]:
+        """The file's job documents.  The file is outside input, so it is
+        checked, not trusted: :class:`MalformedInputError` naming the
+        path when it is not a job store."""
         if not os.path.exists(self._path):
             return {}
         with open(self._path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            try:
+                docs = json.load(fh)
+            except ValueError as exc:
+                raise MalformedInputError(
+                    f"{self._path}: not a job store (not JSON: {exc})"
+                ) from None
+        if not isinstance(docs, dict):
+            raise MalformedInputError(
+                f"{self._path}: not a job store (not a JSON object)"
+            )
+        for job_id, doc in docs.items():
+            try:
+                JobRecord.from_dict(doc)
+            except MalformedInputError as exc:
+                raise MalformedInputError(
+                    f"{self._path}: job {job_id!r}: {exc}"
+                ) from None
+        return docs
 
     def _write(self, job_id: str, doc: Dict[str, Any]) -> None:
         docs = self._load_file()

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.obs.report import REPORT_SCHEMA
+from repro.obs.timeseries import export_series
 
 
 class TestParser:
@@ -65,7 +66,10 @@ class TestBadInput:
            for command in ("run", "solve", "deploy")
            for regions, message in (
                ("us-east-1,bogus-1", "unknown region bogus-1"),
-               ("us-west-2", "must include the home region us-east-1"))],
+               ("us-west-2", "must include the home region us-east-1"))]
+        + [([command, "--regions", "us-east-1,us-west-2,us-west-2"],
+            "duplicate region us-west-2")
+           for command in ("run", "solve", "deploy")],
     )
     def test_rejected_by_the_parser(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -152,6 +156,45 @@ class TestBadInput:
             "caribou dash: not a run report (schema='x'"
         )
         assert captured.err.count("\n") == 1
+
+    def test_diff_report_against_series(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({"schema": REPORT_SCHEMA, "carbon_g": 1.0}))
+        series = tmp_path / "s.jsonl"
+        export_series([], str(series))
+        assert main(["diff", str(report), str(series)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("caribou diff: cannot diff report (")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [("hello, not json\n", "not a job store (not JSON"),
+         ("[1, 2]\n", "not a job store (not a JSON object)"),
+         (json.dumps({"schema": REPORT_SCHEMA, "carbon_g": 1.0}),
+          "job 'schema': not a job record"),
+         (json.dumps({"kv.reads": {"type": "counter", "value": 1.0}}),
+          "job 'kv.reads': not a job record")],
+        ids=["not-json", "list", "run-report", "metrics-snapshot"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["jobs"], ["job", "x-0001"], ["cancel", "x-0001"],
+         ["serve", "--steps", "1"], ["submit", "dna_visualization"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_store_that_is_not_a_job_store(self, argv, content, message,
+                                           tmp_path, capsys):
+        store = tmp_path / "jobs.json"
+        store.write_text(content)
+        assert main(argv + ["--store", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"caribou {argv[0]}: {store}: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert store.read_text() == content  # never overwritten
 
     def test_exhaustive_solver_is_refused_in_one_line(self, capsys):
         # Full enumeration is a test oracle, not a --solver choice.
