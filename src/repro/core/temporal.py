@@ -23,7 +23,7 @@ past the deadline even if every slot looks bad.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.clock import SECONDS_PER_HOUR
 from repro.common.errors import KeyValueStoreError, RegionUnavailableError
@@ -93,7 +93,6 @@ class TemporalShifter:
                 region, hour
             )
         self._intensity_fn = intensity_fn
-        self.decisions: List[ShiftDecision] = []
 
     # -- slot evaluation -------------------------------------------------------
     def slot_intensity(self, start_s: float) -> float:
@@ -152,12 +151,10 @@ class TemporalShifter:
         now = self._cloud.now()
         if policy is None or policy.max_delay_s == 0:
             self._executor.invoke(payload)
-            decision = ShiftDecision(
+            return ShiftDecision(
                 submitted_at_s=now, scheduled_at_s=now,
                 slot_intensities={now: self.slot_intensity(now)},
             )
-            self.decisions.append(decision)
-            return decision
 
         start, intensities = self.choose_start(policy)
         if start <= now:
@@ -166,9 +163,7 @@ class TemporalShifter:
             self._cloud.env.schedule_at(
                 start, lambda: self._executor.invoke(payload)
             )
-        decision = ShiftDecision(
+        return ShiftDecision(
             submitted_at_s=now, scheduled_at_s=start,
             slot_intensities=intensities,
         )
-        self.decisions.append(decision)
-        return decision

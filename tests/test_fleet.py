@@ -190,9 +190,8 @@ class TestUnregisterLifecycle:
     """Unregistering must actually stop the control loop.
 
     Regression: ``DeploymentManager.run_for`` used to discard its
-    pending event handle,
-    so ``unregister`` dropped the manager while the self-scheduled
-    check chain kept firing against it forever.
+    pending event handle, so ``unregister`` dropped the manager while
+    the self-scheduled check chain kept firing against it forever.
     """
 
     def test_unregister_unknown_workflow_raises(self, fleet):

@@ -97,7 +97,6 @@ class TestTemporalShifter:
             TemporalPolicy(max_delay_s=5 * SECONDS_PER_HOUR),
         )
         # The decision records the slot it left and the one it took.
-        assert shifter.decisions == [decision]
         immediate = decision.slot_intensities[decision.submitted_at_s]
         assert immediate == pytest.approx(500.0)
         assert 1.0 - decision.chosen_intensity / immediate > 0.8  # 500 -> 50
