@@ -205,8 +205,7 @@ def cli_invocations(work: pathlib.Path) -> List[List[str]]:
     store = w("jobs.json")
     (work / "bad.jsonl").write_text('{"not": "a span"}\n')
     run_io = [
-        "--trace", w("t.jsonl"), "--metrics", w("m.json"),
-        "--report", w("r.json"), "--timeseries", w("s.json"),
+        "--report", w("r.jsonl"),
         "--window", "1800", "--slo", "--export-prom", w("p.prom"),
     ]
     return [
@@ -219,20 +218,19 @@ def cli_invocations(work: pathlib.Path) -> List[List[str]]:
          "--regions", "us-east-1,us-west-2"],
         ["run", "dna_visualization", "-n", "4", *run_io],
         ["run", "text2speech_censoring", "-n", "4", "--chaos",
-         "--trace", w("t2.jsonl"), "--trace-sample", "2",
-         "--report", w("r2.json"), "--timeseries", w("s2.json")],
+         "--trace-sample", "2", "--report", w("r2.jsonl")],
         ["run", "image_processing", "-n", "3", "--coarse", "us-west-2"],
         ["run", "image_processing", "-n", "3", "--solver", "exact"],
         ["run", "image_processing", "-n", "3", "--solver", "coarse"],
-        ["report", w("r.json")],
-        ["report", w("t.jsonl"), "--requests"],
-        ["diff", w("r.json"), w("r2.json")],
-        ["diff", w("s.json"), w("s2.json")],
-        ["dash", w("s.json"), "--report", w("r.json")],
-        ["report", w("missing.json")],
+        ["report", w("r.jsonl")],
+        ["report", w("r2.jsonl"), "--requests"],
+        ["diff", w("r.jsonl"), w("r2.jsonl")],
+        ["dash", w("r.jsonl")],
+        ["dash", w("r2.jsonl"), "--width", "20"],
+        ["report", w("missing.jsonl")],
         ["report", w("bad.jsonl")],
-        ["diff", w("m.json"), w("r.json")],
-        ["dash", w("r.json")],
+        ["diff", w("p.prom"), w("r.jsonl")],
+        ["dash", w("r.jsonl"), "--width", "0"],
         ["fleet-report", "dna_visualization", "-w", "2", "-n", "2"],
         ["fleet-report", "dna_visualization", "-w", "2", "-n", "2", "--json"],
         ["submit", "dna_visualization", "--store", store],

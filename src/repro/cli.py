@@ -9,7 +9,8 @@ workflows against a simulated cloud:
     caribou run <app> [-n N] [--size large] [--regions r1,r2]
     caribou solve <app> [--regions ...]  # print the 24-hour plan set
     caribou carbon [--hours H]           # show the synthetic carbon traces
-    caribou report <file>                # render a run report / analyze a trace
+    caribou run <app> --report F         # write the run's one artifact F
+    caribou report|dash F / diff F1 F2   # views of run artifacts
 """
 
 from __future__ import annotations
@@ -37,18 +38,21 @@ from repro.experiments.harness import (
     warm_up,
 )
 from repro.metrics.carbon import TransmissionScenario
-from repro.obs.critical_path import analyze_trace, render_critical_path
-from repro.obs.dash import render_dashboard
-from repro.obs.diffrun import diff_runs
-from repro.obs.render import load_jsonl, render_trace_summary
-from repro.obs.report import RunReport, build_run_report, fleet_markdown_lines
-from repro.obs.slo import DEFAULT_SLOS, parse_slo
-from repro.obs.timeseries import (
-    DEFAULT_WINDOW_S,
-    TelemetryConfig,
-    export_series,
-    load_series_jsonl,
+from repro.obs.critical_path import (
+    analyze_trace,
+    render_critical_path,
+    render_trace_summary,
 )
+from repro.obs.dash import render_dashboard
+from repro.obs.diffrun import diff_bundles
+from repro.obs.report import (
+    RunBundle,
+    build_run_report,
+    fleet_markdown_lines,
+    load_bundle,
+)
+from repro.obs.slo import DEFAULT_SLOS, parse_slo
+from repro.obs.timeseries import DEFAULT_WINDOW_S, TelemetryConfig
 from repro.obs.trace import Tracer
 
 
@@ -106,12 +110,12 @@ def _solver_settings(args: argparse.Namespace):
 def _telemetry_config(args: argparse.Namespace) -> Optional[TelemetryConfig]:
     """Build the run's :class:`TelemetryConfig` from CLI flags.
 
-    Any of ``--timeseries``/``--slo``/``--export-prom`` turns the
-    windowed pipeline on; without them the run schedules no telemetry
-    events at all (the byte-identical no-telemetry path).
+    Any of ``--report``/``--slo``/``--export-prom`` turns the windowed
+    pipeline on; without them the run schedules no telemetry events at
+    all (the byte-identical no-telemetry path).
     """
     slo_args = args.slo or []
-    wants = args.timeseries or args.export_prom or slo_args
+    wants = args.report or args.export_prom or slo_args
     if not wants:
         return None
     slos = []
@@ -129,13 +133,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.chaos:
         home = args.coarse if args.coarse else HOME_REGION
         fault_plan = _default_chaos_plan(args.regions, home)
-    # --report needs a trace for its critical-path section; tracing is
-    # pure observation, so enabling it never changes the run itself.
-    tracer = (
-        Tracer(sample_every=args.trace_sample)
-        if (args.trace or args.report)
-        else None
-    )
+    # --report records spans and series points; tracing and sampling
+    # are pure observation, so enabling them never changes the run.
+    tracer = Tracer(sample_every=args.trace_sample) if args.report else None
     telemetry = _telemetry_config(args)
     if args.coarse:
         outcome = run_coarse(
@@ -168,25 +168,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         args.chaos or outcome.reliability.total_injected
     ):
         print(f"  reliability       : {outcome.reliability.summary()}")
-    if tracer is not None and args.trace:
-        tracer.export(args.trace)
-        print(f"  trace             : {len(tracer)} spans -> {args.trace}")
-        print(render_trace_summary(tracer))
-    if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as fh:
-            json.dump(outcome.metrics or {}, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        n = len(outcome.metrics or {})
-        print(f"  metrics           : {n} instruments -> {args.metrics}")
-    if args.timeseries:
-        export_series(
-            outcome.series or [], args.timeseries,
-            window_s=outcome.series_window_s or args.window,
-        )
-        print(
-            f"  timeseries        : {len(outcome.series or [])} points -> "
-            f"{args.timeseries}"
-        )
     if args.export_prom:
         with open(args.export_prom, "w", encoding="utf-8") as fh:
             fh.write(outcome.prom or "")
@@ -201,34 +182,27 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
     if args.report:
         report = build_run_report(outcome, trace=tracer)
-        report.export(args.report)
-        print(f"  report            : -> {args.report}")
+        bundle = RunBundle(report, tracer.spans, outcome.series, args.window)
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(bundle.to_jsonl())
+        print(f"  report            : {len(tracer)} spans, "
+              f"{len(outcome.series)} points -> {args.report}")
+        print(render_trace_summary(tracer))
     return 0
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    """Compare two run artifacts (reports or series dumps)."""
-    print(diff_runs(args.a, args.b), end="")
+    """Compare two runs: report deltas, then per-window series deltas."""
+    a, b = load_bundle(args.a), load_bundle(args.b)
+    print(diff_bundles(a, b, label_a=args.a, label_b=args.b), end="")
     return 0
 
 
 def cmd_dash(args: argparse.Namespace) -> int:
-    """Render the offline terminal dashboard for a series dump, with
-    SLO budget lines when a run report is supplied alongside."""
-    # Opened here, not by the loader's path-or-text guess: a missing
-    # file is then an OSError whatever its name looks like.
-    with open(args.series, "r", encoding="utf-8") as fh:
-        points, window_s = load_series_jsonl(fh)
-    slo = None
-    if args.report:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            slo = RunReport.from_json(fh.read()).doc.get("slo")
-    print(
-        render_dashboard(
-            points, slo_results=slo, window_s=window_s, width=args.width
-        ),
-        end="",
-    )
+    """Render the offline terminal dashboard of a run's series and SLOs."""
+    bundle = load_bundle(args.file)
+    slo = bundle.report.doc.get("slo")
+    print(render_dashboard(bundle.points, slo, bundle.window_s, args.width), end="")
     return 0
 
 
@@ -399,36 +373,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    """Render a saved run report (JSON) or analyze a trace (JSONL)."""
-    if args.file.endswith(".jsonl"):
-        with open(args.file, "r", encoding="utf-8") as fh:
-            spans = load_jsonl(fh)
-        analysis = analyze_trace(spans)
-        print(
-            f"{analysis.n_requests} requests, "
-            f"total critical-path time {analysis.total_latency_s():.3f}s"
-        )
-        for kind, entry in analysis.by_kind().items():
-            print(
-                f"  {kind:12s} {entry['seconds']:10.3f}s "
-                f"{entry['share']:6.1%}"
-            )
-        gates = analysis.sync_gates()
-        for node, entry in gates.items():
-            gated = ", ".join(
-                f"{edge} x{count}" for edge, count in entry["gated_by"].items()
-            )
-            print(
-                f"  sync {node}: {entry['n']} joins, gated by {gated}, "
-                f"mean straggle {entry['mean_straggle_s']:.4f}s"
-            )
-        if args.requests:
-            for path in analysis.requests:
-                print(render_critical_path(path))
-        return 0
-    with open(args.file, "r", encoding="utf-8") as fh:
-        report = RunReport.from_json(fh.read())
-    print(report.to_markdown(), end="")
+    """Render a run's report, optionally with each request's critical
+    path from its spans."""
+    bundle = load_bundle(args.file)
+    print(bundle.report.to_markdown(), end="")
+    if args.requests:
+        for path in analyze_trace(bundle.spans).requests:
+            print(render_critical_path(path))
     return 0
 
 
@@ -548,30 +499,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--chaos", action="store_true",
                        help="inject the stock fault schedule (region outage, "
                             "5%% invocation failures, KV slowdown)")
-    p_run.add_argument("--trace", metavar="FILE", default=None,
-                       help="record a structured span trace of the run and "
-                            "write it to FILE as JSON Lines")
-    p_run.add_argument("--metrics", metavar="FILE", default=None,
-                       help="dump the run's MetricsRegistry snapshot to "
-                            "FILE as JSON")
     p_run.add_argument("--report", metavar="FILE", default=None,
-                       help="write the unified run report (critical path, "
-                            "per-region carbon/cost, metrics, reliability) "
-                            "to FILE as JSON; render it with `caribou "
-                            "report FILE`")
+                       help="write the run's one artifact to FILE: the run "
+                            "report (critical path, per-region carbon/cost, "
+                            "metrics, reliability, SLOs), its spans and its "
+                            "per-window series as caribou.run/v1 JSON lines; "
+                            "view it with `caribou report|dash FILE`")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--solver", choices=("hbss", "coarse", "exact"),
                        default=None,
                        help="search strategy (default hbss; 'exact' runs the "
                             "provably-optimal branch-and-bound)")
     p_run.add_argument("--trace-sample", type=_positive_int, default=1,
-                       help="keep every N-th request's spans in the trace "
-                            "(default 1 = record everything); cuts tracer "
-                            "overhead on hot paths")
-    p_run.add_argument("--timeseries", metavar="FILE", default=None,
-                       help="sample every metric into per-window points on "
-                            "the virtual clock and write the series to FILE "
-                            "as JSONL (render with `caribou dash FILE`)")
+                       help="keep every N-th request's spans in the "
+                            "--report file (default 1 = record everything); "
+                            "cuts tracer overhead on hot paths")
     p_run.add_argument("--window", type=_positive_float,
                        default=DEFAULT_WINDOW_S,
                        help="telemetry window in virtual seconds "
@@ -600,13 +542,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_report = sub.add_parser(
-        "report",
-        help="render a saved run report (.json) or analyze a trace (.jsonl)",
+        "report", help="render the run report of a `run --report` file",
     )
-    p_report.add_argument("file", help="run-report JSON or trace JSONL path")
+    p_report.add_argument("file", help="caribou.run/v1 file from `caribou "
+                                       "run --report`")
     p_report.add_argument("--requests", action="store_true",
-                          help="also print each request's critical path "
-                               "(trace input only)")
+                          help="also print each request's critical path")
     p_report.set_defaults(func=cmd_report)
 
     p_carbon = sub.add_parser("carbon", help="show synthetic carbon traces")
@@ -615,23 +556,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_carbon.set_defaults(func=cmd_carbon)
 
     p_diff = sub.add_parser(
-        "diff",
-        help="compare two runs: delta table over reports or series dumps",
+        "diff", help="compare two runs: report and per-window series deltas",
     )
-    p_diff.add_argument("a", help="first run artifact (report JSON or "
-                                  "series JSONL)")
-    p_diff.add_argument("b", help="second run artifact (same kind as A)")
+    p_diff.add_argument("a", help="first `run --report` file")
+    p_diff.add_argument("b", help="second `run --report` file")
     p_diff.set_defaults(func=cmd_diff)
 
     p_dash = sub.add_parser(
         "dash",
-        help="offline terminal dashboard (sparklines) for a series dump",
+        help="offline terminal dashboard (sparklines) of a run's series",
     )
-    p_dash.add_argument("series", help="series JSONL from `caribou run "
-                                       "--timeseries`")
-    p_dash.add_argument("--report", metavar="FILE", default=None,
-                        help="run report JSON to pull SLO budget lines from")
-    p_dash.add_argument("--width", type=int, default=48,
+    p_dash.add_argument("file", help="caribou.run/v1 file from `caribou "
+                                     "run --report`")
+    p_dash.add_argument("--width", type=_positive_int, default=48,
                         help="max sparkline width in characters (default 48)")
     p_dash.set_defaults(func=cmd_dash)
 

@@ -10,10 +10,11 @@ package provides that visibility without perturbing the simulation:
   deterministic JSONL;
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
   histograms the cloud services and the Caribou runtime report into;
-* :mod:`~repro.obs.render` — JSONL trace loading and the summary
-  renderer behind ``caribou report``;
+* :mod:`~repro.obs.critical_path` — per-request critical paths, trace summaries;
+* :mod:`~repro.obs.report` — the run report and the ``caribou.run/v1``
+  run bundle, read by one loader, :func:`~repro.obs.report.load_bundle`;
 * :mod:`~repro.obs.timeseries` — windowed virtual-time sampling of the
-  registry into per-window series, with Prometheus/JSONL exporters;
+  registry into per-window series, and the Prometheus exporter;
 * :mod:`~repro.obs.slo` — declarative per-window SLOs with
   error-budget burn-rate alerting over those series;
 * :mod:`~repro.obs.diffrun` / :mod:`~repro.obs.dash` — run-to-run
@@ -36,6 +37,7 @@ from repro.obs.critical_path import (
     analyze_trace,
     compute_critical_path,
     render_critical_path,
+    render_trace_summary,
 )
 from repro.obs.metrics import (
     NULL_METRICS,
@@ -44,16 +46,15 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.render import (
-    load_jsonl,
-    render_trace_summary,
-)
 from repro.obs.dash import render_dashboard, sparkline
-from repro.obs.diffrun import diff_reports, diff_runs, diff_series
+from repro.obs.diffrun import diff_bundles, diff_reports, diff_series
 from repro.obs.report import (
+    BUNDLE_SCHEMA,
     REPORT_SCHEMA,
+    RunBundle,
     RunReport,
     build_run_report,
+    load_bundle,
 )
 from repro.obs.slo import (
     DEFAULT_SLOS,
@@ -65,14 +66,11 @@ from repro.obs.slo import (
 )
 from repro.obs.timeseries import (
     DEFAULT_WINDOW_S,
-    SERIES_SCHEMA,
     TelemetryConfig,
     WindowedSampler,
     ledger_series,
-    load_series_jsonl,
     merge_series,
     render_prometheus,
-    series_to_jsonl,
 )
 from repro.obs.trace import (
     NULL_TRACER,
@@ -83,6 +81,7 @@ from repro.obs.trace import (
 )
 
 __all__ = [
+    "BUNDLE_SCHEMA",
     "Counter",
     "DEFAULT_SLOS",
     "DEFAULT_WINDOW_S",
@@ -94,8 +93,8 @@ __all__ = [
     "NullTracer",
     "REPORT_SCHEMA",
     "RequestPath",
+    "RunBundle",
     "RunReport",
-    "SERIES_SCHEMA",
     "SPAN_KINDS",
     "SloResult",
     "SloSpec",
@@ -109,19 +108,17 @@ __all__ = [
     "analyze_trace",
     "build_run_report",
     "compute_critical_path",
+    "diff_bundles",
     "diff_reports",
-    "diff_runs",
     "diff_series",
     "evaluate_slos",
     "ledger_series",
-    "load_jsonl",
-    "load_series_jsonl",
+    "load_bundle",
     "merge_series",
     "parse_slo",
     "render_critical_path",
     "render_dashboard",
     "render_prometheus",
     "render_trace_summary",
-    "series_to_jsonl",
     "sparkline",
 ]

@@ -1,8 +1,9 @@
 """Critical-path attribution over request span trees (Dapper-style).
 
-Given a trace (live :class:`~repro.obs.trace.Tracer` or reloaded JSONL),
-this module answers the question the paper's latency model poses
-(§7.1, Eq. 7.3–7.5): *where did this request's end-to-end latency go?*
+Given a trace (a live :class:`~repro.obs.trace.Tracer` or the spans of
+a loaded run bundle), this module answers the question the paper's
+latency model poses (§7.1, Eq. 7.3–7.5): *where did this request's
+end-to-end latency go?*
 
 For each tracked request the analyzer
 
@@ -21,8 +22,10 @@ For each tracked request the analyzer
   invocation condition (Eq. 4.1) last, and how far it straggled behind
   the first arrival — directly validating the paper's §4 join semantics.
 
-Everything here is a pure function of the span list: no clock, no RNG,
-no simulation state.  Analysis of the same trace is deterministic.
+:func:`render_trace_summary` adds the per-kind span counts and request
+outcomes ``caribou run --report`` prints.  Everything here is a pure
+function of the span list: no clock, no RNG, no simulation state.
+Analysis of the same trace is deterministic.
 """
 
 from __future__ import annotations
@@ -369,4 +372,32 @@ def render_critical_path(path: RequestPath, max_segments: int = 50) -> str:
             f"  sync {gate.sync_node}: gated by {gate.gate_edge} "
             f"at {gate.t:.3f} (straggle {gate.straggle_s:.4f}s)"
         )
+    return "\n".join(lines)
+
+
+def render_trace_summary(source: Union[Tracer, Sequence[Span]]) -> str:
+    """Aggregate view: per-kind counts and durations, request outcomes."""
+    spans = _as_spans(source)
+    if not spans:
+        return "(empty trace)"
+    by_kind: Dict[str, List[Span]] = {}
+    for span in spans:
+        by_kind.setdefault(span.kind, []).append(span)
+    lines = [
+        f"{len(spans)} spans",
+        f"{'kind':18s} {'count':>7s} {'total_s':>12s} {'mean_s':>12s}",
+    ]
+    for kind, group in by_kind.items():
+        total = sum(s.duration_s for s in group)
+        lines.append(
+            f"{kind:18s} {len(group):7d} {total:12.3f} {total / len(group):12.4f}"
+        )
+    requests = by_kind.get("request", [])
+    if requests:
+        outcomes: Dict[str, int] = {}
+        for span in requests:
+            status = str(span.attrs.get("status", "open"))
+            outcomes[status] = outcomes.get(status, 0) + 1
+        summary = ", ".join(f"{k}={v}" for k, v in sorted(outcomes.items()))
+        lines.append(f"requests: {summary}")
     return "\n".join(lines)

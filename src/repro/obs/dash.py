@@ -1,9 +1,10 @@
 """Offline terminal dashboard: sparklines over windowed series.
 
-``caribou dash run.series.jsonl`` renders the per-window telemetry of a
-finished run as unicode sparklines — per-workflow / per-region carbon,
-cost, request latency (p95), and SLO budget burn — so a fleet sweep can
-be eyeballed without leaving the terminal or shipping data anywhere.
+``caribou dash run.jsonl`` renders the per-window telemetry of a
+finished run's bundle as unicode sparklines — per-workflow / per-region
+carbon, cost, request latency (p95), and SLO budget burn — so a fleet
+sweep can be eyeballed without leaving the terminal or shipping data
+anywhere.
 Pure function of the loaded series (plus optional SLO results), so the
 output is deterministic and safe to pin in tests.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import parse_key
+from repro.obs.report import _real
 
 #: Eight-level block characters, lowest to highest.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
@@ -142,11 +144,11 @@ def render_dashboard(
         lines.append("### SLO budget")
         for result in slo_results:
             status = "OK " if result.get("met") else "MISS"
-            spent = result.get("budget_spent", 0.0)
+            spent = _real(result.get("budget_spent")) or 0.0
             bar_n = min(int(spent * 10 + 0.5), 20)
             bar = "#" * bar_n + "." * max(0, 10 - bar_n)
             lines.append(
-                f"  [{status}] {result['name']}  budget [{bar}] "
+                f"  [{status}] {result.get('name')}  budget [{bar}] "
                 f"{spent * 100:.0f}% spent, "
                 f"{result.get('violations', 0)}/{result.get('windows', 0)} "
                 f"window(s) violating, {len(result.get('alerts', []))} "

@@ -1,11 +1,11 @@
 """Run-to-run comparison: `caribou diff A B`.
 
-Aligns two runs — JSON :class:`RunReport` documents and/or
-``caribou.series/v1`` JSONL dumps, auto-detected per file — and emits a
-markdown delta table: per metric (and, for series, per window), with
-absolute and relative change and regression highlighting.  "Worse" is
-direction-aware: carbon, cost, latency, failures, and burn metrics
-regress *upward*; completions and throughput regress *downward*.
+Aligns two loaded run bundles (:class:`~repro.obs.report.RunBundle`)
+and emits two markdown delta tables — per report metric, then per
+series metric per window — with absolute and relative change and
+regression highlighting.  "Worse" is direction-aware: carbon, cost,
+latency, failures, and burn metrics regress *upward*; completions and
+throughput regress *downward*.
 
 Everything is pure data-in/markdown-out so the comparator works on
 artifacts from any two runs (different seeds, different strategies,
@@ -14,12 +14,9 @@ different commits) with no live simulation state.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import MalformedInputError
-from repro.obs.report import RunReport
-from repro.obs.timeseries import SERIES_SCHEMA, load_series_jsonl
+from repro.obs.report import RunBundle
 
 #: Substrings marking metrics where a *decrease* is the improvement.
 _LOWER_IS_BETTER = (
@@ -46,29 +43,6 @@ def regression_direction(metric: str) -> int:
         if marker in lowered:
             return 1
     return 0
-
-
-# ------------------------------------------------------------------ loading
-def load_run_artifact(path: str) -> Tuple[str, Any]:
-    """Load ``path`` as ``("report", doc)`` or ``("series", (points, w))``.
-
-    Detection: a first line carrying the series schema header is a
-    series dump; anything else must be a :class:`RunReport` document
-    (:class:`MalformedInputError` otherwise).
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    first = text.splitlines()[0] if text.strip() else ""
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError:
-        header = None
-    if isinstance(header, dict) and header.get("schema") == SERIES_SCHEMA:
-        return "series", load_series_jsonl(text)
-    try:
-        return "report", RunReport.from_json(text).doc
-    except MalformedInputError as exc:
-        raise MalformedInputError(f"{path}: {exc}") from None
 
 
 # ------------------------------------------------------------------ flattening
@@ -213,16 +187,10 @@ def diff_series(
     return "\n".join(lines) + "\n"
 
 
-def diff_runs(path_a: str, path_b: str) -> str:
-    """Diff two run artifacts (auto-detecting report vs series)."""
-    kind_a, data_a = load_run_artifact(path_a)
-    kind_b, data_b = load_run_artifact(path_b)
-    if kind_a != kind_b:
-        raise MalformedInputError(
-            f"cannot diff {kind_a} ({path_a}) against {kind_b} ({path_b})"
-        )
-    if kind_a == "series":
-        return diff_series(
-            data_a[0], data_b[0], label_a=path_a, label_b=path_b
-        )
-    return diff_reports(data_a, data_b, label_a=path_a, label_b=path_b)
+def diff_bundles(a: RunBundle, b: RunBundle, label_a: str = "A",
+                 label_b: str = "B") -> str:
+    """Two loaded runs: the report delta table, then the series one."""
+    return "\n".join((
+        diff_reports(a.report.doc, b.report.doc, label_a, label_b),
+        diff_series(a.points, b.points, label_a, label_b),
+    ))

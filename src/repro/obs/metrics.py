@@ -129,40 +129,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Approximate quantile, linearly interpolated within the bucket.
-
-        The winning bucket is the first whose cumulative count reaches
-        ``q * count``; the estimate interpolates between that bucket's
-        lower and upper bound by the fraction of the target rank inside
-        it (the classic Prometheus ``histogram_quantile`` rule).  The
-        first bucket's lower bound and the overflow bucket's upper
-        bound are the observed ``min``/``max``, and results are clamped
-        to ``[min, max]`` so a coarse bucket can never report a value
-        outside the observed range.  ``q=0`` is exactly ``min`` and
-        ``q=1`` exactly ``max``; an empty histogram reports 0.0.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        if q == 0.0:
-            return self.min
-        if q == 1.0:
-            return self.max
-        target = q * self.count
-        seen = 0
-        for i, n in enumerate(self.bucket_counts):
-            prev_seen = seen
-            seen += n
-            if seen >= target and n:
-                lo = self.min if i == 0 else self.bounds[i - 1]
-                hi = self.max if i >= len(self.bounds) else self.bounds[i]
-                frac = (target - prev_seen) / n
-                value = lo + (hi - lo) * frac
-                return min(max(value, self.min), self.max)
-        return self.max
-
 
 class _NullInstrument:
     """Stands in for every instrument type when the registry is off."""
@@ -185,9 +151,6 @@ class _NullInstrument:
 
     def observe(self, value: float) -> None:
         pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
 
 
 _NULL_INSTRUMENT = _NullInstrument()
@@ -283,21 +246,6 @@ class MetricsRegistry:
                 "buckets": buckets,
             }
         return out
-
-    def summary(self, prefix: str = "") -> str:
-        """Human-readable digest, one instrument per line."""
-        lines = []
-        for key, value in self.snapshot().items():
-            if prefix and not key.startswith(prefix):
-                continue
-            if isinstance(value, dict):
-                lines.append(
-                    f"{key}: n={value['count']} mean={value['mean']:.6g} "
-                    f"min={value['min']:.6g} max={value['max']:.6g}"
-                )
-            else:
-                lines.append(f"{key}: {value:g}")
-        return "\n".join(lines)
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)

@@ -8,6 +8,11 @@ carbon/cost, the :class:`~repro.obs.metrics.MetricsRegistry` snapshot,
 :mod:`repro.obs.critical_path` — into a single sorted-key JSON document
 plus a markdown rendering.
 
+A :class:`RunBundle` is the one file a run writes (``caribou run
+--report``): a ``caribou.run/v1`` header, the report, the spans and the
+series points as JSON lines.  :func:`load_bundle` is the one reader of
+it, and ``caribou report``, ``dash`` and ``diff`` render what it loads.
+
 Determinism is a hard requirement (the golden-report regression test
 pins the quickstart report byte-for-byte), and nothing here reads the
 host clock: every float in the document derives from the virtual
@@ -19,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.common.errors import MalformedInputError
 from repro.obs.critical_path import analyze_trace
@@ -27,6 +32,9 @@ from repro.obs.trace import Span, Tracer
 
 #: Schema identifier embedded in (and validated from) every report.
 REPORT_SCHEMA = "caribou.run_report/v1"
+
+#: Schema identifier of the run bundle's header line.
+BUNDLE_SCHEMA = "caribou.run/v1"
 
 #: Top-level keys every report document carries, in sorted order.
 REPORT_KEYS = (
@@ -41,6 +49,13 @@ REPORT_KEYS = (
     "slo",
     "solver",
 )
+
+
+def _real(value: Any) -> Optional[float]:
+    """``value`` when it is a finite number (not a bool), else None: a
+    loaded document may hold anything where a number belongs."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return value if real and math.isfinite(value) else None
 
 
 def _finite(value: Any) -> Any:
@@ -70,31 +85,6 @@ class RunReport:
             self.doc, sort_keys=True, indent=2, allow_nan=False
         ) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        """Parse a report; :class:`MalformedInputError` if ``text`` is
-        not JSON, not an object, or carries another schema."""
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError:
-            raise MalformedInputError("not a run report (not JSON)") from None
-        if not isinstance(doc, dict):
-            raise MalformedInputError("not a run report (not a JSON object)")
-        if doc.get("schema") != REPORT_SCHEMA:
-            raise MalformedInputError(
-                f"not a run report (schema={doc.get('schema')!r}, "
-                f"expected {REPORT_SCHEMA!r})"
-            )
-        return cls(doc)
-
-    def export(self, destination) -> None:
-        text = self.to_json()
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w", encoding="utf-8") as fh:
-                fh.write(text)
-
     # -- rendering -----------------------------------------------------------
     def to_markdown(self) -> str:
         """Human-readable report (GitHub-flavoured markdown)."""
@@ -107,7 +97,8 @@ class RunReport:
             f"- **invocations**: {run.get('n_invocations')}",
             f"- **mean service time**: {_fmt(run.get('mean_service_time_s'))} s"
             f" (p95 {_fmt(run.get('p95_service_time_s'))} s)",
-            f"- **regions used**: {', '.join(run.get('regions_used', [])) or '-'}",
+            f"- **regions used**: "
+            f"{', '.join(map(str, run.get('regions_used', []))) or '-'}",
         ]
 
         scenarios = doc.get("scenarios") or {}
@@ -141,11 +132,11 @@ class RunReport:
             for region in sorted(regions):
                 r = regions[region]
                 lines.append(
-                    f"| {region} | {int(r.get('n_executions', 0))} "
+                    f"| {region} | {_fmt(r.get('n_executions', 0), 0)} "
                     f"| {_fmt(r.get('exec_seconds'))} "
                     f"| {_fmt(r.get('carbon_g'), 4)} "
                     f"| {_fmt(r.get('cost_usd'), 6)} "
-                    f"| {_fmt((r.get('bytes_out') or 0.0) / 1e6)} |"
+                    f"| {_fmt((_real(r.get('bytes_out')) or 0.0) / 1e6)} |"
                 )
 
         cp = doc.get("critical_path")
@@ -171,7 +162,7 @@ class RunReport:
                 lines += ["", "| node | seconds | share |", "|---|---|---|"]
                 ranked = sorted(
                     nodes.items(),
-                    key=lambda kv: -(kv[1].get("seconds") or 0.0),
+                    key=lambda kv: -(_real(kv[1].get("seconds")) or 0.0),
                 )
                 for node, entry in ranked[:10]:
                     lines.append(
@@ -295,19 +286,18 @@ def fleet_markdown_lines(fleet: Dict[str, Any]) -> list:
     return lines
 
 
-def _mg(grams: Optional[float]) -> Optional[float]:
+def _mg(grams: Any) -> Optional[float]:
+    grams = _real(grams)
     return None if grams is None else grams * 1000.0
 
 
-def _fmt(value: Optional[float], digits: int = 3) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float) and not math.isfinite(value):
-        return "-"
-    return f"{value:.{digits}f}"
+def _fmt(value: Any, digits: int = 3) -> str:
+    value = _real(value)
+    return "-" if value is None else f"{value:.{digits}f}"
 
 
-def _pct(value: Optional[float]) -> str:
+def _pct(value: Any) -> str:
+    value = _real(value)
     return "-" if value is None else f"{value * 100:.1f}%"
 
 
@@ -392,3 +382,183 @@ def build_run_report(
         }
     )
     return RunReport(doc)
+
+
+# ------------------------------------------------------------------ the bundle
+def _line(record: Dict[str, Any]) -> str:
+    return json.dumps(
+        record, sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
+
+
+@dataclass
+class RunBundle:
+    """One run's artifact: its report, its spans and its series points.
+
+    Serialised as ``caribou.run/v1`` JSON lines: the header
+    ``{"schema":"caribou.run/v1","window_s":W}``, then one
+    ``{"report":{…}}`` record, one ``{"span":{…}}`` record per span in
+    trace order and one ``{"point":{…}}`` record per series point in
+    series order.  Records are one-key objects because points already
+    use a ``"type"`` key.
+    """
+
+    report: RunReport
+    spans: List[Span]
+    points: List[Dict[str, Any]]
+    window_s: float
+
+    def to_jsonl(self) -> str:
+        """Compact sorted-key lines, byte-identical for same-seed runs."""
+        lines = [_line({"schema": BUNDLE_SCHEMA, "window_s": self.window_s})]
+        lines.append(_line({"report": self.report.doc}))
+        lines.extend(_line({"span": span.to_dict()}) for span in self.spans)
+        lines.extend(_line({"point": point}) for point in self.points)
+        return "\n".join(lines) + "\n"
+
+
+def _tables(value: Any, depth: int) -> bool:
+    """True when ``value`` is an object whose values are objects,
+    ``depth`` levels down (``depth=0``: just an object)."""
+    if not isinstance(value, dict):
+        return False
+    return depth == 0 or all(_tables(v, depth - 1) for v in value.values())
+
+
+def _check_report(doc: Any) -> Optional[str]:
+    """Why ``doc`` is not a report the views can render, or None.
+
+    Checks every container the markdown, dashboard and diff views walk;
+    leaves may hold anything, since the views format them totally.
+    """
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != REPORT_SCHEMA:
+        return f"report schema {schema!r}, expected {REPORT_SCHEMA!r}"
+    for key in ("run", "scenarios", "per_region", "metrics"):
+        if not isinstance(doc.get(key), dict):
+            return f"report section {key!r} is not an object"
+    for key in ("critical_path", "reliability", "solver", "fleet"):
+        if doc.get(key) is not None and not isinstance(doc[key], dict):
+            return f"report section {key!r} is not an object or null"
+    slo = doc.get("slo")
+    if slo is not None and not isinstance(slo, list):
+        return "report section 'slo' is not a list or null"
+    cp = doc.get("critical_path") or {}
+    fleet = doc.get("fleet") or {}
+    nested = (
+        isinstance(doc["run"].get("regions_used", []), list)
+        and _tables(doc["scenarios"], 1)
+        and _tables(doc["per_region"], 2)
+        and all(_tables(cp.get(k) or {}, 1)
+                for k in ("by_kind", "by_node", "sync_gates"))
+        and all(_tables(g.get("gated_by") or {}, 0)
+                for g in (cp.get("sync_gates") or {}).values())
+        and _tables(fleet.get("per_workflow") or {}, 1)
+        and all(isinstance(e, dict) and isinstance(e.get("alerts", []), list)
+                for e in slo or ())
+    )
+    return None if nested else "report sections nest the wrong types"
+
+
+def _check_span(body: Any) -> Optional[str]:
+    """Why ``body`` is not a span the critical-path views can walk."""
+    if not isinstance(body, dict):
+        return "span is not an object"
+    try:
+        span = Span.from_dict(body)
+    except TypeError as exc:
+        return f"not a span ({exc})"
+    if _real(span.t0) is None or (span.t1 is not None and _real(span.t1) is None):
+        return "span t0/t1 are not numbers"
+    strings = (span.kind, span.name, span.workflow, span.request_id)
+    if not all(isinstance(v, str) for v in strings):
+        return "span kind/name/workflow/request_id are not strings"
+    arrivals = span.attrs.get("arrivals", {}) if isinstance(span.attrs, dict) else None
+    if type(span.span_id) is not int or not _tables(arrivals, 0) or any(
+        _real(t) is None for t in arrivals.values()
+    ):
+        return "span id, attrs or arrivals have the wrong type"
+    return None
+
+
+#: Point types and the numeric fields each one must carry.
+_POINT_FIELDS = {
+    "counter": ("window", "value"),
+    "gauge": ("window", "value"),
+    "histogram": ("window", "count", "sum"),
+}
+
+
+def _check_point(body: Any) -> Optional[str]:
+    """Why ``body`` is not a series point, or None."""
+    if not isinstance(body, dict) or not isinstance(body.get("metric"), str):
+        return "point has no string 'metric'"
+    kind = body.get("type")
+    fields = _POINT_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        return "point type is not counter, gauge or histogram"
+    if not all(k in body for k in fields) or any(
+        _real(v) is None for k, v in body.items()
+        if k not in ("metric", "type", "buckets")
+    ):
+        return f"point needs numeric {', '.join(fields)}"
+    if body["type"] == "histogram" and not isinstance(body.get("buckets"), dict):
+        return "histogram point 'buckets' is not an object"
+    return None
+
+
+_CHECKS = {"report": _check_report, "span": _check_span, "point": _check_point}
+
+
+def load_bundle(path: str) -> RunBundle:
+    """Read the ``caribou.run/v1`` file at ``path``.
+
+    Every defect is a :class:`MalformedInputError` that names ``path``
+    and the line, so the views of a loaded bundle see only the shapes
+    they render.  A missing file is the caller's ``OSError``.
+    """
+    number = 1
+
+    def malformed(why: str) -> MalformedInputError:
+        return MalformedInputError(
+            f"{path}: not a {BUNDLE_SCHEMA} bundle (line {number}: {why})"
+        )
+
+    records: Dict[str, List[Any]] = {"report": [], "span": [], "point": []}
+    header = None
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            try:
+                record = json.loads(raw)
+            except (ValueError, RecursionError):
+                raise malformed("not JSON") from None
+            if header is None:
+                header = record if isinstance(record, dict) else {}
+                if header.get("schema") != BUNDLE_SCHEMA:
+                    raise malformed(f"header schema {header.get('schema')!r}, "
+                                    f"expected {BUNDLE_SCHEMA!r}")
+                window_s = _real(header.get("window_s"))
+                if window_s is None or window_s <= 0:
+                    raise malformed("header window_s is not a positive number")
+                continue
+            if not isinstance(record, dict) or len(record) != 1:
+                raise malformed("not a one-key record")
+            [(kind, body)] = record.items()
+            if kind not in _CHECKS:
+                raise malformed(f"unknown record {kind!r}")
+            why = _CHECKS[kind](body)
+            if why is not None:
+                raise malformed(why)
+            if kind == "report" and records["report"]:
+                raise malformed("a second report record")
+            records[kind].append(body)
+    if header is None:
+        raise malformed("empty file, expected the header")
+    if not records["report"]:
+        raise malformed("no report record")
+    return RunBundle(
+        report=RunReport(records["report"][0]),
+        spans=[Span.from_dict(body) for body in records["span"]],
+        points=records["point"],
+        window_s=float(window_s),
+    )

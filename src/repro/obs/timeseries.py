@@ -25,9 +25,9 @@ point shape — per-window, per-region, per-workflow carbon/cost/traffic
 priced under one transmission scenario — which is what figure-grade
 per-hour emission timelines (GreenCourier-style) are plotted from.
 
-Exporters: :func:`series_to_jsonl` (compact, sorted-key JSONL) and
-:func:`render_prometheus` (Prometheus text exposition of a registry's
-cumulative state), both byte-deterministic for same-seed runs.
+The points go into the run bundle (:class:`~repro.obs.report.RunBundle`);
+:func:`render_prometheus` exports a registry's cumulative state as
+Prometheus text.  Both are byte-deterministic for same-seed runs.
 """
 
 from __future__ import annotations
@@ -35,14 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import MalformedInputError
 from repro.obs.metrics import MetricsRegistry, format_bound, parse_key
 
 #: Default sampling window: one virtual hour, the solver's plan granularity.
 DEFAULT_WINDOW_S = 3600.0
-
-#: Schema identifier embedded in series JSONL headers (first line).
-SERIES_SCHEMA = "caribou.series/v1"
 
 #: Quantiles precomputed per histogram window (keys ``p50`` .. ``p99``).
 WINDOW_QUANTILES = (0.5, 0.9, 0.95, 0.99)
@@ -57,10 +53,10 @@ def bucket_quantile(
 ) -> float:
     """Quantile of a *windowed* (delta) histogram.
 
-    Same interpolation rule as :meth:`Histogram.quantile`, but a window
-    delta has no min/max: the first bucket's lower bound is 0 and the
-    overflow bucket collapses to the last finite bound (the classic
-    Prometheus ``histogram_quantile`` convention).
+    Linear interpolation within the winning bucket; a window delta has
+    no min/max, so the first bucket's lower bound is 0 and the overflow
+    bucket collapses to the last finite bound (the classic Prometheus
+    ``histogram_quantile`` convention).
     """
     total = sum(counts)
     if total == 0:
@@ -167,7 +163,7 @@ class WindowedSampler:
     def _flush(self, boundary: float) -> None:
         """Emit one point per instrument that changed in the window
         ``[self._last_flush_t, boundary)``; quiet instruments emit
-        nothing, keeping series dumps sparse."""
+        nothing, keeping the series sparse."""
         window = self._last_flush_t
         self._last_flush_t = boundary
         self.windows_flushed += 1
@@ -223,10 +219,6 @@ class WindowedSampler:
 
         out.sort(key=lambda p: p["metric"])
         self.points.extend(out)
-
-    # -- export ---------------------------------------------------------------
-    def to_jsonl(self) -> str:
-        return series_to_jsonl(self.points, window_s=self.window_s)
 
 
 # ------------------------------------------------------------------ ledger series
@@ -308,67 +300,6 @@ def merge_series(*series: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
         merged.extend(s)
     merged.sort(key=_point_sort_key)
     return merged
-
-
-# ------------------------------------------------------------------ JSONL export
-def series_to_jsonl(
-    points: Sequence[Dict[str, Any]], window_s: float = DEFAULT_WINDOW_S
-) -> str:
-    """Serialise points as JSONL: one header line (schema + window
-    size), then one sorted-key compact line per point."""
-    import json
-
-    lines = [
-        json.dumps(
-            {"schema": SERIES_SCHEMA, "window_s": window_s},
-            sort_keys=True, separators=(",", ":"),
-        )
-    ]
-    for point in points:
-        lines.append(
-            json.dumps(point, sort_keys=True, separators=(",", ":"))
-        )
-    return "\n".join(lines) + "\n"
-
-
-def load_series_jsonl(source) -> Tuple[List[Dict[str, Any]], float]:
-    """Load ``(points, window_s)`` from a path, file object, or text."""
-    import json
-
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
-        if "\n" not in text and text.endswith(".jsonl"):
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        return [], DEFAULT_WINDOW_S
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        raise MalformedInputError(
-            "not a series dump (the first line is not a JSON header)"
-        ) from None
-    schema = header.get("schema") if isinstance(header, dict) else None
-    if schema != SERIES_SCHEMA:
-        raise MalformedInputError(
-            f"not a series dump (schema={schema!r}, "
-            f"expected {SERIES_SCHEMA!r})"
-        )
-    window_s = float(header.get("window_s", DEFAULT_WINDOW_S))
-    return [json.loads(line) for line in lines[1:]], window_s
-
-
-def export_series(points, destination, window_s: float = DEFAULT_WINDOW_S) -> None:
-    """Write a series dump to a path or file object."""
-    text = series_to_jsonl(points, window_s=window_s)
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 # ------------------------------------------------------------------ Prometheus

@@ -354,15 +354,6 @@ class Tracer:
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def export(self, destination) -> None:
-        """Write the JSONL trace to a path or file object."""
-        text = self.to_jsonl()
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w", encoding="utf-8") as fh:
-                fh.write(text)
-
     def __len__(self) -> int:
         return len(self.spans)
 
@@ -415,9 +406,6 @@ class NullTracer:
 
     def to_jsonl(self) -> str:
         return ""
-
-    def export(self, destination) -> None:
-        pass
 
     def __len__(self) -> int:
         return 0

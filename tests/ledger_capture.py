@@ -36,7 +36,7 @@ from repro.experiments.harness import run_caribou
 from repro.metrics.accounting import CarbonAccountant
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel
-from repro.obs.timeseries import ledger_series, series_to_jsonl
+from repro.obs.timeseries import ledger_series
 from tests import chaos_capture, test_faults
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "ledger_pricing.json"
@@ -83,6 +83,16 @@ def accountant_for(cloud, scenario: TransmissionScenario) -> CarbonAccountant:
     )
 
 
+def _series_text(points, window_s: float) -> str:
+    """The pinned text of a series: a ``caribou.series/v1`` header line,
+    then one compact sorted-key line per point."""
+    lines = [{"schema": "caribou.series/v1", "window_s": window_s}, *points]
+    return "".join(
+        json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
+        for line in lines
+    )
+
+
 def _priced(ledger, accountant, workflow: str) -> dict:
     by_request = [
         _footprints(accountant.price_by_request(ledger, workflow, since, until))
@@ -95,7 +105,7 @@ def _priced(ledger, accountant, workflow: str) -> dict:
     whole = dataclasses.astuple(accountant.price_workflow(ledger, workflow))
     series = {
         f"ledger_series_{int(w)}": _pin(
-            series_to_jsonl(ledger_series(ledger, accountant, window_s=w), window_s=w)
+            _series_text(ledger_series(ledger, accountant, window_s=w), w)
         )
         for w in SERIES_WINDOWS_S
     }

@@ -9,8 +9,53 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from repro.obs.report import REPORT_SCHEMA
-from repro.obs.timeseries import export_series
+from repro.obs.report import BUNDLE_SCHEMA, REPORT_SCHEMA
+from tests.test_bundle import MINIMAL_REPORT as REPORT
+
+HEADER = {"schema": BUNDLE_SCHEMA, "window_s": 3600.0}
+POINT = {"metric": "a", "window": 0.0, "type": "counter", "value": 1.0}
+SPAN = {"span_id": 0, "kind": "request", "name": "r", "t0": 0.0, "t1": 1.0,
+        "parent_id": None, "workflow": "w", "request_id": "r", "attrs": {}}
+
+
+def bundle_text(*records) -> str:
+    """JSON lines, one per record; strings are written as they are."""
+    return "".join(
+        (r if isinstance(r, str) else json.dumps(r)) + "\n" for r in records
+    )
+
+
+#: Bundles every view must refuse in one line: (id, content, line, reason).
+MALFORMED_BUNDLES = [
+    ("point-not-json", bundle_text(HEADER, {"report": REPORT},
+                                   {"point": POINT}, "not json"),
+     4, "not JSON"),
+    ("window-abc", bundle_text({**HEADER, "window_s": "abc"}),
+     1, "header window_s is not a positive number"),
+    ("point-without-window",
+     bundle_text(HEADER, {"report": REPORT},
+                 {"point": {k: v for k, v in POINT.items() if k != "window"}}),
+     3, "point needs numeric window, value"),
+    ("report-run-5", bundle_text(HEADER, {"report": {**REPORT, "run": 5}}),
+     2, "report section 'run' is not an object"),
+    ("span-t0-abc", bundle_text(HEADER, {"report": REPORT},
+                                {"span": {**SPAN, "t0": "abc"}}),
+     3, "span t0/t1 are not numbers"),
+    ("old-report-json", json.dumps(REPORT, indent=2) + "\n",
+     1, "not JSON"),
+    ("old-series-dump", bundle_text({**HEADER, "schema": "caribou.series/v1"},
+                                    POINT),
+     1, "header schema 'caribou.series/v1'"),
+    ("old-trace-jsonl", bundle_text(SPAN, SPAN), 1, "header schema None"),
+    ("empty-file", "", 1, "empty file, expected the header"),
+    ("no-report", bundle_text(HEADER, {"point": POINT}),
+     2, "no report record"),
+    ("two-reports", bundle_text(HEADER, {"report": REPORT}, {"report": REPORT}),
+     3, "a second report record"),
+    ("unknown-record", bundle_text(HEADER, {"report": REPORT},
+                                   {"decision": {}}),
+     3, "unknown record 'decision'"),
+]
 
 
 class TestParser:
@@ -69,7 +114,8 @@ class TestBadInput:
                ("us-west-2", "must include the home region us-east-1"))]
         + [([command, "--regions", "us-east-1,us-west-2,us-west-2"],
             "duplicate region us-west-2")
-           for command in ("run", "solve", "deploy")],
+           for command in ("run", "solve", "deploy")]
+        + [(["dash", "--width", "-3"], "must be >= 1")],
     )
     def test_rejected_by_the_parser(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -93,8 +139,7 @@ class TestBadInput:
         )
 
     def test_dash_missing_file_without_jsonl_suffix(self, tmp_path, capsys):
-        # The loader guesses path-or-text from the name; the command
-        # must not: a missing ``.txt`` is a missing file, not bad JSON.
+        # A missing file is a missing file whatever its name looks like.
         missing = str(tmp_path / "nosuchfile.txt")
         assert main(["dash", missing]) == 2
         captured = capsys.readouterr()
@@ -114,23 +159,31 @@ class TestBadInput:
         assert main(["dash", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("caribou dash: not a series dump (")
+        assert captured.err.startswith(
+            f"caribou dash: {path}: not a caribou.run/v1 bundle (line 1: "
+        )
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "command, name, content, message",
         [("report", "r.json", "hello, not json\n",
-          "not a run report (not JSON)"),
+          "r.json: not a caribou.run/v1 bundle (line 1: not JSON)"),
          ("report", "r.json", "[1, 2]\n",
-          "not a run report (not a JSON object)"),
+          "r.json: not a caribou.run/v1 bundle (line 1: header schema None"),
          ("report", "r.json", '{"schema": "x"}\n',
-          "not a run report (schema='x'"),
+          "r.json: not a caribou.run/v1 bundle (line 1: header schema 'x'"),
          ("report", "t.jsonl", '{"a": 1}\n',
-          "not a trace (line 1 is not a span"),
+          "t.jsonl: not a caribou.run/v1 bundle (line 1: header schema None"),
          ("report", "t.jsonl", "hello, not json\n",
-          "not a trace (line 1 is not a span"),
+          "t.jsonl: not a caribou.run/v1 bundle (line 1: not JSON)"),
          ("diff", "r.json", '{"schema": "x"}\n',
-          "r.json: not a run report (schema='x'")],
+          "r.json: not a caribou.run/v1 bundle (line 1: header schema 'x'")]
+        + [pytest.param(
+            command, "run.jsonl", content,
+            f"run.jsonl: not a caribou.run/v1 bundle (line {line}: {reason}",
+            id=f"{command}-{case}")
+           for command in ("report", "dash", "diff")
+           for case, content, line, reason in MALFORMED_BUNDLES],
     )
     def test_malformed_report_or_trace(self, command, name, content,
                                        message, tmp_path, capsys):
@@ -145,27 +198,30 @@ class TestBadInput:
         assert captured.err.count("\n") == 1
 
     def test_dash_report_that_is_not_a_run_report(self, tmp_path, capsys):
-        series = tmp_path / "run.series.jsonl"
-        series.write_text("")
-        report = tmp_path / "report.json"
-        report.write_text('{"schema": "x"}\n')
-        assert main(["dash", str(series), "--report", str(report)]) == 2
+        path = tmp_path / "run.jsonl"
+        path.write_text(bundle_text(HEADER, {"report": {"schema": "x"}}))
+        assert main(["dash", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"caribou dash: {path}: not a caribou.run/v1 bundle (line 2: "
+            "report schema 'x', expected 'caribou.run_report/v1')\n"
+        )
+
+    def test_diff_report_against_series(self, tmp_path, capsys):
+        # A series dump of the old format is refused, not diffed.
+        bundle = tmp_path / "run.jsonl"
+        bundle.write_text(bundle_text(HEADER, {"report": REPORT}))
+        series = tmp_path / "s.jsonl"
+        series.write_text(
+            bundle_text({**HEADER, "schema": "caribou.series/v1"})
+        )
+        assert main(["diff", str(bundle), str(series)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
-            "caribou dash: not a run report (schema='x'"
+            f"caribou diff: {series}: not a caribou.run/v1 bundle (line 1: "
         )
-        assert captured.err.count("\n") == 1
-
-    def test_diff_report_against_series(self, tmp_path, capsys):
-        report = tmp_path / "r.json"
-        report.write_text(json.dumps({"schema": REPORT_SCHEMA, "carbon_g": 1.0}))
-        series = tmp_path / "s.jsonl"
-        export_series([], str(series))
-        assert main(["diff", str(report), str(series)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("caribou diff: cannot diff report (")
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -274,15 +330,25 @@ class TestCommands:
         assert f"submitted {app}-0004" in out
 
 
+def read_bundle(path) -> dict:
+    """A bundle's header and records, grouped by record key."""
+    lines = [json.loads(line) for line in Path(path).read_text().splitlines()]
+    records = {"header": lines[0], "report": [], "span": [], "point": []}
+    for record in lines[1:]:
+        [(key, body)] = record.items()
+        records[key].append(body)
+    return records
+
+
 class TestObservabilityFlags:
     def test_run_metrics_dump(self, tmp_path, capsys):
-        metrics_file = tmp_path / "metrics.json"
+        # The metrics snapshot lives in the bundle's report record.
+        bundle = tmp_path / "run.jsonl"
         assert main(["run", "dna_visualization", "-n", "3",
                      "--coarse", "us-east-1",
-                     "--metrics", str(metrics_file)]) == 0
-        out = capsys.readouterr().out
-        assert "metrics" in out
-        snap = json.loads(metrics_file.read_text())
+                     "--report", str(bundle)]) == 0
+        [doc] = read_bundle(bundle)["report"]
+        snap = doc["metrics"]
         assert snap  # harness-driven runs always record instruments
         # Flat registry snapshot: counters/gauges are numbers,
         # histograms are {count, sum, mean, min, max} objects.
@@ -293,57 +359,69 @@ class TestObservabilityFlags:
         assert list(snap) == sorted(snap)
 
     def test_run_report_writes_valid_document(self, tmp_path, capsys):
-        report_file = tmp_path / "report.json"
+        bundle = tmp_path / "run.jsonl"
         assert main(["run", "text2speech_censoring", "-n", "3",
                      "--regions", "us-east-1,ca-central-1",
-                     "--report", str(report_file)]) == 0
-        doc = json.loads(report_file.read_text())
+                     "--report", str(bundle)]) == 0
+        records = read_bundle(bundle)
+        assert records["header"] == {"schema": BUNDLE_SCHEMA,
+                                     "window_s": 3600.0}
+        [doc] = records["report"]
         assert doc["schema"] == REPORT_SCHEMA
         assert doc["run"]["app"] == "text2speech_censoring"
         assert doc["run"]["n_invocations"] == 3
         # --report implies tracing, so the critical-path section exists.
         assert doc["critical_path"]["n_requests"] > 0
         assert doc["per_region"]  # ledger-derived usage present
-        assert "report            : ->" in capsys.readouterr().out
+        assert records["span"] and records["point"]
+        out = capsys.readouterr().out
+        assert (f"report            : {len(records['span'])} spans, "
+                f"{len(records['point'])} points -> {bundle}") in out
+        assert "requests: completed=" in out  # the trace summary
 
     def test_report_renders_saved_report(self, tmp_path, capsys):
-        report_file = tmp_path / "report.json"
+        bundle = tmp_path / "run.jsonl"
         main(["run", "text2speech_censoring", "-n", "2",
               "--regions", "us-east-1,ca-central-1",
-              "--report", str(report_file)])
+              "--report", str(bundle)])
         capsys.readouterr()
-        assert main(["report", str(report_file)]) == 0
+        assert main(["report", str(bundle)]) == 0
         out = capsys.readouterr().out
         assert "# Run report" in out
         assert "## Critical path" in out
         assert "## Carbon & cost" in out
+        assert "end-to-end" not in out  # per-request paths need --requests
 
     def test_report_analyzes_trace_jsonl(self, tmp_path, capsys):
-        trace_file = tmp_path / "trace.jsonl"
+        bundle = tmp_path / "run.jsonl"
         main(["run", "text2speech_censoring", "-n", "2",
               "--regions", "us-east-1,ca-central-1",
-              "--trace", str(trace_file)])
+              "--report", str(bundle)])
         capsys.readouterr()
-        assert main(["report", str(trace_file), "--requests"]) == 0
+        assert main(["report", str(bundle), "--requests"]) == 0
         out = capsys.readouterr().out
-        assert "requests, total critical-path time" in out
-        assert "invocation" in out
-        assert "end-to-end" in out  # per-request path renderings
+        assert out.startswith("# Run report")
+        requests = [s for s in read_bundle(bundle)["span"]
+                    if s["kind"] == "request"]
+        # One critical-path rendering per request, from the spans.
+        assert out.count(" end-to-end\n") == len(requests)
+        for span in requests:
+            assert f"request {span['request_id']} [" in out
 
     def test_report_rejects_non_report_json(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"schema": "something/else"}')
         assert main(["report", str(bogus)]) == 2
-        assert "not a run report" in capsys.readouterr().err
+        assert "not a caribou.run/v1 bundle" in capsys.readouterr().err
 
 
 class TestTelemetryFlags:
     def test_run_parses_telemetry_flags(self):
         args = build_parser().parse_args(
-            ["run", "dna_visualization", "--timeseries", "s.jsonl",
+            ["run", "dna_visualization", "--report", "run.jsonl",
              "--window", "60", "--slo", "--export-prom", "p.txt"]
         )
-        assert args.timeseries == "s.jsonl"
+        assert args.report == "run.jsonl"
         assert args.window == 60.0
         assert args.slo == [""]  # bare --slo: stock objectives
         assert args.export_prom == "p.txt"
@@ -357,25 +435,26 @@ class TestTelemetryFlags:
         assert len(args.slo) == 2
 
     def test_run_writes_series_prom_and_slo_status(self, tmp_path, capsys):
-        series = tmp_path / "run.series.jsonl"
+        bundle = tmp_path / "run.jsonl"
         prom = tmp_path / "run.prom.txt"
         assert main(["run", "text2speech_censoring", "-n", "2",
                      "--regions", "us-east-1,ca-central-1",
-                     "--timeseries", str(series),
+                     "--report", str(bundle),
                      "--export-prom", str(prom), "--slo"]) == 0
         out = capsys.readouterr().out
-        assert "timeseries" in out and "points ->" in out
+        assert "points ->" in out
         assert "slo [" in out
-        text = series.read_text()
-        assert text.startswith('{"schema":"caribou.series/v1"')
-        assert "ledger.carbon_g" in text
+        records = read_bundle(bundle)
+        assert any(p["metric"].startswith("ledger.carbon_g")
+                   for p in records["point"])
+        assert records["report"][0]["slo"]  # --slo lands in the report
         assert prom.read_text().startswith("# TYPE caribou_")
 
     def test_run_without_flags_has_no_telemetry(self, tmp_path, capsys):
         assert main(["run", "text2speech_censoring", "-n", "2",
                      "--regions", "us-east-1,ca-central-1"]) == 0
         out = capsys.readouterr().out
-        assert "timeseries" not in out
+        assert "report" not in out
         assert "slo [" not in out
 
 
@@ -383,10 +462,10 @@ class TestDiffDashCommands:
     def _two_series(self, tmp_path, capsys):
         paths = []
         for seed in (1, 7):
-            path = tmp_path / f"run{seed}.series.jsonl"
+            path = tmp_path / f"run{seed}.jsonl"
             main(["run", "text2speech_censoring", "-n", "2",
                   "--regions", "us-east-1,ca-central-1",
-                  "--seed", str(seed), "--timeseries", str(path)])
+                  "--seed", str(seed), "--report", str(path)])
             paths.append(str(path))
         capsys.readouterr()
         return paths
@@ -395,14 +474,18 @@ class TestDiffDashCommands:
         a, b = self._two_series(tmp_path, capsys)
         assert main(["diff", a, b]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("## Series diff:")
+        # One command, two tables: report deltas, then series deltas.
+        assert out.startswith("## Report diff:")
+        assert out.index("## Report diff:") < out.index("## Series diff:")
         assert "| metric | window |" in out
         assert "changed" in out  # non-empty delta table
 
     def test_diff_identical_artifacts(self, tmp_path, capsys):
         a, _ = self._two_series(tmp_path, capsys)
         assert main(["diff", a, a]) == 0
-        assert "No per-window differences." in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "No numeric differences." in out
+        assert "No per-window differences." in out
 
     def test_dash_renders_sparklines(self, tmp_path, capsys):
         a, _ = self._two_series(tmp_path, capsys)
@@ -410,16 +493,15 @@ class TestDiffDashCommands:
         out = capsys.readouterr().out
         assert out.startswith("# Caribou run dashboard")
         assert "### Carbon by region (g)" in out
+        assert "### SLO budget" not in out  # the run had no --slo
 
     def test_dash_with_report_shows_slo_budget(self, tmp_path, capsys):
-        series = tmp_path / "run.series.jsonl"
-        report = tmp_path / "run.report.json"
+        bundle = tmp_path / "run.jsonl"
         main(["run", "text2speech_censoring", "-n", "2",
-              "--regions", "us-east-1,ca-central-1",
-              "--timeseries", str(series), "--slo",
-              "--report", str(report)])
+              "--regions", "us-east-1,ca-central-1", "--slo",
+              "--report", str(bundle)])
         capsys.readouterr()
-        assert main(["dash", str(series), "--report", str(report)]) == 0
+        assert main(["dash", str(bundle)]) == 0
         assert "### SLO budget" in capsys.readouterr().out
 
 

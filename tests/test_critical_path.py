@@ -181,11 +181,13 @@ class TestAnalysisDeterminism:
         b = analyze_trace(list(tracer.spans)).aggregate()
         assert a == b
 
-    def test_jsonl_round_trip_preserves_analysis(self, traced_run):
-        from repro.obs.render import load_jsonl
+    def test_jsonl_round_trip_preserves_analysis(self, traced_run, tmp_path):
+        from repro.obs.report import load_bundle
+        from tests.test_bundle import write_bundle
 
         tracer, _executor, _rids = traced_run
-        reloaded = load_jsonl(tracer.to_jsonl())
+        tracer.finalize()
+        reloaded = load_bundle(write_bundle(tmp_path / "run.jsonl", tracer.spans)).spans
         assert analyze_trace(reloaded).aggregate() == analyze_trace(
             tracer
         ).aggregate()

@@ -6,15 +6,15 @@ import pytest
 
 from repro.common.errors import MalformedInputError
 from repro.obs.diffrun import (
+    diff_bundles,
     diff_reports,
-    diff_runs,
     diff_series,
     flatten_report,
     flatten_series,
     regression_direction,
 )
-from repro.obs.report import REPORT_SCHEMA
-from repro.obs.timeseries import export_series
+from repro.obs.report import BUNDLE_SCHEMA, load_bundle
+from tests.test_bundle import MINIMAL_REPORT, write_bundle
 
 
 # ---------------------------------------------------------------- direction
@@ -143,41 +143,49 @@ class TestDiffSeries:
 
 
 class TestDiffRuns:
-    def _series_file(self, tmp_path, name, points):
-        path = tmp_path / name
-        export_series(points, str(path))
-        return str(path)
+    """``diff_bundles``: two loaded runs, one report table then one
+    series table; artifacts that are not bundles never reach it."""
+
+    def _bundle(self, tmp_path, name, points, carbon_g):
+        doc = {**MINIMAL_REPORT, "run": {"carbon_g": carbon_g}}
+        return load_bundle(write_bundle(tmp_path / name, points=points,
+                                        doc=doc))
 
     def test_auto_detects_series_dumps(self, tmp_path):
-        a = self._series_file(tmp_path, "a.jsonl", TestDiffSeries.A)
-        b = self._series_file(tmp_path, "b.jsonl", TestDiffSeries.B)
-        text = diff_runs(a, b)
-        assert text.startswith("## Series diff:")
-        assert "**regression**" in text
+        a = self._bundle(tmp_path, "a.jsonl", TestDiffSeries.A, 1.0)
+        b = self._bundle(tmp_path, "b.jsonl", TestDiffSeries.B, 1.0)
+        text = diff_bundles(a, b)
+        assert "No numeric differences." in text
+        series = text[text.index("## Series diff: A vs B"):]
+        assert "**regression**" in series
 
     def test_auto_detects_reports(self, tmp_path):
-        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-        pa.write_text(json.dumps({"schema": REPORT_SCHEMA, "carbon_g": 1.0}))
-        pb.write_text(json.dumps({"schema": REPORT_SCHEMA, "carbon_g": 2.0}))
-        text = diff_runs(str(pa), str(pb))
-        assert text.startswith("## Report diff:")
-        assert str(pa) in text and str(pb) in text
+        a = self._bundle(tmp_path, "a.jsonl", TestDiffSeries.A, 1.0)
+        b = self._bundle(tmp_path, "b.jsonl", TestDiffSeries.A, 2.0)
+        text = diff_bundles(a, b, label_a="a.jsonl", label_b="b.jsonl")
+        assert text.startswith("## Report diff: a.jsonl vs b.jsonl")
+        assert "| run.carbon_g | 1 | 2 |" in text
+        assert text.endswith("No per-window differences.\n")
 
     def test_mixed_kinds_rejected(self, tmp_path):
-        series = self._series_file(tmp_path, "a.jsonl", TestDiffSeries.A)
-        report = tmp_path / "b.json"
-        report.write_text(json.dumps({"schema": REPORT_SCHEMA, "x": 1.0}))
-        with pytest.raises(ValueError, match="cannot diff"):
-            diff_runs(series, str(report))
+        # A series dump of the old format is not a bundle.
+        path = tmp_path / "a.jsonl"
+        path.write_text(json.dumps({"schema": "caribou.series/v1",
+                                    "window_s": 3600.0}) + "\n")
+        with pytest.raises(MalformedInputError, match="header schema"):
+            load_bundle(str(path))
 
     def test_non_object_artifact_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2, 3]")
         with pytest.raises(ValueError):
-            diff_runs(str(bad), str(bad))
+            load_bundle(str(bad))
 
     def test_object_without_the_report_schema_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"carbon_g": 1.0}))
-        with pytest.raises(MalformedInputError, match="not a run report"):
-            diff_runs(str(bad), str(bad))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            json.dumps({"schema": BUNDLE_SCHEMA, "window_s": 3600.0}) + "\n"
+            + json.dumps({"report": {"carbon_g": 1.0}}) + "\n"
+        )
+        with pytest.raises(MalformedInputError, match="report schema None"):
+            load_bundle(str(bad))

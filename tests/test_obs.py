@@ -1,6 +1,5 @@
 """Unit tests for the observability layer (repro.obs)."""
 
-import io
 import json
 
 import pytest
@@ -12,9 +11,10 @@ from repro.obs import (
     MetricsRegistry,
     Span,
     Tracer,
-    load_jsonl,
+    load_bundle,
     render_trace_summary,
 )
+from tests.test_bundle import write_bundle
 
 
 @pytest.fixture
@@ -110,11 +110,12 @@ class TestTracer:
         tracer.finalize()
         assert root.t1 == 9.0
 
-    def test_jsonl_round_trip(self, tracer):
+    def test_jsonl_round_trip(self, tracer, tmp_path):
         tracer.open_request("r1", workflow="wf")
         tracer.record("kv", "get:t", request_id="r1", op="get")
         tracer.close_request("r1", "completed")
-        spans = load_jsonl(io.StringIO(tracer.to_jsonl()))
+        tracer.finalize()
+        spans = load_bundle(write_bundle(tmp_path / "run.jsonl", tracer.spans)).spans
         assert [s.to_dict() for s in spans] == [
             s.to_dict() for s in tracer.spans
         ]
@@ -128,9 +129,12 @@ class TestTracer:
 
     def test_export_to_path(self, tracer, tmp_path):
         tracer.record("kv", "get")
-        path = tmp_path / "trace.jsonl"
-        tracer.export(str(path))
-        assert load_jsonl(str(path))[0].kind == "kv"
+        path = tmp_path / "run.jsonl"
+        assert load_bundle(write_bundle(path, tracer.spans)).spans[0].kind == "kv"
+        # The bundle's span line is the trace line, wrapped.
+        assert path.read_text().splitlines()[2] == (
+            '{"span":' + tracer.to_jsonl().strip() + "}"
+        )
 
     def test_len_counts_spans(self, tracer):
         assert len(tracer) == 0
@@ -183,9 +187,7 @@ class TestTracerSampling:
                 tr.open_request(f"r{i}")
                 tr.record("kv", "get", request_id=f"r{i}")
                 tr.close_request(f"r{i}", "completed")
-            buf = io.StringIO()
-            tr.export(buf)
-            return buf.getvalue()
+            return tr.to_jsonl()
 
         a = run(Tracer(VirtualClock(), sample_every=2))
         b = run(Tracer(VirtualClock(), sample_every=2))
@@ -248,13 +250,6 @@ class TestMetricsRegistry:
         assert snap["max"] == 0.3
         assert snap["mean"] == pytest.approx(0.2)
 
-    def test_histogram_quantile_monotone(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
-        for v in (0.001, 0.01, 0.1, 1.0, 10.0):
-            h.observe(v)
-        assert h.quantile(0.5) <= h.quantile(0.95)
-
     def test_same_instrument_returned(self):
         reg = MetricsRegistry()
         assert reg.counter("x") is reg.counter("x")
@@ -267,88 +262,6 @@ class TestMetricsRegistry:
         NULL_METRICS.histogram("z").observe(1.0)
         assert NULL_METRICS.snapshot() == {}
         assert len(NULL_METRICS) == 0
-
-    def test_summary_filters_by_prefix(self):
-        reg = MetricsRegistry()
-        reg.counter("kv.reads").inc()
-        reg.counter("faas.invocations").inc()
-        text = reg.summary(prefix="kv.")
-        assert "kv.reads" in text
-        assert "faas" not in text
-
-
-class TestHistogramQuantile:
-    """Quantiles interpolate within the winning bucket and respect the
-    observed min/max (the old implementation returned raw bucket upper
-    bounds, biasing every estimate high)."""
-
-    def _hist(self, values, bounds=(1.0, 2.0, 4.0, 8.0)):
-        from repro.obs.metrics import Histogram
-
-        h = Histogram("t", bounds=bounds)
-        for v in values:
-            h.observe(v)
-        return h
-
-    def test_empty_histogram_is_zero(self):
-        h = self._hist([])
-        assert h.quantile(0.0) == 0.0
-        assert h.quantile(0.5) == 0.0
-        assert h.quantile(1.0) == 0.0
-
-    def test_q0_is_min_and_q1_is_max(self):
-        h = self._hist([0.5, 3.0, 7.0])
-        assert h.quantile(0.0) == 0.5
-        assert h.quantile(1.0) == 7.0
-
-    def test_single_value_every_quantile(self):
-        h = self._hist([3.0])
-        for q in (0.0, 0.25, 0.5, 0.9, 1.0):
-            assert h.quantile(q) == 3.0
-
-    def test_interpolates_within_bucket(self):
-        # 10 observations, all in the (2, 4] bucket: the median rank
-        # lands halfway through the bucket, so the estimate must lie
-        # strictly inside (2, 4), not snap to the upper bound 4.0.
-        h = self._hist([2.5] * 10)
-        mid = h.quantile(0.5)
-        assert 2.0 < mid < 4.0
-        assert mid != 4.0  # the old upper-bound-biased answer
-
-    def test_clamped_to_observed_range(self):
-        h = self._hist([2.5, 2.6, 2.7])
-        for q in (0.1, 0.5, 0.99):
-            assert 2.5 <= h.quantile(q) <= 2.7
-
-    def test_first_bucket_uses_min_as_lower_bound(self):
-        # All mass in the first bucket; without the min clamp the lower
-        # edge would be undefined (there is no bounds[-1]).
-        h = self._hist([0.2, 0.4, 0.8])
-        q = h.quantile(0.5)
-        assert 0.2 <= q <= 0.8
-
-    def test_overflow_bucket_uses_max_as_upper_bound(self):
-        h = self._hist([9.0, 20.0, 100.0])  # all beyond the last bound 8.0
-        q = h.quantile(0.9)
-        assert 8.0 <= q <= 100.0
-        assert h.quantile(1.0) == 100.0
-
-    def test_monotone_in_q(self):
-        h = self._hist([0.3, 0.9, 1.5, 2.2, 3.3, 5.0, 9.0, 12.0])
-        qs = [h.quantile(q) for q in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)]
-        assert qs == sorted(qs)
-
-    def test_uniform_spread_median_near_true_median(self):
-        values = [0.1 * i for i in range(1, 41)]  # 0.1 .. 4.0
-        h = self._hist(values)
-        assert h.quantile(0.5) == pytest.approx(2.0, abs=1.0)
-
-    def test_rejects_out_of_range_q(self):
-        h = self._hist([1.0])
-        with pytest.raises(ValueError, match="quantile"):
-            h.quantile(1.5)
-        with pytest.raises(ValueError, match="quantile"):
-            h.quantile(-0.1)
 
 
 class TestRenderers:

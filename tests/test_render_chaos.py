@@ -10,17 +10,20 @@ deterministic (same run, same text — the CLI diff-tests depend on it).
 
 from __future__ import annotations
 
-import io
-
 import pytest
 
 from repro.apps import get_app
 from repro.cloud.faults import FaultPlan
 from repro.common.clock import SECONDS_PER_DAY
 from repro.experiments.harness import run_caribou
-from repro.obs.critical_path import analyze_trace, render_critical_path
-from repro.obs.render import load_jsonl, render_trace_summary
+from repro.obs.critical_path import (
+    analyze_trace,
+    render_critical_path,
+    render_trace_summary,
+)
+from repro.obs.report import load_bundle
 from repro.obs.trace import Tracer
+from tests.test_bundle import write_bundle
 
 REGIONS = ("us-east-1", "us-west-2", "ca-central-1")
 SEED = 29
@@ -93,12 +96,18 @@ class TestDeterminism:
             chaos_spans
         )
 
-    def test_jsonl_round_trip_renders_identically(self, chaos_spans):
-        tracer = _chaos_trace()
-        reloaded = load_jsonl(io.StringIO(tracer.to_jsonl()))
+    def test_jsonl_round_trip_renders_identically(self, chaos_spans,
+                                                  tmp_path):
+        path = write_bundle(tmp_path / "run.jsonl", _chaos_trace().spans)
+        reloaded = load_bundle(path).spans
         assert render_trace_summary(reloaded) == render_trace_summary(
             chaos_spans
         )
+        assert [
+            render_critical_path(p) for p in analyze_trace(reloaded).requests
+        ] == [
+            render_critical_path(p) for p in analyze_trace(chaos_spans).requests
+        ]
 
     def test_render_does_not_mutate_input(self, chaos_spans):
         before = [(s.span_id, s.t0, s.t1, dict(s.attrs)) for s in chaos_spans]

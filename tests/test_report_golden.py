@@ -59,8 +59,7 @@ class TestGoldenReport:
         assert quickstart_report().to_json() == quickstart_report().to_json()
 
     def test_snapshot_is_valid_report(self):
-        report = RunReport.from_json(GOLDEN.read_text(encoding="utf-8"))
-        doc = report.doc
+        doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
         assert doc["schema"] == REPORT_SCHEMA
         assert tuple(sorted(doc)) == REPORT_KEYS
         assert doc["run"]["app"] == "text2speech_censoring"
@@ -80,7 +79,7 @@ class TestGoldenReport:
         assert "wall_time_s" not in (doc.get("solver") or {})
 
     def test_snapshot_renders_as_markdown(self):
-        report = RunReport.from_json(GOLDEN.read_text(encoding="utf-8"))
+        report = RunReport(json.loads(GOLDEN.read_text(encoding="utf-8")))
         md = report.to_markdown()
         assert md.startswith("# Run report")
         for heading in ("## Carbon & cost", "## Critical path", "## Solver"):

@@ -4,14 +4,13 @@ Covers the sampler's window mechanics on a bare simulation environment
 (grid alignment, counter deltas, gauge last-values, histogram bucket
 deltas + quantiles, sparse emission, partial close), the simulator's
 :class:`RepeatingEvent` liveness contract (never keeps the queue alive
-on its own), the ledger-derived per-window carbon series, the JSONL and
-Prometheus exporters, and the end-to-end determinism contract: a
+on its own), the ledger-derived per-window carbon series, the series' round trip
+through the run bundle, the Prometheus exporter, and the end-to-end determinism contract: a
 telemetered ``run_caribou`` produces byte-identical series across
 same-seed reruns, and a sampler on the open-loop serving path costs one
 event per window and leaves the ledger untouched.
 """
 
-import io
 import json
 
 import pytest
@@ -21,19 +20,17 @@ from repro.cloud.provider import SimulatedCloud
 from repro.cloud.simulator import RepeatingEvent, SimulationEnvironment
 from repro.data.workload import OpenLoopInjector, WorkloadSpec, generate_trace
 from repro.experiments.harness import deploy_benchmark, run_caribou
+from repro.common.errors import MalformedInputError
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import BUNDLE_SCHEMA, load_bundle
 from repro.obs.timeseries import (
-    DEFAULT_WINDOW_S,
-    SERIES_SCHEMA,
     TelemetryConfig,
     WindowedSampler,
     bucket_quantile,
-    export_series,
-    load_series_jsonl,
     merge_series,
     render_prometheus,
-    series_to_jsonl,
 )
+from tests.test_bundle import write_bundle
 
 REGIONS = ("us-east-1", "ca-central-1")
 
@@ -243,10 +240,13 @@ class TestWindowedSampler:
         sampler.close()
         assert [p["metric"] for p in sampler.points] == ["aa.first", "zz.last"]
 
-    def test_to_jsonl_has_header(self):
+    def test_to_jsonl_has_header(self, tmp_path):
+        # The sampler's window is the bundle header's.
         sampler = WindowedSampler(MetricsRegistry(), window_s=60.0)
-        header = json.loads(sampler.to_jsonl().splitlines()[0])
-        assert header == {"schema": SERIES_SCHEMA, "window_s": 60.0}
+        path = write_bundle(tmp_path / "run.jsonl", points=sampler.points,
+                            window_s=sampler.window_s)
+        header = json.loads(open(path).readline())
+        assert header == {"schema": BUNDLE_SCHEMA, "window_s": 60.0}
 
 
 # ------------------------------------------------------------------ exporters
@@ -256,33 +256,40 @@ class TestSeriesJsonl:
         {"metric": "b", "window": 3600.0, "type": "gauge", "value": 2.5},
     ]
 
-    def test_round_trip_text(self):
-        text = series_to_jsonl(self.POINTS, window_s=1800.0)
-        points, window_s = load_series_jsonl(text)
-        assert points == self.POINTS
-        assert window_s == 1800.0
+    def test_round_trip_text(self, tmp_path):
+        bundle = load_bundle(
+            write_bundle(tmp_path / "run.jsonl", points=self.POINTS,
+                         window_s=1800.0)
+        )
+        assert bundle.points == self.POINTS
+        assert bundle.window_s == 1800.0
 
     def test_round_trip_path_and_file_object(self, tmp_path):
-        path = tmp_path / "run.series.jsonl"
-        export_series(self.POINTS, str(path), window_s=60.0)
-        points, window_s = load_series_jsonl(str(path))
-        assert (points, window_s) == (self.POINTS, 60.0)
-        buf = io.StringIO()
-        export_series(self.POINTS, buf, window_s=60.0)
-        points2, _ = load_series_jsonl(io.StringIO(buf.getvalue()))
-        assert points2 == self.POINTS
+        # Loading and re-writing a bundle reproduces it byte for byte.
+        path = write_bundle(tmp_path / "run.jsonl", points=self.POINTS,
+                            window_s=60.0)
+        text = open(path).read()
+        bundle = load_bundle(path)
+        assert (bundle.points, bundle.window_s) == (self.POINTS, 60.0)
+        assert bundle.to_jsonl() == text
 
-    def test_rejects_foreign_schema(self):
-        with pytest.raises(ValueError, match="not a series dump"):
-            load_series_jsonl('{"schema":"something.else/v9"}\n')
+    def test_rejects_foreign_schema(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text('{"schema":"something.else/v9"}\n')
+        with pytest.raises(ValueError, match="not a caribou.run/v1 bundle"):
+            load_bundle(str(path))
 
-    def test_empty_input(self):
-        assert load_series_jsonl("") == ([], DEFAULT_WINDOW_S)
+    def test_empty_input(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text("")
+        with pytest.raises(MalformedInputError, match="empty file"):
+            load_bundle(str(path))
 
-    def test_lines_are_compact_and_sorted(self):
-        for line in series_to_jsonl(self.POINTS).splitlines():
-            doc = json.loads(line)
-            assert list(doc) == sorted(doc)
+    def test_lines_are_compact_and_sorted(self, tmp_path):
+        path = write_bundle(tmp_path / "run.jsonl", points=self.POINTS)
+        for line in open(path).read().splitlines()[2:]:
+            point = json.loads(line)["point"]
+            assert list(point) == sorted(point)
             assert ": " not in line and ", " not in line
 
     def test_merge_series_sorts_by_window_then_metric(self):
@@ -377,12 +384,13 @@ class TestHarnessTelemetry:
         # Warm-up + measured invocations each start one request.
         assert total >= 4
 
-    def test_series_sorted_and_serialisable(self, telemetered_outcome):
+    def test_series_sorted_and_serialisable(self, telemetered_outcome,
+                                           tmp_path):
         pts = telemetered_outcome.series
         keys = [(p["window"], p["metric"]) for p in pts]
         assert keys == sorted(keys)
-        points, _ = load_series_jsonl(series_to_jsonl(pts))
-        assert points == pts
+        assert load_bundle(write_bundle(tmp_path / "run.jsonl",
+                                        points=pts)).points == pts
 
     def test_same_seed_reruns_byte_identical(self, telemetered_outcome):
         again = run_caribou(
@@ -390,7 +398,7 @@ class TestHarnessTelemetry:
             seed=3, n_invocations=4,
             telemetry=TelemetryConfig(window_s=3600.0),
         )
-        assert series_to_jsonl(again.series) == series_to_jsonl(
+        assert json.dumps(again.series) == json.dumps(
             telemetered_outcome.series
         )
         assert again.prom == telemetered_outcome.prom
@@ -449,7 +457,7 @@ class TestServingTelemetry:
         _, _, again = _serving_run(10.0)
 
         assert sampler.windows_flushed > 0
-        assert sampler.to_jsonl() == again.to_jsonl()
+        assert json.dumps(sampler.points) == json.dumps(again.points)
         assert events == plain_events + sampler.windows_flushed
         assert len({e[0] for e in executions}) > 1000
         assert executions == plain_executions
