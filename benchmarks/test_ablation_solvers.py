@@ -19,7 +19,7 @@ from repro.core.solver import (
     PlanEvaluator,
     SolverSettings,
 )
-from repro.experiments.harness import deploy_benchmark, warm_up
+from repro.core.lifecycle import deploy_benchmark, warm_up
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel
 from repro.metrics.latency import TransferLatencyModel

@@ -21,11 +21,7 @@ from repro.cloud.provider import SimulatedCloud
 from repro.common.clock import SECONDS_PER_HOUR
 from repro.core.migrator import DeploymentMigrator
 from repro.core.temporal import TemporalPolicy, TemporalShifter
-from repro.experiments.harness import (
-    deploy_benchmark,
-    solve_plan_set,
-    warm_up,
-)
+from repro.core.lifecycle import deploy_benchmark, solve_plan_set, warm_up
 from repro.metrics.accounting import CarbonAccountant
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel

@@ -21,7 +21,7 @@ import pytest
 from conftest import print_header
 from repro.apps import get_app
 from repro.cloud.provider import SimulatedCloud
-from repro.experiments.harness import deploy_benchmark, warm_up
+from repro.core.lifecycle import deploy_benchmark, warm_up
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel
 from repro.metrics.latency import TransferLatencyModel

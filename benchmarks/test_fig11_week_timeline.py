@@ -26,7 +26,8 @@ from repro.common.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.core.manager import DeploymentManager
 from repro.core.trigger import TriggerSettings
 from repro.data.traces import azure_like_trace
-from repro.experiments.harness import deploy_benchmark, run_coarse
+from repro.core.lifecycle import deploy_benchmark
+from repro.experiments.harness import run_coarse
 from repro.metrics.accounting import CarbonAccountant
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel

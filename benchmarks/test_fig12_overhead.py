@@ -19,7 +19,8 @@ from conftest import print_header
 from repro.apps import ALL_APPS, get_app
 from repro.cloud.provider import SimulatedCloud
 from repro.core.baselines import SnsOrchestrator, StepFunctionsOrchestrator
-from repro.experiments.harness import deploy_benchmark, geometric_mean
+from repro.core.lifecycle import deploy_benchmark
+from repro.experiments.harness import geometric_mean
 
 N_INVOCATIONS = 60
 WARM_SKIP = 5

@@ -31,7 +31,7 @@ from repro.common.clock import SECONDS_PER_DAY
 from repro.core.manager import DeploymentManager
 from repro.data.carbon import generate_carbon_trace
 from repro.data.traces import azure_like_trace
-from repro.experiments.harness import deploy_benchmark
+from repro.core.lifecycle import deploy_benchmark
 from repro.metrics.accounting import CarbonAccountant
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel

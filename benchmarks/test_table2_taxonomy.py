@@ -14,7 +14,7 @@ import numpy as np
 from conftest import print_header
 from repro.apps import get_app
 from repro.cloud.provider import SimulatedCloud
-from repro.experiments.harness import deploy_benchmark
+from repro.core.lifecycle import deploy_benchmark
 
 ROWS = (
     ("AWS Step Functions", "-", "coarse", False, False, True, True, True, False),

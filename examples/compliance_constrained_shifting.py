@@ -20,13 +20,8 @@ Run:  python examples/compliance_constrained_shifting.py
 
 from repro.apps import get_app
 from repro.cloud.provider import SimulatedCloud
-from repro.experiments.harness import (
-    deploy_benchmark,
-    run_caribou,
-    run_coarse,
-    solve_plan_set,
-    warm_up,
-)
+from repro.core.lifecycle import deploy_benchmark, solve_plan_set, warm_up
+from repro.experiments.harness import run_caribou, run_coarse
 from repro.metrics.carbon import TransmissionScenario
 
 REGIONS = ("us-east-1", "us-west-1", "us-west-2", "ca-central-1")

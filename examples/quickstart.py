@@ -21,7 +21,7 @@ from repro.cloud.provider import SimulatedCloud
 from repro.core.api import Payload, Workflow
 from repro.core.deployer import DeploymentUtility
 from repro.core.migrator import DeploymentMigrator
-from repro.experiments.harness import solve_plan_set
+from repro.core.lifecycle import solve_plan_set
 from repro.metrics.accounting import CarbonAccountant
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel

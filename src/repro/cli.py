@@ -26,17 +26,16 @@ from repro.cloud.faults import FaultPlan
 from repro.cloud.provider import SimulatedCloud
 from repro.common.clock import SECONDS_PER_DAY
 from repro.common.errors import CaribouError
-from repro.core.solver import SolverStats
-from repro.data.regions import EVALUATION_REGIONS, all_regions
-from repro.experiments.harness import (
+from repro.core.lifecycle import (
     BENCH_SOLVER_SETTINGS,
     HOME_REGION,
     deploy_benchmark,
-    run_caribou,
-    run_coarse,
     solve_plan_set,
     warm_up,
 )
+from repro.core.solver import SolverStats
+from repro.data.regions import EVALUATION_REGIONS, all_regions
+from repro.experiments.harness import run_caribou, run_coarse
 from repro.metrics.carbon import TransmissionScenario
 from repro.obs.critical_path import (
     analyze_trace,
@@ -99,12 +98,10 @@ def _default_chaos_plan(regions: Sequence[str], home: str) -> FaultPlan:
 
 
 def _solver_settings(args: argparse.Namespace):
-    """The bench defaults, with any CLI solver knobs applied."""
-    settings = BENCH_SOLVER_SETTINGS
-    solver = getattr(args, "solver", None)
-    if solver:
-        settings = dataclasses.replace(settings, solver=solver)
-    return settings
+    """The bench defaults, with ``--solver`` applied."""
+    if args.solver is None:
+        return BENCH_SOLVER_SETTINGS
+    return dataclasses.replace(BENCH_SOLVER_SETTINGS, solver=args.solver)
 
 
 def _telemetry_config(args: argparse.Namespace) -> Optional[TelemetryConfig]:
@@ -211,7 +208,7 @@ def cmd_fleet_report(args: argparse.Namespace) -> int:
     from repro.apps.base import default_config
     from repro.core.deployer import DeploymentUtility
     from repro.core.fleet import FleetManager
-    from repro.core.solver import SolverSettings
+    from repro.service.engine import SERVICE_SOLVER_SETTINGS
 
     app = get_app(args.app)
     cloud = SimulatedCloud(seed=args.seed, regions=args.regions)
@@ -223,9 +220,7 @@ def cmd_fleet_report(args: argparse.Namespace) -> int:
         cloud,
         utility,
         TransmissionScenario.best_case(),
-        solver_settings=SolverSettings(
-            batch_size=30, max_samples=60, cov_threshold=0.2
-        ),
+        solver_settings=SERVICE_SOLVER_SETTINGS,
         use_forecast=False,
         use_token_bucket=False,
         fixed_granularity=1,
@@ -240,9 +235,7 @@ def cmd_fleet_report(args: argparse.Namespace) -> int:
         fleet.register(deployed, executor)
         executors.append(executor)
     for executor in executors:
-        for _ in range(args.invocations):
-            executor.invoke(app.make_input(args.size), force_home=True)
-        cloud.env.run_until_idle()
+        warm_up(executor, app, args.size, n=args.invocations, interval_s=0.0)
     fleet.check_all()
     report = fleet.fleet_report()
     if args.json:
@@ -493,9 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--size", choices=("small", "large"), default="small")
     p_run.add_argument("-n", "--invocations", type=_positive_int, default=20)
     p_run.add_argument("--regions", **regions_flag)
-    p_run.add_argument("--coarse", metavar="REGION", default=None,
-                       choices=EVALUATION_REGIONS,
-                       help="static single-region deployment instead of Caribou")
+    # A coarse run deploys without solving, so it takes no --solver.
+    placement = p_run.add_mutually_exclusive_group()
+    placement.add_argument("--coarse", metavar="REGION", default=None,
+                           choices=EVALUATION_REGIONS,
+                           help="static single-region deployment instead of "
+                                "Caribou")
     p_run.add_argument("--chaos", action="store_true",
                        help="inject the stock fault schedule (region outage, "
                             "5%% invocation failures, KV slowdown)")
@@ -506,10 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "per-window series as caribou.run/v1 JSON lines; "
                             "view it with `caribou report|dash FILE`")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--solver", choices=("hbss", "coarse", "exact"),
-                       default=None,
-                       help="search strategy (default hbss; 'exact' runs the "
-                            "provably-optimal branch-and-bound)")
+    placement.add_argument("--solver", choices=("hbss", "coarse", "exact"),
+                           default=None,
+                           help="search strategy (default hbss; 'exact' runs "
+                                "the provably-optimal branch-and-bound)")
     p_run.add_argument("--trace-sample", type=_positive_int, default=1,
                        help="keep every N-th request's spans in the "
                             "--report file (default 1 = record everything); "

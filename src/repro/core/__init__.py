@@ -7,6 +7,8 @@
 * :mod:`repro.core.deployer` — initial deployment utility (§6.1).
 * :mod:`repro.core.migrator` — cross-region re-deployment (§6.1).
 * :mod:`repro.core.executor` — cross-regional execution runtime (§6.2).
+* :mod:`repro.core.lifecycle` — deploy, warm up, solve: the steps every
+  caller shares, with the one evaluator constructor and HBSS wiring.
 * :mod:`repro.core.manager` — the Deployment Manager loop (Fig. 6).
 * :mod:`repro.core.baselines` — Step Functions / plain-SNS orchestrators.
 """

@@ -23,10 +23,10 @@ import numpy as np
 from repro.cloud.simulator import EventHandle
 from repro.core.executor import CaribouExecutor, DeployedWorkflow
 from repro.core.deployer import DeploymentUtility
+from repro.core.lifecycle import hbss_solver, plan_evaluator, workflow_metrics
 from repro.core.migrator import DeploymentMigrator, MigrationReport
 from repro.core.solver import (
     EvaluationCache,
-    HBSSSolver,
     PlanEvaluator,
     SolverSettings,
     SolverStats,
@@ -36,8 +36,7 @@ from repro.common.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.metrics.accounting import CarbonAccountant
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel
-from repro.metrics.latency import TransferLatencyModel
-from repro.metrics.manager import CarbonForecastProvider, MetricsManager
+from repro.metrics.manager import CarbonForecastProvider
 from repro.model.plan import HourlyPlanSet
 
 #: How long a generated plan set stays valid before traffic falls back
@@ -52,11 +51,10 @@ class CheckReport:
 
     ``solve_cost_g`` is the cost actually *charged* to the bucket this
     check — zero when no token-funded solve happened, and the
-    granularity-1 price when the budget only covered a daily solve
-    (previously it always reported the 24-hour price regardless of what
-    was consumed).  ``solve_cost_quote_g`` is the full 24-hour quote at
-    the current framework intensity — the deficit reference the cadence
-    rule compares the bucket against.
+    granularity-1 price when the budget only covered a daily solve.
+    ``solve_cost_quote_g`` is the full 24-hour quote at the current
+    framework intensity — the deficit reference the cadence rule
+    compares the bucket against.
     """
 
     time_s: float
@@ -105,14 +103,7 @@ class DeploymentManager:
         #: solver work without the token bucket in the way).
         self._fixed_granularity = fixed_granularity
 
-        self.metrics = MetricsManager(
-            deployed.dag,
-            deployed.config,
-            self._cloud.ledger,
-            self._cloud.carbon_source,
-            forecasts=forecasts,
-        )
-        self.metrics.declare_function_external_data(deployed.workflow.functions)
+        self.metrics = workflow_metrics(deployed, forecasts)
 
         self.bucket = TokenBucket(
             n_nodes=len(deployed.dag),
@@ -120,32 +111,25 @@ class DeploymentManager:
             settings=trigger_settings,
         )
         self.migrator = DeploymentMigrator(utility, deployed, executor)
-        self._carbon_model = CarbonModel(scenario)
-        self._cost_model = CostModel(self._cloud.pricing_source)
-        self._latency_model = TransferLatencyModel(self._cloud.latency_source)
         self._accountant = CarbonAccountant(
-            self._cloud.carbon_source, self._carbon_model, self._cost_model
+            self._cloud.carbon_source,
+            CarbonModel(scenario),
+            CostModel(self._cloud.pricing_source),
         )
-        self._rng = self._cloud.env.rng.get(f"solver:{deployed.name}")
         # Earn window opens at registration, not at t=0: a workflow
-        # brought under management late must not earn over the whole
-        # pre-registration history (that diluted the first-period earn
-        # rate and pushed the next check to max_check_period_s).
+        # brought under management late earns from then on.
         self._last_check_s: float = self._cloud.now()
         self._last_forecast_day: int = -1
-        #: Pending self-rescheduled check (run_for's chain); retained so
-        #: stop()/unregister can cancel it instead of letting armed
-        #: checks keep solving for an unmanaged workflow.
+        #: Pending self-rescheduled check (run_for's chain), retained so
+        #: stop()/unregister can cancel it.
         self._pending_check: Optional["EventHandle"] = None
         self.reports: List[CheckReport] = []
         self.plan_history: List[Tuple[float, HourlyPlanSet]] = []
         #: Profile/estimate cache surviving across check() cycles;
-        #: make_evaluator() syncs it against the learned-input versions
-        #: so stale entries are dropped exactly when metrics/forecasts
-        #: actually changed (§5.2 checks often re-solve a barely-moved
-        #: problem — discarding the cache each time wasted most of the
-        #: previous solve's Monte-Carlo work).  One per workflow, never
-        #: shared: digests hash plan content, not learned metrics.
+        #: make_evaluator() drops its entries exactly when metrics or
+        #: forecasts changed (§5.2 checks often re-solve a barely-moved
+        #: problem).  One per workflow, never shared: digests hash plan
+        #: content, not learned metrics.
         self.evaluation_cache = EvaluationCache()
         #: Cumulative solver counters across this manager's lifetime.
         self.solver_stats = SolverStats()
@@ -183,21 +167,15 @@ class DeploymentManager:
             # actually feed the intensity function.
             self.metrics.forecasts.version if self._use_forecast else None,
         )
-        return PlanEvaluator(
-            dag=self._d.dag,
-            config=self._d.config,
-            data=self.metrics,
-            regions=self._cloud.regions,
-            intensity_fn=lambda region, hour: self.metrics.carbon_for_hour(
+        return plan_evaluator(
+            self._d,
+            self.metrics,
+            lambda region, hour: self.metrics.carbon_for_hour(
                 region, hour, use_forecast=self._use_forecast
             ),
-            carbon_model=self._carbon_model,
-            cost_model=self._cost_model,
-            latency_model=self._latency_model,
-            rng=self._rng,
-            kv_region=self._d.kv_region,
-            settings=self._solver_settings,
-            stats=self.solver_stats,
+            self._scenario,
+            self._solver_settings,
+            self.solver_stats,
             cache=self.evaluation_cache,
         )
 
@@ -301,10 +279,7 @@ class DeploymentManager:
 
         The pending link of the chain is retained in
         ``self._pending_check`` so :meth:`stop` (and through it
-        ``FleetManager.unregister``) can cancel the loop; without that
-        handle an unregistered workflow's armed checks kept firing —
-        solving and migrating a workflow no longer under management —
-        for the rest of the horizon.
+        ``FleetManager.unregister``) can cancel the loop.
         """
         horizon = self._cloud.now() + duration_s
 
@@ -337,19 +312,7 @@ class DeploymentManager:
     def _solve_and_migrate(
         self, granularity_hours: int, now: float
     ) -> MigrationReport:
-        evaluator = self.make_evaluator()
-        # Per-hour registry substreams (``solver:{wf}:hour={h}``) keep
-        # each hour's walk reproducible whatever hours are solved, and
-        # persistent across checks.
-        registry = self._cloud.env.rng
-        name = self._d.name
-        solver = HBSSSolver(
-            evaluator,
-            self._rng,
-            tracer=self._cloud.tracer,
-            metrics=self._cloud.metrics,
-            rng_factory=lambda h: registry.get(f"solver:{name}:hour={h}"),
-        )
+        solver = hbss_solver(self._d, self.make_evaluator())
         if granularity_hours >= 24:
             hours: Sequence[int] = range(24)
         else:

@@ -4,7 +4,9 @@
 simulated cloud, optionally solves a Caribou plan set, drives measured
 invocations over the carbon week, and prices the resulting telemetry
 under the best-/worst-case transmission scenarios.  The figure benches
-under ``benchmarks/`` are thin layers over these functions.
+under ``benchmarks/`` are thin layers over these functions.  The
+lifecycle steps a run drives (deploy, warm-up, solve) live in
+:mod:`repro.core.lifecycle`; nothing below this package imports it.
 """
 
 from repro.experiments.harness import (
@@ -14,7 +16,6 @@ from repro.experiments.harness import (
     geometric_mean,
     run_caribou,
     run_coarse,
-    weekly_hour_profile,
 )
 
 __all__ = [
@@ -22,7 +23,6 @@ __all__ = [
     "ScenarioStats",
     "run_coarse",
     "run_caribou",
-    "weekly_hour_profile",
     "geometric_mean",
     "FIG7_FINE_REGION_SETS",
 ]

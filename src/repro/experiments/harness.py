@@ -21,28 +21,29 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.apps.base import BenchmarkApp, default_config
+from repro.apps.base import BenchmarkApp
 from repro.cloud.faults import FaultPlan, ReliabilityStats
 from repro.cloud.ledger import RecordGroup
 from repro.cloud.provider import SimulatedCloud
 from repro.common.clock import SECONDS_PER_DAY
-from repro.core.deployer import DeploymentUtility
 from repro.core.executor import CaribouExecutor, DeployedWorkflow
-from repro.core.migrator import DeploymentMigrator
-from repro.core.solver import (
-    CoarseSolver,
-    ExactSolver,
-    HBSSSolver,
-    PlanEvaluator,
-    SolverSettings,
-    SolverStats,
+# bench/workloads/*.py import the first five names from here, and bench/
+# is frozen outside benchmark changes: keep them importable from here.
+from repro.core.lifecycle import (  # noqa: F401
+    BENCH_SOLVER_SETTINGS,
+    build_plan_evaluator,
+    deploy_benchmark,
+    solve_plan_set,
+    warm_up,
+    DEFAULT_WARMUP,
+    HOME_REGION,
 )
+from repro.core.migrator import DeploymentMigrator
+from repro.core.solver import SolverSettings, SolverStats
 from repro.metrics.accounting import CarbonAccountant
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel
-from repro.metrics.latency import TransferLatencyModel
-from repro.metrics.manager import MetricsManager
-from repro.model.config import Tolerances, WorkflowConfig
+from repro.model.config import Tolerances
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 from repro.obs.slo import evaluate_slos
 from repro.obs.timeseries import (
@@ -53,8 +54,6 @@ from repro.obs.timeseries import (
     render_prometheus,
 )
 from repro.obs.trace import Tracer
-
-HOME_REGION = "us-east-1"
 
 #: Fig. 7's fine-grained region combinations.
 FIG7_FINE_REGION_SETS: Dict[str, Tuple[str, ...]] = {
@@ -68,12 +67,8 @@ FIG7_FINE_REGION_SETS: Dict[str, Tuple[str, ...]] = {
 #: Default measurement shape: enough invocations for stable means while
 #: keeping the full Fig. 7 sweep tractable.
 DEFAULT_INVOCATIONS = 40
-DEFAULT_WARMUP = 15
-#: Solver fidelity used by the figure benches (profiles are cached, so
-#: the effective sample budget is far larger than it looks).
-BENCH_SOLVER_SETTINGS = SolverSettings(
-    batch_size=60, max_samples=240, cov_threshold=0.10
-)
+#: Every run is priced under both transmission scenarios (§9.1).
+SCENARIOS = (TransmissionScenario.best_case(), TransmissionScenario.worst_case())
 
 
 @dataclass(frozen=True)
@@ -144,145 +139,6 @@ def geometric_mean(values: Sequence[float]) -> float:
     return float(np.exp(np.log(arr).mean()))
 
 
-def weekly_hour_profile(
-    cloud: SimulatedCloud, region: str
-) -> np.ndarray:
-    """Mean intensity per hour-of-day across the materialised horizon —
-    the solver's view when generating one 24-hour plan set for a week."""
-    trace = cloud.carbon_source.trace(region)
-    n_days = len(trace) // 24
-    return trace[: n_days * 24].reshape(n_days, 24).mean(axis=0)
-
-
-# --------------------------------------------------------------------------- setup
-def deploy_benchmark(
-    app: BenchmarkApp,
-    cloud: SimulatedCloud,
-    home_region: str = HOME_REGION,
-    tolerances: Optional[Tolerances] = None,
-    benchmarking_fraction: float = 0.0,
-    config: Optional[WorkflowConfig] = None,
-) -> Tuple[DeployedWorkflow, CaribouExecutor, DeploymentUtility]:
-    """Initial deployment of one benchmark to the home region."""
-    workflow = app.build_workflow()
-    cfg = config or default_config(
-        home_region=home_region,
-        tolerances=tolerances,
-        benchmarking_fraction=benchmarking_fraction,
-    )
-    utility = DeploymentUtility(cloud)
-    deployed, executor = utility.deploy(workflow, cfg)
-    return deployed, executor, utility
-
-
-def warm_up(
-    executor: CaribouExecutor,
-    app: BenchmarkApp,
-    input_size: str,
-    n: int = DEFAULT_WARMUP,
-    interval_s: float = 120.0,
-) -> List[str]:
-    """Run home-region invocations to seed the Metrics Manager."""
-    cloud = executor.deployed.cloud
-    rids = []
-    for i in range(n):
-        payload = app.make_input(input_size)
-        cloud.env.schedule(
-            i * interval_s,
-            lambda p=payload: rids.append(executor.invoke(p, force_home=True)),
-        )
-    cloud.run_until_idle()
-    return rids
-
-
-def solve_plan_set(
-    deployed: DeployedWorkflow,
-    executor: CaribouExecutor,
-    scenario: TransmissionScenario,
-    solver_settings: SolverSettings = BENCH_SOLVER_SETTINGS,
-    hours: Optional[Sequence[int]] = None,
-    intensity_fn=None,
-    stats: Optional[SolverStats] = None,
-) -> HourlyPlanSet:
-    """Solve a 24-hour plan set over the week-averaged diurnal profile
-    and return it (not yet migrated).  Pass a :class:`SolverStats` to
-    collect simulation/caching counters for the run.
-
-    Each hour draws from its own registry substream
-    (``solver:{name}:hour={h}``).
-
-    ``solver_settings.solver`` picks the search strategy — ``"hbss"``
-    (default), ``"coarse"``, or ``"exact"`` (the branch-and-bound
-    optimum)."""
-    evaluator = build_plan_evaluator(
-        deployed,
-        scenario,
-        solver_settings=solver_settings,
-        intensity_fn=intensity_fn,
-        stats=stats,
-    )
-    cloud = deployed.cloud
-    which = solver_settings.solver
-    if which == "coarse":
-        return CoarseSolver(evaluator).solve_day(hours)
-    if which == "exact":
-        return ExactSolver(evaluator).solve_day(hours)
-    solver = HBSSSolver(
-        evaluator,
-        cloud.env.rng.get(f"solver:{deployed.name}"),
-        tracer=cloud.tracer,
-        metrics=cloud.metrics,
-        rng_factory=lambda h: cloud.env.rng.get(
-            f"solver:{deployed.name}:hour={h}"
-        ),
-    )
-    plan_set, _ = solver.solve_day(hours)
-    return plan_set
-
-
-def build_plan_evaluator(
-    deployed: DeployedWorkflow,
-    scenario: TransmissionScenario,
-    solver_settings: SolverSettings = BENCH_SOLVER_SETTINGS,
-    intensity_fn=None,
-    stats: Optional[SolverStats] = None,
-) -> PlanEvaluator:
-    """The :class:`PlanEvaluator` ``solve_plan_set`` solves over:
-    learned metrics collected now, week-averaged diurnal intensities,
-    and the workflow's registered external-data declarations.  Exposed
-    so ablations (e.g. the solver-quality bench) can run several
-    solvers against one shared evaluator — shared cache, shared RNG
-    substreams, bit-identical per-plan metrics across solvers."""
-    cloud = deployed.cloud
-    metrics = MetricsManager(
-        deployed.dag, deployed.config, cloud.ledger, cloud.carbon_source
-    )
-    metrics.declare_function_external_data(deployed.workflow.functions)
-    metrics.collect(cloud.now())
-
-    if intensity_fn is None:
-        profiles = {r: weekly_hour_profile(cloud, r) for r in cloud.regions}
-
-        def intensity_fn(region: str, hour: int) -> float:  # noqa: F811
-            return float(profiles[region][hour % 24])
-
-    return PlanEvaluator(
-        dag=deployed.dag,
-        config=deployed.config,
-        data=metrics,
-        regions=cloud.regions,
-        intensity_fn=intensity_fn,
-        carbon_model=CarbonModel(scenario),
-        cost_model=CostModel(cloud.pricing_source),
-        latency_model=TransferLatencyModel(cloud.latency_source),
-        rng=cloud.env.rng.get(f"solver:{deployed.name}"),
-        kv_region=deployed.kv_region,
-        client_region=deployed.config.home_region,
-        settings=solver_settings,
-        stats=stats,
-    )
-
-
 # --------------------------------------------------------------------------- runs
 def _run_measurement(
     deployed: DeployedWorkflow,
@@ -332,12 +188,13 @@ def _run_measurement(
     per_scenario: Dict[str, ScenarioStats] = {}
     per_region: Dict[str, Dict[str, Dict[str, float]]] = {}
     region_usage = cloud.ledger.usage_by_region(deployed.name)
-    for scenario in scenarios:
-        accountant = CarbonAccountant(
-            cloud.carbon_source,
-            CarbonModel(scenario),
-            CostModel(cloud.pricing_source),
+    accountants = [
+        CarbonAccountant(
+            cloud.carbon_source, CarbonModel(s), CostModel(cloud.pricing_source)
         )
+        for s in scenarios
+    ]
+    for scenario, accountant in zip(scenarios, accountants):
         fps = [accountant.price(group) for group in measured]
         per_scenario[scenario.name] = ScenarioStats(
             mean_carbon_g=float(np.mean([fp.carbon_g for fp in fps])),
@@ -358,9 +215,7 @@ def _run_measurement(
                 "trans_carbon_g": fp.trans_carbon_g,
             }
 
-    reliability = (
-        executor.reliability() if hasattr(executor, "reliability") else None
-    )
+    reliability = executor.reliability()
     metrics_snapshot = cloud.metrics.snapshot()
 
     series: Optional[List[Dict[str, Any]]] = None
@@ -373,15 +228,10 @@ def _run_measurement(
             # Post-hoc per-window carbon/cost, priced under the first
             # (reporting) scenario — ledger records carry virtual start
             # times, so this is as deterministic as the sampler itself.
-            accountant = CarbonAccountant(
-                cloud.carbon_source,
-                CarbonModel(scenarios[0]),
-                CostModel(cloud.pricing_source),
-            )
             series = merge_series(
                 series,
                 ledger_series(
-                    cloud.ledger, accountant, window_s=telemetry.window_s
+                    cloud.ledger, accountants[0], window_s=telemetry.window_s
                 ),
             )
         if telemetry.slos:
@@ -432,10 +282,7 @@ def run_coarse(
     Coarse deployment is a *manual* act (§9.2 I1): it bypasses the
     solver and therefore any compliance constraints.
     """
-    scenarios = scenarios or (
-        TransmissionScenario.best_case(),
-        TransmissionScenario.worst_case(),
-    )
+    scenarios = scenarios or SCENARIOS
     cloud = SimulatedCloud(seed=seed, fault_plan=fault_plan, tracer=tracer)
     deployed, executor, utility = deploy_benchmark(app, cloud)
     # Materialise every function in the target region and pin the plan.
@@ -486,10 +333,7 @@ def run_caribou(
     ``scenario_for_solver``'s transmission accounting, the migrator
     materialises it, and the measured invocations route through it.
     """
-    scenarios = scenarios or (
-        TransmissionScenario.best_case(),
-        TransmissionScenario.worst_case(),
-    )
+    scenarios = scenarios or SCENARIOS
     scenario_for_solver = scenario_for_solver or scenarios[0]
     if HOME_REGION not in regions:
         raise ValueError(f"region set must include the home region {HOME_REGION}")

@@ -92,6 +92,11 @@ class WorkflowBuilder:
             self._tails.append(name)
         return self
 
+    def make_input(self, size: str) -> Payload:
+        """A warm-up request: tasks declare no input shapes, so every
+        size is the default payload."""
+        return Payload()
+
     def build(self) -> Workflow:
         """A fresh runtime ``Workflow`` (new handlers on every call)."""
         if not self._tasks:

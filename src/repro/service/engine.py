@@ -46,15 +46,14 @@ from repro.core.api import Workflow
 from repro.core.deployer import DeploymentUtility
 from repro.core.executor import CaribouExecutor, DeployedWorkflow
 from repro.core.fleet import FleetManager
+from repro.core.lifecycle import solve_plan_set, warm_up
 from repro.core.manager import DEFAULT_PLAN_LIFETIME_S
 from repro.core.migrator import DeploymentMigrator
 from repro.core.solver import SolverSettings, SolverStats
 from repro.core.trigger import TriggerSettings
-from repro.experiments.harness import solve_plan_set, warm_up
 from repro.metrics.carbon import TransmissionScenario
 from repro.model.config import WorkflowConfig
 from repro.model.plan import HourlyPlanSet
-from repro.obs.trace import NULL_TRACER
 from repro.service.builder import WorkflowBuilder
 from repro.service.jobstore import (
     ANALYZED,
@@ -137,8 +136,8 @@ class ServiceEngine:
         self.solver_stats = SolverStats()
         self._runtime: Dict[str, JobRuntime] = {}
         self._builders: Dict[str, WorkflowBuilder] = {}
-        self._metrics = getattr(cloud, "metrics", None)
-        self._tracer = getattr(cloud, "tracer", NULL_TRACER)
+        self._metrics = cloud.metrics
+        self._tracer = cloud.tracer
         self._submit_counter = 0
         #: jobs that finished a step this engine's lifetime (telemetry).
         self.steps_executed = 0
@@ -331,13 +330,8 @@ class ServiceEngine:
     def _do_solve(self, record: JobRecord, runtime: JobRuntime) -> None:
         deployed, executor = runtime.deployed, runtime.executor
         assert deployed is not None and executor is not None
-        if record.app in ALL_APPS:
-            warm_up(
-                executor, get_app(record.app), record.input_size,
-                n=self._warmup_invocations,
-            )
-        else:
-            self._builder_warm_up(record, executor)
+        source = self._builders.get(record.app) or get_app(record.app)
+        warm_up(executor, source, record.input_size, n=self._warmup_invocations)
         plan_set = solve_plan_set(
             deployed,
             executor,
@@ -351,22 +345,6 @@ class ServiceEngine:
         # The expensive output is durable: recovery re-applies this
         # dict instead of re-running the solver.
         record.artifacts["plan_set"] = plan_set.to_dict()
-
-    def _builder_warm_up(
-        self, record: JobRecord, executor: CaribouExecutor
-    ) -> None:
-        """Home-region warm-up for builder workflows (no app inputs)."""
-        from repro.core.api import Payload
-
-        env = self._cloud.env
-        for i in range(self._warmup_invocations):
-            env.schedule(
-                i * 120.0,
-                lambda: executor.invoke(
-                    Payload(content=None, size_bytes=1024.0), force_home=True
-                ),
-            )
-        self._cloud.run_until_idle()
 
     def _do_migrate(self, record: JobRecord, runtime: JobRuntime) -> None:
         deployed, executor = runtime.deployed, runtime.executor
@@ -486,8 +464,7 @@ class ServiceEngine:
 
     # -- telemetry -----------------------------------------------------------
     def _count_transition(self, to_state: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter("service.transitions", state=to_state).inc()
+        self._metrics.counter("service.transitions", state=to_state).inc()
 
     def summary(self) -> Dict[str, Any]:
         """Counts per state plus engine-lifetime step count."""

@@ -31,7 +31,7 @@ from repro.cloud.provider import SimulatedCloud
 from repro.core.manager import DeploymentManager
 from repro.core.migrator import DeploymentMigrator
 from repro.core.temporal import TemporalPolicy, TemporalShifter
-from repro.experiments.harness import deploy_benchmark, warm_up
+from repro.core.lifecycle import deploy_benchmark, warm_up
 from repro.metrics.carbon import TransmissionScenario
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 from repro.obs.trace import Tracer

@@ -42,7 +42,7 @@ from repro.core.baselines import SnsOrchestrator, StepFunctionsOrchestrator
 from repro.core.deployer import DeploymentUtility
 from repro.core.executor import CaribouExecutor, DeployedWorkflow
 from repro.core.migrator import DeploymentMigrator
-from repro.experiments.harness import deploy_benchmark
+from repro.core.lifecycle import deploy_benchmark
 from repro.model.config import WorkflowConfig
 from repro.model.dag import Edge, Node, WorkflowDAG
 from repro.model.plan import DeploymentPlan, HourlyPlanSet

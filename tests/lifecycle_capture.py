@@ -1,12 +1,13 @@
 """The deploy -> warm-up -> solve -> migrate lifecycle pinned in
 ``golden/lifecycle.json``.
 
-Three drivers take a workflow from deployment to a live plan, and each
+Three callers take a workflow from deployment to a live plan, and each
 is pinned here for ``text2speech_censoring`` and ``video_analytics`` at
 seed 3:
 
 * ``caribou solve --solver hbss|coarse|exact``: the printed plan set
   and ``solver stats:`` line, byte for byte;
+* ``caribou fleet-report --json``: a fleet warmed up and checked once;
 * one :class:`ServiceEngine` job driven to ``MONITORING``: its persisted
   ``plan_set`` artifact and the engine's :class:`SolverStats`;
 * three :meth:`DeploymentManager.check` calls with ``use_forecast`` on
@@ -30,9 +31,9 @@ import pathlib
 from repro.apps import get_app
 from repro.cli import main
 from repro.cloud.provider import SimulatedCloud
+from repro.core.lifecycle import deploy_benchmark, warm_up
 from repro.core.manager import DeploymentManager
 from repro.core.solver import SolverSettings
-from repro.experiments.harness import deploy_benchmark, warm_up
 from repro.metrics.carbon import TransmissionScenario
 from repro.service import MONITORING, MemoryJobStore, ServiceEngine
 
@@ -54,10 +55,10 @@ def _plain(value):
     return json.loads(json.dumps(value))
 
 
-def solve_stdout(app_name: str, solver: str) -> str:
+def cli_stdout(*argv: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["solve", app_name, "--seed", str(SEED), "--solver", solver])
+        code = main([*argv, "--seed", str(SEED)])
     assert code == 0
     return out.getvalue()
 
@@ -115,7 +116,9 @@ def capture_case(name: str):
     """One golden entry, by ``kind:app[:variant]`` name."""
     kind, app_name, *variant = name.split(":")
     if kind == "solve":
-        return solve_stdout(app_name, variant[0])
+        return cli_stdout("solve", app_name, "--solver", variant[0])
+    if kind == "fleet":
+        return cli_stdout("fleet-report", app_name, "--json")
     if kind == "engine":
         return engine_job(app_name)
     return manager_checks(app_name, use_forecast=variant[0] == "forecast")
@@ -123,6 +126,7 @@ def capture_case(name: str):
 
 CASES = (
     [f"solve:{app}:{solver}" for app in APPS for solver in SOLVERS]
+    + [f"fleet:{app}" for app in APPS]
     + [f"engine:{app}" for app in APPS]
     + [f"manager:{app}:{mode}" for app in APPS for mode in ("forecast", "history")]
 )

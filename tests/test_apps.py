@@ -6,7 +6,7 @@ from repro.apps import ALL_APPS, get_app
 from repro.cloud.provider import SimulatedCloud
 from repro.common.units import kb, mb
 from repro.core.analysis import analyze_workflow
-from repro.experiments.harness import deploy_benchmark
+from repro.core.lifecycle import deploy_benchmark
 
 TABLE_1 = {
     "dna_visualization": dict(sync=False, cond=False, stages=1,

@@ -9,7 +9,7 @@ from repro.common.errors import WorkflowDefinitionError
 from repro.core.api import Payload, Workflow
 from repro.core.baselines import SnsOrchestrator, StepFunctionsOrchestrator
 from repro.core.deployer import DeploymentUtility
-from repro.experiments.harness import deploy_benchmark
+from repro.core.lifecycle import deploy_benchmark
 from repro.model.dag import Edge, Node, WorkflowDAG
 from tests.test_executor_properties import build_runtime
 

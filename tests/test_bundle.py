@@ -9,17 +9,23 @@ and mutate every value of a small bundle to show that what the loader
 accepts, every view renders.
 """
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.apps import get_app
 from repro.cli import main
 from repro.common.errors import MalformedInputError
-from repro.experiments.harness import BENCH_SOLVER_SETTINGS, run_caribou
+from repro.core.lifecycle import BENCH_SOLVER_SETTINGS
+from repro.experiments.harness import run_caribou
 from repro.obs.critical_path import (
     analyze_trace,
     render_critical_path,
@@ -67,13 +73,16 @@ def write_bundle(path, spans=(), points=(), window_s=3600.0,
 @pytest.fixture(scope="module")
 def quickstart(tmp_path_factory):
     """The quickstart run written twice by the CLI: two (bundle text,
-    Prometheus text) pairs."""
+    Prometheus text) pairs.  The CLI's summary is captured: a module
+    fixture runs outside any test's capture."""
     runs = []
     for i in range(2):
         out = tmp_path_factory.mktemp(f"quickstart{i}")
         bundle, prom = out / "run.jsonl", out / "run.prom.txt"
-        assert main(QUICKSTART_ARGV + ["--report", str(bundle),
-                                       "--export-prom", str(prom)]) == 0
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(QUICKSTART_ARGV + ["--report", str(bundle),
+                                           "--export-prom", str(prom)]) == 0
+        assert f"-> {bundle}" in stdout.getvalue()
         runs.append((bundle.read_text(), prom.read_text()))
     return runs
 
@@ -92,6 +101,24 @@ class TestQuickstartBundle:
 
     def test_two_runs_are_byte_identical(self, quickstart):
         assert quickstart[0] == quickstart[1]
+
+    @pytest.mark.parametrize("hash_seed", ["1", "2", "77"])
+    def test_same_digest_in_every_process(self, hash_seed, tmp_path):
+        """No byte of the bundle may depend on ``set`` or ``dict``
+        iteration over hashed strings."""
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        bundle = tmp_path / "run.jsonl"
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", *QUICKSTART_ARGV,
+             "--report", str(bundle)],
+            env=env, capture_output=True, check=True, timeout=300,
+        )
+        digest = hashlib.sha256(bundle.read_bytes()).hexdigest()
+        assert digest == QUICKSTART_SHA256
 
     def test_report_and_prom_are_the_goldens(self, quickstart, tmp_path):
         text, prom = quickstart[0]

@@ -115,7 +115,10 @@ class TestBadInput:
         + [([command, "--regions", "us-east-1,us-west-2,us-west-2"],
             "duplicate region us-west-2")
            for command in ("run", "solve", "deploy")]
-        + [(["dash", "--width", "-3"], "must be >= 1")],
+        + [(["dash", "--width", "-3"], "must be >= 1")]
+        # A coarse run deploys without solving: --solver would be ignored.
+        + [(["run", "--coarse", "us-west-1", "--solver", "exact"],
+            "argument --solver: not allowed with argument --coarse")],
     )
     def test_rejected_by_the_parser(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -347,6 +350,7 @@ class TestObservabilityFlags:
         assert main(["run", "dna_visualization", "-n", "3",
                      "--coarse", "us-east-1",
                      "--report", str(bundle)]) == 0
+        assert f"-> {bundle}" in capsys.readouterr().out
         [doc] = read_bundle(bundle)["report"]
         snap = doc["metrics"]
         assert snap  # harness-driven runs always record instruments

@@ -19,7 +19,7 @@ from repro.cloud.faults import FaultPlan
 from repro.cloud.provider import SimulatedCloud
 from repro.common.clock import SECONDS_PER_DAY
 from repro.core.executor import JoinRule, annotation_class_edges
-from repro.experiments.harness import deploy_benchmark
+from repro.core.lifecycle import deploy_benchmark
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 from repro.obs.critical_path import (
     WAIT,

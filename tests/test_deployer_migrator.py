@@ -8,7 +8,7 @@ from repro.common.errors import ConfigurationError, DeploymentError
 from repro.core.deployer import DeploymentUtility
 from repro.core.executor import topic_name
 from repro.core.migrator import DeploymentMigrator
-from repro.experiments.harness import deploy_benchmark
+from repro.core.lifecycle import deploy_benchmark
 from repro.model.config import WorkflowConfig
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 

@@ -7,7 +7,7 @@ from repro.cloud.provider import SimulatedCloud
 from repro.common.clock import SECONDS_PER_DAY
 from repro.core.manager import DeploymentManager
 from repro.core.solver import SolverSettings
-from repro.experiments.harness import deploy_benchmark, warm_up
+from repro.core.lifecycle import deploy_benchmark, warm_up
 from repro.metrics.carbon import TransmissionScenario
 
 FAST_SOLVER = SolverSettings(batch_size=30, max_samples=60, cov_threshold=0.2,

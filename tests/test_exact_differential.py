@@ -18,11 +18,7 @@ import pytest
 from repro.apps import ALL_APPS
 from repro.common.errors import SolverError
 from repro.core.solver import ExactSolver
-from repro.experiments.harness import (
-    build_plan_evaluator,
-    deploy_benchmark,
-    warm_up,
-)
+from repro.core.lifecycle import build_plan_evaluator, deploy_benchmark, warm_up
 from repro.metrics.carbon import TransmissionScenario
 from repro.model.config import Tolerances, WorkflowConfig
 from repro.model.dag import Edge, Node, WorkflowDAG

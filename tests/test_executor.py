@@ -16,7 +16,7 @@ from repro.common.errors import CaribouError, ConfigurationError
 from repro.core.api import Payload, Workflow
 from repro.core.deployer import DeploymentUtility
 from repro.core.executor import JoinRule, annotation_class_edges, message_size
-from repro.experiments.harness import deploy_benchmark
+from repro.core.lifecycle import deploy_benchmark
 from repro.model.config import WorkflowConfig
 from repro.model.dag import Edge, Node, WorkflowDAG
 from repro.model.plan import DeploymentPlan, HourlyPlanSet

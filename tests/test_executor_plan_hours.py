@@ -5,7 +5,7 @@ import pytest
 from repro.apps import get_app
 from repro.cloud.provider import SimulatedCloud
 from repro.common.clock import SECONDS_PER_HOUR
-from repro.experiments.harness import deploy_benchmark
+from repro.core.lifecycle import deploy_benchmark
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 
 

@@ -16,7 +16,8 @@ from repro.common.errors import (
     RegionUnavailableError,
 )
 from repro.core.solver import SolverSettings
-from repro.experiments.harness import deploy_benchmark, run_caribou
+from repro.core.lifecycle import deploy_benchmark
+from repro.experiments.harness import run_caribou
 from repro.model.config import WorkflowConfig
 
 

@@ -12,7 +12,7 @@ from repro.apps import get_app
 from repro.cloud.provider import SimulatedCloud
 from repro.common.clock import SECONDS_PER_HOUR
 from repro.core.temporal import TemporalPolicy, TemporalShifter
-from repro.experiments.harness import deploy_benchmark
+from repro.core.lifecycle import deploy_benchmark
 from repro.metrics.forecast import (
     HoltWintersForecaster,
     HoltWintersParams,

@@ -7,15 +7,17 @@ import pytest
 from repro.apps import get_app
 from repro.cloud.provider import SimulatedCloud
 from repro.core.solver import SolverSettings
-from repro.experiments.harness import (
-    FIG7_FINE_REGION_SETS,
+from repro.core.lifecycle import (
     deploy_benchmark,
-    geometric_mean,
-    run_caribou,
-    run_coarse,
     solve_plan_set,
     warm_up,
     weekly_hour_profile,
+)
+from repro.experiments.harness import (
+    FIG7_FINE_REGION_SETS,
+    geometric_mean,
+    run_caribou,
+    run_coarse,
 )
 from repro.metrics.carbon import TransmissionScenario
 

@@ -9,7 +9,7 @@ from repro.core.manager import DeploymentManager
 from repro.core.solver import SolverSettings
 from repro.core.trigger import TriggerSettings
 from repro.data.traces import azure_like_trace
-from repro.experiments.harness import deploy_benchmark, warm_up
+from repro.core.lifecycle import deploy_benchmark, warm_up
 from repro.metrics.accounting import CarbonAccountant
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel

@@ -18,11 +18,7 @@ from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel
 from repro.metrics.distributions import EmpiricalDistribution
 from repro.metrics.latency import TransferLatencyModel
-from repro.experiments.harness import (
-    build_plan_evaluator,
-    deploy_benchmark,
-    warm_up,
-)
+from repro.core.lifecycle import build_plan_evaluator, deploy_benchmark, warm_up
 from repro.metrics.montecarlo import (
     MonteCarloEstimator,
     PlanProfile,

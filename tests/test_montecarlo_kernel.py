@@ -26,7 +26,7 @@ from repro.apps import ALL_APPS
 from repro.cloud.provider import SimulatedCloud
 from repro.data.latency import LatencySource
 from repro.data.pricing import PricingSource
-from repro.experiments.harness import deploy_benchmark, warm_up
+from repro.core.lifecycle import deploy_benchmark, warm_up
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel
 from repro.metrics.distributions import EmpiricalDistribution

@@ -147,7 +147,7 @@ class TestFullCloudDifferential:
             WorkloadSpec,
             generate_trace,
         )
-        from repro.experiments.harness import deploy_benchmark
+        from repro.core.lifecycle import deploy_benchmark
         from repro.obs.trace import Tracer
 
         if legacy:

@@ -24,11 +24,7 @@ import pytest
 from repro.apps import get_app
 from repro.cloud.provider import SimulatedCloud
 from repro.core.solver import HBSSSolver
-from repro.experiments.harness import (
-    build_plan_evaluator,
-    deploy_benchmark,
-    warm_up,
-)
+from repro.core.lifecycle import build_plan_evaluator, deploy_benchmark, warm_up
 from repro.metrics.carbon import TransmissionScenario
 from repro.model.plan import DeploymentPlan
 

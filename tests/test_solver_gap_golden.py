@@ -18,11 +18,7 @@ import pathlib
 from repro.apps import ALL_APPS
 from repro.cloud.provider import SimulatedCloud
 from repro.core.solver import CoarseSolver, ExactSolver, HBSSSolver
-from repro.experiments.harness import (
-    build_plan_evaluator,
-    deploy_benchmark,
-    warm_up,
-)
+from repro.core.lifecycle import build_plan_evaluator, deploy_benchmark, warm_up
 from repro.metrics.carbon import TransmissionScenario
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "solver_gap.json"

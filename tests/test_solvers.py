@@ -22,11 +22,7 @@ from repro.core.solver import (
 )
 from repro.core.solver import hbss
 from repro.core.solver.hbss import _bias_cdf, _choose_nodes
-from repro.experiments.harness import (
-    build_plan_evaluator,
-    deploy_benchmark,
-    warm_up,
-)
+from repro.core.lifecycle import build_plan_evaluator, deploy_benchmark, warm_up
 from repro.model.dag import Edge, Node, WorkflowDAG
 from repro.data.latency import LatencySource
 from repro.data.pricing import PricingSource

@@ -19,7 +19,8 @@ from repro.apps import get_app
 from repro.cloud.provider import SimulatedCloud
 from repro.cloud.simulator import RepeatingEvent, SimulationEnvironment
 from repro.data.workload import OpenLoopInjector, WorkloadSpec, generate_trace
-from repro.experiments.harness import deploy_benchmark, run_caribou
+from repro.core.lifecycle import deploy_benchmark
+from repro.experiments.harness import run_caribou
 from repro.common.errors import MalformedInputError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import BUNDLE_SCHEMA, load_bundle

@@ -16,7 +16,7 @@ import pathlib
 
 from repro.apps import get_app
 from repro.cloud.provider import SimulatedCloud
-from repro.experiments.harness import deploy_benchmark
+from repro.core.lifecycle import deploy_benchmark
 from repro.obs.trace import SPAN_KINDS, Tracer
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "quickstart_trace.jsonl"

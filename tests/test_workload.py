@@ -104,7 +104,7 @@ class TestInjection:
     def deployment(self):
         from repro.apps import get_app
         from repro.cloud.provider import SimulatedCloud
-        from repro.experiments.harness import deploy_benchmark
+        from repro.core.lifecycle import deploy_benchmark
 
         cloud = SimulatedCloud(seed=23)
         app = get_app("text2speech_censoring")
