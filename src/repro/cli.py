@@ -37,19 +37,8 @@ from repro.core.solver import SolverStats
 from repro.data.regions import EVALUATION_REGIONS, all_regions
 from repro.experiments.harness import run_caribou, run_coarse
 from repro.metrics.carbon import TransmissionScenario
-from repro.obs.critical_path import (
-    analyze_trace,
-    render_critical_path,
-    render_trace_summary,
-)
-from repro.obs.dash import render_dashboard
-from repro.obs.diffrun import diff_bundles
-from repro.obs.report import (
-    RunBundle,
-    build_run_report,
-    fleet_markdown_lines,
-    load_bundle,
-)
+from repro.obs import views
+from repro.obs.report import RunBundle, build_run_report, load_bundle
 from repro.obs.slo import DEFAULT_SLOS, parse_slo
 from repro.obs.timeseries import DEFAULT_WINDOW_S, TelemetryConfig
 from repro.obs.trace import Tracer
@@ -184,22 +173,20 @@ def cmd_run(args: argparse.Namespace) -> int:
             fh.write(bundle.to_jsonl())
         print(f"  report            : {len(tracer)} spans, "
               f"{len(outcome.series)} points -> {args.report}")
-        print(render_trace_summary(tracer))
+        print(views.span_summary(tracer.spans))
     return 0
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
     """Compare two runs: report deltas, then per-window series deltas."""
     a, b = load_bundle(args.a), load_bundle(args.b)
-    print(diff_bundles(a, b, label_a=args.a, label_b=args.b), end="")
+    print(views.diff(a, b, label_a=args.a, label_b=args.b), end="")
     return 0
 
 
 def cmd_dash(args: argparse.Namespace) -> int:
     """Render the offline terminal dashboard of a run's series and SLOs."""
-    bundle = load_bundle(args.file)
-    slo = bundle.report.doc.get("slo")
-    print(render_dashboard(bundle.points, slo, bundle.window_s, args.width), end="")
+    print(views.dashboard(load_bundle(args.file), args.width), end="")
     return 0
 
 
@@ -241,7 +228,7 @@ def cmd_fleet_report(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
-        print("\n".join(fleet_markdown_lines(report)).lstrip("\n"))
+        print(views.fleet_markdown(report), end="")
     return 0
 
 
@@ -369,10 +356,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Render a run's report, optionally with each request's critical
     path from its spans."""
     bundle = load_bundle(args.file)
-    print(bundle.report.to_markdown(), end="")
-    if args.requests:
-        for path in analyze_trace(bundle.spans).requests:
-            print(render_critical_path(path))
+    spans = bundle.spans if args.requests else ()
+    print(views.report_markdown(bundle.report, spans), end="")
     return 0
 
 

@@ -10,15 +10,16 @@ package provides that visibility without perturbing the simulation:
   deterministic JSONL;
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
   histograms the cloud services and the Caribou runtime report into;
-* :mod:`~repro.obs.critical_path` — per-request critical paths, trace summaries;
+* :mod:`~repro.obs.critical_path` — per-request critical paths;
 * :mod:`~repro.obs.report` — the run report and the ``caribou.run/v1``
   run bundle, read by one loader, :func:`~repro.obs.report.load_bundle`;
 * :mod:`~repro.obs.timeseries` — windowed virtual-time sampling of the
   registry into per-window series, and the Prometheus exporter;
 * :mod:`~repro.obs.slo` — declarative per-window SLOs with
   error-budget burn-rate alerting over those series;
-* :mod:`~repro.obs.diffrun` / :mod:`~repro.obs.dash` — run-to-run
-  delta tables and the offline sparkline dashboard.
+* :mod:`~repro.obs.views` — every text view of a run: the report and
+  fleet markdown, critical paths, the span summary, the sparkline
+  dashboard and run-to-run delta tables.
 
 Everything is inert by default: services hold the no-op
 :data:`~repro.obs.trace.NULL_TRACER`, which never allocates spans,
@@ -36,8 +37,6 @@ from repro.obs.critical_path import (
     TraceAnalysis,
     analyze_trace,
     compute_critical_path,
-    render_critical_path,
-    render_trace_summary,
 )
 from repro.obs.metrics import (
     NULL_METRICS,
@@ -46,15 +45,13 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.dash import render_dashboard, sparkline
-from repro.obs.diffrun import diff_bundles, diff_reports, diff_series
 from repro.obs.report import (
     BUNDLE_SCHEMA,
     REPORT_SCHEMA,
     RunBundle,
-    RunReport,
     build_run_report,
     load_bundle,
+    report_json,
 )
 from repro.obs.slo import (
     DEFAULT_SLOS,
@@ -79,6 +76,14 @@ from repro.obs.trace import (
     Span,
     Tracer,
 )
+from repro.obs.views import (
+    dashboard,
+    diff,
+    fleet_markdown,
+    report_markdown,
+    request_path,
+    span_summary,
+)
 
 __all__ = [
     "BUNDLE_SCHEMA",
@@ -94,7 +99,6 @@ __all__ = [
     "REPORT_SCHEMA",
     "RequestPath",
     "RunBundle",
-    "RunReport",
     "SPAN_KINDS",
     "SloResult",
     "SloSpec",
@@ -108,17 +112,17 @@ __all__ = [
     "analyze_trace",
     "build_run_report",
     "compute_critical_path",
-    "diff_bundles",
-    "diff_reports",
-    "diff_series",
+    "dashboard",
+    "diff",
     "evaluate_slos",
+    "fleet_markdown",
     "ledger_series",
     "load_bundle",
     "merge_series",
     "parse_slo",
-    "render_critical_path",
-    "render_dashboard",
     "render_prometheus",
-    "render_trace_summary",
-    "sparkline",
+    "report_json",
+    "report_markdown",
+    "request_path",
+    "span_summary",
 ]

@@ -22,9 +22,8 @@ For each tracked request the analyzer
   invocation condition (Eq. 4.1) last, and how far it straggled behind
   the first arrival — directly validating the paper's §4 join semantics.
 
-:func:`render_trace_summary` adds the per-kind span counts and request
-outcomes ``caribou run --report`` prints.  Everything here is a pure
-function of the span list: no clock, no RNG, no simulation state.
+:mod:`repro.obs.views` renders what it finds.  Everything here is a
+pure function of the span list: no clock, no RNG, no simulation state.
 Analysis of the same trace is deterministic.
 """
 
@@ -128,17 +127,19 @@ class RequestPath:
 
     def by_kind(self) -> Dict[str, float]:
         """Seconds on the critical path per segment kind (incl. wait)."""
-        out: Dict[str, float] = {}
-        for seg in self.segments:
-            out[seg.kind] = out.get(seg.kind, 0.0) + seg.duration_s
-        return dict(sorted(out.items()))
+        return _seconds_by((seg.kind, seg.duration_s) for seg in self.segments)
 
     def by_node(self) -> Dict[str, float]:
         """Seconds on the critical path per attributed DAG node."""
-        out: Dict[str, float] = {}
-        for seg in self.segments:
-            out[seg.node] = out.get(seg.node, 0.0) + seg.duration_s
-        return dict(sorted(out.items()))
+        return _seconds_by((seg.node, seg.duration_s) for seg in self.segments)
+
+
+def _seconds_by(pairs) -> Dict[str, float]:
+    """``(key, seconds)`` pairs summed per key, in key order."""
+    out: Dict[str, float] = {}
+    for key, seconds in pairs:
+        out[key] = out.get(key, 0.0) + seconds
+    return dict(sorted(out.items()))
 
 
 def compute_critical_path(
@@ -203,30 +204,18 @@ def compute_critical_path(
             if (end, span.t0, span.span_id) > (b_end, best.t0, best.span_id):
                 best = span
         if best is None:
-            segments.append(
-                PathSegment(root.t0, cursor, WAIT, WAIT, FRAMEWORK_NODE)
-            )
+            segments.append(PathSegment(root.t0, cursor, WAIT, WAIT, FRAMEWORK_NODE))
             cursor = root.t0
             break
         used.add(best.span_id)
         b_end = best.t1 if best.t1 is not None else best.t0
         if b_end < cursor:
-            segments.append(
-                PathSegment(b_end, cursor, WAIT, WAIT, FRAMEWORK_NODE)
-            )
+            segments.append(PathSegment(b_end, cursor, WAIT, WAIT, FRAMEWORK_NODE))
             cursor = b_end
         start = max(best.t0, root.t0)
         if start < cursor:
-            segments.append(
-                PathSegment(
-                    start,
-                    cursor,
-                    best.kind,
-                    best.name,
-                    node_of_span(best),
-                    span_id=best.span_id,
-                )
-            )
+            segments.append(PathSegment(start, cursor, best.kind, best.name,
+                                        node_of_span(best), span_id=best.span_id))
             cursor = start
         # else: zero-length gating span; ``used`` ensures progress.
     segments.reverse()
@@ -249,32 +238,20 @@ class TraceAnalysis:
 
     def by_kind(self) -> Dict[str, Dict[str, float]]:
         """Aggregate seconds and share per segment kind across requests."""
-        seconds: Dict[str, float] = {}
-        for req in self.requests:
-            for kind, secs in req.by_kind().items():
-                seconds[kind] = seconds.get(kind, 0.0) + secs
-        total = self.total_latency_s()
-        return {
-            kind: {
-                "seconds": secs,
-                "share": (secs / total) if total > 0 else 0.0,
-            }
-            for kind, secs in sorted(seconds.items())
-        }
+        return self._shares(RequestPath.by_kind)
 
     def by_node(self) -> Dict[str, Dict[str, float]]:
         """Aggregate seconds and share per attributed DAG node."""
-        seconds: Dict[str, float] = {}
-        for req in self.requests:
-            for node, secs in req.by_node().items():
-                seconds[node] = seconds.get(node, 0.0) + secs
+        return self._shares(RequestPath.by_node)
+
+    def _shares(self, per_request) -> Dict[str, Dict[str, float]]:
+        seconds = _seconds_by(
+            pair for req in self.requests for pair in per_request(req).items()
+        )
         total = self.total_latency_s()
         return {
-            node: {
-                "seconds": secs,
-                "share": (secs / total) if total > 0 else 0.0,
-            }
-            for node, secs in sorted(seconds.items())
+            key: {"seconds": secs, "share": (secs / total) if total > 0 else 0.0}
+            for key, secs in seconds.items()
         }
 
     def sync_gates(self) -> Dict[str, Dict[str, Any]]:
@@ -304,18 +281,16 @@ class TraceAnalysis:
         return result
 
     def aggregate(self) -> Dict[str, Any]:
-        """Sorted-key JSON-serialisable digest (consumed by RunReport)."""
+        """Sorted-key JSON-serialisable digest (the report's critical path)."""
         latencies = sorted(r.latency_s for r in self.requests)
-        mean = (
-            sum(latencies) / len(latencies) if latencies else 0.0
-        )
-        p95 = _percentile(latencies, 0.95)
         return {
             "by_kind": self.by_kind(),
             "by_node": self.by_node(),
-            "mean_latency_s": mean,
+            "mean_latency_s": (
+                sum(latencies) / len(latencies) if latencies else 0.0
+            ),
             "n_requests": self.n_requests,
-            "p95_latency_s": p95,
+            "p95_latency_s": _percentile(latencies, 0.95),
             "sync_gates": self.sync_gates(),
         }
 
@@ -337,67 +312,7 @@ def analyze_trace(source: Union[Tracer, Sequence[Span]]) -> TraceAnalysis:
     """Critical-path decomposition of every tracked request, in
     first-seen request order."""
     spans = _as_spans(source)
-    order: List[str] = []
-    seen: set = set()
-    for span in spans:
-        if span.kind == "request" and span.request_id not in seen:
-            seen.add(span.request_id)
-            order.append(span.request_id)
+    order = dict.fromkeys(s.request_id for s in spans if s.kind == "request")
     return TraceAnalysis(
         requests=[compute_critical_path(spans, rid) for rid in order]
     )
-
-
-def render_critical_path(path: RequestPath, max_segments: int = 50) -> str:
-    """Human-readable decomposition of one request."""
-    lines = [
-        f"request {path.request_id} [{path.status}] "
-        f"{path.latency_s:.4f}s end-to-end"
-    ]
-    shown = path.segments[:max_segments]
-    for seg in shown:
-        share = (
-            seg.duration_s / path.latency_s if path.latency_s > 0 else 0.0
-        )
-        lines.append(
-            f"  {seg.t0:12.3f}..{seg.t1:12.3f}  {seg.duration_s:9.4f}s "
-            f"{share:6.1%}  {seg.kind:10s} {seg.name} [{seg.node}]"
-        )
-    if len(path.segments) > max_segments:
-        lines.append(
-            f"  ... {len(path.segments) - max_segments} more segments"
-        )
-    for gate in path.sync_gates:
-        lines.append(
-            f"  sync {gate.sync_node}: gated by {gate.gate_edge} "
-            f"at {gate.t:.3f} (straggle {gate.straggle_s:.4f}s)"
-        )
-    return "\n".join(lines)
-
-
-def render_trace_summary(source: Union[Tracer, Sequence[Span]]) -> str:
-    """Aggregate view: per-kind counts and durations, request outcomes."""
-    spans = _as_spans(source)
-    if not spans:
-        return "(empty trace)"
-    by_kind: Dict[str, List[Span]] = {}
-    for span in spans:
-        by_kind.setdefault(span.kind, []).append(span)
-    lines = [
-        f"{len(spans)} spans",
-        f"{'kind':18s} {'count':>7s} {'total_s':>12s} {'mean_s':>12s}",
-    ]
-    for kind, group in by_kind.items():
-        total = sum(s.duration_s for s in group)
-        lines.append(
-            f"{kind:18s} {len(group):7d} {total:12.3f} {total / len(group):12.4f}"
-        )
-    requests = by_kind.get("request", [])
-    if requests:
-        outcomes: Dict[str, int] = {}
-        for span in requests:
-            status = str(span.attrs.get("status", "open"))
-            outcomes[status] = outcomes.get(status, 0) + 1
-        summary = ", ".join(f"{k}={v}" for k, v in sorted(outcomes.items()))
-        lines.append(f"requests: {summary}")
-    return "\n".join(lines)

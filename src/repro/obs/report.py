@@ -1,17 +1,16 @@
 """Unified run reports: one deterministic document per experiment run.
 
-A :class:`RunReport` merges everything the repo already measures about
-one run — the harness's per-invocation means, the ledger's per-region
-carbon/cost, the :class:`~repro.obs.metrics.MetricsRegistry` snapshot,
-:class:`~repro.cloud.faults.ReliabilityStats`, solver counters, and
-(when the run was traced) the critical-path aggregates of
-:mod:`repro.obs.critical_path` — into a single sorted-key JSON document
-plus a markdown rendering.
+:func:`build_run_report` merges everything the repo already measures
+about one run — the harness's per-invocation means, the ledger's
+per-region carbon/cost, the :class:`~repro.obs.metrics.MetricsRegistry`
+snapshot, :class:`~repro.cloud.faults.ReliabilityStats`, solver
+counters, and (when the run was traced) the critical-path aggregates of
+:mod:`repro.obs.critical_path` — into a single sorted-key JSON document.
 
 A :class:`RunBundle` is the one file a run writes (``caribou run
 --report``): a ``caribou.run/v1`` header, the report, the spans and the
 series points as JSON lines.  :func:`load_bundle` is the one reader of
-it, and ``caribou report``, ``dash`` and ``diff`` render what it loads.
+it, and :mod:`repro.obs.views` renders what it loads.
 
 Determinism is a hard requirement (the golden-report regression test
 pins the quickstart report byte-for-byte), and nothing here reads the
@@ -37,18 +36,8 @@ REPORT_SCHEMA = "caribou.run_report/v1"
 BUNDLE_SCHEMA = "caribou.run/v1"
 
 #: Top-level keys every report document carries, in sorted order.
-REPORT_KEYS = (
-    "critical_path",
-    "fleet",
-    "metrics",
-    "per_region",
-    "reliability",
-    "run",
-    "scenarios",
-    "schema",
-    "slo",
-    "solver",
-)
+REPORT_KEYS = ("critical_path", "fleet", "metrics", "per_region",
+               "reliability", "run", "scenarios", "schema", "slo", "solver")
 
 
 def _real(value: Any) -> Optional[float]:
@@ -58,247 +47,22 @@ def _real(value: Any) -> Optional[float]:
     return value if real and math.isfinite(value) else None
 
 
-def _finite(value: Any) -> Any:
-    """JSON-safe numbers: NaN/inf become None (strict JSON has neither)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def _sanitize(obj: Any) -> Any:
+    """JSON-safe containers and numbers: NaN/inf become None (strict
+    JSON has neither)."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    return _finite(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
-@dataclass
-class RunReport:
-    """One run's merged observability document."""
-
-    doc: Dict[str, Any]
-
-    def to_json(self) -> str:
-        """Canonical serialisation: sorted keys, 2-space indent, LF."""
-        return json.dumps(
-            self.doc, sort_keys=True, indent=2, allow_nan=False
-        ) + "\n"
-
-    # -- rendering -----------------------------------------------------------
-    def to_markdown(self) -> str:
-        """Human-readable report (GitHub-flavoured markdown)."""
-        doc = self.doc
-        run = doc.get("run", {})
-        lines = [
-            f"# Run report — {run.get('label', '?')}",
-            "",
-            f"- **app**: {run.get('app')} ({run.get('input_size')})",
-            f"- **invocations**: {run.get('n_invocations')}",
-            f"- **mean service time**: {_fmt(run.get('mean_service_time_s'))} s"
-            f" (p95 {_fmt(run.get('p95_service_time_s'))} s)",
-            f"- **regions used**: "
-            f"{', '.join(map(str, run.get('regions_used', []))) or '-'}",
-        ]
-
-        scenarios = doc.get("scenarios") or {}
-        if scenarios:
-            lines += [
-                "",
-                "## Carbon & cost (per invocation)",
-                "",
-                "| scenario | carbon mg | exec mg | trans mg | cost $ |",
-                "|---|---|---|---|---|",
-            ]
-            for name in sorted(scenarios):
-                s = scenarios[name]
-                lines.append(
-                    f"| {name} | {_fmt(_mg(s.get('mean_carbon_g')))} "
-                    f"| {_fmt(_mg(s.get('mean_exec_carbon_g')))} "
-                    f"| {_fmt(_mg(s.get('mean_trans_carbon_g')))} "
-                    f"| {_fmt(s.get('mean_cost_usd'), 6)} |"
-                )
-
-        per_region = doc.get("per_region") or {}
-        for scenario in sorted(per_region):
-            regions = per_region[scenario]
-            lines += [
-                "",
-                f"## Per-region usage — {scenario}",
-                "",
-                "| region | execs | exec s | carbon g | cost $ | egress MB |",
-                "|---|---|---|---|---|---|",
-            ]
-            for region in sorted(regions):
-                r = regions[region]
-                lines.append(
-                    f"| {region} | {_fmt(r.get('n_executions', 0), 0)} "
-                    f"| {_fmt(r.get('exec_seconds'))} "
-                    f"| {_fmt(r.get('carbon_g'), 4)} "
-                    f"| {_fmt(r.get('cost_usd'), 6)} "
-                    f"| {_fmt((_real(r.get('bytes_out')) or 0.0) / 1e6)} |"
-                )
-
-        cp = doc.get("critical_path")
-        if cp:
-            lines += [
-                "",
-                "## Critical path",
-                "",
-                f"- **requests analyzed**: {cp.get('n_requests')}",
-                f"- **mean latency**: {_fmt(cp.get('mean_latency_s'))} s"
-                f" (p95 {_fmt(cp.get('p95_latency_s'))} s)",
-                "",
-                "| segment kind | seconds | share |",
-                "|---|---|---|",
-            ]
-            for kind, entry in (cp.get("by_kind") or {}).items():
-                lines.append(
-                    f"| {kind} | {_fmt(entry.get('seconds'))} "
-                    f"| {_pct(entry.get('share'))} |"
-                )
-            nodes = cp.get("by_node") or {}
-            if nodes:
-                lines += ["", "| node | seconds | share |", "|---|---|---|"]
-                ranked = sorted(
-                    nodes.items(),
-                    key=lambda kv: -(_real(kv[1].get("seconds")) or 0.0),
-                )
-                for node, entry in ranked[:10]:
-                    lines.append(
-                        f"| {node} | {_fmt(entry.get('seconds'))} "
-                        f"| {_pct(entry.get('share'))} |"
-                    )
-            gates = cp.get("sync_gates") or {}
-            if gates:
-                lines += [
-                    "",
-                    "### Sync barriers",
-                    "",
-                    "| sync node | joins | gated by | mean straggle s |",
-                    "|---|---|---|---|",
-                ]
-                for node in sorted(gates):
-                    g = gates[node]
-                    gated = ", ".join(
-                        f"{edge} ×{count}"
-                        for edge, count in (g.get("gated_by") or {}).items()
-                    )
-                    lines.append(
-                        f"| {node} | {g.get('n')} | {gated} "
-                        f"| {_fmt(g.get('mean_straggle_s'))} |"
-                    )
-
-        reliability = doc.get("reliability")
-        if reliability:
-            lines += ["", "## Reliability", ""]
-            for key in sorted(reliability):
-                value = reliability[key]
-                if isinstance(value, dict):
-                    value = (
-                        ", ".join(
-                            f"{k}={v}" for k, v in sorted(value.items())
-                        )
-                        or "none"
-                    )
-                lines.append(f"- **{key}**: {value}")
-
-        solver = doc.get("solver")
-        if solver:
-            lines += ["", "## Solver", ""]
-            for key in sorted(solver):
-                lines.append(f"- **{key}**: {solver[key]}")
-
-        fleet = doc.get("fleet")
-        if fleet:
-            lines += fleet_markdown_lines(fleet)
-
-        slo = doc.get("slo")
-        if slo:
-            lines += [
-                "",
-                "## SLOs",
-                "",
-                "| objective | windows | violations | compliance "
-                "| budget spent | alerts | met |",
-                "|---|---|---|---|---|---|---|",
-            ]
-            for entry in slo:
-                met = "yes" if entry.get("met") else "**no**"
-                lines.append(
-                    f"| `{entry.get('name')}` | {entry.get('windows')} "
-                    f"| {entry.get('violations')} "
-                    f"| {_pct(entry.get('compliance'))} "
-                    f"| {_pct(entry.get('budget_spent'))} "
-                    f"| {len(entry.get('alerts') or [])} | {met} |"
-                )
-
-        metrics = doc.get("metrics") or {}
-        if metrics:
-            lines += [
-                "",
-                "## Metrics",
-                "",
-                f"{len(metrics)} instruments",
-                "",
-                "```",
-            ]
-            for key in sorted(metrics):
-                value = metrics[key]
-                if isinstance(value, dict):
-                    lines.append(
-                        f"{key}: n={value.get('count')} "
-                        f"mean={_fmt(value.get('mean'), 6)} "
-                        f"max={_fmt(value.get('max'), 6)}"
-                    )
-                else:
-                    lines.append(f"{key}: {_fmt(value, 6)}")
-            lines.append("```")
-
-        return "\n".join(lines) + "\n"
-
-
-def fleet_markdown_lines(fleet: Dict[str, Any]) -> list:
-    """Markdown lines for a fleet rollup: fleet totals plus the
-    per-workflow breakdown table.  Shared by :meth:`RunReport.to_markdown`
-    and the ``caribou fleet-report`` subcommand."""
-    lines = ["", "## Fleet", ""]
-    for key in sorted(fleet):
-        if key == "per_workflow":
-            continue
-        lines.append(f"- **{key}**: {fleet[key]}")
-    per_workflow = fleet.get("per_workflow") or {}
-    if per_workflow:
-        lines += [
-            "",
-            "| workflow | checks | solves | migrations "
-            "| invocations | tokens g |",
-            "|---|---|---|---|---|---|",
-        ]
-        for name in sorted(per_workflow):
-            w = per_workflow[name]
-            lines.append(
-                f"| {name} | {w.get('checks')} | {w.get('solves')} "
-                f"| {w.get('migrations')} "
-                f"| {w.get('invocations_observed')} "
-                f"| {_fmt(w.get('tokens_g'))} |"
-            )
-    return lines
-
-
-def _mg(grams: Any) -> Optional[float]:
-    grams = _real(grams)
-    return None if grams is None else grams * 1000.0
-
-
-def _fmt(value: Any, digits: int = 3) -> str:
-    value = _real(value)
-    return "-" if value is None else f"{value:.{digits}f}"
-
-
-def _pct(value: Any) -> str:
-    value = _real(value)
-    return "-" if value is None else f"{value * 100:.1f}%"
+def report_json(doc: Dict[str, Any]) -> str:
+    """A report document's canonical serialisation: sorted keys, 2-space
+    indent, LF."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def build_run_report(
@@ -306,8 +70,8 @@ def build_run_report(
     trace: Optional[Union[Tracer, Sequence[Span]]] = None,
     fleet: Optional[Dict[str, Any]] = None,
     slo: Optional[Sequence[Dict[str, Any]]] = None,
-) -> RunReport:
-    """Assemble the report for one harness :class:`RunOutcome`.
+) -> Dict[str, Any]:
+    """Assemble the report document for one harness :class:`RunOutcome`.
 
     ``trace`` (a live tracer or reloaded span list) enables the
     critical-path section; without it the section is ``None`` and the
@@ -381,7 +145,7 @@ def build_run_report(
             "solver": solver,
         }
     )
-    return RunReport(doc)
+    return doc
 
 
 # ------------------------------------------------------------------ the bundle
@@ -403,7 +167,7 @@ class RunBundle:
     use a ``"type"`` key.
     """
 
-    report: RunReport
+    report: Dict[str, Any]
     spans: List[Span]
     points: List[Dict[str, Any]]
     window_s: float
@@ -411,7 +175,7 @@ class RunBundle:
     def to_jsonl(self) -> str:
         """Compact sorted-key lines, byte-identical for same-seed runs."""
         lines = [_line({"schema": BUNDLE_SCHEMA, "window_s": self.window_s})]
-        lines.append(_line({"report": self.report.doc}))
+        lines.append(_line({"report": self.report}))
         lines.extend(_line({"span": span.to_dict()}) for span in self.spans)
         lines.extend(_line({"point": point}) for point in self.points)
         return "\n".join(lines) + "\n"
@@ -557,7 +321,7 @@ def load_bundle(path: str) -> RunBundle:
     if not records["report"]:
         raise malformed("no report record")
     return RunBundle(
-        report=RunReport(records["report"][0]),
+        report=records["report"][0],
         spans=[Span.from_dict(body) for body in records["span"]],
         points=records["point"],
         window_s=float(window_s),

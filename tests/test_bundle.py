@@ -26,19 +26,13 @@ from repro.cli import main
 from repro.common.errors import MalformedInputError
 from repro.core.lifecycle import BENCH_SOLVER_SETTINGS
 from repro.experiments.harness import run_caribou
-from repro.obs.critical_path import (
-    analyze_trace,
-    render_critical_path,
-    render_trace_summary,
-)
-from repro.obs.dash import render_dashboard
-from repro.obs.diffrun import diff_bundles
+from repro.obs import views
 from repro.obs.report import (
     BUNDLE_SCHEMA,
     REPORT_SCHEMA,
     RunBundle,
-    RunReport,
     load_bundle,
+    report_json,
 )
 from repro.obs.timeseries import TelemetryConfig
 from repro.obs.trace import Span, Tracer
@@ -64,8 +58,7 @@ QUICKSTART_ARGV = ["run", "text2speech_censoring", "-n", "2",
 def write_bundle(path, spans=(), points=(), window_s=3600.0,
                  doc=MINIMAL_REPORT) -> str:
     """Write a bundle of ``spans`` and ``points`` to ``path``."""
-    bundle = RunBundle(RunReport(copy.deepcopy(doc)), list(spans),
-                       list(points), window_s)
+    bundle = RunBundle(copy.deepcopy(doc), list(spans), list(points), window_s)
     path.write_text(bundle.to_jsonl())
     return str(path)
 
@@ -125,7 +118,7 @@ class TestQuickstartBundle:
         path = tmp_path / "run.jsonl"
         path.write_text(text)
         report = load_bundle(str(path)).report
-        assert report.to_json() == (
+        assert report_json(report) == (
             GOLDEN / "quickstart_report.json"
         ).read_text(encoding="utf-8")
         assert prom == (GOLDEN / "quickstart_prom.txt").read_text(
@@ -164,8 +157,8 @@ class TestLoader:
         path = write_bundle(tmp_path / "run.jsonl", self.SPANS, self.POINTS,
                             window_s=1800.0)
         bundle = load_bundle(path)
-        assert bundle == RunBundle(RunReport(MINIMAL_REPORT), self.SPANS,
-                                   self.POINTS, 1800.0)
+        assert bundle == RunBundle(MINIMAL_REPORT, self.SPANS, self.POINTS,
+                                   1800.0)
         assert bundle.to_jsonl() == pathlib.Path(path).read_text()
 
     def test_lines_are_compact_and_sorted(self, tmp_path):
@@ -295,14 +288,13 @@ JUNK = ("abc", None, [1], {"k": 1}, float("nan"), True, -1, _DELETE)
 
 
 def _render_every_view(bundle: RunBundle, other: RunBundle) -> None:
-    bundle.report.to_markdown()
-    for path in analyze_trace(bundle.spans).requests:
-        render_critical_path(path)
-    render_trace_summary(bundle.spans)
-    render_dashboard(bundle.points, slo_results=bundle.report.doc.get("slo"),
-                     window_s=bundle.window_s)
-    diff_bundles(bundle, other)
-    diff_bundles(other, bundle)
+    """Every view the CLI prints of a bundle; ``report_markdown`` with the
+    spans also renders each request's path."""
+    views.report_markdown(bundle.report, bundle.spans)
+    views.span_summary(bundle.spans)
+    views.dashboard(bundle)
+    views.diff(bundle, other)
+    views.diff(other, bundle)
 
 
 class TestViewsOfAnyLoadedBundle:

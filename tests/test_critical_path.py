@@ -26,9 +26,9 @@ from repro.obs.critical_path import (
     WORK_KINDS,
     analyze_trace,
     compute_critical_path,
-    render_critical_path,
 )
 from repro.obs.trace import Tracer
+from repro.obs.views import request_path
 
 SEED = 11
 N_REQUESTS = 8
@@ -195,8 +195,8 @@ class TestAnalysisDeterminism:
     def test_render_is_stable(self, traced_run):
         tracer, _executor, rids = traced_run
         path = compute_critical_path(tracer, rids[0])
-        assert render_critical_path(path) == render_critical_path(path)
-        assert path.request_id in render_critical_path(path)
+        assert request_path(path) == request_path(path)
+        assert path.request_id in request_path(path)
 
 
 class TestEdgeCases:

@@ -1,6 +1,13 @@
-"""Tests for the offline sparkline dashboard (`repro.obs.dash`)."""
+"""Tests for the offline sparkline dashboard (`repro.obs.views.dashboard`)."""
 
-from repro.obs.dash import SPARK_CHARS, render_dashboard, sparkline
+from repro.obs.report import RunBundle
+from repro.obs.views import SPARK_CHARS, dashboard, sparkline
+
+
+def dash_of(points, slo_results=None):
+    """The dashboard of a one-hour-window run of ``points`` whose report
+    carries ``slo_results``."""
+    return dashboard(RunBundle({"slo": slo_results}, [], points, 3600.0))
 
 
 def _ctr(metric, window, value):
@@ -57,7 +64,7 @@ class TestRenderDashboard:
     ]
 
     def test_sections_present(self):
-        text = render_dashboard(self.POINTS)
+        text = dash_of(self.POINTS)
         assert text.startswith("# Caribou run dashboard")
         assert "2 window(s) x 3600s virtual time" in text
         assert "### Carbon by region (g)" in text
@@ -68,14 +75,14 @@ class TestRenderDashboard:
         assert "Carbon by workflow" not in text
 
     def test_carbon_rows_show_sum_and_peak(self):
-        text = render_dashboard(self.POINTS)
+        text = dash_of(self.POINTS)
         [row] = [ln for ln in text.splitlines() if "us-east-1" in ln
                  and "sum=6g" in ln]
         assert "peak=5g" in row
         assert any(c in row for c in SPARK_CHARS)
 
     def test_missing_windows_render_as_zero(self):
-        text = render_dashboard(self.POINTS)
+        text = dash_of(self.POINTS)
         [row] = [ln for ln in text.splitlines() if "ca-central-1" in ln]
         # ca-central-1 only has data in window 2: sparkline still spans
         # both windows, low block first.
@@ -87,7 +94,7 @@ class TestRenderDashboard:
         points = self.POINTS + [
             _ctr("ledger.carbon_g{region=us-east-1,workflow=other}", 0.0, 2.0)
         ]
-        assert "### Carbon by workflow (g)" in render_dashboard(points)
+        assert "### Carbon by workflow (g)" in dash_of(points)
 
     def test_slo_section(self):
         slo = [
@@ -96,7 +103,7 @@ class TestRenderDashboard:
             {"name": "ratio(c/r)<=0.5", "met": False, "budget_spent": 3.0,
              "violations": 3, "windows": 4, "alerts": [{"type": "slo_burn"}]},
         ]
-        text = render_dashboard(self.POINTS, slo_results=slo)
+        text = dash_of(self.POINTS, slo_results=slo)
         assert "### SLO budget" in text
         assert "[OK ] p95(lat)<=1.0" in text
         assert "[MISS] ratio(c/r)<=0.5" in text
@@ -104,9 +111,9 @@ class TestRenderDashboard:
         assert "3/4 window(s) violating, 1 alert(s)" in text
 
     def test_empty_series_still_renders_header(self):
-        text = render_dashboard([])
+        text = dash_of([])
         assert text.startswith("# Caribou run dashboard")
         assert "0 window(s)" in text
 
     def test_deterministic(self):
-        assert render_dashboard(self.POINTS) == render_dashboard(self.POINTS)
+        assert dash_of(self.POINTS) == dash_of(self.POINTS)

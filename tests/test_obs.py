@@ -12,7 +12,7 @@ from repro.obs import (
     Span,
     Tracer,
     load_bundle,
-    render_trace_summary,
+    span_summary,
 )
 from tests.test_bundle import write_bundle
 
@@ -274,9 +274,9 @@ class TestRenderers:
         ]
 
     def test_summary_counts_kinds_and_outcomes(self):
-        text = render_trace_summary(self._sample_spans())
+        text = span_summary(self._sample_spans())
         assert "3 spans" in text
         assert "requests: completed=1" in text
 
     def test_summary_empty(self):
-        assert render_trace_summary([]) == "(empty trace)"
+        assert span_summary([]) == "(empty trace)"

@@ -16,13 +16,10 @@ from repro.apps import get_app
 from repro.cloud.faults import FaultPlan
 from repro.common.clock import SECONDS_PER_DAY
 from repro.experiments.harness import run_caribou
-from repro.obs.critical_path import (
-    analyze_trace,
-    render_critical_path,
-    render_trace_summary,
-)
+from repro.obs.critical_path import analyze_trace
 from repro.obs.report import load_bundle
 from repro.obs.trace import Tracer
+from repro.obs.views import request_path, span_summary
 from tests.test_bundle import write_bundle
 
 REGIONS = ("us-east-1", "us-west-2", "ca-central-1")
@@ -84,7 +81,7 @@ class TestChaosTraceShape:
         paths = analyze_trace(chaos_spans).requests
         assert len(paths) == sum(1 for s in chaos_spans if s.kind == "request")
         for path in paths:
-            text = render_critical_path(path)
+            text = request_path(path)
             assert text.startswith(f"request {path.request_id} [")
 
 
@@ -92,7 +89,7 @@ class TestDeterminism:
     def test_rerun_renders_identically(self, chaos_spans):
         """Same seed + same fault plan => byte-identical renderings."""
         again = list(_chaos_trace().spans)
-        assert render_trace_summary(again) == render_trace_summary(
+        assert span_summary(again) == span_summary(
             chaos_spans
         )
 
@@ -100,19 +97,19 @@ class TestDeterminism:
                                                   tmp_path):
         path = write_bundle(tmp_path / "run.jsonl", _chaos_trace().spans)
         reloaded = load_bundle(path).spans
-        assert render_trace_summary(reloaded) == render_trace_summary(
+        assert span_summary(reloaded) == span_summary(
             chaos_spans
         )
         assert [
-            render_critical_path(p) for p in analyze_trace(reloaded).requests
+            request_path(p) for p in analyze_trace(reloaded).requests
         ] == [
-            render_critical_path(p) for p in analyze_trace(chaos_spans).requests
+            request_path(p) for p in analyze_trace(chaos_spans).requests
         ]
 
     def test_render_does_not_mutate_input(self, chaos_spans):
         before = [(s.span_id, s.t0, s.t1, dict(s.attrs)) for s in chaos_spans]
-        render_trace_summary(chaos_spans)
+        span_summary(chaos_spans)
         for path in analyze_trace(chaos_spans).requests:
-            render_critical_path(path)
+            request_path(path)
         after = [(s.span_id, s.t0, s.t1, dict(s.attrs)) for s in chaos_spans]
         assert before == after

@@ -1,7 +1,7 @@
 """Golden-report regression tests (mirror of ``test_trace_golden.py``).
 
 A fixed-seed quickstart run must reproduce its committed
-:class:`~repro.obs.report.RunReport` JSON *byte for byte* — the report
+:func:`~repro.obs.report.build_run_report` JSON *byte for byte* — the report
 merges the harness means, per-region ledger pricing, metrics snapshot,
 reliability counters, solver counters, and critical-path aggregates, so
 this single file pins the whole observable surface of a run.  Any
@@ -16,18 +16,19 @@ import pathlib
 
 from repro.apps import get_app
 from repro.experiments.harness import run_caribou
-from repro.obs.report import REPORT_KEYS, REPORT_SCHEMA, RunReport, build_run_report
+from repro.obs.report import REPORT_KEYS, REPORT_SCHEMA, build_run_report, report_json
 from repro.obs.trace import Tracer
+from repro.obs.views import report_markdown
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "quickstart_report.json"
 SEED = 1234
 REGIONS = ("us-east-1", "ca-central-1")
 
 
-def quickstart_report() -> RunReport:
+def quickstart_report() -> str:
     """The reference scenario: a seeded two-invocation Caribou run of
     the sync-node benchmark over two regions, traced so the report's
-    critical-path section is populated."""
+    critical-path section is populated.  Returns the report's JSON."""
     tracer = Tracer()
     outcome = run_caribou(
         get_app("text2speech_censoring"),
@@ -37,12 +38,12 @@ def quickstart_report() -> RunReport:
         n_invocations=2,
         tracer=tracer,
     )
-    return build_run_report(outcome, trace=tracer)
+    return report_json(build_run_report(outcome, trace=tracer))
 
 
 class TestGoldenReport:
     def test_report_matches_snapshot(self):
-        produced = quickstart_report().to_json()
+        produced = quickstart_report()
         if os.environ.get("UPDATE_GOLDEN"):
             GOLDEN.parent.mkdir(exist_ok=True)
             GOLDEN.write_text(produced, encoding="utf-8")
@@ -56,7 +57,7 @@ class TestGoldenReport:
         )
 
     def test_two_builds_byte_identical(self):
-        assert quickstart_report().to_json() == quickstart_report().to_json()
+        assert quickstart_report() == quickstart_report()
 
     def test_snapshot_is_valid_report(self):
         doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -79,8 +80,7 @@ class TestGoldenReport:
         assert "wall_time_s" not in (doc.get("solver") or {})
 
     def test_snapshot_renders_as_markdown(self):
-        report = RunReport(json.loads(GOLDEN.read_text(encoding="utf-8")))
-        md = report.to_markdown()
+        md = report_markdown(json.loads(GOLDEN.read_text(encoding="utf-8")))
         assert md.startswith("# Run report")
         for heading in ("## Carbon & cost", "## Critical path", "## Solver"):
             assert heading in md
