@@ -224,16 +224,15 @@ def _run_measurement(
     if telemetry is not None and sampler is not None:
         prom_text = render_prometheus(cloud.metrics)
         series = sampler.points
-        if telemetry.ledger:
-            # Post-hoc per-window carbon/cost, priced under the first
-            # (reporting) scenario — ledger records carry virtual start
-            # times, so this is as deterministic as the sampler itself.
-            series = merge_series(
-                series,
-                ledger_series(
-                    cloud.ledger, accountants[0], window_s=telemetry.window_s
-                ),
-            )
+        # Post-hoc per-window carbon/cost, priced under the first
+        # (reporting) scenario — ledger records carry virtual start
+        # times, so this is as deterministic as the sampler itself.
+        series = merge_series(
+            series,
+            ledger_series(
+                cloud.ledger, accountants[0], window_s=telemetry.window_s
+            ),
+        )
         if telemetry.slos:
             slo_results = evaluate_slos(telemetry.slos, series)
 

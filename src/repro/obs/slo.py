@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import parse_key
+from repro.obs.timeseries import _qkey
 
 #: Default multi-window burn-rate alert thresholds, (windows, burn).
 #: Mirrors the SRE fast-burn/slow-burn pair: a short span catching
@@ -124,10 +125,6 @@ def _metric_matches(selector: str, key: str) -> bool:
     if name != sel_name:
         return False
     return all(labels.get(k) == v for k, v in sel_labels.items())
-
-
-def _qkey(q: float) -> str:
-    return "p" + format(q * 100, "g")
 
 
 @dataclass

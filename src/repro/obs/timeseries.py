@@ -45,6 +45,7 @@ WINDOW_QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
 
 def _qkey(q: float) -> str:
+    """The key a histogram point stores quantile ``q`` under (``p95``)."""
     return "p" + format(q * 100, "g")
 
 
@@ -381,11 +382,9 @@ class TelemetryConfig:
     """Harness-level switch for windowed telemetry on one run.
 
     ``slos`` are :class:`~repro.obs.slo.SloSpec` objects evaluated over
-    the merged (sampler + ledger) series after the run; ``ledger``
-    controls whether the post-run per-window carbon/cost series is
-    built (priced under the run's first transmission scenario).
+    the merged (sampler + ledger) series after the run; the ledger
+    series is priced under the run's first transmission scenario.
     """
 
     window_s: float = DEFAULT_WINDOW_S
     slos: Tuple = ()
-    ledger: bool = True
