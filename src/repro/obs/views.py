@@ -362,6 +362,7 @@ _LOWER_IS_BETTER = (
     "carbon", "cost", "latency", "duration", "fail", "timed_out", "expired",
     "dead_letter", "retr", "fallback", "burn", "violation", "service_time",
     "cold_start", "bytes", "p50", "p90", "p95", "p99", "mean", "max",
+    "budget_spent",
 )
 
 #: Substrings marking metrics where an *increase* is the improvement.
@@ -380,8 +381,13 @@ def regression_direction(metric: str) -> int:
     return 1 if any(marker in lowered for marker in _LOWER_IS_BETTER) else 0
 
 
+#: The outcomes of each SLO a diff compares, under ``slo.<objective>``.
+_SLO_FIELDS = ("budget_spent", "compliance", "violations")
+
+
 def flatten_report(doc: Dict[str, Any], prefix: str = "") -> Dict[str, float]:
-    """Flatten a nested report into dotted-path -> numeric value."""
+    """Flatten a nested report into dotted-path -> numeric value; the
+    ``slo`` list flattens by objective name."""
     flat: Dict[str, float] = {}
     for key in sorted(doc):
         value = doc[key]
@@ -390,6 +396,10 @@ def flatten_report(doc: Dict[str, Any], prefix: str = "") -> Dict[str, float]:
             flat.update(flatten_report(value, path))
         elif isinstance(value, (int, float)):
             flat[path] = float(value)
+        elif path == "slo" and isinstance(value, list):
+            for entry in value:
+                outcomes = {k: entry[k] for k in _SLO_FIELDS if k in entry}
+                flat.update(flatten_report(outcomes, f"slo.{entry.get('name')}"))
     return flat
 
 
