@@ -66,23 +66,16 @@ def report_json(doc: Dict[str, Any]) -> str:
 
 
 def build_run_report(
-    outcome,
-    trace: Optional[Union[Tracer, Sequence[Span]]] = None,
-    fleet: Optional[Dict[str, Any]] = None,
-    slo: Optional[Sequence[Dict[str, Any]]] = None,
+    outcome, trace: Optional[Union[Tracer, Sequence[Span]]] = None
 ) -> Dict[str, Any]:
     """Assemble the report document for one harness :class:`RunOutcome`.
 
     ``trace`` (a live tracer or reloaded span list) enables the
     critical-path section; without it the section is ``None`` and the
     run itself is untouched — reporting never perturbs a simulation.
-    ``fleet`` (a :meth:`~repro.core.fleet.FleetManager.fleet_report`
-    rollup) enables the fleet section for sweep runs.  ``slo`` (per-SLO
-    evaluation dicts) defaults to the outcome's own ``slo`` attribute
-    when a telemetered run already evaluated its objectives.
+    The SLO section is the outcome's own evaluated objectives; no run
+    writes the fleet section, which stays ``None``.
     """
-    if slo is None:
-        slo = getattr(outcome, "slo", None)
     run = {
         "app": outcome.app_name,
         "input_size": outcome.input_size,
@@ -134,14 +127,14 @@ def build_run_report(
     doc = _sanitize(
         {
             "critical_path": critical_path,
-            "fleet": fleet,
+            "fleet": None,
             "metrics": outcome.metrics or {},
             "per_region": outcome.per_region or {},
             "reliability": reliability,
             "run": run,
             "scenarios": scenarios,
             "schema": REPORT_SCHEMA,
-            "slo": list(slo) if slo else None,
+            "slo": list(outcome.slo) if outcome.slo else None,
             "solver": solver,
         }
     )

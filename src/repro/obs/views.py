@@ -113,10 +113,9 @@ def _critical_path_lines(cp: Dict[str, Any]) -> List[str]:
         f" (p95 {_fixed(cp.get('p95_latency_s'))} s)",
         "", *_share_table("segment kind", (cp.get("by_kind") or {}).items()),
     ]
-    nodes = cp.get("by_node") or {}
-    if nodes:
-        ranked = sorted(nodes.items(),
-                        key=lambda kv: -(_real(kv[1].get("seconds")) or 0.0))
+    ranked = sorted((cp.get("by_node") or {}).items(),
+                    key=lambda kv: -(_real(kv[1].get("seconds")) or 0.0))
+    if ranked:
         lines += ["", *_share_table("node", ranked[:10])]
     gates = cp.get("sync_gates") or {}
     if gates:

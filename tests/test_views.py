@@ -2,8 +2,18 @@
 ``golden/views.json``: the SLO rows of a diff, the sections and limits
 the four captured runs never reach, and the formatter family."""
 
+from repro.obs.critical_path import PathSegment, RequestPath
 from repro.obs.report import RunBundle
-from repro.obs.views import diff
+from repro.obs.views import (
+    MAX_SEGMENTS,
+    _fixed,
+    _num,
+    _pct,
+    dashboard,
+    diff,
+    report_markdown,
+    request_path,
+)
 from tests.test_bundle import MINIMAL_REPORT
 
 
@@ -55,3 +65,67 @@ class TestSloDiff:
     def test_an_objective_on_one_side_only(self):
         text = diff(_run(None), _run([_slo(0)]))
         assert f"| {self.NAME}.compliance | — | 1 | — | new |" in text
+
+
+class TestFormatters:
+    def test_fixed_digits_and_width(self):
+        assert _fixed(2.0 / 3.0) == "0.667"
+        assert _fixed(2.0 / 3.0, "8.4") == "  0.6667"
+
+    def test_percent_digits_width_and_sign(self):
+        assert _pct(0.1234) == "12.3%"
+        assert _pct(0.1234, "7.0") == "    12%"
+        assert _pct(0.1234, "+.1") == "+12.3%"
+
+    def test_not_a_finite_number_is_a_dash(self):
+        for junk in (None, "1.0", True, float("nan"), float("inf"), [1]):
+            assert _fixed(junk) == "-" and _pct(junk) == "-"
+
+    def test_int_or_significant_digits(self):
+        assert _num(3.0) == "3"
+        assert _num(-1e14) == "-100000000000000"
+        assert _num(1e15) == "1e+15"
+        assert _num(2.0 / 3.0) == "0.666667"
+        assert _num(2.0 / 3.0, 4) == "0.6667"
+
+
+class TestLimits:
+    """What the captured runs never reach: a non-integral window, more
+    than ten nodes, more than :data:`MAX_SEGMENTS` segments, a fleet."""
+
+    def test_dashboard_window_to_four_significant_digits(self):
+        text = dashboard(RunBundle(MINIMAL_REPORT, [], [], 2.71828))
+        assert "0 window(s) x 2.718s virtual time, 0 series point(s)" in text
+
+    def test_report_ranks_the_ten_slowest_nodes(self):
+        nodes = {f"x{i:02d}": {"seconds": float(i), "share": i / 100.0}
+                 for i in range(12)}
+        doc = {**MINIMAL_REPORT, "critical_path": {
+            "n_requests": 1, "by_kind": {}, "by_node": nodes}}
+        rows = [ln for ln in report_markdown(doc).splitlines()
+                if ln.startswith("| x")]
+        assert rows[0] == "| x11 | 11.000 | 11.0% |"
+        assert [row.split()[1] for row in rows] == [
+            f"x{i:02d}" for i in range(11, 1, -1)]
+
+    def test_request_path_lists_the_first_fifty_segments(self):
+        path = RequestPath("r1", "wf", "completed", 0.0, 52.0, segments=[
+            PathSegment(float(i), i + 1.0, "invocation", f"s{i}", f"s{i}")
+            for i in range(52)])
+        lines = request_path(path).splitlines()
+        assert MAX_SEGMENTS == 50 and len(lines) == 1 + 50 + 1
+        assert lines[50] == (
+            "        49.000..      50.000     1.0000s   1.9%  invocation s49 [s49]")
+        assert lines[-1] == "  ... 2 more segments"
+
+    def test_report_carries_the_fleet_rollup(self):
+        fleet = {"workflows": 1, "per_workflow": {"wf": {
+            "checks": 2, "solves": 1, "migrations": 0,
+            "invocations_observed": 3, "tokens_g": 0.25}}}
+        text = report_markdown({**MINIMAL_REPORT, "fleet": fleet})
+        assert text.endswith(
+            "\n\n## Fleet\n\n- **workflows**: 1\n\n"
+            "| workflow | checks | solves | migrations | invocations | tokens g |\n"
+            "|---|---|---|---|---|---|\n"
+            "| wf | 2 | 1 | 0 | 3 | 0.250 |\n"
+        )
