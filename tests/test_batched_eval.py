@@ -5,7 +5,8 @@ The contracts under test:
 * ``MonteCarloEstimator.estimate_profiles`` is *bit-identical* to the
   per-plan ``estimate_profile`` loop (and to the scalar reference in
   ``tests/montecarlo_oracle.py``) — same doubles, same key order, same
-  sample counts — even when plans converge at different sample counts;
+  sample counts — even when plans converge at different sample counts,
+  on hand-built DAGs and on random cohorts of the five Table-1 apps;
   duplicate plans share one profile object.
 * ``PlanEvaluator.prefetch_profiles`` returns how many profiles it built.
 * The PR 6 bugfix regressions: estimator knob guards and the
@@ -17,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.apps import ALL_APPS
 from repro.core.solver import PlanEvaluator, SolverSettings
 from repro.data.latency import LatencySource
 from repro.data.pricing import PricingSource
@@ -28,6 +30,10 @@ from repro.metrics.montecarlo import MonteCarloEstimator
 from repro.model.config import WorkflowConfig
 from repro.model.plan import DeploymentPlan
 from tests.montecarlo_oracle import ScalarReferenceEstimator
+from tests.test_montecarlo_kernel import (
+    learned_app,
+    make_estimator as make_app_estimator,
+)
 
 REGIONS = ("us-east-1", "us-west-1", "us-west-2", "ca-central-1")
 
@@ -140,9 +146,10 @@ def assert_profiles_identical(a, b):
         )
 
 
-class TestEstimateProfilesBitIdentity:
-    """``estimate_profiles`` is a loop over the one kernel: the same
-    doubles as solo ``estimate_profile`` calls."""
+class TestEstimateProfilesDifferential:
+    """``estimate_profiles`` gives every plan of a cohort the same
+    doubles as a solo ``estimate_profile`` call and as the scalar
+    reference."""
 
     @pytest.mark.parametrize("dag_name", ["chain_dag", "diamond_dag"])
     def test_batched_matches_solo(self, dag_name, request):
@@ -197,6 +204,65 @@ class TestEstimateProfilesBitIdentity:
         assert_profiles_identical(
             profile, make_estimator(chain_dag).estimate_profile(plan)
         )
+
+
+    #: A stopping rule per app under which its plans stop at different
+    #: batches within 100 samples.
+    COHORT_COV = {
+        "dna_visualization": 0.01,
+        "image_processing": 0.005,
+        "rag_ingestion": 0.01,
+        "text2speech_censoring": 0.01,
+        "video_analytics": 0.01,
+    }
+
+    @pytest.mark.parametrize("app_name", sorted(ALL_APPS))
+    @pytest.mark.parametrize("kv_region", ["us-east-1", None])
+    def test_random_cohorts_on_the_apps(self, app_name, kv_region):
+        # Cohorts of 1-24 plans with duplicates; ``kv_region=None`` puts
+        # each plan's KV store at its own start region, so one cohort
+        # mixes KV regions; a tight stopping rule staggers convergence.
+        cloud, dag, metrics = learned_app(app_name)
+        kwargs = dict(cloud=cloud, kv_region=kv_region, batch_size=20,
+                      max_samples=100,
+                      cov_threshold=self.COHORT_COV[app_name])
+        cohort_est = make_app_estimator(dag, metrics, seed=9, **kwargs)
+        solo_est = make_app_estimator(dag, metrics, seed=9, **kwargs)
+        reference = make_app_estimator(dag, metrics, vectorized=False,
+                                       seed=9, **kwargs)
+        rng = np.random.default_rng(sorted(ALL_APPS).index(app_name))
+        sample_counts, starts = set(), set()
+        for size in (1, 24, int(rng.integers(2, 24))):
+            distinct = [
+                DeploymentPlan({
+                    node: REGIONS[int(rng.integers(len(REGIONS)))]
+                    for node in dag.node_names
+                })
+                for _ in range(max(1, size - size // 4))
+            ]
+            cohort = [distinct[int(i)]
+                      for i in rng.integers(len(distinct), size=size)]
+            if size > 1:  # a duplicate as its own object
+                cohort[-1] = DeploymentPlan(dict(cohort[0].assignments))
+            profiles = cohort_est.estimate_profiles(cohort)
+            assert len(profiles) == size
+            first = {}
+            for plan, profile in zip(cohort, profiles):
+                digest = plan.digest()
+                if digest in first:
+                    assert profile is first[digest]
+                    continue
+                first[digest] = profile
+                starts.add(plan.region_of(dag.start_node))
+                assert_profiles_identical(
+                    profile, solo_est.estimate_profile(plan)
+                )
+                assert_profiles_identical(
+                    profile, reference.estimate_profile(plan)
+                )
+                sample_counts.add(profile.n_samples)
+        assert len(starts) > 1
+        assert len(sample_counts) > 1, "fixture no longer staggers convergence"
 
 
 class TestEstimatorGuards:

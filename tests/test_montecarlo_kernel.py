@@ -134,13 +134,15 @@ def assert_profiles_identical(got, want):
 
 
 def assert_kernel_equals_reference(dag, data, plans, **kwargs):
+    """Each plan profiled on its own and all of them as one cohort, both
+    against the scalar reference."""
     production = make_estimator(dag, data, vectorized=True, **kwargs)
+    cohort = make_estimator(dag, data, vectorized=True, **kwargs)
     reference = make_estimator(dag, data, vectorized=False, **kwargs)
-    for plan in plans:
-        assert_profiles_identical(
-            production.estimate_profile(plan),
-            reference.estimate_profile(plan),
-        )
+    for plan, together in zip(plans, cohort.estimate_profiles(plans)):
+        want = reference.estimate_profile(plan)
+        assert_profiles_identical(production.estimate_profile(plan), want)
+        assert_profiles_identical(together, want)
 
 
 # ------------------------------------------------------------ the five apps
@@ -251,7 +253,8 @@ class TestShapesDifferential:
 @st.composite
 def small_workflows(draw):
     """A random single-start DAG of up to six nodes with random
-    conditional edges, supports, probabilities, pinned data and plan."""
+    conditional edges, supports, probabilities, pinned data and one to
+    four plans (the cohort)."""
     n = draw(st.integers(1, 6))
     names = [f"n{i}" for i in range(n)]
     dag = WorkflowDAG("random")
@@ -283,10 +286,13 @@ def small_workflows(draw):
         },
         input_sizes=draw(st.lists(sizes, min_size=1, max_size=3)),
     )
-    plan = DeploymentPlan(
-        {name: draw(st.sampled_from(REGIONS)) for name in names}
-    )
-    return dag, data, plan
+    plans = draw(st.lists(
+        st.builds(DeploymentPlan, st.fixed_dictionaries(
+            {name: st.sampled_from(REGIONS) for name in names}
+        )),
+        min_size=1, max_size=4,
+    ))
+    return dag, data, plans
 
 
 class TestRandomDagProperty:
@@ -295,9 +301,9 @@ class TestRandomDagProperty:
            kv_region=st.sampled_from((None,) + REGIONS),
            seed=st.integers(0, 2**32 - 1))
     def test_kernel_equals_reference(self, workflow, kv_region, seed):
-        dag, data, plan = workflow
+        dag, data, plans = workflow
         assert_kernel_equals_reference(
-            dag, data, [plan], seed=seed, kv_region=kv_region,
+            dag, data, plans, seed=seed, kv_region=kv_region,
             batch_size=7, max_samples=20,
         )
 

@@ -3,6 +3,7 @@ exhaustive oracle."""
 
 import bisect
 import collections
+import dataclasses
 import functools
 import sys
 
@@ -13,6 +14,7 @@ from repro.apps import ALL_APPS
 from repro.cloud.provider import SimulatedCloud
 from repro.common.clock import VirtualClock
 from repro.common.errors import SolverError
+from repro.common.rng import RngRegistry
 from repro.core.solver import (
     CoarseSolver,
     HBSSSolver,
@@ -35,7 +37,7 @@ from repro.model.plan import DeploymentPlan, HourlyPlanSet
 from repro.obs.trace import Tracer
 
 from tests.exhaustive_oracle import ExhaustiveSolver
-from tests.hbss_walk_oracle import LegacyHBSSSolver
+from tests.hbss_walk_oracle import LegacyHBSSSolver, SequentialHBSSSolver
 
 REGIONS = ("us-east-1", "us-west-1", "us-west-2", "ca-central-1")
 
@@ -722,9 +724,9 @@ def app_twins():
             solver_settings=WALK_SETTINGS,
         )
 
-        def make(seed):
+        def make(seed, config=None):
             return PlanEvaluator(
-                dag=base.dag, config=base.config, data=base.data,
+                dag=base.dag, config=config or base.config, data=base.data,
                 regions=base.regions, intensity_fn=base._intensity_fn,
                 carbon_model=base.carbon_model, cost_model=base.cost_model,
                 latency_model=base.latency_model,
@@ -809,6 +811,82 @@ class TestWalkDifferential:
         assert make().permitted_regions("b") == ("us-east-1",)
         for seed in range(3):
             _assert_walks_equal(make, [0, 18], seed)
+
+
+def _day(solver_cls, ev, seed, solves, registry=None):
+    """``solves`` (a list of ``(hours, warm_start)``; a warm start of
+    ``"previous"`` is the previous solve's plan set) run one after
+    another on one solver with a tracer; returns everything they leave
+    behind that two drivers must agree on."""
+    tracer = Tracer(VirtualClock())
+    factory = None
+    if registry is not None:
+        def factory(hour):
+            return registry.get(f"solver:wf:hour={hour}")
+    solver = solver_cls(ev, np.random.default_rng(seed), tracer=tracer,
+                        rng_factory=factory)
+    days, plan_set = [], None
+    for hours, warm_start in solves:
+        if warm_start == "previous":
+            warm_start = plan_set
+        plan_set, results = solver.solve_day(hours, warm_start=warm_start)
+        days.append((plan_set.to_dict(), results))
+    return {
+        "days": days,
+        "stats": dataclasses.asdict(ev.stats),
+        "trace": tracer.to_jsonl(),
+        "rng": registry.snapshot() if registry is not None else None,
+    }
+
+
+class TestLockstepDifferential:
+    """``solve_day`` against the driver that solved one hour after
+    another (``tests/hbss_walk_oracle.py::SequentialHBSSSolver``), on
+    twin evaluators over every Table-1 app: the plan sets, every
+    ``SolveResult`` field, every ``SolverStats`` counter, the registry
+    streams' end states and the spans must be equal, byte for byte."""
+
+    TOLERANCES = Tolerances(latency=0.5, carbon=0.5, cost=0.5)
+
+    def _assert_days_equal(self, make, seed, solves, registry_seed=None):
+        def run(solver_cls):
+            registry = (
+                RngRegistry(registry_seed) if registry_seed is not None
+                else None
+            )
+            return _day(solver_cls, make(), seed, solves, registry)
+
+        got = run(HBSSSolver)
+        want = run(SequentialHBSSSolver)
+        assert got == want
+        assert '"solver_iteration"' in got["trace"]
+        return got
+
+    @pytest.mark.parametrize("app_name", sorted(ALL_APPS))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_apps(self, app_twins, app_name, seed):
+        make = app_twins(app_name)
+        # A cold day, then a warm-started re-solve on the same solver.
+        self._assert_days_equal(
+            functools.partial(make, seed), seed,
+            [(None, None), (None, "previous")],
+        )
+        # A granularity-6 subset on the registry's per-hour streams,
+        # solved twice: the second solve draws on where the first
+        # stopped.
+        self._assert_days_equal(
+            functools.partial(make, seed), seed,
+            [([0, 6, 12, 18], None), ([0, 6, 12, 18], "previous")],
+            registry_seed=seed,
+        )
+        # Latency, carbon and cost tolerances: violators are memoised
+        # without a price, and tails are read.
+        base = make(seed)
+        config = dataclasses.replace(base.config, tolerances=self.TOLERANCES)
+        self._assert_days_equal(
+            functools.partial(make, seed, config), seed,
+            [(list(range(0, 24, 3)), None)],
+        )
 
 
 def _count_walk_work(solver, hour, warm_start_plan=None):
