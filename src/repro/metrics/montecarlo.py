@@ -25,19 +25,19 @@ Determinism note (RNG stream discipline)
 ----------------------------------------
 Each plan is simulated from its *own* derived substream: at
 construction the estimator draws a single 63-bit salt from the
-caller-supplied generator, and ``estimate_profile`` seeds a fresh
-``numpy`` generator from ``derive_seed(salt, plan.digest())``.  Two
-consequences the solver stack relies on:
+caller-supplied generator, and a profile run seeds a fresh ``numpy``
+generator from ``derive_seed(salt, plan.digest())``.  Two consequences
+the solver stack relies on:
 
 * profiles are **order-independent** — the order in which hours are
-  solved (or a re-ordered cache-warming schedule) cannot perturb any
-  plan's draws;
+  solved, which plans share a cohort (see below), or a re-ordered
+  cache-warming schedule cannot perturb any plan's draws;
 * re-profiling the same plan on the same estimator reproduces the same
   result, which is what makes a digest-keyed profile cache semantically
   transparent (a hit equals a recompute).
 
 Within one plan's profile run, randomness is consumed in *batch-major,
-structure-minor* order, and only by ``_draw_batch``.  Every bootstrap
+structure-minor* order, and only by ``_draw``.  Every bootstrap
 draw is an *index* into the support of the distribution it resamples
 (``EmpiricalDistribution.support()``).  For every batch of ``B``
 simulations it draws, in this exact sequence:
@@ -47,7 +47,7 @@ simulations it draws, in this exact sequence:
    ``dag.edges`` order; no call when the DAG has none);
 2. one index matrix ``rng.integers(0, highs, size=(m, B))``, where
    ``highs`` is the ``(m, 1)`` int64 column of support lengths (built
-   once per plan, ``_PlanSteps.highs``) in this order: the end-user
+   once per plan, ``_Cohort.highs``) in this order: the end-user
    input sizes; then, for each node in (lexicographic) topological
    order, each incoming edge's payload-size support (in
    ``dag.in_edges`` order) followed by the node's per-region
@@ -69,26 +69,43 @@ unchanged.
 
 What is computed when
 ~~~~~~~~~~~~~~~~~~~~~
-Everything the kernel derives from a drawn value — Eq. 7.2-7.4 energy,
-Lambda cost, egress cost, transfer latency — is an *elementwise*
-function ``f`` of it, so ``f(support)[idx] == f(support[idx])`` bit for
-bit.  Each quantity is therefore paid for at the rate it changes:
+The kernel profiles a *cohort*: ``estimate_profiles(plans)`` simulates
+every distinct plan of the list together, and ``estimate_profile`` is
+the cohort of one.  Everything the kernel derives from a drawn value —
+Eq. 7.2-7.4 energy, Lambda cost, egress cost, transfer latency — is an
+*elementwise* function ``f`` of it, so ``f(support)[idx] ==
+f(support[idx])`` bit for bit, and an elementwise op on a ``(plans,
+samples)`` array gives each plan's row what the same op gives that row
+alone.  Each quantity is therefore paid for at the rate it changes:
 
 * **once per estimator** (lazily, per key): the DAG walk order, in-edges,
   sync nodes, guaranteed nodes (``WorkflowDAG.guaranteed_nodes``), every
   ``node_*`` / ``edge_probability`` / ``*_dist`` read of ``data``; per
   *(node, region)* the durations, energy and execution cost over the
-  execution-time support; per *(client, region)* arrival latency and
-  egress over the input-size support; per *route* three scalars
+  execution-time support, appended to one array per quantity and node
+  (``_Gather``); per *(client, region)* arrival latency and egress over
+  the input-size support, appended likewise; per *route* three scalars
   (one-way latency, bandwidth, USD/GB); per region the SNS publish and
   KV request costs.  The models' ``*_batch`` methods run here, on the
   supports, with all their validation;
-* **once per plan**: dictionary lookups resolving the plan against those
-  tables, and the column of support lengths the draw reads
-  (``_plan_steps``); one accumulator buffer, every result vector a row
-  of it;
-* **once per batch**: the two draw calls, one 1-D gather per table, the
-  route arithmetic on the gathered payload sizes, and the accumulation.
+* **once per plan**: its substream, and dictionary lookups resolving it
+  against those tables (``_compile``): where each of its tables starts
+  in the gathered arrays, the rows its regions and routes own in the
+  run's result buffer, its route and cost scalars, and the column of
+  support lengths its draw reads;
+* **once per cohort**: those per-plan lists as one float and one int
+  matrix, whose columns are the ``(P, 1)`` scalars and ``(P,)`` rows a
+  batch reads, and one zeroed result buffer holding a block of rows per
+  plan — latency, cost, one energy row per region, one byte row per
+  route — every result vector of a profile a row of it;
+* **once per cohort batch**: each running plan's two draw calls on its
+  own stream; per table one gather through the per-plan offsets; the
+  route arithmetic on the gathered payload sizes; each plan's additions
+  into its own rows, in the order a lone run makes them; and the
+  stopping rule, one axis-1 reduction per series for every running
+  plan at once (``_converged``).  A plan that has converged leaves the
+  cohort, which is compiled again for the plans that run on; they all
+  share the sample count, so the last batch is clamped for all of them.
 
 Because validation runs on a whole support, it is *stricter* than a
 per-sample check: a negative payload size or a non-positive duration
@@ -106,17 +123,20 @@ guaranteed node) is taken in every sample, so the kernel adds their
 contributions unmasked.  That is exact, not approximate —
 ``np.where(all_true, x, 0.0)`` is ``x`` — and the sequence of additions
 into each per-sample accumulator is the scalar path's, term for term
-(float addition is not associative).
+(float addition is not associative).  A batch skips an edge that no
+sample of any plan takes; a plan whose own samples all skip it adds
+``0.0``, which changes no accumulator.
 
 The tests hold the path this kernel replaced as an oracle
-(``tests/montecarlo_oracle.py::ScalarReferenceEstimator``): it draws
-the same indices one ``integers`` call per distribution, reads
-``support[idx[i]]`` and prices that one value with the scalar model
-methods, one sample at a time.  The two
-produce bit-identical :class:`PlanProfile`\\ s (and therefore
-bit-identical :class:`WorkflowEstimate`\\ s) from identical seeds — the
-property the differential tests in ``tests/test_montecarlo.py`` and
-``tests/test_montecarlo_kernel.py`` lock down.
+(``tests/montecarlo_oracle.py::ScalarReferenceEstimator``): one plan at
+a time, it draws the same indices one ``integers`` call per
+distribution, reads ``support[idx[i]]`` and prices that one value with
+the scalar model methods, one sample at a time.  The two produce
+bit-identical :class:`PlanProfile`\\ s (and therefore bit-identical
+:class:`WorkflowEstimate`\\ s) from identical seeds, whatever the cohort —
+the property the differential tests in ``tests/test_montecarlo.py``,
+``tests/test_montecarlo_kernel.py`` and ``tests/test_batched_eval.py``
+lock down.
 """
 
 from __future__ import annotations
@@ -127,7 +147,6 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -255,19 +274,22 @@ def _mean(values: "np.ndarray") -> float:
     return float(_sum(values) / values.size)
 
 
-def _mean_and_std(values: "np.ndarray") -> Tuple[float, float]:
-    """``(values.mean(), values.std(ddof=1))`` of a 1-D float array of
-    at least two elements — the same doubles, spelt as the four ufunc
-    calls numpy's own wrappers end in.  Their per-call argument handling
-    cost more than the arithmetic on a few hundred samples, twice per
-    convergence check; the equality is the contract
+def _mean_and_std(
+    values: "np.ndarray",
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """``(values.mean(axis=-1), values.std(axis=-1, ddof=1))`` of a float
+    array with at least two elements per row — the same doubles, spelt
+    as the ufunc calls numpy's own wrappers end in, minus their per-call
+    argument handling.  A row of a ``(plans, n)`` cohort gets exactly
+    what its own 1-D series would: the reductions run along the
+    contiguous last axis.  Both equalities are the contract
     (``tests/test_montecarlo.py::TestConvergedDifferential``).
     """
-    n = values.size
-    mean = _sum(values) / n
-    deviations = values - mean
+    n = values.shape[-1]
+    mean = _sum(values, axis=-1) / n
+    deviations = values - mean[..., None]
     deviations *= deviations
-    return float(mean), math.sqrt(_sum(deviations) / (n - 1))
+    return mean, np.sqrt(_sum(deviations, axis=-1) / (n - 1))
 
 
 def _p95(values: "np.ndarray") -> float:
@@ -408,19 +430,6 @@ class PlanProfile:
         return out
 
 
-@dataclass
-class _BatchDraws:
-    """One batch worth of pre-drawn randomness (see determinism note):
-    conditional-edge uniforms, and bootstrap *indices* into the support
-    of every distribution the plan samples."""
-
-    n: int
-    uniforms: Optional["np.ndarray"]  # (n, n_conditional_edges)
-    input_idx: "np.ndarray"
-    edge_idx: Dict[Tuple[str, str], "np.ndarray"]
-    exec_idx: Dict[str, "np.ndarray"]
-
-
 @dataclass(frozen=True)
 class _EdgeSpec:
     """One DAG edge as the estimator sees it; read from ``data`` once."""
@@ -476,8 +485,7 @@ class _NodeTable:
     energy: "np.ndarray"
     exec_cost: "np.ndarray"
     external_route: Optional[Tuple[str, str]]
-    external_bytes: "np.ndarray"  # 0-d, like the next
-    external_cost: "np.ndarray"
+    external_cost: float  # USD per execution, 0.0 without external data
 
 
 @dataclass(frozen=True)
@@ -490,38 +498,102 @@ class _InputTable:
     egress: "np.ndarray"  # USD
 
 
-#: One network leg of an edge: ``(route, one-way s, bandwidth B/s, USD/GB)``
-#: — scalars only (as 0-d arrays, see ``_scalar``); the batch combines
-#: them with the gathered payload sizes.
-_Leg = Tuple[Tuple[str, str], "np.ndarray", "np.ndarray", "np.ndarray"]
+class _Gather:
+    """Tables of one kind laid end to end, so a cohort gathers every
+    plan's values with one index array: ``offset[key]`` is where the
+    table of ``key`` (a region, or a ``(client, region)`` route) starts
+    in each of ``arrays``.  Grown by appending, never reordered."""
+
+    __slots__ = ("offset", "arrays")
+
+    def __init__(self) -> None:
+        self.offset: Dict[object, int] = {}
+        self.arrays: Tuple["np.ndarray", ...] = ()
+
+    def append(self, key: object, arrays: Sequence["np.ndarray"]) -> None:
+        size = len(self.arrays[0]) if self.arrays else 0
+        self.offset[key] = size
+        self.arrays = (
+            tuple(np.concatenate(pair) for pair in zip(self.arrays, arrays))
+            if self.arrays
+            else tuple(arrays)
+        )
+
+
+class _Leg(NamedTuple):
+    """One network leg of an edge across a cohort: per plan, the result
+    row its route's bytes accumulate in, and the route's one-way latency
+    (s), bandwidth (B/s) and USD/GB as ``(P, 1)`` columns."""
+
+    rows: "np.ndarray"  # (P,) int
+    one_way: "np.ndarray"
+    bandwidth: "np.ndarray"
+    per_gb: "np.ndarray"
+
+
+class _InputStep(NamedTuple):
+    """The start node's end-user input across a cohort."""
+
+    at: "np.ndarray"  # (P, 1) offsets into ``arrival`` / ``egress``
+    rows: "np.ndarray"  # (P,) rows of the (client, start region) routes
+    arrival: "np.ndarray"
+    egress: "np.ndarray"
 
 
 class _NodeStep(NamedTuple):
-    """A node under one plan: its spec, region and priced tables, and per
-    in-edge the legs its payload travels (one, or two through the KV
-    region for a sync node).  Built per profile, hence a tuple."""
+    """One DAG node across a cohort: what each plan's placement of it
+    adds to a batch, as per-plan offsets, rows and columns."""
 
     spec: _NodeSpec
-    region: str
-    table: _NodeTable
-    input_table: Optional[_InputTable]  # start node only
+    #: Rows of the index draw: each in-edge's payload size, then the
+    #: execution time.
+    edge_draws: Tuple[int, ...]
+    exec_draw: int
+    input: Optional[_InputStep]  # start node only
+    #: Per in-edge, its legs (one, or two through the KV region for a
+    #: sync node).
     legs: Tuple[Tuple[_Leg, ...], ...]
-    publish_cost: "np.ndarray"  # 0-d
+    external_rows: Optional["np.ndarray"]  # (P,), with pinned data only
+    external_bytes: "np.ndarray"  # 0-d
+    external_cost: "np.ndarray"  # (P, 1)
+    at: "np.ndarray"  # (P, 1) offsets into the node's gathered tables
+    energy_rows: "np.ndarray"  # (P,)
+    publish_cost: "np.ndarray"  # (P, 1)
+    durations: "np.ndarray"
+    energy: "np.ndarray"
+    exec_cost: "np.ndarray"
 
 
-class _PlanSteps(NamedTuple):
-    """A plan resolved against the estimator's tables, in topological
-    order: everything a batch needs besides its random draws."""
+class _Layout(NamedTuple):
+    """One plan's block of result rows: latency, cost, then a row for
+    every energy region and byte route the plan *could* touch, numbered
+    in processing order.  The two dicts keep that order too, so the
+    kernel and the tests' scalar oracle accumulate — and the profile
+    later sums — in the same key order, which bit-identity needs."""
 
-    workflow: "_WorkflowSpec"
+    regions: Dict[str, int]
+    routes: Dict[Tuple[str, str], int]
+
+    @property
+    def size(self) -> int:
+        return 2 + len(self.regions) + len(self.routes)
+
+
+class _Cohort(NamedTuple):
+    """Plans resolved against the estimator's tables, in topological
+    order: everything a batch needs besides its random draws.  Result
+    rows are rows of the run's buffer, where each plan owns a block."""
+
+    layouts: Tuple[_Layout, ...]
     nodes: Tuple[_NodeStep, ...]
-    #: 0-d: plan retrieval per executed node; and a sync fan-in's
+    #: Per plan, the ``(m, 1)`` int64 column of the length of every
+    #: support a batch draws indices into, one row per distribution in
+    #: draw order.
+    highs: Tuple["np.ndarray", ...]
+    #: (P, 1): plan retrieval per executed node; and a sync fan-in's
     #: annotation update + data write + data read.
     kv_read_cost: "np.ndarray"
     kv_relay_cost: "np.ndarray"
-    #: ``(m, 1)`` int64: the length of every support a batch draws
-    #: indices into, one row per distribution in draw order.
-    highs: "np.ndarray"
 
 
 def _add(target: "np.ndarray", values, mask: Optional["np.ndarray"]) -> None:
@@ -536,43 +608,18 @@ def _add(target: "np.ndarray", values, mask: Optional["np.ndarray"]) -> None:
         target += np.where(mask, values, 0.0)
 
 
-class _BatchAccumulators:
-    """Per-sample result vectors a simulation kernel writes into: rows of
-    one ``(2 + regions + routes, n)`` buffer — latency, cost, then one
-    energy row per region and one byte row per route.
-
-    Energy/route keys come from the plan's static pricing schedule
-    (every region and route the plan *could* touch, in processing
-    order) so the kernel and the tests' scalar oracle accumulate — and
-    later sum — in exactly the same key order, which the bit-identity
-    guarantee needs.
-    """
-
-    def __init__(
-        self,
-        buffer: "np.ndarray",
-        regions: Iterable[str],
-        routes: Iterable[Tuple[str, str]],
-    ):
-        self.buffer = buffer
-        self.n = buffer.shape[1]
-        self.latency = buffer[0]
-        self.cost = buffer[1]
-        rows = iter(buffer[2:])
-        self.energy: Dict[str, np.ndarray] = dict(zip(regions, rows))
-        self.route_bytes: Dict[Tuple[str, str], np.ndarray] = dict(
-            zip(routes, rows)
-        )
-
-    def window(self, lo: int, hi: int) -> "_BatchAccumulators":
-        """A view of samples ``[lo, hi)`` sharing this accumulator's
-        storage.  The kernels write batches through these views, so a
-        profile run fills one preallocated buffer incrementally and
-        every convergence check reads a prefix of it.
-        """
-        return _BatchAccumulators(
-            self.buffer[:, lo:hi], self.energy, self.route_bytes
-        )
+def _add_rows(
+    target: "np.ndarray",
+    rows: "np.ndarray",
+    values,
+    mask: Optional["np.ndarray"],
+) -> None:
+    """:func:`_add` into ``target[rows]``: one row per plan, so no row
+    appears twice."""
+    if mask is None:
+        target[rows] += values
+    else:
+        target[rows] += np.where(mask, values, 0.0)
 
 
 class MonteCarloEstimator:
@@ -656,10 +703,12 @@ class MonteCarloEstimator:
         # on first use and kept for the estimator's lifetime.
         self._workflow: Optional[_WorkflowSpec] = None
         self._node_tables: Dict[Tuple[str, str], _NodeTable] = {}
+        self._node_gathers: Dict[str, _Gather] = {}
         self._input_tables: Dict[Tuple[str, str], _InputTable] = {}
-        self._route_legs: Dict[Tuple[str, str], _Leg] = {}
-        self._publish_costs: Dict[str, np.ndarray] = {}
-        self._kv_costs: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        self._input_gather = _Gather()
+        self._route_legs: Dict[Tuple[str, str], Tuple[float, float, float]] = {}
+        self._publish_costs: Dict[str, float] = {}
+        self._kv_costs: Dict[str, Tuple[float, float]] = {}
 
     def estimate(
         self,
@@ -677,52 +726,34 @@ class MonteCarloEstimator:
 
     def estimate_profile(self, plan: DeploymentPlan) -> PlanProfile:
         """Run the Monte-Carlo simulation collecting an hour-independent
-        :class:`PlanProfile` (see its docstring).  The stopping rule is
-        applied to the latency and cost estimators, since carbon is a
-        deterministic re-pricing of the collected energy/byte vectors.
-
-        Results accumulate into one preallocated ``max_samples`` buffer
-        through slice views, so each convergence check reads a
-        contiguous prefix.  The final batch is clamped
-        to the remaining budget, so the sample cap is honoured exactly
-        even when ``batch_size`` does not divide ``max_samples``.
-        """
+        :class:`PlanProfile` (see its docstring): a cohort of one, see
+        :meth:`estimate_profiles`."""
         self._check_coverage(plan)
-        rng = self.plan_rng(plan)
-        steps = self._plan_steps(plan)
-        full = self._make_accumulators(steps, self._max)
-        n_total = 0
-        while n_total < self._max:
-            n = min(self._batch, self._max - n_total)
-            draws = self._draw_batch(steps, n, rng)
-            self._simulate_batch(steps, draws, full.window(n_total, n_total + n))
-            n_total += n
-            if self._converged(full.latency[:n_total], full.cost[:n_total]):
-                break
-
-        if self._stats is not None:
-            self._stats.simulations_run += 1
-            self._stats.samples_drawn += n_total
-        return self._profile_from(full, n_total)
+        return self._profile_cohort([plan])[0]
 
     def estimate_profiles(
         self, plans: Sequence[DeploymentPlan]
     ) -> List[PlanProfile]:
-        """Profile many candidate plans: one :meth:`estimate_profile`
-        run per distinct plan, in first-seen order.
+        """Profile many candidate plans as one cohort: every batch
+        simulates all of its still-running plans with ``(plans,
+        samples)``-wide array ops.
 
-        Each plan draws from its own digest-keyed substream, so results
-        are bit-identical to per-plan :meth:`estimate_profile` calls in
-        any order.  Duplicate plans (same digest) are simulated once and
-        share the resulting profile object.
+        Each plan draws from its own digest-keyed substream and stops on
+        its own, so every profile is bit-identical to a solo
+        :meth:`estimate_profile` call, in any order and in any company.
+        Duplicate plans (same digest) are simulated once and share the
+        resulting profile object.
         """
         for plan in plans:
             self._check_coverage(plan)
-        by_digest: Dict[str, PlanProfile] = {}
+        distinct: Dict[str, DeploymentPlan] = {}
         for plan in plans:
-            digest = plan.digest()
-            if digest not in by_digest:
-                by_digest[digest] = self.estimate_profile(plan)
+            distinct.setdefault(plan.digest(), plan)
+        if not distinct:
+            return []
+        by_digest = dict(
+            zip(distinct, self._profile_cohort(list(distinct.values())))
+        )
         return [by_digest[plan.digest()] for plan in plans]
 
     # -- internals -----------------------------------------------------------
@@ -731,24 +762,79 @@ class MonteCarloEstimator:
             missing = set(self._dag.node_names) - set(plan.assignments)
             raise ValueError(f"plan does not cover nodes: {sorted(missing)}")
 
-    def _profile_from(self, full: _BatchAccumulators, n: int) -> PlanProfile:
-        # One copy of the filled prefix, read-only so what the profile
-        # computes once on its first pricing can never go stale; every
-        # vector the profile holds is a row of it.
-        buffer = full.buffer[:, :n].copy()
+    def _profile_cohort(
+        self, plans: Sequence[DeploymentPlan]
+    ) -> List[PlanProfile]:
+        """Simulate distinct ``plans`` batch by batch until each plan's
+        stopping rule fires.
+
+        Every plan accumulates into its own block of rows of one
+        preallocated ``max_samples``-wide buffer, so each convergence
+        check reads a prefix.  Running plans share the sample count, so
+        the final batch is clamped to the remaining budget for all of
+        them and the sample cap is honoured exactly even when
+        ``batch_size`` does not divide ``max_samples``.  A plan that has
+        converged leaves the cohort; the others run on.
+        """
+        rngs = [self.plan_rng(plan) for plan in plans]
+        cohort = self._compile(plans)
+        sizes = [layout.size for layout in cohort.layouts]
+        starts = np.cumsum([0] + sizes[:-1])
+        full = np.zeros((sum(sizes), self._max))
+        profiles: List[Optional[PlanProfile]] = [None] * len(plans)
+        running = list(range(len(plans)))
+        n_total = 0
+        while True:
+            first = starts[running]
+            n = min(self._batch, self._max - n_total)
+            hi = n_total + n
+            latency, cost = self._simulate(
+                cohort,
+                *self._draw([rngs[i] for i in running], cohort.highs, n),
+                full[:, n_total:hi],
+            )
+            full[first, n_total:hi] = latency
+            full[first + 1, n_total:hi] = cost
+            n_total = hi
+            if n_total == self._max:
+                stopped = [True] * len(running)
+            else:
+                stopped = self._converged(
+                    full[first, :hi], full[first + 1, :hi]
+                ).tolist()
+            for i, layout, stop in zip(running, cohort.layouts, stopped):
+                if stop:
+                    start = starts[i]
+                    profiles[i] = self._profile_from(
+                        full[start:start + sizes[i], :hi].copy(), layout
+                    )
+            if all(stopped):
+                break
+            running = [i for i, stop in zip(running, stopped) if not stop]
+            cohort = self._compile([plans[i] for i in running], starts[running])
+
+        if self._stats is not None:
+            self._stats.simulations_run += len(plans)
+            self._stats.samples_drawn += sum(p.n_samples for p in profiles)
+        return profiles
+
+    def _profile_from(self, buffer: "np.ndarray", layout: _Layout) -> PlanProfile:
+        # A copy of the plan's filled prefix, read-only so what the
+        # profile computes once on its first pricing can never go stale;
+        # every vector the profile holds is a row of it.
         buffer.setflags(write=False)
-        rows = _BatchAccumulators(buffer, full.energy, full.route_bytes)
         return PlanProfile(
-            latencies=rows.latency,
-            costs=rows.cost,
-            energy_by_region=rows.energy,
-            bytes_by_route=rows.route_bytes,
+            latencies=buffer[0],
+            costs=buffer[1],
+            energy_by_region={r: buffer[i] for r, i in layout.regions.items()},
+            bytes_by_route={k: buffer[i] for k, i in layout.routes.items()},
             carbon_model=self._carbon,
         )
 
-    def _converged(self, *series: "np.ndarray") -> bool:
-        """Relative-standard-error stopping rule, with the degenerate
-        cases handled explicitly:
+    def _converged(self, *series: "np.ndarray") -> "np.ndarray":
+        """Relative-standard-error stopping rule, per row of the
+        ``(plans, n)`` series (a 1-D series is one plan's, and gets a
+        0-d answer), with the degenerate cases handled explicitly:
 
         * fewer than two samples: never converged (``std(ddof=1)`` of a
           single sample is NaN, which would silently compare False);
@@ -758,19 +844,23 @@ class MonteCarloEstimator:
         * non-positive mean with spread: *not* converged — a relative
           error is meaningless there, so sampling continues to the cap
           rather than stopping blind.
+
+        A row's decision is the one a single plan's 1-D series would
+        get: the axis-1 reductions give each row the doubles a 1-D
+        reduction gives it (``tests/test_montecarlo.py::
+        TestConvergedDifferential``, on the numpy floor too).
         """
+        *rows, n = series[0].shape
+        if n < 2:
+            return np.zeros(rows, dtype=bool)
+        done = np.ones(rows, dtype=bool)
+        root_n = math.sqrt(n)
         for values in series:
-            arr = np.asarray(values)
-            if arr.size < 2:
-                return False
-            mean, std = _mean_and_std(arr)
-            if std == 0.0:
-                continue
-            if mean <= 0:
-                return False
-            if std / math.sqrt(arr.size) / mean >= self._cov:
-                return False
-        return True
+            mean, std = _mean_and_std(values)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                relative_error = std / root_n / mean
+            done &= (std == 0.0) | ~((mean <= 0) | (relative_error >= self._cov))
+        return done
 
     def _client_and_kv(self, plan: DeploymentPlan) -> Tuple[str, str]:
         """Resolve the client and KV regions for one evaluation."""
@@ -853,7 +943,7 @@ class MonteCarloEstimator:
             return table
         exec_times = self._data.execution_time_dist(spec.name, region).support()
         durations = exec_times
-        external_route, external_bytes, external_cost = None, _ZERO, _ZERO
+        external_route, external_cost = None, 0.0
         if spec.external is not None:
             # Fixed external data reads follow the node when it moves
             # (§9.1: external storage stays at the home region).
@@ -862,10 +952,9 @@ class MonteCarloEstimator:
             durations = exec_times + self._latency.estimate(
                 ext_region, region, external_bytes
             )
-            external_cost = _scalar(
-                self._cost.transmission_cost(ext_region, region, external_bytes)
+            external_cost = self._cost.transmission_cost(
+                ext_region, region, external_bytes
             )
-            external_bytes = _scalar(external_bytes)
         energy = (
             self._carbon.execution_energy_kwh_batch(
                 durations_s=durations,
@@ -875,7 +964,7 @@ class MonteCarloEstimator:
             )
             * self._carbon.pue
         )
-        table = self._node_tables[(spec.name, region)] = _NodeTable(
+        table = _NodeTable(
             exec_times=exec_times,
             durations=durations,
             energy=energy,
@@ -883,9 +972,11 @@ class MonteCarloEstimator:
                 region, durations, spec.memory_mb
             ),
             external_route=external_route,
-            external_bytes=external_bytes,
             external_cost=external_cost,
         )
+        self._node_tables[(spec.name, region)] = table
+        gather = self._node_gathers.setdefault(spec.name, _Gather())
+        gather.append(region, (table.durations, table.energy, table.exec_cost))
         return table
 
     def _input_table(self, client: str, region: str) -> _InputTable:
@@ -897,182 +988,266 @@ class MonteCarloEstimator:
                 arrival=self._latency.estimate_batch(client, region, sizes),
                 egress=self._cost.transmission_cost_batch(client, region, sizes),
             )
+            self._input_gather.append(
+                (client, region), (table.arrival, table.egress)
+            )
         return table
 
-    def _leg(self, src: str, dst: str) -> _Leg:
+    def _leg(self, src: str, dst: str) -> Tuple[float, float, float]:
+        """A route's ``(one-way s, bandwidth B/s, USD/GB)``."""
         leg = self._route_legs.get((src, dst))
         if leg is None:
             one_way, bandwidth = self._latency.route_terms(src, dst)
             leg = self._route_legs[(src, dst)] = (
-                (src, dst),
-                _scalar(one_way),
-                _scalar(bandwidth),
-                _scalar(self._cost.egress_per_gb(src, dst)),
+                one_way,
+                bandwidth,
+                self._cost.egress_per_gb(src, dst),
             )
         return leg
 
-    def _plan_steps(self, plan: DeploymentPlan) -> _PlanSteps:
-        """Resolve ``plan`` against the tables: dictionary lookups only,
-        once every key it touches has been priced."""
-        client, kv = self._client_and_kv(plan)
-        kv_costs = self._kv_costs.get(kv)
-        if kv_costs is None:
-            kv_costs = self._kv_costs[kv] = (
-                _scalar(self._cost.kv_cost(kv, n_reads=1)),
-                _scalar(self._cost.kv_cost(kv, n_reads=1, n_writes=2)),
+    def _publish_cost(self, region: str) -> float:
+        cost = self._publish_costs.get(region)
+        if cost is None:
+            cost = self._publish_costs[region] = self._cost.messaging_cost(region)
+        return cost
+
+    def _kv_cost(self, kv: str) -> Tuple[float, float]:
+        """``(plan retrieval, sync fan-in relay)`` at KV region ``kv``."""
+        costs = self._kv_costs.get(kv)
+        if costs is None:
+            costs = self._kv_costs[kv] = (
+                self._cost.kv_cost(kv, n_reads=1),
+                self._cost.kv_cost(kv, n_reads=1, n_writes=2),
             )
+        return costs
+
+    # -- per cohort ---------------------------------------------------------
+    def _compile(
+        self,
+        plans: Sequence[DeploymentPlan],
+        starts: Optional[Sequence[int]] = None,
+    ) -> _Cohort:
+        """Resolve ``plans`` against the tables, once every key they
+        touch has been priced: dictionary lookups into two flat lists
+        per plan, then one float and one int matrix for the cohort whose
+        columns every batch reads.  Plan ``i``'s result rows start at
+        ``starts[i]`` (default: each plan's block right after the
+        previous one's)."""
         workflow = self._workflow_spec()
-        region_of = plan.assignments
-        nodes = []
-        highs = [len(workflow.input_sizes)]
-        for spec in workflow.nodes:
-            region = region_of[spec.name]
-            input_table = None
-            if not spec.in_edges:
-                # The end-user input arrives from the client near the
-                # home region (§6.2); a shifted start node pays for it.
-                input_table = self._input_table(client, region)
-                legs: Tuple[Tuple[_Leg, ...], ...] = ()
-            elif spec.is_sync:
-                # Fan-in data is relayed through the KV store (Fig. 5):
-                # src -> KV region -> sync node.
-                kv_to_node = self._leg(kv, region)
-                legs = tuple(
-                    (self._leg(region_of[e.src], kv), kv_to_node)
-                    for e in spec.in_edges
-                )
-            else:
-                legs = tuple(
-                    (self._leg(region_of[e.src], region),)
-                    for e in spec.in_edges
-                )
-            publish_cost = self._publish_costs.get(region)
-            if publish_cost is None:
-                publish_cost = self._publish_costs[region] = _scalar(
-                    self._cost.messaging_cost(region)
-                )
-            table = self._node_table(spec, region)
-            for edge in spec.in_edges:
-                highs.append(len(edge.sizes))
-            highs.append(len(table.exec_times))
-            nodes.append(
-                _NodeStep(spec, region, table, input_table, legs, publish_cost)
+        node_gathers = self._node_gathers
+        input_offset = self._input_gather.offset
+        floats_by_plan, ints_by_plan, bounds_by_plan = [], [], []
+        layouts = []
+        start = 0
+        for p, plan in enumerate(plans):
+            if starts is not None:
+                start = starts[p]
+            region_of = plan.assignments
+            client, kv = self._client_and_kv(plan)
+            # Region or route -> its row in the plan's block, numbered in
+            # processing order after the latency and cost rows.
+            rows: Dict[object, int] = {}
+            floats = list(self._kv_cost(kv))
+            ints = []
+            bounds = [len(workflow.input_sizes)]
+            for spec in workflow.nodes:
+                region = region_of[spec.name]
+                table = self._node_table(spec, region)
+                if not spec.in_edges:
+                    # The end-user input arrives from the client near
+                    # the home region (§6.2); a shifted start node pays
+                    # for it.
+                    route = (client, region)
+                    self._input_table(client, region)
+                    ints.append(input_offset[route])
+                    ints.append(start + rows.setdefault(route, len(rows) + 2))
+                for edge in spec.in_edges:
+                    src = region_of[edge.src]
+                    # Fan-in data is relayed through the KV store
+                    # (Fig. 5): src -> KV region -> sync node.
+                    for route in (
+                        ((src, kv), (kv, region))
+                        if spec.is_sync
+                        else ((src, region),)
+                    ):
+                        ints.append(start + rows.setdefault(route, len(rows) + 2))
+                        floats.extend(self._leg(*route))
+                    bounds.append(len(edge.sizes))
+                if table.external_route is not None:
+                    route = table.external_route
+                    ints.append(start + rows.setdefault(route, len(rows) + 2))
+                    floats.append(table.external_cost)
+                ints.append(node_gathers[spec.name].offset[region])
+                ints.append(start + rows.setdefault(region, len(rows) + 2))
+                floats.append(self._publish_cost(region))
+                bounds.append(len(table.exec_times))
+            layout = _Layout(
+                {k: r for k, r in rows.items() if isinstance(k, str)},
+                {k: r for k, r in rows.items() if not isinstance(k, str)},
             )
-        return _PlanSteps(
-            workflow,
-            tuple(nodes),
-            *kv_costs,
-            np.array(highs, dtype=np.int64).reshape(-1, 1),
+            layouts.append(layout)
+            start += layout.size
+            floats_by_plan.append(floats)
+            ints_by_plan.append(ints)
+            bounds_by_plan.append(bounds)
+
+        # The same walk again, over the columns in the order they were
+        # filled.
+        values = np.array(floats_by_plan, dtype=float)
+        index = np.array(ints_by_plan, dtype=np.intp)
+        f, i, draw = 2, 0, 1  # draw row 0 is the end-user input size
+        nodes = []
+        for spec in workflow.nodes:
+            input_step = None
+            if not spec.in_edges:
+                input_step = _InputStep(
+                    index[:, i:i + 1], index[:, i + 1], *self._input_gather.arrays
+                )
+                i += 2
+            legs = []
+            for _edge in spec.in_edges:
+                edge_legs = []
+                for _hop in range(2 if spec.is_sync else 1):
+                    edge_legs.append(
+                        _Leg(
+                            index[:, i],
+                            values[:, f:f + 1],
+                            values[:, f + 1:f + 2],
+                            values[:, f + 2:f + 3],
+                        )
+                    )
+                    i += 1
+                    f += 3
+                legs.append(tuple(edge_legs))
+            external_rows, external_bytes, external_cost = None, _ZERO, _ZERO
+            if spec.external is not None:
+                external_rows = index[:, i]
+                external_bytes = _scalar(spec.external[1])
+                external_cost = values[:, f:f + 1]
+                i += 1
+                f += 1
+            edge_draws = tuple(range(draw, draw + len(spec.in_edges)))
+            draw += len(spec.in_edges)
+            nodes.append(
+                _NodeStep(
+                    spec,
+                    edge_draws,
+                    draw,
+                    input_step,
+                    tuple(legs),
+                    external_rows,
+                    external_bytes,
+                    external_cost,
+                    index[:, i:i + 1],
+                    index[:, i + 1],
+                    values[:, f:f + 1],
+                    *node_gathers[spec.name].arrays,
+                )
+            )
+            i += 2
+            f += 1
+            draw += 1
+        highs = np.array(bounds_by_plan, dtype=np.int64)[:, :, None]
+        return _Cohort(
+            layouts=tuple(layouts),
+            nodes=tuple(nodes),
+            highs=tuple(highs),
+            kv_read_cost=values[:, 0:1],
+            kv_relay_cost=values[:, 1:2],
         )
 
-    # -- per-batch work ------------------------------------------------------
-    def _draw_batch(
-        self, steps: _PlanSteps, n: int, rng: np.random.Generator
-    ) -> _BatchDraws:
-        """Draw one batch of randomness in the canonical order (see the
-        determinism note in the module docstring): at most one
-        ``random`` and exactly one ``integers`` call.  The only place a
-        profile consumes its RNG stream."""
-        workflow = steps.workflow
-        uniforms = None
-        if workflow.n_conditional:
-            uniforms = rng.random((n, workflow.n_conditional))
-        rows = iter(rng.integers(0, steps.highs, size=(len(steps.highs), n)))
-        input_idx = next(rows)
-        edge_idx: Dict[Tuple[str, str], np.ndarray] = {}
-        exec_idx: Dict[str, np.ndarray] = {}
-        for step in steps.nodes:
-            for edge in step.spec.in_edges:
-                edge_idx[edge.key] = next(rows)
-            exec_idx[step.spec.name] = next(rows)
-        return _BatchDraws(
-            n=n,
-            uniforms=uniforms,
-            input_idx=input_idx,
-            edge_idx=edge_idx,
-            exec_idx=exec_idx,
-        )
+    # -- per batch ------------------------------------------------------------
+    def _draw(
+        self,
+        rngs: Sequence[np.random.Generator],
+        highs: Sequence["np.ndarray"],
+        n: int,
+    ) -> Tuple["np.ndarray", Optional["np.ndarray"]]:
+        """One batch of randomness per plan, in the canonical order (see
+        the determinism note in the module docstring): at most one
+        ``random`` and exactly one ``integers`` call on each plan's own
+        stream — the only place a profile consumes it.  Returns the
+        ``(P, m, n)`` support indices and the ``(P, n, conditional
+        edges)`` uniforms (``None`` without conditional edges)."""
+        n_conditional = self._workflow_spec().n_conditional
+        uniforms = []
+        indices = []
+        for rng, high in zip(rngs, highs):
+            if n_conditional:
+                uniforms.append(rng.random((n, n_conditional)))
+            indices.append(rng.integers(0, high, size=(len(high), n)))
+        return np.stack(indices), np.stack(uniforms) if uniforms else None
 
-    def _make_accumulators(
-        self, steps: _PlanSteps, n: int
-    ) -> _BatchAccumulators:
-        """One zeroed buffer with a row for every energy region and byte
-        route the plan can touch, keyed in processing order (see
-        :class:`_BatchAccumulators`)."""
-        regions: Dict[str, None] = {}
-        routes: Dict[Tuple[str, str], None] = {}
-        for step in steps.nodes:
-            if step.input_table is not None:
-                routes[step.input_table.route] = None
-            for edge_legs in step.legs:
-                for route, _one_way, _bandwidth, _per_gb in edge_legs:
-                    routes[route] = None
-            if step.table.external_route is not None:
-                routes[step.table.external_route] = None
-            regions[step.region] = None
-        buffer = np.zeros((2 + len(regions) + len(routes), n))
-        return _BatchAccumulators(buffer, regions, routes)
+    def _simulate(
+        self,
+        cohort: _Cohort,
+        indices: "np.ndarray",
+        uniforms: Optional["np.ndarray"],
+        rows: "np.ndarray",
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """The production kernel: one topological walk prices the batch
+        of every plan in the cohort with ``(P, n)`` array ops, gathering
+        every per-sample quantity from the priced tables by the drawn
+        indices.  Energy and bytes accumulate into ``rows`` (the batch's
+        columns of the run's buffer, zero on entry); returns the latency
+        and cost.
 
-    def _simulate_batch(
-        self, steps: _PlanSteps, draws: _BatchDraws, acc: _BatchAccumulators
-    ) -> None:
-        """The production kernel: one topological walk prices the whole
-        batch with ``(n,)`` array ops, gathering every per-sample
-        quantity from the priced tables by the drawn indices.
-
-        ``None`` as an execution mask means *every sample*: guaranteed
-        nodes and always-active edges (a property of the DAG alone) take
-        the unmasked arithmetic, everything else the masked one.
+        ``None`` as an execution mask means *every sample of every
+        plan*: guaranteed nodes and always-active edges (a property of
+        the DAG alone) take the unmasked arithmetic, everything else the
+        masked one.  A plan none of whose samples takes an edge adds
+        ``0.0`` where a lone run of it would skip the edge: the same
+        doubles, since no accumulator holds ``-0.0``.
         """
-        n = draws.n
-        cost = acc.cost
-        route_bytes = acc.route_bytes
-        kv_read_cost = steps.kv_read_cost
+        n_plans, _m, n = indices.shape
+        cost = np.zeros((n_plans, n))
+        kv_read_cost = cohort.kv_read_cost
         executed: Dict[str, Optional[np.ndarray]] = {}
         finish: Dict[str, np.ndarray] = {}
         # The start node runs in every sample, so the running maximum is
         # over a non-empty set for each of them.
         latency = None
 
-        for spec, region, table, input_table, legs, publish in steps.nodes:
+        for step in cohort.nodes:
+            spec = step.spec
             exec_mask = None
-            if input_table is not None:
-                idx = draws.input_idx
-                arrival = input_table.arrival[idx]
-                route_bytes[input_table.route] += (
-                    steps.workflow.input_sizes[idx]
-                )
-                cost += input_table.egress[idx]
+            if step.input is not None:
+                drawn = indices[:, 0]
+                at = drawn + step.input.at
+                arrival = step.input.arrival[at]
+                rows[step.input.rows] += self._workflow.input_sizes[drawn]
+                cost += step.input.egress[at]
             else:
                 arrival = _ZERO
-                for edge, edge_legs in zip(spec.in_edges, legs):
+                for edge, draw, legs in zip(
+                    spec.in_edges, step.edge_draws, step.legs
+                ):
                     if edge.always_active:
                         active = None
                     else:
                         active = executed[edge.src]
                         if edge.cond_col is not None:
                             taken = (
-                                draws.uniforms[:, edge.cond_col]
-                                < edge.probability
+                                uniforms[:, :, edge.cond_col] < edge.probability
                             )
                             active = taken if active is None else taken & active
                         if not active.any():
                             continue
-                    sizes = edge.sizes[draws.edge_idx[edge.key]]
+                    sizes = edge.sizes[indices[:, draw]]
                     size_gb = sizes / _BYTES_PER_GB
                     edge_latency = None
-                    for route, one_way, bandwidth, per_gb in edge_legs:
+                    for leg_rows, one_way, bandwidth, per_gb in legs:
                         hop = one_way + sizes / bandwidth
                         edge_latency = (
                             hop if edge_latency is None else edge_latency + hop
                         )
-                        _add(route_bytes[route], sizes, active)
+                        _add_rows(rows, leg_rows, sizes, active)
                         _add(cost, per_gb * size_gb, active)
                     if spec.is_sync:
                         # Annotation update + data write + data read.
-                        _add(cost, steps.kv_relay_cost, active)
+                        _add(cost, cohort.kv_relay_cost, active)
                     # One SNS publish per taken edge (§6.2).
-                    _add(cost, publish, active)
+                    _add(cost, step.publish_cost, active)
                     reached = np.maximum(arrival, finish[edge.src] + edge_latency)
                     if active is None:
                         arrival = reached
@@ -1085,24 +1260,20 @@ class MonteCarloEstimator:
                     exec_mask = None
                 elif exec_mask is None:
                     # No in-edge fired in any sample of this batch.
-                    exec_mask = np.zeros(n, dtype=bool)
+                    exec_mask = np.zeros((n_plans, n), dtype=bool)
 
-            idx = draws.exec_idx[spec.name]
-            if table.external_route is not None:
-                _add(
-                    route_bytes[table.external_route],
-                    table.external_bytes,
-                    exec_mask,
-                )
-                _add(cost, table.external_cost, exec_mask)
-            done = finish[spec.name] = arrival + table.durations[idx]
+            at = indices[:, step.exec_draw] + step.at
+            if step.external_rows is not None:
+                _add_rows(rows, step.external_rows, step.external_bytes, exec_mask)
+                _add(cost, step.external_cost, exec_mask)
+            done = finish[spec.name] = arrival + step.durations[at]
             executed[spec.name] = exec_mask
-            _add(acc.energy[region], table.energy[idx], exec_mask)
-            _add(cost, table.exec_cost[idx], exec_mask)
+            _add_rows(rows, step.energy_rows, step.energy[at], exec_mask)
+            _add(cost, step.exec_cost[at], exec_mask)
             # Per-execution DP retrieval from the KV store (§6.2).
             _add(cost, kv_read_cost, exec_mask)
             if exec_mask is None:
                 latency = done if latency is None else np.maximum(latency, done)
             else:
                 latency = np.where(exec_mask, np.maximum(latency, done), latency)
-        acc.latency[:] = latency
+        return latency, cost

@@ -1,43 +1,63 @@
 """Test oracle: the Monte-Carlo scalar reference path.
 
-The production kernel (``MonteCarloEstimator._simulate_batch``) prices
-each distribution's support once and gathers by drawn indices, one
-``(n,)`` array op per DAG element.  This is the path it replaced: walk
-the DAG one sample at a time, read ``support[idx[i]]`` of the same
-pre-drawn batch and price that one value with the scalar model methods.
-The two are bit-identical from identical seeds — the contract
+The production kernel (``MonteCarloEstimator._simulate``) prices each
+distribution's support once and gathers by drawn indices, a whole
+cohort of plans per ``(plans, samples)`` array op.  This is the path it
+replaced: profile one plan at a time, walk the DAG one sample at a
+time, read ``support[idx[i]]`` of the same pre-drawn batch and price
+that one value with the scalar model methods.  The two are
+bit-identical from identical seeds — the contract
 ``tests/test_montecarlo.py::TestDifferential``,
 ``tests/test_montecarlo_kernel.py`` and ``tests/test_batched_eval.py``
 lock down, and the baseline ``benchmarks/test_estimator_throughput.py``
 times the kernel against.
 
 :class:`ScalarReferenceEstimator` is a :class:`MonteCarloEstimator`
-whose batch kernel *and draw* are the reference: it inherits the
-convergence rule and the accumulator layout, and swaps
-``_simulate_batch`` and ``_draw_batch``.  The draw is the former
-production one, one ``rng.integers`` call per distribution; production
-makes one broadcast call per batch, so every differential against this
-oracle checks the draw as well as the kernel.  The reference needs the
-plan itself, which the production kernel does not, so ``_plan_steps``
-records it.  ``_BatchValues``, ``_draw_batch``,
-``_simulate_batch_reference`` and ``_simulate_once`` are kept verbatim.
-Not shipped: nothing under ``src/`` imports it.
+that keeps the tables (read from ``data`` once, shared with
+production) and replaces everything above them with its own per-plan
+loop: ``estimate_profile`` and ``estimate_profiles`` run one plan at a
+time through the former batch loop, the former 1-D stopping rule
+(``_converged``, ``_mean_and_std``), accumulator layout
+(``_BatchAccumulators``) and plan resolution (``_plan_steps``), a draw
+of one ``rng.integers`` call per distribution (``_draw_batch``; the
+production draw makes one broadcast call per batch, so every
+differential against this oracle checks the draw as well as the
+kernel) and the scalar kernel.  ``_BatchDraws``, ``_BatchValues``,
+``_BatchAccumulators``, ``_draw_batch``, ``_simulate_batch_reference``
+and ``_simulate_once`` are kept verbatim.  Not shipped: nothing under
+``src/`` imports it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.metrics.montecarlo import (
     MonteCarloEstimator,
-    _BatchAccumulators,
-    _BatchDraws,
-    _PlanSteps,
+    PlanProfile,
+    _InputTable,
+    _NodeSpec,
+    _NodeTable,
+    _WorkflowSpec,
 )
 from repro.model.plan import DeploymentPlan
+
+
+@dataclass
+class _BatchDraws:
+    """One batch worth of pre-drawn randomness (see determinism note):
+    conditional-edge uniforms, and bootstrap *indices* into the support
+    of every distribution the plan samples."""
+
+    n: int
+    uniforms: Optional["np.ndarray"]  # (n, n_conditional_edges)
+    input_idx: "np.ndarray"
+    edge_idx: Dict[Tuple[str, str], "np.ndarray"]
+    exec_idx: Dict[str, "np.ndarray"]
 
 
 @dataclass
@@ -51,12 +71,184 @@ class _BatchValues:
     exec_times: Dict[str, "np.ndarray"]
 
 
+class _NodeStep(NamedTuple):
+    """A node under one plan: its spec, region and priced table, and per
+    in-edge the routes its payload travels (one, or two through the KV
+    region for a sync node)."""
+
+    spec: _NodeSpec
+    region: str
+    table: _NodeTable
+    input_table: Optional[_InputTable]  # start node only
+    legs: Tuple[Tuple[Tuple[str, str], ...], ...]
+
+
+class _PlanSteps(NamedTuple):
+    """A plan resolved against the estimator's tables."""
+
+    workflow: _WorkflowSpec
+    nodes: Tuple[_NodeStep, ...]
+
+
+class _BatchAccumulators:
+    """Per-sample result vectors a simulation kernel writes into: rows of
+    one ``(2 + regions + routes, n)`` buffer — latency, cost, then one
+    energy row per region and one byte row per route.
+
+    Energy/route keys come from the plan's static pricing schedule
+    (every region and route the plan *could* touch, in processing
+    order) so the kernel and the tests' scalar oracle accumulate — and
+    later sum — in exactly the same key order, which the bit-identity
+    guarantee needs.
+    """
+
+    def __init__(
+        self,
+        buffer: "np.ndarray",
+        regions: Iterable[str],
+        routes: Iterable[Tuple[str, str]],
+    ):
+        self.buffer = buffer
+        self.n = buffer.shape[1]
+        self.latency = buffer[0]
+        self.cost = buffer[1]
+        rows = iter(buffer[2:])
+        self.energy: Dict[str, np.ndarray] = dict(zip(regions, rows))
+        self.route_bytes: Dict[Tuple[str, str], np.ndarray] = dict(
+            zip(routes, rows)
+        )
+
+    def window(self, lo: int, hi: int) -> "_BatchAccumulators":
+        """A view of samples ``[lo, hi)`` sharing this accumulator's
+        storage.  The kernels write batches through these views, so a
+        profile run fills one preallocated buffer incrementally and
+        every convergence check reads a prefix of it.
+        """
+        return _BatchAccumulators(
+            self.buffer[:, lo:hi], self.energy, self.route_bytes
+        )
+
+
+def _mean_and_std(values: "np.ndarray") -> Tuple[float, float]:
+    """``(values.mean(), values.std(ddof=1))`` of a 1-D float array of
+    at least two elements."""
+    n = values.size
+    mean = np.add.reduce(values) / n
+    deviations = values - mean
+    deviations *= deviations
+    return float(mean), math.sqrt(np.add.reduce(deviations) / (n - 1))
+
+
 class ScalarReferenceEstimator(MonteCarloEstimator):
     """A :class:`MonteCarloEstimator` running the scalar reference path."""
 
+    def estimate_profile(self, plan: DeploymentPlan) -> PlanProfile:
+        """The former per-plan batch loop, over the reference draw and
+        kernel."""
+        self._check_coverage(plan)
+        rng = self.plan_rng(plan)
+        steps = self._plan_steps(plan)
+        full = self._make_accumulators(steps, self._max)
+        n_total = 0
+        while n_total < self._max:
+            n = min(self._batch, self._max - n_total)
+            draws = self._draw_batch(steps, n, rng)
+            self._simulate_batch_reference(
+                plan, steps, draws, full.window(n_total, n_total + n)
+            )
+            n_total += n
+            if self._converged(full.latency[:n_total], full.cost[:n_total]):
+                break
+
+        if self._stats is not None:
+            self._stats.simulations_run += 1
+            self._stats.samples_drawn += n_total
+        buffer = full.buffer[:, :n_total].copy()
+        buffer.setflags(write=False)
+        rows = _BatchAccumulators(buffer, full.energy, full.route_bytes)
+        return PlanProfile(
+            latencies=rows.latency,
+            costs=rows.cost,
+            energy_by_region=rows.energy,
+            bytes_by_route=rows.route_bytes,
+            carbon_model=self._carbon,
+        )
+
+    def estimate_profiles(
+        self, plans: Sequence[DeploymentPlan]
+    ) -> List[PlanProfile]:
+        """One :meth:`estimate_profile` run per distinct plan."""
+        for plan in plans:
+            self._check_coverage(plan)
+        by_digest: Dict[str, PlanProfile] = {}
+        for plan in plans:
+            digest = plan.digest()
+            if digest not in by_digest:
+                by_digest[digest] = self.estimate_profile(plan)
+        return [by_digest[plan.digest()] for plan in plans]
+
+    def _converged(self, *series: "np.ndarray") -> bool:
+        """The relative-standard-error stopping rule on 1-D series."""
+        for values in series:
+            arr = np.asarray(values)
+            if arr.size < 2:
+                return False
+            mean, std = _mean_and_std(arr)
+            if std == 0.0:
+                continue
+            if mean <= 0:
+                return False
+            if std / math.sqrt(arr.size) / mean >= self._cov:
+                return False
+        return True
+
     def _plan_steps(self, plan: DeploymentPlan) -> _PlanSteps:
-        self._plan = plan
-        return super()._plan_steps(plan)
+        """``plan`` against the tables, in topological order."""
+        client, kv = self._client_and_kv(plan)
+        workflow = self._workflow_spec()
+        region_of = plan.assignments
+        nodes = []
+        for spec in workflow.nodes:
+            region = region_of[spec.name]
+            input_table = None
+            if not spec.in_edges:
+                input_table = self._input_table(client, region)
+                legs: Tuple[Tuple[Tuple[str, str], ...], ...] = ()
+            elif spec.is_sync:
+                legs = tuple(
+                    ((region_of[e.src], kv), (kv, region))
+                    for e in spec.in_edges
+                )
+            else:
+                legs = tuple(
+                    ((region_of[e.src], region),) for e in spec.in_edges
+                )
+            nodes.append(
+                _NodeStep(
+                    spec, region, self._node_table(spec, region),
+                    input_table, legs,
+                )
+            )
+        return _PlanSteps(workflow, tuple(nodes))
+
+    def _make_accumulators(
+        self, steps: _PlanSteps, n: int
+    ) -> _BatchAccumulators:
+        """One zeroed buffer with a row for every energy region and byte
+        route the plan can touch, keyed in processing order."""
+        regions: Dict[str, None] = {}
+        routes: Dict[Tuple[str, str], None] = {}
+        for step in steps.nodes:
+            if step.input_table is not None:
+                routes[step.input_table.route] = None
+            for edge_routes in step.legs:
+                for route in edge_routes:
+                    routes[route] = None
+            if step.table.external_route is not None:
+                routes[step.table.external_route] = None
+            regions[step.region] = None
+        buffer = np.zeros((2 + len(regions) + len(routes), n))
+        return _BatchAccumulators(buffer, regions, routes)
 
     def _draw_batch(
         self, steps: _PlanSteps, n: int, rng: np.random.Generator
@@ -84,11 +276,6 @@ class ScalarReferenceEstimator(MonteCarloEstimator):
             edge_idx=edge_idx,
             exec_idx=exec_idx,
         )
-
-    def _simulate_batch(
-        self, steps: _PlanSteps, draws: _BatchDraws, acc: _BatchAccumulators
-    ) -> None:
-        self._simulate_batch_reference(self._plan, steps, draws, acc)
 
     def _simulate_batch_reference(
         self,

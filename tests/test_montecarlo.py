@@ -674,6 +674,40 @@ class TestConvergedDifferential:
         assert std == float(values.std(ddof=1))
 
     @settings(max_examples=200)
+    @given(st.lists(_finite_arrays(), min_size=2, max_size=16),
+           st.integers(2, 2000))
+    def test_cohort_rows_equal_their_own_series(self, arrays, n):
+        # One (plans, n) cohort, each row a plan's series at the same
+        # sample count: axis-1 reductions give every row the doubles
+        # numpy's 1-D methods give it, gathered rows and prefix views
+        # alike (what the kernel reads).
+        n = min([n] + [a.size for a in arrays])
+        full = np.stack([a[:n] for a in arrays] + [arrays[0][:n]])
+        for cohort in (full[:-1], full[::-1][:, :n], full[[0, -1]]):
+            if cohort.shape[1] < 2:
+                continue
+            means, stds = _mean_and_std(cohort)
+            for row, mean, std in zip(cohort, means, stds):
+                assert mean == float(row.mean())
+                assert std == float(row.std(ddof=1))
+
+    @settings(max_examples=200)
+    @given(st.lists(_finite_arrays(), min_size=2, max_size=16),
+           st.sampled_from([1e-9, 0.01, 0.05, 0.08, 0.2, 1.0]))
+    def test_cohort_decisions_equal_the_oracle(self, arrays, cov):
+        dag = WorkflowDAG("one")
+        dag.add_node(Node(name="a", function="a"))
+        est = make_estimator(dag, cov_threshold=cov)
+        n = min(a.size for a in arrays)
+        rows = np.stack([a[:n] for a in arrays])
+        latencies, costs = rows[: len(rows) // 2], rows[-(len(rows) // 2):]
+        got = est._converged(latencies, costs)
+        assert got.tolist() == [
+            _converged_oracle(cov, lat, cost)
+            for lat, cost in zip(latencies, costs)
+        ]
+
+    @settings(max_examples=200)
     @given(_finite_arrays(), _finite_arrays(),
            st.sampled_from([1e-9, 0.01, 0.05, 0.08, 0.2, 1.0]))
     def test_decisions_equal_the_oracle(self, latencies, costs, cov):
@@ -700,7 +734,8 @@ class TestConvergedDifferential:
     def test_degenerate_series(self, chain_dag, values, expected):
         est = make_estimator(chain_dag)
         arr = np.array(values)
-        assert est._converged(arr) is expected
+        assert bool(est._converged(arr)) is expected
+        assert bool(est._converged(arr[None, :])[0]) is expected
         assert _converged_oracle(0.05, arr) is expected
 
     def test_input_left_untouched_and_read_only_accepted(self):

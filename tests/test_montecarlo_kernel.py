@@ -474,26 +474,34 @@ class TestBroadcastDrawDifferential:
 
     @pytest.mark.parametrize("app_name", sorted(ALL_APPS))
     def test_production_draw_equals_the_oracle_draw(self, app_name):
+        # A cohort's draw is each plan's own: plan p's slice of the
+        # (P, m, n) indices is the oracle's per-distribution rows, and
+        # each stream ends where the oracle's does.
         _cloud, dag, metrics = learned_app(app_name)
         est = make_estimator(dag, metrics, kv_region=None)
-        for plan in random_plans(dag, 10):
-            steps = est._plan_steps(plan)
-            reference, twin = est.plan_rng(plan), est.plan_rng(plan)
-            for n in (1, 37, 200):
-                got = MonteCarloEstimator._draw_batch(est, steps, n, twin)
+        reference = make_estimator(dag, metrics, vectorized=False,
+                                   kv_region=None)
+        plans = random_plans(dag, 10)
+        highs = est._compile(plans).highs
+        twins = [est.plan_rng(plan) for plan in plans]
+        oracles = [reference.plan_rng(plan) for plan in plans]
+        for n in (1, 37, 200):
+            indices, uniforms = est._draw(twins, highs, n)
+            assert indices.shape == (len(plans), len(highs[0]), n)
+            assert (uniforms is None) == (est._workflow.n_conditional == 0)
+            for p, (plan, rng) in enumerate(zip(plans, oracles)):
                 want = ScalarReferenceEstimator._draw_batch(
-                    est, steps, n, reference
+                    reference, reference._plan_steps(plan), n, rng
                 )
-                assert (got.uniforms is None) == (want.uniforms is None)
-                if got.uniforms is not None:
-                    assert np.array_equal(got.uniforms, want.uniforms)
-                assert np.array_equal(got.input_idx, want.input_idx)
-                for got_idx, want_idx in ((got.edge_idx, want.edge_idx),
-                                          (got.exec_idx, want.exec_idx)):
-                    assert list(got_idx) == list(want_idx)
-                    for key, idx in got_idx.items():
-                        assert np.array_equal(idx, want_idx[key]), key
-                assert twin.bit_generator.state == reference.bit_generator.state
+                if uniforms is not None:
+                    assert np.array_equal(uniforms[p], want.uniforms)
+                rows = [want.input_idx]
+                for step in reference._plan_steps(plan).nodes:
+                    rows += [want.edge_idx[e.key] for e in step.spec.in_edges]
+                    rows.append(want.exec_idx[step.spec.name])
+                assert np.array_equal(indices[p], np.array(rows))
+                assert (twins[p].bit_generator.state
+                        == rng.bit_generator.state)
 
 
 class CountingGenerator(np.random.Generator):
