@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.common.errors import SolverError
-from repro.core.solver.evaluation import PlanEvaluator
+from repro.core.solver.evaluation import PlanEvaluator, requested_hours
 from repro.metrics.montecarlo import WorkflowEstimate
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 
@@ -91,9 +91,7 @@ class CoarseSolver:
         enforce_tolerances: bool = True,
     ) -> HourlyPlanSet:
         """Per-hour winners over the day."""
-        hour_list = list(hours) if hours is not None else list(range(24))
-        if not hour_list:
-            raise ValueError("need at least one hour to solve for")
+        hour_list = requested_hours(hours)
         plans = [
             self._best_plan_for_hour(h, enforce_tolerances) for h in hour_list
         ]

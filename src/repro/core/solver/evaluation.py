@@ -12,7 +12,7 @@ developer's tolerance).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -187,6 +187,22 @@ class EvaluationCache:
     @property
     def estimates_cached(self) -> int:
         return len(self._estimates)
+
+
+def requested_hours(hours: Optional[Sequence[int]]) -> List[int]:
+    """The hours a ``solve_day`` call solves for (default: all 24).
+
+    An empty list, or one naming an hour twice, is a ``ValueError``:
+    a second solve of the same hour would silently replace the first
+    one's plan (and, on the Deployment Manager's per-hour registry
+    streams, draw on from where the first walk stopped).
+    """
+    hour_list = list(hours) if hours is not None else list(range(24))
+    if not hour_list:
+        raise ValueError("need at least one hour to solve for")
+    if len(set(hour_list)) != len(hour_list):
+        raise ValueError(f"hours must be distinct, got {hour_list}")
+    return hour_list
 
 
 class LazyTable(dict):

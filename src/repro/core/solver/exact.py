@@ -61,7 +61,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SolverError
-from repro.core.solver.evaluation import PlanEvaluator
+from repro.core.solver.evaluation import PlanEvaluator, requested_hours
 from repro.metrics.montecarlo import WorkflowEstimate
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 
@@ -568,8 +568,6 @@ class ExactSolver:
         enforce_tolerances: bool = True,
     ) -> HourlyPlanSet:
         """Provably optimal per-hour plans over the day."""
-        hour_list = list(hours) if hours is not None else list(range(24))
-        if not hour_list:
-            raise ValueError("need at least one hour to solve for")
+        hour_list = requested_hours(hours)
         plans = [self.solve_hour(h, enforce_tolerances)[0] for h in hour_list]
         return HourlyPlanSet(dict(zip(hour_list, plans)))

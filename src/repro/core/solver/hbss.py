@@ -74,7 +74,11 @@ from typing import (
 import numpy as np
 
 from repro.common.rng import derive_seed
-from repro.core.solver.evaluation import LazyTable, PlanEvaluator
+from repro.core.solver.evaluation import (
+    LazyTable,
+    PlanEvaluator,
+    requested_hours,
+)
 from repro.metrics.montecarlo import WorkflowEstimate
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -190,9 +194,7 @@ class HBSSSolver:
                 hour starts at ``warm_start.plan_for_hour(h)`` when that
                 plan is still compliant, falling back to home.
         """
-        hour_list = list(hours) if hours is not None else list(range(24))
-        if not hour_list:
-            raise ValueError("need at least one hour to solve for")
+        hour_list = requested_hours(hours)
         self._solves += 1
         with self._tracer.span(
             "solve", f"hours={len(hour_list)}", n_hours=len(hour_list)

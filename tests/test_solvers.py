@@ -17,6 +17,7 @@ from repro.common.errors import SolverError
 from repro.common.rng import RngRegistry
 from repro.core.solver import (
     CoarseSolver,
+    ExactSolver,
     HBSSSolver,
     PlanEvaluator,
     SolverSettings,
@@ -267,6 +268,21 @@ class TestHBSS:
         solver = HBSSSolver(ev, np.random.default_rng(5))
         with pytest.raises(ValueError):
             solver.solve_day(hours=[])
+
+    @pytest.mark.parametrize("solver_cls", ["hbss", "coarse", "exact"])
+    def test_solve_day_duplicate_hours_rejected(self, chain_dag, solver_cls):
+        # Hour 5 twice was solved twice, the second plan silently kept;
+        # on per-hour registry streams the second walk drew on from
+        # where the first stopped.
+        ev = make_evaluator(chain_dag)
+        solver = {
+            "hbss": lambda: HBSSSolver(ev, np.random.default_rng(5)),
+            "coarse": lambda: CoarseSolver(ev),
+            "exact": lambda: ExactSolver(ev),
+        }[solver_cls]()
+        with pytest.raises(ValueError, match="distinct"):
+            solver.solve_day(hours=[5, 3, 5])
+        assert ev.stats.profiles_built == 0
 
     def test_complete_exploration_terminates(self):
         # 2 nodes x 2 regions = 4 plans: the run must stop via complete
