@@ -88,7 +88,10 @@ class SolverStats:
     instance) and threads it into the Monte-Carlo estimator.  All
     counters are cumulative over the evaluator's lifetime, so a 24-hour
     ``solve_day`` reports totals.  Per distinct plan exactly one profile
-    build happens; every other lookup is a hit.
+    build happens; every other lookup is a hit.  The profile counters
+    count *requests*: a profile :meth:`PlanEvaluator.prefetch_profiles`
+    built counts as built when a request first asks for it, so they do
+    not depend on which plans were prefetched together.
 
     Attributes:
         simulations_run: Monte-Carlo profile runs actually simulated.
@@ -161,6 +164,9 @@ class EvaluationCache:
 
     def __init__(self) -> None:
         self._profiles: Dict[str, PlanProfile] = {}
+        #: Profiles :meth:`PlanEvaluator.prefetch_profiles` built that no
+        #: request has asked for yet (see ``SolverStats``).
+        self._prefetched: Dict[str, PlanProfile] = {}
         self._estimates: Dict[Tuple[str, int], WorkflowEstimate] = {}
         self._version: Optional[Tuple[object, object]] = None
         #: Times :meth:`sync` dropped a populated cache (observability).
@@ -172,8 +178,9 @@ class EvaluationCache:
         version = (metrics_version, forecast_version)
         if version == self._version:
             return False
-        had_entries = bool(self._profiles or self._estimates)
+        had_entries = bool(self._profiles or self._prefetched or self._estimates)
         self._profiles.clear()
+        self._prefetched.clear()
         self._estimates.clear()
         self._version = version
         if had_entries:
@@ -182,7 +189,7 @@ class EvaluationCache:
 
     @property
     def profiles_cached(self) -> int:
-        return len(self._profiles)
+        return len(self._profiles) + len(self._prefetched)
 
     @property
     def estimates_cached(self) -> int:
@@ -388,26 +395,44 @@ class PlanEvaluator:
         if profile is not None:
             self.stats.profile_cache_hits += 1
             return profile
-        profile = profiles[digest] = self._estimator.estimate_profile(plan)
+        profile = self._cache._prefetched.pop(digest, None)
+        if profile is None:
+            profile = self._estimator.estimate_profile(plan)
+        profiles[digest] = profile
         self.stats.profiles_built += 1
         return profile
 
+    def has_profile(self, plan: DeploymentPlan) -> bool:
+        """Whether ``plan``'s profile is built, so pricing it simulates
+        nothing."""
+        digest = plan.digest()
+        cache = self._cache
+        return digest in cache._profiles or digest in cache._prefetched
+
     def prefetch_profiles(self, plans: Sequence[DeploymentPlan]) -> int:
-        """Build every uncached plan profile up front; returns the
-        number of profiles built.
+        """Build the profiles of ``plans`` not built yet as one
+        Monte-Carlo cohort (:meth:`MonteCarloEstimator.estimate_profiles`);
+        returns how many it built.
 
         Values are bit-identical to per-plan :meth:`profile` builds
         (each plan draws from its own digest-keyed substream), so
         prefetching only changes *when* profiles are built, never what
-        they contain.
+        they contain.  Nor does it change ``SolverStats``' profile
+        counters: a prefetched profile counts as built when the first
+        request finds it (the estimator's ``simulations_run`` and
+        ``samples_drawn`` count at build time).
         """
-        profiles = self._cache._profiles
-        built = 0
-        for digest, plan in {p.digest(): p for p in plans}.items():
-            if digest not in profiles:
-                self.profile(plan)
-                built += 1
-        return built
+        cache = self._cache
+        missing: Dict[str, DeploymentPlan] = {}
+        for plan in plans:
+            digest = plan.digest()
+            if digest not in cache._profiles and digest not in cache._prefetched:
+                missing.setdefault(digest, plan)
+        if missing:
+            cache._prefetched.update(
+                zip(missing, self._estimator.estimate_profiles(list(missing.values())))
+            )
+        return len(missing)
 
     def estimate(self, plan: DeploymentPlan, hour: int) -> WorkflowEstimate:
         key = (plan.digest(), hour)

@@ -19,19 +19,35 @@ Two departures from the paper's terse pseudo-code are documented here:
   regions that previously produced accepted deployments are preferred —
   with probability ``beta`` of an unbiased uniform draw.
 
-Independent hours
------------------
-``solve_day`` runs the per-hour walks one after another, and an hour's
-result depends on nothing but that hour:
+Independent hours, walked in lockstep
+-------------------------------------
+An hour's result depends on nothing but that hour:
 
 1. **Per-hour RNG substreams.** Each hour's walk draws from its own
    generator — either ``rng_factory(hour)`` (the Deployment Manager
    passes the registry stream ``solver:{workflow}:hour={h}``) or a
    substream derived from a constructor-drawn salt and a per-solve
-   epoch.  No hour's draws depend on which other hours were solved.
+   epoch.  No hour's draws depend on which other hours were solved, or
+   in what order; so ``solve_day`` refuses an hour named twice, whose
+   two walks would share one stream.
 2. **Order-independent evaluation.** The Monte-Carlo estimator
    simulates every plan from a substream keyed by the plan's digest, so
-   cache warm-up order cannot perturb any cached value.
+   neither cache warm-up order nor the company a plan is profiled in
+   can perturb any cached value.
+
+``solve_day`` therefore runs the requested hours' walks in lockstep.
+Each walk is a generator that yields a plan just before it first prices
+one whose profile is not built yet; each step resumes every unfinished
+walk up to its next such plan and hands the step's plans to
+:meth:`PlanEvaluator.prefetch_profiles`, which builds them as one
+Monte-Carlo cohort.  The walks, their results and ``SolverStats`` (which
+count per request) are exactly what walking the hours one after another
+gives; so are the spans, because a walk only notes its iterations and
+the ``solver_hour`` spans with their ``solver_iteration`` children are
+emitted in hour order once every walk has ended
+(``tests/test_solvers.py::TestLockstepDifferential`` holds the day to
+the former one-hour-after-another driver kept in
+``tests/hbss_walk_oracle.py``).  ``solve_hour`` is the one-walk case.
 
 One iteration, draw for draw
 ----------------------------
@@ -65,6 +81,7 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
+    Generator,
     List,
     Optional,
     Sequence,
@@ -173,9 +190,11 @@ class HBSSSolver:
     def solve_hour(
         self, hour: int, warm_start_plan: Optional[DeploymentPlan] = None
     ) -> SolveResult:
-        """Find the best deployment plan for one hour of the day."""
+        """Find the best deployment plan for one hour of the day: the
+        one-walk case of :meth:`solve_day`'s driver."""
         self._solves += 1
-        return self._solve_hour(hour, warm_start_plan)
+        (result,) = self._solve_hours([hour], [warm_start_plan])
+        return result
 
     def solve_day(
         self,
@@ -188,7 +207,8 @@ class HBSSSolver:
         daily granularity of §5.2.
 
         Args:
-            hours: Hours of the day to solve for (default: all 24).
+            hours: Distinct hours of the day to solve for (default: all
+                24); an empty list or a repeated hour is a ``ValueError``.
             warm_start: Previous plan set to seed each hour's walk from
                 (§5.2's checks re-solve a barely-moved problem) — each
                 hour starts at ``warm_start.plan_for_hour(h)`` when that
@@ -199,15 +219,15 @@ class HBSSSolver:
         with self._tracer.span(
             "solve", f"hours={len(hour_list)}", n_hours=len(hour_list)
         ) as scope:
-            results = [
-                self._solve_hour(
-                    h,
+            results = self._solve_hours(
+                hour_list,
+                [
                     warm_start.plan_for_hour(h % 24)
                     if warm_start is not None
-                    else None,
-                )
-                for h in hour_list
-            ]
+                    else None
+                    for h in hour_list
+                ],
+            )
             scope.set(
                 iterations=sum(r.iterations for r in results),
                 accepted=sum(r.accepted for r in results),
@@ -224,152 +244,212 @@ class HBSSSolver:
             derive_seed(self._hour_salt, f"solve={self._solves}:hour={hour}")
         )
 
-    def _solve_hour(
-        self, hour: int, warm_start_plan: Optional[DeploymentPlan] = None
-    ) -> SolveResult:
-        """One hour's HBSS walk on the hour's own RNG substream, traced
-        as a ``solver_hour`` span over its ``solver_iteration`` spans."""
-        rng = self._rng_for_hour(hour)
-        with self._tracer.span(
-            "solver_hour", f"hour={hour}", hour=hour
-        ) as scope:
-            ev = self._ev
-            dag = ev.dag
-            settings = ev.settings
-            nodes = dag.node_names
-            n_nodes = len(nodes)
-            options = [ev.permitted_regions(node) for node in nodes]
-            n_regions = len(ev.regions)
-            alpha = n_nodes * n_regions * settings.alpha_per_node_region
-            space = ev.search_space_size()
-            beta = settings.beta
+    def _solve_hours(
+        self,
+        hours: Sequence[int],
+        warm_start_plans: Sequence[Optional[DeploymentPlan]],
+    ) -> List[SolveResult]:
+        """Walk the hours in lockstep, then trace them in hour order.
 
-            home = ev.home_plan()
-            # The walk's deployment: its regions in ``nodes`` order.
-            current = [home.assignments[node] for node in nodes]
-            current_metric = ev.metric(home, hour)
-            gamma = settings.gamma
-
-            accepted_regions: Dict[str, int] = {r: 0 for r in ev.regions}
-            # The carbon half of the region bias, per region for this
-            # hour (looked up on first use, like the intensity itself).
-            bias_denominators = LazyTable(
-                lambda region: max(1.0, ev.intensity(region, hour))
-            )
-            # Biased-draw CDFs by permitted-region tuple (nodes with the
-            # same options share one): built on first use, dropped on
-            # every accept — the only time the weights change.
-            cdfs: Dict[Tuple[str, ...], List[float]] = {}
-            # Memo of *every* distinct deployment examined — accepted or
-            # not — so complete exploration (Alg. 1 line 9) can actually
-            # fire.  Tolerance violators are memoized as +inf: evaluated,
-            # never a candidate for "best".
-            deployments: Dict[Tuple[str, ...], float] = {
-                tuple(current): current_metric
-            }
-            best_plan, best_metric = home, current_metric
-
-            # Warm start (§5.2 re-solves a barely-moved problem): begin
-            # the walk at the previous plan set's plan for this hour when
-            # it is still usable; home remains the evaluated QoS anchor.
-            if (
-                warm_start_plan is not None
-                and warm_start_plan != home
-                and warm_start_plan.covers(dag)
-                and ev.is_plan_compliant(warm_start_plan)
-            ):
-                warm = [warm_start_plan.assignments[node] for node in nodes]
-                if ev.tolerance_violated(warm_start_plan, hour):
-                    deployments[tuple(warm)] = math.inf
+        Each step resumes every unfinished walk until it stops at a plan
+        whose profile is not built yet (or finishes), then builds all
+        the plans the step stopped at as one Monte-Carlo cohort.  Each
+        hour's ``solver_hour`` span, its ``solver_iteration`` children
+        and its counters are emitted after all walks end, one hour after
+        another.
+        """
+        walks = [
+            self._walk(hour, self._rng_for_hour(hour), warm)
+            for hour, warm in zip(hours, warm_start_plans)
+        ]
+        ends: Dict[int, Tuple[SolveResult, List[Tuple[int, float, bool]]]] = {}
+        running = list(enumerate(walks))
+        while running:
+            asked: List[DeploymentPlan] = []
+            resumed = []
+            for i, walk in running:
+                try:
+                    asked.append(next(walk))
+                except StopIteration as end:
+                    ends[i] = end.value
                 else:
-                    warm_metric = ev.metric(warm_start_plan, hour)
-                    deployments[tuple(warm)] = warm_metric
-                    current, current_metric = warm, warm_metric
-                    if warm_metric < best_metric:
-                        best_plan, best_metric = warm_start_plan, warm_metric
+                    resumed.append((i, walk))
+            if asked:
+                self._ev.prefetch_profiles(asked)
+            running = resumed
 
-            iterations = 0
-            accepted = 0
-            while iterations < alpha and len(deployments) < space:
-                # GenNewDeplWBias: re-draw 1-2 nodes' regions with a
-                # carbon-and-history-biased draw.
-                regions = current.copy()
-                k = 1 if rng.random() < 0.7 else min(2, n_nodes)
-                for idx in _choose_nodes(rng, n_nodes, k):
-                    node_options = options[idx]
-                    if len(node_options) == 1:
-                        regions[idx] = node_options[0]
-                    elif rng.random() < beta:
-                        regions[idx] = node_options[
-                            int(rng.integers(len(node_options)))
-                        ]
-                    else:
-                        cdf = cdfs.get(node_options)
-                        if cdf is None:
-                            cdf = cdfs[node_options] = _bias_cdf(
-                                [
-                                    (1.0 + accepted_regions.get(r, 0))
-                                    / bias_denominators[r]
-                                    for r in node_options
-                                ]
-                            )
-                        regions[idx] = node_options[
-                            bisect_right(cdf, rng.random())
-                        ]
-                iterations += 1
-                key = tuple(regions)
-                if key in deployments:
-                    continue
-                candidate = DeploymentPlan(dict(zip(nodes, regions)))
-                if ev.tolerance_violated(candidate, hour):
-                    deployments[key] = math.inf
-                    continue
-                metric = ev.metric(candidate, hour)
-                deployments[key] = metric
-                took = metric < current_metric or self._mut(
-                    gamma, current_metric, metric, rng
-                )
-                if self._tracer.enabled:
+        results = []
+        for i, hour in enumerate(hours):
+            result, steps = ends[i]
+            with self._tracer.span(
+                "solver_hour", f"hour={hour}", hour=hour
+            ) as scope:
+                for iteration, metric, took in steps:
                     self._tracer.record(
                         "solver_iteration",
-                        f"hour={hour}#{iterations}",
+                        f"hour={hour}#{iteration}",
                         hour=hour,
-                        iteration=iterations,
+                        iteration=iteration,
                         metric=metric,
                         accepted=took,
                     )
-                if took:
-                    current, current_metric = regions, metric
-                    gamma *= settings.gamma_decay
-                    accepted += 1
-                    for region in set(regions):
-                        accepted_regions[region] = (
-                            accepted_regions.get(region, 0) + 1
-                        )
-                    cdfs.clear()
-                    if metric < best_metric:
-                        best_plan, best_metric = candidate, metric
+                scope.set(
+                    iterations=result.iterations,
+                    accepted=result.accepted,
+                    plans_evaluated=result.plans_evaluated,
+                )
+            self._metrics.counter("solver.hours_solved").inc()
+            self._metrics.counter("solver.iterations").inc(result.iterations)
+            self._metrics.counter("solver.accepted").inc(result.accepted)
+            self._metrics.counter("solver.plans_evaluated").inc(
+                result.plans_evaluated
+            )
+            results.append(result)
+        return results
 
-            result = SolveResult(
-                hour=hour,
-                best_plan=best_plan,
-                best_estimate=ev.estimate(best_plan, hour),
-                iterations=iterations,
-                accepted=accepted,
-                plans_evaluated=len(deployments),
-            )
-            scope.set(
-                iterations=result.iterations,
-                accepted=result.accepted,
-                plans_evaluated=result.plans_evaluated,
-            )
-        self._metrics.counter("solver.hours_solved").inc()
-        self._metrics.counter("solver.iterations").inc(result.iterations)
-        self._metrics.counter("solver.accepted").inc(result.accepted)
-        self._metrics.counter("solver.plans_evaluated").inc(
-            result.plans_evaluated
+    def _walk(
+        self,
+        hour: int,
+        rng: np.random.Generator,
+        warm_start_plan: Optional[DeploymentPlan],
+    ) -> Generator[
+        DeploymentPlan, None, Tuple[SolveResult, List[Tuple[int, float, bool]]]
+    ]:
+        """One hour's HBSS walk on the hour's own RNG substream.
+
+        A generator: before it prices a plan whose profile is not built
+        yet, it yields the plan (the driver builds it, with the other
+        walks' plans, before resuming).  It returns the result and, when
+        tracing, each priced iteration's ``(iteration, metric,
+        accepted)``.
+        """
+        ev = self._ev
+        dag = ev.dag
+        settings = ev.settings
+        nodes = dag.node_names
+        n_nodes = len(nodes)
+        options = [ev.permitted_regions(node) for node in nodes]
+        n_regions = len(ev.regions)
+        alpha = n_nodes * n_regions * settings.alpha_per_node_region
+        space = ev.search_space_size()
+        beta = settings.beta
+        traced = self._tracer.enabled
+        steps: List[Tuple[int, float, bool]] = []
+
+        home = ev.home_plan()
+        if not ev.has_profile(home):
+            yield home
+        # The walk's deployment: its regions in ``nodes`` order.
+        current = [home.assignments[node] for node in nodes]
+        current_metric = ev.metric(home, hour)
+        gamma = settings.gamma
+
+        accepted_regions: Dict[str, int] = {r: 0 for r in ev.regions}
+        # The carbon half of the region bias, per region for this
+        # hour (looked up on first use, like the intensity itself).
+        bias_denominators = LazyTable(
+            lambda region: max(1.0, ev.intensity(region, hour))
         )
-        return result
+        # Biased-draw CDFs by permitted-region tuple (nodes with the
+        # same options share one): built on first use, dropped on
+        # every accept — the only time the weights change.
+        cdfs: Dict[Tuple[str, ...], List[float]] = {}
+        # Memo of *every* distinct deployment examined — accepted or
+        # not — so complete exploration (Alg. 1 line 9) can actually
+        # fire.  Tolerance violators are memoized as +inf: evaluated,
+        # never a candidate for "best".
+        deployments: Dict[Tuple[str, ...], float] = {
+            tuple(current): current_metric
+        }
+        best_plan, best_metric = home, current_metric
+
+        # Warm start (§5.2 re-solves a barely-moved problem): begin
+        # the walk at the previous plan set's plan for this hour when
+        # it is still usable; home remains the evaluated QoS anchor.
+        if (
+            warm_start_plan is not None
+            and warm_start_plan != home
+            and warm_start_plan.covers(dag)
+            and ev.is_plan_compliant(warm_start_plan)
+        ):
+            if not ev.has_profile(warm_start_plan):
+                yield warm_start_plan
+            warm = [warm_start_plan.assignments[node] for node in nodes]
+            if ev.tolerance_violated(warm_start_plan, hour):
+                deployments[tuple(warm)] = math.inf
+            else:
+                warm_metric = ev.metric(warm_start_plan, hour)
+                deployments[tuple(warm)] = warm_metric
+                current, current_metric = warm, warm_metric
+                if warm_metric < best_metric:
+                    best_plan, best_metric = warm_start_plan, warm_metric
+
+        iterations = 0
+        accepted = 0
+        while iterations < alpha and len(deployments) < space:
+            # GenNewDeplWBias: re-draw 1-2 nodes' regions with a
+            # carbon-and-history-biased draw.
+            regions = current.copy()
+            k = 1 if rng.random() < 0.7 else min(2, n_nodes)
+            for idx in _choose_nodes(rng, n_nodes, k):
+                node_options = options[idx]
+                if len(node_options) == 1:
+                    regions[idx] = node_options[0]
+                elif rng.random() < beta:
+                    regions[idx] = node_options[
+                        int(rng.integers(len(node_options)))
+                    ]
+                else:
+                    cdf = cdfs.get(node_options)
+                    if cdf is None:
+                        cdf = cdfs[node_options] = _bias_cdf(
+                            [
+                                (1.0 + accepted_regions.get(r, 0))
+                                / bias_denominators[r]
+                                for r in node_options
+                            ]
+                        )
+                    regions[idx] = node_options[
+                        bisect_right(cdf, rng.random())
+                    ]
+            iterations += 1
+            key = tuple(regions)
+            if key in deployments:
+                continue
+            candidate = DeploymentPlan(dict(zip(nodes, regions)))
+            if not ev.has_profile(candidate):
+                yield candidate
+            if ev.tolerance_violated(candidate, hour):
+                deployments[key] = math.inf
+                continue
+            metric = ev.metric(candidate, hour)
+            deployments[key] = metric
+            took = metric < current_metric or self._mut(
+                gamma, current_metric, metric, rng
+            )
+            if traced:
+                steps.append((iterations, metric, took))
+            if took:
+                current, current_metric = regions, metric
+                gamma *= settings.gamma_decay
+                accepted += 1
+                for region in set(regions):
+                    accepted_regions[region] = (
+                        accepted_regions.get(region, 0) + 1
+                    )
+                cdfs.clear()
+                if metric < best_metric:
+                    best_plan, best_metric = candidate, metric
+
+        result = SolveResult(
+            hour=hour,
+            best_plan=best_plan,
+            best_estimate=ev.estimate(best_plan, hour),
+            iterations=iterations,
+            accepted=accepted,
+            plans_evaluated=len(deployments),
+        )
+        return result, steps
 
     # -- Alg. 1 internals ---------------------------------------------------------
     def _mut(

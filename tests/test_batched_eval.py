@@ -315,8 +315,9 @@ class TestClientRegionWarning:
 
 
 class TestBatchedSolverEquivalence:
-    """``prefetch_profiles`` builds through the same per-plan path the
-    solvers' lazy ``profile`` lookups use."""
+    """``prefetch_profiles`` builds one cohort with the profiles the
+    solvers' lazy ``profile`` lookups would build, and the profile
+    counters still count requests."""
 
     def test_prefetch_counts_as_built_profiles(self, chain_dag):
         ev = make_evaluator(chain_dag)
@@ -324,3 +325,17 @@ class TestBatchedSolverEquivalence:
         built = ev.prefetch_profiles(plans)
         assert built == len({p.digest() for p in plans})
         assert ev.prefetch_profiles(plans) == 0  # all cached now
+
+    def test_prefetched_profiles_and_counters_equal_lazy_ones(self, diamond_dag):
+        plans = some_plans(diamond_dag, n=6)
+        plans.append(DeploymentPlan(dict(plans[2].assignments)))
+        lazy, eager = make_evaluator(diamond_dag), make_evaluator(diamond_dag)
+        assert eager.prefetch_profiles(plans[:4]) == 4
+        assert eager.stats.profiles_built == 0
+        assert eager.stats.simulations_run == 4
+        assert all(eager.has_profile(p) for p in plans[:4])
+        assert not eager.has_profile(plans[4])
+        for plan in plans:
+            assert_profiles_identical(eager.profile(plan), lazy.profile(plan))
+        assert eager.stats == lazy.stats
+        assert eager.cache.profiles_cached == lazy.cache.profiles_cached == 6
