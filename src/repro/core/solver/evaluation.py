@@ -215,7 +215,10 @@ def requested_hours(hours: Optional[Sequence[int]]) -> List[int]:
 class LazyTable(dict):
     """A dict that computes a missing key's value with ``fill(key)`` on
     first lookup and keeps it — hits stay plain C dict lookups, and a
-    key nobody asks for never runs ``fill``."""
+    key nobody asks for never runs ``fill``.  ``table(key)`` is
+    ``table[key]``, so a table is its own lookup function."""
+
+    __call__ = dict.__getitem__
 
     def __init__(self, fill: Callable[[str], float]):
         super().__init__()
@@ -442,9 +445,7 @@ class PlanEvaluator:
             self.stats.estimate_cache_hits += 1
             return estimate
         profile = self.profile(plan)
-        estimate = estimates[key] = profile.estimate_at(
-            self._intensities_at(hour).__getitem__
-        )
+        estimate = estimates[key] = profile.estimate_at(self._intensities_at(hour))
         self.stats.estimates_computed += 1
         return estimate
 

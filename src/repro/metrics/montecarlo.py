@@ -227,19 +227,65 @@ class EstimatorStatsSink(Protocol):
     samples_drawn: int
 
 
-@dataclass(frozen=True)
 class WorkflowEstimate:
-    """Estimator output for one (plan, hour) pair."""
+    """Estimator output for one (plan, hour) pair.
 
-    mean_latency_s: float
-    tail_latency_s: float
-    mean_cost_usd: float
-    tail_cost_usd: float
-    mean_carbon_g: float
-    tail_carbon_g: float
-    mean_exec_carbon_g: float
-    mean_trans_carbon_g: float
-    n_samples: int
+    The means are computed when the estimate is made.  The three 95th
+    percentiles are computed on first read and kept: only tolerance
+    checks, the exact solver and verification read them.  For that the
+    estimate holds its profile and the hour's intensity lookup — a
+    reference to the evaluator's shared per-hour table, not a copy.
+    Two estimates are equal when their nine public values are.
+    """
+
+    __slots__ = (
+        "mean_latency_s",
+        "mean_cost_usd",
+        "mean_carbon_g",
+        "mean_exec_carbon_g",
+        "mean_trans_carbon_g",
+        "n_samples",
+        "_profile",
+        "_carbon_at",
+        "_tail_carbon_g",
+    )
+
+    def __init__(
+        self,
+        profile: "PlanProfile",
+        carbon_at: Callable[[str], float],
+        mean_latency_s: float,
+        mean_cost_usd: float,
+        mean_carbon_g: float,
+        mean_exec_carbon_g: float,
+        mean_trans_carbon_g: float,
+    ):
+        self.mean_latency_s = mean_latency_s
+        self.mean_cost_usd = mean_cost_usd
+        self.mean_carbon_g = mean_carbon_g
+        self.mean_exec_carbon_g = mean_exec_carbon_g
+        self.mean_trans_carbon_g = mean_trans_carbon_g
+        self.n_samples = profile.n_samples
+        self._profile = profile
+        self._carbon_at = carbon_at
+        self._tail_carbon_g: Optional[float] = None
+
+    @property
+    def tail_latency_s(self) -> float:
+        return self._profile._tails()[0]
+
+    @property
+    def tail_cost_usd(self) -> float:
+        return self._profile._tails()[1]
+
+    @property
+    def tail_carbon_g(self) -> float:
+        tail = self._tail_carbon_g
+        if tail is None:
+            tail = self._tail_carbon_g = _p95(
+                self._profile.carbon_samples(self._carbon_at)
+            )
+        return tail
 
     def metric(self, priority: str) -> float:
         """The scalar the solver orders plans by (§5.1)."""
@@ -250,6 +296,38 @@ class WorkflowEstimate:
         if priority == "latency":
             return self.mean_latency_s
         raise ValueError(f"unknown priority {priority!r}")
+
+    def _values(self) -> Tuple[float, ...]:
+        return tuple(getattr(self, name) for name in _ESTIMATE_FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WorkflowEstimate):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(_ESTIMATE_FIELDS, self._values())
+        )
+        return f"WorkflowEstimate({values})"
+
+
+#: A :class:`WorkflowEstimate`'s public values, in their former order.
+_ESTIMATE_FIELDS = (
+    "mean_latency_s",
+    "tail_latency_s",
+    "mean_cost_usd",
+    "tail_cost_usd",
+    "mean_carbon_g",
+    "tail_carbon_g",
+    "mean_exec_carbon_g",
+    "mean_trans_carbon_g",
+    "n_samples",
+)
 
 
 _sum = np.add.reduce
@@ -334,14 +412,15 @@ class PlanProfile:
     run exactly instead of re-running it.
 
     Each quantity is paid for at the rate it changes: the latency and
-    cost statistics and the check that no route carries negative bytes
-    happen once per profile, on its first pricing; only the carbon
-    vector, its mean and its p95 are per hour.  That is sound because
-    the arrays never change afterwards — the estimator hands them over
-    read-only; whoever builds a profile by hand must not write to them
-    after the first pricing.  Nothing derived from the arrays is kept:
-    a profile cache holds thousands of profiles, so even a few hundred
-    bytes each show in peak memory.
+    cost means and the check that no route carries negative bytes happen
+    once per profile, on its first pricing, and the latency and cost
+    p95s once, on the first read of either tail; only the carbon
+    vector and its mean are per hour (its p95 too, when read).  That is
+    sound because the arrays never change afterwards — the estimator
+    hands them over read-only; whoever builds a profile by hand must not
+    write to them after the first pricing.  Nothing else derived from
+    the arrays is kept: a profile cache holds thousands of profiles, so
+    even a few hundred bytes each show in peak memory.
 
     Attributes:
         latencies / costs: Per-sample end-to-end values.
@@ -356,9 +435,13 @@ class PlanProfile:
     energy_by_region: Dict[str, "np.ndarray"]
     bytes_by_route: Dict[Tuple[str, str], "np.ndarray"]
     carbon_model: CarbonModel
-    #: (mean latency, p95 latency, mean cost, p95 cost), set by the
-    #: first pricing together with the route-bytes check.
-    _hour_independent: Optional[Tuple[float, float, float, float]] = field(
+    #: (mean latency, mean cost), set by the first pricing together
+    #: with the route-bytes check.
+    _means: Optional[Tuple[float, float]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: (p95 latency, p95 cost), set by the first read of either tail.
+    _tail_values: Optional[Tuple[float, float]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -376,35 +459,36 @@ class PlanProfile:
         )
 
     def estimate_at(self, carbon_at: Callable[[str], float]) -> WorkflowEstimate:
-        """Full :class:`WorkflowEstimate` under the given intensities."""
-        mean_latency, tail_latency, mean_cost, tail_cost = self._first_pricing()
+        """:class:`WorkflowEstimate` under the given intensities (its
+        tails are computed when read)."""
+        mean_latency, mean_cost = self._first_pricing()
         exec_only = self._exec_carbon_samples(carbon_at)
         carbon = self._add_transmission(exec_only, carbon_at)
         return WorkflowEstimate(
+            self,
+            carbon_at,
             mean_latency_s=mean_latency,
-            tail_latency_s=tail_latency,
             mean_cost_usd=mean_cost,
-            tail_cost_usd=tail_cost,
             mean_carbon_g=_mean(carbon),
-            tail_carbon_g=_p95(carbon),
             mean_exec_carbon_g=_mean(exec_only),
             mean_trans_carbon_g=_mean(carbon - exec_only),
-            n_samples=self.n_samples,
         )
 
-    def _first_pricing(self) -> Tuple[float, float, float, float]:
-        stats = self._hour_independent
-        if stats is None:
+    def _first_pricing(self) -> Tuple[float, float]:
+        means = self._means
+        if means is None:
             for sizes in self.bytes_by_route.values():
                 if np.any(sizes < 0):
                     raise ValueError("size_bytes must be non-negative")
-            stats = self._hour_independent = (
-                _mean(self.latencies),
-                _p95(self.latencies),
-                _mean(self.costs),
-                _p95(self.costs),
-            )
-        return stats
+            means = self._means = (_mean(self.latencies), _mean(self.costs))
+        return means
+
+    def _tails(self) -> Tuple[float, float]:
+        """(p95 latency, p95 cost), computed on the first call."""
+        tails = self._tail_values
+        if tails is None:
+            tails = self._tail_values = (_p95(self.latencies), _p95(self.costs))
+        return tails
 
     def _exec_carbon_samples(
         self, carbon_at: Callable[[str], float]

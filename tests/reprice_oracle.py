@@ -4,14 +4,34 @@ hoisted — three ``np.percentile`` calls, the execution-carbon vector
 built twice and every route's bytes re-validated on every call.
 
 Kept verbatim (methods turned into functions of the profile) so
-``tests/test_montecarlo.py::TestRepricingDifferential`` can require
-``==`` between it and the production path, field for field.  Not
-shipped: nothing under ``src/`` imports it.
+``tests/test_montecarlo.py::TestRepricingDifferential`` can compare it
+with the production path field for field.  Every value, tails included,
+is computed eagerly, into a plain record of the nine public
+:class:`~repro.metrics.montecarlo.WorkflowEstimate` names
+(``ESTIMATE_FIELDS``).  Not shipped: nothing under ``src/`` imports it.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from repro.metrics.montecarlo import WorkflowEstimate
+#: A ``WorkflowEstimate``'s public values.
+ESTIMATE_FIELDS = (
+    "mean_latency_s",
+    "tail_latency_s",
+    "mean_cost_usd",
+    "tail_cost_usd",
+    "mean_carbon_g",
+    "tail_carbon_g",
+    "mean_exec_carbon_g",
+    "mean_trans_carbon_g",
+    "n_samples",
+)
+
+
+def fields(estimate):
+    """``{name: value}`` of an estimate's (or a record's) public values."""
+    return {name: getattr(estimate, name) for name in ESTIMATE_FIELDS}
 
 
 def transmission_carbon_g_batch(carbon_model, route_intensity, size_bytes,
@@ -49,7 +69,7 @@ def _exec_carbon_samples(profile, carbon_at):
 def estimate_at(profile, carbon_at):
     carbon = carbon_samples(profile, carbon_at)
     exec_only = _exec_carbon_samples(profile, carbon_at)
-    return WorkflowEstimate(
+    return SimpleNamespace(
         mean_latency_s=float(profile.latencies.mean()),
         tail_latency_s=float(np.percentile(profile.latencies, 95)),
         mean_cost_usd=float(profile.costs.mean()),

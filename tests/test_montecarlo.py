@@ -1,7 +1,6 @@
 """Tests for the Monte-Carlo end-to-end estimator (§7.1)."""
 
 import collections
-import dataclasses
 import os
 import sys
 
@@ -19,6 +18,7 @@ from repro.metrics.cost import CostModel
 from repro.metrics.distributions import EmpiricalDistribution
 from repro.metrics.latency import TransferLatencyModel
 from repro.core.lifecycle import build_plan_evaluator, deploy_benchmark, warm_up
+from repro.metrics import montecarlo
 from repro.metrics.montecarlo import (
     MonteCarloEstimator,
     PlanProfile,
@@ -511,7 +511,9 @@ class TestRepricingDifferential:
 
                     got = profile.estimate_at(carbon_at)
                     want = reprice_oracle.estimate_at(profile, carbon_at)
-                    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+                    assert reprice_oracle.fields(got) == (
+                        reprice_oracle.fields(want)
+                    )
                     assert got == ev.estimate(plan, hour)
                     assert np.array_equal(
                         profile.carbon_samples(carbon_at),
@@ -519,6 +521,74 @@ class TestRepricingDifferential:
                     )
                     compared += 1
         assert compared >= 2 * (self.N_RANDOM_PLANS + 1) * 24
+
+
+class TestTailsOnRead:
+    """An estimate's three p95s are computed when first read, kept, and
+    are the oracle's eagerly computed doubles."""
+
+    @pytest.fixture(scope="class")
+    def evaluator(self):
+        app = ALL_APPS["text2speech_censoring"]
+        cloud = SimulatedCloud(seed=5)
+        deployed, executor, _ = deploy_benchmark(app, cloud)
+        warm_up(executor, app, "small", n=8)
+        return lambda: build_plan_evaluator(
+            deployed, TransmissionScenario.worst_case()
+        )
+
+    def test_every_tail_equals_the_eager_oracle(self, evaluator):
+        ev = evaluator()
+        rng = np.random.default_rng(3)
+        plans = [ev.home_plan()] + [
+            DeploymentPlan({
+                n: str(rng.choice(ev.permitted_regions(n)))
+                for n in ev.dag.node_names
+            })
+            for _ in range(8)
+        ]
+        tails = ("tail_latency_s", "tail_cost_usd", "tail_carbon_g")
+        for k, plan in enumerate(plans):
+            for hour in (0, 7, 13, 22):
+                estimate = ev.estimate(plan, hour)
+                want = reprice_oracle.estimate_at(
+                    ev.profile(plan), lambda r, h=hour: ev.intensity(r, h)
+                )
+                # Read in a different order per plan: no tail may depend
+                # on another having been read first.
+                order = tails[k % 3:] + tails[:k % 3]
+                for name in order + order:
+                    assert getattr(estimate, name) == getattr(want, name)
+
+    def test_a_tail_read_twice_is_computed_once(self, evaluator, monkeypatch):
+        ev = evaluator()
+        plan = ev.home_plan()
+        calls = []
+        p95 = montecarlo._p95
+        monkeypatch.setattr(
+            montecarlo, "_p95", lambda values: calls.append(1) or p95(values)
+        )
+        first = ev.estimate(plan, 3)
+        assert not calls  # pricing computes no tail
+        carbon = first.tail_carbon_g
+        assert first.tail_carbon_g == carbon and len(calls) == 1
+        latency, cost = first.tail_latency_s, first.tail_cost_usd
+        assert len(calls) == 3  # latency and cost together, once
+        assert (first.tail_latency_s, first.tail_cost_usd) == (latency, cost)
+        # Another hour of the same profile: its latency and cost tails
+        # are the profile's, its carbon tail is its own.
+        other = ev.estimate(plan, 9)
+        assert (other.tail_latency_s, other.tail_cost_usd) == (latency, cost)
+        assert len(calls) == 3
+        other.tail_carbon_g
+        other.tail_carbon_g
+        assert len(calls) == 4
+
+    def test_an_estimate_holds_the_hour_table_not_a_copy(self, evaluator):
+        ev = evaluator()
+        estimate = ev.estimate(ev.home_plan(), 5)
+        assert estimate._carbon_at is ev._intensities_at(5)
+        assert estimate._profile is ev.profile(ev.home_plan())
 
 
 def _numpy_wrapper_calls(fn):

@@ -27,6 +27,7 @@ from repro.core.solver import HBSSSolver
 from repro.core.lifecycle import build_plan_evaluator, deploy_benchmark, warm_up
 from repro.metrics.carbon import TransmissionScenario
 from repro.model.plan import DeploymentPlan
+from tests import reprice_oracle
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "solve_day_contract.json"
 APPS = ("text2speech_censoring", "video_analytics")
@@ -63,7 +64,7 @@ def _solve_record(plan_set, results, stats):
             {
                 "hour": r.hour,
                 "best_plan": r.best_plan.digest(),
-                "best_estimate": dataclasses.asdict(r.best_estimate),
+                "best_estimate": reprice_oracle.fields(r.best_estimate),
                 "iterations": r.iterations,
                 "accepted": r.accepted,
                 "plans_evaluated": r.plans_evaluated,
