@@ -331,6 +331,7 @@ _ESTIMATE_FIELDS = (
 
 
 _sum = np.add.reduce
+_min = np.minimum.reduce
 
 
 def _scalar(value: float) -> "np.ndarray":
@@ -412,15 +413,17 @@ class PlanProfile:
     run exactly instead of re-running it.
 
     Each quantity is paid for at the rate it changes: the latency and
-    cost means and the check that no route carries negative bytes happen
-    once per profile, on its first pricing, and the latency and cost
-    p95s once, on the first read of either tail; only the carbon
-    vector and its mean are per hour (its p95 too, when read).  That is
-    sound because the arrays never change afterwards — the estimator
-    hands them over read-only; whoever builds a profile by hand must not
-    write to them after the first pricing.  Nothing else derived from
-    the arrays is kept: a profile cache holds thousands of profiles, so
-    even a few hundred bytes each show in peak memory.
+    cost means, the per-region energy means, the per-route byte means
+    and the check that no route carries negative bytes happen once per
+    profile, on its first pricing, and the latency and cost p95s once,
+    on the first read of either tail.  An hour's mean carbon is then a
+    sum over regions and routes; only a carbon tail, when read, builds
+    the hour's per-sample carbon vector.  That is sound because the
+    arrays never change afterwards — the estimator hands them over
+    read-only; whoever builds a profile by hand must not write to them
+    after the first pricing.  Nothing else derived from the arrays is
+    kept: a profile cache holds thousands of profiles, so even a few
+    hundred bytes each show in peak memory.
 
     Attributes:
         latencies / costs: Per-sample end-to-end values.
@@ -435,11 +438,13 @@ class PlanProfile:
     energy_by_region: Dict[str, "np.ndarray"]
     bytes_by_route: Dict[Tuple[str, str], "np.ndarray"]
     carbon_model: CarbonModel
-    #: (mean latency, mean cost), set by the first pricing together
-    #: with the route-bytes check.
-    _means: Optional[Tuple[float, float]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    #: (mean latency, mean cost, per-region energy means, per-route
+    #: byte means in GB), in ``energy_by_region`` / ``bytes_by_route``
+    #: order; set by the first pricing together with the route-bytes
+    #: check.
+    _means: Optional[
+        Tuple[float, float, Tuple[float, ...], Tuple[float, ...]]
+    ] = field(default=None, init=False, repr=False, compare=False)
     #: (p95 latency, p95 cost), set by the first read of either tail.
     _tail_values: Optional[Tuple[float, float]] = field(
         default=None, init=False, repr=False, compare=False
@@ -459,28 +464,58 @@ class PlanProfile:
         )
 
     def estimate_at(self, carbon_at: Callable[[str], float]) -> WorkflowEstimate:
-        """:class:`WorkflowEstimate` under the given intensities (its
-        tails are computed when read)."""
-        mean_latency, mean_cost = self._first_pricing()
-        exec_only = self._exec_carbon_samples(carbon_at)
-        carbon = self._add_transmission(exec_only, carbon_at)
+        """:class:`WorkflowEstimate` under the given intensities.
+
+        Eq. 7.1/7.5 are linear in the intensities, so the mean carbon is
+        priced from the per-region energy means and per-route byte means
+        as an O(regions + routes) sum — within a few ulps of the mean of
+        :meth:`carbon_samples`, which only the carbon tail reads."""
+        mean_latency, mean_cost, energy_means, gb_means = self._first_pricing()
+        exec_carbon = 0.0
+        for region, energy in zip(self.energy_by_region, energy_means):
+            exec_carbon += energy * carbon_at(region)
+        energy_factor = self.carbon_model.scenario.energy_factor
+        intra, inter = energy_factor(True), energy_factor(False)
+        trans_carbon = 0.0
+        for (src, dst), size_gb in zip(self.bytes_by_route, gb_means):
+            route_intensity = (carbon_at(src) + carbon_at(dst)) / 2.0
+            factor = intra if src == dst else inter
+            trans_carbon += (route_intensity * factor) * size_gb
         return WorkflowEstimate(
             self,
             carbon_at,
             mean_latency_s=mean_latency,
             mean_cost_usd=mean_cost,
-            mean_carbon_g=_mean(carbon),
-            mean_exec_carbon_g=_mean(exec_only),
-            mean_trans_carbon_g=_mean(carbon - exec_only),
+            mean_carbon_g=exec_carbon + trans_carbon,
+            mean_exec_carbon_g=exec_carbon,
+            mean_trans_carbon_g=trans_carbon,
         )
 
-    def _first_pricing(self) -> Tuple[float, float]:
+    def _first_pricing(
+        self,
+    ) -> Tuple[float, float, Tuple[float, ...], Tuple[float, ...]]:
         means = self._means
         if means is None:
-            for sizes in self.bytes_by_route.values():
-                if np.any(sizes < 0):
-                    raise ValueError("size_bytes must be non-negative")
-            means = self._means = (_mean(self.latencies), _mean(self.costs))
+            n_regions = len(self.energy_by_region)
+            rows = np.array(
+                [
+                    self.latencies,
+                    self.costs,
+                    *self.energy_by_region.values(),
+                    *self.bytes_by_route.values(),
+                ]
+            )
+            if self.bytes_by_route and _min(rows[2 + n_regions:], axis=None) < 0:
+                raise ValueError("size_bytes must be non-negative")
+            # Row by row the doubles ``_mean`` gives each row alone (the
+            # axis-1 reduction contract ``_mean_and_std`` relies on).
+            row_means = (_sum(rows, axis=1) / rows.shape[1]).tolist()
+            means = self._means = (
+                row_means[0],
+                row_means[1],
+                tuple(row_means[2:2 + n_regions]),
+                tuple(m / GB for m in row_means[2 + n_regions:]),
+            )
         return means
 
     def _tails(self) -> Tuple[float, float]:

@@ -48,7 +48,7 @@ MINIMAL_REPORT = {"schema": REPORT_SCHEMA, "run": {}, "scenarios": {},
 #: sha256 and its record counts.  The file itself (~220 KB) is not
 #: committed; the report and Prometheus goldens pin its parts.
 QUICKSTART_SHA256 = (
-    "522203e2626f62f5dd28848d7fd8535f03589f61410bce27fc5decfc6634fc0d"
+    "150f26f3f8f0ea784a6725f41fb45871109bd5e174ff894e6528bd01323dfb0d"
 )
 QUICKSTART_COUNTS = {"report": 1, "span": 709, "point": 58}
 QUICKSTART_ARGV = ["run", "text2speech_censoring", "-n", "2",

@@ -7,7 +7,10 @@ memoised plan hash), so it pins what "bit-identical" means for that
 change and every later one: the 24-hour plan set, every per-hour
 ``SolveResult`` field and every ``SolverStats`` counter of a cold
 ``solve_day`` and of one warm-started re-solve on the same evaluator.
-Regenerate (only for a change that is *meant* to move plans) with::
+Its carbon means (``mean_carbon_g``, ``mean_exec_carbon_g``,
+``mean_trans_carbon_g``) were regenerated once, when they came to be
+priced by linearity from per-region and per-route means: each moved by
+a few ulps, and nothing else did.  Regenerate (only for a change that is *meant* to move plans) with::
 
     UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_solve_day_contract.py
 """
