@@ -425,14 +425,9 @@ class PlanEvaluator:
         request finds it (the estimator's ``simulations_run`` and
         ``samples_drawn`` count at build time).
         """
-        cache = self._cache
-        missing: Dict[str, DeploymentPlan] = {}
-        for plan in plans:
-            digest = plan.digest()
-            if digest not in cache._profiles and digest not in cache._prefetched:
-                missing.setdefault(digest, plan)
+        missing = {p.digest(): p for p in plans if not self.has_profile(p)}
         if missing:
-            cache._prefetched.update(
+            self._cache._prefetched.update(
                 zip(missing, self._estimator.estimate_profiles(list(missing.values())))
             )
         return len(missing)

@@ -346,13 +346,6 @@ _BYTES_PER_GB = _scalar(GB)
 _ZERO = _scalar(0.0)
 
 
-def _mean(values: "np.ndarray") -> float:
-    """``float(values.mean())`` of a non-empty 1-D float array: the
-    ufunc reduction and the division numpy's wrapper ends in, without
-    its argument handling (see :func:`_mean_and_std`)."""
-    return float(_sum(values) / values.size)
-
-
 def _mean_and_std(
     values: "np.ndarray",
 ) -> Tuple["np.ndarray", "np.ndarray"]:
@@ -507,8 +500,9 @@ class PlanProfile:
             )
             if self.bytes_by_route and _min(rows[2 + n_regions:], axis=None) < 0:
                 raise ValueError("size_bytes must be non-negative")
-            # Row by row the doubles ``_mean`` gives each row alone (the
-            # axis-1 reduction contract ``_mean_and_std`` relies on).
+            # Row by row the double ``np.add.reduce(row) / n`` gives each
+            # row alone (the axis-1 reduction contract ``_mean_and_std``
+            # relies on).
             row_means = (_sum(rows, axis=1) / rows.shape[1]).tolist()
             means = self._means = (
                 row_means[0],

@@ -905,6 +905,39 @@ class TestLockstepDifferential:
         )
 
 
+class TestLockstepWorkCounts:
+    """A lockstep day builds every profile in step cohorts: no solo
+    kernel call, one ``estimate_profiles`` call per step that asked for
+    a plan, and each plan simulated once."""
+
+    def test_every_profile_is_built_in_a_step_cohort(self, app_twins,
+                                                     monkeypatch):
+        from repro.metrics.montecarlo import MonteCarloEstimator
+
+        ev = app_twins("video_analytics")(4)
+        calls = {"solo": 0, "cohorts": []}
+        cohort = MonteCarloEstimator.estimate_profiles
+
+        def solo(self, plan):
+            calls["solo"] += 1
+            raise AssertionError("a lockstep day profiled a plan alone")
+
+        def counted(self, plans):
+            calls["cohorts"].append(len(plans))
+            return cohort(self, plans)
+
+        monkeypatch.setattr(MonteCarloEstimator, "estimate_profile", solo)
+        monkeypatch.setattr(MonteCarloEstimator, "estimate_profiles", counted)
+        HBSSSolver(ev, np.random.default_rng(4)).solve_day()
+        sizes = calls["cohorts"]
+        assert calls["solo"] == 0
+        assert sum(sizes) == ev.stats.profiles_built == ev.stats.simulations_run
+        # The first step builds home for all 24 walks at once; later
+        # steps gather the walks' new candidates.
+        assert sizes[0] == 1
+        assert max(sizes) > 12 and sum(sizes) > 4 * len(sizes)
+
+
 def _count_walk_work(solver, hour, warm_start_plan=None):
     """``solver.solve_hour`` under ``sys.setprofile``: returns the result
     and, for hbss.py, ``DeploymentPlan.__init__`` runs, ``numpy.array``
