@@ -305,9 +305,6 @@ class WorkflowEstimate:
             return NotImplemented
         return self._values() == other._values()
 
-    def __hash__(self) -> int:
-        return hash(self._values())
-
     def __repr__(self) -> str:
         values = ", ".join(
             f"{name}={value!r}"
@@ -316,7 +313,7 @@ class WorkflowEstimate:
         return f"WorkflowEstimate({values})"
 
 
-#: A :class:`WorkflowEstimate`'s public values, in their former order.
+#: A :class:`WorkflowEstimate`'s nine public values, compared by ``==``.
 _ESTIMATE_FIELDS = (
     "mean_latency_s",
     "tail_latency_s",
