@@ -1,9 +1,11 @@
 """Throughput — vectorized vs scalar Monte-Carlo kernel.
 
-The solver's inner loop is ``MonteCarloEstimator.estimate_profile``;
-vectorizing it (batched draws + array pricing) is what makes the 24-hour
-HBSS solve cheap.  This bench measures samples/second of the vectorized
-kernel against the scalar reference path (``tests/montecarlo_oracle.py``)
+The solver's inner loop is the Monte-Carlo kernel
+(``MonteCarloEstimator.estimate_profiles``, one cohort per HBSS lockstep
+step; ``estimate_profile`` is the cohort of one); vectorizing it
+(batched draws + array pricing) is what makes the 24-hour HBSS solve
+cheap.  This bench measures samples/second of the kernel, one plan at a
+time, against the scalar reference path (``tests/montecarlo_oracle.py``)
 on the Text2Speech benchmark (5 stages, conditional edge, sync node,
 pinned external data — every pricing path exercised) and asserts the
 >=5x target.
