@@ -692,7 +692,9 @@ class _Layout(NamedTuple):
 class _Cohort(NamedTuple):
     """Plans resolved against the estimator's tables, in topological
     order: everything a batch needs besides its random draws.  Result
-    rows are rows of the run's buffer, where each plan owns a block."""
+    rows are rows of the run's buffer, where each plan owns a block.
+    A lone plan's ``(P, 1)`` columns are 0-d and its ``(P,)`` rows a
+    one-row slice (see ``MonteCarloEstimator._compile``)."""
 
     layouts: Tuple[_Layout, ...]
     nodes: Tuple[_NodeStep, ...]
@@ -724,8 +726,8 @@ def _add_rows(
     values,
     mask: Optional["np.ndarray"],
 ) -> None:
-    """:func:`_add` into ``target[rows]``: one row per plan, so no row
-    appears twice."""
+    """:func:`_add` into ``target[rows]``: one row per plan (an index
+    array, or a slice for a lone plan), so no row appears twice."""
     if mask is None:
         target[rows] += values
     else:
@@ -908,6 +910,8 @@ class MonteCarloEstimator:
             n_total = hi
             if n_total == self._max:
                 stopped = [True] * len(running)
+            elif n_total == n:  # the first batch is the whole prefix
+                stopped = self._converged(latency, cost).tolist()
             else:
                 stopped = self._converged(
                     full[first, :hi], full[first + 1, :hi]
@@ -920,8 +924,11 @@ class MonteCarloEstimator:
                     )
             if all(stopped):
                 break
-            running = [i for i, stop in zip(running, stopped) if not stop]
-            cohort = self._compile([plans[i] for i in running], starts[running])
+            if any(stopped):
+                running = [i for i, stop in zip(running, stopped) if not stop]
+                cohort = self._compile(
+                    [plans[i] for i in running], starts[running]
+                )
 
         if self._stats is not None:
             self._stats.simulations_run += len(plans)
@@ -955,22 +962,22 @@ class MonteCarloEstimator:
           error is meaningless there, so sampling continues to the cap
           rather than stopping blind.
 
-        A row's decision is the one a single plan's 1-D series would
-        get: the axis-1 reductions give each row the doubles a 1-D
-        reduction gives it (``tests/test_montecarlo.py::
+        The series are stacked and decided in one pass.  A row's
+        decision is the one a single plan's 1-D series would get: the
+        last-axis reductions give each row the doubles a 1-D reduction
+        gives it (``tests/test_montecarlo.py::
         TestConvergedDifferential``, on the numpy floor too).
         """
-        *rows, n = series[0].shape
+        values = np.stack(series)
+        n = values.shape[-1]
         if n < 2:
-            return np.zeros(rows, dtype=bool)
-        done = np.ones(rows, dtype=bool)
-        root_n = math.sqrt(n)
-        for values in series:
-            mean, std = _mean_and_std(values)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                relative_error = std / root_n / mean
-            done &= (std == 0.0) | ~((mean <= 0) | (relative_error >= self._cov))
-        return done
+            return np.zeros(values.shape[1:-1], dtype=bool)
+        mean, std = _mean_and_std(values)
+        # Rows with a non-positive mean are decided by ``mean <= 0``;
+        # dividing them by 1.0 instead keeps the division quiet.
+        relative_error = std / math.sqrt(n) / np.where(mean > 0, mean, 1.0)
+        converged = (std == 0.0) | ~((mean <= 0) | (relative_error >= self._cov))
+        return converged.all(axis=0)
 
     def _client_and_kv(self, plan: DeploymentPlan) -> Tuple[str, str]:
         """Resolve the client and KV regions for one evaluation."""
@@ -1144,8 +1151,11 @@ class MonteCarloEstimator:
         ``starts[i]`` (default: each plan's block right after the
         previous one's)."""
         workflow = self._workflow_spec()
+        node_tables = self._node_tables
         node_gathers = self._node_gathers
         input_offset = self._input_gather.offset
+        route_legs = self._route_legs
+        publish_costs = self._publish_costs
         floats_by_plan, ints_by_plan, bounds_by_plan = [], [], []
         layouts = []
         start = 0
@@ -1156,21 +1166,28 @@ class MonteCarloEstimator:
             client, kv = self._client_and_kv(plan)
             # Region or route -> its row in the plan's block, numbered in
             # processing order after the latency and cost rows.
-            rows: Dict[object, int] = {}
+            regions: Dict[str, int] = {}
+            routes: Dict[Tuple[str, str], int] = {}
             floats = list(self._kv_cost(kv))
             ints = []
             bounds = [len(workflow.input_sizes)]
             for spec in workflow.nodes:
                 region = region_of[spec.name]
-                table = self._node_table(spec, region)
+                table = node_tables.get((spec.name, region)) or self._node_table(
+                    spec, region
+                )
                 if not spec.in_edges:
                     # The end-user input arrives from the client near
                     # the home region (§6.2); a shifted start node pays
                     # for it.
                     route = (client, region)
-                    self._input_table(client, region)
+                    if route not in input_offset:
+                        self._input_table(client, region)
                     ints.append(input_offset[route])
-                    ints.append(start + rows.setdefault(route, len(rows) + 2))
+                    ints.append(
+                        start
+                        + routes.setdefault(route, 2 + len(regions) + len(routes))
+                    )
                 for edge in spec.in_edges:
                     src = region_of[edge.src]
                     # Fan-in data is relayed through the KV store
@@ -1180,21 +1197,28 @@ class MonteCarloEstimator:
                         if spec.is_sync
                         else ((src, region),)
                     ):
-                        ints.append(start + rows.setdefault(route, len(rows) + 2))
-                        floats.extend(self._leg(*route))
+                        ints.append(
+                            start
+                            + routes.setdefault(route, 2 + len(regions) + len(routes))
+                        )
+                        floats.extend(route_legs.get(route) or self._leg(*route))
                     bounds.append(len(edge.sizes))
-                if table.external_route is not None:
-                    route = table.external_route
-                    ints.append(start + rows.setdefault(route, len(rows) + 2))
+                route = table.external_route
+                if route is not None:
+                    ints.append(
+                        start + routes.setdefault(route, 2 + len(regions) + len(routes))
+                    )
                     floats.append(table.external_cost)
                 ints.append(node_gathers[spec.name].offset[region])
-                ints.append(start + rows.setdefault(region, len(rows) + 2))
-                floats.append(self._publish_cost(region))
+                ints.append(
+                    start + regions.setdefault(region, 2 + len(regions) + len(routes))
+                )
+                publish = publish_costs.get(region)
+                floats.append(
+                    publish if publish is not None else self._publish_cost(region)
+                )
                 bounds.append(len(table.exec_times))
-            layout = _Layout(
-                {k: r for k, r in rows.items() if isinstance(k, str)},
-                {k: r for k, r in rows.items() if not isinstance(k, str)},
-            )
+            layout = _Layout(regions, routes)
             layouts.append(layout)
             start += layout.size
             floats_by_plan.append(floats)
@@ -1202,16 +1226,30 @@ class MonteCarloEstimator:
             bounds_by_plan.append(bounds)
 
         # The same walk again, over the columns in the order they were
-        # filled.
+        # filled.  A column is every plan's value as a ``(P, 1)`` array
+        # broadcast along its samples, and a row column every plan's
+        # ``(P,)`` result rows.  For a lone plan a column is 0-d, which
+        # numpy broadcasts at the cost of a same-shape op (a ``(P, 1)``
+        # column costs twice that), and a row is a one-row slice, whose
+        # ``+=`` updates a view in place instead of gathering and
+        # scattering a copy.
         values = np.array(floats_by_plan, dtype=float)
         index = np.array(ints_by_plan, dtype=np.intp)
+        if len(plans) == 1:
+            columns = values.reshape(-1)
+            offsets = index.reshape(-1)
+            rows = [slice(row, row + 1) for row in index[0].tolist()]
+        else:
+            columns = values.T[:, :, None]
+            offsets = index.T[:, :, None]
+            rows = index.T
         f, i, draw = 2, 0, 1  # draw row 0 is the end-user input size
         nodes = []
         for spec in workflow.nodes:
             input_step = None
             if not spec.in_edges:
                 input_step = _InputStep(
-                    index[:, i:i + 1], index[:, i + 1], *self._input_gather.arrays
+                    offsets[i, ...], rows[i + 1], *self._input_gather.arrays
                 )
                 i += 2
             legs = []
@@ -1220,10 +1258,10 @@ class MonteCarloEstimator:
                 for _hop in range(2 if spec.is_sync else 1):
                     edge_legs.append(
                         _Leg(
-                            index[:, i],
-                            values[:, f:f + 1],
-                            values[:, f + 1:f + 2],
-                            values[:, f + 2:f + 3],
+                            rows[i],
+                            columns[f, ...],
+                            columns[f + 1, ...],
+                            columns[f + 2, ...],
                         )
                     )
                     i += 1
@@ -1231,9 +1269,9 @@ class MonteCarloEstimator:
                 legs.append(tuple(edge_legs))
             external_rows, external_bytes, external_cost = None, _ZERO, _ZERO
             if spec.external is not None:
-                external_rows = index[:, i]
+                external_rows = rows[i]
                 external_bytes = _scalar(spec.external[1])
-                external_cost = values[:, f:f + 1]
+                external_cost = columns[f, ...]
                 i += 1
                 f += 1
             edge_draws = tuple(range(draw, draw + len(spec.in_edges)))
@@ -1248,9 +1286,9 @@ class MonteCarloEstimator:
                     external_rows,
                     external_bytes,
                     external_cost,
-                    index[:, i:i + 1],
-                    index[:, i + 1],
-                    values[:, f:f + 1],
+                    offsets[i, ...],
+                    rows[i + 1],
+                    columns[f, ...],
                     *node_gathers[spec.name].arrays,
                 )
             )
@@ -1262,8 +1300,8 @@ class MonteCarloEstimator:
             layouts=tuple(layouts),
             nodes=tuple(nodes),
             highs=tuple(highs),
-            kv_read_cost=values[:, 0:1],
-            kv_relay_cost=values[:, 1:2],
+            kv_read_cost=columns[0, ...],
+            kv_relay_cost=columns[1, ...],
         )
 
     # -- per batch ------------------------------------------------------------
