@@ -697,6 +697,8 @@ class _Cohort(NamedTuple):
     one-row slice (see ``MonteCarloEstimator._compile``)."""
 
     layouts: Tuple[_Layout, ...]
+    #: (P,) the first row of each plan's block.
+    starts: "np.ndarray"
     nodes: Tuple[_NodeStep, ...]
     #: Per plan, the ``(m, 1)`` int64 column of the length of every
     #: support a batch draws indices into, one row per distribution in
@@ -890,14 +892,14 @@ class MonteCarloEstimator:
         """
         rngs = [self.plan_rng(plan) for plan in plans]
         cohort = self._compile(plans)
+        starts = cohort.starts
         sizes = [layout.size for layout in cohort.layouts]
-        starts = np.cumsum([0] + sizes[:-1])
         full = np.zeros((sum(sizes), self._max))
         profiles: List[Optional[PlanProfile]] = [None] * len(plans)
         running = list(range(len(plans)))
         n_total = 0
         while True:
-            first = starts[running]
+            first = cohort.starts
             n = min(self._batch, self._max - n_total)
             hi = n_total + n
             latency, cost = self._simulate(
@@ -968,7 +970,7 @@ class MonteCarloEstimator:
         gives it (``tests/test_montecarlo.py::
         TestConvergedDifferential``, on the numpy floor too).
         """
-        values = np.stack(series)
+        values = np.array(series)
         n = values.shape[-1]
         if n < 2:
             return np.zeros(values.shape[1:-1], dtype=bool)
@@ -1157,11 +1159,12 @@ class MonteCarloEstimator:
         route_legs = self._route_legs
         publish_costs = self._publish_costs
         floats_by_plan, ints_by_plan, bounds_by_plan = [], [], []
-        layouts = []
+        layouts, block_starts = [], []
         start = 0
         for p, plan in enumerate(plans):
             if starts is not None:
-                start = starts[p]
+                start = int(starts[p])
+            block_starts.append(start)
             region_of = plan.assignments
             client, kv = self._client_and_kv(plan)
             # Region or route -> its row in the plan's block, numbered in
@@ -1298,6 +1301,7 @@ class MonteCarloEstimator:
         highs = np.array(bounds_by_plan, dtype=np.int64)[:, :, None]
         return _Cohort(
             layouts=tuple(layouts),
+            starts=np.array(block_starts),
             nodes=tuple(nodes),
             highs=tuple(highs),
             kv_read_cost=columns[0, ...],
@@ -1324,7 +1328,7 @@ class MonteCarloEstimator:
             if n_conditional:
                 uniforms.append(rng.random((n, n_conditional)))
             indices.append(rng.integers(0, high, size=(len(high), n)))
-        return np.stack(indices), np.stack(uniforms) if uniforms else None
+        return np.array(indices), np.array(uniforms) if uniforms else None
 
     def _simulate(
         self,
