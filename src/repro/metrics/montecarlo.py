@@ -102,10 +102,13 @@ alone.  Each quantity is therefore paid for at the rate it changes:
   own stream; per table one gather through the per-plan offsets; the
   route arithmetic on the gathered payload sizes; each plan's additions
   into its own rows, in the order a lone run makes them; and the
-  stopping rule, one axis-1 reduction per series for every running
-  plan at once (``_converged``).  A plan that has converged leaves the
-  cohort, which is compiled again for the plans that run on; they all
-  share the sample count, so the last batch is clamped for all of them.
+  stopping rule, last-axis reductions over every running plan's
+  latency and cost series at once (``_converged``).  A plan that has
+  converged leaves the cohort, which is compiled again for the plans
+  that run on; they all share the sample count, so the last batch is
+  clamped for all of them.  A lone plan's scalars are 0-d and its rows
+  slices rather than columns and index arrays (cheaper numpy calls,
+  the same doubles).
 
 Because validation runs on a whole support, it is *stricter* than a
 per-sample check: a negative payload size or a non-positive duration
