@@ -106,8 +106,9 @@ alone.  Each quantity is therefore paid for at the rate it changes:
   latency and cost series at once (``_converged``).  A plan that has
   converged leaves the cohort, which is compiled again for the plans
   that run on; they all share the sample count, so the last batch is
-  clamped for all of them.  A lone plan's scalars are 0-d and its rows
-  slices rather than columns and index arrays (cheaper numpy calls,
+  clamped for all of them.  A lone plan's batch runs on 1-D arrays, as
+  a per-plan kernel would: its scalars are 0-d and its rows row
+  numbers rather than columns and index arrays (cheaper numpy calls,
   the same doubles).
 
 Because validation runs on a whole support, it is *stricter* than a
@@ -696,8 +697,8 @@ class _Cohort(NamedTuple):
     """Plans resolved against the estimator's tables, in topological
     order: everything a batch needs besides its random draws.  Result
     rows are rows of the run's buffer, where each plan owns a block.
-    A lone plan's ``(P, 1)`` columns are 0-d and its ``(P,)`` rows a
-    one-row slice (see ``MonteCarloEstimator._compile``)."""
+    A lone plan's ``(P, 1)`` columns are 0-d and its ``(P,)`` rows one
+    row number (see ``MonteCarloEstimator._compile``)."""
 
     layouts: Tuple[_Layout, ...]
     #: (P,) the first row of each plan's block.
@@ -732,7 +733,7 @@ def _add_rows(
     mask: Optional["np.ndarray"],
 ) -> None:
     """:func:`_add` into ``target[rows]``: one row per plan (an index
-    array, or a slice for a lone plan), so no row appears twice."""
+    array, or a lone plan's row number), so no row appears twice."""
     if mask is None:
         target[rows] += values
     else:
@@ -916,7 +917,7 @@ class MonteCarloEstimator:
             if n_total == self._max:
                 stopped = [True] * len(running)
             elif n_total == n:  # the first batch is the whole prefix
-                stopped = self._converged(latency, cost).tolist()
+                stopped = self._converged(latency, cost).reshape(-1).tolist()
             else:
                 stopped = self._converged(
                     full[first, :hi], full[first + 1, :hi]
@@ -1234,17 +1235,17 @@ class MonteCarloEstimator:
         # The same walk again, over the columns in the order they were
         # filled.  A column is every plan's value as a ``(P, 1)`` array
         # broadcast along its samples, and a row column every plan's
-        # ``(P,)`` result rows.  For a lone plan a column is 0-d, which
-        # numpy broadcasts at the cost of a same-shape op (a ``(P, 1)``
-        # column costs twice that), and a row is a one-row slice, whose
-        # ``+=`` updates a view in place instead of gathering and
-        # scattering a copy.
+        # ``(P,)`` result rows.  A lone plan's batch is 1-D (see
+        # ``_draw``): its columns are 0-d, which numpy broadcasts at the
+        # cost of a same-shape op (a ``(P, 1)`` column costs twice
+        # that), and its rows are row numbers, whose ``+=`` updates a
+        # view in place instead of gathering and scattering a copy.
         values = np.array(floats_by_plan, dtype=float)
         index = np.array(ints_by_plan, dtype=np.intp)
         if len(plans) == 1:
             columns = values.reshape(-1)
             offsets = index.reshape(-1)
-            rows = [slice(row, row + 1) for row in index[0].tolist()]
+            rows = index[0].tolist()
         else:
             columns = values.T[:, :, None]
             offsets = index.T[:, :, None]
@@ -1323,7 +1324,9 @@ class MonteCarloEstimator:
         ``random`` and exactly one ``integers`` call on each plan's own
         stream — the only place a profile consumes it.  Returns the
         ``(P, m, n)`` support indices and the ``(P, n, conditional
-        edges)`` uniforms (``None`` without conditional edges)."""
+        edges)`` uniforms (``None`` without conditional edges); a lone
+        plan's keep their own ``(m, n)`` and ``(n, conditional edges)``
+        shapes, so its batch runs on 1-D arrays."""
         n_conditional = self._workflow_spec().n_conditional
         uniforms = []
         indices = []
@@ -1331,6 +1334,8 @@ class MonteCarloEstimator:
             if n_conditional:
                 uniforms.append(rng.random((n, n_conditional)))
             indices.append(rng.integers(0, high, size=(len(high), n)))
+        if len(indices) == 1:
+            return indices[0], uniforms[0] if uniforms else None
         return np.array(indices), np.array(uniforms) if uniforms else None
 
     def _simulate(
@@ -1354,8 +1359,8 @@ class MonteCarloEstimator:
         ``0.0`` where a lone run of it would skip the edge: the same
         doubles, since no accumulator holds ``-0.0``.
         """
-        n_plans, _m, n = indices.shape
-        cost = np.zeros((n_plans, n))
+        shape = indices.shape[:-2] + indices.shape[-1:]  # (P, n), or (n,)
+        cost = np.zeros(shape)
         kv_read_cost = cohort.kv_read_cost
         executed: Dict[str, Optional[np.ndarray]] = {}
         finish: Dict[str, np.ndarray] = {}
@@ -1367,7 +1372,7 @@ class MonteCarloEstimator:
             spec = step.spec
             exec_mask = None
             if step.input is not None:
-                drawn = indices[:, 0]
+                drawn = indices[..., 0, :]
                 at = drawn + step.input.at
                 arrival = step.input.arrival[at]
                 rows[step.input.rows] += self._workflow.input_sizes[drawn]
@@ -1383,12 +1388,12 @@ class MonteCarloEstimator:
                         active = executed[edge.src]
                         if edge.cond_col is not None:
                             taken = (
-                                uniforms[:, :, edge.cond_col] < edge.probability
+                                uniforms[..., edge.cond_col] < edge.probability
                             )
                             active = taken if active is None else taken & active
                         if not active.any():
                             continue
-                    sizes = edge.sizes[indices[:, draw]]
+                    sizes = edge.sizes[indices[..., draw, :]]
                     size_gb = sizes / _BYTES_PER_GB
                     edge_latency = None
                     for leg_rows, one_way, bandwidth, per_gb in legs:
@@ -1415,9 +1420,9 @@ class MonteCarloEstimator:
                     exec_mask = None
                 elif exec_mask is None:
                     # No in-edge fired in any sample of this batch.
-                    exec_mask = np.zeros((n_plans, n), dtype=bool)
+                    exec_mask = np.zeros(shape, dtype=bool)
 
-            at = indices[:, step.exec_draw] + step.at
+            at = indices[..., step.exec_draw, :] + step.at
             if step.external_rows is not None:
                 _add_rows(rows, step.external_rows, step.external_bytes, exec_mask)
                 _add(cost, step.external_cost, exec_mask)
