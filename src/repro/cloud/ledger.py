@@ -12,9 +12,10 @@ data-processing (Fig. 4, orange vs yellow).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, DefaultDict, Dict, List, Optional, TypeVar
+from typing import Any, Callable, DefaultDict, Dict, List, Optional, Tuple, TypeVar
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,6 +106,9 @@ class KvAccessRecord:
 
 K = TypeVar("K")
 
+#: Records per chunk of the index behind :meth:`MeteringLedger.group`.
+_CHUNK = 512
+
 
 @dataclass(slots=True)
 class RecordGroup:
@@ -148,14 +152,48 @@ def _select(records: list, workflow: Optional[str], request_id: Optional[str]) -
     ]
 
 
+def _from_window(records: list, marks: List[float], since_s: float) -> list:
+    """``records`` from the first chunk that can hold a record starting
+    at or after ``since_s``: the list itself when that is chunk 0, a
+    copy of its tail otherwise.
+
+    ``marks[c]`` is the latest ``start_s`` among the complete chunks
+    ``records[:(c + 1) * _CHUNK]``; the marks of chunks completed since
+    the last query are added here, so an append stays one list append.
+    Running maxima never decrease, so ``bisect_left`` finds the first
+    chunk ``c`` with ``marks[c] >= since_s``, and every record before
+    ``c * _CHUNK`` started before ``since_s``.  That holds however far a
+    record's start runs ahead of append order (an execution is appended
+    when it ends, its start shifted by its cold start).  A NaN start is
+    in no window and leaves the marks as they were.
+    """
+    latest = marks[-1] if marks else -math.inf
+    for c in range(len(marks), len(records) // _CHUNK):
+        for r in records[c * _CHUNK : (c + 1) * _CHUNK]:
+            if r.start_s > latest:
+                latest = r.start_s
+        marks.append(latest)
+    start = bisect_left(marks, since_s) * _CHUNK
+    return records if start == 0 else records[start:]
+
+
 class MeteringLedger:
-    """Append-only store of telemetry records with simple querying."""
+    """Append-only store of telemetry records with simple querying.
+
+    Each record kind is one list, appended to and never reordered.
+    :meth:`group` keeps one index per list, the running maxima of
+    ``start_s`` at every 512-record chunk boundary, so a window query
+    skips the chunks that end before the window starts and costs
+    O(window + chunks), not O(history).
+    """
 
     def __init__(self) -> None:
         self.executions: List[ExecutionRecord] = []
         self.transmissions: List[TransmissionRecord] = []
         self.messages: List[MessagingRecord] = []
         self.kv_accesses: List[KvAccessRecord] = []
+        # Per kind, in the order above: see _from_window.
+        self._marks: Tuple[List[float], ...] = ([], [], [], [])
 
     # -- append -----------------------------------------------------------
     def record_execution(self, record: ExecutionRecord) -> None:
@@ -215,19 +253,27 @@ class MeteringLedger:
         kind, in ledger order, so each group's lists keep ledger order
         and keys appear first-seen across executions, transmissions,
         messages, then KV accesses.
+
+        Each pass starts at the first 512-record chunk that can hold a
+        record starting at or after ``since_s`` (the ledger's index; see
+        :class:`MeteringLedger`), so a one-hour window late in a long
+        history scans from the chunk of its first record on, not from
+        record 0.  Skipping is exact: every record in a skipped chunk
+        started before ``since_s``.
         """
         groups: DefaultDict[K, RecordGroup] = defaultdict(RecordGroup)
         every = workflow is None
-        for r in self.executions:
+        m_exec, m_trans, m_msg, m_kv = self._marks
+        for r in _from_window(self.executions, m_exec, since_s):
             if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
                 groups[key(r, r.region)].executions.append(r)
-        for r in self.transmissions:
+        for r in _from_window(self.transmissions, m_trans, since_s):
             if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
                 groups[key(r, r.src_region)].transmissions.append(r)
-        for r in self.messages:
+        for r in _from_window(self.messages, m_msg, since_s):
             if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
                 groups[key(r, r.region)].messages.append(r)
-        for r in self.kv_accesses:
+        for r in _from_window(self.kv_accesses, m_kv, since_s):
             if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
                 groups[key(r, r.region)].kv_accesses.append(r)
         return dict(groups)
@@ -258,3 +304,5 @@ class MeteringLedger:
         self.transmissions.clear()
         self.messages.clear()
         self.kv_accesses.clear()
+        for marks in self._marks:
+            marks.clear()

@@ -16,7 +16,7 @@ sensitivity study, Fig. 13) and solves unconditionally at every check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -355,16 +355,16 @@ class DeploymentManager:
         )
         if not footprints:
             return 0.0
-        # Classify each invocation by where its executions ran (one
-        # ledger pass; matches the footprint grouping above).
-        regions_by_rid: Dict[str, set] = {}
-        for rec in ledger.executions:
-            if rec.workflow == self._d.name and since_s <= rec.start_s < until_s:
-                regions_by_rid.setdefault(rec.request_id, set()).add(rec.region)
+        # Classify each invocation by where its executions ran: the
+        # same window grouped the same way, so the ledger's index keeps
+        # this O(window) too.
+        by_rid = ledger.group(
+            lambda rec, region: rec.request_id, self._d.name, since_s, until_s
+        )
         home_carbons: List[float] = []
         routed_carbons: List[float] = []
         for rid, fp in footprints.items():
-            regions = regions_by_rid.get(rid)
+            regions = {rec.region for rec in by_rid[rid].executions}
             if not regions:
                 continue
             if regions == {home_region}:

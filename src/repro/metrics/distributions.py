@@ -15,6 +15,34 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 
+def _check_finite(sample: float) -> None:
+    if not math.isfinite(sample):
+        raise ValueError(f"sample must be finite, got {sample}")
+
+
+def _finite_floats(samples: Iterable[float]) -> List[float]:
+    """``[float(s) for s in samples]``, every value checked finite.
+
+    Raises what converting and checking the samples one at a time, in
+    order, raises first: the fast path converts and checks each as a
+    whole, and only when one fails is the input walked again to find
+    the first offender.
+    """
+    items = list(samples)
+    try:
+        values = list(map(float, items))
+    except (TypeError, ValueError, OverflowError):
+        values = None
+    if values is not None and all(map(math.isfinite, values)):
+        return values
+    values = []
+    for s in items:
+        value = float(s)
+        _check_finite(value)
+        values.append(value)
+    return values
+
+
 class EmpiricalDistribution:
     """A bounded collection of observed samples.
 
@@ -34,12 +62,13 @@ class EmpiricalDistribution:
         self._samples: List[float] = []
         self._array: Optional[np.ndarray] = None
         if samples is not None:
-            for s in samples:
-                self.add(float(s))
+            # What adding them one by one keeps, in one step: the last
+            # ``max_samples``, each checked finite.
+            self._samples = _finite_floats(samples)
+            del self._samples[:-max_samples]
 
     def add(self, sample: float) -> None:
-        if not math.isfinite(sample):
-            raise ValueError(f"sample must be finite, got {sample}")
+        _check_finite(sample)
         self._samples.append(sample)
         self._array = None
         if len(self._samples) > self._max:

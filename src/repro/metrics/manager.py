@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +39,8 @@ from repro.model.dag import WorkflowDAG
 #: Retention limits from §7.2.
 MAX_INVOCATIONS = 5000
 RETENTION_DAYS = 30
+#: Derived-cache key of every key's samples (MetricsManager._learned_samples).
+_LEARNED_SAMPLES = ("learned_samples",)
 
 
 @dataclass
@@ -174,10 +176,12 @@ class MetricsManager:
         self._util_n: Dict[str, int] = {}
         # Declared fixed external data per node: node -> (region, bytes).
         self._external: Dict[str, Tuple[str, float]] = {}
-        # Derived-distribution cache: the Monte-Carlo estimator queries
-        # these once per *sample*, so rebuilding from the invocation
-        # store each time would dominate solve time.  Invalidated
-        # whenever the store changes (collect / eviction).
+        # Derived-distribution cache: every estimator built over these
+        # metrics reads each (node, region) and edge key once, and a
+        # check may build several, so each key's distribution is built
+        # once per version, from every key's samples learned in one
+        # store pass (_learned_samples).  Cleared when the version
+        # moves (a collect with new executions, expiry, eviction).
         self._derived_cache: Dict[Tuple, object] = {}
         #: Bumped whenever the learned model data changes (any event
         #: that clears the derived cache); see
@@ -212,28 +216,35 @@ class MetricsManager:
         (Fig. 6 "Collect Metrics").  Returns the number of new execution
         records ingested.
         """
-        new_execs = 0
         workflow = self._dag.name
         executions = self._ledger.executions
-        while self._exec_cursor < len(executions):
-            rec = executions[self._exec_cursor]
-            self._exec_cursor += 1
-            if rec.workflow != workflow:
-                continue
-            self._ingest_execution(rec)
-            new_execs += 1
+        new_executions = [
+            rec for rec in executions[self._exec_cursor :] if rec.workflow == workflow
+        ]
+        self._exec_cursor = len(executions)
         transmissions = self._ledger.transmissions
-        while self._trans_cursor < len(transmissions):
-            rec = transmissions[self._trans_cursor]
-            self._trans_cursor += 1
-            if rec.workflow != workflow or rec.kind != "data":
-                continue
-            self._ingest_transmission(rec)
+        new_transmissions = [
+            rec
+            for rec in transmissions[self._trans_cursor :]
+            if rec.workflow == workflow and rec.kind == "data"
+        ]
+        self._trans_cursor = len(transmissions)
+        for rec in new_executions:
+            self._ingest_execution(rec)
+        nodes = frozenset(self._dag.node_names)
+        for rec in new_transmissions:
+            self._ingest_transmission(rec, nodes)
         self._expire(now_s)
         self._evict_to_cap()
+        new_execs = len(new_executions)
         if new_execs:
             self._derived_cache.clear()
             self.version += 1
+        elif new_transmissions:
+            # The store changed under the same version: distributions
+            # already built stay as they are, but a key first asked for
+            # now learns from the store as it is now.
+            self._derived_cache.pop(_LEARNED_SAMPLES, None)
         return new_execs
 
     def _summary_for(self, request_id: str, start_s: float) -> InvocationSummary:
@@ -262,7 +273,9 @@ class MetricsManager:
             self._util_sum[rec.node] = self._util_sum.get(rec.node, 0.0) + util
             self._util_n[rec.node] = self._util_n.get(rec.node, 0) + 1
 
-    def _ingest_transmission(self, rec: TransmissionRecord) -> None:
+    def _ingest_transmission(
+        self, rec: TransmissionRecord, nodes: FrozenSet[str]
+    ) -> None:
         if not rec.request_id or "->" not in rec.edge:
             return
         src, dst = rec.edge.split("->", 1)
@@ -272,7 +285,7 @@ class MetricsManager:
             summary = self._summary_for(rec.request_id, rec.start_s)
             summary.input_bytes = rec.size_bytes
             return
-        if src not in self._dag.node_names or dst not in self._dag.node_names:
+        if src not in nodes or dst not in nodes:
             return
         summary = self._summary_for(rec.request_id, rec.start_s)
         key = (src, dst)
@@ -348,17 +361,32 @@ class MetricsManager:
         return float(np.mean(totals)) if totals else 0.0
 
     # -- WorkflowModelData protocol -------------------------------------------
+    def _learned_samples(
+        self,
+    ) -> Tuple[Dict[Tuple[str, str], List[float]], Dict[Tuple[str, str], List[float]]]:
+        """Every (node, region) duration list and every edge's size
+        list, from one pass over the invocation store, each in
+        invocation order; built on the first miss after the store
+        changed."""
+        cached = self._derived_cache.get(_LEARNED_SAMPLES)
+        if cached is not None:
+            return cached  # type: ignore[return-value]
+        durations: Dict[Tuple[str, str], List[float]] = {}
+        sizes: Dict[Tuple[str, str], List[float]] = {}
+        for s in self._invocations.values():
+            for n, (r, dur) in s.node_executions.items():
+                durations.setdefault((n, r), []).append(dur)
+            for edge, (_sr, _dr, size) in s.edge_transfers.items():
+                sizes.setdefault(edge, []).append(size)
+        self._derived_cache[_LEARNED_SAMPLES] = (durations, sizes)
+        return durations, sizes
+
     def execution_time_dist(self, node: str, region: str) -> EmpiricalDistribution:
         key = ("exec_dist", node, region)
         cached = self._derived_cache.get(key)
         if cached is not None:
             return cached  # type: ignore[return-value]
-        samples = [
-            dur
-            for s in self._invocations.values()
-            for n, (r, dur) in s.node_executions.items()
-            if n == node and r == region
-        ]
+        samples = self._learned_samples()[0].get((node, region))
         if samples:
             dist = EmpiricalDistribution(samples)
         else:
@@ -412,12 +440,7 @@ class MetricsManager:
         cached = self._derived_cache.get(key)
         if cached is not None:
             return cached  # type: ignore[return-value]
-        samples = [
-            size
-            for s in self._invocations.values()
-            for (a, b), (_sr, _dr, size) in s.edge_transfers.items()
-            if (a, b) == (src, dst)
-        ]
+        samples = self._learned_samples()[1].get((src, dst))
         if samples:
             dist = EmpiricalDistribution(samples)
         else:

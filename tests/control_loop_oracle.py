@@ -8,13 +8,19 @@ hourly check scanned whole histories:
   as it was: it priced the window through ``price_by_request`` and then
   classified each request by walking ``ledger.executions`` from record
   0;
-* :func:`execution_time_dist` and :func:`edge_size_dist` are
-  ``MetricsManager``'s per-key builders as they were: one pass over the
-  invocation store per (node, region) or edge key, with the home and
-  pooled fallbacks.
+* :class:`ScanMetricsManager` is a ``MetricsManager`` whose
+  ``execution_time_dist`` and ``edge_size_dist`` are the per-key
+  builders as they were: one pass over the invocation store per
+  (node, region) or edge key, with the home and pooled fallbacks and
+  the per-key cache, and whose ``collect`` walks the ledger one record
+  at a time.
 
-``tests/test_control_loop.py`` requires production to equal them with
-``==`` (``samples`` of each distribution, the saving as a float).
+``tests/test_control_loop.py`` requires production's saving to equal
+:func:`realized_savings` with ``==`` on every check of the capture run;
+``tests/test_metrics_manager.py::TestLearnedDistributionsDifferential``
+runs a production manager and a :class:`ScanMetricsManager` over the
+same ledger and requires equal stores and every distribution's
+``samples`` (or error) to be equal.
 ``tests/ledger_pricing_oracle.py`` stays the oracle for ``group``
 itself.  Not shipped: nothing under ``src/`` imports this module.
 """
@@ -25,7 +31,9 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.cloud.ledger import TransmissionRecord
 from repro.metrics.distributions import EmpiricalDistribution
+from repro.metrics.manager import MetricsManager
 
 
 def realized_savings(manager, since_s: float, until_s: float) -> float:
@@ -60,52 +68,111 @@ def realized_savings(manager, since_s: float, until_s: float) -> float:
     return max(0.0, saving_per_inv * len(routed_carbons))
 
 
-def execution_time_dist(metrics, node: str, region: str) -> EmpiricalDistribution:
-    """The (node, region) duration distribution, one store pass per key."""
-    self = metrics
-    samples = [
-        dur
-        for s in self._invocations.values()
-        for n, (r, dur) in s.node_executions.items()
-        if n == node and r == region
-    ]
-    if samples:
-        dist = EmpiricalDistribution(samples)
-    else:
-        # §7.1: fall back to the home region's distribution.
-        home = self._config.home_region
-        if region != home:
-            dist = execution_time_dist(self, node, home)
+class ScanMetricsManager(MetricsManager):
+    """A :class:`MetricsManager` whose duration and payload-size
+    distributions are built by one store pass per key, as they were
+    (per-key cache and all), and whose ``collect`` is the record-at-a-
+    time cursor walk it was."""
+
+    def collect(self, now_s: float) -> int:
+        new_execs = 0
+        workflow = self._dag.name
+        executions = self._ledger.executions
+        while self._exec_cursor < len(executions):
+            rec = executions[self._exec_cursor]
+            self._exec_cursor += 1
+            if rec.workflow != workflow:
+                continue
+            self._ingest_execution(rec)
+            new_execs += 1
+        transmissions = self._ledger.transmissions
+        while self._trans_cursor < len(transmissions):
+            rec = transmissions[self._trans_cursor]
+            self._trans_cursor += 1
+            if rec.workflow != workflow or rec.kind != "data":
+                continue
+            self._ingest_transmission(rec)
+        self._expire(now_s)
+        self._evict_to_cap()
+        if new_execs:
+            self._derived_cache.clear()
+            self.version += 1
+        return new_execs
+
+    def _ingest_transmission(self, rec: TransmissionRecord) -> None:  # type: ignore[override]
+        if not rec.request_id or "->" not in rec.edge:
+            return
+        src, dst = rec.edge.split("->", 1)
+        if src == "$input":
+            # Client -> start-node transfer: learn the input-size
+            # distribution (the entry stage pays it when shifted).
+            summary = self._summary_for(rec.request_id, rec.start_s)
+            summary.input_bytes = rec.size_bytes
+            return
+        if src not in self._dag.node_names or dst not in self._dag.node_names:
+            return
+        summary = self._summary_for(rec.request_id, rec.start_s)
+        key = (src, dst)
+        if key not in summary.edge_transfers:
+            self._bump(("route", rec.src_region, rec.dst_region), +1)
         else:
-            # A long fully-shifted run leaves no home sample in the
-            # window: pool what the node did record elsewhere, in
-            # invocation order like the per-region samples above.
-            pooled = [
-                dur
-                for s in self._invocations.values()
-                for n, (_r, dur) in s.node_executions.items()
-                if n == node
-            ]
-            if not pooled:
-                raise ValueError(
-                    f"no execution history for node {node!r} "
-                    f"in any region (home {home!r})"
-                )
-            dist = EmpiricalDistribution(pooled)
-    return dist
+            old = summary.edge_transfers[key]
+            if (old[0], old[1]) != (rec.src_region, rec.dst_region):
+                self._bump(("route", old[0], old[1]), -1)
+                self._bump(("route", rec.src_region, rec.dst_region), +1)
+        summary.edge_transfers[key] = (rec.src_region, rec.dst_region, rec.size_bytes)
 
+    def execution_time_dist(self, node: str, region: str) -> EmpiricalDistribution:
+        key = ("exec_dist", node, region)
+        cached = self._derived_cache.get(key)
+        if cached is not None:
+            return cached  # type: ignore[return-value]
+        samples = [
+            dur
+            for s in self._invocations.values()
+            for n, (r, dur) in s.node_executions.items()
+            if n == node and r == region
+        ]
+        if samples:
+            dist = EmpiricalDistribution(samples)
+        else:
+            # §7.1: fall back to the home region's distribution.
+            home = self._config.home_region
+            if region != home:
+                dist = self.execution_time_dist(node, home)
+            else:
+                # A long fully-shifted run leaves no home sample in the
+                # window: pool what the node did record elsewhere, in
+                # invocation order like the per-region samples above.
+                pooled = [
+                    dur
+                    for s in self._invocations.values()
+                    for n, (_r, dur) in s.node_executions.items()
+                    if n == node
+                ]
+                if not pooled:
+                    raise ValueError(
+                        f"no execution history for node {node!r} "
+                        f"in any region (home {home!r})"
+                    )
+                dist = EmpiricalDistribution(pooled)
+        self._derived_cache[key] = dist
+        return dist
 
-def edge_size_dist(metrics, src: str, dst: str) -> EmpiricalDistribution:
-    """The edge's payload-size distribution, one store pass per key."""
-    self = metrics
-    samples = [
-        size
-        for s in self._invocations.values()
-        for (a, b), (_sr, _dr, size) in s.edge_transfers.items()
-        if (a, b) == (src, dst)
-    ]
-    if samples:
-        dist = EmpiricalDistribution(samples)
-    else:
-        raise ValueError(f"no payload-size history for edge {src}->{dst}")
-    return dist
+    def edge_size_dist(self, src: str, dst: str) -> EmpiricalDistribution:
+        key = ("edge_size", src, dst)
+        cached = self._derived_cache.get(key)
+        if cached is not None:
+            return cached  # type: ignore[return-value]
+        samples = [
+            size
+            for s in self._invocations.values()
+            for (a, b), (_sr, _dr, size) in s.edge_transfers.items()
+            if (a, b) == (src, dst)
+        ]
+        if samples:
+            dist = EmpiricalDistribution(samples)
+        else:
+            raise ValueError(f"no payload-size history for edge {src}->{dst}")
+        self._derived_cache[key] = dist
+        return dist

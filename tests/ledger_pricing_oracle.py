@@ -12,13 +12,19 @@ requires production to equal them with ``==``, key order included.
 :class:`ScanAccountant` is a :class:`CarbonAccountant` whose ``price``
 takes the four record lists and whose ``price_by_request`` and
 ``price_workflow`` are the old loops; :func:`usage_by_region` and
-:func:`ledger_series` are module functions over a ledger.  Not shipped:
-nothing under ``src/`` imports this module.
+:func:`ledger_series` are module functions over a ledger.
+:func:`group` is ``MeteringLedger.group`` as it was before the ledger
+was indexed, every pass from record 0;
+``tests/test_ledger.py::TestLedgerIndexDifferential`` requires the
+indexed ``group`` to equal it.  Not shipped: nothing under ``src/``
+imports this module.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import math
+from collections import defaultdict
+from typing import Any, Callable, DefaultDict, Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.ledger import (
     ExecutionRecord,
@@ -171,6 +177,32 @@ class ScanAccountant(CarbonAccountant):
                 if in_window(r.start_s)
             ],
         )
+
+
+def group(
+    ledger: MeteringLedger,
+    key: Callable[[Any, str], Any],
+    workflow: Optional[str] = None,
+    since_s: float = -math.inf,
+    until_s: float = math.inf,
+) -> Dict[Any, RecordGroup]:
+    """``MeteringLedger.group`` before the ledger was indexed: each
+    pass walks its whole list from record 0."""
+    groups: DefaultDict[Any, RecordGroup] = defaultdict(RecordGroup)
+    every = workflow is None
+    for r in ledger.executions:
+        if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
+            groups[key(r, r.region)].executions.append(r)
+    for r in ledger.transmissions:
+        if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
+            groups[key(r, r.src_region)].transmissions.append(r)
+    for r in ledger.messages:
+        if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
+            groups[key(r, r.region)].messages.append(r)
+    for r in ledger.kv_accesses:
+        if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
+            groups[key(r, r.region)].kv_accesses.append(r)
+    return dict(groups)
 
 
 def usage_by_region(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.distributions import EmpiricalDistribution
 
@@ -89,3 +91,45 @@ class TestEmpiricalDistribution:
     def test_invalid_max_samples(self):
         with pytest.raises(ValueError):
             EmpiricalDistribution(max_samples=0)
+
+
+def one_by_one(samples, max_samples):
+    """The constructor as it was: ``add(float(s))`` per sample."""
+    dist = EmpiricalDistribution(max_samples=max_samples)
+    for s in samples:
+        dist.add(float(s))
+    return dist
+
+
+def built(make):
+    try:
+        return make().samples
+    except Exception as exc:  # the very error, compared by type and text
+        return (type(exc), str(exc))
+
+
+class TestOneStepConstruction:
+    """``EmpiricalDistribution(samples)`` keeps and rejects exactly what
+    adding the samples one by one keeps and rejects."""
+
+    sample = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-10**6, 10**6),
+        st.sampled_from(("1.5", "inf", "x", None, 10**400)),
+    )
+
+    @settings(max_examples=300)
+    @given(st.lists(sample, max_size=40), st.integers(1, 12), st.booleans())
+    def test_equals_adding_one_by_one(self, samples, max_samples, as_generator):
+        source = iter(samples) if as_generator else samples
+        assert built(lambda: EmpiricalDistribution(source, max_samples)) == built(
+            lambda: one_by_one(samples, max_samples)
+        )
+
+    def test_the_kept_list_is_its_own(self):
+        samples = [1.0, 2.0, 3.0]
+        dist = EmpiricalDistribution(samples)
+        samples.append(4.0)
+        dist.add(5.0)
+        assert dist.samples == (1.0, 2.0, 3.0, 5.0)
+        assert samples == [1.0, 2.0, 3.0, 4.0]

@@ -1,13 +1,19 @@
 """Tests for the Metrics Manager (§7.2): ingestion, selective
 forgetting, model data, and forecasting integration."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud.ledger import ExecutionRecord, MeteringLedger, TransmissionRecord
 from repro.common.clock import SECONDS_PER_DAY
 from repro.data.carbon import CarbonIntensitySource
 from repro.metrics.manager import MetricsManager
 from repro.model.config import WorkflowConfig
+from repro.model.dag import Edge, Node, WorkflowDAG
+from tests import control_loop_oracle
 
 
 def exec_rec(node, region, rid, start=0.0, duration=1.0, workflow="chain",
@@ -268,3 +274,124 @@ class TestInputSizeLearning:
     def test_zero_default_without_data(self, setup):
         mm, _ = setup
         assert mm.input_size_dist().mean() == 0.0
+
+
+REGIONS = ("us-east-1", "us-west-1", "us-west-2", "ca-central-1")
+CARBON = CarbonIntensitySource(hours=24 * 14, seed=0)
+
+
+def diamond() -> WorkflowDAG:
+    dag = WorkflowDAG("diamond")
+    for name in ("a", "b", "c", "d"):
+        dag.add_node(Node(name=name, function=name))
+    for src, dst, conditional in (
+        ("a", "b", False), ("a", "c", True), ("b", "d", False), ("c", "d", False)
+    ):
+        dag.add_edge(Edge(src, dst, conditional=conditional))
+    dag.validate()
+    return dag
+
+
+def outcome(build):
+    """A distribution's samples, or the error building it raises."""
+    try:
+        return build().samples
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestLearnedDistributionsDifferential:
+    """A production manager and ``tests/control_loop_oracle.py``'s
+    :class:`ScanMetricsManager` (per-key scans, record-at-a-time
+    collect) over one ledger: equal stores and versions after every
+    collect, and every (node, region) and edge distribution equal,
+    asked for in the same random order of both."""
+
+    @settings(max_examples=120)
+    @given(st.data())
+    def test_random_stores_match_the_oracle(self, data):
+        dag = diamond()
+        ledger = MeteringLedger()
+        args = (dag, WorkflowConfig(home_region="us-east-1"), ledger, CARBON)
+        kwargs = dict(max_invocations=data.draw(st.integers(2, 12)), retention_days=1)
+        mm = MetricsManager(*args, **kwargs)
+        ref = control_loop_oracle.ScanMetricsManager(*args, **kwargs)
+        # Nodes that never run at home exercise the pooled fallback.
+        regions = {
+            node: data.draw(st.sampled_from((REGIONS, REGIONS[1:])))
+            for node in dag.node_names
+        }
+        edges = [(e.src, e.dst) for e in dag.edges] + [("$input", "a"), ("a", "zz")]
+        keys = [("exec", n, r) for n in dag.node_names for r in REGIONS]
+        keys += [("edge", e.src, e.dst) for e in dag.edges]
+        now, n_requests = 0.0, 0
+        for _ in range(data.draw(st.integers(1, 6))):
+            for _ in range(data.draw(st.integers(0, 16))):
+                now += data.draw(st.sampled_from((1.0, 600.0, 0.4 * SECONDS_PER_DAY)))
+                # A known request id re-ingests: its node may change region.
+                rid = f"r{data.draw(st.integers(0, n_requests))}"
+                n_requests += rid == f"r{n_requests}"
+                if data.draw(st.booleans()):
+                    node = data.draw(st.sampled_from(dag.node_names))
+                    ledger.record_execution(exec_rec(
+                        node, data.draw(st.sampled_from(regions[node])), rid, start=now,
+                        duration=data.draw(st.floats(0.01, 60.0)), workflow="diamond",
+                    ))
+                else:
+                    src, dst = data.draw(st.sampled_from(edges))
+                    ledger.record_transmission(trans_rec(
+                        src, dst, data.draw(st.sampled_from(REGIONS)),
+                        data.draw(st.sampled_from(REGIONS)), rid, start=now,
+                        size=data.draw(st.floats(0.0, 1e7)), workflow="diamond",
+                    ))
+            assert mm.collect(now) == ref.collect(now)
+            assert mm._invocations == ref._invocations
+            assert mm._info_counts == ref._info_counts
+            assert mm.version == ref.version
+            for kind, x, y in data.draw(st.permutations(keys)):
+                build = "execution_time_dist" if kind == "exec" else "edge_size_dist"
+                assert outcome(lambda: getattr(mm, build)(x, y)) == outcome(
+                    lambda: getattr(ref, build)(x, y)
+                ), (build, x, y)
+
+    def test_past_the_cap_each_distribution_keeps_the_latest(self, setup):
+        mm, ledger = setup
+        for i in range(2500):
+            ledger.record_execution(exec_rec("a", "us-east-1", f"r{i}", duration=float(i)))
+        mm.collect(10.0)
+        assert mm.execution_time_dist("a", "us-east-1").samples == tuple(
+            float(i) for i in range(500, 2500)
+        )
+
+
+class CountingStore(OrderedDict):
+    """An invocation store that counts passes over its values."""
+
+    passes = 0
+
+    def values(self):
+        self.passes += 1
+        return super().values()
+
+
+class TestLearnedDistributionsWork:
+    def test_one_store_pass_per_version_however_many_keys(self, setup):
+        mm, ledger = setup
+        mm._invocations = CountingStore(mm._invocations)
+        keys = [(n, r) for n in ("a", "b", "c") for r in REGIONS]
+        for version in range(1, 4):
+            for i in range(20):
+                rid = f"v{version}-{i}"
+                for node in ("a", "b", "c"):
+                    ledger.record_execution(exec_rec(node, REGIONS[i % 2], rid))
+                ledger.record_transmission(trans_rec("a", "b", "us-east-1", "us-east-1", rid))
+                ledger.record_transmission(trans_rec("b", "c", "us-east-1", "us-east-1", rid))
+            mm.collect(10.0)
+            assert mm.version == version
+            mm._invocations.passes = 0
+            for _ in range(3):
+                for node, region in keys:
+                    mm.execution_time_dist(node, region)
+                mm.edge_size_dist("a", "b")
+                mm.edge_size_dist("b", "c")
+            assert mm._invocations.passes == 1
