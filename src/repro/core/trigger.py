@@ -192,6 +192,9 @@ class TokenBucket:
         time_to_fill = deficit / self._last_earn_rate_g_per_s
         midpoint = (s.min_check_period_s + s.max_check_period_s) / 2.0
         # A narrow band makes z hugely negative; exp overflows past ~709.
-        z = max(-700.0, (time_to_fill - midpoint) / (band / 8.0))
+        # Scale the numerator, not the band: band / 8.0 underflows to
+        # zero on a subnormal band.  On a normal band both scalings are
+        # exact, so the two orders give the same z (or both saturate).
+        z = max(-700.0, (time_to_fill - midpoint) * 8.0 / band)
         sigmoid = 1.0 / (1.0 + math.exp(-z))
         return s.min_check_period_s + sigmoid * band

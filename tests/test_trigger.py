@@ -205,6 +205,12 @@ class TestCadenceContract:
         bucket = self._full_deficit_bucket(3600.0, 3601.0)
         assert 3600.0 <= bucket.next_check_delay_s(400.0) <= 3601.0
 
+    def test_subnormal_band_checks_within_it(self):
+        # min < max, yet band / 8.0 underflows to 0.0: the sigmoid's
+        # steepness used to raise ZeroDivisionError here.
+        bucket = self._full_deficit_bucket(5e-324, 1e-323)
+        assert 5e-324 <= bucket.next_check_delay_s(400.0) <= 1e-323
+
     def test_no_deficit_checks_at_min_period(self):
         bucket = self._earning_bucket()
         bucket.tokens_g = bucket.solve_cost_g(400.0, 24)

@@ -1,5 +1,7 @@
 """Property-based tests for the token bucket (§5.2 invariants)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,3 +85,31 @@ class TestBucketInvariants:
             assert bucket.tokens_g < bucket.solve_cost_g(400.0, 24)
         else:
             assert bucket.tokens_g < bucket.solve_cost_g(400.0, 1)
+
+
+class TestSteepnessScaling:
+    @given(
+        st.floats(min_value=1.0, max_value=1e6),
+        st.floats(min_value=0.0, max_value=1e6),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=1e-6, max_value=1e3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_delay_equals_the_band_scaled_form(self, min_s, extra_s, fill, rate):
+        """Scaling the numerator by 8 instead of dividing the band by 8
+        moves no delay on a normal band."""
+        s = TriggerSettings(min_check_period_s=min_s, max_check_period_s=min_s + extra_s)
+        bucket = TokenBucket(n_nodes=5, n_regions=4, settings=s)
+        cost = bucket.solve_cost_g(400.0, 24)
+        bucket.tokens_g = fill * cost
+        bucket._last_earn_rate_g_per_s = rate
+        band = s.max_check_period_s - s.min_check_period_s
+        deficit = max(0.0, cost - bucket.tokens_g)
+        if deficit == 0.0 or band == 0.0:
+            expected = s.min_check_period_s
+        else:
+            midpoint = (s.min_check_period_s + s.max_check_period_s) / 2.0
+            z = max(-700.0, (deficit / rate - midpoint) / (band / 8.0))
+            sigmoid = 1.0 / (1.0 + math.exp(-z))
+            expected = s.min_check_period_s + sigmoid * band
+        assert bucket.next_check_delay_s(400.0) == expected
