@@ -183,8 +183,8 @@ class MeteringLedger:
     Each record kind is one list, appended to and never reordered.
     :meth:`group` keeps one index per list, the running maxima of
     ``start_s`` at every 512-record chunk boundary, so a window query
-    skips the chunks that end before the window starts and costs
-    O(window + chunks), not O(history).
+    skips every chunk whose records all started before the window: a
+    late window does not pay for the history before it.
     """
 
     def __init__(self) -> None:
