@@ -181,7 +181,7 @@ class MetricsManager:
         # check may build several, so each key's distribution is built
         # once per version, from every key's samples learned in one
         # store pass (_learned_samples).  Cleared when the version
-        # moves (a collect with new executions, expiry, eviction).
+        # moves (a collect with new records, expiry, eviction).
         self._derived_cache: Dict[Tuple, object] = {}
         #: Bumped whenever the learned model data changes (any event
         #: that clears the derived cache); see
@@ -236,16 +236,10 @@ class MetricsManager:
             self._ingest_transmission(rec, nodes)
         self._expire(now_s)
         self._evict_to_cap()
-        new_execs = len(new_executions)
-        if new_execs:
+        if new_executions or new_transmissions:
             self._derived_cache.clear()
             self.version += 1
-        elif new_transmissions:
-            # The store changed under the same version: distributions
-            # already built stay as they are, but a key first asked for
-            # now learns from the store as it is now.
-            self._derived_cache.pop(_LEARNED_SAMPLES, None)
-        return new_execs
+        return len(new_executions)
 
     def _summary_for(self, request_id: str, start_s: float) -> InvocationSummary:
         if request_id not in self._invocations:

@@ -14,17 +14,14 @@ change, *before* ``src/`` was touched; the ledger, the trace and the
 metrics snapshot of a run must serialise to the same bytes ever after.
 ``image_processing`` was re-pinned once, for a declared change: its
 ``TemporalShifter`` slot scoring meets a KV error, which now prices the
-slot at home instead of raising out of ``submit``.  Regenerate (only
-for a declared behaviour change) with::
-
-    UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_executor.py -k Chaos
+slot at home instead of raising out of ``submit``.  ``python -m
+tests.golden diff chaos_serve`` shows what a change moves (see
+``tests/golden.py``).
 """
 
 import dataclasses
 import functools
-import hashlib
 import json
-import pathlib
 
 from repro.apps import get_app
 from repro.cloud.provider import SimulatedCloud
@@ -35,9 +32,8 @@ from repro.core.lifecycle import deploy_benchmark, warm_up
 from repro.metrics.carbon import TransmissionScenario
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 from repro.obs.trace import Tracer
-from tests import test_faults
+from tests import golden, test_faults
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "chaos_serve.json"
 APPS = ("text2speech_censoring", "image_processing")
 REGIONS = ("us-east-1", "us-west-1", "us-west-2", "ca-central-1")
 DAY = 86_400.0
@@ -126,10 +122,7 @@ def _ledger_text(ledger) -> str:
 
 
 def _pin(text: str) -> dict:
-    return {
-        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        "lines": text.count("\n"),
-    }
+    return {"sha256": golden.digest(text), "lines": text.count("\n")}
 
 
 def capture(app_name: str) -> dict:

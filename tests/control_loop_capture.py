@@ -17,16 +17,13 @@ For every check of every workflow the golden holds:
 
 The golden was captured before the ledger grew an index behind
 ``group`` and before the Metrics Manager learned its distributions in
-one pass; every value must stay equal ever after.  Regenerate (only for
-a declared behaviour change) with::
-
-    UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_control_loop.py -k golden
+one pass; every value must stay equal ever after.  ``python -m
+tests.golden diff control_loop`` shows what a change moves (see
+``tests/golden.py``).
 """
 
 import dataclasses
 import functools
-import json
-import pathlib
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -37,7 +34,6 @@ from repro.core.trigger import TriggerSettings
 from repro.data.workload import OpenLoopInjector, WorkloadSpec, generate_trace
 from repro.service import MONITORING, MemoryJobStore, ServiceEngine
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "control_loop.json"
 APPS = ("dna_visualization", "image_processing", "text2speech_censoring")
 SEED = 5
 HOURS = 13
@@ -59,11 +55,6 @@ class FleetRun:
     #: workflow -> the ``(since_s, until_s)`` window of each check's
     #: realised-savings query, in check order.
     windows: Dict[str, List[Tuple[float, float]]]
-
-
-def _plain(value):
-    """``value`` as the golden stores it (tuples become lists)."""
-    return json.loads(json.dumps(value))
 
 
 def _record(manager, rows: List[dict], windows: List[Tuple[float, float]]) -> None:
@@ -148,13 +139,9 @@ def fleet_run() -> FleetRun:
 
 def capture() -> dict:
     run = fleet_run()
-    return _plain({
+    return {
         "checks": run.checks,
         "ledger_lengths": {
             kind: len(getattr(run.cloud.ledger, kind)) for kind in KINDS
         },
-    })
-
-
-def load() -> dict:
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+    }

@@ -13,7 +13,8 @@ hourly check scanned whole histories:
   builders as they were: one pass over the invocation store per
   (node, region) or edge key, with the home and pooled fallbacks and
   the per-key cache, and whose ``collect`` walks the ledger one record
-  at a time.
+  at a time (moving the version on any new execution or data
+  transmission, as production does).
 
 ``tests/test_control_loop.py`` requires production's saving to equal
 :func:`realized_savings` with ``==`` on every check of the capture run;
@@ -86,15 +87,17 @@ class ScanMetricsManager(MetricsManager):
             self._ingest_execution(rec)
             new_execs += 1
         transmissions = self._ledger.transmissions
+        new_trans = 0
         while self._trans_cursor < len(transmissions):
             rec = transmissions[self._trans_cursor]
             self._trans_cursor += 1
             if rec.workflow != workflow or rec.kind != "data":
                 continue
             self._ingest_transmission(rec)
+            new_trans += 1
         self._expire(now_s)
         self._evict_to_cap()
-        if new_execs:
+        if new_execs or new_trans:
             self._derived_cache.clear()
             self.version += 1
         return new_execs

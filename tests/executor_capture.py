@@ -12,26 +12,22 @@ one engine on one input in a fresh traced cloud and records
 
 Inputs: the five Table-1 apps at both sizes (Caribou routes a plan that
 spreads the nodes over the four evaluation regions), text2speech's
-profanity-free input (its conditional edge is skipped), random DAG
-shapes with random conditional outcomes drawn once from
-``test_executor_properties.dag_with_decisions`` with a fixed seed
-(stored in the golden, so they are replayed, not redrawn), one request
-that outlives ``request_timeout_s`` and a home-region outage whose
-messages dead-letter.
+profanity-free input (its conditional edge is skipped), 24 random DAG
+shapes with random conditional outcomes, one request that outlives
+``request_timeout_s`` and a home-region outage whose messages
+dead-letter.  The shapes were drawn once from
+``test_executor_properties.dag_with_decisions`` (hypothesis seed
+20241017, 200 examples, the first 24 distinct shapes of three or more
+nodes) and are stored in the golden, so they are replayed, not
+redrawn.
 
 The golden was captured before the executor and the baselines were
-rebuilt over one route table and one join rule.  Regenerate (only for
-a declared behaviour change) with::
-
-    UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_executor_paths.py
+rebuilt over one route table and one join rule.  ``python -m
+tests.golden diff executor_paths`` shows what a change moves (see
+``tests/golden.py``).
 """
 
 import dataclasses
-import hashlib
-import json
-import pathlib
-
-from hypothesis import Phase, given, seed, settings
 
 from repro.apps import ALL_APPS, get_app
 from repro.apps.text2speech import make_input as t2s_input
@@ -47,10 +43,9 @@ from repro.model.config import WorkflowConfig
 from repro.model.dag import Edge, Node, WorkflowDAG
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
 from repro.obs.trace import Tracer
+from tests import golden
 from tests.chaos_capture import _ledger_text
-from tests.test_executor_properties import dag_with_decisions
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "executor_paths.json"
 ENGINES = ("invoke", "invoke_direct", "sns", "stepfunctions")
 REGIONS = ("us-east-1", "us-west-1", "us-west-2", "ca-central-1")
 HOME = "us-east-1"
@@ -58,39 +53,9 @@ SEED = 7
 N_REQUESTS = 3
 #: Requests overlap: their annotation items and watchdogs interleave.
 REQUEST_SPACING_S = 0.5
-N_SHAPES = 24
-
-
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # -- shapes -------------------------------------------------------------------
-def draw_shapes(n: int = N_SHAPES) -> list:
-    """``n`` distinct shapes from ``dag_with_decisions``, deterministic
-    for a fixed seed, as JSON-ready dicts."""
-    drawn: list = []
-
-    @seed(20241017)
-    @settings(max_examples=200, database=None, phases=[Phase.generate],
-              deadline=None)
-    @given(dag_with_decisions())
-    def collect(case):
-        dag, decisions = case
-        shape = {
-            "nodes": list(dag.node_names),
-            "edges": [[e.src, e.dst, e.conditional] for e in dag.edges],
-            "decisions": sorted(
-                [src, dst, taken] for (src, dst), taken in decisions.items()
-            ),
-        }
-        if shape not in drawn and len(dag) >= 3:
-            drawn.append(shape)
-
-    collect()
-    return drawn[:n]
-
-
 def shape_dag(shape: dict):
     dag = WorkflowDAG("prop")
     for name in shape["nodes"]:
@@ -173,8 +138,8 @@ def _run(cloud, tracer, deployed, executor, engine, payloads) -> dict:
         )
     cloud.run_until_idle()
     out = {
-        "ledger": _sha(_ledger_text(cloud.ledger)),
-        "trace": _sha(tracer.to_jsonl()),
+        "ledger": golden.digest(_ledger_text(cloud.ledger)),
+        "trace": golden.digest(tracer.to_jsonl()),
         "final_time_s": cloud.now(),
         "events": cloud.env.events_executed,
         "transitions": cloud.stepfunctions(HOME).transitions,
@@ -272,19 +237,10 @@ def capture_case(name: str, shapes: list) -> dict:
     return outage_case(rest[0])
 
 
-def load() -> dict:
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
-
-
-def capture_all(shapes=None) -> dict:
-    shapes = shapes if shapes is not None else draw_shapes()
+def capture_all() -> dict:
+    """Every case, on the pinned shapes."""
+    shapes = golden.load("executor_paths")["shapes"]
     return {
         "shapes": shapes,
         "cases": {name: capture_case(name, shapes) for name in case_names(shapes)},
     }
-
-
-if __name__ == "__main__":
-    GOLDEN.write_text(
-        json.dumps(capture_all(), indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )

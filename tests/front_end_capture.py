@@ -20,16 +20,12 @@ frozenset and the conditional-edge enumeration read it, and it is the
 one fact in which the two lowerings differ (branch after branch).  The
 golden was captured while the builder still built its own DAG (``lower``
 then read ``build().workflow`` and ``build().dag``), before it started
-lowering through ``analyze_workflow``.  Regenerate (only for a declared
-behaviour change) with::
-
-    UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_service.py -k FrontEndGolden
+lowering through ``analyze_workflow``.  ``python -m tests.golden diff
+front_end`` shows what a change moves (see ``tests/golden.py``).
 """
 
 import dataclasses
-import hashlib
 import json
-import pathlib
 
 from repro.apps import ALL_APPS, get_app
 from repro.cloud.functions import WorkProfile
@@ -37,8 +33,8 @@ from repro.cloud.provider import SimulatedCloud
 from repro.core.analysis import analyze_workflow
 from repro.core.api import Payload
 from repro.service import MONITORING, MemoryJobStore, ServiceEngine, task, workflow
+from tests import golden
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "front_end.json"
 LEDGER_KINDS = ("executions", "transmissions", "messages", "kv_accesses")
 
 
@@ -191,7 +187,7 @@ def engine_run() -> dict:
         "nodes": final.artifacts["nodes"],
         "plan_set": final.artifacts["plan_set"],
         "ledger_records": sum(len(kinds) for _kind, kinds in records),
-        "ledger_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "ledger_sha256": golden.digest(text),
     }
 
 

@@ -20,16 +20,13 @@ order) and a ``run_caribou`` outcome under the chaos fault plan: its
 The golden was captured before ledger grouping and pricing were
 rewritten as one ``MeteringLedger.group`` pass and one
 ``CarbonAccountant.price`` body; they must serialise to the same bytes
-ever after.  Regenerate (only for a declared behaviour change) with::
-
-    UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_accounting.py -k Golden
+ever after.  ``python -m tests.golden diff ledger_pricing`` shows what
+a change moves (see ``tests/golden.py``).
 """
 
 import dataclasses
-import hashlib
 import json
 import math
-import pathlib
 
 from repro.apps import get_app
 from repro.experiments.harness import run_caribou
@@ -37,9 +34,8 @@ from repro.metrics.accounting import CarbonAccountant
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel
 from repro.obs.timeseries import ledger_series
-from tests import chaos_capture, test_faults
+from tests import chaos_capture, golden, test_faults
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "ledger_pricing.json"
 APPS = chaos_capture.APPS
 SCENARIOS = {
     "best": TransmissionScenario.best_case(),
@@ -50,8 +46,7 @@ SERIES_WINDOWS_S = (3600.0, 600.0)
 
 
 def _pin(obj) -> str:
-    text = json.dumps(obj, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return golden.digest(json.dumps(obj, separators=(",", ":")))
 
 
 def _footprints(footprints) -> list:

@@ -16,17 +16,14 @@ seed 3:
   after each check.
 
 The golden was captured before the lifecycle steps moved into
-``repro.core``; every value must stay equal ever after.  Regenerate
-(only for a declared behaviour change) with::
-
-    UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_lifecycle.py
+``repro.core``; every value must stay equal ever after.  ``python -m
+tests.golden diff lifecycle`` shows what a change moves (see
+``tests/golden.py``).
 """
 
 import contextlib
 import dataclasses
 import io
-import json
-import pathlib
 
 from repro.apps import get_app
 from repro.cli import main
@@ -37,7 +34,6 @@ from repro.core.solver import SolverSettings
 from repro.metrics.carbon import TransmissionScenario
 from repro.service import MONITORING, MemoryJobStore, ServiceEngine
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "lifecycle.json"
 APPS = ("text2speech_censoring", "video_analytics")
 SOLVERS = ("hbss", "coarse", "exact")
 SEED = 3
@@ -48,11 +44,6 @@ CHECKS = 3
 #: the forecast manager refits once more.
 CHECK_GAP_S = 12 * 3600.0
 REQUESTS_PER_GAP = 4
-
-
-def _plain(value):
-    """``value`` as the golden stores it (tuples become lists)."""
-    return json.loads(json.dumps(value))
 
 
 def cli_stdout(*argv: str) -> str:
@@ -70,10 +61,10 @@ def engine_job(app_name: str) -> dict:
     engine.run(max_steps=10)
     final = engine.job(record.job_id)
     assert final.state == MONITORING, final.state
-    return _plain({
+    return {
         "plan_set": final.artifacts["plan_set"],
         "solver_stats": dataclasses.asdict(engine.solver_stats),
-    })
+    }
 
 
 def manager_checks(app_name: str, use_forecast: bool) -> list:
@@ -109,7 +100,7 @@ def manager_checks(app_name: str, use_forecast: bool) -> list:
                 lambda p=app.make_input("small"): executor.invoke(p),
             )
         cloud.env.run(until=start + CHECK_GAP_S)
-    return _plain(checks)
+    return checks
 
 
 def capture_case(name: str):
@@ -130,7 +121,3 @@ CASES = (
     + [f"engine:{app}" for app in APPS]
     + [f"manager:{app}:{mode}" for app in APPS for mode in ("forecast", "history")]
 )
-
-
-def load() -> dict:
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))

@@ -1,8 +1,6 @@
 """Tests for ledger record pricing (carbon/cost accounting)."""
 
-import json
 import math
-import os
 import typing
 
 import pytest
@@ -25,7 +23,7 @@ from repro.metrics.accounting import CarbonAccountant
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel
 from repro.obs.timeseries import ledger_series
-from tests import chaos_capture, ledger_capture, ledger_pricing_oracle
+from tests import chaos_capture, golden, ledger_capture, ledger_pricing_oracle
 
 
 @pytest.fixture
@@ -168,15 +166,7 @@ class TestLedgerPricingGolden:
 
     @pytest.mark.parametrize("app_name", ledger_capture.APPS)
     def test_pricing_matches_the_capture(self, app_name):
-        got = ledger_capture.capture(app_name)
-        golden = ledger_capture.GOLDEN
-        if os.environ.get("UPDATE_GOLDEN"):
-            pinned = json.loads(golden.read_text()) if golden.exists() else {}
-            pinned[app_name] = got
-            golden.write_text(
-                json.dumps(pinned, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-            )
-        assert got == json.loads(golden.read_text(encoding="utf-8"))[app_name]
+        golden.check("ledger_pricing", ledger_capture.capture(app_name), app_name)
 
 
 # ---------------------------------------------------------------- differential

@@ -18,6 +18,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -36,23 +37,37 @@ from repro.obs.report import (
 )
 from repro.obs.timeseries import TelemetryConfig
 from repro.obs.trace import Span, Tracer
-
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+from tests import golden
 
 #: The smallest report record every view can render.
 MINIMAL_REPORT = {"schema": REPORT_SCHEMA, "run": {}, "scenarios": {},
                   "per_region": {}, "metrics": {}}
 
 #: The quickstart bundle (``caribou run text2speech_censoring -n 2
-#: --regions us-east-1,ca-central-1 --seed 1234 --report F``): its
-#: sha256 and its record counts.  The file itself (~220 KB) is not
-#: committed; the report and Prometheus goldens pin its parts.
-QUICKSTART_SHA256 = (
-    "150f26f3f8f0ea784a6725f41fb45871109bd5e174ff894e6528bd01323dfb0d"
-)
-QUICKSTART_COUNTS = {"report": 1, "span": 709, "point": 58}
+#: --regions us-east-1,ca-central-1 --seed 1234 --report F``).  The file
+#: itself (~220 KB) is not committed: ``golden/quickstart_bundle.json``
+#: pins its sha256 and record counts, and the report and Prometheus
+#: goldens its parts.
 QUICKSTART_ARGV = ["run", "text2speech_censoring", "-n", "2",
                    "--regions", "us-east-1,ca-central-1", "--seed", "1234"]
+
+
+def bundle_pin(text: str) -> dict:
+    """A bundle's sha256 and its record counts by kind."""
+    counts = {"report": 0, "span": 0, "point": 0}
+    for line in text.splitlines()[1:]:
+        [key] = json.loads(line)
+        counts[key] += 1
+    return {"sha256": golden.digest(text), "counts": counts}
+
+
+def quickstart_pin() -> dict:
+    """The quickstart bundle's pin, from one CLI run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = pathlib.Path(tmp) / "run.jsonl"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(QUICKSTART_ARGV + ["--report", str(bundle)]) == 0
+        return bundle_pin(bundle.read_text())
 
 
 def write_bundle(path, spans=(), points=(), window_s=3600.0,
@@ -83,14 +98,9 @@ def quickstart(tmp_path_factory):
 class TestQuickstartBundle:
     def test_pinned_by_digest_and_counts(self, quickstart):
         text, _ = quickstart[0]
-        assert hashlib.sha256(text.encode()).hexdigest() == QUICKSTART_SHA256
-        lines = [json.loads(line) for line in text.splitlines()]
-        assert lines[0] == {"schema": BUNDLE_SCHEMA, "window_s": 3600.0}
-        counts = {"report": 0, "span": 0, "point": 0}
-        for record in lines[1:]:
-            [key] = record
-            counts[key] += 1
-        assert counts == QUICKSTART_COUNTS
+        header = json.loads(text.splitlines()[0])
+        assert header == {"schema": BUNDLE_SCHEMA, "window_s": 3600.0}
+        golden.check("quickstart_bundle", bundle_pin(text))
 
     def test_two_runs_are_byte_identical(self, quickstart):
         assert quickstart[0] == quickstart[1]
@@ -111,19 +121,15 @@ class TestQuickstartBundle:
             env=env, capture_output=True, check=True, timeout=300,
         )
         digest = hashlib.sha256(bundle.read_bytes()).hexdigest()
-        assert digest == QUICKSTART_SHA256
+        assert digest == golden.load("quickstart_bundle")["sha256"]
 
     def test_report_and_prom_are_the_goldens(self, quickstart, tmp_path):
         text, prom = quickstart[0]
         path = tmp_path / "run.jsonl"
         path.write_text(text)
         report = load_bundle(str(path)).report
-        assert report_json(report) == (
-            GOLDEN / "quickstart_report.json"
-        ).read_text(encoding="utf-8")
-        assert prom == (GOLDEN / "quickstart_prom.txt").read_text(
-            encoding="utf-8"
-        )
+        assert report_json(report) == golden.REGISTRY["quickstart_report"].text()
+        assert prom == golden.load("quickstart_prom")
 
     def test_spans_and_points_are_the_runs(self, quickstart):
         """Span records are the run's trace lines and point records its
@@ -231,7 +237,7 @@ class TestLoader:
 def _small_bundle() -> dict:
     """Header, report and records of a small bundle that fills every
     section the views walk."""
-    doc = json.loads((GOLDEN / "quickstart_report.json").read_text())
+    doc = golden.load("quickstart_report")
     doc["metrics"] = {k: doc["metrics"][k] for k in sorted(doc["metrics"])[:2]}
     doc["metrics"]["executor.request_latency_s"] = {
         "count": 2, "sum": 3.0, "mean": 1.5, "min": 1.0, "max": 2.0,

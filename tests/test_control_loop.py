@@ -3,23 +3,15 @@
 and its realised-savings query against the whole-history scan it
 replaced (``tests/control_loop_oracle.py``) on that same run."""
 
-import json
-import os
-
-from tests import control_loop_capture, control_loop_oracle
+from tests import control_loop_capture, control_loop_oracle, golden
 
 
 def test_checks_match_the_golden():
-    got = control_loop_capture.capture()
-    if os.environ.get("UPDATE_GOLDEN"):
-        control_loop_capture.GOLDEN.write_text(
-            json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    assert got == control_loop_capture.load()
+    golden.check("control_loop", control_loop_capture.capture())
 
 
 def test_the_capture_spans_eight_chunks_of_every_record_kind():
-    lengths = control_loop_capture.load()["ledger_lengths"]
+    lengths = golden.load("control_loop")["ledger_lengths"]
     assert min(lengths.values()) >= 8 * 512, lengths
 
 

@@ -1,8 +1,6 @@
 """Tests for the cross-regional execution runtime (§6.2)."""
 
 import itertools
-import json
-import os
 import random
 
 import pytest
@@ -20,7 +18,7 @@ from repro.core.lifecycle import deploy_benchmark
 from repro.model.config import WorkflowConfig
 from repro.model.dag import Edge, Node, WorkflowDAG
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
-from tests import chaos_capture, plan_fetch_oracle
+from tests import chaos_capture, golden, plan_fetch_oracle
 
 
 @pytest.fixture
@@ -601,15 +599,7 @@ class TestChaosCaptureDifferential:
 
     @pytest.mark.parametrize("app_name", chaos_capture.APPS)
     def test_ledger_trace_and_metrics_match_the_capture(self, app_name):
-        got = chaos_capture.capture(app_name)
-        golden = chaos_capture.GOLDEN
-        if os.environ.get("UPDATE_GOLDEN"):
-            pinned = json.loads(golden.read_text()) if golden.exists() else {}
-            pinned[app_name] = got
-            golden.write_text(
-                json.dumps(pinned, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-            )
-        assert got == json.loads(golden.read_text(encoding="utf-8"))[app_name]
+        golden.check("chaos_serve", chaos_capture.capture(app_name), app_name)
 
 
 class TestAnnotateGuardDifferential:

@@ -3,15 +3,12 @@
 ledger, trace, join order, request status, reliability counters and
 Step Functions transitions, case by case."""
 
-import json
-import os
-
 import pytest
 
-from tests import executor_capture
+from tests import executor_capture, golden
 
-GOLDEN = executor_capture.load()
-SHAPES = GOLDEN["shapes"]
+PINNED = golden.load("executor_paths")
+SHAPES = PINNED["shapes"]
 
 
 def test_shapes_cover_multi_sink_dags():
@@ -26,13 +23,6 @@ def test_shapes_cover_multi_sink_dags():
     assert len(multi_sink) >= 5
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN["cases"]))
+@pytest.mark.parametrize("name", sorted(PINNED["cases"]))
 def test_case_matches_the_capture(name):
-    got = executor_capture.capture_case(name, SHAPES)
-    if os.environ.get("UPDATE_GOLDEN"):
-        pinned = executor_capture.load()
-        pinned["cases"][name] = GOLDEN["cases"][name] = got
-        executor_capture.GOLDEN.write_text(
-            json.dumps(pinned, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    assert got == GOLDEN["cases"][name]
+    golden.check("executor_paths", executor_capture.capture_case(name, SHAPES), "cases", name)

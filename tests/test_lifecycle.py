@@ -2,9 +2,6 @@
 ``golden/lifecycle.json`` (see ``tests/lifecycle_capture.py``), and the
 one evaluator constructor's view of where a deployment's KV store is."""
 
-import json
-import os
-
 import pytest
 
 from repro.apps import get_app
@@ -14,20 +11,12 @@ from repro.core.deployer import DeploymentUtility
 from repro.core.lifecycle import build_plan_evaluator, warm_up
 from repro.core.manager import DeploymentManager
 from repro.metrics.carbon import TransmissionScenario
-from tests import lifecycle_capture
+from tests import golden, lifecycle_capture
 
 
 @pytest.mark.parametrize("name", lifecycle_capture.CASES)
 def test_case_matches_the_capture(name):
-    got = lifecycle_capture.capture_case(name)
-    golden = lifecycle_capture.GOLDEN
-    if os.environ.get("UPDATE_GOLDEN"):
-        pinned = lifecycle_capture.load() if golden.exists() else {}
-        pinned[name] = got
-        golden.write_text(
-            json.dumps(pinned, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    assert got == lifecycle_capture.load()[name]
+    golden.check("lifecycle", lifecycle_capture.capture_case(name), name)
 
 
 def test_both_evaluators_price_the_deployments_kv_region():

@@ -364,6 +364,77 @@ class TestLearnedDistributionsDifferential:
         )
 
 
+def every_read(mm, dag) -> list:
+    """Every distribution and edge probability a manager serves for
+    ``dag``: samples, or the error building them raises."""
+    reads = [
+        outcome(lambda n=n, r=r: mm.execution_time_dist(n, r))
+        for n in dag.node_names for r in REGIONS
+    ]
+    for e in dag.edges:
+        reads.append(outcome(lambda e=e: mm.edge_size_dist(e.src, e.dst)))
+        reads.append(mm.edge_probability(e.src, e.dst))
+    return reads + [mm.input_size_dist().samples]
+
+
+class TestTransmissionOnlyCollect:
+    """A collect that ingests data transmissions and no execution still
+    changes the store (edge sizes, edge probabilities, input sizes):
+    every read after it equals a fresh manager's over the same ledger,
+    and the version moves so evaluation caches drop what they priced."""
+
+    def managers(self):
+        dag = diamond()
+        ledger = MeteringLedger()
+        args = (dag, WorkflowConfig(home_region="us-east-1"), ledger, CARBON)
+        return dag, ledger, args, MetricsManager(*args)
+
+    def test_reads_equal_a_fresh_managers(self):
+        dag, ledger, args, mm = self.managers()
+        for node in ("a", "b", "d"):
+            ledger.record_execution(exec_rec(node, "us-east-1", "r0", workflow="diamond"))
+        ledger.record_transmission(trans_rec(
+            "a", "b", "us-east-1", "us-east-1", "r0", size=0.0, workflow="diamond"))
+        mm.collect(10.0)
+        every_read(mm, dag)
+        version = mm.version
+        for src, dst, rid, size in (("a", "b", "r0", 1.0), ("a", "c", "r0", 2.0),
+                                    ("$input", "a", "r1", 3.0)):
+            ledger.record_transmission(trans_rec(
+                src, dst, "us-east-1", "us-west-1", rid, size=size, workflow="diamond"))
+        assert mm.collect(20.0) == 0
+        fresh = MetricsManager(*args)
+        fresh.collect(20.0)
+        assert every_read(mm, dag) == every_read(fresh, dag)
+        assert mm.version > version
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_random_transmissions_read_as_fresh(self, data):
+        dag, ledger, args, mm = self.managers()
+        edges = [(e.src, e.dst) for e in dag.edges] + [("$input", "a")]
+        rids = [f"r{i}" for i in range(data.draw(st.integers(1, 4)))]
+        for rid in rids:
+            for node in data.draw(st.sets(st.sampled_from(dag.node_names), min_size=1)):
+                ledger.record_execution(exec_rec(
+                    node, data.draw(st.sampled_from(REGIONS)), rid, workflow="diamond",
+                    duration=data.draw(st.floats(0.01, 60.0))))
+        for collect_at in (10.0, 20.0, 30.0):
+            for _ in range(data.draw(st.integers(1, 6))):
+                src, dst = data.draw(st.sampled_from(edges))
+                ledger.record_transmission(trans_rec(
+                    src, dst, data.draw(st.sampled_from(REGIONS)),
+                    data.draw(st.sampled_from(REGIONS)),
+                    data.draw(st.sampled_from(rids + ["new"])),
+                    size=data.draw(st.floats(0.0, 1e7)), workflow="diamond"))
+            version = mm.version
+            mm.collect(collect_at)
+            fresh = MetricsManager(*args)
+            fresh.collect(collect_at)
+            assert every_read(mm, dag) == every_read(fresh, dag)
+            assert mm.version > version
+
+
 class CountingStore(OrderedDict):
     """An invocation store that counts passes over its values."""
 

@@ -4,20 +4,16 @@ The quickstart run's full Prometheus text exposition — every counter,
 gauge, and histogram the simulation reports, with cumulative buckets —
 must reproduce byte for byte from a fixed seed.  This pins the metric
 *names and label sets* (the dashboards' contract) as much as the
-values; any new or renamed instrument shows up as a reviewable diff.
-Regenerate with::
-
-    UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_prom_golden.py
+values; any new or renamed instrument shows up as a reviewable diff
+of ``golden/quickstart_prom.txt`` (``python -m tests.golden diff
+quickstart_prom``; see ``tests/golden.py``).
 """
-
-import os
-import pathlib
 
 from repro.apps import get_app
 from repro.experiments.harness import run_caribou
 from repro.obs.timeseries import TelemetryConfig
+from tests import golden
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "quickstart_prom.txt"
 SEED = 1234
 REGIONS = ("us-east-1", "ca-central-1")
 
@@ -36,21 +32,10 @@ def quickstart_prom() -> str:
 
 class TestGoldenPrometheus:
     def test_exposition_matches_snapshot(self):
-        produced = quickstart_prom()
-        if os.environ.get("UPDATE_GOLDEN"):
-            GOLDEN.parent.mkdir(exist_ok=True)
-            GOLDEN.write_text(produced, encoding="utf-8")
-        assert GOLDEN.exists(), (
-            "golden exposition missing; regenerate with UPDATE_GOLDEN=1"
-        )
-        expected = GOLDEN.read_text(encoding="utf-8")
-        assert produced == expected, (
-            "Prometheus exposition drifted from the golden snapshot; if "
-            "intentional, regenerate with UPDATE_GOLDEN=1 and review the diff"
-        )
+        golden.check("quickstart_prom", quickstart_prom())
 
     def test_snapshot_is_well_formed(self):
-        text = GOLDEN.read_text(encoding="utf-8")
+        text = golden.load("quickstart_prom")
         lines = text.splitlines()
         assert lines, "empty exposition"
         families = set()
@@ -70,7 +55,7 @@ class TestGoldenPrometheus:
                 assert sample_name.startswith("caribou_")
 
     def test_snapshot_covers_core_instruments(self):
-        text = GOLDEN.read_text(encoding="utf-8")
+        text = golden.load("quickstart_prom")
         for family in (
             "caribou_executor_requests",
             "caribou_executor_request_latency_s",
@@ -79,7 +64,7 @@ class TestGoldenPrometheus:
             assert family in text
 
     def test_histograms_have_inf_bucket_equal_to_count(self):
-        text = GOLDEN.read_text(encoding="utf-8")
+        text = golden.load("quickstart_prom")
         inf_lines = [
             ln for ln in text.splitlines() if 'le="+Inf"' in ln
         ]

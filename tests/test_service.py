@@ -1,7 +1,6 @@
 """Tests for the durable service layer (job store, engine, builder)."""
 
 import json
-import os
 
 import pytest
 
@@ -28,7 +27,7 @@ from repro.service import (
     workflow,
 )
 from repro.service.jobstore import JobStateError
-from tests import front_end_capture
+from tests import front_end_capture, golden
 
 APP = "dna_visualization"
 
@@ -516,15 +515,8 @@ class TestFrontEndGolden:
 
     @pytest.fixture(scope="class")
     def captured(self):
-        got = front_end_capture.capture()
-        golden = front_end_capture.GOLDEN
-        if os.environ.get("UPDATE_GOLDEN"):
-            golden.write_text(
-                json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-            )
-        return got, json.loads(golden.read_text(encoding="utf-8"))
+        return front_end_capture.capture()
 
     @pytest.mark.parametrize("section", ["apps", "builder", "engine"])
     def test_front_end_matches_the_capture(self, captured, section):
-        got, want = captured
-        assert got[section] == want[section]
+        golden.check("front_end", captured[section], section)

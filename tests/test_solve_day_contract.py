@@ -10,15 +10,13 @@ change and every later one: the 24-hour plan set, every per-hour
 Its carbon means (``mean_carbon_g``, ``mean_exec_carbon_g``,
 ``mean_trans_carbon_g``) were regenerated once, when they came to be
 priced by linearity from per-region and per-route means: each moved by
-a few ulps, and nothing else did.  Regenerate (only for a change that is *meant* to move plans) with::
-
-    UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_solve_day_contract.py
+a few ulps, and nothing else did.  ``python -m tests.golden diff
+solve_day_contract`` shows what a change moves (see
+``tests/golden.py``); re-pin it only for a change that is *meant* to
+move plans.
 """
 
 import dataclasses
-import json
-import os
-import pathlib
 import pickle
 
 import numpy as np
@@ -30,9 +28,8 @@ from repro.core.solver import HBSSSolver
 from repro.core.lifecycle import build_plan_evaluator, deploy_benchmark, warm_up
 from repro.metrics.carbon import TransmissionScenario
 from repro.model.plan import DeploymentPlan
-from tests import reprice_oracle
+from tests import golden, reprice_oracle
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "solve_day_contract.json"
 APPS = ("text2speech_censoring", "video_analytics")
 CLOUD_SEED = 3
 WARMUPS = 12
@@ -93,13 +90,7 @@ def solve_day_contract(app_name, intensity_fn=None):
 
 class TestSolveDayContract:
     def test_solve_day_matches_snapshot(self):
-        produced = {name: solve_day_contract(name) for name in APPS}
-        if os.environ.get("UPDATE_GOLDEN"):
-            GOLDEN.write_text(
-                json.dumps(produced, indent=1, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-        assert produced == json.loads(GOLDEN.read_text(encoding="utf-8"))
+        golden.check("solve_day_contract", {name: solve_day_contract(name) for name in APPS})
 
     @pytest.mark.parametrize("app_name", APPS)
     def test_intensity_fn_runs_once_per_region_hour(self, app_name):

@@ -6,22 +6,18 @@ over one *shared* evaluator, and pin the resulting optimality gaps
 (per cent above the certified optimum) in a committed JSON table.  This
 is the paper's near-optimal-HBSS claim (§9.2) as a regression test: a
 solver change that silently degrades HBSS search quality — or breaks
-the exact solver — shows up as a reviewable diff.  Regenerate with::
-
-    UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_solver_gap_golden.py
+the exact solver — shows up as a reviewable diff of
+``golden/solver_gap.json`` (``python -m tests.golden diff solver_gap``;
+see ``tests/golden.py``).
 """
-
-import json
-import os
-import pathlib
 
 from repro.apps import ALL_APPS
 from repro.cloud.provider import SimulatedCloud
 from repro.core.solver import CoarseSolver, ExactSolver, HBSSSolver
 from repro.core.lifecycle import build_plan_evaluator, deploy_benchmark, warm_up
 from repro.metrics.carbon import TransmissionScenario
+from tests import golden
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "solver_gap.json"
 SEED = 1234
 HOUR = 0
 
@@ -57,27 +53,12 @@ def solver_gap_table() -> dict:
     return table
 
 
-def _render(table: dict) -> str:
-    return json.dumps(table, indent=2, sort_keys=True) + "\n"
-
-
 class TestSolverGapGolden:
     def test_gap_table_matches_snapshot(self):
-        produced = _render(solver_gap_table())
-        if os.environ.get("UPDATE_GOLDEN"):
-            GOLDEN.parent.mkdir(exist_ok=True)
-            GOLDEN.write_text(produced, encoding="utf-8")
-        assert GOLDEN.exists(), (
-            "golden gap table missing; regenerate with UPDATE_GOLDEN=1"
-        )
-        expected = GOLDEN.read_text(encoding="utf-8")
-        assert produced == expected, (
-            "solver optimality gaps drifted from the golden table; if "
-            "intentional, regenerate with UPDATE_GOLDEN=1 and review the diff"
-        )
+        golden.check("solver_gap", solver_gap_table())
 
     def test_snapshot_covers_every_app(self):
-        table = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        table = golden.load("solver_gap")
         assert sorted(table) == sorted(ALL_APPS)
         for name, row in table.items():
             # exact is the proven optimum, so no heuristic may beat it.
@@ -89,7 +70,7 @@ class TestSolverGapGolden:
         # §9.2: HBSS lands within a few per cent of the optimum while
         # evaluating a vanishing fraction of the space.  The committed
         # numbers must stay inside that envelope.
-        table = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        table = golden.load("solver_gap")
         for name, row in table.items():
             assert row["hbss_gap_pct"] <= 5.0, (
                 f"{name}: HBSS gap {row['hbss_gap_pct']}% breaks the "

@@ -1,25 +1,21 @@
 """Golden-trace regression tests.
 
 A fixed-seed quickstart-style run must reproduce its committed JSONL
-trace *byte for byte*.  Any intentional change to the span taxonomy,
-timing model, or serialisation shows up here as a diff; regenerate the
-snapshot with::
-
-    UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_trace_golden.py
-
-and review the diff like any other code change.
+trace (``golden/quickstart_trace.jsonl``) *byte for byte*.  Any
+intentional change to the span taxonomy, timing model, or serialisation
+shows up here as a diff; ``python -m tests.golden diff
+quickstart_trace`` names the lines that moved (see
+``tests/golden.py``).
 """
 
 import json
-import os
-import pathlib
 
 from repro.apps import get_app
 from repro.cloud.provider import SimulatedCloud
 from repro.core.lifecycle import deploy_benchmark
 from repro.obs.trace import SPAN_KINDS, Tracer
+from tests import golden
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "quickstart_trace.jsonl"
 SEED = 1234
 
 
@@ -38,27 +34,19 @@ def quickstart_trace() -> Tracer:
     return tracer
 
 
+def quickstart_jsonl() -> str:
+    return quickstart_trace().to_jsonl()
+
+
 class TestGoldenTrace:
     def test_trace_matches_snapshot(self):
-        tracer = quickstart_trace()
-        produced = tracer.to_jsonl()
-        if os.environ.get("UPDATE_GOLDEN"):
-            GOLDEN.parent.mkdir(exist_ok=True)
-            GOLDEN.write_text(produced, encoding="utf-8")
-        assert GOLDEN.exists(), (
-            "golden trace missing; regenerate with UPDATE_GOLDEN=1"
-        )
-        expected = GOLDEN.read_text(encoding="utf-8")
-        assert produced == expected, (
-            "trace drifted from the golden snapshot; if intentional, "
-            "regenerate with UPDATE_GOLDEN=1 and review the diff"
-        )
+        golden.check("quickstart_trace", quickstart_jsonl())
 
     def test_two_runs_byte_identical(self):
         assert quickstart_trace().to_jsonl() == quickstart_trace().to_jsonl()
 
     def test_snapshot_is_valid_jsonl_with_known_kinds(self):
-        for line in GOLDEN.read_text(encoding="utf-8").splitlines():
+        for line in golden.load("quickstart_trace").splitlines():
             span = json.loads(line)
             assert span["kind"] in SPAN_KINDS
             assert span["t1"] >= span["t0"]

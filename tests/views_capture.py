@@ -18,21 +18,17 @@ k/q, and ``fleet-report dna_visualization -w 3`` with and without
 bundles' directory stripped from the paths it prints.
 
 The golden was captured before the views were folded into one module;
-every entry must stay equal ever after.  Regenerate (only for a
-declared behaviour change) with::
-
-    UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_views_golden.py
+every entry must stay equal ever after.  ``python -m tests.golden diff
+views`` shows what a change moves (see ``tests/golden.py``).
 """
 
 import contextlib
 import io
-import json
 import os
 import pathlib
+import tempfile
 
 from repro.cli import main
-
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "views.json"
 
 #: Bundle name -> the ``caribou run`` arguments that write it.
 RUNS = {
@@ -71,25 +67,8 @@ def _run(argv, directory: pathlib.Path) -> dict:
     return {"code": code, "stdout": stdout}
 
 
-def capture(directory: pathlib.Path) -> dict:
+def capture() -> dict:
     """Every case, in order: the runs first, since the views read the
-    bundles they write into ``directory``."""
-    return {name: _run(argv, directory) for name, argv in zip(CASES, COMMANDS)}
-
-
-def load() -> dict:
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
-
-
-def write(pinned: dict) -> None:
-    GOLDEN.write_text(
-        json.dumps(pinned, indent=1, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
-
-
-if __name__ == "__main__":
-    import tempfile
-
+    bundles they write into a directory that is gone after."""
     with tempfile.TemporaryDirectory() as tmp:
-        write(capture(pathlib.Path(tmp)))
+        return {name: _run(argv, pathlib.Path(tmp)) for name, argv in zip(CASES, COMMANDS)}
