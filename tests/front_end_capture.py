@@ -22,6 +22,13 @@ golden was captured while the builder still built its own DAG (``lower``
 then read ``build().workflow`` and ``build().dag``), before it started
 lowering through ``analyze_workflow``.  ``python -m tests.golden diff
 front_end`` shows what a change moves (see ``tests/golden.py``).
+
+:func:`dag_structure` (``golden/dag_structure.json``) pins every
+structure query of the same DAGs: node order, each node's in- and
+out-edge keys in order, topological order, start and sync nodes,
+guaranteed nodes, each node's descendants and ``subgraph_signature``.
+It was captured while ``WorkflowDAG`` still sat on networkx, so the
+stdlib core that replaced it answers every query as networkx did.
 """
 
 import dataclasses
@@ -140,6 +147,31 @@ def dag_facts(dag) -> dict:
         "topological_order": dag.topological_order(),
         "subgraph_signature": dag.subgraph_signature(),
     }
+
+
+def dag_structure_facts(dag) -> dict:
+    return {
+        "nodes": list(dag.node_names),
+        "in_edges": {n: [e.key for e in dag.in_edges(n)] for n in dag.node_names},
+        "out_edges": {n: [e.key for e in dag.out_edges(n)] for n in dag.node_names},
+        "topological_order": dag.topological_order(),
+        "start_node": dag.start_node,
+        "sync_nodes": list(dag.sync_nodes),
+        "guaranteed_nodes": sorted(dag.guaranteed_nodes()),
+        "descendants": {n: sorted(dag.descendants(n)) for n in dag.node_names},
+        "subgraph_signature": dag.subgraph_signature(),
+    }
+
+
+def dag_structure() -> dict:
+    """Every structure query of the five apps' and the builder shapes' DAGs."""
+    apps = {
+        name: dag_structure_facts(analyze_workflow(get_app(name).build_workflow()))
+        for name in sorted(ALL_APPS)
+    }
+    builder = {name: dag_structure_facts(lower(declared)[1])
+               for name, declared in shapes().items()}
+    return {"apps": apps, "builder": builder}
 
 
 def _constraints(c):

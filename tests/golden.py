@@ -95,6 +95,7 @@ class Golden:
 REGISTRY = {pathlib.Path(g.file).stem: g for g in (
     Golden("chaos_serve.json", "tests.chaos_capture:capture", cases="APPS"),
     Golden("control_loop.json", "tests.control_loop_capture:capture"),
+    Golden("dag_structure.json", "tests.front_end_capture:dag_structure"),
     Golden("executor_paths.json", "tests.executor_capture:capture_all"),
     Golden("front_end.json", "tests.front_end_capture:capture"),
     Golden("ledger_pricing.json", "tests.ledger_capture:capture", cases="APPS"),

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import WorkflowDefinitionError
 from repro.model.dag import Edge, Node, WorkflowDAG
+from tests import front_end_capture, golden
 
 
 def build(nodes, edges, name="wf"):
@@ -163,3 +164,10 @@ class TestGuaranteedNodes:
         dag.add_node(Node(name="c", function="c"))
         dag.add_edge(Edge("a", "c"))
         assert dag.guaranteed_nodes() == {"a", "c"}
+
+
+@pytest.mark.parametrize("section", ["apps", "builder"])
+def test_dag_structure_matches_the_capture(section):
+    """Every structure query of the apps' and builder shapes' DAGs, as
+    captured on the networkx core (``tests/front_end_capture.py``)."""
+    golden.check("dag_structure", front_end_capture.dag_structure()[section], section)
