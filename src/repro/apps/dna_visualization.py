@@ -38,6 +38,10 @@ def _synthetic_sequence(n_bases: int, seed: int = 7) -> str:
     return "".join(out)
 
 
+# Every input carries the same sequence: built once, not per request.
+_INPUT_SEQUENCE = _synthetic_sequence(512)
+
+
 def build_workflow() -> Workflow:
     """Create a fresh workflow instance with its single handler."""
     workflow = Workflow(name=WORKFLOW_NAME, version="1.0")
@@ -73,7 +77,7 @@ def build_workflow() -> Workflow:
 def make_input(size: str) -> Payload:
     check_input_size(size)
     return Payload(
-        content={"sequence": _synthetic_sequence(512), "file": f"{size}.fasta"},
+        content={"sequence": _INPUT_SEQUENCE, "file": f"{size}.fasta"},
         size_bytes=INPUT_SIZES[size],
     )
 

@@ -14,7 +14,11 @@ each registered handler's source with :mod:`ast` and recovers:
   ``f:k`` (:func:`intent_stage`);
 * synchronisation nodes — handlers calling ``get_predecessor_data``.
 
-A handler that carries a declared ``_caribou_analysis`` (the
+Each handler's source is parsed once per process (:func:`_parse`, keyed
+by the code object ``inspect.getsource`` reads, which every fresh
+``build_workflow()`` closure shares); each analysis then resolves the
+parsed targets against its own workflow's functions.  A handler that
+carries a declared ``_caribou_analysis`` (the
 :mod:`repro.service.builder` front-end generates such handlers) is not
 parsed: its declared call sites are lowered exactly like parsed ones.
 The resulting :class:`~repro.model.dag.WorkflowDAG` is validated against
@@ -25,6 +29,7 @@ fan-in intent).
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
 import textwrap
 from dataclasses import dataclass
@@ -53,12 +58,11 @@ class FunctionAnalysis:
 
 
 class _HandlerVisitor(ast.NodeVisitor):
-    """Walks a handler body collecting API call sites."""
+    """Walks a handler body collecting API call sites, each as its
+    unresolved ``(target name, conditional)``."""
 
-    def __init__(self, known_functions: Dict[str, str]):
-        # maps both spec names and handler __name__s to spec names
-        self._known = known_functions
-        self.call_sites: List[CallSite] = []
+    def __init__(self) -> None:
+        self.call_sites: List[Tuple[str, bool]] = []
         self.uses_predecessor_data = False
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -80,13 +84,11 @@ class _HandlerVisitor(ast.NodeVisitor):
 
     def _handle_invoke(self, node: ast.Call) -> None:
         self.call_sites.append(
-            CallSite(
-                target=self._resolve_target(node),
-                conditional=self._is_conditional(node),
-            )
+            (self._target_name(node), self._is_conditional(node))
         )
 
-    def _resolve_target(self, node: ast.Call) -> str:
+    @staticmethod
+    def _target_name(node: ast.Call) -> str:
         target_expr: Optional[ast.expr] = None
         if len(node.args) >= 2:
             target_expr = node.args[1]
@@ -101,22 +103,15 @@ class _HandlerVisitor(ast.NodeVisitor):
         if isinstance(target_expr, ast.Constant) and isinstance(
             target_expr.value, str
         ):
-            candidate = target_expr.value
-        elif isinstance(target_expr, ast.Name):
-            candidate = target_expr.id
-        elif isinstance(target_expr, ast.Attribute):
-            candidate = target_expr.attr
-        else:
-            raise WorkflowDefinitionError(
-                "invoke_serverless_function target must be a name or string "
-                f"literal, got {ast.dump(target_expr)}"
-            )
-        if candidate not in self._known:
-            raise WorkflowDefinitionError(
-                f"invoke_serverless_function targets unknown function "
-                f"{candidate!r}"
-            )
-        return self._known[candidate]
+            return target_expr.value
+        if isinstance(target_expr, ast.Name):
+            return target_expr.id
+        if isinstance(target_expr, ast.Attribute):
+            return target_expr.attr
+        raise WorkflowDefinitionError(
+            "invoke_serverless_function target must be a name or string "
+            f"literal, got {ast.dump(target_expr)}"
+        )
 
     @staticmethod
     def _is_conditional(node: ast.Call) -> bool:
@@ -134,26 +129,48 @@ class _HandlerVisitor(ast.NodeVisitor):
         return True  # dynamically evaluated at runtime
 
 
+@functools.lru_cache(maxsize=None)
+def _parse(code) -> Tuple[Tuple[Tuple[str, bool], ...], bool]:
+    """The unresolved call sites of the source behind ``code`` and
+    whether it calls ``get_predecessor_data``, parsed once per process."""
+    visitor = _HandlerVisitor()
+    visitor.visit(ast.parse(textwrap.dedent(inspect.getsource(code))))
+    return tuple(visitor.call_sites), visitor.uses_predecessor_data
+
+
 def analyze_function(spec: FunctionSpec, known: Dict[str, str]) -> FunctionAnalysis:
     """Run static analysis over one handler's source, or return the
-    analysis the handler declares (``handler._caribou_analysis``)."""
+    analysis the handler declares (``handler._caribou_analysis``).
+
+    ``known`` maps both spec names and handler ``__name__``s to spec
+    names; every call site's target must be one of them.
+    """
     declared = getattr(spec.handler, "_caribou_analysis", None)
     if declared is not None:
         return declared
+    # What inspect.getsource reads; a handler without one (a builtin, a
+    # callable object, a class) is passed as is and fails or parses as
+    # it always did.
+    code = getattr(inspect.unwrap(spec.handler), "__code__", spec.handler)
     try:
-        source = textwrap.dedent(inspect.getsource(spec.handler))
+        sites, uses_predecessor_data = _parse(code)
     except (OSError, TypeError) as exc:
         raise WorkflowDefinitionError(
             f"cannot retrieve source of handler {spec.name!r} for static "
             f"analysis: {exc}"
         ) from exc
-    tree = ast.parse(source)
-    visitor = _HandlerVisitor(known)
-    visitor.visit(tree)
+    call_sites = []
+    for target, conditional in sites:
+        if target not in known:
+            raise WorkflowDefinitionError(
+                f"invoke_serverless_function targets unknown function "
+                f"{target!r}"
+            )
+        call_sites.append(CallSite(target=known[target], conditional=conditional))
     return FunctionAnalysis(
         name=spec.name,
-        call_sites=tuple(visitor.call_sites),
-        uses_predecessor_data=visitor.uses_predecessor_data,
+        call_sites=tuple(call_sites),
+        uses_predecessor_data=uses_predecessor_data,
     )
 
 

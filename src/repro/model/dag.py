@@ -16,10 +16,9 @@ keep the graph acyclic every stage is its own node.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
-
-import networkx as nx
 
 from repro.common.errors import WorkflowDefinitionError
 
@@ -71,6 +70,10 @@ class WorkflowDAG:
     Built incrementally (by the static analyser or by hand in tests),
     then :meth:`validate` checks the §4 structural rules.  All query
     methods validate lazily so read-only use is cheap.
+
+    ``_succ`` / ``_pred`` hold each node's out- and in-edges in
+    edge-insertion order, which is the order :meth:`out_edges` and
+    :meth:`in_edges` return them in.
     """
 
     def __init__(self, name: str):
@@ -79,13 +82,11 @@ class WorkflowDAG:
         self.name = name
         self._nodes: Dict[str, Node] = {}
         self._edges: Dict[Tuple[str, str], Edge] = {}
-        self._graph = nx.DiGraph()
-        self._validated = False
-        # Memoised per-node edge tuples: the executor asks for the same
-        # in/out edges on every message of every request, and walking
-        # the networkx views per call is measurable at open-loop rates.
-        self._in_edges_memo: Dict[str, Tuple[Edge, ...]] = {}
-        self._out_edges_memo: Dict[str, Tuple[Edge, ...]] = {}
+        self._succ: Dict[str, Tuple[Edge, ...]] = {}
+        self._pred: Dict[str, Tuple[Edge, ...]] = {}
+        # The topological order of the last successful validate(); None
+        # until then and after any mutation.
+        self._order: Optional[Tuple[str, ...]] = None
         self._guaranteed_memo: Optional[FrozenSet[str]] = None
 
     # -- construction -------------------------------------------------------
@@ -93,10 +94,8 @@ class WorkflowDAG:
         if node.name in self._nodes:
             raise WorkflowDefinitionError(f"duplicate node {node.name!r}")
         self._nodes[node.name] = node
-        self._graph.add_node(node.name)
-        self._validated = False
-        self._in_edges_memo.clear()
-        self._out_edges_memo.clear()
+        self._succ[node.name] = self._pred[node.name] = ()
+        self._order = None
         self._guaranteed_memo = None
 
     def add_edge(self, edge: Edge) -> None:
@@ -113,22 +112,33 @@ class WorkflowDAG:
         if edge.src == edge.dst:
             raise WorkflowDefinitionError(f"self-loop on {edge.src!r}")
         self._edges[(edge.src, edge.dst)] = edge
-        self._graph.add_edge(edge.src, edge.dst)
-        self._validated = False
-        self._in_edges_memo.clear()
-        self._out_edges_memo.clear()
+        self._succ[edge.src] += (edge,)
+        self._pred[edge.dst] += (edge,)
+        self._order = None
         self._guaranteed_memo = None
 
     def validate(self) -> None:
         """Check the §4 structural rules; raise on violation."""
         if not self._nodes:
             raise WorkflowDefinitionError(f"workflow {self.name!r} has no nodes")
-        if not nx.is_directed_acyclic_graph(self._graph):
-            cycle = nx.find_cycle(self._graph)
+        # Kahn's algorithm, ready nodes popped smallest name first: a
+        # deterministic order independent of insertion order.
+        indegree = {n: len(ins) for n, ins in self._pred.items()}
+        ready = [n for n, d in indegree.items() if d == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(name)
+            for edge in self._succ[name]:
+                indegree[edge.dst] -= 1
+                if indegree[edge.dst] == 0:
+                    heapq.heappush(ready, edge.dst)
+        if len(order) < len(self._nodes):
             raise WorkflowDefinitionError(
-                f"workflow {self.name!r} contains a cycle: {cycle}"
+                f"workflow {self.name!r} contains a cycle: {self._cycle(indegree)}"
             )
-        starts = [n for n in self._nodes if self._graph.in_degree(n) == 0]
+        starts = [n for n, ins in self._pred.items() if not ins]
         if len(starts) != 1:
             # This also covers reachability: in an acyclic graph with
             # exactly one in-degree-0 node, every node is reachable from
@@ -137,10 +147,23 @@ class WorkflowDAG:
                 f"workflow {self.name!r} must have exactly one start node, "
                 f"found {sorted(starts)}"
             )
-        self._validated = True
+        self._order = tuple(order)
+
+    def _cycle(self, indegree: Dict[str, int]) -> List[Tuple[str, str]]:
+        """The edges of one cycle among the nodes Kahn's pass left
+        unordered (``indegree > 0``).  Each of those has an unordered
+        predecessor, so walking back from one must repeat a node."""
+        node = next(n for n in self._nodes if indegree[n])
+        walked: Dict[str, None] = {}
+        while node not in walked:
+            walked[node] = None
+            node = next(e.src for e in self._pred[node] if indegree[e.src])
+        back = list(walked)
+        cycle = back[back.index(node):][::-1]
+        return list(zip(cycle, cycle[1:] + cycle[:1]))
 
     def _ensure_valid(self) -> None:
-        if not self._validated:
+        if self._order is None:
             self.validate()
 
     # -- basic queries --------------------------------------------------------
@@ -182,25 +205,19 @@ class WorkflowDAG:
     @property
     def start_node(self) -> str:
         self._ensure_valid()
-        return next(n for n in self._nodes if self._graph.in_degree(n) == 0)
+        return next(n for n, ins in self._pred.items() if not ins)
 
     def in_edges(self, node: str) -> Tuple[Edge, ...]:
-        cached = self._in_edges_memo.get(node)
-        if cached is None:
-            self.node(node)
-            cached = self._in_edges_memo[node] = tuple(
-                self._edges[(u, v)] for u, v in self._graph.in_edges(node)
-            )
-        return cached
+        edges = self._pred.get(node)
+        if edges is None:
+            self.node(node)  # raises KeyError naming the workflow
+        return edges
 
     def out_edges(self, node: str) -> Tuple[Edge, ...]:
-        cached = self._out_edges_memo.get(node)
-        if cached is None:
+        edges = self._succ.get(node)
+        if edges is None:
             self.node(node)
-            cached = self._out_edges_memo[node] = tuple(
-                self._edges[(u, v)] for u, v in self._graph.out_edges(node)
-            )
-        return cached
+        return edges
 
     def is_sync_node(self, node: str) -> bool:
         """A node with more than one incoming edge (§4)."""
@@ -216,8 +233,7 @@ class WorkflowDAG:
 
     def topological_order(self) -> List[str]:
         self._ensure_valid()
-        # lexicographic tie-break for determinism
-        return list(nx.lexicographical_topological_sort(self._graph))
+        return list(self._order)
 
     def guaranteed_nodes(self) -> FrozenSet[str]:
         """Nodes that run in *every* invocation: the start node, and any
@@ -242,7 +258,14 @@ class WorkflowDAG:
 
     def descendants(self, node: str) -> FrozenSet[str]:
         self.node(node)
-        return frozenset(nx.descendants(self._graph, node))
+        seen, stack = {node}, [node]
+        while stack:
+            for edge in self._succ[stack.pop()]:
+                if edge.dst not in seen:
+                    seen.add(edge.dst)
+                    stack.append(edge.dst)
+        seen.discard(node)
+        return frozenset(seen)
 
     def subgraph_signature(self) -> str:
         """Stable structural fingerprint (used to key solver caches)."""

@@ -1,10 +1,18 @@
 """Tests for the developer API (Listing 1) and static analysis (§6.1)."""
 
+import functools
+import inspect
+
 import pytest
 
+from repro.apps import ALL_APPS
+from repro.cloud.provider import SimulatedCloud
 from repro.common.errors import WorkflowDefinitionError
+from repro.core import analysis
 from repro.core.analysis import analyze_workflow, stage_names
 from repro.core.api import ExecutionContext, Payload, Workflow
+from repro.core.lifecycle import deploy_benchmark
+from tests.front_end_capture import dag_facts, dag_structure_facts
 
 
 def simple_workflow():
@@ -262,3 +270,105 @@ class TestStaticAnalysis:
 
         dag = analyze_workflow(workflow)
         assert dag.node("a").memory_mb == 3538
+
+
+def caller_workflow(name, register_target):
+    """A workflow whose entry handler invokes ``"helper"``; every call
+    builds new closures over the same code objects."""
+    workflow = Workflow(name)
+
+    @workflow.serverless_function(name="start", entry_point=True)
+    def start(event):
+        workflow.invoke_serverless_function(event, "helper")
+
+    if register_target:
+        @workflow.serverless_function(name="helper")
+        def helper(event):
+            return event
+
+    return workflow
+
+
+def logged(fn):
+    @functools.wraps(fn)
+    def wrapper(event):
+        return fn(event)
+
+    return wrapper
+
+
+class TestParseOnce:
+    """Each handler's source is parsed once per process; every analysis
+    resolves the parsed targets against its own workflow."""
+
+    @pytest.mark.parametrize("app_name", sorted(ALL_APPS))
+    def test_two_fresh_builds_give_equal_dags(self, app_name):
+        first, second = (analyze_workflow(ALL_APPS[app_name].build_workflow())
+                         for _ in range(2))
+        assert dag_facts(first) == dag_facts(second)
+        assert dag_structure_facts(first) == dag_structure_facts(second)
+
+    def test_one_source_read_per_distinct_handler(self, monkeypatch):
+        read = []
+        getsource = inspect.getsource
+
+        def spy(obj):
+            read.append(obj)
+            return getsource(obj)
+
+        monkeypatch.setattr(inspect, "getsource", spy)
+        analysis._parse.cache_clear()
+        handlers = set()
+        for _ in range(3):
+            for app in ALL_APPS.values():
+                deploy_benchmark(app, SimulatedCloud(seed=5))
+                handlers |= {inspect.unwrap(spec.handler).__code__
+                             for spec in app.build_workflow().functions}
+        assert len(read) == len(set(read)) == len(handlers)
+        assert set(read) == handlers
+
+    def test_unknown_target_still_raises_on_the_cached_path(self):
+        analysis._parse.cache_clear()
+        assert analyze_workflow(caller_workflow("ok", True)).has_edge("start", "helper")
+        with pytest.raises(WorkflowDefinitionError, match="targets unknown function 'helper'"):
+            analyze_workflow(caller_workflow("missing", False))
+        assert analysis._parse.cache_info().hits >= 1
+        assert analyze_workflow(caller_workflow("ok_again", True)).has_edge("start", "helper")
+
+    def test_wrapped_handler_is_analysed_from_the_wrapped_source(self):
+        workflow = Workflow("wf")
+
+        @workflow.serverless_function(name="a", entry_point=True)
+        @logged
+        def a(event):
+            workflow.invoke_serverless_function(event, "b", event)
+
+        @workflow.serverless_function(name="b")
+        def b(event):
+            return event
+
+        for _ in range(2):
+            dag = analyze_workflow(workflow)
+            assert [(e.key, e.conditional) for e in dag.edges] == [("a->b", True)]
+
+    def test_non_name_target_raises_every_time(self):
+        workflow = Workflow("wf")
+        targets = ["b"]
+
+        @workflow.serverless_function(name="a", entry_point=True)
+        def a(event):
+            workflow.invoke_serverless_function(event, targets[0])
+
+        for _ in range(2):
+            with pytest.raises(WorkflowDefinitionError, match="must be a name or string literal"):
+                analyze_workflow(workflow)
+
+    def test_handler_without_source_raises_every_time(self):
+        namespace = {}
+        exec("def handler(event):\n    return event\n", namespace)
+        workflow = Workflow("wf")
+        workflow.serverless_function(name="a", entry_point=True)(namespace["handler"])
+        for _ in range(2):
+            with pytest.raises(WorkflowDefinitionError,
+                               match="cannot retrieve source of handler 'a'"):
+                analyze_workflow(workflow)

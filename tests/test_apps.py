@@ -81,7 +81,7 @@ class TestTable1Facts:
 
 class TestAppSemantics:
     def test_dna_computes_gc_content(self):
-        from repro.apps.dna_visualization import _synthetic_sequence, build_workflow
+        from repro.apps.dna_visualization import _synthetic_sequence
 
         seq = _synthetic_sequence(100)
         assert len(seq) == 100

@@ -1,6 +1,11 @@
 """Tests for the workflow DAG model (§4)."""
 
+import ast
+
+import networkx as nx
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import WorkflowDefinitionError
 from repro.model.dag import Edge, Node, WorkflowDAG
@@ -164,6 +169,114 @@ class TestGuaranteedNodes:
         dag.add_node(Node(name="c", function="c"))
         dag.add_edge(Edge("a", "c"))
         assert dag.guaranteed_nodes() == {"a", "c"}
+
+
+def cycle_named(error: WorkflowDefinitionError) -> list:
+    """The ``(src, dst)`` edges a "contains a cycle" error names."""
+    return ast.literal_eval(str(error).split("contains a cycle: ", 1)[1])
+
+
+def assert_is_cycle(dag: WorkflowDAG, edges: list) -> None:
+    assert edges and all(dag.has_edge(u, v) for u, v in edges)
+    assert [v for _u, v in edges] == [u for u, _v in edges[1:] + edges[:1]]
+    assert len({u for u, _v in edges}) == len(edges)
+
+
+@st.composite
+def graphs(draw):
+    """``(names, edges)`` in insertion order: a random DAG over names
+    whose lexical order is not their rank, sometimes given one start
+    node, and sometimes with back edges that close cycles."""
+    names = draw(st.lists(st.text("abcxyz", min_size=1, max_size=2),
+                          min_size=1, max_size=9, unique=True))
+    rank = draw(st.permutations(names))
+    pairs = [(rank[i], rank[j]) for i in range(len(rank)) for j in range(i + 1, len(rank))]
+    edges = [p for p in pairs if draw(st.booleans())]
+    if draw(st.booleans()):  # one start node: the first rank feeds every other root
+        heads = {v for _u, v in edges}
+        edges += [(rank[0], v) for v in rank[1:] if v not in heads]
+    if len(rank) > 1 and draw(st.booleans()):
+        edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(pairs),
+                                                   min_size=1, max_size=3, unique=True))]
+    return draw(st.permutations(names)), draw(st.permutations(edges))
+
+
+def build_both(names, edges):
+    dag, oracle = build(names, edges), nx.DiGraph()
+    oracle.add_nodes_from(names)
+    oracle.add_edges_from(edges)
+    return dag, oracle
+
+
+class TestNetworkxDifferential:
+    """The stdlib core answers every structure query as the networkx
+    graph it replaced does (networkx is the oracle, not a dependency)."""
+
+    @settings(max_examples=400)
+    @given(graphs())
+    def test_queries_match_networkx(self, graph):
+        dag, oracle = build_both(*graph)
+        for n in dag.node_names:
+            assert [e.key for e in dag.in_edges(n)] == [f"{u}->{v}" for u, v in oracle.in_edges(n)]
+            assert [e.key for e in dag.out_edges(n)] == [
+                f"{u}->{v}" for u, v in oracle.out_edges(n)]
+            assert dag.descendants(n) == nx.descendants(oracle, n)
+        starts = [n for n in oracle if oracle.in_degree(n) == 0]
+        if not nx.is_directed_acyclic_graph(oracle):
+            with pytest.raises(WorkflowDefinitionError, match="contains a cycle") as info:
+                dag.validate()
+            assert_is_cycle(dag, cycle_named(info.value))
+        elif len(starts) != 1:
+            with pytest.raises(WorkflowDefinitionError, match="exactly one start node"):
+                dag.validate()
+        else:
+            assert dag.topological_order() == list(nx.lexicographical_topological_sort(oracle))
+            assert dag.start_node == starts[0]
+
+    @settings(max_examples=200)
+    @given(graphs(), st.data())
+    def test_memo_dropped_on_mutation(self, graph, data):
+        dag, oracle = build_both(*graph)
+        assume(nx.is_directed_acyclic_graph(oracle))
+        assume(sum(d == 0 for _n, d in oracle.in_degree()) == 1)
+        first = dag.topological_order()
+        first.append("caller's own")
+        assert dag.topological_order() == list(nx.lexicographical_topological_sort(oracle))
+        # An edge between existing nodes that keeps the graph acyclic.
+        free = [(u, v) for u in oracle for v in oracle
+                if u != v and not oracle.has_edge(u, v) and u not in nx.descendants(oracle, v)]
+        if free:
+            u, v = data.draw(st.sampled_from(free))
+            oracle.add_edge(u, v)
+            dag.add_edge(Edge(u, v))
+            assert dag.topological_order() == list(nx.lexicographical_topological_sort(oracle))
+        # A new node is a second root until an edge reaches it.
+        dag.add_node(Node(name="b0", function="b0"))
+        with pytest.raises(WorkflowDefinitionError, match="start node"):
+            dag.topological_order()
+        src = data.draw(st.sampled_from(list(oracle)))
+        oracle.add_edge(src, "b0")
+        dag.add_edge(Edge(src, "b0"))
+        assert dag.topological_order() == list(nx.lexicographical_topological_sort(oracle))
+        assert dag.descendants(src) == nx.descendants(oracle, src)
+
+    def test_the_cycle_check_comes_before_the_start_node_check(self):
+        # Roots a and d, and a cycle b -> c -> b that no root reaches.
+        dag = build("abcd", [("a", "b"), ("b", "c"), ("c", "b")])
+        with pytest.raises(WorkflowDefinitionError, match="contains a cycle") as info:
+            dag.validate()
+        assert_is_cycle(dag, cycle_named(info.value))
+        assert sorted(cycle_named(info.value)) == [("b", "c"), ("c", "b")]
+
+    def test_ties_go_to_the_smallest_name_not_the_first_inserted(self):
+        dag = build(["r", "z", "m", "a"], [("r", "z"), ("r", "m"), ("r", "a")])
+        assert dag.topological_order() == ["r", "a", "m", "z"]
+
+    def test_edges_keep_insertion_order(self):
+        dag = build(["s", "c", "b", "a", "t"],
+                    [("s", "c"), ("s", "a"), ("s", "b"), ("c", "t"), ("a", "t"), ("b", "t")])
+        assert [e.dst for e in dag.out_edges("s")] == ["c", "a", "b"]
+        assert [e.src for e in dag.in_edges("t")] == ["c", "a", "b"]
 
 
 @pytest.mark.parametrize("section", ["apps", "builder"])

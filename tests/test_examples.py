@@ -1,7 +1,6 @@
 """The example scripts must stay runnable — they are documentation."""
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

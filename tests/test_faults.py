@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.apps import get_app
-from repro.cloud.faults import FAULT_KINDS, FaultInjector, FaultPlan, FaultRule
+from repro.cloud.faults import FAULT_KINDS, FaultPlan, FaultRule
 from repro.cloud.provider import SimulatedCloud
 from repro.cloud.pubsub import MAX_DELIVERY_ATTEMPTS, Message
 from repro.common.errors import (
