@@ -22,7 +22,7 @@ protocol, making it directly consumable by the Monte-Carlo estimator.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -315,18 +315,19 @@ class MetricsManager:
 
         Walk from the oldest invocation; remove it unless it is the sole
         representative of some DAG information key, in which case it is
-        retained and the walk continues.
+        retained and the walk continues.  Each removal counts down its
+        keys before the next invocation is judged, and a key one
+        invocation holds several times (two edges over one region pair)
+        needs a representative outside it.
         """
         if len(self._invocations) <= self._max_invocations:
             return
-        removable = []
-        for rid, summary in self._invocations.items():
-            if len(self._invocations) - len(removable) <= self._max_invocations:
+        for rid, summary in list(self._invocations.items()):
+            if len(self._invocations) <= self._max_invocations:
                 break
-            if all(self._info_counts.get(k, 0) > 1 for k in summary.info_keys()):
-                removable.append(rid)
-        for rid in removable:
-            self._remove(rid)
+            held = Counter(summary.info_keys())
+            if all(self._info_counts.get(k, 0) > n for k, n in held.items()):
+                self._remove(rid)
 
     def _remove(self, request_id: str) -> None:
         summary = self._invocations.pop(request_id)

@@ -220,6 +220,47 @@ class TestRetention:
         dist = mm.execution_time_dist("a", "ca-central-1")
         assert len(dist) == 1
 
+    def test_forgetting_keeps_the_last_of_several_representatives(self, chain_dag):
+        # The two oldest invocations are the only ones that ran a in
+        # ca-central-1: forgetting the first leaves the second as the
+        # key's sole representative, so the second stays.
+        ledger = MeteringLedger()
+        mm = MetricsManager(
+            chain_dag, WorkflowConfig(home_region="us-east-1"), ledger,
+            CarbonIntensitySource(hours=24), max_invocations=5,
+        )
+        for i in range(2):
+            ledger.record_execution(exec_rec(
+                "a", "ca-central-1", f"ca{i}", start=float(i), duration=9.0))
+        for i in range(10):
+            ledger.record_execution(exec_rec(
+                "a", "us-east-1", f"r{i:03d}", start=2.0 + i))
+        mm.collect(100.0)
+        assert mm.invocation_count == 5
+        assert mm._info_counts[("exec", "a", "ca-central-1")] == 1
+        assert list(mm._invocations) == ["ca1", "r006", "r007", "r008", "r009"]
+        assert mm.execution_time_dist("a", "ca-central-1").support().tolist() == [9.0]
+
+    def test_forgetting_keeps_a_route_only_one_invocation_took(self, chain_dag):
+        # One invocation moved a->b and b->c over the same region pair:
+        # it alone represents that route, however many edges took it.
+        ledger = MeteringLedger()
+        mm = MetricsManager(
+            chain_dag, WorkflowConfig(home_region="us-east-1"), ledger,
+            CarbonIntensitySource(hours=24), max_invocations=2,
+        )
+        for node in ("a", "b", "c"):
+            ledger.record_execution(exec_rec(node, "us-east-1", "old", start=0.0))
+        for src, dst in (("a", "b"), ("b", "c")):
+            ledger.record_transmission(
+                trans_rec(src, dst, "us-east-1", "us-west-2", "old"))
+        for i in range(3):
+            for node in ("a", "b", "c"):
+                ledger.record_execution(exec_rec(node, "us-east-1", f"r{i}", start=1.0 + i))
+        mm.collect(100.0)
+        assert list(mm._invocations) == ["old", "r2"]
+        assert mm._info_counts[("route", "us-east-1", "us-west-2")] == 2
+
     def test_average_runtime(self, setup):
         mm, ledger = setup
         for node, dur in (("a", 1.0), ("b", 2.0)):
