@@ -8,27 +8,28 @@ hourly check scanned whole histories:
   as it was: it priced the window through ``price_by_request`` and then
   classified each request by walking ``ledger.executions`` from record
   0;
-* :class:`ScanMetricsManager` is a ``MetricsManager`` whose
-  ``execution_time_dist`` and ``edge_size_dist`` are the per-key
-  builders as they were: one pass over the invocation store per
-  (node, region) or edge key, with the home and pooled fallbacks and
-  the per-key cache, and whose ``collect`` walks the ledger one record
-  at a time (moving the version on any new execution or data
-  transmission, as production does).
+* :class:`ScanMetricsManager` is a ``MetricsManager`` whose four
+  learned-data accessors (``execution_time_dist``, ``edge_size_dist``,
+  ``edge_probability``, ``input_size_dist``) are the per-key builders
+  as they were: one pass over the invocation store per key, with the
+  home and pooled fallbacks and a per-key cache of its own (dropped
+  whenever the store changes), and whose ``collect`` walks the ledger
+  one record at a time (moving the version on any new execution or
+  data transmission, as production does).
 
 ``tests/test_control_loop.py`` requires production's saving to equal
 :func:`realized_savings` with ``==`` on every check of the capture run;
 ``tests/test_metrics_manager.py::TestLearnedDistributionsDifferential``
 runs a production manager and a :class:`ScanMetricsManager` over the
-same ledger and requires equal stores and every distribution's
-``samples`` (or error) to be equal.
+same ledger and requires equal stores and every accessor's answer (a
+support, a probability, or the error) to be equal.
 ``tests/ledger_pricing_oracle.py`` stays the oracle for ``group``
 itself.  Not shipped: nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -70,10 +71,18 @@ def realized_savings(manager, since_s: float, until_s: float) -> float:
 
 
 class ScanMetricsManager(MetricsManager):
-    """A :class:`MetricsManager` whose duration and payload-size
-    distributions are built by one store pass per key, as they were
+    """A :class:`MetricsManager` whose learned distributions and edge
+    probabilities are built by one store pass per key, as they were
     (per-key cache and all), and whose ``collect`` is the record-at-a-
     time cursor walk it was."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._scan_cache: Dict[Tuple, object] = {}
+
+    def _remove(self, request_id: str) -> None:
+        super()._remove(request_id)
+        self._scan_cache.clear()
 
     def collect(self, now_s: float) -> int:
         new_execs = 0
@@ -98,7 +107,7 @@ class ScanMetricsManager(MetricsManager):
         self._expire(now_s)
         self._evict_to_cap()
         if new_execs or new_trans:
-            self._derived_cache.clear()
+            self._scan_cache.clear()
             self.version += 1
         return new_execs
 
@@ -127,7 +136,7 @@ class ScanMetricsManager(MetricsManager):
 
     def execution_time_dist(self, node: str, region: str) -> EmpiricalDistribution:
         key = ("exec_dist", node, region)
-        cached = self._derived_cache.get(key)
+        cached = self._scan_cache.get(key)
         if cached is not None:
             return cached  # type: ignore[return-value]
         samples = [
@@ -159,12 +168,12 @@ class ScanMetricsManager(MetricsManager):
                         f"in any region (home {home!r})"
                     )
                 dist = EmpiricalDistribution(pooled)
-        self._derived_cache[key] = dist
+        self._scan_cache[key] = dist
         return dist
 
     def edge_size_dist(self, src: str, dst: str) -> EmpiricalDistribution:
         key = ("edge_size", src, dst)
-        cached = self._derived_cache.get(key)
+        cached = self._scan_cache.get(key)
         if cached is not None:
             return cached  # type: ignore[return-value]
         samples = [
@@ -177,5 +186,46 @@ class ScanMetricsManager(MetricsManager):
             dist = EmpiricalDistribution(samples)
         else:
             raise ValueError(f"no payload-size history for edge {src}->{dst}")
-        self._derived_cache[key] = dist
+        self._scan_cache[key] = dist
+        return dist
+
+    def edge_probability(self, src: str, dst: str) -> float:
+        key = ("edge_prob", src, dst)
+        cached = self._scan_cache.get(key)
+        if cached is not None:
+            return cached  # type: ignore[return-value]
+        src_ran = 0
+        taken = 0
+        for s in self._invocations.values():
+            if src in s.node_executions:
+                src_ran += 1
+                # The edge was exercised iff tagged data crossed it.
+                if (src, dst) in s.edge_transfers:
+                    taken += 1
+        if src_ran == 0:
+            prob = 0.0 if self._dag.edge(src, dst).conditional else 1.0
+        elif not self._dag.edge(src, dst).conditional:
+            prob = 1.0
+        else:
+            prob = taken / src_ran
+        self._scan_cache[key] = prob
+        return prob
+
+    def input_size_dist(self) -> EmpiricalDistribution:
+        key = ("input_size",)
+        cached = self._scan_cache.get(key)
+        if cached is not None:
+            return cached  # type: ignore[return-value]
+        samples = [
+            s.input_bytes
+            for s in self._invocations.values()
+            if s.input_bytes is not None
+        ]
+        if samples:
+            dist = EmpiricalDistribution(samples)
+        else:
+            # No observed client inputs (e.g. model built from partial
+            # telemetry): a zero-size input keeps the estimator total.
+            dist = EmpiricalDistribution([0.0])
+        self._scan_cache[key] = dist
         return dist

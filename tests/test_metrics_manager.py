@@ -73,7 +73,7 @@ class TestIngestion:
             )
         mm.collect(10.0)
         dist = mm.execution_time_dist("a", "us-east-1")
-        assert dist.mean() == pytest.approx(2.0)
+        assert dist.support().tolist() == [1.0, 2.0, 3.0]
 
     def test_missing_region_falls_back_to_home(self, setup):
         # §7.1: new regions borrow the home region's distribution.
@@ -81,7 +81,8 @@ class TestIngestion:
         ledger.record_execution(exec_rec("a", "us-east-1", "r1", duration=5.0))
         mm.collect(10.0)
         dist = mm.execution_time_dist("a", "ca-central-1")
-        assert dist.mean() == pytest.approx(5.0)
+        assert dist is mm.execution_time_dist("a", "us-east-1")
+        assert dist.support().tolist() == [5.0]
 
     def test_no_history_anywhere_raises(self, setup):
         mm, _ = setup
@@ -102,10 +103,10 @@ class TestIngestion:
             ledger.record_execution(exec_rec("a", region, rid, duration=duration))
         mm.collect(10.0)
         home = mm.execution_time_dist("a", "us-east-1")
-        assert list(home.samples) == [4.0, 2.0, 6.0]
+        assert home.support().tolist() == [4.0, 2.0, 6.0]
         assert mm.execution_time_dist("a", "us-west-1") is home
         # Regions with their own history keep it.
-        assert mm.execution_time_dist("a", "us-west-2").mean() == 5.0
+        assert mm.execution_time_dist("a", "us-west-2").support().tolist() == [4.0, 6.0]
         with pytest.raises(ValueError, match="any region"):
             mm.execution_time_dist("b", "us-east-1")
 
@@ -116,7 +117,7 @@ class TestIngestion:
             trans_rec("a", "b", "us-east-1", "us-east-1", "r1", size=5e6)
         )
         mm.collect(10.0)
-        assert mm.edge_size_dist("a", "b").mean() == pytest.approx(5e6)
+        assert mm.edge_size_dist("a", "b").support().tolist() == [5e6]
 
     def test_edge_size_prior_fallback(self, setup):
         # There is no prior to fall back to: an edge with no payload
@@ -188,6 +189,18 @@ class TestRetention:
         mm.collect(31 * SECONDS_PER_DAY + 10)
         assert mm.invocation_count == 1
         assert mm.invocations_since(0.0) == 1
+
+    def test_expiry_alone_drops_what_was_learned(self, setup):
+        mm, ledger = setup
+        ledger.record_execution(exec_rec("a", "us-east-1", "old", start=0.0, duration=2.0))
+        ledger.record_execution(
+            exec_rec("a", "us-east-1", "new", start=SECONDS_PER_DAY, duration=3.0))
+        mm.collect(10.0)
+        assert mm.execution_time_dist("a", "us-east-1").support().tolist() == [2.0, 3.0]
+        version = mm.version
+        assert mm.collect(31 * SECONDS_PER_DAY) == 0
+        assert mm.version > version
+        assert mm.execution_time_dist("a", "us-east-1").support().tolist() == [3.0]
 
     def test_cap_evicts_fifo(self, chain_dag):
         ledger = MeteringLedger()
@@ -310,11 +323,11 @@ class TestInputSizeLearning:
             kind="data", edge="$input->a",
         ))
         mm.collect(10.0)
-        assert mm.input_size_dist().mean() == pytest.approx(7e5)
+        assert mm.input_size_dist().support().tolist() == [7e5]
 
     def test_zero_default_without_data(self, setup):
         mm, _ = setup
-        assert mm.input_size_dist().mean() == 0.0
+        assert mm.input_size_dist().support().tolist() == [0.0]
 
 
 REGIONS = ("us-east-1", "us-west-1", "us-west-2", "ca-central-1")
@@ -334,19 +347,32 @@ def diamond() -> WorkflowDAG:
 
 
 def outcome(build):
-    """A distribution's samples, or the error building it raises."""
+    """A distribution's support, or the error building it raises."""
     try:
-        return build().samples
+        return build().support().tolist()
     except ValueError as exc:
         return ("ValueError", str(exc))
+
+
+ACCESSORS = {"exec": "execution_time_dist", "edge": "edge_size_dist",
+             "prob": "edge_probability", "input": "input_size_dist"}
+
+
+def read(mm, key):
+    """One learned-data read: a support, a probability, or the error."""
+    kind, *args = key
+    answer = lambda: getattr(mm, ACCESSORS[kind])(*args)  # noqa: E731
+    return answer() if kind == "prob" else outcome(answer)
 
 
 class TestLearnedDistributionsDifferential:
     """A production manager and ``tests/control_loop_oracle.py``'s
     :class:`ScanMetricsManager` (per-key scans, record-at-a-time
     collect) over one ledger: equal stores and versions after every
-    collect, and every (node, region) and edge distribution equal,
-    asked for in the same random order of both."""
+    collect, and every learned read — each (node, region) and edge
+    distribution, each edge probability and the input sizes — equal,
+    asked for in the same random order of both, across collects,
+    expiry (also in a collect that brings no record) and eviction."""
 
     @settings(max_examples=120)
     @given(st.data())
@@ -364,7 +390,8 @@ class TestLearnedDistributionsDifferential:
         }
         edges = [(e.src, e.dst) for e in dag.edges] + [("$input", "a"), ("a", "zz")]
         keys = [("exec", n, r) for n in dag.node_names for r in REGIONS]
-        keys += [("edge", e.src, e.dst) for e in dag.edges]
+        keys += [(kind, e.src, e.dst) for e in dag.edges for kind in ("edge", "prob")]
+        keys += [("input",)]
         now, n_requests = 0.0, 0
         for _ in range(data.draw(st.integers(1, 6))):
             for _ in range(data.draw(st.integers(0, 16))):
@@ -385,29 +412,28 @@ class TestLearnedDistributionsDifferential:
                         data.draw(st.sampled_from(REGIONS)), rid, start=now,
                         size=data.draw(st.floats(0.0, 1e7)), workflow="diamond",
                     ))
+            # Time may pass with no record, so a collect expires alone.
+            now += data.draw(st.sampled_from((0.0, 0.7 * SECONDS_PER_DAY)))
             assert mm.collect(now) == ref.collect(now)
             assert mm._invocations == ref._invocations
             assert mm._info_counts == ref._info_counts
             assert mm.version == ref.version
-            for kind, x, y in data.draw(st.permutations(keys)):
-                build = "execution_time_dist" if kind == "exec" else "edge_size_dist"
-                assert outcome(lambda: getattr(mm, build)(x, y)) == outcome(
-                    lambda: getattr(ref, build)(x, y)
-                ), (build, x, y)
+            for key in data.draw(st.permutations(keys)):
+                assert read(mm, key) == read(ref, key), key
 
     def test_past_the_cap_each_distribution_keeps_the_latest(self, setup):
         mm, ledger = setup
         for i in range(2500):
             ledger.record_execution(exec_rec("a", "us-east-1", f"r{i}", duration=float(i)))
         mm.collect(10.0)
-        assert mm.execution_time_dist("a", "us-east-1").samples == tuple(
+        assert mm.execution_time_dist("a", "us-east-1").support().tolist() == [
             float(i) for i in range(500, 2500)
-        )
+        ]
 
 
 def every_read(mm, dag) -> list:
     """Every distribution and edge probability a manager serves for
-    ``dag``: samples, or the error building them raises."""
+    ``dag``: supports, or the error building them raises."""
     reads = [
         outcome(lambda n=n, r=r: mm.execution_time_dist(n, r))
         for n in dag.node_names for r in REGIONS
@@ -415,7 +441,7 @@ def every_read(mm, dag) -> list:
     for e in dag.edges:
         reads.append(outcome(lambda e=e: mm.edge_size_dist(e.src, e.dst)))
         reads.append(mm.edge_probability(e.src, e.dst))
-    return reads + [mm.input_size_dist().samples]
+    return reads + [mm.input_size_dist().support().tolist()]
 
 
 class TestTransmissionOnlyCollect:
