@@ -33,7 +33,7 @@ results to workflow B.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.cloud.provider import SimulatedCloud
 from repro.core.deployer import DeploymentUtility
@@ -142,21 +142,6 @@ class FleetManager:
         }
 
     # -- reporting ------------------------------------------------------------------
-    def summary(self) -> List[Tuple[str, int, int, float]]:
-        """(workflow, checks, solves, tokens) per managed workflow."""
-        out = []
-        for name, entry in self._entries.items():
-            manager = entry.manager
-            out.append(
-                (
-                    name,
-                    len(manager.reports),
-                    len(manager.plan_history),
-                    manager.bucket.tokens_g,
-                )
-            )
-        return out
-
     def fleet_report(self) -> Dict[str, Any]:
         """Fleet-level rollup for the run report's ``fleet`` section.
 
@@ -195,7 +180,6 @@ class FleetManager:
             }
         caches = [e.manager.evaluation_cache for e in self._entries.values()]
         return {
-            "cache_estimates": sum(c.estimates_cached for c in caches),
             "cache_invalidations": sum(c.invalidations for c in caches),
             "cache_profiles": sum(c.profiles_cached for c in caches),
             "cache_scopes": len(caches),

@@ -125,7 +125,7 @@ class DeploymentManager:
         self._pending_check: Optional["EventHandle"] = None
         self.reports: List[CheckReport] = []
         self.plan_history: List[Tuple[float, HourlyPlanSet]] = []
-        #: Profile/estimate cache surviving across check() cycles;
+        #: Profile cache surviving across check() cycles;
         #: make_evaluator() drops its entries exactly when metrics or
         #: forecasts changed (§5.2 checks often re-solve a barely-moved
         #: problem).  One per workflow, never shared: digests hash plan

@@ -99,8 +99,7 @@ class SolverStats:
         profiles_built / profile_cache_hits: :meth:`PlanEvaluator.profile`
             misses vs hits — the hit rate is the payoff of the
             hour-independent :class:`PlanProfile` re-pricing contract.
-        estimates_computed / estimate_cache_hits: Per-(plan, hour)
-            estimate misses vs hits.
+            Every estimate reads its plan's profile, so it counts here.
         bnb_nodes_expanded / bnb_nodes_pruned: Branch-and-bound search
             states expanded vs cut by the admissible bound
             (:class:`~repro.core.solver.exact.ExactSolver` only; zero
@@ -114,8 +113,6 @@ class SolverStats:
     samples_drawn: int = 0
     profiles_built: int = 0
     profile_cache_hits: int = 0
-    estimates_computed: int = 0
-    estimate_cache_hits: int = 0
     bnb_nodes_expanded: int = 0
     bnb_nodes_pruned: int = 0
     bnb_hours_solved: int = 0
@@ -131,9 +128,7 @@ class SolverStats:
             f"{self.simulations_run} simulations "
             f"({self.samples_drawn} samples), "
             f"{self.profiles_built} profiles built, "
-            f"profile cache hit rate {hit_rate:.0%}, "
-            f"{self.estimates_computed} estimates computed "
-            f"({self.estimate_cache_hits} cached)"
+            f"profile cache hit rate {hit_rate:.0%}"
         )
         if self.bnb_hours_solved:
             tightness = self.bnb_bound_tightness_pct / self.bnb_hours_solved
@@ -146,15 +141,14 @@ class SolverStats:
 
 
 class EvaluationCache:
-    """Persistent, digest-keyed store of plan profiles and estimates.
+    """Persistent, digest-keyed store of plan profiles.
 
     A :class:`PlanEvaluator` is cheap, stateless glue over its inputs;
-    the *expensive* state — Monte-Carlo :class:`PlanProfile` runs and
-    per-``(plan, hour)`` estimates — lives here, keyed by
-    :meth:`DeploymentPlan.digest` so it survives evaluator
-    reconstruction (the Deployment Manager builds a fresh evaluator on
-    every token check, §5.2, but the workload's plan space barely moves
-    between checks).
+    the *expensive* state — Monte-Carlo :class:`PlanProfile` runs —
+    lives here, keyed by :meth:`DeploymentPlan.digest` so it survives
+    evaluator reconstruction (the Deployment Manager builds a fresh
+    evaluator on every token check, §5.2, but the workload's plan space
+    barely moves between checks).
 
     Entries are only valid for one version of the learned inputs:
     callers declare the current ``(metrics_version, forecast_version)``
@@ -167,7 +161,6 @@ class EvaluationCache:
         #: Profiles :meth:`PlanEvaluator.prefetch_profiles` built that no
         #: request has asked for yet (see ``SolverStats``).
         self._prefetched: Dict[str, PlanProfile] = {}
-        self._estimates: Dict[Tuple[str, int], WorkflowEstimate] = {}
         self._version: Optional[Tuple[object, object]] = None
         #: Times :meth:`sync` dropped a populated cache (observability).
         self.invalidations = 0
@@ -178,10 +171,9 @@ class EvaluationCache:
         version = (metrics_version, forecast_version)
         if version == self._version:
             return False
-        had_entries = bool(self._profiles or self._prefetched or self._estimates)
+        had_entries = bool(self._profiles or self._prefetched)
         self._profiles.clear()
         self._prefetched.clear()
-        self._estimates.clear()
         self._version = version
         if had_entries:
             self.invalidations += 1
@@ -190,10 +182,6 @@ class EvaluationCache:
     @property
     def profiles_cached(self) -> int:
         return len(self._profiles) + len(self._prefetched)
-
-    @property
-    def estimates_cached(self) -> int:
-        return len(self._estimates)
 
 
 def requested_hours(hours: Optional[Sequence[int]]) -> List[int]:
@@ -345,11 +333,11 @@ class PlanEvaluator:
         return self._client_region
 
     def intensity(self, region: str, hour: int) -> float:
-        """The grid intensity the estimate cache prices with.
+        """The grid intensity :meth:`estimate` prices ``hour`` with.
 
         ``intensity_fn`` runs at most once per (region, hour) over the
-        evaluator's lifetime: the ``(digest, hour)`` estimate cache
-        already assumes it is a pure function for that long.
+        evaluator's lifetime, so it is taken to be a pure function for
+        that long.
         """
         return self._intensities_at(hour)[region]
 
@@ -387,10 +375,6 @@ class PlanEvaluator:
         )
 
     # -- evaluation -------------------------------------------------------------
-    @property
-    def cache(self) -> EvaluationCache:
-        return self._cache
-
     def profile(self, plan: DeploymentPlan) -> PlanProfile:
         digest = plan.digest()
         profiles = self._cache._profiles
@@ -433,16 +417,8 @@ class PlanEvaluator:
         return len(missing)
 
     def estimate(self, plan: DeploymentPlan, hour: int) -> WorkflowEstimate:
-        key = (plan.digest(), hour)
-        estimates = self._cache._estimates
-        estimate = estimates.get(key)
-        if estimate is not None:
-            self.stats.estimate_cache_hits += 1
-            return estimate
-        profile = self.profile(plan)
-        estimate = estimates[key] = profile.estimate_at(self._intensities_at(hour))
-        self.stats.estimates_computed += 1
-        return estimate
+        """``plan`` priced at ``hour``: its cached profile re-priced."""
+        return self.profile(plan).estimate_at(self._intensities_at(hour))
 
     def baseline(self, hour: int) -> WorkflowEstimate:
         """Home-region single-deployment estimate: the QoS anchor."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,8 +39,6 @@ from repro.model.dag import WorkflowDAG
 #: Retention limits from §7.2.
 MAX_INVOCATIONS = 5000
 RETENTION_DAYS = 30
-#: Derived-cache key of every key's samples (MetricsManager._learned_samples).
-_LEARNED_SAMPLES = ("learned_samples",)
 
 
 @dataclass
@@ -71,6 +69,44 @@ class InvocationSummary:
             for (_s, _d), (src_region, dst_region, _size) in self.edge_transfers.items()
         ]
         return keys
+
+
+class _Learned:
+    """What the invocation store teaches at one version, learned in one
+    pass over it in invocation order.  A distribution is built on its
+    first read (building checks its samples finite, so a bad sample
+    raises on its own key's read only) and kept for the version."""
+
+    def __init__(self, invocations: Iterable[InvocationSummary]):
+        #: (node, region) -> durations; node -> durations in any region,
+        #: one per invocation the node ran in.
+        self.durations: Dict[Tuple[str, str], List[float]] = {}
+        self.pooled: Dict[str, List[float]] = {}
+        self.sizes: Dict[Tuple[str, str], List[float]] = {}
+        #: Invocations each edge was taken in (tagged data crossed it)
+        #: while its source ran.
+        self.taken: Dict[Tuple[str, str], int] = {}
+        inputs: List[float] = []
+        for s in invocations:
+            for n, (r, dur) in s.node_executions.items():
+                self.durations.setdefault((n, r), []).append(dur)
+                self.pooled.setdefault(n, []).append(dur)
+            for edge, (_sr, _dr, size) in s.edge_transfers.items():
+                self.sizes.setdefault(edge, []).append(size)
+                if edge[0] in s.node_executions:
+                    self.taken[edge] = self.taken.get(edge, 0) + 1
+            if s.input_bytes is not None:
+                inputs.append(s.input_bytes)
+        # No observed client inputs (e.g. model built from partial
+        # telemetry): a zero-size input keeps the estimator total.
+        self.inputs = inputs or [0.0]
+        self._dists: Dict[Tuple, EmpiricalDistribution] = {}
+
+    def dist(self, key: Tuple, samples: List[float]) -> EmpiricalDistribution:
+        dist = self._dists.get(key)
+        if dist is None:
+            dist = self._dists[key] = EmpiricalDistribution(samples)
+        return dist
 
 
 class CarbonForecastProvider:
@@ -176,15 +212,12 @@ class MetricsManager:
         self._util_n: Dict[str, int] = {}
         # Declared fixed external data per node: node -> (region, bytes).
         self._external: Dict[str, Tuple[str, float]] = {}
-        # Derived-distribution cache: every estimator built over these
-        # metrics reads each (node, region) and edge key once, and a
-        # check may build several, so each key's distribution is built
-        # once per version, from every key's samples learned in one
-        # store pass (_learned_samples).  Cleared when the version
-        # moves (a collect with new records, expiry, eviction).
-        self._derived_cache: Dict[Tuple, object] = {}
+        # What the store teaches at this version, learned on the first
+        # read after it changed (a collect with new records, expiry,
+        # eviction) and dropped when it changes again.
+        self._snapshot: Optional[_Learned] = None
         #: Bumped whenever the learned model data changes (any event
-        #: that clears the derived cache); see
+        #: that drops the snapshot); see
         #: :attr:`CarbonForecastProvider.version` for the pattern.
         self.version = 0
 
@@ -237,7 +270,7 @@ class MetricsManager:
         self._expire(now_s)
         self._evict_to_cap()
         if new_executions or new_transmissions:
-            self._derived_cache.clear()
+            self._snapshot = None
             self.version += 1
         return len(new_executions)
 
@@ -333,7 +366,7 @@ class MetricsManager:
         summary = self._invocations.pop(request_id)
         for key in summary.info_keys():
             self._bump(key, -1)
-        self._derived_cache.clear()
+        self._snapshot = None
         self.version += 1
 
     # -- workflow-level statistics (token bucket inputs, §5.2) --------------
@@ -356,92 +389,44 @@ class MetricsManager:
         return float(np.mean(totals)) if totals else 0.0
 
     # -- WorkflowModelData protocol -------------------------------------------
-    def _learned_samples(
-        self,
-    ) -> Tuple[Dict[Tuple[str, str], List[float]], Dict[Tuple[str, str], List[float]]]:
-        """Every (node, region) duration list and every edge's size
-        list, from one pass over the invocation store, each in
-        invocation order; built on the first miss after the store
-        changed."""
-        cached = self._derived_cache.get(_LEARNED_SAMPLES)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        durations: Dict[Tuple[str, str], List[float]] = {}
-        sizes: Dict[Tuple[str, str], List[float]] = {}
-        for s in self._invocations.values():
-            for n, (r, dur) in s.node_executions.items():
-                durations.setdefault((n, r), []).append(dur)
-            for edge, (_sr, _dr, size) in s.edge_transfers.items():
-                sizes.setdefault(edge, []).append(size)
-        self._derived_cache[_LEARNED_SAMPLES] = (durations, sizes)
-        return durations, sizes
+    def _learned(self) -> _Learned:
+        if self._snapshot is None:
+            self._snapshot = _Learned(self._invocations.values())
+        return self._snapshot
 
     def execution_time_dist(self, node: str, region: str) -> EmpiricalDistribution:
-        key = ("exec_dist", node, region)
-        cached = self._derived_cache.get(key)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        samples = self._learned_samples()[0].get((node, region))
+        learned = self._learned()
+        samples = learned.durations.get((node, region))
         if samples:
-            dist = EmpiricalDistribution(samples)
-        else:
-            # §7.1: fall back to the home region's distribution.
-            home = self._config.home_region
-            if region != home:
-                dist = self.execution_time_dist(node, home)
-            else:
-                # A long fully-shifted run leaves no home sample in the
-                # window: pool what the node did record elsewhere, in
-                # invocation order like the per-region samples above.
-                pooled = [
-                    dur
-                    for s in self._invocations.values()
-                    for n, (_r, dur) in s.node_executions.items()
-                    if n == node
-                ]
-                if not pooled:
-                    raise ValueError(
-                        f"no execution history for node {node!r} "
-                        f"in any region (home {home!r})"
-                    )
-                dist = EmpiricalDistribution(pooled)
-        self._derived_cache[key] = dist
-        return dist
+            return learned.dist(("exec", node, region), samples)
+        # §7.1: fall back to the home region's distribution.
+        home = self._config.home_region
+        if region != home:
+            return self.execution_time_dist(node, home)
+        # A long fully-shifted run leaves no home sample in the window:
+        # pool what the node did record elsewhere, in invocation order
+        # like the per-region samples.
+        pooled = learned.pooled.get(node)
+        if not pooled:
+            raise ValueError(
+                f"no execution history for node {node!r} "
+                f"in any region (home {home!r})"
+            )
+        return learned.dist(("pooled", node), pooled)
 
     def edge_probability(self, src: str, dst: str) -> float:
-        key = ("edge_prob", src, dst)
-        cached = self._derived_cache.get(key)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        src_ran = 0
-        taken = 0
-        for s in self._invocations.values():
-            if src in s.node_executions:
-                src_ran += 1
-                # The edge was exercised iff tagged data crossed it.
-                if (src, dst) in s.edge_transfers:
-                    taken += 1
-        if src_ran == 0:
-            prob = 0.0 if self._dag.edge(src, dst).conditional else 1.0
-        elif not self._dag.edge(src, dst).conditional:
-            prob = 1.0
-        else:
-            prob = taken / src_ran
-        self._derived_cache[key] = prob
-        return prob
+        if not self._dag.edge(src, dst).conditional:
+            return 1.0
+        learned = self._learned()
+        src_ran = len(learned.pooled.get(src, ()))
+        return learned.taken.get((src, dst), 0) / src_ran if src_ran else 0.0
 
     def edge_size_dist(self, src: str, dst: str) -> EmpiricalDistribution:
-        key = ("edge_size", src, dst)
-        cached = self._derived_cache.get(key)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        samples = self._learned_samples()[1].get((src, dst))
-        if samples:
-            dist = EmpiricalDistribution(samples)
-        else:
+        learned = self._learned()
+        samples = learned.sizes.get((src, dst))
+        if not samples:
             raise ValueError(f"no payload-size history for edge {src}->{dst}")
-        self._derived_cache[key] = dist
-        return dist
+        return learned.dist(("edge", src, dst), samples)
 
     def node_memory_mb(self, node: str) -> int:
         return self._dag.node(node).memory_mb
@@ -463,29 +448,10 @@ class MetricsManager:
         return None, 0.0
 
     def input_size_dist(self) -> EmpiricalDistribution:
-        key = ("input_size",)
-        cached = self._derived_cache.get(key)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        samples = [
-            s.input_bytes
-            for s in self._invocations.values()
-            if s.input_bytes is not None
-        ]
-        if samples:
-            dist = EmpiricalDistribution(samples)
-        else:
-            # No observed client inputs (e.g. model built from partial
-            # telemetry): a zero-size input keeps the estimator total.
-            dist = EmpiricalDistribution([0.0])
-        self._derived_cache[key] = dist
-        return dist
+        learned = self._learned()
+        return learned.dist(("input",), learned.inputs)
 
     # -- carbon accessors -------------------------------------------------------
-    def carbon_at(self, region: str, time_s: float) -> float:
-        """Actual ACI at ``time_s`` (used for past/current hours)."""
-        return self._carbon.intensity_at(region, time_s)
-
     def carbon_for_hour(
         self, region: str, hour: int, use_forecast: bool = True
     ) -> float:

@@ -112,8 +112,6 @@ def build_run_report(
     if outcome.solver_stats is not None:
         s = outcome.solver_stats
         solver = {
-            "estimate_cache_hits": s.estimate_cache_hits,
-            "estimates_computed": s.estimates_computed,
             "profile_cache_hits": s.profile_cache_hits,
             "profiles_built": s.profiles_built,
             "samples_drawn": s.samples_drawn,

@@ -338,4 +338,4 @@ class TestBatchedSolverEquivalence:
         for plan in plans:
             assert_profiles_identical(eager.profile(plan), lazy.profile(plan))
         assert eager.stats == lazy.stats
-        assert eager.cache.profiles_cached == lazy.cache.profiles_cached == 6
+        assert eager.plans_profiled == lazy.plans_profiled == 6

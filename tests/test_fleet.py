@@ -139,7 +139,7 @@ class TestFleetScale:
         assert fleet["invocations_observed"] == 2 * n
         # One evaluation cache per workflow, rolled up by the report.
         assert fleet["cache_scopes"] == n
-        assert fleet["cache_estimates"] > 0
+        assert fleet["cache_profiles"] > 0
         # Unregistering drops exactly that workflow's cache.
         victim = manager.workflows[0]
         manager.unregister(victim)

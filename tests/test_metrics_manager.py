@@ -530,6 +530,8 @@ class TestLearnedDistributionsWork:
             for _ in range(3):
                 for node, region in keys:
                     mm.execution_time_dist(node, region)
-                mm.edge_size_dist("a", "b")
-                mm.edge_size_dist("b", "c")
+                for src, dst in (("a", "b"), ("b", "c")):
+                    mm.edge_size_dist(src, dst)
+                    mm.edge_probability(src, dst)
+                mm.input_size_dist()
             assert mm._invocations.passes == 1

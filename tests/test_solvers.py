@@ -151,6 +151,17 @@ class TestPlanEvaluator:
         assert p1 is p2
         assert ev.plans_profiled == 1
 
+    def test_estimate_reprices_the_profile_at_its_hour(self, chain_dag):
+        def hourly(region, hour):
+            return INTENSITY[region] * (1.0 + hour)
+
+        ev = make_evaluator(chain_dag, intensity_fn=hourly)
+        plan = DeploymentPlan.single_region(chain_dag, "us-west-2")
+        for hour in (0, 7, 23, 7):
+            assert ev.estimate(plan, hour) == ev.profile(plan).estimate_at(
+                lambda region: hourly(region, hour))
+        assert ev.estimate(plan, 0) != ev.estimate(plan, 23)
+
     def test_intensity_is_looked_up_lazily_and_once(self, chain_dag):
         calls = []
 
@@ -417,12 +428,12 @@ class TestSolverStats:
         assert ev.stats.profiles_built == 1
         assert ev.stats.simulations_run == 1
         assert ev.stats.samples_drawn > 0
-        assert ev.stats.estimates_computed == 1
-        ev.estimate(plan, 0)  # estimate cache hit
-        assert ev.stats.estimate_cache_hits == 1
-        ev.estimate(plan, 5)  # new hour: profile cache hit, new estimate
-        assert ev.stats.profile_cache_hits >= 1
-        assert ev.stats.estimates_computed == 2
+        assert ev.stats.profile_cache_hits == 0
+        # Every later estimate, same hour or not, re-prices the profile.
+        assert ev.estimate(plan, 0) == ev.estimate(plan, 0)
+        ev.estimate(plan, 5)
+        assert ev.stats.profiles_built == 1
+        assert ev.stats.profile_cache_hits == 3
         assert ev.stats.simulations_run == 1  # no re-simulation
 
     def test_shared_stats_object(self, chain_dag):
@@ -449,7 +460,7 @@ class TestSolverStats:
 
 _COUNTER_FIELDS = (
     "simulations_run", "samples_drawn", "profiles_built",
-    "profile_cache_hits", "estimates_computed", "estimate_cache_hits",
+    "profile_cache_hits",
 )
 
 
@@ -601,7 +612,7 @@ class TestEvaluationCache:
         ev2.estimate(ev2.home_plan(), 0)
         assert ev2.stats.profiles_built == 0
         assert ev2.stats.simulations_run == 0
-        assert ev2.stats.estimate_cache_hits == 1
+        assert ev2.stats.profile_cache_hits == 1
 
     def test_sync_invalidates_on_version_change(self, chain_dag):
         from repro.core.solver import EvaluationCache
@@ -614,7 +625,6 @@ class TestEvaluationCache:
         assert cache.profiles_cached == 1
         assert cache.sync(2, None) is True   # new metrics: drop all
         assert cache.profiles_cached == 0
-        assert cache.estimates_cached == 0
         assert cache.invalidations == 1
 
     def test_plan_digest_keyed(self, chain_dag):
