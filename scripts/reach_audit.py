@@ -28,20 +28,26 @@ The report prints four numbers -- functions, ran, outermost unrun, and
 the lines those outermost defs span -- then each outermost unrun def as
 ``path:line qualname (lines)``.  The unit tests never run the full
 audit (it takes minutes); they check the matcher on a fixture module.
+
+Records name defs by line, so they only match the source they were
+made from.  The audit hashes every ``src/repro`` file when it starts
+and again before it reports; if any file changed in between, it names
+the files and exits 2 instead of matching stale records.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -184,12 +190,31 @@ def summarise(defs: Sequence[Def], records: Set[Record]) -> Summary:
     )
 
 
-def package_defs(package: pathlib.Path = PACKAGE) -> List[Def]:
+def package_defs(package: pathlib.Path) -> List[Def]:
+    """Every def under ``package``, one file after another; ``parent``
+    indexes this combined list."""
     defs: List[Def] = []
     for path in sorted(package.rglob("*.py")):
         resolved = str(path.resolve())
-        defs.extend(collect_defs(resolved, path.read_text(encoding="utf-8")))
+        offset = len(defs)
+        defs.extend(
+            d if d.parent is None else replace(d, parent=d.parent + offset)
+            for d in collect_defs(resolved, path.read_text(encoding="utf-8"))
+        )
     return defs
+
+
+def source_hashes(package: pathlib.Path) -> Dict[str, str]:
+    """SHA-256 of every ``.py`` file under ``package``, by path."""
+    return {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(package.rglob("*.py"))
+    }
+
+
+def changed_files(before: Dict[str, str], after: Dict[str, str]) -> List[str]:
+    """Files added, removed or edited between two :func:`source_hashes`."""
+    return sorted(p for p in before.keys() | after.keys() if before.get(p) != after.get(p))
 
 
 def load_records(records_dir: pathlib.Path) -> Set[Record]:
@@ -296,13 +321,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.no_run and args.records is None:
         parser.error("--no-run needs --records")
+    hashes = source_hashes(PACKAGE)
     with tempfile.TemporaryDirectory() as tmp:
         records_dir = args.records or pathlib.Path(tmp)
         records_dir.mkdir(parents=True, exist_ok=True)
         if not args.no_run:
             run_all(records_dir)
         records = load_records(records_dir)
-    for line in report(summarise(package_defs(), records)):
+    changed = changed_files(hashes, source_hashes(PACKAGE))
+    if changed:
+        print("src/repro changed during the audit, so its call records no "
+              "longer match the source:", file=sys.stderr)
+        for path in changed:
+            print(f"  {os.path.relpath(path, REPO_ROOT)}", file=sys.stderr)
+        return 2
+    for line in report(summarise(package_defs(PACKAGE), records)):
         print(line)
     return 0
 

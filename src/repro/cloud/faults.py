@@ -117,10 +117,6 @@ class FaultRule:
             return False
         return True
 
-    def joins(self, region_a: str, region_b: str) -> bool:
-        """Whether a partition rule separates ``region_a`` and ``region_b``."""
-        return {self.src_region, self.dst_region} == {region_a, region_b}
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -354,8 +350,10 @@ class FaultInjector:
         """
         if region_a == region_b or not self._by_kind["network_partition"]:
             return False
+        pair = {region_a, region_b}
         return any(
-            r.joins(region_a, region_b) for r in self._active("network_partition")
+            {r.src_region, r.dst_region} == pair
+            for r in self._active("network_partition")
         )
 
 
@@ -387,15 +385,6 @@ class ReliabilityStats:
     @property
     def total_injected(self) -> int:
         return sum(self.injected.values())
-
-    @property
-    def tracked_requests(self) -> int:
-        """Every request accounted for: completed, failed, or timed out."""
-        return (
-            self.completed_requests
-            + self.failed_requests
-            + self.timed_out_requests
-        )
 
     def summary(self) -> str:
         injected = (

@@ -135,10 +135,6 @@ class FaasContext:
     def end_s(self) -> float:
         return self.start_s + self.duration_s
 
-    @property
-    def n_vcpu(self) -> float:
-        return self.memory_mb / MEMORY_MB_PER_VCPU
-
 
 @functools.cache
 def _region_speed_factor(region: str) -> float:

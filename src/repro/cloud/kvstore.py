@@ -34,6 +34,10 @@ if TYPE_CHECKING:
     from repro.cloud.faults import FaultInjector
     from repro.obs.trace import Tracer
 
+#: Single-digit-millisecond request latency that DynamoDB exhibits even
+#: for local callers, seconds.
+BASE_LATENCY_S = 0.004
+
 
 def _snapshot(value: Any) -> Any:
     """Deep-copy a stored value the fast way.
@@ -70,7 +74,6 @@ class KeyValueStore:
         region: str,
         latency_source: LatencySource,
         ledger: MeteringLedger,
-        base_latency_s: float = 0.004,
         faults: Optional["FaultInjector"] = None,
         tracer: Optional["Tracer"] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -80,8 +83,6 @@ class KeyValueStore:
         region: Region hosting the store.
         latency_source: For cross-region access RTTs.
         ledger: Metering sink.
-        base_latency_s: Single-digit-millisecond request latency that
-            DynamoDB exhibits even for local callers.
         faults: Optional fault injector (KV op errors, latency
             inflation, host-region outages).
         tracer: Span tracer (one ``kv`` span per operation).
@@ -91,7 +92,6 @@ class KeyValueStore:
         self.region = region
         self._latency = latency_source
         self._ledger = ledger
-        self._base_latency = base_latency_s
         self._faults = faults
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics if metrics is not None else NULL_METRICS
@@ -123,9 +123,9 @@ class KeyValueStore:
 
     def _access_latency(self, caller_region: str) -> float:
         if caller_region == self.region:
-            latency = self._base_latency
+            latency = BASE_LATENCY_S
         else:
-            latency = self._base_latency + self._latency.rtt(caller_region, self.region)
+            latency = BASE_LATENCY_S + self._latency.rtt(caller_region, self.region)
         if self._faults is not None:
             latency *= self._faults.kv_latency_factor(self.region)
         return latency
@@ -303,21 +303,20 @@ class KeyValueStore:
         self,
         table: str,
         key: str,
-        amount: float = 1.0,
         caller_region: Optional[str] = None,
         workflow: str = "",
         request_id: str = "",
     ) -> Tuple[float, float]:
-        """Atomic counter increment.  Returns ``(new_value, latency)``."""
+        """Atomic counter increment by one.  Returns ``(new_value, latency)``."""
 
         def bump(current: Any) -> float:
             if current is None:
-                return amount
+                return 1.0
             if not isinstance(current, (int, float)):
                 raise KeyValueStoreError(
                     f"{table}/{key} holds non-numeric value {current!r}"
                 )
-            return current + amount
+            return current + 1.0
 
         return self.update(
             table,

@@ -33,9 +33,11 @@ SIZE_BUCKETS = (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)
 #: Effective cross-region throughput for serverless payloads, bytes/sec.
 #: (Conservative relative to backbone capacity: per-connection TCP over
 #: long fat pipes, as SNS/Lambda payload hops see in practice.)
-DEFAULT_INTER_REGION_BANDWIDTH = 40e6
+INTER_REGION_BANDWIDTH = 40e6
 #: Intra-region service-to-service throughput, bytes/sec.
-DEFAULT_INTRA_REGION_BANDWIDTH = 200e6
+INTRA_REGION_BANDWIDTH = 200e6
+#: Relative standard deviation of a transfer's multiplicative jitter.
+JITTER_STD = 0.08
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,6 @@ class Network:
         env: SimulationEnvironment,
         latency_source: LatencySource,
         ledger: MeteringLedger,
-        inter_region_bandwidth: float = DEFAULT_INTER_REGION_BANDWIDTH,
-        intra_region_bandwidth: float = DEFAULT_INTRA_REGION_BANDWIDTH,
-        jitter_std: float = 0.08,
         faults: Optional["FaultInjector"] = None,
         tracer: Optional["Tracer"] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -69,9 +68,6 @@ class Network:
         self._faults = faults
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics if metrics is not None else NULL_METRICS
-        self._inter_bw = inter_region_bandwidth
-        self._intra_bw = intra_region_bandwidth
-        self._jitter_std = jitter_std
         self._rng = env.rng.get("network")
         # Per-instance instrument cache: transfers happen per message at
         # open-loop rates and registry lookups (key formatting + dict
@@ -90,11 +86,11 @@ class Network:
         if size_bytes < 0:
             raise ValueError(f"size_bytes must be non-negative, got {size_bytes}")
         propagation = self._latency.one_way(src, dst)
-        bandwidth = self._intra_bw if src == dst else self._inter_bw
+        bandwidth = INTRA_REGION_BANDWIDTH if src == dst else INTER_REGION_BANDWIDTH
         serialisation = size_bytes / bandwidth
         base = propagation + serialisation
-        if jitter and self._jitter_std > 0:
-            base *= max(0.2, 1.0 + self._rng.normal(0.0, self._jitter_std))
+        if jitter:
+            base *= max(0.2, 1.0 + self._rng.normal(0.0, JITTER_STD))
         return base
 
     def transfer(

@@ -64,8 +64,6 @@ class PubSubService:
         env: SimulationEnvironment,
         network: Network,
         ledger: MeteringLedger,
-        publish_overhead_s: float = PUBLISH_OVERHEAD_S,
-        delivery_overhead_s: float = DELIVERY_OVERHEAD_S,
         faults: Optional["FaultInjector"] = None,
         tracer: Optional["Tracer"] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -76,8 +74,6 @@ class PubSubService:
         self._faults = faults
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics if metrics is not None else NULL_METRICS
-        self._publish_overhead = publish_overhead_s
-        self._delivery_overhead = delivery_overhead_s
         self._topics: Dict[Tuple[str, str], _Topic] = {}
         self._dead_letters: List[Tuple[str, Message, str]] = []
         self._retries_by_workflow: Dict[str, int] = {}
@@ -231,7 +227,7 @@ class PubSubService:
                 kind="data",
                 edge=edge_label or f"publish:{name}",
             )
-            arrival_delay = self._publish_overhead + transfer.latency_s
+            arrival_delay = PUBLISH_OVERHEAD_S + transfer.latency_s
             # The span covers publish acceptance until the message is
             # handed to the topic's region (delivery attempts follow).
             span.end_at(self._env.now() + arrival_delay)
@@ -239,7 +235,7 @@ class PubSubService:
                 arrival_delay,
                 lambda: self._attempt_delivery(topic, message, attempt=1),
             )
-        return self._publish_overhead
+        return PUBLISH_OVERHEAD_S
 
     def _attempt_delivery(self, topic: _Topic, message: Message, attempt: int) -> None:
         def deliver() -> None:
@@ -271,7 +267,7 @@ class PubSubService:
                 )
             ctr.inc()
 
-        self._env.schedule(self._delivery_overhead, deliver)
+        self._env.schedule(DELIVERY_OVERHEAD_S, deliver)
 
     def _fail(
         self,

@@ -104,23 +104,9 @@ class EventHandle:
         return True
 
     @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
     def pending(self) -> bool:
         """True while the event is scheduled and not yet run/cancelled."""
         return self._event.state == _PENDING
-
-    @property
-    def executed(self) -> bool:
-        """True once the event's action has run."""
-        return self._event.state == _EXECUTED
-
-    @property
-    def cancelled(self) -> bool:
-        """True when the event was cancelled before running."""
-        return self._event.state == _CANCELLED
 
 
 class RepeatingEvent:

@@ -42,15 +42,9 @@ class StepFunctionsService:
     baseline runs single-region).
     """
 
-    def __init__(
-        self,
-        env: SimulationEnvironment,
-        region: str,
-        transition_overhead_s: float = TRANSITION_OVERHEAD_S,
-    ):
+    def __init__(self, env: SimulationEnvironment, region: str):
         self._env = env
         self.region = region
-        self._overhead = transition_overhead_s
         self._executions: Dict[str, _ExecutionState] = {}
         self._transitions = 0
 
@@ -67,7 +61,7 @@ class StepFunctionsService:
     def transition_delay(self) -> float:
         """Charge one state transition and return its latency."""
         self._transitions += 1
-        return self._overhead
+        return TRANSITION_OVERHEAD_S
 
     def record_arrival(self, execution_id: str, node: str) -> int:
         """Count a predecessor arrival at a fan-in state.

@@ -10,7 +10,6 @@ experiment seed using ``SeedSequence.spawn``-style keying.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from typing import Dict
 
@@ -37,10 +36,6 @@ class RngRegistry:
         self._seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def get(self, name: str) -> np.random.Generator:
         """Return the stream for ``name``, creating it on first use.
 
@@ -52,36 +47,3 @@ class RngRegistry:
                 derive_seed(self._seed, name)
             )
         return self._streams[name]
-
-    def fresh(self, name: str) -> np.random.Generator:
-        """Return a brand-new generator for ``name`` (resets the stream)."""
-        self._streams[name] = np.random.default_rng(derive_seed(self._seed, name))
-        return self._streams[name]
-
-    def snapshot(self) -> Dict[str, dict]:
-        """Capture every stream's bit-generator state.
-
-        The returned mapping is independent of later draws; pass it to
-        :meth:`restore` to rewind the registry (used by test fixtures to
-        guarantee a failing chaos test cannot leak advanced RNG state
-        into later tests sharing the registry).
-        """
-        return {
-            name: copy.deepcopy(gen.bit_generator.state)
-            for name, gen in self._streams.items()
-        }
-
-    def restore(self, state: Dict[str, dict]) -> None:
-        """Rewind to a :meth:`snapshot`.
-
-        Streams created after the snapshot are re-derived from the root
-        seed on next :meth:`get`, exactly as if they had never existed.
-        """
-        for name in list(self._streams):
-            if name not in state:
-                del self._streams[name]
-        for name, bg_state in state.items():
-            self.get(name).bit_generator.state = copy.deepcopy(bg_state)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngRegistry(seed={self._seed}, streams={sorted(self._streams)})"

@@ -32,7 +32,7 @@ from repro.model.plan import DeploymentPlan, HourlyPlanSet
 
 #: Default container image size: a Python Lambda image with typical
 #: scientific dependencies (§6.1 packages source into Docker images).
-DEFAULT_IMAGE_SIZE_BYTES = mb(250)
+IMAGE_SIZE_BYTES = mb(250)
 
 
 class DeploymentUtility:
@@ -47,7 +47,6 @@ class DeploymentUtility:
         workflow: Workflow,
         config: WorkflowConfig,
         kv_region: Optional[str] = None,
-        image_size_bytes: float = DEFAULT_IMAGE_SIZE_BYTES,
     ) -> Tuple[DeployedWorkflow, CaribouExecutor]:
         """Initial deployment to the home region.
 
@@ -68,7 +67,7 @@ class DeploymentUtility:
                 home,
                 self._image_name(deployed, spec),
                 workflow.version,
-                image_size_bytes,
+                IMAGE_SIZE_BYTES,
             )
             self.deploy_function(deployed, executor, spec, home)
 

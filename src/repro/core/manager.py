@@ -42,7 +42,7 @@ from repro.model.plan import HourlyPlanSet
 #: How long a generated plan set stays valid before traffic falls back
 #: to the home region (§5.2 "DPs expire to account for the dynamic
 #: factors influencing optimality").
-DEFAULT_PLAN_LIFETIME_S = 3 * SECONDS_PER_DAY
+PLAN_LIFETIME_S = 3 * SECONDS_PER_DAY
 
 
 @dataclass
@@ -80,7 +80,6 @@ class DeploymentManager:
         scenario: TransmissionScenario,
         solver_settings: SolverSettings = SolverSettings(),
         trigger_settings: TriggerSettings = TriggerSettings(),
-        plan_lifetime_s: float = DEFAULT_PLAN_LIFETIME_S,
         use_token_bucket: bool = True,
         use_forecast: bool = True,
         fixed_granularity: int = 24,
@@ -91,7 +90,6 @@ class DeploymentManager:
         self._cloud = deployed.cloud
         self._scenario = scenario
         self._solver_settings = solver_settings
-        self._plan_lifetime = plan_lifetime_s
         self._use_token_bucket = use_token_bucket
         self._use_forecast = use_forecast
         if not 1 <= fixed_granularity <= 24:
@@ -322,7 +320,7 @@ class DeploymentManager:
         warm_start = self.plan_history[-1][1] if self.plan_history else None
         plan_set, _results = solver.solve_day(hours, warm_start=warm_start)
         plan_set.created_at_s = now
-        plan_set.expires_at_s = now + self._plan_lifetime
+        plan_set.expires_at_s = now + PLAN_LIFETIME_S
         self.plan_history.append((now, plan_set))
         return self.migrator.migrate(plan_set)
 

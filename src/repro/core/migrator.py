@@ -70,11 +70,6 @@ class DeploymentMigrator:
             if not functions.is_deployed(self._d.name, fn, region)
         )
 
-    @property
-    def pending(self) -> Optional[HourlyPlanSet]:
-        """A solved-but-not-yet-activated plan set awaiting retry."""
-        return self._pending
-
     # -- migration ----------------------------------------------------------------
     def migrate(self, plan_set: HourlyPlanSet) -> MigrationReport:
         """Deploy whatever the plan set needs, then activate it.

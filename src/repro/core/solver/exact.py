@@ -381,33 +381,6 @@ class LowerBoundTables:
                 )
         return arrival + self.dur_min[i][region]
 
-    # -- whole-plan bounds ---------------------------------------------------
-    def plan_lower_bounds(
-        self, plan: DeploymentPlan, hour: int
-    ) -> Tuple[float, float, float]:
-        """``(carbon_g, cost_usd, latency_s)`` floors for a full plan.
-
-        Every Monte-Carlo sample of the plan — hence every mean and
-        every p95 tail — is at least these values, which is what lets
-        full enumeration discard provably tolerance-dead plans without
-        simulating them.
-        """
-        layer = self.hour_layer(hour)
-        assigned: List[str] = []
-        finishes: List[float] = []
-        carbon_g = 0.0
-        cost_usd = 0.0
-        latency_s = 0.0
-        for i, name in enumerate(self.order):
-            region = plan.region_of(name)
-            carbon_g += self.carbon_term(layer, i, region, assigned)
-            cost_usd += self.cost_term(i, region, assigned)
-            finish = self.finish_bound(i, region, assigned, finishes)
-            latency_s = max(latency_s, finish)
-            assigned.append(region)
-            finishes.append(finish)
-        return carbon_g, cost_usd, latency_s
-
 
 class ExactSolver:
     """Best-first branch-and-bound: provably optimal plan per hour.

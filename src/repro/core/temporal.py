@@ -60,14 +60,6 @@ class ShiftDecision:
     scheduled_at_s: float
     slot_intensities: Dict[float, float]
 
-    @property
-    def delay_s(self) -> float:
-        return self.scheduled_at_s - self.submitted_at_s
-
-    @property
-    def chosen_intensity(self) -> float:
-        return self.slot_intensities[self.scheduled_at_s]
-
 
 class TemporalShifter:
     """Queues delay-tolerant invocations to low-carbon slots."""

@@ -81,17 +81,16 @@ def generate_carbon_trace(
     grid_zone: str,
     hours: int,
     seed: int = 0,
-    start_hour_of_day: int = 0,
 ) -> np.ndarray:
     """Generate an hourly carbon-intensity series for ``grid_zone``.
+
+    Sample 0 is midnight (UTC-ish), where the paper's window starts.
 
     Args:
         grid_zone: Key into :data:`GRID_PROFILES`.
         hours: Length of the series.
         seed: Experiment seed; traces for different zones are independent
             streams derived from it.
-        start_hour_of_day: Hour of day of sample 0 (UTC-ish; the paper's
-            window starts at midnight).
 
     Returns:
         Array of ``hours`` values in gCO2eq/kWh, strictly positive.
@@ -107,7 +106,7 @@ def generate_carbon_trace(
         ) from None
 
     rng = RngRegistry(seed).get(f"carbon:{grid_zone}")
-    t = np.arange(hours, dtype=float) + start_hour_of_day
+    t = np.arange(hours, dtype=float)
 
     diurnal = profile.diurnal_amplitude * np.cos(
         2.0 * math.pi * (t - profile.diurnal_phase_hours) / 24.0

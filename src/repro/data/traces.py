@@ -42,7 +42,6 @@ def azure_like_trace(
     peak_hour: float = 14.0,
     burstiness: float = 2.0,
     seed: int = 0,
-    stream: str = "trace",
 ) -> InvocationTrace:
     """Generate a bursty, diurnal invocation trace.
 
@@ -57,7 +56,6 @@ def azure_like_trace(
             1.0 is Poisson, larger values are burstier (gamma renewal
             process, the standard over-dispersed traffic model).
         seed: Experiment seed.
-        stream: RNG stream name, so multiple traces from one seed differ.
 
     Returns:
         An :class:`InvocationTrace` with timestamps sorted ascending.
@@ -71,7 +69,7 @@ def azure_like_trace(
     if burstiness <= 0:
         raise ValueError("burstiness must be positive")
 
-    rng = RngRegistry(seed).get(f"trace:{stream}")
+    rng = RngRegistry(seed).get("trace:trace")
     duration = days * SECONDS_PER_DAY
     base_rate = mean_daily_invocations / SECONDS_PER_DAY  # events/sec
 

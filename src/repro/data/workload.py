@@ -172,11 +172,6 @@ class ArrivalTrace:
     def __len__(self) -> int:
         return len(self.times)
 
-    @property
-    def mean_rate_per_s(self) -> float:
-        """Realised request rate over the horizon."""
-        return len(self.times) / self.spec.duration_s
-
     def shifted(self, start_s: float) -> "ArrivalTrace":
         """The same arrivals re-anchored at a new virtual start time."""
         delta = start_s - self.spec.start_s

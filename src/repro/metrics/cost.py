@@ -78,11 +78,9 @@ class CostModel:
         :meth:`transmission_cost` multiplies the payload (in GB) by."""
         return self._pricing.egress_per_gb(src_region, dst_region)
 
-    def messaging_cost(self, region: str, n_publishes: int = 1) -> float:
-        """SNS publish cost in ``region``."""
-        if n_publishes < 0:
-            raise ValueError("n_publishes must be non-negative")
-        return self._pricing.prices(region).sns_publish * n_publishes
+    def messaging_cost(self, region: str) -> float:
+        """Cost of one SNS publish in ``region``."""
+        return self._pricing.prices(region).sns_publish
 
     def kv_cost(
         self, region: str, n_reads: int = 0, n_writes: int = 0

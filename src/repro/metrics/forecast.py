@@ -67,16 +67,11 @@ class HoltWintersForecaster:
         self._level: Optional[float] = None
         self._trend: Optional[float] = None
         self._season: Optional[np.ndarray] = None
-        self._fitted_params: Optional[HoltWintersParams] = None
         self._n_observed = 0
 
     @property
     def is_fitted(self) -> bool:
         return self._level is not None
-
-    @property
-    def fitted_params(self) -> Optional[HoltWintersParams]:
-        return self._fitted_params
 
     def fit(self, series: Sequence[float]) -> "HoltWintersForecaster":
         """Fit on a history of at least two full seasons.
@@ -99,7 +94,6 @@ class HoltWintersForecaster:
 
         level, trend, season = self._run_smoothing(y, params)
         self._level, self._trend, self._season = level, trend, season
-        self._fitted_params = params
         self._n_observed = len(y)
         return self
 

@@ -15,30 +15,20 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.cloud.network import (
-    DEFAULT_INTER_REGION_BANDWIDTH,
-    DEFAULT_INTRA_REGION_BANDWIDTH,
-)
+from repro.cloud.network import INTER_REGION_BANDWIDTH, INTRA_REGION_BANDWIDTH
 from repro.data.latency import LatencySource
 
 
 class TransferLatencyModel:
     """CloudPing-style latency estimates (no jitter — model, not sample)."""
 
-    def __init__(
-        self,
-        latency_source: LatencySource,
-        inter_region_bandwidth: float = DEFAULT_INTER_REGION_BANDWIDTH,
-        intra_region_bandwidth: float = DEFAULT_INTRA_REGION_BANDWIDTH,
-    ):
+    def __init__(self, latency_source: LatencySource):
         self._latency = latency_source
-        self._inter_bw = inter_region_bandwidth
-        self._intra_bw = intra_region_bandwidth
 
     def route_terms(self, src: str, dst: str) -> Tuple[float, float]:
         """``(one-way latency s, bandwidth bytes/s)`` of the route: the
         two scalars :meth:`estimate` combines with the payload size."""
-        bandwidth = self._intra_bw if src == dst else self._inter_bw
+        bandwidth = INTRA_REGION_BANDWIDTH if src == dst else INTER_REGION_BANDWIDTH
         return self._latency.one_way(src, dst), bandwidth
 
     def estimate(self, src: str, dst: str, size_bytes: float) -> float:

@@ -176,11 +176,6 @@ class HourlyPlanSet:
     def hours(self) -> Tuple[int, ...]:
         return tuple(sorted(self._plans))
 
-    @property
-    def granularity(self) -> int:
-        """Number of distinct hourly slots in this set."""
-        return len(self._plans)
-
     def distinct_plans(self) -> Tuple[DeploymentPlan, ...]:
         seen = []
         for hour in sorted(self._plans):

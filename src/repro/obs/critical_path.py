@@ -312,7 +312,12 @@ def analyze_trace(source: Union[Tracer, Sequence[Span]]) -> TraceAnalysis:
     """Critical-path decomposition of every tracked request, in
     first-seen request order."""
     spans = _as_spans(source)
+    # One pass partitions the trace, so each request's sweep reads only
+    # its own spans (in trace order) instead of the whole trace.
+    by_request: Dict[str, List[Span]] = {}
+    for span in spans:
+        by_request.setdefault(span.request_id, []).append(span)
     order = dict.fromkeys(s.request_id for s in spans if s.kind == "request")
     return TraceAnalysis(
-        requests=[compute_critical_path(spans, rid) for rid in order]
+        requests=[compute_critical_path(by_request[rid], rid) for rid in order]
     )

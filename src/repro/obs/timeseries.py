@@ -131,13 +131,6 @@ class WindowedSampler:
         self._baseline()
         self._repeating = env.every(self.window_s, self._flush)
 
-    def arm(self) -> None:
-        """Resume boundary flushes after the queue drained (no-op while
-        armed).  Call before scheduling a new batch of work."""
-        if self._repeating is None:
-            raise RuntimeError("attach() the sampler to an environment first")
-        self._repeating.arm()
-
     def close(self) -> None:
         """Flush the final (possibly partial) window and detach."""
         if self._env is None:

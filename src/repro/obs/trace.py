@@ -220,14 +220,13 @@ class Tracer:
         t0: Optional[float],
         workflow: str,
         request_id: str,
-        parent_id: Optional[int],
         attrs: Dict[str, Any],
     ) -> Span:
-        if parent_id is None:
-            if self._stack:
-                parent_id = self._stack[-1].span_id
-            elif request_id and request_id in self._request_roots:
-                parent_id = self._request_roots[request_id].span_id
+        parent_id = None
+        if self._stack:
+            parent_id = self._stack[-1].span_id
+        elif request_id and request_id in self._request_roots:
+            parent_id = self._request_roots[request_id].span_id
         span = Span(
             span_id=self._next_id,
             kind=kind,
@@ -257,7 +256,6 @@ class Tracer:
         t1: Optional[float] = None,
         workflow: str = "",
         request_id: str = "",
-        parent_id: Optional[int] = None,
         **attrs: Any,
     ) -> Optional[Span]:
         """Record a closed span in one shot (defaults to a point in
@@ -265,7 +263,7 @@ class Tracer:
         """
         if self._suppressed(request_id):
             return None
-        span = self._new_span(kind, name, t0, workflow, request_id, parent_id, attrs)
+        span = self._new_span(kind, name, t0, workflow, request_id, attrs)
         span.t1 = t1 if t1 is not None else span.t0
         return span
 
@@ -277,7 +275,6 @@ class Tracer:
         t0: Optional[float] = None,
         workflow: str = "",
         request_id: str = "",
-        parent_id: Optional[int] = None,
         **attrs: Any,
     ):
         """Open a span as a context manager; synchronous children nest.
@@ -285,7 +282,7 @@ class Tracer:
         synchronous descendants."""
         if self._suppressed(request_id):
             return self._drop_scope
-        span = self._new_span(kind, name, t0, workflow, request_id, parent_id, attrs)
+        span = self._new_span(kind, name, t0, workflow, request_id, attrs)
         return _SpanScope(self, span)
 
     # -- request lifecycle ----------------------------------------------------
@@ -300,7 +297,7 @@ class Tracer:
             self._dropped_requests.add(request_id)
             return None
         span = self._new_span(
-            "request", request_id, None, workflow, request_id, None, {}
+            "request", request_id, None, workflow, request_id, {}
         )
         self._request_roots[request_id] = span
         return span

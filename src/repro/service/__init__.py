@@ -30,7 +30,6 @@ from repro.service.jobstore import (
     JOB_STATES,
     JobRecord,
     JobStore,
-    KVJobStore,
     LocalJobStore,
     MemoryJobStore,
     MONITORING,
@@ -49,7 +48,6 @@ __all__ = [
     "JOB_STATES",
     "JobRecord",
     "JobStore",
-    "KVJobStore",
     "LocalJobStore",
     "MemoryJobStore",
     "MONITORING",

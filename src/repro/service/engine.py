@@ -46,8 +46,8 @@ from repro.core.api import Workflow
 from repro.core.deployer import DeploymentUtility
 from repro.core.executor import CaribouExecutor, DeployedWorkflow
 from repro.core.fleet import FleetManager
-from repro.core.lifecycle import solve_plan_set, warm_up
-from repro.core.manager import DEFAULT_PLAN_LIFETIME_S
+from repro.core.lifecycle import HOME_REGION, solve_plan_set, warm_up
+from repro.core.manager import PLAN_LIFETIME_S
 from repro.core.migrator import DeploymentMigrator
 from repro.core.solver import SolverSettings, SolverStats
 from repro.core.trigger import TriggerSettings
@@ -74,6 +74,16 @@ from repro.service.jobstore import (
 SERVICE_SOLVER_SETTINGS = SolverSettings(
     batch_size=30, max_samples=60, cov_threshold=0.2
 )
+#: Invocations run on a fresh deployment before its first solve, so the
+#: Metrics Manager has history to learn from.
+WARMUP_INVOCATIONS = 6
+#: A step that fails this many times fails its job.
+MAX_ATTEMPTS = 3
+#: Virtual-time backoff before a failed step's first retry; it doubles
+#: with every further attempt.
+BACKOFF_S = 300.0
+#: Virtual time a job's manager runs for once the job reaches MONITORING.
+MONITOR_HORIZON_S = SECONDS_PER_DAY
 
 #: step name per transition, in pipeline order.
 STEP_OF_TRANSITION: Dict[str, str] = {
@@ -101,24 +111,11 @@ class ServiceEngine:
         self,
         cloud: SimulatedCloud,
         store: JobStore,
-        scenario: Optional[TransmissionScenario] = None,
-        solver_settings: SolverSettings = SERVICE_SOLVER_SETTINGS,
         trigger_settings: Optional[TriggerSettings] = None,
-        home_region: str = "us-east-1",
-        warmup_invocations: int = 6,
-        max_attempts: int = 3,
-        backoff_s: float = 300.0,
-        monitor_horizon_s: float = SECONDS_PER_DAY,
     ):
         self._cloud = cloud
         self._store = store
-        self._scenario = scenario or TransmissionScenario.best_case()
-        self._solver_settings = solver_settings
-        self._home_region = home_region
-        self._warmup_invocations = warmup_invocations
-        self._max_attempts = max_attempts
-        self._backoff_s = backoff_s
-        self._monitor_horizon_s = monitor_horizon_s
+        self._scenario = TransmissionScenario.best_case()
         self.utility = DeploymentUtility(cloud)
         # The fleet runs without the token bucket: the service pipeline
         # promises a solve on the way to MONITORING, and the bench/CLI
@@ -127,7 +124,7 @@ class ServiceEngine:
             cloud,
             self.utility,
             self._scenario,
-            solver_settings=solver_settings,
+            solver_settings=SERVICE_SOLVER_SETTINGS,
             trigger_settings=trigger_settings or TriggerSettings(),
             use_forecast=False,
             use_token_bucket=False,
@@ -163,7 +160,7 @@ class ServiceEngine:
         # not collide in the fleet registry or the KV tables.
         wf.name = record.job_id
         config = default_config(
-            home_region=self._home_region, benchmarking_fraction=0.0
+            home_region=HOME_REGION, benchmarking_fraction=0.0
         )
         return JobRuntime(workflow=wf, config=config)
 
@@ -331,17 +328,17 @@ class ServiceEngine:
         deployed, executor = runtime.deployed, runtime.executor
         assert deployed is not None and executor is not None
         source = self._builders.get(record.app) or get_app(record.app)
-        warm_up(executor, source, record.input_size, n=self._warmup_invocations)
+        warm_up(executor, source, record.input_size, n=WARMUP_INVOCATIONS)
         plan_set = solve_plan_set(
             deployed,
             executor,
             self._scenario,
-            solver_settings=self._solver_settings,
+            solver_settings=SERVICE_SOLVER_SETTINGS,
             stats=self.solver_stats,
         )
         now = self._cloud.now()
         plan_set.created_at_s = now
-        plan_set.expires_at_s = now + DEFAULT_PLAN_LIFETIME_S
+        plan_set.expires_at_s = now + PLAN_LIFETIME_S
         # The expensive output is durable: recovery re-applies this
         # dict instead of re-running the solver.
         record.artifacts["plan_set"] = plan_set.to_dict()
@@ -373,7 +370,7 @@ class ServiceEngine:
         else:  # replay after crash-before-persist
             manager = self.fleet.manager_for(record.job_id)
             manager.stop()
-        manager.run_for(self._monitor_horizon_s)
+        manager.run_for(MONITOR_HORIZON_S)
 
     # -- retry / backoff -----------------------------------------------------
     def _note_failure(
@@ -382,12 +379,12 @@ class ServiceEngine:
         now = self._cloud.now()
         attempts = record.attempts.get(step, 0) + 1
         record.attempts[step] = attempts
-        if attempts >= self._max_attempts:
+        if attempts >= MAX_ATTEMPTS:
             record.fail(now, error=f"{step}: {exc!r}", step=step)
             self._count_transition("FAILED")
         else:
             # Exponential backoff in virtual time.
-            record.not_before_s = now + self._backoff_s * 2 ** (attempts - 1)
+            record.not_before_s = now + BACKOFF_S * 2 ** (attempts - 1)
             record.journal.append(
                 JournalEntry(
                     time_s=now,
@@ -427,7 +424,7 @@ class ServiceEngine:
                     manager = self.fleet.register(
                         runtime.deployed, runtime.executor
                     )
-                    manager.run_for(self._monitor_horizon_s)
+                    manager.run_for(MONITOR_HORIZON_S)
             hydrated += 1
         return hydrated
 

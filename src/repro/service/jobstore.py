@@ -14,12 +14,9 @@ and safe to retry after a crash: completed steps are recorded as
 restarting mid-pipeline skips exactly the work whose digest is already
 on the record.
 
-Three persistence backends share one interface:
+Two persistence backends share one interface:
 
 * :class:`MemoryJobStore` — plain dict, for tests and throwaway runs.
-* :class:`KVJobStore` — persisted through the simulated distributed KV
-  store, so job durability costs the same metered accesses as any other
-  workflow metadata (and is subject to injected KV faults).
 * :class:`LocalJobStore` — a JSON file with atomic replace, for real
   CLI processes (``caribou submit`` in one process, ``caribou serve``
   in another).
@@ -267,47 +264,12 @@ class MemoryJobStore(JobStore):
         return {job_id: self._read(job_id) for job_id in self._docs}
 
 
-class KVJobStore(JobStore):
-    """Jobs persisted through the simulated distributed KV store.
-
-    Every save/load is a metered KV access (and therefore subject to
-    injected KV faults), exactly like workflow metadata — the service's
-    own durability is part of the simulated system, not outside it.
-    """
-
-    TABLE = "service:jobs"
-
-    def __init__(self, kv, region: str, table: str = TABLE):
-        self._kv = kv
-        self._region = region
-        self._table = table
-
-    def _write(self, job_id: str, doc: Dict[str, Any]) -> None:
-        self._kv.put(
-            self._table, job_id, doc,
-            caller_region=self._region, workflow="service",
-        )
-
-    def _read(self, job_id: str) -> Optional[Dict[str, Any]]:
-        doc, _latency = self._kv.get(
-            self._table, job_id,
-            caller_region=self._region, workflow="service",
-        )
-        return doc
-
-    def _read_all(self) -> Dict[str, Dict[str, Any]]:
-        docs, _latency = self._kv.scan(
-            self._table, caller_region=self._region, workflow="service",
-        )
-        return docs
-
-
 class LocalJobStore(JobStore):
     """JSON-file backend for real processes (atomic replace on save).
 
     ``caribou submit`` writes the record in one process; a later
     ``caribou serve`` in another process loads it and resumes — the
-    cross-process durability story the simulated KV store cannot give.
+    cross-process durability story an in-memory store cannot give.
     """
 
     def __init__(self, path: str):

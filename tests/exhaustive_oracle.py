@@ -14,7 +14,7 @@ of the evaluations.  Not shipped: nothing under ``src/`` imports it.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import SolverError
 from repro.core.solver.evaluation import PlanEvaluator
@@ -24,6 +24,34 @@ from repro.model.plan import DeploymentPlan, HourlyPlanSet
 
 #: Refuse to enumerate spaces larger than this (the whole point of HBSS).
 DEFAULT_MAX_PLANS = 100_000
+
+
+def plan_lower_bounds(
+    bounds: LowerBoundTables, plan: DeploymentPlan, hour: int
+) -> Tuple[float, float, float]:
+    """``(carbon_g, cost_usd, latency_s)`` floors for a full plan.
+
+    Every Monte-Carlo sample of the plan — hence every mean and every
+    p95 tail — is at least these values, which is what lets full
+    enumeration discard provably tolerance-dead plans without
+    simulating them.  Built from the same per-node terms
+    :class:`~repro.core.solver.exact.ExactSolver` prunes with.
+    """
+    layer = bounds.hour_layer(hour)
+    assigned: List[str] = []
+    finishes: List[float] = []
+    carbon_g = 0.0
+    cost_usd = 0.0
+    latency_s = 0.0
+    for i, name in enumerate(bounds.order):
+        region = plan.region_of(name)
+        carbon_g += bounds.carbon_term(layer, i, region, assigned)
+        cost_usd += bounds.cost_term(i, region, assigned)
+        finish = bounds.finish_bound(i, region, assigned, finishes)
+        latency_s = max(latency_s, finish)
+        assigned.append(region)
+        finishes.append(finish)
+    return carbon_g, cost_usd, latency_s
 
 
 class ExhaustiveSolver:
@@ -81,8 +109,8 @@ class ExhaustiveSolver:
             )
             candidates = []
             for plan in all_plans:
-                carbon_lb, cost_lb, lat_lb = self._bounds.plan_lower_bounds(
-                    plan, hour
+                carbon_lb, cost_lb, lat_lb = plan_lower_bounds(
+                    self._bounds, plan, hour
                 )
                 if (
                     carbon_lb * BOUND_SAFETY > thr_carbon

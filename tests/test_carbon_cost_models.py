@@ -134,7 +134,7 @@ class TestCostModel:
         assert c == pytest.approx(0.18)
 
     def test_messaging_and_kv(self, cost):
-        assert cost.messaging_cost("us-east-1", 2) == pytest.approx(1e-6)
+        assert 2 * cost.messaging_cost("us-east-1") == pytest.approx(1e-6)
         assert cost.kv_cost("us-east-1", n_reads=4, n_writes=2) == pytest.approx(
             4 * 0.25e-6 + 2 * 1.25e-6
         )
@@ -144,7 +144,5 @@ class TestCostModel:
             cost.execution_cost("us-east-1", -1.0, 1024)
         with pytest.raises(ValueError):
             cost.transmission_cost("us-east-1", "us-west-1", -5)
-        with pytest.raises(ValueError):
-            cost.messaging_cost("us-east-1", -1)
         with pytest.raises(ValueError):
             cost.kv_cost("us-east-1", n_reads=-1)

@@ -29,6 +29,7 @@ from repro.obs.critical_path import (
 )
 from repro.obs.trace import Tracer
 from repro.obs.views import request_path
+from tests import chaos_capture
 
 SEED = 11
 N_REQUESTS = 8
@@ -211,3 +212,20 @@ class TestEdgeCases:
         agg = analysis.aggregate()
         assert agg["n_requests"] == 0
         assert agg["by_kind"] == {}
+
+
+class TestAnalyzeTraceDifferential:
+    """``analyze_trace`` hands each request only its own spans; on the
+    chaos capture's traces (retries, dead letters, fallbacks) it must
+    give exactly what one whole-trace ``compute_critical_path`` call
+    per request gives."""
+
+    @pytest.mark.parametrize("app_name", chaos_capture.APPS)
+    def test_equals_per_request_paths_on_the_chaos_capture(self, app_name):
+        _cloud, tracer, _executor = chaos_capture.chaos_run(app_name)
+        tracer.finalize()
+        spans = list(tracer.spans)
+        rids = list(dict.fromkeys(s.request_id for s in spans if s.kind == "request"))
+        assert len(rids) > 1
+        expected = [compute_critical_path(spans, rid) for rid in rids]
+        assert analyze_trace(spans).requests == expected

@@ -130,7 +130,7 @@ class TestMigrator:
         assert report.activated
         assert len(report.deployed) == 2  # both functions created
         assert executor.fetch_active_plan().regions_used == ("ca-central-1",)
-        assert migrator.pending is None
+        assert migrator.retry_pending() is None
 
     def test_migration_idempotent(self, deployment):
         _, _, deployed, executor, utility = deployment
@@ -150,7 +150,7 @@ class TestMigrator:
         assert report.failed is not None
         # §6.1: traffic defaults back to the home region.
         assert executor.fetch_active_plan().regions_used == ("us-east-1",)
-        assert migrator.pending is not None
+        assert migrator._pending is not None
 
     def test_retry_pending_succeeds_after_recovery(self, deployment):
         cloud, _, deployed, executor, utility = deployment
@@ -160,7 +160,7 @@ class TestMigrator:
         cloud.functions.set_region_available("ca-central-1", True)
         report = migrator.retry_pending()
         assert report is not None and report.activated
-        assert migrator.pending is None
+        assert migrator.retry_pending() is None
 
     def test_retry_without_pending_is_noop(self, deployment):
         _, _, deployed, executor, utility = deployment
@@ -172,12 +172,11 @@ class TestMigrator:
         cloud.functions.set_region_available("ca-central-1", False)
         migrator = DeploymentMigrator(utility, deployed, executor)
         migrator.migrate(self.make_plan_set(deployed, "ca-central-1"))
-        assert migrator.pending is not None
+        assert migrator._pending is not None
         # A newer plan supersedes the parked one ("until it is replaced
         # by a new one"): nothing is left to retry.
         report = migrator.migrate(self.make_plan_set(deployed, "us-west-2"))
         assert report.activated
-        assert migrator.pending is None
         assert migrator.retry_pending() is None
         assert executor.fetch_active_plan().regions_used == ("us-west-2",)
 
@@ -216,7 +215,7 @@ class TestMigrator:
             assert not cloud.functions.is_deployed(
                 deployed.name, spec.name, "ca-central-1"
             )
-        assert migrator.pending is not None
+        assert migrator._pending is not None
 
     def test_failure_preserves_unrelated_active_plan(self, deployment):
         """Regression: a failed migration used to clear the active plan
@@ -269,7 +268,7 @@ class TestMigrator:
             assert cloud.functions.is_deployed(
                 deployed.name, spec.name, "ca-central-1"
             )
-        assert migrator.pending is not None
+        assert migrator._pending is not None
         monkeypatch.undo()
         retry = migrator.retry_pending()
         assert retry is not None and retry.activated

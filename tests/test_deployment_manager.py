@@ -5,6 +5,7 @@ import pytest
 from repro.apps import get_app
 from repro.cloud.provider import SimulatedCloud
 from repro.common.clock import SECONDS_PER_DAY
+from repro.core import manager as manager_module
 from repro.core.manager import DeploymentManager
 from repro.core.solver import SolverSettings
 from repro.core.lifecycle import deploy_benchmark, warm_up
@@ -98,10 +99,11 @@ class TestCheckCycle:
         report = dm.solve_now(granularity_hours=1)
         assert report.activated
 
-    def test_expired_plan_cleared_on_check(self):
+    def test_expired_plan_cleared_on_check(self, monkeypatch):
         cloud, app, deployed, executor, dm = make_dm(use_token_bucket=False)
         warm_up(executor, app, "small", n=5)
-        dm._plan_lifetime = 10.0  # expire almost immediately
+        # Expire almost immediately.
+        monkeypatch.setattr(manager_module, "PLAN_LIFETIME_S", 10.0)
         dm.check()
         cloud.env.clock.advance(3600.0)
         dm.check()  # sees the expired plan
@@ -279,12 +281,12 @@ def test_solver_prices_upcoming_day_with_forecast():
 
 
 class TestPlanExpiry:
-    def test_expired_plan_kv_deleted_and_traffic_reverts_home(self):
+    def test_expired_plan_kv_deleted_and_traffic_reverts_home(self, monkeypatch):
         from repro.core.trigger import TokenBucket, TriggerSettings
 
         cloud, app, deployed, executor, dm = make_dm()
         warm_up(executor, app, "small", n=5)
-        dm._plan_lifetime = 10.0
+        monkeypatch.setattr(manager_module, "PLAN_LIFETIME_S", 10.0)
         dm.solve_now(granularity_hours=1)
         active, _ = deployed.kv().get(
             deployed.meta_table, "active_plan",

@@ -318,7 +318,6 @@ class TestRequestLifecycle:
         assert stats.completed_requests == 1
         assert stats.failed_requests == 0
         assert stats.timed_out_requests == 0
-        assert stats.tracked_requests == 1
 
     def test_unknown_request_has_no_status(self, t2s_deployment):
         _, _, _, executor, _ = t2s_deployment

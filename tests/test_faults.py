@@ -23,25 +23,9 @@ from repro.model.config import WorkflowConfig
 
 @pytest.fixture
 def make_cloud():
-    """Factory for chaos clouds that cannot leak RNG state.
-
-    Each created cloud's RNG registry is snapshotted at birth and
-    restored in teardown — even when the test body fails mid-run — so a
-    half-consumed chaos stream can never bleed into a later test that
-    happens to reuse the same cloud object through a cached reference.
-    """
-    created = []
-
-    def factory(plan, seed=42):
-        cloud = SimulatedCloud(seed=seed, fault_plan=plan)
-        created.append((cloud, cloud.env.rng.snapshot()))
-        return cloud
-
-    try:
-        yield factory
-    finally:
-        for cloud, state in created:
-            cloud.env.rng.restore(state)
+    """Factory for chaos clouds: each call builds a fresh cloud, so no
+    test can inherit another's half-consumed chaos streams."""
+    return lambda plan, seed=42: SimulatedCloud(seed=seed, fault_plan=plan)
 
 
 class TestFaultRule:
@@ -412,7 +396,10 @@ class TestChaosRegression:
         stats = outcome.reliability
         assert stats is not None
         # warmup + measured requests all reached a terminal state.
-        assert stats.tracked_requests == 12 + 6
+        assert (
+            stats.completed_requests + stats.failed_requests
+            + stats.timed_out_requests
+        ) == 12 + 6
         assert stats.completed_requests > 0
         assert stats.total_injected > 0
         assert not math.isnan(outcome.mean_service_time_s)
@@ -433,7 +420,6 @@ class TestChaosRegression:
             solver_settings=self.SETTINGS,
         )
         stats = outcome.reliability
-        assert stats.tracked_requests == 10
         assert stats.completed_requests == 10
         assert stats.failed_requests == 0
         assert stats.timed_out_requests == 0

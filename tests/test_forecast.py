@@ -85,16 +85,19 @@ class TestForecaster:
         pred = f.forecast(24)
         assert mape(trace[24 * 7 :], pred) < 0.25
 
-    def test_explicit_params_skip_grid_search(self):
+    def test_explicit_params_skip_grid_search(self, monkeypatch):
+        def no_search(self, y):
+            raise AssertionError("grid search ran despite explicit params")
+
         params = HoltWintersParams(alpha=0.3, beta=0.05, gamma=0.3)
+        monkeypatch.setattr(HoltWintersForecaster, "_grid_search", no_search)
         f = HoltWintersForecaster(params=params).fit([float(i % 24) + 10 for i in range(96)])
-        assert f.fitted_params == params
+        assert f.is_fitted
 
     def test_grid_search_selects_params(self):
-        f = HoltWintersForecaster().fit(
-            generate_carbon_trace("US-PJM", 24 * 7)
-        )
-        assert f.fitted_params is not None
+        y = np.asarray(generate_carbon_trace("US-PJM", 24 * 7))
+        chosen = HoltWintersForecaster()._grid_search(y)
+        assert chosen in [HoltWintersParams(*p) for p in _GRID]
 
 
 def _random_series(seed):
@@ -139,7 +142,7 @@ def _assert_search_equals_the_scan(series):
     # Bit-equal, candidate for candidate (``==`` on doubles).
     assert got.tolist() == [float(sse) for _, sse in reference.scanned]
     fitted = HoltWintersForecaster().fit(y)
-    assert fitted.fitted_params == reference.fitted_params
+    assert fitted._grid_search(y) == ScanGridForecaster()._grid_search(y)
     assert np.array_equal(fitted.forecast(24), reference.forecast(24))
     return got
 
@@ -157,8 +160,8 @@ class TestGridSearchDifferential:
         for value in (0.0, 64.0, 300.0):
             sse = _assert_search_equals_the_scan([value] * (24 * 7))
             assert np.all(sse == sse[0])
-            fitted = HoltWintersForecaster().fit([value] * (24 * 7))
-            assert fitted.fitted_params == HoltWintersParams(*_GRID[0])
+            y = np.full(24 * 7, value)
+            assert HoltWintersForecaster()._grid_search(y) == HoltWintersParams(*_GRID[0])
 
     def test_trending_series(self):
         t = np.arange(24 * 7)

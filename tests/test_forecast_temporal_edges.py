@@ -116,7 +116,7 @@ class TestTemporalEdges:
         cloud, app, _, executor = shifted_deployment
         shifter = TemporalShifter(executor)
         decision = shifter.submit(app.make_input("small"))
-        assert decision.delay_s == 0.0
+        assert decision.scheduled_at_s == decision.submitted_at_s
         cloud.run_until_idle()
         assert executor.reliability().completed_requests == 1
 
@@ -178,6 +178,6 @@ class TestTemporalEdges:
         )
         policy = TemporalPolicy(max_delay_s=3 * SECONDS_PER_HOUR)
         decision = shifter.submit(app.make_input("small"), policy)
-        assert decision.delay_s <= policy.max_delay_s
+        assert decision.scheduled_at_s - decision.submitted_at_s <= policy.max_delay_s
         cloud.run_until_idle()
         assert executor.reliability().completed_requests == 1

@@ -56,7 +56,7 @@ class TestAtomicOps:
 
     def test_increment(self, kv):
         assert kv.increment("t", "ctr")[0] == 1
-        assert kv.increment("t", "ctr", 2)[0] == 3
+        assert kv.increment("t", "ctr")[0] == 2
 
     def test_increment_non_numeric_raises(self, kv):
         kv.put("t", "k", "text")

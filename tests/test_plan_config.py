@@ -51,7 +51,7 @@ class TestHourlyPlanSet:
         plan = DeploymentPlan({"a": "us-east-1"})
         plan_set = HourlyPlanSet.daily(plan)
         assert all(plan_set.plan_for_hour(h) == plan for h in range(24))
-        assert plan_set.granularity == 1
+        assert plan_set.hours == (0,)
 
     def test_sparse_hours_inherit_earlier(self):
         p0 = DeploymentPlan({"a": "us-east-1"})

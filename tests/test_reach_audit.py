@@ -6,6 +6,7 @@ run here; these tests check how call records are matched to defs.
 """
 
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -111,3 +112,56 @@ class TestMatcher:
         assert summary.stubs == 2
         assert summary.functions == len(defs()) - 2
         assert summary.ran == 0
+
+    def test_nesting_is_kept_across_the_files_of_a_package(self, tmp_path):
+        # A later file's nested defs point at their own enclosing def,
+        # not at whatever def sits at the same index of the first file.
+        package = tmp_path / "repro"
+        package.mkdir()
+        (package / "a.py").write_text(FIXTURE)
+        (package / "b.py").write_text(FIXTURE)
+        defs = reach_audit.package_defs(package)
+        b = str((package / "b.py").resolve())
+        inner = next(d for d in defs if d.path == b and d.qualname.endswith("dead_inner"))
+        assert defs[inner.parent].path == b
+        assert defs[inner.parent].qualname == "dead_outer"
+        unrun = reach_audit.summarise(defs, set()).outermost_unrun
+        assert [d.qualname for d in unrun if d.path == b].count("dead_outer") == 1
+        assert not [d for d in unrun if d.qualname == "dead_outer.<locals>.dead_inner"]
+
+
+class TestSourceChangeGuard:
+    """Records name defs by line, so an edit to ``src/repro`` while the
+    audit runs would match them against the wrong defs."""
+
+    def _audit(self, tmp_path, monkeypatch, edit):
+        package = tmp_path / "repro"
+        package.mkdir()
+        module = package / "fixture.py"
+        module.write_text(FIXTURE)
+
+        def run_all(records_dir):
+            row = [str(module.resolve()), line_of("def live():")]
+            (records_dir / "1.json").write_text(json.dumps([row]))
+            edit(module)
+
+        monkeypatch.setattr(reach_audit, "PACKAGE", package)
+        monkeypatch.setattr(reach_audit, "run_all", run_all)
+        return reach_audit.main(["--records", str(tmp_path / "records")])
+
+    def test_an_edit_between_record_and_report_exits_2(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Two lines pushed in front: the record now names no def.
+        code = self._audit(
+            tmp_path, monkeypatch, lambda m: m.write_text("\n\n" + FIXTURE)
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "fixture.py" in err
+        assert out == ""  # no report from stale records
+
+    def test_an_unchanged_source_is_reported(self, tmp_path, monkeypatch, capsys):
+        assert self._audit(tmp_path, monkeypatch, lambda m: None) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("functions 7 / ran 1 / ")

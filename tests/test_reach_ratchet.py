@@ -12,19 +12,23 @@ ratchet = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ratchet)
 
 
-def write_report(path, lines):
+def write_report(path, lines, unrun=("src/repro/fixture.py:4 dead (3)",)):
     path.write_text(
         f"functions 875 / ran 768 / outermost unrun 107 / lines {lines}  "
         "(12 declaration stubs not counted)\n"
-        "src/repro/fixture.py:4 dead (3)\n"
+        + "".join(line + "\n" for line in unrun)
     )
+
+
+def write_ratchet(path, kept):
+    path.write_text(json.dumps({"max_outermost_unrun_lines": 700, "kept": kept}))
 
 
 @pytest.fixture
 def paths(tmp_path):
     report = tmp_path / "reach.txt"
     ceiling = tmp_path / "reach-ratchet.json"
-    ceiling.write_text(json.dumps({"max_outermost_unrun_lines": 700}))
+    write_ratchet(ceiling, {"src/repro/fixture.py:dead": "failure-path"})
     return report, ceiling
 
 
@@ -76,3 +80,43 @@ class TestRatchet:
     def test_the_committed_ceiling_reads(self):
         committed = json.loads(ratchet.RATCHET_FILE.read_text(encoding="utf-8"))
         assert isinstance(committed["max_outermost_unrun_lines"], int)
+
+
+class TestKeepClasses:
+    def test_an_unrun_def_without_a_class_fails(self, paths, capsys):
+        report, ceiling = paths
+        write_report(report, 650, unrun=(
+            "src/repro/fixture.py:4 dead (3)",
+            "src/repro/fixture.py:9 Store.unused (2)",
+        ))
+        assert run(report, "--ratchet-file", ceiling) == 1
+        out = capsys.readouterr().out
+        assert "unrun, no keep class: src/repro/fixture.py:Store.unused" in out
+        assert "fixture.py:dead" not in out
+
+    def test_a_kept_entry_that_ran_or_is_gone_fails(self, paths, capsys):
+        report, ceiling = paths
+        write_report(report, 650, unrun=())
+        assert run(report, "--ratchet-file", ceiling) == 1
+        assert (
+            "kept but not unrun (it ran, or no longer exists): "
+            "src/repro/fixture.py:dead"
+        ) in capsys.readouterr().out
+
+    def test_an_unknown_class_fails(self, paths, capsys):
+        report, ceiling = paths
+        write_ratchet(ceiling, {"src/repro/fixture.py:dead": "nice-to-have"})
+        write_report(report, 650)
+        assert run(report, "--ratchet-file", ceiling) == 1
+        assert "unknown keep class 'nice-to-have'" in capsys.readouterr().out
+
+    def test_update_still_checks_the_classes(self, paths, capsys):
+        report, ceiling = paths
+        write_report(report, 640, unrun=("src/repro/fixture.py:9 other (2)",))
+        assert run(report, "--update", "--ratchet-file", ceiling) == 1
+        assert json.loads(ceiling.read_text())["max_outermost_unrun_lines"] == 640
+
+    def test_every_committed_class_is_known(self):
+        committed = json.loads(ratchet.RATCHET_FILE.read_text(encoding="utf-8"))
+        assert committed["kept"]
+        assert set(committed["kept"].values()) <= set(ratchet.KEEP_CLASSES)

@@ -37,13 +37,6 @@ class TestRngRegistry:
         reg2.get("brand-new")  # create an unrelated stream in between
         assert np.allclose(after_other, reg2.get("x").random(3))
 
-    def test_fresh_resets_stream(self):
-        reg = RngRegistry(seed=5)
-        first = reg.get("s").random(4)
-        reg.fresh("s")
-        again = reg.get("s").random(4)
-        assert np.allclose(first, again)
-
 
 class TestUnits:
     def test_constants(self):

@@ -15,7 +15,6 @@ from repro.service import (
     DEPLOYED,
     FAILED,
     JobRecord,
-    KVJobStore,
     LocalJobStore,
     MemoryJobStore,
     MONITORING,
@@ -115,10 +114,6 @@ class TestStores:
     def test_local_store(self, tmp_path):
         _roundtrip(LocalJobStore(str(tmp_path / "jobs.json")))
 
-    def test_kv_store(self):
-        cloud = SimulatedCloud(seed=1)
-        _roundtrip(KVJobStore(cloud.kvstore("us-east-1"), "us-east-1"))
-
     def test_local_store_survives_processes(self, tmp_path):
         path = str(tmp_path / "jobs.json")
         record = JobRecord(job_id="j1", app=APP)
@@ -137,10 +132,10 @@ class TestStores:
 # --------------------------------------------------------------------------
 # The engine pipeline
 # --------------------------------------------------------------------------
-def make_engine(seed=7, fault_plan=None, **kwargs):
+def make_engine(seed=7, fault_plan=None):
     cloud = SimulatedCloud(seed=seed, fault_plan=fault_plan)
     store = MemoryJobStore()
-    return cloud, store, ServiceEngine(cloud, store, **kwargs)
+    return cloud, store, ServiceEngine(cloud, store)
 
 
 class TestEnginePipeline:
@@ -351,15 +346,13 @@ class TestRetryBackoff:
         # metadata upload fails, the job backs off, and the retry after
         # the fault window succeeds.
         plan = FaultPlan().with_kv_errors(1.0, end_s=1.0)
-        cloud, _store, engine = make_engine(
-            seed=5, fault_plan=plan, backoff_s=10.0
-        )
+        cloud, _store, engine = make_engine(seed=5, fault_plan=plan)
         record = engine.submit(APP)
         assert engine.tick() == 0  # first attempt fails
         record = engine.job(record.job_id)
         assert record.state == SUBMITTED
         assert record.attempts["deploy"] == 1
-        assert record.not_before_s == pytest.approx(10.0)
+        assert record.not_before_s == pytest.approx(300.0)
         retry_notes = [e for e in record.journal if "attempt 1" in e.note]
         assert retry_notes and retry_notes[0].step == "deploy"
         # run() jumps the clock over the backoff window and retries.
@@ -370,9 +363,7 @@ class TestRetryBackoff:
 
     def test_job_fails_after_max_attempts(self):
         plan = FaultPlan().with_kv_errors(1.0)  # KV never recovers
-        cloud, _store, engine = make_engine(
-            seed=5, fault_plan=plan, backoff_s=10.0, max_attempts=3
-        )
+        cloud, _store, engine = make_engine(seed=5, fault_plan=plan)
         record = engine.submit(APP)
         engine.run(max_steps=20)
         final = engine.job(record.job_id)
@@ -383,18 +374,18 @@ class TestRetryBackoff:
         assert engine.runnable() == []
 
     def test_backoff_is_exponential(self):
-        plan = FaultPlan().with_kv_errors(1.0, end_s=100.0)
-        cloud, _store, engine = make_engine(
-            seed=5, fault_plan=plan, backoff_s=8.0, max_attempts=5
-        )
+        # The fault window outlasts the first retry (at 300 s) but not
+        # the second (at 900 s), so the job fails no step for good.
+        plan = FaultPlan().with_kv_errors(1.0, end_s=1000.0)
+        cloud, _store, engine = make_engine(seed=5, fault_plan=plan)
         record = engine.submit(APP)
         engine.tick()
         first = engine.job(record.job_id).not_before_s
         cloud.env.run(until=first)
         engine.tick()
         second = engine.job(record.job_id).not_before_s
-        assert first == pytest.approx(8.0)
-        assert second == pytest.approx(first + 16.0)
+        assert first == pytest.approx(300.0)
+        assert second == pytest.approx(first + 600.0)
 
 
 # --------------------------------------------------------------------------

@@ -119,12 +119,12 @@ class TestRun:
 class TestHandleLifecycle:
     def test_pending_false_after_execution(self):
         env = SimulationEnvironment()
-        handle = env.schedule(1.0, lambda: None)
-        assert handle.pending and not handle.executed
+        seen = []
+        handle = env.schedule(1.0, lambda: seen.append("x"))
+        assert handle.pending and seen == []
         env.run_until_idle()
         assert not handle.pending
-        assert handle.executed
-        assert not handle.cancelled
+        assert seen == ["x"]
 
     def test_cancel_after_execution_is_noop(self):
         env = SimulationEnvironment()
@@ -132,22 +132,18 @@ class TestHandleLifecycle:
         handle = env.schedule(1.0, lambda: seen.append("x"))
         env.run_until_idle()
         assert handle.cancel() is False  # already ran: nothing to cancel
-        assert handle.executed and not handle.cancelled
+        assert not handle.pending
         assert seen == ["x"]
 
     def test_cancel_reports_success_exactly_once(self):
         env = SimulationEnvironment()
-        handle = env.schedule(1.0, lambda: None)
+        seen = []
+        handle = env.schedule(1.0, lambda: seen.append("x"))
         assert handle.cancel() is True
         assert handle.cancel() is False
-        assert handle.cancelled and not handle.pending and not handle.executed
-
-    def test_time_property_survives_lifecycle(self):
-        env = SimulationEnvironment()
-        handle = env.schedule(2.5, lambda: None)
-        assert handle.time == 2.5
+        assert not handle.pending
         env.run_until_idle()
-        assert handle.time == 2.5
+        assert seen == []
 
 
 class TestCompaction:
@@ -179,14 +175,15 @@ class TestCompaction:
 
     def test_pending_events_excludes_cancelled(self):
         env = SimulationEnvironment()
-        live = env.schedule(1.0, lambda: None)
+        seen = []
+        live = env.schedule(1.0, lambda: seen.append("live"))
         dead = [env.schedule(2.0, lambda: None) for _ in range(5)]
         for h in dead:
             h.cancel()
         assert env.pending_events == 1
         assert env.heap_size == 6  # lazy: entries still buried
         env.run_until_idle()
-        assert live.executed
+        assert seen == ["live"] and not live.pending
         assert env.pending_events == 0
 
     def test_compaction_preserves_order(self):

@@ -25,6 +25,7 @@ from repro.core.solver.exact import BOUND_SAFETY, LowerBoundTables
 from repro.model.config import Tolerances, WorkflowConfig
 from repro.model.dag import Edge, Node, WorkflowDAG
 
+from tests.exhaustive_oracle import plan_lower_bounds
 from tests.test_solvers import REGIONS, FixtureData, make_evaluator
 
 SOLVER_SUPPRESS = (HealthCheck.too_slow, HealthCheck.data_too_large)
@@ -162,7 +163,7 @@ class TestBoundAdmissibility:
             ev.home_plan(),
             DeploymentPlan.single_region(ev.dag, region),
         ):
-            carbon_lb, cost_lb, lat_lb = bounds.plan_lower_bounds(plan, hour)
+            carbon_lb, cost_lb, lat_lb = plan_lower_bounds(bounds, plan, hour)
             est = ev.estimate(plan, hour)
             assert carbon_lb * BOUND_SAFETY <= est.mean_carbon_g
             assert cost_lb * BOUND_SAFETY <= est.mean_cost_usd

@@ -861,7 +861,10 @@ def _day(solver_cls, ev, seed, solves, registry=None):
         "days": days,
         "stats": dataclasses.asdict(ev.stats),
         "trace": tracer.to_jsonl(),
-        "rng": registry.snapshot() if registry is not None else None,
+        "rng": (
+            {name: gen.bit_generator.state for name, gen in registry._streams.items()}
+            if registry is not None else None
+        ),
     }
 
 

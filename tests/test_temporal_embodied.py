@@ -41,7 +41,7 @@ class TestTemporalShifter:
     def test_no_policy_runs_immediately(self, shifter_setup):
         cloud, app, executor, shifter = shifter_setup
         decision = shifter.submit(app.make_input("small"))
-        assert decision.delay_s == 0.0
+        assert decision.scheduled_at_s == decision.submitted_at_s
         cloud.run_until_idle()
         assert cloud.ledger.executions  # it ran
 
@@ -50,7 +50,7 @@ class TestTemporalShifter:
         decision = shifter.submit(
             app.make_input("small"), TemporalPolicy(max_delay_s=0)
         )
-        assert decision.delay_s == 0.0
+        assert decision.scheduled_at_s == decision.submitted_at_s
 
     def test_waits_for_the_trough(self, shifter_setup):
         cloud, app, executor, shifter = shifter_setup
@@ -61,7 +61,7 @@ class TestTemporalShifter:
             TemporalPolicy(max_delay_s=5 * SECONDS_PER_HOUR),
         )
         assert decision.scheduled_at_s == pytest.approx(3 * SECONDS_PER_HOUR)
-        assert decision.chosen_intensity == pytest.approx(50.0)
+        assert decision.slot_intensities[decision.scheduled_at_s] == pytest.approx(50.0)
         cloud.run_until_idle()
         exec_start = cloud.ledger.executions[0].start_s
         assert exec_start >= 3 * SECONDS_PER_HOUR
@@ -73,7 +73,7 @@ class TestTemporalShifter:
             TemporalPolicy(max_delay_s=2 * SECONDS_PER_HOUR),
         )
         # Trough (hour 3) is out of reach: stays within [now, +2 h].
-        assert decision.delay_s <= 2 * SECONDS_PER_HOUR
+        assert (decision.scheduled_at_s - decision.submitted_at_s) <= 2 * SECONDS_PER_HOUR
         cloud.run_until_idle()
 
     def test_flat_carbon_runs_immediately(self):
@@ -88,7 +88,7 @@ class TestTemporalShifter:
             app.make_input("small"),
             TemporalPolicy(max_delay_s=6 * SECONDS_PER_HOUR),
         )
-        assert decision.delay_s == 0.0  # earliest slot wins ties
+        assert decision.scheduled_at_s == decision.submitted_at_s  # earliest slot wins ties
 
     def test_improvement_reported(self, shifter_setup):
         cloud, app, executor, shifter = shifter_setup
@@ -99,7 +99,7 @@ class TestTemporalShifter:
         # The decision records the slot it left and the one it took.
         immediate = decision.slot_intensities[decision.submitted_at_s]
         assert immediate == pytest.approx(500.0)
-        assert 1.0 - decision.chosen_intensity / immediate > 0.8  # 500 -> 50
+        assert 1.0 - decision.slot_intensities[decision.scheduled_at_s] / immediate > 0.8  # 500 -> 50
 
     def test_joint_with_geo_plan(self):
         """A slot scores by the plan in force: offloading hours win."""
@@ -126,7 +126,7 @@ class TestTemporalShifter:
         # Hour 2 (intensity 20 via the plan) beats waiting for hour 3's
         # home trough (50) and beats now (500).
         assert decision.scheduled_at_s == pytest.approx(2 * SECONDS_PER_HOUR)
-        assert decision.chosen_intensity == pytest.approx(20.0)
+        assert decision.slot_intensities[decision.scheduled_at_s] == pytest.approx(20.0)
 
     def test_unreadable_plan_set_prices_slots_at_home(self):
         """A KV error on the plan-set read prices the slot with every

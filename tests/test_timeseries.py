@@ -134,10 +134,6 @@ class TestWindowedSampler:
         with pytest.raises(ValueError):
             WindowedSampler(MetricsRegistry(), window_s=0.0)
 
-    def test_arm_requires_attach(self):
-        with pytest.raises(RuntimeError):
-            WindowedSampler(MetricsRegistry()).arm()
-
     def test_counter_deltas_per_window(self):
         env, reg = self._env_reg()
         c = reg.counter("jobs.done")

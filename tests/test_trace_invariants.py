@@ -117,7 +117,10 @@ class TestTraceInvariants:
         for span in tracer.spans:
             if span.kind == "request":
                 tally[span.attrs["status"]] += 1
-        assert sum(tally.values()) == stats.tracked_requests
+        assert sum(tally.values()) == (
+            stats.completed_requests + stats.failed_requests
+            + stats.timed_out_requests
+        )
         assert tally["completed"] == stats.completed_requests
         assert tally["failed"] == stats.failed_requests
         assert tally["timed_out"] == stats.timed_out_requests
