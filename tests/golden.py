@@ -99,6 +99,7 @@ REGISTRY = {pathlib.Path(g.file).stem: g for g in (
     Golden("executor_paths.json", "tests.executor_capture:capture_all"),
     Golden("front_end.json", "tests.front_end_capture:capture"),
     Golden("ledger_pricing.json", "tests.ledger_capture:capture", cases="APPS"),
+    Golden("ledger_records.json", "tests.ledger_capture:capture_fleet"),
     Golden("lifecycle.json", "tests.lifecycle_capture:capture_case", cases="CASES"),
     Golden("quickstart_bundle.json", "tests.test_bundle:quickstart_pin"),
     Golden("quickstart_prom.txt", "tests.test_prom_golden:quickstart_prom", None),

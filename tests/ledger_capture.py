@@ -22,6 +22,14 @@ rewritten as one ``MeteringLedger.group`` pass and one
 ``CarbonAccountant.price`` body; they must serialise to the same bytes
 ever after.  ``python -m tests.golden diff ledger_pricing`` shows what
 a change moves (see ``tests/golden.py``).
+
+:func:`capture_fleet` pins, in ``golden/ledger_records.json``, the
+records and every query of a ledger three workflows share: the
+``tests/control_loop_capture.py`` fleet after its 13 hours of traffic.
+Every record serialises as its ``astuple`` JSON, so a value that comes
+back as another type (``1024`` as ``1024.0``, ``True`` as ``1``) moves
+the pin.  It was captured while the ledger still stored record objects
+in lists.
 """
 
 import dataclasses
@@ -34,7 +42,7 @@ from repro.metrics.accounting import CarbonAccountant
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel
 from repro.obs.timeseries import ledger_series
-from tests import chaos_capture, golden, test_faults
+from tests import chaos_capture, control_loop_capture, golden, test_faults
 
 APPS = chaos_capture.APPS
 SCENARIOS = {
@@ -153,4 +161,59 @@ def capture(app_name: str) -> dict:
             name: _priced(ledger, accountant_for(cloud, scenario), workflow)
             for name, scenario in SCENARIOS.items()
         },
+    }
+
+
+def _records(records) -> list:
+    return [dataclasses.astuple(r) for r in records]
+
+
+def _queries(ledger, workflow, request_id) -> list:
+    """The four ``*_for`` accessors' records for one filter."""
+    return [
+        _records(getattr(ledger, f"{kind}_for")(workflow, request_id)) for kind in KINDS
+    ]
+
+
+def _groups(groups) -> list:
+    return [
+        [key, [_records(getattr(group, kind)) for kind in KINDS]]
+        for key, group in groups.items()
+    ]
+
+
+def capture_fleet() -> dict:
+    """What ``golden/ledger_records.json`` stores: digests of every
+    record of every kind in ledger order; of each accessor per workflow
+    and per request; of ``request_ids`` and ``service_time``; of
+    ``usage_by_region(None)`` and of ``group`` over every workflow keyed
+    by ``(workflow, region)``; plus the counts that say where to look."""
+    ledger = control_loop_capture.fleet_run().cloud.ledger
+    workflows = sorted({r.workflow for kind in KINDS for r in getattr(ledger, kind)})
+    per_workflow = {}
+    for workflow in workflows:
+        rids = request_ids(ledger, workflow)
+        served = ledger.request_ids(workflow)
+        per_workflow[workflow] = {
+            "requests": len(rids),
+            "request_ids": _pin(served),
+            "all": _pin(_queries(ledger, workflow, None)),
+            "per_request": _pin(
+                [[rid, _queries(ledger, workflow, rid)] for rid in rids + ["no-such-request"]]
+            ),
+            "service_time": _pin(
+                [[rid, ledger.service_time(workflow, rid)] for rid in served]
+            ),
+        }
+    return {
+        "lengths": {kind: len(getattr(ledger, kind)) for kind in KINDS},
+        "records": _pin([[kind, _records(getattr(ledger, kind))] for kind in KINDS]),
+        "everything": _pin(_queries(ledger, None, None)),
+        "anonymous": _pin(_queries(ledger, None, "")),
+        "unknown_workflow": _pin(_queries(ledger, "no-such-workflow", None)),
+        "workflows": per_workflow,
+        "usage_by_region": _pin(_groups(ledger.usage_by_region(None))),
+        "group_by_workflow_region": _pin(
+            _groups(ledger.group(lambda rec, region: (rec.workflow, region)))
+        ),
     }

@@ -16,15 +16,19 @@ takes the four record lists and whose ``price_by_request`` and
 :func:`group` is ``MeteringLedger.group`` as it was before the ledger
 was indexed, every pass from record 0;
 ``tests/test_ledger.py::TestLedgerIndexDifferential`` requires the
-indexed ``group`` to equal it.  Not shipped: nothing under ``src/``
-imports this module.
+indexed ``group`` to equal it.  :class:`ListLedger` is the whole
+ledger as it was when it stored record objects in four lists, kept
+verbatim as the reference for the ledger that replaces it.  Not
+shipped: nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import defaultdict
-from typing import Any, Callable, DefaultDict, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, DefaultDict, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.cloud.ledger import (
     ExecutionRecord,
@@ -36,6 +40,214 @@ from repro.cloud.ledger import (
 )
 from repro.metrics.accounting import CarbonAccountant, InvocationFootprint
 from repro.obs.timeseries import DEFAULT_WINDOW_S, _point_sort_key
+
+K = TypeVar("K")
+
+#: Records per chunk of the index behind :meth:`MeteringLedger.group`.
+_CHUNK = 512
+
+
+@dataclass(slots=True)
+class ListRecordGroup:
+    """The records :meth:`MeteringLedger.group` put under one key.
+
+    Raw record lists, in ledger order, so callers can price them under
+    any transmission scenario (``CarbonAccountant.price``).
+    """
+
+    executions: List[ExecutionRecord] = field(default_factory=list)
+    transmissions: List[TransmissionRecord] = field(default_factory=list)
+    messages: List[MessagingRecord] = field(default_factory=list)
+    kv_accesses: List[KvAccessRecord] = field(default_factory=list)
+
+    @property
+    def n_executions(self) -> int:
+        return len(self.executions)
+
+    @property
+    def exec_seconds(self) -> float:
+        return sum(r.duration_s for r in self.executions)
+
+    @property
+    def bytes_out(self) -> float:
+        return sum(r.size_bytes for r in self.transmissions)
+
+    @property
+    def service_time_s(self) -> float:
+        """First execution start to last execution end (§9.1); the group
+        must hold at least one execution."""
+        execs = self.executions
+        return max(e.end_s for e in execs) - min(e.start_s for e in execs)
+
+
+def _select(records: list, workflow: Optional[str], request_id: Optional[str]) -> list:
+    return [
+        r
+        for r in records
+        if (workflow is None or r.workflow == workflow)
+        and (request_id is None or r.request_id == request_id)
+    ]
+
+
+def _from_window(records: list, marks: List[float], since_s: float) -> list:
+    """``records`` from the first chunk that can hold a record starting
+    at or after ``since_s``: the list itself when that is chunk 0, a
+    copy of its tail otherwise.
+
+    ``marks[c]`` is the latest ``start_s`` among the complete chunks
+    ``records[:(c + 1) * _CHUNK]``; the marks of chunks completed since
+    the last query are added here, so an append stays one list append.
+    Running maxima never decrease, so ``bisect_left`` finds the first
+    chunk ``c`` with ``marks[c] >= since_s``, and every record before
+    ``c * _CHUNK`` started before ``since_s``.  That holds however far a
+    record's start runs ahead of append order (an execution is appended
+    when it ends, its start shifted by its cold start).  A NaN start is
+    in no window and leaves the marks as they were.
+    """
+    latest = marks[-1] if marks else -math.inf
+    for c in range(len(marks), len(records) // _CHUNK):
+        for r in records[c * _CHUNK : (c + 1) * _CHUNK]:
+            if r.start_s > latest:
+                latest = r.start_s
+        marks.append(latest)
+    start = bisect_left(marks, since_s) * _CHUNK
+    return records if start == 0 else records[start:]
+
+
+class ListLedger:
+    """The metering ledger as it stored records: one list of record
+    objects per kind (``repro.cloud.ledger.MeteringLedger`` before it
+    stored typed columns), kept verbatim.
+
+    Append-only store of telemetry records with simple querying.
+
+    Each record kind is one list, appended to and never reordered.
+    :meth:`group` keeps one index per list, the running maxima of
+    ``start_s`` at every 512-record chunk boundary, so a window query
+    skips every chunk whose records all started before the window: a
+    late window does not pay for the history before it.
+    """
+
+    def __init__(self) -> None:
+        self.executions: List[ExecutionRecord] = []
+        self.transmissions: List[TransmissionRecord] = []
+        self.messages: List[MessagingRecord] = []
+        self.kv_accesses: List[KvAccessRecord] = []
+        # Per kind, in the order above: see _from_window.
+        self._marks: Tuple[List[float], ...] = ([], [], [], [])
+
+    # -- append -----------------------------------------------------------
+    def record_execution(self, record: ExecutionRecord) -> None:
+        self.executions.append(record)
+
+    def record_transmission(self, record: TransmissionRecord) -> None:
+        self.transmissions.append(record)
+
+    def record_message(self, record: MessagingRecord) -> None:
+        self.messages.append(record)
+
+    def record_kv_access(self, record: KvAccessRecord) -> None:
+        self.kv_accesses.append(record)
+
+    # -- query ------------------------------------------------------------
+    def executions_for(
+        self, workflow: Optional[str] = None, request_id: Optional[str] = None
+    ) -> List[ExecutionRecord]:
+        return _select(self.executions, workflow, request_id)
+
+    def transmissions_for(
+        self, workflow: Optional[str] = None, request_id: Optional[str] = None
+    ) -> List[TransmissionRecord]:
+        return _select(self.transmissions, workflow, request_id)
+
+    def messages_for(
+        self, workflow: Optional[str] = None, request_id: Optional[str] = None
+    ) -> List[MessagingRecord]:
+        return _select(self.messages, workflow, request_id)
+
+    def kv_accesses_for(
+        self, workflow: Optional[str] = None, request_id: Optional[str] = None
+    ) -> List[KvAccessRecord]:
+        return _select(self.kv_accesses, workflow, request_id)
+
+    def request_ids(self, workflow: str) -> List[str]:
+        """Distinct request ids seen for ``workflow``, in arrival order."""
+        seen: Dict[str, None] = {}
+        for r in self.executions:
+            if r.workflow == workflow and r.request_id not in seen:
+                seen[r.request_id] = None
+        return list(seen)
+
+    def group(
+        self,
+        key: Callable[[Any, str], K],
+        workflow: Optional[str] = None,
+        since_s: float = -math.inf,
+        until_s: float = math.inf,
+    ) -> Dict[K, ListRecordGroup]:
+        """Group the records of ``workflow`` (every workflow if ``None``)
+        that started in ``[since_s, until_s)`` by ``key(record, region)``.
+
+        ``region`` is the region that performed the record; a
+        transmission is performed by its *source* region (egress is
+        billed and powered where the bytes leave).  One pass per record
+        kind, in ledger order, so each group's lists keep ledger order
+        and keys appear first-seen across executions, transmissions,
+        messages, then KV accesses.
+
+        Each pass starts at the first 512-record chunk that can hold a
+        record starting at or after ``since_s`` (the ledger's index; see
+        :class:`MeteringLedger`), so a one-hour window late in a long
+        history scans from the chunk of its first record on, not from
+        record 0.  Skipping is exact: every record in a skipped chunk
+        started before ``since_s``.
+        """
+        groups: DefaultDict[K, ListRecordGroup] = defaultdict(ListRecordGroup)
+        every = workflow is None
+        m_exec, m_trans, m_msg, m_kv = self._marks
+        for r in _from_window(self.executions, m_exec, since_s):
+            if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
+                groups[key(r, r.region)].executions.append(r)
+        for r in _from_window(self.transmissions, m_trans, since_s):
+            if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
+                groups[key(r, r.src_region)].transmissions.append(r)
+        for r in _from_window(self.messages, m_msg, since_s):
+            if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
+                groups[key(r, r.region)].messages.append(r)
+        for r in _from_window(self.kv_accesses, m_kv, since_s):
+            if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
+                groups[key(r, r.region)].kv_accesses.append(r)
+        return dict(groups)
+
+    def usage_by_region(
+        self, workflow: Optional[str] = None
+    ) -> Dict[str, ListRecordGroup]:
+        """Every record grouped by the region that performed it.
+
+        The result covers the *whole* ledger window (warm-up, framework
+        traffic, and measured requests alike) — it answers "what did
+        each region do", not "what did one invocation cost".  Keys are
+        sorted for deterministic serialisation.
+        """
+        usage = self.group(lambda rec, region: region, workflow)
+        return {region: usage[region] for region in sorted(usage)}
+
+    def service_time(self, workflow: str, request_id: str) -> float:
+        """End-to-end service time of one invocation (§9.1 definition):
+        first function start to last function end."""
+        execs = self.executions_for(workflow, request_id)
+        if not execs:
+            raise KeyError(f"no executions for {workflow}/{request_id}")
+        return ListRecordGroup(executions=execs).service_time_s
+
+    def clear(self) -> None:
+        self.executions.clear()
+        self.transmissions.clear()
+        self.messages.clear()
+        self.kv_accesses.clear()
+        for marks in self._marks:
+            marks.clear()
+
 
 
 class ScanAccountant(CarbonAccountant):

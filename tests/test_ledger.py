@@ -14,7 +14,7 @@ from repro.cloud.ledger import (
     MessagingRecord,
     TransmissionRecord,
 )
-from tests import ledger_pricing_oracle
+from tests import golden, ledger_capture, ledger_pricing_oracle
 
 
 def make_exec(workflow="wf", node="n", request_id="r1", start=0.0, duration=1.0,
@@ -79,6 +79,14 @@ class TestLedger:
         ledger.clear()
         assert not ledger.executions
         assert not ledger.messages
+
+
+class TestLedgerRecordsGolden:
+    """A ledger three workflows share: its records and every query
+    against the capture (see ``tests/ledger_capture.py``)."""
+
+    def test_fleet_ledger_matches_the_capture(self):
+        golden.check("ledger_records", ledger_capture.capture_fleet())
 
 
 REGIONS = ("us-east-1", "us-west-2", "ca-central-1")
