@@ -32,7 +32,11 @@ audit (it takes minutes); they check the matcher on a fixture module.
 Records name defs by line, so they only match the source they were
 made from.  The audit hashes every ``src/repro`` file when it starts
 and again before it reports; if any file changed in between, it names
-the files and exits 2 instead of matching stale records.
+the files and exits 2 instead of matching stale records.  A run writes
+the hashes it started from beside its records, in ``sources.sha256``
+(not ``*.json``, which holds records); ``--no-run`` compares them with
+today's ``src/repro`` and, when a file differs or the hashes are
+missing, names the files and exits 2.
 """
 
 from __future__ import annotations
@@ -204,11 +208,33 @@ def package_defs(package: pathlib.Path) -> List[Def]:
     return defs
 
 
+#: Beside the records: the source hashes they were made from.
+HASHES_FILE = "sources.sha256"
+
+
 def source_hashes(package: pathlib.Path) -> Dict[str, str]:
-    """SHA-256 of every ``.py`` file under ``package``, by path."""
+    """SHA-256 of every ``.py`` file under ``package``, by path relative
+    to ``package``."""
     return {
-        str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+        path.relative_to(package).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(package.rglob("*.py"))
+    }
+
+
+def write_hashes(records_dir: pathlib.Path, hashes: Dict[str, str]) -> None:
+    (records_dir / HASHES_FILE).write_text(
+        "".join(f"{digest}  {path}\n" for path, digest in hashes.items())
+    )
+
+
+def read_hashes(records_dir: pathlib.Path) -> Optional[Dict[str, str]]:
+    """The hashes :func:`write_hashes` left, or ``None`` if there are none."""
+    path = records_dir / HASHES_FILE
+    if not path.exists():
+        return None
+    return {
+        name: digest
+        for digest, name in (line.split("  ", 1) for line in path.read_text().splitlines())
     }
 
 
@@ -311,6 +337,15 @@ def report(summary: Summary, root: pathlib.Path = REPO_ROOT) -> Iterable[str]:
         yield f"{rel}:{d.start} {d.qualname} ({d.lines})"
 
 
+def refuse(changed: List[str], why: str) -> bool:
+    """Print ``why`` and the ``changed`` files, if there are any."""
+    if changed:
+        print(f"{why}:", file=sys.stderr)
+        for path in changed:
+            print(f"  {os.path.relpath(PACKAGE / path, REPO_ROOT)}", file=sys.stderr)
+    return bool(changed)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--records", type=pathlib.Path,
@@ -325,15 +360,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         records_dir = args.records or pathlib.Path(tmp)
         records_dir.mkdir(parents=True, exist_ok=True)
-        if not args.no_run:
+        if args.no_run:
+            recorded = read_hashes(records_dir)
+            if recorded is None:
+                print(f"{records_dir / HASHES_FILE} is missing, so the records "
+                      "cannot be matched to a source", file=sys.stderr)
+                return 2
+            if refuse(changed_files(recorded, hashes), "the records in "
+                      f"{records_dir} were made from another src/repro"):
+                return 2
+        else:
+            write_hashes(records_dir, hashes)
             run_all(records_dir)
         records = load_records(records_dir)
-    changed = changed_files(hashes, source_hashes(PACKAGE))
-    if changed:
-        print("src/repro changed during the audit, so its call records no "
-              "longer match the source:", file=sys.stderr)
-        for path in changed:
-            print(f"  {os.path.relpath(path, REPO_ROOT)}", file=sys.stderr)
+    if refuse(changed_files(hashes, source_hashes(PACKAGE)), "src/repro changed "
+              "during the audit, so its call records no longer match the source"):
         return 2
     for line in report(summarise(package_defs(PACKAGE), records)):
         print(line)

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
-from repro.cloud.ledger import ExecutionRecord, MeteringLedger
+from repro.cloud.ledger import MeteringLedger
 from repro.cloud.simulator import SimulationEnvironment
 from repro.common.errors import (
     DeploymentError,
@@ -336,23 +336,21 @@ class FunctionService:
         output_bytes = self._output_size(deployment.profile, payload_bytes, output)
 
         self._ledger.record_execution(
-            ExecutionRecord(
-                workflow=workflow,
-                node=ctx.node,
-                function=function,
-                region=region,
-                request_id=request_id,
-                start_s=start,
-                duration_s=duration,
-                memory_mb=deployment.memory_mb,
-                n_vcpu=deployment.n_vcpu,
-                cpu_total_time_s=duration
-                * deployment.n_vcpu
-                * deployment.profile.cpu_utilization,
-                cold_start=cold,
-                payload_bytes=payload_bytes,
-                output_bytes=output_bytes,
-            )
+            workflow=workflow,
+            node=ctx.node,
+            function=function,
+            region=region,
+            request_id=request_id,
+            start_s=start,
+            duration_s=duration,
+            memory_mb=deployment.memory_mb,
+            n_vcpu=deployment.n_vcpu,
+            cpu_total_time_s=duration
+            * deployment.n_vcpu
+            * deployment.profile.cpu_utilization,
+            cold_start=cold,
+            payload_bytes=payload_bytes,
+            output_bytes=output_bytes,
         )
         return ctx
 

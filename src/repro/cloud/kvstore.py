@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
-from repro.cloud.ledger import KvAccessRecord, MeteringLedger
+from repro.cloud.ledger import MeteringLedger
 from repro.cloud.simulator import SimulationEnvironment
 from repro.common.errors import (
     ConditionalCheckFailed,
@@ -140,14 +140,12 @@ class KeyValueStore:
         op: str = "",
     ) -> float:
         self._ledger.record_kv_access(
-            KvAccessRecord(
-                workflow=workflow,
-                table=table,
-                region=self.region,
-                start_s=self._env.now(),
-                write=write,
-                request_id=request_id,
-            )
+            workflow=workflow,
+            table=table,
+            region=self.region,
+            start_s=self._env.now(),
+            write=write,
+            request_id=request_id,
         )
         latency = self._access_latency(caller_region)
         op = op or ("write" if write else "read")

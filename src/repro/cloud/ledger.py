@@ -7,15 +7,25 @@ layers (the Metrics Manager, the experiment harness) derive carbon, cost,
 and latency from these records; the ledger itself stores measurements
 only, mirroring the paper's separation between raw data sources and
 data-processing (Fig. 4, orange vs yellow).
+
+The ledger stores each record kind as typed columns and builds a record
+object only when a reader asks for one (:class:`RecordView`); a
+:class:`RecordGroup` holds row ids.  A served day is hundreds of
+thousands of records, so the bill is kept at tens of bytes a record,
+not the ~160 a frozen dataclass costs.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Callable, DefaultDict, Dict, List, Optional, Tuple, TypeVar
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from operator import add
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
+
+import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,177 +116,464 @@ class KvAccessRecord:
 
 K = TypeVar("K")
 
-#: Records per chunk of the index behind :meth:`MeteringLedger.group`.
+#: Rows per chunk of the index behind :meth:`MeteringLedger.group`.
 _CHUNK = 512
+#: Rows a selection masks at a time, so a query over a whole served
+#: day holds one block's mask and row ids, not the day's.
+_BLOCK = 1 << 14
+#: A :class:`RecordGroup` row id carries its record kind above this bit.
+_KIND_SHIFT = 30
+_ROW_MASK = (1 << _KIND_SHIFT) - 1
 
 
-@dataclass(slots=True)
+class _Strings(dict):
+    """The ledger's intern table: ``self[s]`` is the code of string
+    ``s``, assigned on first sight; ``names[code]`` is ``s`` again."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.names: List[str] = []
+
+    def __missing__(self, name: str) -> int:
+        code = self[name] = len(self.names)
+        self.names.append(name)
+        return code
+
+
+class _Table:
+    """One record kind as typed columns, one entry per record in append
+    order, never reordered.
+
+    Each field of ``record_class`` is one ``array``: ``'I'`` codes into
+    the ledger's intern table for strings, ``'d'`` for times, durations
+    and sizes, ``'q'`` for ``memory_mb`` and ``'b'`` for booleans.  A
+    ``tagged`` field arrives as ``int`` or ``float``; bit ``i`` of the
+    ``int_tags`` column is set when ``tagged[i]`` was an ``int``, so it
+    reads back as one (exact below 2**53).  ``region`` names the field
+    of the region that performed the record (a transmission's source).
+    ``marks[c]`` is the latest ``start_s`` among rows
+    ``[0, (c + 1) * _CHUNK)`` (see :meth:`first_row`).
+    """
+
+    def __init__(
+        self,
+        record_class: type,
+        typecodes: str,
+        codes: _Strings,
+        region: str = "region",
+        tagged: Tuple[str, ...] = (),
+    ) -> None:
+        self.record_class = record_class
+        self.codes = codes
+        self.region = region
+        self.columns = {f.name: array(code) for f, code in zip(fields(record_class), typecodes)}
+        self.tagged = {name: 1 << bit for bit, name in enumerate(tagged)}
+        self.int_tags = array("b")
+        #: Bound ``append`` of every column in field order, then of ``int_tags``.
+        self.appends = tuple(col.append for col in self.columns.values()) + (
+            (self.int_tags.append,) if tagged else ()
+        )
+        self.getters = [self.getter(name) for name in self.columns]
+        self.marks: List[float] = []
+
+    def __len__(self) -> int:
+        return len(self.columns["start_s"])
+
+    def getter(self, name: str) -> Callable[[int], Any]:
+        """Row -> the value of field ``name``, of the type it arrived as."""
+        col = self.columns[name]
+        if col.typecode == "I":
+            names = self.codes.names
+            return lambda row: names[col[row]]
+        if col.typecode == "b":
+            return lambda row: col[row] != 0
+        bit = self.tagged.get(name)
+        if bit:
+            tags = self.int_tags
+            return lambda row: int(col[row]) if tags[row] & bit else col[row]
+        return col.__getitem__
+
+    def record(self, row: int):
+        return self.record_class(*[get(row) for get in self.getters])
+
+    def first_row(self, since_s: float) -> int:
+        """The first row of the first chunk that can hold a record
+        starting at or after ``since_s``.
+
+        The marks of chunks completed since the last query are added
+        here, so an append stays one append per column.  Running maxima
+        never decrease, so ``bisect_left`` finds the first chunk ``c``
+        with ``marks[c] >= since_s``, and every row before
+        ``c * _CHUNK`` started before ``since_s``.  That holds however
+        far a record's start runs ahead of append order (an execution is
+        appended when it ends, its start shifted by its cold start).  A
+        NaN start is in no window and leaves the marks as they were
+        (``fmax`` skips it).
+        """
+        marks = self.marks
+        full = len(self) // _CHUNK
+        if full > len(marks):
+            starts = np.frombuffer(self.columns["start_s"], np.float64)
+            chunks = starts[len(marks) * _CHUNK : full * _CHUNK].reshape(-1, _CHUNK)
+            latest = marks[-1] if marks else -math.inf
+            for top in np.fmax.reduce(chunks, axis=1).tolist():
+                if top > latest:
+                    latest = top
+                marks.append(latest)
+        return bisect_left(marks, since_s) * _CHUNK
+
+    def rows(
+        self,
+        first: int = 0,
+        workflow: Optional[int] = None,
+        request_id: Optional[int] = None,
+        window: Optional[Tuple[float, float]] = None,
+    ) -> Iterator[int]:
+        """Row ids from ``first`` on, ascending, whose workflow and
+        request codes match (``None``: any) and, given a ``window``
+        ``(since_s, until_s)``, that started in ``[since_s, until_s)``."""
+        n = len(self)
+        for lo in range(first, n, _BLOCK):
+            yield from self._block(lo, min(lo + _BLOCK, n), workflow, request_id, window)
+
+    def _block(self, lo, hi, workflow, request_id, window) -> Iterable[int]:
+        # The numpy views are gone when this returns: an array that
+        # exports its buffer cannot grow.
+        mask = None
+        if window is not None:
+            starts = np.frombuffer(self.columns["start_s"], np.float64)[lo:hi]
+            mask = (starts >= window[0]) & (starts < window[1])
+        for name, code in (("workflow", workflow), ("request_id", request_id)):
+            if code is not None:
+                hit = np.frombuffer(self.columns[name], np.uint32)[lo:hi] == code
+                mask = hit if mask is None else mask & hit
+        if mask is None:
+            return range(lo, hi)
+        return (np.flatnonzero(mask) + lo).tolist()
+
+
+class RecordView(Sequence):
+    """Read-only records of one kind: the whole kind
+    (``ledger.executions``, which grows with the ledger) or a fixed set
+    of rows in ledger order.  It supports ``len``, an index, a slice (a
+    list) and iteration, and builds each record as it is read; nothing
+    holds a record object."""
+
+    __slots__ = ("_table", "_rows")
+
+    def __init__(self, table: _Table, rows: Optional[array] = None) -> None:
+        self._table = table
+        self._rows = rows
+
+    def _row_ids(self):
+        return range(len(self._table)) if self._rows is None else self._rows
+
+    def __len__(self) -> int:
+        return len(self._row_ids())
+
+    def __getitem__(self, index):
+        rows = self._row_ids()
+        if isinstance(index, slice):
+            return [self._table.record(row) for row in rows[index]]
+        return self._table.record(rows[index])
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(self._table.record, self._row_ids())
+
+    def values(self, name: str) -> Iterator[Any]:
+        """Field ``name`` of each record, in order, without building one."""
+        return map(self._table.getter(name), self._row_ids())
+
+    def fields(self, *names: str) -> Iterator[Tuple[Any, ...]]:
+        """The named fields of each record as a tuple, in order."""
+        return zip(*(self.values(name) for name in names))
+
+    def select(
+        self,
+        workflow: Optional[str] = None,
+        request_id: Optional[str] = None,
+        from_row: int = 0,
+    ) -> "RecordView":
+        """The records of ``workflow`` and ``request_id`` (``None``:
+        any) at ledger row ``from_row`` or later, compared as intern
+        codes before any record is built."""
+        table = self._table
+        codes = []
+        for value in (workflow, request_id):
+            if value is not None and value not in table.codes:
+                return RecordView(table, array("I"))
+            codes.append(None if value is None else table.codes[value])
+        if self._rows is None:
+            return RecordView(table, array("I", table.rows(from_row, *codes)))
+        tests = [
+            (table.columns[name], code)
+            for name, code in zip(("workflow", "request_id"), codes)
+            if code is not None
+        ]
+        return RecordView(table, array("I", [
+            row for row in self._rows
+            if row >= from_row and all(col[row] == code for col, code in tests)
+        ]))
+
+
+def _service_time(executions: RecordView) -> float:
+    """First execution start to last execution end (§9.1)."""
+    starts = executions.values("start_s")
+    ends = map(add, executions.values("start_s"), executions.values("duration_s"))
+    return max(ends) - min(starts)
+
+
 class RecordGroup:
     """The records :meth:`MeteringLedger.group` put under one key.
 
-    Raw record lists, in ledger order, so callers can price them under
-    any transmission scenario (``CarbonAccountant.price``).
+    Row ids, not records: one ``array('I')`` in ledger order per kind,
+    all four kinds in one array with the kind in its top two bits, so a
+    group costs its rows plus about one hundred bytes.  Each kind reads
+    as a :class:`RecordView` (``executions``, ``transmissions``,
+    ``messages``, ``kv_accesses``), which callers price under any
+    transmission scenario (``CarbonAccountant.price``).  ``RecordGroup()``
+    is the empty group.
     """
 
-    executions: List[ExecutionRecord] = field(default_factory=list)
-    transmissions: List[TransmissionRecord] = field(default_factory=list)
-    messages: List[MessagingRecord] = field(default_factory=list)
-    kv_accesses: List[KvAccessRecord] = field(default_factory=list)
+    __slots__ = ("_tables", "_rows")
+
+    def __init__(self) -> None:
+        self._tables: Tuple[_Table, ...] = _NO_TABLES
+        self._rows = array("I")
+
+    def _view(self, kind: int) -> RecordView:
+        rows = self._rows
+        part = rows[bisect_left(rows, kind << _KIND_SHIFT) : bisect_left(rows, (kind + 1) << _KIND_SHIFT)]
+        if kind:
+            part = array("I", (np.frombuffer(part, np.uint32) & _ROW_MASK).tobytes())
+        return RecordView(self._tables[kind], part)
+
+    @property
+    def executions(self) -> RecordView:
+        return self._view(0)
+
+    @property
+    def transmissions(self) -> RecordView:
+        return self._view(1)
+
+    @property
+    def messages(self) -> RecordView:
+        return self._view(2)
+
+    @property
+    def kv_accesses(self) -> RecordView:
+        return self._view(3)
 
     @property
     def n_executions(self) -> int:
-        return len(self.executions)
+        return bisect_left(self._rows, 1 << _KIND_SHIFT)
 
     @property
     def exec_seconds(self) -> float:
-        return sum(r.duration_s for r in self.executions)
+        return sum(self.executions.values("duration_s"))
 
     @property
     def bytes_out(self) -> float:
-        return sum(r.size_bytes for r in self.transmissions)
+        return sum(self.transmissions.values("size_bytes"))
 
     @property
     def service_time_s(self) -> float:
         """First execution start to last execution end (§9.1); the group
         must hold at least one execution."""
-        execs = self.executions
-        return max(e.end_s for e in execs) - min(e.start_s for e in execs)
-
-
-def _select(records: list, workflow: Optional[str], request_id: Optional[str]) -> list:
-    return [
-        r
-        for r in records
-        if (workflow is None or r.workflow == workflow)
-        and (request_id is None or r.request_id == request_id)
-    ]
-
-
-def _from_window(records: list, marks: List[float], since_s: float) -> list:
-    """``records`` from the first chunk that can hold a record starting
-    at or after ``since_s``: the list itself when that is chunk 0, a
-    copy of its tail otherwise.
-
-    ``marks[c]`` is the latest ``start_s`` among the complete chunks
-    ``records[:(c + 1) * _CHUNK]``; the marks of chunks completed since
-    the last query are added here, so an append stays one list append.
-    Running maxima never decrease, so ``bisect_left`` finds the first
-    chunk ``c`` with ``marks[c] >= since_s``, and every record before
-    ``c * _CHUNK`` started before ``since_s``.  That holds however far a
-    record's start runs ahead of append order (an execution is appended
-    when it ends, its start shifted by its cold start).  A NaN start is
-    in no window and leaves the marks as they were.
-    """
-    latest = marks[-1] if marks else -math.inf
-    for c in range(len(marks), len(records) // _CHUNK):
-        for r in records[c * _CHUNK : (c + 1) * _CHUNK]:
-            if r.start_s > latest:
-                latest = r.start_s
-        marks.append(latest)
-    start = bisect_left(marks, since_s) * _CHUNK
-    return records if start == 0 else records[start:]
+        return _service_time(self.executions)
 
 
 class MeteringLedger:
     """Append-only store of telemetry records with simple querying.
 
-    Each record kind is one list, appended to and never reordered.
-    :meth:`group` keeps one index per list, the running maxima of
-    ``start_s`` at every 512-record chunk boundary, so a window query
+    Each record kind is one :class:`_Table` of columns, appended to and
+    never reordered, with strings interned in one table the four kinds
+    share.  ``executions``, ``transmissions``, ``messages`` and
+    ``kv_accesses`` are :class:`RecordView` s of the whole kind.
+    :meth:`group` keeps one index per kind, the running maxima of
+    ``start_s`` at every 512-row chunk boundary, so a window query
     skips every chunk whose records all started before the window: a
     late window does not pay for the history before it.
     """
 
     def __init__(self) -> None:
-        self.executions: List[ExecutionRecord] = []
-        self.transmissions: List[TransmissionRecord] = []
-        self.messages: List[MessagingRecord] = []
-        self.kv_accesses: List[KvAccessRecord] = []
-        # Per kind, in the order above: see _from_window.
-        self._marks: Tuple[List[float], ...] = ([], [], [], [])
+        self._codes = _Strings()
+        self._tables = (
+            _Table(ExecutionRecord, "IIIIIddqddbdd", self._codes,
+                   tagged=("payload_bytes", "output_bytes")),
+            _Table(TransmissionRecord, "IIIdddIII", self._codes,
+                   region="src_region", tagged=("size_bytes",)),
+            _Table(MessagingRecord, "IIIddI", self._codes, tagged=("size_bytes",)),
+            _Table(KvAccessRecord, "IIIdbI", self._codes),
+        )
+        self.executions, self.transmissions, self.messages, self.kv_accesses = (
+            RecordView(table) for table in self._tables
+        )
 
     # -- append -----------------------------------------------------------
-    def record_execution(self, record: ExecutionRecord) -> None:
-        self.executions.append(record)
+    def record_execution(
+        self, *, workflow: str, node: str, function: str, region: str, request_id: str,
+        start_s: float, duration_s: float, memory_mb: int, n_vcpu: float,
+        cpu_total_time_s: float, cold_start: bool, payload_bytes: float,
+        output_bytes: float,
+    ) -> None:
+        """Append one :class:`ExecutionRecord`, given as its fields."""
+        code = self._codes
+        wf, nd, fn, rg, rid, st, du, mem, vc, cpu, cold, pay, out, tag = self._tables[0].appends
+        wf(code[workflow])
+        nd(code[node])
+        fn(code[function])
+        rg(code[region])
+        rid(code[request_id])
+        st(start_s)
+        du(duration_s)
+        mem(memory_mb)
+        vc(n_vcpu)
+        cpu(cpu_total_time_s)
+        cold(cold_start)
+        pay(payload_bytes)
+        out(output_bytes)
+        tag((type(payload_bytes) is int) | (type(output_bytes) is int) << 1)
 
-    def record_transmission(self, record: TransmissionRecord) -> None:
-        self.transmissions.append(record)
+    def record_transmission(
+        self, *, workflow: str, src_region: str, dst_region: str, size_bytes: float,
+        start_s: float, latency_s: float, request_id: str = "", kind: str = "data",
+        edge: str = "",
+    ) -> None:
+        """Append one :class:`TransmissionRecord`, given as its fields."""
+        code = self._codes
+        wf, src, dst, size, st, lat, rid, knd, edg, tag = self._tables[1].appends
+        wf(code[workflow])
+        src(code[src_region])
+        dst(code[dst_region])
+        size(size_bytes)
+        st(start_s)
+        lat(latency_s)
+        rid(code[request_id])
+        knd(code[kind])
+        edg(code[edge])
+        tag(type(size_bytes) is int)
 
-    def record_message(self, record: MessagingRecord) -> None:
-        self.messages.append(record)
+    def record_message(
+        self, *, workflow: str, topic: str, region: str, start_s: float,
+        size_bytes: float, request_id: str = "",
+    ) -> None:
+        """Append one :class:`MessagingRecord`, given as its fields."""
+        code = self._codes
+        wf, tp, rg, st, size, rid, tag = self._tables[2].appends
+        wf(code[workflow])
+        tp(code[topic])
+        rg(code[region])
+        st(start_s)
+        size(size_bytes)
+        rid(code[request_id])
+        tag(type(size_bytes) is int)
 
-    def record_kv_access(self, record: KvAccessRecord) -> None:
-        self.kv_accesses.append(record)
+    def record_kv_access(
+        self, *, workflow: str, table: str, region: str, start_s: float, write: bool,
+        request_id: str = "",
+    ) -> None:
+        """Append one :class:`KvAccessRecord`, given as its fields."""
+        code = self._codes
+        wf, tb, rg, st, wr, rid = self._tables[3].appends
+        wf(code[workflow])
+        tb(code[table])
+        rg(code[region])
+        st(start_s)
+        wr(write)
+        rid(code[request_id])
 
     # -- query ------------------------------------------------------------
     def executions_for(
         self, workflow: Optional[str] = None, request_id: Optional[str] = None
-    ) -> List[ExecutionRecord]:
-        return _select(self.executions, workflow, request_id)
+    ) -> RecordView:
+        return self.executions.select(workflow, request_id)
 
     def transmissions_for(
         self, workflow: Optional[str] = None, request_id: Optional[str] = None
-    ) -> List[TransmissionRecord]:
-        return _select(self.transmissions, workflow, request_id)
+    ) -> RecordView:
+        return self.transmissions.select(workflow, request_id)
 
     def messages_for(
         self, workflow: Optional[str] = None, request_id: Optional[str] = None
-    ) -> List[MessagingRecord]:
-        return _select(self.messages, workflow, request_id)
+    ) -> RecordView:
+        return self.messages.select(workflow, request_id)
 
     def kv_accesses_for(
         self, workflow: Optional[str] = None, request_id: Optional[str] = None
-    ) -> List[KvAccessRecord]:
-        return _select(self.kv_accesses, workflow, request_id)
+    ) -> RecordView:
+        return self.kv_accesses.select(workflow, request_id)
 
     def request_ids(self, workflow: str) -> List[str]:
         """Distinct request ids seen for ``workflow``, in arrival order."""
-        seen: Dict[str, None] = {}
-        for r in self.executions:
-            if r.workflow == workflow and r.request_id not in seen:
-                seen[r.request_id] = None
-        return list(seen)
+        if workflow not in self._codes:
+            return []
+        table = self._tables[0]
+        rid = table.columns["request_id"]
+        seen = dict.fromkeys(rid[row] for row in table.rows(workflow=self._codes[workflow]))
+        return [self._codes.names[code] for code in seen]
 
     def group(
         self,
-        key: Callable[[Any, str], K],
+        key: Union[str, Callable[[Any, str], K]],
         workflow: Optional[str] = None,
         since_s: float = -math.inf,
         until_s: float = math.inf,
     ) -> Dict[K, RecordGroup]:
         """Group the records of ``workflow`` (every workflow if ``None``)
-        that started in ``[since_s, until_s)`` by ``key(record, region)``.
+        that started in ``[since_s, until_s)`` by ``key(record, region)``,
+        or, when ``key`` is the name of a field every kind has
+        (``"request_id"``, ``"workflow"``), by that field's value.
 
         ``region`` is the region that performed the record; a
         transmission is performed by its *source* region (egress is
         billed and powered where the bytes leave).  One pass per record
-        kind, in ledger order, so each group's lists keep ledger order
+        kind, in ledger order, so each group's rows keep ledger order
         and keys appear first-seen across executions, transmissions,
-        messages, then KV accesses.
+        messages, then KV accesses.  Workflow codes and start times are
+        compared first; a record is built, for a callable ``key``, only
+        for a row in the group's window, and a field name is read from
+        its column without building any.
 
-        Each pass starts at the first 512-record chunk that can hold a
+        Each pass starts at the first 512-row chunk that can hold a
         record starting at or after ``since_s`` (the ledger's index; see
         :class:`MeteringLedger`), so a one-hour window late in a long
         history scans from the chunk of its first record on, not from
-        record 0.  Skipping is exact: every record in a skipped chunk
-        started before ``since_s``.
+        row 0.  Skipping is exact: every row in a skipped chunk started
+        before ``since_s``.
         """
-        groups: DefaultDict[K, RecordGroup] = defaultdict(RecordGroup)
-        every = workflow is None
-        m_exec, m_trans, m_msg, m_kv = self._marks
-        for r in _from_window(self.executions, m_exec, since_s):
-            if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
-                groups[key(r, r.region)].executions.append(r)
-        for r in _from_window(self.transmissions, m_trans, since_s):
-            if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
-                groups[key(r, r.src_region)].transmissions.append(r)
-        for r in _from_window(self.messages, m_msg, since_s):
-            if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
-                groups[key(r, r.region)].messages.append(r)
-        for r in _from_window(self.kv_accesses, m_kv, since_s):
-            if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
-                groups[key(r, r.region)].kv_accesses.append(r)
-        return dict(groups)
+
+        def keyed(table: _Table) -> Callable[[int], K]:
+            if isinstance(key, str):
+                return table.getter(key)
+            build, region = table.record, table.getter(table.region)
+            return lambda row: key(build(row), region(row))
+
+        return self._group(keyed, workflow, since_s, until_s)
+
+    def _group(
+        self,
+        keyed: Callable[[_Table], Callable[[int], K]],
+        workflow: Optional[str],
+        since_s: float,
+        until_s: float,
+    ) -> Dict[K, RecordGroup]:
+        groups: Dict[K, RecordGroup] = {}
+        if workflow is not None and workflow not in self._codes:
+            return groups
+        code = None if workflow is None else self._codes[workflow]
+        for kind, table in enumerate(self._tables):
+            if len(table) > _ROW_MASK:
+                raise OverflowError(f"a record group holds row ids below 2**{_KIND_SHIFT}")
+            key_of, tag = keyed(table), kind << _KIND_SHIFT
+            for row in table.rows(table.first_row(since_s), code, None, (since_s, until_s)):
+                key = key_of(row)
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = RecordGroup()
+                    group._tables = self._tables
+                group._rows.append(tag | row)
+        return groups
 
     def usage_by_region(
         self, workflow: Optional[str] = None
@@ -286,9 +583,12 @@ class MeteringLedger:
         The result covers the *whole* ledger window (warm-up, framework
         traffic, and measured requests alike) — it answers "what did
         each region do", not "what did one invocation cost".  Keys are
-        sorted for deterministic serialisation.
+        sorted for deterministic serialisation.  Keyed by the region
+        column alone, so no record is built.
         """
-        usage = self.group(lambda rec, region: region, workflow)
+        usage = self._group(
+            lambda table: table.getter(table.region), workflow, -math.inf, math.inf
+        )
         return {region: usage[region] for region in sorted(usage)}
 
     def service_time(self, workflow: str, request_id: str) -> float:
@@ -297,12 +597,8 @@ class MeteringLedger:
         execs = self.executions_for(workflow, request_id)
         if not execs:
             raise KeyError(f"no executions for {workflow}/{request_id}")
-        return RecordGroup(executions=execs).service_time_s
+        return _service_time(execs)
 
-    def clear(self) -> None:
-        self.executions.clear()
-        self.transmissions.clear()
-        self.messages.clear()
-        self.kv_accesses.clear()
-        for marks in self._marks:
-            marks.clear()
+
+#: What an empty :class:`RecordGroup` reads its (no) rows from.
+_NO_TABLES = MeteringLedger()._tables

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.cloud.ledger import MeteringLedger, TransmissionRecord
+from repro.cloud.ledger import MeteringLedger
 from repro.cloud.simulator import SimulationEnvironment
 from repro.common.errors import NetworkPartitionError
 from repro.data.latency import LatencySource
@@ -142,17 +142,15 @@ class Network:
         self._hist_latency.observe(latency)
         self._hist_bytes.observe(size_bytes)
         self._ledger.record_transmission(
-            TransmissionRecord(
-                workflow=workflow,
-                src_region=src,
-                dst_region=dst,
-                size_bytes=size_bytes,
-                start_s=self._env.now(),
-                latency_s=latency,
-                request_id=request_id,
-                kind=kind,
-                edge=edge,
-            )
+            workflow=workflow,
+            src_region=src,
+            dst_region=dst,
+            size_bytes=size_bytes,
+            start_s=self._env.now(),
+            latency_s=latency,
+            request_id=request_id,
+            kind=kind,
+            edge=edge,
         )
         return TransferResult(
             latency_s=latency, size_bytes=size_bytes, src_region=src, dst_region=dst

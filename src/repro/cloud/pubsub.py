@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.cloud.ledger import MessagingRecord, MeteringLedger
+from repro.cloud.ledger import MeteringLedger
 from repro.cloud.network import Network
 from repro.cloud.simulator import EventHandle, SimulationEnvironment
 from repro.common.errors import MessageDeliveryError, RegionUnavailableError
@@ -209,14 +209,12 @@ class PubSubService:
                 )
             ctr.inc()
             self._ledger.record_message(
-                MessagingRecord(
-                    workflow=message.workflow,
-                    topic=name,
-                    region=region,
-                    start_s=self._env.now(),
-                    size_bytes=message.size_bytes,
-                    request_id=message.request_id,
-                )
+                workflow=message.workflow,
+                topic=name,
+                region=region,
+                start_s=self._env.now(),
+                size_bytes=message.size_bytes,
+                request_id=message.request_id,
             )
             transfer = self._network.transfer(
                 source_region,

@@ -356,13 +356,11 @@ class DeploymentManager:
         # Classify each invocation by where its executions ran: the
         # same window grouped the same way, so the ledger's index keeps
         # this O(window) too.
-        by_rid = ledger.group(
-            lambda rec, region: rec.request_id, self._d.name, since_s, until_s
-        )
+        by_rid = ledger.group("request_id", self._d.name, since_s, until_s)
         home_carbons: List[float] = []
         routed_carbons: List[float] = []
         for rid, fp in footprints.items():
-            regions = {rec.region for rec in by_rid[rid].executions}
+            regions = set(by_rid[rid].executions.values("region"))
             if not regions:
                 continue
             if regions == {home_region}:

@@ -177,13 +177,13 @@ def _run_measurement(
 
     # One ledger pass: every measured request's records.  A request that
     # failed before any record was written prices as an empty group.
-    by_request = cloud.ledger.group(lambda rec, region: rec.request_id, deployed.name)
+    by_request = cloud.ledger.group("request_id", deployed.name)
     measured = [by_request.get(rid, RecordGroup()) for rid in rids]
     # Under fault injection some requests fail before any execution is
     # recorded; measure service time only over requests that actually ran.
     ran = [group for group in measured if group.executions]
     service_times = [group.service_time_s for group in ran]
-    regions_used = tuple(sorted({r.region for group in ran for r in group.executions}))
+    regions_used = tuple(sorted({r for group in ran for r in group.executions.values("region")}))
 
     per_scenario: Dict[str, ScenarioStats] = {}
     per_region: Dict[str, Dict[str, Dict[str, float]]] = {}

@@ -63,53 +63,74 @@ class CarbonAccountant:
 
     # -- single records ---------------------------------------------------------
     def execution_carbon_g(self, record: ExecutionRecord) -> float:
-        intensity = self._source.intensity_at(record.region, record.start_s)
-        return self._carbon.execution_carbon_g(
-            grid_intensity=intensity,
-            duration_s=record.duration_s,
-            memory_mb=record.memory_mb,
-            n_vcpu=record.n_vcpu,
-            cpu_total_time_s=record.cpu_total_time_s,
+        return self._execution_carbon_g(
+            record.region, record.start_s, record.duration_s, record.memory_mb,
+            record.n_vcpu, record.cpu_total_time_s,
         )
 
     def transmission_carbon_g(self, record: TransmissionRecord) -> float:
-        intensity = self._source.route_intensity_at(
-            record.src_region, record.dst_region, record.start_s
+        return self._transmission_carbon_g(
+            record.src_region, record.dst_region, record.start_s, record.size_bytes
         )
+
+    def _execution_carbon_g(
+        self, region: str, start_s: float, duration_s: float, memory_mb: int,
+        n_vcpu: float, cpu_total_time_s: float,
+    ) -> float:
+        intensity = self._source.intensity_at(region, start_s)
+        return self._carbon.execution_carbon_g(
+            grid_intensity=intensity,
+            duration_s=duration_s,
+            memory_mb=memory_mb,
+            n_vcpu=n_vcpu,
+            cpu_total_time_s=cpu_total_time_s,
+        )
+
+    def _transmission_carbon_g(
+        self, src_region: str, dst_region: str, start_s: float, size_bytes: float
+    ) -> float:
+        intensity = self._source.route_intensity_at(src_region, dst_region, start_s)
         return self._carbon.transmission_carbon_g(
             route_intensity=intensity,
-            size_bytes=record.size_bytes,
-            intra_region=record.intra_region,
+            size_bytes=size_bytes,
+            intra_region=src_region == dst_region,
         )
 
     # -- aggregation ----------------------------------------------------------------
     def price(self, group: RecordGroup) -> InvocationFootprint:
         """Carbon and cost of one record group, each record at the
         intensity of its own start time: executions, transmissions,
-        messages, then KV accesses, each in ledger order."""
+        messages, then KV accesses, each in ledger order.  Reads the
+        group's rows field by field; no record is built."""
         fp = InvocationFootprint()
         cost = self._cost
-        for rec in group.executions:
-            carbon = self.execution_carbon_g(rec)
+        for region, start_s, duration_s, memory_mb, n_vcpu, cpu_s in group.executions.fields(
+            "region", "start_s", "duration_s", "memory_mb", "n_vcpu", "cpu_total_time_s"
+        ):
+            carbon = self._execution_carbon_g(
+                region, start_s, duration_s, memory_mb, n_vcpu, cpu_s
+            )
             fp.exec_carbon_g += carbon
             fp.carbon_g += carbon
-            fp.exec_seconds += rec.duration_s
+            fp.exec_seconds += duration_s
             fp.n_executions += 1
-            fp.cost_usd += cost.execution_cost(rec.region, rec.duration_s, rec.memory_mb)
-        for rec in group.transmissions:
-            carbon = self.transmission_carbon_g(rec)
+            fp.cost_usd += cost.execution_cost(region, duration_s, memory_mb)
+        for src, dst, start_s, size_bytes in group.transmissions.fields(
+            "src_region", "dst_region", "start_s", "size_bytes"
+        ):
+            carbon = self._transmission_carbon_g(src, dst, start_s, size_bytes)
             fp.trans_carbon_g += carbon
             fp.carbon_g += carbon
-            fp.bytes_moved += rec.size_bytes
+            fp.bytes_moved += size_bytes
             fp.n_transmissions += 1
-            fp.cost_usd += cost.transmission_cost(rec.src_region, rec.dst_region, rec.size_bytes)
-        for msg in group.messages:
-            fp.cost_usd += cost.messaging_cost(msg.region)
-        for access in group.kv_accesses:
+            fp.cost_usd += cost.transmission_cost(src, dst, size_bytes)
+        for region in group.messages.values("region"):
+            fp.cost_usd += cost.messaging_cost(region)
+        for region, write in group.kv_accesses.fields("region", "write"):
             fp.cost_usd += cost.kv_cost(
-                access.region,
-                n_reads=0 if access.write else 1,
-                n_writes=1 if access.write else 0,
+                region,
+                n_reads=0 if write else 1,
+                n_writes=1 if write else 0,
             )
         return fp
 
@@ -124,7 +145,7 @@ class CarbonAccountant:
         in one ledger pass, keyed by request id in first-seen order.
         Framework traffic (empty request id) belongs to no invocation
         and is left out."""
-        groups = ledger.group(lambda rec, region: rec.request_id, workflow, since_s, until_s)
+        groups = ledger.group("request_id", workflow, since_s, until_s)
         groups.pop("", None)
         return {rid: self.price(group) for rid, group in groups.items()}
 

@@ -251,15 +251,13 @@ class MetricsManager:
         """
         workflow = self._dag.name
         executions = self._ledger.executions
-        new_executions = [
-            rec for rec in executions[self._exec_cursor :] if rec.workflow == workflow
-        ]
+        new_executions = list(executions.select(workflow, from_row=self._exec_cursor))
         self._exec_cursor = len(executions)
         transmissions = self._ledger.transmissions
         new_transmissions = [
             rec
-            for rec in transmissions[self._trans_cursor :]
-            if rec.workflow == workflow and rec.kind == "data"
+            for rec in transmissions.select(workflow, from_row=self._trans_cursor)
+            if rec.kind == "data"
         ]
         self._trans_cursor = len(transmissions)
         for rec in new_executions:

@@ -250,12 +250,12 @@ def ledger_series(
         lambda rec, region: (wstart(rec.start_s), region, rec.workflow), workflow
     )
     first_exec: Dict[str, Tuple[float, str]] = {}
-    for rec in ledger.executions:
-        if workflow is not None and rec.workflow != workflow:
-            continue
-        seen = first_exec.get(rec.request_id)
-        if seen is None or rec.start_s < seen[0]:
-            first_exec[rec.request_id] = (rec.start_s, rec.workflow)
+    for rid, start_s, wf in ledger.executions.select(workflow).fields(
+        "request_id", "start_s", "workflow"
+    ):
+        seen = first_exec.get(rid)
+        if seen is None or start_s < seen[0]:
+            first_exec[rid] = (start_s, wf)
 
     requests: Dict[Tuple[float, str], int] = {}
     for t, wf in first_exec.values():

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, DefaultDict, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.cloud.ledger import (
@@ -35,7 +35,6 @@ from repro.cloud.ledger import (
     KvAccessRecord,
     MessagingRecord,
     MeteringLedger,
-    RecordGroup,
     TransmissionRecord,
 )
 from repro.metrics.accounting import CarbonAccountant, InvocationFootprint
@@ -240,14 +239,24 @@ class ListLedger:
             raise KeyError(f"no executions for {workflow}/{request_id}")
         return ListRecordGroup(executions=execs).service_time_s
 
-    def clear(self) -> None:
-        self.executions.clear()
-        self.transmissions.clear()
-        self.messages.clear()
-        self.kv_accesses.clear()
-        for marks in self._marks:
-            marks.clear()
 
+#: Record class -> the ledger method that appends one.
+RECORD_METHODS = {
+    ExecutionRecord: "record_execution",
+    TransmissionRecord: "record_transmission",
+    MessagingRecord: "record_message",
+    KvAccessRecord: "record_kv_access",
+}
+
+
+def append_record(ledger, record) -> None:
+    """Append ``record`` to a :class:`MeteringLedger` (which takes its
+    fields as keywords) or to a :class:`ListLedger` (which keeps it)."""
+    method = getattr(ledger, RECORD_METHODS[type(record)])
+    if isinstance(ledger, ListLedger):
+        method(record)
+    else:
+        method(**{f.name: getattr(record, f.name) for f in fields(record)})
 
 
 class ScanAccountant(CarbonAccountant):
@@ -397,10 +406,10 @@ def group(
     workflow: Optional[str] = None,
     since_s: float = -math.inf,
     until_s: float = math.inf,
-) -> Dict[Any, RecordGroup]:
+) -> Dict[Any, ListRecordGroup]:
     """``MeteringLedger.group`` before the ledger was indexed: each
     pass walks its whole list from record 0."""
-    groups: DefaultDict[Any, RecordGroup] = defaultdict(RecordGroup)
+    groups: DefaultDict[Any, ListRecordGroup] = defaultdict(ListRecordGroup)
     every = workflow is None
     for r in ledger.executions:
         if (every or r.workflow == workflow) and since_s <= r.start_s < until_s:
@@ -419,12 +428,12 @@ def group(
 
 def usage_by_region(
     ledger: MeteringLedger, workflow: Optional[str] = None
-) -> Dict[str, RecordGroup]:
-    usage: Dict[str, RecordGroup] = {}
+) -> Dict[str, ListRecordGroup]:
+    usage: Dict[str, ListRecordGroup] = {}
 
-    def bucket(region: str) -> RecordGroup:
+    def bucket(region: str) -> ListRecordGroup:
         if region not in usage:
-            usage[region] = RecordGroup()
+            usage[region] = ListRecordGroup()
         return usage[region]
 
     for rec in ledger.executions:

@@ -13,7 +13,6 @@ from repro.cloud.ledger import (
     KvAccessRecord,
     MessagingRecord,
     MeteringLedger,
-    RecordGroup,
     TransmissionRecord,
 )
 from repro.data.carbon import CarbonIntensitySource
@@ -24,6 +23,8 @@ from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel
 from repro.obs.timeseries import ledger_series
 from tests import chaos_capture, golden, ledger_capture, ledger_pricing_oracle
+from tests.ledger_pricing_oracle import ListLedger, append_record
+from tests.test_ledger import assert_groups_match
 
 
 @pytest.fixture
@@ -79,16 +80,17 @@ class TestSingleRecords:
 
 class TestAggregation:
     def test_price_combines_components(self, accountant):
-        fp = accountant.price(RecordGroup(
-            executions=[exec_rec()],
-            transmissions=[trans_rec()],
-            messages=[MessagingRecord(workflow="wf", topic="t",
-                                      region="us-east-1", start_s=0.0,
-                                      size_bytes=10, request_id="r1")],
-            kv_accesses=[KvAccessRecord(workflow="wf", table="t",
-                                        region="us-east-1", start_s=0.0,
-                                        write=True, request_id="r1")],
-        ))
+        ledger = MeteringLedger()
+        for record in (
+            exec_rec(),
+            trans_rec(),
+            MessagingRecord(workflow="wf", topic="t", region="us-east-1",
+                            start_s=0.0, size_bytes=10, request_id="r1"),
+            KvAccessRecord(workflow="wf", table="t", region="us-east-1",
+                           start_s=0.0, write=True, request_id="r1"),
+        ):
+            append_record(ledger, record)
+        fp = accountant.price(ledger.usage_by_region()["us-east-1"])
         assert fp.carbon_g == pytest.approx(fp.exec_carbon_g + fp.trans_carbon_g)
         assert fp.n_executions == 1
         assert fp.n_transmissions == 1
@@ -98,22 +100,22 @@ class TestAggregation:
 
     def test_price_workflow_filters_request(self, accountant):
         ledger = MeteringLedger()
-        ledger.record_execution(exec_rec(rid="r1"))
-        ledger.record_execution(exec_rec(rid="r2"))
+        append_record(ledger, exec_rec(rid="r1"))
+        append_record(ledger, exec_rec(rid="r2"))
         fp = accountant.price_workflow(ledger, "wf", request_id="r1")
         assert fp.n_executions == 1
 
     def test_price_workflow_time_window(self, accountant):
         ledger = MeteringLedger()
         early = exec_rec(rid="r1")
-        ledger.record_execution(early)
+        append_record(ledger, early)
         late = ExecutionRecord(
             workflow="wf", node="n", function="n", region="us-east-1",
             request_id="r2", start_s=5000.0, duration_s=1.0, memory_mb=1769,
             n_vcpu=1.0, cpu_total_time_s=1.0, cold_start=False,
             payload_bytes=0, output_bytes=0,
         )
-        ledger.record_execution(late)
+        append_record(ledger, late)
         fp = accountant.price_workflow(ledger, "wf", since_s=1000.0)
         assert fp.n_executions == 1
 
@@ -122,9 +124,9 @@ class TestPriceByRequest:
     def test_groups_match_per_request_pricing(self, accountant):
         ledger = MeteringLedger()
         for rid in ("r1", "r2"):
-            ledger.record_execution(exec_rec(rid=rid))
-            ledger.record_transmission(trans_rec(rid=rid))
-            ledger.record_message(MessagingRecord(
+            append_record(ledger, exec_rec(rid=rid))
+            append_record(ledger, trans_rec(rid=rid))
+            append_record(ledger, MessagingRecord(
                 workflow="wf", topic="t", region="us-east-1", start_s=0.0,
                 size_bytes=10, request_id=rid,
             ))
@@ -138,20 +140,20 @@ class TestPriceByRequest:
 
     def test_window_filter(self, accountant):
         ledger = MeteringLedger()
-        ledger.record_execution(exec_rec(rid="early"))
+        append_record(ledger, exec_rec(rid="early"))
         late = ExecutionRecord(
             workflow="wf", node="n", function="n", region="us-east-1",
             request_id="late", start_s=9999.0, duration_s=1.0, memory_mb=1769,
             n_vcpu=1.0, cpu_total_time_s=1.0, cold_start=False,
             payload_bytes=0, output_bytes=0,
         )
-        ledger.record_execution(late)
+        append_record(ledger, late)
         grouped = accountant.price_by_request(ledger, "wf", since_s=5000.0)
         assert set(grouped) == {"late"}
 
     def test_anonymous_records_dropped(self, accountant):
         ledger = MeteringLedger()
-        ledger.record_transmission(TransmissionRecord(
+        append_record(ledger, TransmissionRecord(
             workflow="wf", src_region="us-east-1", dst_region="us-west-1",
             size_bytes=10, start_s=0.0, latency_s=0.1, request_id="",
             kind="image", edge="crane:x",
@@ -217,20 +219,27 @@ _kv_access = st.builds(
 
 
 @st.composite
-def ledgers(draw) -> MeteringLedger:
-    """Two workflows, the empty request id, intra- and inter-region
-    routes, every record kind; a request may exist only as messages or
-    KV accesses."""
-    ledger = MeteringLedger()
-    for rec in draw(st.lists(_execution(), max_size=12)):
-        ledger.record_execution(rec)
-    for rec in draw(st.lists(_transmission, max_size=12)):
-        ledger.record_transmission(rec)
-    for rec in draw(st.lists(_message, max_size=8)):
-        ledger.record_message(rec)
-    for rec in draw(st.lists(_kv_access, max_size=8)):
-        ledger.record_kv_access(rec)
-    return ledger
+def ledgers(draw) -> tuple:
+    """A ledger and its list-ledger twin: two workflows, the empty
+    request id, intra- and inter-region routes, every record kind; a
+    request may exist only as messages or KV accesses."""
+    ledger, twin = MeteringLedger(), ListLedger()
+    for strategy, max_size in (
+        (_execution(), 12), (_transmission, 12), (_message, 8), (_kv_access, 8)
+    ):
+        for rec in draw(st.lists(strategy, max_size=max_size)):
+            append_record(ledger, rec)
+            append_record(twin, rec)
+    return ledger, twin
+
+
+def twin_of(ledger) -> ListLedger:
+    """A list ledger holding the records of ``ledger``, in order."""
+    twin = ListLedger()
+    for kind in ledger_capture.KINDS:
+        for rec in getattr(ledger, kind):
+            append_record(twin, rec)
+    return twin
 
 
 def _accountants(scenario: TransmissionScenario, source=SOURCE, pricing=None):
@@ -239,36 +248,33 @@ def _accountants(scenario: TransmissionScenario, source=SOURCE, pricing=None):
 
 
 def _assert_matches_oracle(
-    ledger, production, oracle, windows=WINDOWS, request_ids=REQUEST_IDS
+    ledger, twin, production, oracle, windows=WINDOWS, request_ids=REQUEST_IDS
 ) -> None:
-    """All five grouped paths equal the per-caller scans, key order and
-    record identity included."""
-    workflows = sorted({r.workflow for r in ledger.executions} | set(WORKFLOWS))
+    """All five grouped paths equal the per-caller scans of the list
+    ledger ``twin``, key order and record rows included."""
+    workflows = sorted({r.workflow for r in twin.executions} | set(WORKFLOWS))
     for workflow in (None, *workflows):
         got = ledger.usage_by_region(workflow)
-        want = ledger_pricing_oracle.usage_by_region(ledger, workflow)
-        assert list(got.items()) == list(want.items())
+        want = ledger_pricing_oracle.usage_by_region(twin, workflow)
+        assert_groups_match(got, want, twin)
         for region, group in got.items():
-            for kind in ledger_capture.KINDS:
-                assert all(
-                    a is b for a, b in zip(getattr(group, kind), getattr(want[region], kind))
-                )
+            theirs = want[region]
             assert production.price(group) == oracle.price(
-                executions=group.executions, transmissions=group.transmissions,
-                messages=group.messages, kv_accesses=group.kv_accesses,
+                executions=theirs.executions, transmissions=theirs.transmissions,
+                messages=theirs.messages, kv_accesses=theirs.kv_accesses,
             )
         for window_s in SERIES_WINDOWS_S:
             assert ledger_series(ledger, production, window_s, workflow) == (
-                ledger_pricing_oracle.ledger_series(ledger, oracle, window_s, workflow)
+                ledger_pricing_oracle.ledger_series(twin, oracle, window_s, workflow)
             )
     for workflow in workflows:
         for since, until in windows:
             got = production.price_by_request(ledger, workflow, since, until)
-            want = oracle.price_by_request(ledger, workflow, since, until)
+            want = oracle.price_by_request(twin, workflow, since, until)
             assert list(got.items()) == list(want.items())
             for rid in (None, *request_ids, "no-such-request"):
                 assert production.price_workflow(ledger, workflow, rid, since, until) == (
-                    oracle.price_workflow(ledger, workflow, rid, since, until)
+                    oracle.price_workflow(twin, workflow, rid, since, until)
                 )
 
 
@@ -277,18 +283,20 @@ class TestLedgerPricingDifferential:
     scans they replaced (``tests/ledger_pricing_oracle.py``)."""
 
     @settings(max_examples=150)
-    @given(ledger=ledgers(), worst=st.booleans())
-    def test_random_ledgers_match_the_oracle(self, ledger, worst):
+    @given(ledgers=ledgers(), worst=st.booleans())
+    def test_random_ledgers_match_the_oracle(self, ledgers, worst):
         scenario = (TransmissionScenario.worst_case if worst else TransmissionScenario.best_case)()
-        _assert_matches_oracle(ledger, *_accountants(scenario))
+        _assert_matches_oracle(*ledgers, *_accountants(scenario))
 
     @pytest.mark.parametrize("app_name", chaos_capture.APPS)
     def test_chaos_ledgers_match_the_oracle(self, app_name):
         cloud, _tracer, executor = chaos_capture.chaos_run(app_name)
         ledger, workflow = cloud.ledger, executor.deployed.name
+        twin = twin_of(ledger)
         for scenario in ledger_capture.SCENARIOS.values():
             _assert_matches_oracle(
                 ledger,
+                twin,
                 *_accountants(scenario, cloud.carbon_source, cloud.pricing_source),
                 windows=ledger_capture.windows(ledger, workflow),
                 request_ids=ledger_capture.request_ids(ledger, workflow),

@@ -585,7 +585,7 @@ class TestPlanFetchDifferential:
         for op in ops:
             assert self.apply(new, op) == self.apply(old, op), op
         (cloud_n, _, _, ex_n), (cloud_o, _, _, ex_o) = new, old
-        assert cloud_n.ledger.kv_accesses == cloud_o.ledger.kv_accesses
+        assert list(cloud_n.ledger.kv_accesses) == list(cloud_o.ledger.kv_accesses)
         assert ex_n.reliability() == ex_o.reliability()
         assert cloud_n.metrics.snapshot() == cloud_o.metrics.snapshot()
         assert cloud_n.now() == cloud_o.now()

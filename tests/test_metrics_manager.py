@@ -14,6 +14,7 @@ from repro.metrics.manager import MetricsManager
 from repro.model.config import WorkflowConfig
 from repro.model.dag import Edge, Node, WorkflowDAG
 from tests import control_loop_oracle
+from tests.ledger_pricing_oracle import append_record
 
 
 def exec_rec(node, region, rid, start=0.0, duration=1.0, workflow="chain",
@@ -48,27 +49,27 @@ class TestIngestion:
     def test_collect_builds_invocations(self, setup):
         mm, ledger = setup
         for node in ("a", "b", "c"):
-            ledger.record_execution(exec_rec(node, "us-east-1", "r1"))
+            append_record(ledger, exec_rec(node, "us-east-1", "r1"))
         assert mm.collect(now_s=10.0) == 3
         assert mm.invocation_count == 1
 
     def test_collect_is_incremental(self, setup):
         mm, ledger = setup
-        ledger.record_execution(exec_rec("a", "us-east-1", "r1"))
+        append_record(ledger, exec_rec("a", "us-east-1", "r1"))
         mm.collect(10.0)
-        ledger.record_execution(exec_rec("a", "us-east-1", "r2"))
+        append_record(ledger, exec_rec("a", "us-east-1", "r2"))
         assert mm.collect(20.0) == 1
         assert mm.invocation_count == 2
 
     def test_other_workflows_ignored(self, setup):
         mm, ledger = setup
-        ledger.record_execution(exec_rec("a", "us-east-1", "r1", workflow="other"))
+        append_record(ledger, exec_rec("a", "us-east-1", "r1", workflow="other"))
         assert mm.collect(10.0) == 0
 
     def test_execution_time_dist_from_history(self, setup):
         mm, ledger = setup
         for i, duration in enumerate((1.0, 2.0, 3.0)):
-            ledger.record_execution(
+            append_record(ledger, 
                 exec_rec("a", "us-east-1", f"r{i}", duration=duration)
             )
         mm.collect(10.0)
@@ -78,7 +79,7 @@ class TestIngestion:
     def test_missing_region_falls_back_to_home(self, setup):
         # §7.1: new regions borrow the home region's distribution.
         mm, ledger = setup
-        ledger.record_execution(exec_rec("a", "us-east-1", "r1", duration=5.0))
+        append_record(ledger, exec_rec("a", "us-east-1", "r1", duration=5.0))
         mm.collect(10.0)
         dist = mm.execution_time_dist("a", "ca-central-1")
         assert dist is mm.execution_time_dist("a", "us-east-1")
@@ -100,7 +101,7 @@ class TestIngestion:
             ("r2", "ca-central-1", 2.0),
             ("r3", "us-west-2", 6.0),
         ):
-            ledger.record_execution(exec_rec("a", region, rid, duration=duration))
+            append_record(ledger, exec_rec("a", region, rid, duration=duration))
         mm.collect(10.0)
         home = mm.execution_time_dist("a", "us-east-1")
         assert home.support().tolist() == [4.0, 2.0, 6.0]
@@ -112,8 +113,8 @@ class TestIngestion:
 
     def test_edge_size_dist(self, setup):
         mm, ledger = setup
-        ledger.record_execution(exec_rec("a", "us-east-1", "r1"))
-        ledger.record_transmission(
+        append_record(ledger, exec_rec("a", "us-east-1", "r1"))
+        append_record(ledger, 
             trans_rec("a", "b", "us-east-1", "us-east-1", "r1", size=5e6)
         )
         mm.collect(10.0)
@@ -128,8 +129,8 @@ class TestIngestion:
 
     def test_utilization_from_insights(self, setup):
         mm, ledger = setup
-        ledger.record_execution(exec_rec("a", "us-east-1", "r1", util=0.4))
-        ledger.record_execution(exec_rec("a", "us-east-1", "r2", util=0.6))
+        append_record(ledger, exec_rec("a", "us-east-1", "r1", util=0.4))
+        append_record(ledger, exec_rec("a", "us-east-1", "r2", util=0.6))
         mm.collect(10.0)
         assert mm.node_cpu_utilization("a") == pytest.approx(0.5)
 
@@ -147,7 +148,7 @@ class TestIngestion:
 class TestEdgeProbability:
     def test_unconditional_edge_is_one(self, setup):
         mm, ledger = setup
-        ledger.record_execution(exec_rec("a", "us-east-1", "r1"))
+        append_record(ledger, exec_rec("a", "us-east-1", "r1"))
         mm.collect(10.0)
         assert mm.edge_probability("a", "b") == 1.0
 
@@ -158,11 +159,11 @@ class TestEdgeProbability:
         mm = MetricsManager(diamond_dag, config, ledger, carbon)
         # a ran 4 times; conditional edge a->c taken twice.
         for i in range(4):
-            ledger.record_execution(
+            append_record(ledger, 
                 exec_rec("a", "us-east-1", f"r{i}", workflow="diamond")
             )
         for i in range(2):
-            ledger.record_transmission(
+            append_record(ledger, 
                 trans_rec("a", "c", "us-east-1", "us-east-1", f"r{i}",
                           workflow="diamond")
             )
@@ -182,8 +183,8 @@ class TestEdgeProbability:
 class TestRetention:
     def test_thirty_day_window(self, setup):
         mm, ledger = setup
-        ledger.record_execution(exec_rec("a", "us-east-1", "old", start=0.0))
-        ledger.record_execution(
+        append_record(ledger, exec_rec("a", "us-east-1", "old", start=0.0))
+        append_record(ledger, 
             exec_rec("a", "us-east-1", "new", start=31 * SECONDS_PER_DAY)
         )
         mm.collect(31 * SECONDS_PER_DAY + 10)
@@ -192,8 +193,8 @@ class TestRetention:
 
     def test_expiry_alone_drops_what_was_learned(self, setup):
         mm, ledger = setup
-        ledger.record_execution(exec_rec("a", "us-east-1", "old", start=0.0, duration=2.0))
-        ledger.record_execution(
+        append_record(ledger, exec_rec("a", "us-east-1", "old", start=0.0, duration=2.0))
+        append_record(ledger, 
             exec_rec("a", "us-east-1", "new", start=SECONDS_PER_DAY, duration=3.0))
         mm.collect(10.0)
         assert mm.execution_time_dist("a", "us-east-1").support().tolist() == [2.0, 3.0]
@@ -209,7 +210,7 @@ class TestRetention:
             CarbonIntensitySource(hours=24), max_invocations=10,
         )
         for i in range(25):
-            ledger.record_execution(exec_rec("a", "us-east-1", f"r{i:03d}"))
+            append_record(ledger, exec_rec("a", "us-east-1", f"r{i:03d}"))
         mm.collect(10.0)
         assert mm.invocation_count == 10
 
@@ -222,9 +223,9 @@ class TestRetention:
             CarbonIntensitySource(hours=24), max_invocations=5,
         )
         # Oldest invocation ran node a in ca-central-1 — nothing else did.
-        ledger.record_execution(exec_rec("a", "ca-central-1", "unique", start=0.0))
+        append_record(ledger, exec_rec("a", "ca-central-1", "unique", start=0.0))
         for i in range(10):
-            ledger.record_execution(
+            append_record(ledger, 
                 exec_rec("a", "us-east-1", f"r{i:03d}", start=1.0 + i)
             )
         mm.collect(100.0)
@@ -243,10 +244,10 @@ class TestRetention:
             CarbonIntensitySource(hours=24), max_invocations=5,
         )
         for i in range(2):
-            ledger.record_execution(exec_rec(
+            append_record(ledger, exec_rec(
                 "a", "ca-central-1", f"ca{i}", start=float(i), duration=9.0))
         for i in range(10):
-            ledger.record_execution(exec_rec(
+            append_record(ledger, exec_rec(
                 "a", "us-east-1", f"r{i:03d}", start=2.0 + i))
         mm.collect(100.0)
         assert mm.invocation_count == 5
@@ -263,13 +264,13 @@ class TestRetention:
             CarbonIntensitySource(hours=24), max_invocations=2,
         )
         for node in ("a", "b", "c"):
-            ledger.record_execution(exec_rec(node, "us-east-1", "old", start=0.0))
+            append_record(ledger, exec_rec(node, "us-east-1", "old", start=0.0))
         for src, dst in (("a", "b"), ("b", "c")):
-            ledger.record_transmission(
+            append_record(ledger, 
                 trans_rec(src, dst, "us-east-1", "us-west-2", "old"))
         for i in range(3):
             for node in ("a", "b", "c"):
-                ledger.record_execution(exec_rec(node, "us-east-1", f"r{i}", start=1.0 + i))
+                append_record(ledger, exec_rec(node, "us-east-1", f"r{i}", start=1.0 + i))
         mm.collect(100.0)
         assert list(mm._invocations) == ["old", "r2"]
         assert mm._info_counts[("route", "us-east-1", "us-west-2")] == 2
@@ -277,8 +278,8 @@ class TestRetention:
     def test_average_runtime(self, setup):
         mm, ledger = setup
         for node, dur in (("a", 1.0), ("b", 2.0)):
-            ledger.record_execution(exec_rec(node, "us-east-1", "r1", duration=dur))
-        ledger.record_execution(exec_rec("a", "us-east-1", "r2", duration=5.0))
+            append_record(ledger, exec_rec(node, "us-east-1", "r1", duration=dur))
+        append_record(ledger, exec_rec("a", "us-east-1", "r2", duration=5.0))
         mm.collect(10.0)
         assert mm.average_runtime_s() == pytest.approx((3.0 + 5.0) / 2)
 
@@ -316,8 +317,8 @@ class TestForecastIntegration:
 class TestInputSizeLearning:
     def test_input_sizes_learned_from_client_transfers(self, setup):
         mm, ledger = setup
-        ledger.record_execution(exec_rec("a", "us-east-1", "r1"))
-        ledger.record_transmission(TransmissionRecord(
+        append_record(ledger, exec_rec("a", "us-east-1", "r1"))
+        append_record(ledger, TransmissionRecord(
             workflow="chain", src_region="us-east-1", dst_region="us-east-1",
             size_bytes=7e5, start_s=0.0, latency_s=0.01, request_id="r1",
             kind="data", edge="$input->a",
@@ -401,13 +402,13 @@ class TestLearnedDistributionsDifferential:
                 n_requests += rid == f"r{n_requests}"
                 if data.draw(st.booleans()):
                     node = data.draw(st.sampled_from(dag.node_names))
-                    ledger.record_execution(exec_rec(
+                    append_record(ledger, exec_rec(
                         node, data.draw(st.sampled_from(regions[node])), rid, start=now,
                         duration=data.draw(st.floats(0.01, 60.0)), workflow="diamond",
                     ))
                 else:
                     src, dst = data.draw(st.sampled_from(edges))
-                    ledger.record_transmission(trans_rec(
+                    append_record(ledger, trans_rec(
                         src, dst, data.draw(st.sampled_from(REGIONS)),
                         data.draw(st.sampled_from(REGIONS)), rid, start=now,
                         size=data.draw(st.floats(0.0, 1e7)), workflow="diamond",
@@ -424,7 +425,7 @@ class TestLearnedDistributionsDifferential:
     def test_past_the_cap_each_distribution_keeps_the_latest(self, setup):
         mm, ledger = setup
         for i in range(2500):
-            ledger.record_execution(exec_rec("a", "us-east-1", f"r{i}", duration=float(i)))
+            append_record(ledger, exec_rec("a", "us-east-1", f"r{i}", duration=float(i)))
         mm.collect(10.0)
         assert mm.execution_time_dist("a", "us-east-1").support().tolist() == [
             float(i) for i in range(500, 2500)
@@ -459,15 +460,15 @@ class TestTransmissionOnlyCollect:
     def test_reads_equal_a_fresh_managers(self):
         dag, ledger, args, mm = self.managers()
         for node in ("a", "b", "d"):
-            ledger.record_execution(exec_rec(node, "us-east-1", "r0", workflow="diamond"))
-        ledger.record_transmission(trans_rec(
+            append_record(ledger, exec_rec(node, "us-east-1", "r0", workflow="diamond"))
+        append_record(ledger, trans_rec(
             "a", "b", "us-east-1", "us-east-1", "r0", size=0.0, workflow="diamond"))
         mm.collect(10.0)
         every_read(mm, dag)
         version = mm.version
         for src, dst, rid, size in (("a", "b", "r0", 1.0), ("a", "c", "r0", 2.0),
                                     ("$input", "a", "r1", 3.0)):
-            ledger.record_transmission(trans_rec(
+            append_record(ledger, trans_rec(
                 src, dst, "us-east-1", "us-west-1", rid, size=size, workflow="diamond"))
         assert mm.collect(20.0) == 0
         fresh = MetricsManager(*args)
@@ -483,13 +484,13 @@ class TestTransmissionOnlyCollect:
         rids = [f"r{i}" for i in range(data.draw(st.integers(1, 4)))]
         for rid in rids:
             for node in data.draw(st.sets(st.sampled_from(dag.node_names), min_size=1)):
-                ledger.record_execution(exec_rec(
+                append_record(ledger, exec_rec(
                     node, data.draw(st.sampled_from(REGIONS)), rid, workflow="diamond",
                     duration=data.draw(st.floats(0.01, 60.0))))
         for collect_at in (10.0, 20.0, 30.0):
             for _ in range(data.draw(st.integers(1, 6))):
                 src, dst = data.draw(st.sampled_from(edges))
-                ledger.record_transmission(trans_rec(
+                append_record(ledger, trans_rec(
                     src, dst, data.draw(st.sampled_from(REGIONS)),
                     data.draw(st.sampled_from(REGIONS)),
                     data.draw(st.sampled_from(rids + ["new"])),
@@ -521,9 +522,9 @@ class TestLearnedDistributionsWork:
             for i in range(20):
                 rid = f"v{version}-{i}"
                 for node in ("a", "b", "c"):
-                    ledger.record_execution(exec_rec(node, REGIONS[i % 2], rid))
-                ledger.record_transmission(trans_rec("a", "b", "us-east-1", "us-east-1", rid))
-                ledger.record_transmission(trans_rec("b", "c", "us-east-1", "us-east-1", rid))
+                    append_record(ledger, exec_rec(node, REGIONS[i % 2], rid))
+                append_record(ledger, trans_rec("a", "b", "us-east-1", "us-east-1", rid))
+                append_record(ledger, trans_rec("b", "c", "us-east-1", "us-east-1", rid))
             mm.collect(10.0)
             assert mm.version == version
             mm._invocations.passes = 0

@@ -132,7 +132,8 @@ class TestMatcher:
 
 class TestSourceChangeGuard:
     """Records name defs by line, so an edit to ``src/repro`` while the
-    audit runs would match them against the wrong defs."""
+    audit runs, or between a run and a ``--no-run`` re-analysis, would
+    match them against the wrong defs."""
 
     def _audit(self, tmp_path, monkeypatch, edit):
         package = tmp_path / "repro"
@@ -165,3 +166,27 @@ class TestSourceChangeGuard:
         assert self._audit(tmp_path, monkeypatch, lambda m: None) == 0
         first = capsys.readouterr().out.splitlines()[0]
         assert first.startswith("functions 7 / ran 1 / ")
+
+    def test_no_run_refuses_records_of_another_source(self, tmp_path, monkeypatch, capsys):
+        assert self._audit(tmp_path, monkeypatch, lambda m: None) == 0
+        records = tmp_path / "records"
+        assert (records / reach_audit.HASHES_FILE).exists()
+        capsys.readouterr()
+        (tmp_path / "repro" / "fixture.py").write_text("\n\n" + FIXTURE)
+        code = reach_audit.main(["--records", str(records), "--no-run"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "fixture.py" in err
+        assert out == ""
+
+    def test_no_run_reports_records_of_this_source(self, tmp_path, monkeypatch, capsys):
+        assert self._audit(tmp_path, monkeypatch, lambda m: None) == 0
+        first = capsys.readouterr().out
+        assert reach_audit.main(["--records", str(tmp_path / "records"), "--no-run"]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_no_run_refuses_records_without_hashes(self, tmp_path, monkeypatch, capsys):
+        assert self._audit(tmp_path, monkeypatch, lambda m: None) == 0
+        (tmp_path / "records" / reach_audit.HASHES_FILE).unlink()
+        assert reach_audit.main(["--records", str(tmp_path / "records"), "--no-run"]) == 2
+        assert reach_audit.HASHES_FILE in capsys.readouterr().err
