@@ -22,8 +22,9 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from functools import partial
 from operator import add
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -149,7 +150,8 @@ class _Table:
     and sizes, ``'q'`` for ``memory_mb`` and ``'b'`` for booleans.  A
     ``tagged`` field arrives as ``int`` or ``float``; bit ``i`` of the
     ``int_tags`` column is set when ``tagged[i]`` was an ``int``, so it
-    reads back as one (exact below 2**53).  ``region`` names the field
+    reads back as one (exact below 2**53).  ``readers[name](rows)``
+    reads one field of many rows at C speed.  ``region`` names the field
     of the region that performed the record (a transmission's source).
     ``marks[c]`` is the latest ``start_s`` among rows
     ``[0, (c + 1) * _CHUNK)`` (see :meth:`first_row`).
@@ -167,34 +169,33 @@ class _Table:
         self.codes = codes
         self.region = region
         self.columns = {f.name: array(code) for f, code in zip(fields(record_class), typecodes)}
-        self.tagged = {name: 1 << bit for bit, name in enumerate(tagged)}
         self.int_tags = array("b")
         #: Bound ``append`` of every column in field order, then of ``int_tags``.
         self.appends = tuple(col.append for col in self.columns.values()) + (
             (self.int_tags.append,) if tagged else ()
         )
-        self.getters = [self.getter(name) for name in self.columns]
+        #: Field -> rows -> the field of each row, of the type it arrived as.
+        self.readers = {name: self._reader(name, tagged) for name in self.columns}
         self.marks: List[float] = []
 
     def __len__(self) -> int:
         return len(self.columns["start_s"])
 
-    def getter(self, name: str) -> Callable[[int], Any]:
-        """Row -> the value of field ``name``, of the type it arrived as."""
-        col = self.columns[name]
-        if col.typecode == "I":
-            names = self.codes.names
-            return lambda row: names[col[row]]
-        if col.typecode == "b":
-            return lambda row: col[row] != 0
-        bit = self.tagged.get(name)
-        if bit:
-            tags = self.int_tags
-            return lambda row: int(col[row]) if tags[row] & bit else col[row]
-        return col.__getitem__
+    def _reader(self, name: str, tagged: Tuple[str, ...]) -> Callable[..., Iterator[Any]]:
+        read, typecode = self.columns[name].__getitem__, self.columns[name].typecode
+        if typecode == "I":
+            decode = self.codes.names.__getitem__
+            return lambda rows: map(decode, map(read, rows))
+        if typecode == "b":
+            return lambda rows: map(bool, map(read, rows))
+        if name in tagged:
+            tags, bit = self.int_tags, 1 << tagged.index(name)
+            return lambda rows: (int(read(row)) if tags[row] & bit else read(row) for row in rows)
+        return partial(map, read)
 
-    def record(self, row: int):
-        return self.record_class(*[get(row) for get in self.getters])
+    def records(self, rows: Sequence[int]) -> Iterator[Any]:
+        """The record of each row, built from its columns."""
+        return map(self.record_class, *[read(rows) for read in self.readers.values()])
 
     def first_row(self, since_s: float) -> int:
         """The first row of the first chunk that can hold a record
@@ -232,11 +233,16 @@ class _Table:
         """Row ids from ``first`` on, ascending, whose workflow and
         request codes match (``None``: any) and, given a ``window``
         ``(since_s, until_s)``, that started in ``[since_s, until_s)``."""
+        for rows in self.blocks(first, workflow, request_id, window):
+            yield from rows
+
+    def blocks(self, first, workflow, request_id, window) -> Iterator[Sequence[int]]:
+        """:meth:`rows`, one block of at most ``_BLOCK`` rows at a time."""
         n = len(self)
         for lo in range(first, n, _BLOCK):
-            yield from self._block(lo, min(lo + _BLOCK, n), workflow, request_id, window)
+            yield self._block(lo, min(lo + _BLOCK, n), workflow, request_id, window)
 
-    def _block(self, lo, hi, workflow, request_id, window) -> Iterable[int]:
+    def _block(self, lo, hi, workflow, request_id, window) -> Sequence[int]:
         # The numpy views are gone when this returns: an array that
         # exports its buffer cannot grow.
         mask = None
@@ -265,7 +271,7 @@ class RecordView(Sequence):
         self._table = table
         self._rows = rows
 
-    def _row_ids(self):
+    def _row_ids(self) -> Sequence[int]:
         return range(len(self._table)) if self._rows is None else self._rows
 
     def __len__(self) -> int:
@@ -274,19 +280,20 @@ class RecordView(Sequence):
     def __getitem__(self, index):
         rows = self._row_ids()
         if isinstance(index, slice):
-            return [self._table.record(row) for row in rows[index]]
-        return self._table.record(rows[index])
+            return list(self._table.records(rows[index]))
+        return next(self._table.records((rows[index],)))
 
     def __iter__(self) -> Iterator[Any]:
-        return map(self._table.record, self._row_ids())
+        return self._table.records(self._row_ids())
 
     def values(self, name: str) -> Iterator[Any]:
         """Field ``name`` of each record, in order, without building one."""
-        return map(self._table.getter(name), self._row_ids())
+        return self._table.readers[name](self._row_ids())
 
     def fields(self, *names: str) -> Iterator[Tuple[Any, ...]]:
         """The named fields of each record as a tuple, in order."""
-        return zip(*(self.values(name) for name in names))
+        readers, rows = self._table.readers, self._row_ids()
+        return zip(*[readers[name](rows) for name in names])
 
     def select(
         self,
@@ -326,9 +333,9 @@ def _service_time(executions: RecordView) -> float:
 class RecordGroup:
     """The records :meth:`MeteringLedger.group` put under one key.
 
-    Row ids, not records: one ``array('I')`` in ledger order per kind,
-    all four kinds in one array with the kind in its top two bits, so a
-    group costs its rows plus about one hundred bytes.  Each kind reads
+    Row ids, not records: one ``array('I')`` of the group's rows, each
+    with its kind in the top two bits, so the ids sort by kind, then
+    ledger order, and a group costs 4 bytes a row plus about a hundred.  Each kind reads
     as a :class:`RecordView` (``executions``, ``transmissions``,
     ``messages``, ``kv_accesses``), which callers price under any
     transmission scenario (``CarbonAccountant.price``).  ``RecordGroup()``
@@ -342,10 +349,10 @@ class RecordGroup:
         self._rows = array("I")
 
     def _view(self, kind: int) -> RecordView:
-        rows = self._rows
-        part = rows[bisect_left(rows, kind << _KIND_SHIFT) : bisect_left(rows, (kind + 1) << _KIND_SHIFT)]
-        if kind:
-            part = array("I", (np.frombuffer(part, np.uint32) & _ROW_MASK).tobytes())
+        rows, tag = self._rows, kind << _KIND_SHIFT
+        part = rows[bisect_left(rows, tag) : bisect_left(rows, tag + (1 << _KIND_SHIFT))]
+        if tag:
+            part = array("I", map((-tag).__add__, part))
         return RecordView(self._tables[kind], part)
 
     @property
@@ -543,21 +550,22 @@ class MeteringLedger:
         before ``since_s``.
         """
 
-        def keyed(table: _Table) -> Callable[[int], K]:
+        def keys(table: _Table, rows: Sequence[int]) -> Iterator[K]:
             if isinstance(key, str):
-                return table.getter(key)
-            build, region = table.record, table.getter(table.region)
-            return lambda row: key(build(row), region(row))
+                return table.readers[key](rows)
+            return map(key, table.records(rows), table.readers[table.region](rows))
 
-        return self._group(keyed, workflow, since_s, until_s)
+        return self._group(keys, workflow, since_s, until_s)
 
     def _group(
         self,
-        keyed: Callable[[_Table], Callable[[int], K]],
+        keys: Callable[[_Table, Sequence[int]], Iterator[K]],
         workflow: Optional[str],
         since_s: float,
         until_s: float,
     ) -> Dict[K, RecordGroup]:
+        """Put each row of ``workflow`` that started in the window under
+        its key; ``keys(table, rows)`` gives the keys of a block of rows."""
         groups: Dict[K, RecordGroup] = {}
         if workflow is not None and workflow not in self._codes:
             return groups
@@ -565,14 +573,14 @@ class MeteringLedger:
         for kind, table in enumerate(self._tables):
             if len(table) > _ROW_MASK:
                 raise OverflowError(f"a record group holds row ids below 2**{_KIND_SHIFT}")
-            key_of, tag = keyed(table), kind << _KIND_SHIFT
-            for row in table.rows(table.first_row(since_s), code, None, (since_s, until_s)):
-                key = key_of(row)
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = RecordGroup()
-                    group._tables = self._tables
-                group._rows.append(tag | row)
+            tag = kind << _KIND_SHIFT
+            for rows in table.blocks(table.first_row(since_s), code, None, (since_s, until_s)):
+                for row, key_ in zip(rows, keys(table, rows)):
+                    group = groups.get(key_)
+                    if group is None:
+                        group = groups[key_] = RecordGroup()
+                        group._tables = self._tables
+                    group._rows.append(tag | row)
         return groups
 
     def usage_by_region(
@@ -587,7 +595,7 @@ class MeteringLedger:
         column alone, so no record is built.
         """
         usage = self._group(
-            lambda table: table.getter(table.region), workflow, -math.inf, math.inf
+            lambda table, rows: table.readers[table.region](rows), workflow, -math.inf, math.inf
         )
         return {region: usage[region] for region in sorted(usage)}
 

@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cloud.ledger import ExecutionRecord, MeteringLedger, TransmissionRecord
+from repro.cloud.ledger import MeteringLedger
 from repro.common.clock import SECONDS_PER_DAY
 from repro.data.carbon import CarbonIntensitySource
 from repro.metrics.distributions import EmpiricalDistribution
@@ -39,6 +39,14 @@ from repro.model.dag import WorkflowDAG
 #: Retention limits from §7.2.
 MAX_INVOCATIONS = 5000
 RETENTION_DAYS = 30
+#: The ledger fields ``collect`` reads, in the order the ``_ingest_*``
+#: methods take them.
+EXECUTION_FIELDS = (
+    "request_id", "start_s", "node", "region", "duration_s", "n_vcpu", "cpu_total_time_s",
+)
+TRANSMISSION_FIELDS = (
+    "request_id", "edge", "start_s", "src_region", "dst_region", "size_bytes",
+)
 
 
 @dataclass
@@ -251,20 +259,22 @@ class MetricsManager:
         """
         workflow = self._dag.name
         executions = self._ledger.executions
-        new_executions = list(executions.select(workflow, from_row=self._exec_cursor))
+        new_executions = executions.select(workflow, from_row=self._exec_cursor)
         self._exec_cursor = len(executions)
         transmissions = self._ledger.transmissions
         new_transmissions = [
-            rec
-            for rec in transmissions.select(workflow, from_row=self._trans_cursor)
-            if rec.kind == "data"
+            fields[1:]
+            for fields in transmissions.select(workflow, from_row=self._trans_cursor).fields(
+                "kind", *TRANSMISSION_FIELDS
+            )
+            if fields[0] == "data"
         ]
         self._trans_cursor = len(transmissions)
-        for rec in new_executions:
-            self._ingest_execution(rec)
+        for fields in new_executions.fields(*EXECUTION_FIELDS):
+            self._ingest_execution(*fields)
         nodes = frozenset(self._dag.node_names)
-        for rec in new_transmissions:
-            self._ingest_transmission(rec, nodes)
+        for fields in new_transmissions:
+            self._ingest_transmission(*fields, nodes)
         self._expire(now_s)
         self._evict_to_cap()
         if new_executions or new_transmissions:
@@ -279,49 +289,53 @@ class MetricsManager:
             )
         return self._invocations[request_id]
 
-    def _ingest_execution(self, rec: ExecutionRecord) -> None:
-        if not rec.request_id:
+    def _ingest_execution(
+        self, request_id: str, start_s: float, node: str, region: str,
+        duration_s: float, n_vcpu: float, cpu_total_time_s: float,
+    ) -> None:
+        if not request_id:
             return
-        summary = self._summary_for(rec.request_id, rec.start_s)
-        summary.first_start_s = min(summary.first_start_s, rec.start_s)
-        if rec.node not in summary.node_executions:
-            self._bump(("exec", rec.node, rec.region), +1)
+        summary = self._summary_for(request_id, start_s)
+        summary.first_start_s = min(summary.first_start_s, start_s)
+        if node not in summary.node_executions:
+            self._bump(("exec", node, region), +1)
         else:
-            old_region = summary.node_executions[rec.node][0]
-            if old_region != rec.region:
-                self._bump(("exec", rec.node, old_region), -1)
-                self._bump(("exec", rec.node, rec.region), +1)
-        summary.node_executions[rec.node] = (rec.region, rec.duration_s)
+            old_region = summary.node_executions[node][0]
+            if old_region != region:
+                self._bump(("exec", node, old_region), -1)
+                self._bump(("exec", node, region), +1)
+        summary.node_executions[node] = (region, duration_s)
         # Insights utilisation.
-        if rec.duration_s > 0 and rec.n_vcpu > 0:
-            util = rec.cpu_total_time_s / (rec.duration_s * rec.n_vcpu)
-            self._util_sum[rec.node] = self._util_sum.get(rec.node, 0.0) + util
-            self._util_n[rec.node] = self._util_n.get(rec.node, 0) + 1
+        if duration_s > 0 and n_vcpu > 0:
+            util = cpu_total_time_s / (duration_s * n_vcpu)
+            self._util_sum[node] = self._util_sum.get(node, 0.0) + util
+            self._util_n[node] = self._util_n.get(node, 0) + 1
 
     def _ingest_transmission(
-        self, rec: TransmissionRecord, nodes: FrozenSet[str]
+        self, request_id: str, edge: str, start_s: float, src_region: str,
+        dst_region: str, size_bytes: float, nodes: FrozenSet[str],
     ) -> None:
-        if not rec.request_id or "->" not in rec.edge:
+        if not request_id or "->" not in edge:
             return
-        src, dst = rec.edge.split("->", 1)
+        src, dst = edge.split("->", 1)
         if src == "$input":
             # Client -> start-node transfer: learn the input-size
             # distribution (the entry stage pays it when shifted).
-            summary = self._summary_for(rec.request_id, rec.start_s)
-            summary.input_bytes = rec.size_bytes
+            summary = self._summary_for(request_id, start_s)
+            summary.input_bytes = size_bytes
             return
         if src not in nodes or dst not in nodes:
             return
-        summary = self._summary_for(rec.request_id, rec.start_s)
+        summary = self._summary_for(request_id, start_s)
         key = (src, dst)
         if key not in summary.edge_transfers:
-            self._bump(("route", rec.src_region, rec.dst_region), +1)
+            self._bump(("route", src_region, dst_region), +1)
         else:
             old = summary.edge_transfers[key]
-            if (old[0], old[1]) != (rec.src_region, rec.dst_region):
+            if (old[0], old[1]) != (src_region, dst_region):
                 self._bump(("route", old[0], old[1]), -1)
-                self._bump(("route", rec.src_region, rec.dst_region), +1)
-        summary.edge_transfers[key] = (rec.src_region, rec.dst_region, rec.size_bytes)
+                self._bump(("route", src_region, dst_region), +1)
+        summary.edge_transfers[key] = (src_region, dst_region, size_bytes)
 
     def _bump(self, key: Tuple, delta: int) -> None:
         new = self._info_counts.get(key, 0) + delta

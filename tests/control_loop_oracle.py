@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.cloud.ledger import TransmissionRecord
 from repro.metrics.distributions import EmpiricalDistribution
-from repro.metrics.manager import MetricsManager
+from repro.metrics.manager import EXECUTION_FIELDS, MetricsManager
 
 
 def realized_savings(manager, since_s: float, until_s: float) -> float:
@@ -93,7 +93,7 @@ class ScanMetricsManager(MetricsManager):
             self._exec_cursor += 1
             if rec.workflow != workflow:
                 continue
-            self._ingest_execution(rec)
+            self._ingest_execution(*(getattr(rec, name) for name in EXECUTION_FIELDS))
             new_execs += 1
         transmissions = self._ledger.transmissions
         new_trans = 0

@@ -294,7 +294,8 @@ class TestLedgerIndexDifferential:
         # since_s equal to a chunk's mark: that chunk is scanned, not skipped.
         ledger, twin = twins()
         for i in range(3 * ledger_module._CHUNK):
-            append_both(ledger, twin, make_record("kv_accesses", "a", f"r{i}", REGIONS[0], float(i)))
+            record = make_record("kv_accesses", "a", f"r{i}", REGIONS[0], float(i))
+            append_both(ledger, twin, record)
         since_s = float(2 * ledger_module._CHUNK - 1)
         assert_group_matches_oracle(ledger, twin, since_s, math.inf)
         assert next(iter(ledger.group(KEYS[0], since_s=since_s))) == f"r{int(since_s)}"
@@ -403,7 +404,8 @@ class TestLedgerDifferential:
 
     def test_values_keep_their_types(self):
         ledger, twin = twins()
-        for workflow, size in (("mixed", 1024), ("mixed", 1024.0), ("ints", 0), ("ints", 2**40 + 1)):
+        sizes = (("mixed", 1024), ("mixed", 1024.0), ("ints", 0), ("ints", 2**40 + 1))
+        for workflow, size in sizes:
             append_both(ledger, twin, TransmissionRecord(
                 workflow=workflow, src_region=REGIONS[0], dst_region=REGIONS[1],
                 size_bytes=size, start_s=0.0, latency_s=0.1,
