@@ -85,7 +85,8 @@ def run_with_frequency(solves_per_week: int, seed: int = 600) -> Dict[str, float
         r for r in cloud.ledger.transmissions if r.kind == "image"
     ]
     image_overhead = sum(
-        accountant.transmission_carbon_g(r) for r in image_records
+        accountant.transmission_carbon_g(r.src_region, r.dst_region, r.start_s, r.size_bytes)
+        for r in image_records
     )
     n = max(1, len(rids))
     return {

@@ -119,7 +119,10 @@ def main() -> None:
     # The one-time migration cost (crane image copies) is overhead the
     # token bucket budgets for (§5.2) — report it separately.
     image_copies = [r for r in cloud.ledger.transmissions if r.kind == "image"]
-    migration_g = sum(accountant.transmission_carbon_g(r) for r in image_copies)
+    migration_g = sum(
+        accountant.transmission_carbon_g(r.src_region, r.dst_region, r.start_s, r.size_bytes)
+        for r in image_copies
+    )
 
     print(f"carbon per invocation: {per_inv_before * 1000:.3f} mg (home) -> "
           f"{per_inv_after * 1000:.3f} mg (Caribou)")

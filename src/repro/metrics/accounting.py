@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.cloud.ledger import (
-    ExecutionRecord,
-    MeteringLedger,
-    RecordGroup,
-    TransmissionRecord,
-)
+from repro.cloud.ledger import MeteringLedger, RecordGroup
 from repro.data.carbon import CarbonIntensitySource
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel
@@ -62,21 +57,11 @@ class CarbonAccountant:
         )
 
     # -- single records ---------------------------------------------------------
-    def execution_carbon_g(self, record: ExecutionRecord) -> float:
-        return self._execution_carbon_g(
-            record.region, record.start_s, record.duration_s, record.memory_mb,
-            record.n_vcpu, record.cpu_total_time_s,
-        )
-
-    def transmission_carbon_g(self, record: TransmissionRecord) -> float:
-        return self._transmission_carbon_g(
-            record.src_region, record.dst_region, record.start_s, record.size_bytes
-        )
-
-    def _execution_carbon_g(
+    def execution_carbon_g(
         self, region: str, start_s: float, duration_s: float, memory_mb: int,
         n_vcpu: float, cpu_total_time_s: float,
     ) -> float:
+        """Carbon of one execution, given the fields of its record."""
         intensity = self._source.intensity_at(region, start_s)
         return self._carbon.execution_carbon_g(
             grid_intensity=intensity,
@@ -86,9 +71,10 @@ class CarbonAccountant:
             cpu_total_time_s=cpu_total_time_s,
         )
 
-    def _transmission_carbon_g(
+    def transmission_carbon_g(
         self, src_region: str, dst_region: str, start_s: float, size_bytes: float
     ) -> float:
+        """Carbon of one transmission, given the fields of its record."""
         intensity = self._source.route_intensity_at(src_region, dst_region, start_s)
         return self._carbon.transmission_carbon_g(
             route_intensity=intensity,
@@ -107,7 +93,7 @@ class CarbonAccountant:
         for region, start_s, duration_s, memory_mb, n_vcpu, cpu_s in group.executions.fields(
             "region", "start_s", "duration_s", "memory_mb", "n_vcpu", "cpu_total_time_s"
         ):
-            carbon = self._execution_carbon_g(
+            carbon = self.execution_carbon_g(
                 region, start_s, duration_s, memory_mb, n_vcpu, cpu_s
             )
             fp.exec_carbon_g += carbon
@@ -118,7 +104,7 @@ class CarbonAccountant:
         for src, dst, start_s, size_bytes in group.transmissions.fields(
             "src_region", "dst_region", "start_s", "size_bytes"
         ):
-            carbon = self._transmission_carbon_g(src, dst, start_s, size_bytes)
+            carbon = self.transmission_carbon_g(src, dst, start_s, size_bytes)
             fp.trans_carbon_g += carbon
             fp.carbon_g += carbon
             fp.bytes_moved += size_bytes

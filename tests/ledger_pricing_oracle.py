@@ -271,7 +271,10 @@ class ScanAccountant(CarbonAccountant):
     ) -> InvocationFootprint:
         fp = InvocationFootprint()
         for rec in executions:
-            carbon = self.execution_carbon_g(rec)
+            carbon = self.execution_carbon_g(
+                rec.region, rec.start_s, rec.duration_s, rec.memory_mb, rec.n_vcpu,
+                rec.cpu_total_time_s,
+            )
             fp.exec_carbon_g += carbon
             fp.carbon_g += carbon
             fp.exec_seconds += rec.duration_s
@@ -281,7 +284,9 @@ class ScanAccountant(CarbonAccountant):
                     rec.region, rec.duration_s, rec.memory_mb
                 )
         for rec in transmissions:
-            carbon = self.transmission_carbon_g(rec)
+            carbon = self.transmission_carbon_g(
+                rec.src_region, rec.dst_region, rec.start_s, rec.size_bytes
+            )
             fp.trans_carbon_g += carbon
             fp.carbon_g += carbon
             fp.bytes_moved += rec.size_bytes
@@ -319,7 +324,10 @@ class ScanAccountant(CarbonAccountant):
             if rec.workflow != workflow or not (since_s <= rec.start_s < until_s):
                 continue
             fp = fp_for(rec.request_id)
-            carbon = self.execution_carbon_g(rec)
+            carbon = self.execution_carbon_g(
+                rec.region, rec.start_s, rec.duration_s, rec.memory_mb, rec.n_vcpu,
+                rec.cpu_total_time_s,
+            )
             fp.exec_carbon_g += carbon
             fp.carbon_g += carbon
             fp.exec_seconds += rec.duration_s
@@ -334,7 +342,9 @@ class ScanAccountant(CarbonAccountant):
             if not rec.request_id:
                 continue
             fp = fp_for(rec.request_id)
-            carbon = self.transmission_carbon_g(rec)
+            carbon = self.transmission_carbon_g(
+                rec.src_region, rec.dst_region, rec.start_s, rec.size_bytes
+            )
             fp.trans_carbon_g += carbon
             fp.carbon_g += carbon
             fp.bytes_moved += rec.size_bytes

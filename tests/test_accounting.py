@@ -62,20 +62,24 @@ def trans_rec(src="us-east-1", dst="ca-central-1", size=1024**3, rid="r1"):
 
 class TestSingleRecords:
     def test_execution_carbon_matches_model(self, accountant):
-        carbon = accountant.execution_carbon_g(exec_rec())
+        rec = exec_rec()
+        carbon = accountant.execution_carbon_g(
+            rec.region, rec.start_s, rec.duration_s, rec.memory_mb, rec.n_vcpu,
+            rec.cpu_total_time_s,
+        )
         # Full-util 1 vCPU + 1769 MB for 1 h at 400 g/kWh with PUE 1.11.
         expected = 400.0 * (3.5e-3 + 3.725e-4 * 1769 / 1024) * 1.11
         assert carbon == pytest.approx(expected)
 
     def test_transmission_uses_route_mean(self, accountant, carbon_source):
-        carbon = accountant.transmission_carbon_g(trans_rec())
+        carbon = accountant.transmission_carbon_g("us-east-1", "ca-central-1", 0.0, 1024**3)
         assert carbon == pytest.approx(400.0 * 0.001 * 1.0)
 
     def test_scenario_swap(self, accountant):
         worst = accountant.with_scenario(TransmissionScenario.worst_case())
-        intra = trans_rec(dst="us-east-1")
-        assert worst.transmission_carbon_g(intra) == 0.0
-        assert accountant.transmission_carbon_g(intra) > 0.0
+        intra = ("us-east-1", "us-east-1", 0.0, 1024**3)
+        assert worst.transmission_carbon_g(*intra) == 0.0
+        assert accountant.transmission_carbon_g(*intra) > 0.0
 
 
 class TestAggregation:
