@@ -86,10 +86,6 @@ class TransmissionRecord:
     kind: str = "data"  # "data" | "image" | "control"
     edge: str = ""  # "src_node->dst_node" for data hops
 
-    @property
-    def intra_region(self) -> bool:
-        return self.src_region == self.dst_region
-
 
 @dataclass(frozen=True, slots=True)
 class MessagingRecord:
@@ -125,6 +121,9 @@ _BLOCK = 1 << 14
 #: A :class:`RecordGroup` row id carries its record kind above this bit.
 _KIND_SHIFT = 30
 _ROW_MASK = (1 << _KIND_SHIFT) - 1
+#: The fields every record kind has, by which :meth:`MeteringLedger.group`
+#: groups by name (``"region"``: the region that performed the record).
+_GROUP_FIELDS = ("request_id", "workflow", "start_s", "region")
 
 
 class _Strings(dict):
@@ -301,7 +300,8 @@ class RecordView(Sequence):
         request_id: Optional[str] = None,
         from_row: int = 0,
     ) -> "RecordView":
-        """The records of ``workflow`` and ``request_id`` (``None``:
+        """The records of the whole kind (called on ``ledger.executions``
+        and its siblings) of ``workflow`` and ``request_id`` (``None``:
         any) at ledger row ``from_row`` or later, compared as intern
         codes before any record is built."""
         table = self._table
@@ -310,17 +310,7 @@ class RecordView(Sequence):
             if value is not None and value not in table.codes:
                 return RecordView(table, array("I"))
             codes.append(None if value is None else table.codes[value])
-        if self._rows is None:
-            return RecordView(table, array("I", table.rows(from_row, *codes)))
-        tests = [
-            (table.columns[name], code)
-            for name, code in zip(("workflow", "request_id"), codes)
-            if code is not None
-        ]
-        return RecordView(table, array("I", [
-            row for row in self._rows
-            if row >= from_row and all(col[row] == code for col, code in tests)
-        ]))
+        return RecordView(table, array("I", table.rows(from_row, *codes)))
 
 
 def _service_time(executions: RecordView) -> float:
@@ -522,25 +512,25 @@ class MeteringLedger:
 
     def group(
         self,
-        key: Union[str, Callable[[Any, str], K]],
+        key: Union[str, Callable[[float, str, str], K]],
         workflow: Optional[str] = None,
         since_s: float = -math.inf,
         until_s: float = math.inf,
     ) -> Dict[K, RecordGroup]:
         """Group the records of ``workflow`` (every workflow if ``None``)
-        that started in ``[since_s, until_s)`` by ``key(record, region)``,
-        or, when ``key`` is the name of a field every kind has
-        (``"request_id"``, ``"workflow"``), by that field's value.
+        that started in ``[since_s, until_s)`` by ``key``: the name of a
+        field every kind has (``"request_id"``, ``"workflow"``,
+        ``"start_s"`` or ``"region"``), or a callable
+        ``key(start_s, region, workflow)``.
 
         ``region`` is the region that performed the record; a
         transmission is performed by its *source* region (egress is
         billed and powered where the bytes leave).  One pass per record
         kind, in ledger order, so each group's rows keep ledger order
         and keys appear first-seen across executions, transmissions,
-        messages, then KV accesses.  Workflow codes and start times are
-        compared first; a record is built, for a callable ``key``, only
-        for a row in the group's window, and a field name is read from
-        its column without building any.
+        messages, then KV accesses.  Keys are read from the columns; no
+        record is built.  Any other string raises ``ValueError`` before
+        the first pass.
 
         Each pass starts at the first 512-row chunk that can hold a
         record starting at or after ``since_s`` (the ledger's index; see
@@ -549,23 +539,8 @@ class MeteringLedger:
         row 0.  Skipping is exact: every row in a skipped chunk started
         before ``since_s``.
         """
-
-        def keys(table: _Table, rows: Sequence[int]) -> Iterator[K]:
-            if isinstance(key, str):
-                return table.readers[key](rows)
-            return map(key, table.records(rows), table.readers[table.region](rows))
-
-        return self._group(keys, workflow, since_s, until_s)
-
-    def _group(
-        self,
-        keys: Callable[[_Table, Sequence[int]], Iterator[K]],
-        workflow: Optional[str],
-        since_s: float,
-        until_s: float,
-    ) -> Dict[K, RecordGroup]:
-        """Put each row of ``workflow`` that started in the window under
-        its key; ``keys(table, rows)`` gives the keys of a block of rows."""
+        if isinstance(key, str) and key not in _GROUP_FIELDS:
+            raise ValueError(f"group key {key!r} is none of {', '.join(_GROUP_FIELDS)}")
         groups: Dict[K, RecordGroup] = {}
         if workflow is not None and workflow not in self._codes:
             return groups
@@ -574,8 +549,16 @@ class MeteringLedger:
             if len(table) > _ROW_MASK:
                 raise OverflowError(f"a record group holds row ids below 2**{_KIND_SHIFT}")
             tag = kind << _KIND_SHIFT
+            readers = table.readers
             for rows in table.blocks(table.first_row(since_s), code, None, (since_s, until_s)):
-                for row, key_ in zip(rows, keys(table, rows)):
+                if isinstance(key, str):
+                    keys = readers[table.region if key == "region" else key](rows)
+                else:
+                    keys = map(
+                        key, readers["start_s"](rows), readers[table.region](rows),
+                        readers["workflow"](rows),
+                    )
+                for row, key_ in zip(rows, keys):
                     group = groups.get(key_)
                     if group is None:
                         group = groups[key_] = RecordGroup()
@@ -591,12 +574,9 @@ class MeteringLedger:
         The result covers the *whole* ledger window (warm-up, framework
         traffic, and measured requests alike) — it answers "what did
         each region do", not "what did one invocation cost".  Keys are
-        sorted for deterministic serialisation.  Keyed by the region
-        column alone, so no record is built.
+        sorted for deterministic serialisation.
         """
-        usage = self._group(
-            lambda table, rows: table.readers[table.region](rows), workflow, -math.inf, math.inf
-        )
+        usage = self.group("region", workflow)
         return {region: usage[region] for region in sorted(usage)}
 
     def service_time(self, workflow: str, request_id: str) -> float:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cloud.ledger import MeteringLedger
 from repro.cloud.network import Network
-from repro.cloud.simulator import EventHandle, SimulationEnvironment
+from repro.cloud.simulator import SimulationEnvironment
 from repro.common.errors import MessageDeliveryError, RegionUnavailableError
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER
@@ -77,12 +77,6 @@ class PubSubService:
         self._topics: Dict[Tuple[str, str], _Topic] = {}
         self._dead_letters: List[Tuple[str, Message, str]] = []
         self._retries_by_workflow: Dict[str, int] = {}
-        # Live retry-timer handles per workflow.  Backoff timers are the
-        # event loop's cancellation-churn source, so keeping the handles
-        # makes the churn observable (pending_retries) and controllable
-        # (cancel_pending_retries) — e.g. when an operator tears down a
-        # workflow whose requests are already terminally failed.
-        self._retry_timers: Dict[str, List[EventHandle]] = {}
         self._dead_letters_by_workflow: Dict[str, int] = {}
         self._dead_letter_listeners: List[Callable[[str, Message, str], None]] = []
         # Per-region publish/delivery counters, resolved once per region
@@ -121,21 +115,6 @@ class PubSubService:
     def retry_count(self, workflow: str) -> int:
         """Redelivery attempts scheduled for ``workflow``'s messages."""
         return self._retries_by_workflow.get(workflow, 0)
-
-    def pending_retries(self, workflow: str) -> int:
-        """Retry timers of ``workflow`` armed right now."""
-        return sum(1 for h in self._retry_timers.get(workflow, ()) if h.pending)
-
-    def cancel_pending_retries(self, workflow: str) -> int:
-        """Cancel every armed retry timer of ``workflow``.
-
-        The affected messages are *not* dead-lettered — the workflow is
-        assumed to be going away.  Returns the number of timers this
-        call actually cancelled (already-fired ones are no-ops under
-        the :class:`~repro.cloud.simulator.EventHandle` contract).
-        """
-        timers = self._retry_timers.pop(workflow, [])
-        return sum(1 for h in timers if h.cancel())
 
     def dead_letter_count(self, workflow: str) -> int:
         """Messages of ``workflow`` given up on."""
@@ -288,15 +267,9 @@ class PubSubService:
                 self._retries_by_workflow.get(message.workflow, 0) + 1
             )
         backoff = RETRY_BACKOFF_S * (2 ** (attempt - 1))
-        handle = self._env.schedule(
+        self._env.schedule(
             backoff, lambda: self._attempt_delivery(topic, message, attempt + 1)
         )
-        if message.workflow:
-            timers = self._retry_timers.setdefault(message.workflow, [])
-            # Lazily prune timers that fired or were cancelled since the
-            # last retry, so the list tracks live churn, not history.
-            timers[:] = [h for h in timers if h.pending]
-            timers.append(handle)
 
     def _require_topic(self, name: str, region: str) -> _Topic:
         try:

@@ -25,7 +25,7 @@ minutes.  Three choices carry that budget:
 
 * **Lazy-deletion cancellation with periodic compaction.** ``cancel()``
   just flips the record's state; the entry stays in the heap and is
-  discarded when it surfaces.  Pub/sub retry timers are cancelled far
+  discarded when it surfaces.  Request watchdogs are cancelled far
   more often than they fire, so unreclaimed entries would grow the heap
   unboundedly on long runs — once cancelled entries outnumber live ones
   (past a small floor), the heap is compacted in place (one linear
@@ -76,8 +76,8 @@ class _EventRecord:
 class EventHandle:
     """Handle returned by :meth:`SimulationEnvironment.schedule`.
 
-    Allows cancelling a pending event (used e.g. by pub/sub retry timers
-    once an ack arrives).  The handle tracks the full event lifecycle:
+    Allows cancelling a pending event (used e.g. by the executor's
+    request watchdogs once a request ends).  It tracks the lifecycle:
     ``pending`` is True only until the event executes or is cancelled,
     and :meth:`cancel` is a no-op on an event that already ran (it
     returns False rather than silently "succeeding").

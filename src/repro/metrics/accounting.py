@@ -145,8 +145,9 @@ class CarbonAccountant:
     ) -> InvocationFootprint:
         """Price every record of a workflow (optionally one invocation,
         optionally restricted to a time window)."""
-        wanted = ledger.group(
-            lambda rec, region: request_id is None or rec.request_id == request_id,
-            workflow, since_s, until_s,
-        )
-        return self.price(wanted.get(True, RecordGroup()))
+        if request_id is None:
+            key, wanted = "workflow", workflow
+        else:
+            key, wanted = "request_id", request_id
+        groups = ledger.group(key, workflow, since_s, until_s)
+        return self.price(groups.get(wanted, RecordGroup()))

@@ -246,9 +246,7 @@ def ledger_series(
     def wstart(t: float) -> float:
         return (t // window_s) * window_s
 
-    groups = ledger.group(
-        lambda rec, region: (wstart(rec.start_s), region, rec.workflow), workflow
-    )
+    groups = ledger.group(lambda start_s, region, wf: (wstart(start_s), region, wf), workflow)
     first_exec: Dict[str, Tuple[float, str]] = {}
     for rid, start_s, wf in ledger.executions.select(workflow).fields(
         "request_id", "start_s", "workflow"

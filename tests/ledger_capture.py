@@ -214,6 +214,6 @@ def capture_fleet() -> dict:
         "workflows": per_workflow,
         "usage_by_region": _pin(_groups(ledger.usage_by_region(None))),
         "group_by_workflow_region": _pin(
-            _groups(ledger.group(lambda rec, region: (rec.workflow, region)))
+            _groups(ledger.group(lambda start_s, region, wf: (wf, region)))
         ),
     }

@@ -21,6 +21,9 @@ from repro.data.pricing import PricingSource
 from repro.metrics.accounting import CarbonAccountant
 from repro.metrics.carbon import CarbonModel, TransmissionScenario
 from repro.metrics.cost import CostModel
+from repro.metrics.manager import MetricsManager
+from repro.model.config import WorkflowConfig
+from repro.obs.timeseries import ledger_series
 from tests import golden, ledger_capture, ledger_pricing_oracle
 from tests.ledger_pricing_oracle import ListLedger, append_record
 
@@ -62,21 +65,19 @@ class TestLedger:
             append_record(ledger, make_exec(request_id=rid))
         assert ledger.request_ids("wf") == ["r3", "r1", "r2"]
 
-    def test_transmission_intra_flag(self):
-        rec = TransmissionRecord(
-            workflow="wf", src_region="us-east-1", dst_region="us-east-1",
-            size_bytes=10, start_s=0.0, latency_s=0.001,
-        )
-        assert rec.intra_region
-        rec2 = TransmissionRecord(
-            workflow="wf", src_region="us-east-1", dst_region="us-west-1",
-            size_bytes=10, start_s=0.0, latency_s=0.03,
-        )
-        assert not rec2.intra_region
-
     def test_end_s_property(self):
         rec = make_exec(start=2.0, duration=3.0)
         assert rec.end_s == 5.0
+
+    def test_group_rejects_a_field_not_every_kind_has(self):
+        # Executions have a node, the other kinds do not: an
+        # executions-only ledger must not make that look like a key.
+        ledger = MeteringLedger()
+        append_record(ledger, make_exec())
+        with pytest.raises(ValueError, match="request_id, workflow, start_s, region"):
+            ledger.group("node")
+        with pytest.raises(ValueError):
+            ledger.group("src_region")
 
 
 class TestRecordViews:
@@ -142,10 +143,18 @@ REGIONS = ("us-east-1", "us-west-2", "ca-central-1")
 KINDS = ("executions", "transmissions", "messages", "kv_accesses")
 #: A chunk small enough that a few dozen records span several.
 SMALL_CHUNK = 4
+#: ``MeteringLedger.group`` keys, each with the ``key(record, region)``
+#: that groups the oracle's records alike.
 KEYS = (
-    lambda rec, region: rec.request_id,
-    lambda rec, region: region,
-    lambda rec, region: (rec.workflow, region),
+    ("request_id", lambda rec, region: rec.request_id),
+    ("workflow", lambda rec, region: rec.workflow),
+    ("start_s", lambda rec, region: rec.start_s),
+    ("region", lambda rec, region: region),
+    (lambda start_s, region, wf: (wf, region), lambda rec, region: (rec.workflow, region)),
+    (
+        lambda start_s, region, wf: (start_s // 7.0, region),
+        lambda rec, region: (rec.start_s // 7.0, region),
+    ),
 )
 
 
@@ -212,10 +221,10 @@ def assert_groups_match(got, want, twin) -> None:
 def assert_group_matches_oracle(ledger, twin, since_s, until_s):
     """Every key and workflow filter against the unindexed scan of the
     list ledger: same keys in the same order, same rows in the same order."""
-    for key in KEYS:
+    for key, oracle_key in KEYS:
         for workflow in (None, "a", "b"):
             got = ledger.group(key, workflow, since_s, until_s)
-            want = ledger_pricing_oracle.group(twin, key, workflow, since_s, until_s)
+            want = ledger_pricing_oracle.group(twin, oracle_key, workflow, since_s, until_s)
             assert_groups_match(got, want, twin)
 
 
@@ -285,7 +294,7 @@ class TestLedgerIndexDifferential:
         for i in range(3 * ledger_module._CHUNK + 5):
             append_record(ledger, make_record("messages", "a", "r1", REGIONS[0], float(i)))
         assert [table.marks for table in ledger._tables] == [[], [], [], []]
-        ledger.group(KEYS[0], since_s=0.0)
+        ledger.group("request_id", since_s=0.0)
         assert ledger._tables[2].marks == [
             float((c + 1) * ledger_module._CHUNK - 1) for c in range(3)
         ]
@@ -298,7 +307,7 @@ class TestLedgerIndexDifferential:
             append_both(ledger, twin, record)
         since_s = float(2 * ledger_module._CHUNK - 1)
         assert_group_matches_oracle(ledger, twin, since_s, math.inf)
-        assert next(iter(ledger.group(KEYS[0], since_s=since_s))) == f"r{int(since_s)}"
+        assert next(iter(ledger.group("request_id", since_s=since_s))) == f"r{int(since_s)}"
 
 
 # -------------------------------------------------------------- differential
@@ -370,9 +379,9 @@ def assert_ledgers_match(ledger, twin, since_s, until_s) -> None:
                 else:
                     assert _same_value(ledger.service_time(workflow, rid), want)
         assert_groups_match(ledger.usage_by_region(workflow), twin.usage_by_region(workflow), twin)
-        for key in KEYS:
+        for key, oracle_key in KEYS:
             got = ledger.group(key, workflow, since_s, until_s)
-            want = twin.group(key, workflow, since_s, until_s)
+            want = twin.group(oracle_key, workflow, since_s, until_s)
             assert_groups_match(got, want, twin)
             for k, group in got.items():
                 theirs = want[k]
@@ -427,7 +436,7 @@ class TestLedgerDifferential:
         ledger, twin = twins()
         append_both(ledger, twin, make_exec(start=math.nan))
         append_both(ledger, twin, make_exec(start=1.0))
-        assert [g.n_executions for g in ledger.group(KEYS[0]).values()] == [1]
+        assert [g.n_executions for g in ledger.group("request_id").values()] == [1]
         assert len(ledger.executions_for("wf")) == 2
         assert_ledgers_match(ledger, twin, -math.inf, math.inf)
 
@@ -458,7 +467,7 @@ class TestLedgerIndexWork:
 
         monkeypatch.setattr(ledger_module._Table, "first_row", counting)
         since_s = (hours - 1) * 3600.0
-        ledger.group(KEYS[0], "a", since_s, hours * 3600.0)
+        ledger.group("request_id", "a", since_s, hours * 3600.0)
         rows = []
         for starts, start in scanned:
             first = next(i for i, s in enumerate(starts) if s >= since_s)
@@ -473,6 +482,73 @@ class TestLedgerIndexWork:
         for lead, scanned, in_or_after in rows:
             assert 0 <= lead < ledger_module._CHUNK
             assert scanned < in_or_after + ledger_module._CHUNK
+
+
+class TestNoRecordBuiltOnRead:
+    """Every production read keys and prices from the columns: with
+    ``_Table.records`` made to raise, each still answers.  Only
+    indexing or iterating a :class:`RecordView` builds a record."""
+
+    @staticmethod
+    def _ledger():
+        """Two workflows over a chain ``a -> b -> c``: per request three
+        executions, two data hops, a publish, a KV write, and one
+        framework transfer with no request id."""
+        ledger = MeteringLedger()
+        for i in range(40):
+            wf, rid, t = ("chain", "other")[i % 2], f"r{i}", 90.0 * i
+            for j, node in enumerate("abc"):
+                ledger.record_execution(
+                    workflow=wf, node=node, function=node, region=REGIONS[(i + j) % 3],
+                    request_id=rid, start_s=t + j, duration_s=0.5, memory_mb=1769,
+                    n_vcpu=1.0, cpu_total_time_s=0.35, cold_start=j == 0,
+                    payload_bytes=1024, output_bytes=2048.0,
+                )
+            for j, edge in enumerate(("a->b", "b->c")):
+                ledger.record_transmission(
+                    workflow=wf, src_region=REGIONS[(i + j) % 3],
+                    dst_region=REGIONS[(i + j + 1) % 3], size_bytes=4096.0,
+                    start_s=t + j + 0.5, latency_s=0.02, request_id=rid, edge=edge,
+                )
+            ledger.record_message(
+                workflow=wf, topic="b", region=REGIONS[i % 3], start_s=t + 0.5,
+                size_bytes=1024.0, request_id=rid,
+            )
+            ledger.record_kv_access(
+                workflow=wf, table="t", region=REGIONS[0], start_s=t + 2.5, write=True,
+                request_id=rid,
+            )
+        ledger.record_transmission(
+            workflow="chain", src_region=REGIONS[0], dst_region=REGIONS[1],
+            size_bytes=1e6, start_s=10.0, latency_s=0.5, kind="image",
+        )
+        return ledger
+
+    def test_production_reads_build_no_record(self, monkeypatch, chain_dag):
+        ledger = self._ledger()
+        carbon = CarbonIntensitySource(hours=24, seed=5)
+        accountant = CarbonAccountant(
+            carbon, CarbonModel(TransmissionScenario.best_case()), CostModel(PricingSource())
+        )
+        manager = MetricsManager(
+            chain_dag, WorkflowConfig(home_region=REGIONS[0]), ledger, carbon
+        )
+
+        def built(*_args):
+            raise AssertionError("a ledger record was built")
+
+        monkeypatch.setattr(ledger_module._Table, "records", built)
+        assert len(accountant.price_by_request(ledger, "chain")) == 20
+        assert accountant.price_workflow(ledger, "chain").n_executions == 60
+        assert accountant.price_workflow(ledger, "other", "r1", 0.0, 3600.0).n_transmissions == 2
+        assert list(ledger.usage_by_region()) == sorted(REGIONS)
+        assert ledger_series(ledger, accountant, 600.0)
+        assert ledger_series(ledger, accountant, 3600.0, "other")
+        assert ledger.request_ids("chain") == [f"r{i}" for i in range(0, 40, 2)]
+        assert ledger.service_time("other", "r3") == 2.5
+        for key, _oracle_key in KEYS:
+            assert ledger.group(key, "chain", 600.0, 1800.0)
+        assert manager.collect(now_s=3600.0) == 60
 
 
 # -------------------------------------------------------------------- memory

@@ -38,7 +38,6 @@ class TestNetwork:
         assert rec.dst_region == "ca-central-1"
         assert rec.size_bytes == mb(1)
         assert rec.edge == "a->b"
-        assert not rec.intra_region
 
     def test_jitter_is_bounded_below(self, cloud):
         # Even extreme jitter draws cannot make latency non-positive.

@@ -216,65 +216,3 @@ class TestRetrySemantics:
         assert ("ghost", message, "no deliverable region") in cloud.pubsub.dead_letters
         assert seen == ["ghost"]
 
-
-class TestRetryHandles:
-    """The per-workflow retry-timer ledger (``pending_retries`` /
-    ``cancel_pending_retries``) that workflow teardown relies on."""
-
-    def _arm(self, cloud, *workflows):
-        """Publish one always-failing message per workflow and advance
-        the clock past the first delivery attempts but short of the
-        0.5 s backoff, leaving each message's retry timer armed."""
-        cloud.pubsub.create_topic("t", "us-east-1")
-        attempts = []
-
-        def broken(message):
-            attempts.append(message.workflow)
-            raise RuntimeError("transient")
-
-        cloud.pubsub.subscribe("t", "us-east-1", broken)
-        for wf in workflows:
-            cloud.pubsub.publish(
-                "t", "us-east-1", Message(body=None, size_bytes=0, workflow=wf),
-                source_region="us-east-1",
-            )
-        cloud.env.run(until=0.3)
-        assert sorted(attempts) == sorted(workflows)  # first attempts done
-        return attempts
-
-    def test_pending_retries_counts_armed_timers(self, cloud):
-        self._arm(cloud, "wf", "wf", "wf")
-        assert cloud.pubsub.pending_retries("wf") == 3
-        assert cloud.pubsub.pending_retries("other") == 0
-
-    def test_cancel_suppresses_redelivery_without_dead_lettering(self, cloud):
-        attempts = self._arm(cloud, "wf", "wf")
-        assert cloud.pubsub.cancel_pending_retries("wf") == 2
-        assert cloud.pubsub.pending_retries("wf") == 0
-        cloud.run_until_idle()
-        # No redelivery happened, and the messages were NOT dead-lettered
-        # (the workflow is going away; counting them as losses would lie).
-        assert len(attempts) == 2
-        assert cloud.pubsub.dead_letter_count("wf") == 0
-
-    def test_cancel_is_scoped_to_one_workflow(self, cloud):
-        attempts = self._arm(cloud, "alpha", "beta")
-        assert cloud.pubsub.cancel_pending_retries("alpha") == 1
-        assert cloud.pubsub.pending_retries("beta") == 1
-        cloud.run_until_idle()
-        # beta kept retrying to exhaustion; alpha stopped after attempt 1.
-        assert attempts.count("alpha") == 1
-        assert attempts.count("beta") == MAX_DELIVERY_ATTEMPTS
-        assert cloud.pubsub.dead_letter_count("beta") == 1
-
-    def test_fired_timers_cancel_as_noops(self, cloud):
-        """After natural exhaustion every handle has fired: the ledger
-        reports nothing pending and a late cancel cancels nothing."""
-        self._arm(cloud, "wf")
-        cloud.run_until_idle()
-        assert cloud.pubsub.pending_retries("wf") == 0
-        assert cloud.pubsub.cancel_pending_retries("wf") == 0
-        assert cloud.pubsub.dead_letter_count("wf") == 1
-
-    def test_cancel_unknown_workflow_returns_zero(self, cloud):
-        assert cloud.pubsub.cancel_pending_retries("ghost") == 0
