@@ -67,7 +67,7 @@ def make_estimator(dag, batch, max_samples, cov, seed=0):
         CarbonModel(TransmissionScenario.best_case()),
         CostModel(PricingSource()),
         TransferLatencyModel(LatencySource()),
-        np.random.default_rng(seed),
+        np.random.default_rng(seed), home_region="us-east-1",
         batch_size=batch, max_samples=max_samples, cov_threshold=cov,
     )
 

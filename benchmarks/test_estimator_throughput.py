@@ -58,8 +58,7 @@ def _make_estimator(cloud, deployed, metrics, vectorized, seed=0):
         CostModel(cloud.pricing_source),
         TransferLatencyModel(cloud.latency_source),
         np.random.default_rng(seed),
-        kv_region=deployed.kv_region,
-        client_region=deployed.config.home_region,
+        deployed.config.home_region,
         batch_size=200,
         max_samples=2000,
         cov_threshold=1e-9,  # force the full 2000 samples every run
@@ -128,8 +127,7 @@ def test_estimator_throughput_smoke():
             CostModel(cloud.pricing_source),
             TransferLatencyModel(cloud.latency_source),
             np.random.default_rng(1),
-            kv_region=deployed.kv_region,
-            client_region=deployed.config.home_region,
+            deployed.config.home_region,
             batch_size=50,
             max_samples=100,
             cov_threshold=1e-9,

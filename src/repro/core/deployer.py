@@ -46,7 +46,6 @@ class DeploymentUtility:
         self,
         workflow: Workflow,
         config: WorkflowConfig,
-        kv_region: Optional[str] = None,
     ) -> Tuple[DeployedWorkflow, CaribouExecutor]:
         """Initial deployment to the home region.
 
@@ -54,9 +53,7 @@ class DeploymentUtility:
         ``regions_and_providers``) are merged into the manifest config;
         explicit manifest entries win when both exist.
         """
-        deployed, executor = self.attach(
-            workflow, config, kv_region=kv_region, subscribe=False
-        )
+        deployed, executor = self.attach(workflow, config, subscribe=False)
         config = deployed.config
         dag = deployed.dag
 
@@ -98,7 +95,6 @@ class DeploymentUtility:
         self,
         workflow: Workflow,
         config: WorkflowConfig,
-        kv_region: Optional[str] = None,
         subscribe: bool = True,
     ) -> Tuple[DeployedWorkflow, CaribouExecutor]:
         """Build fresh runtime handles for a workflow *without* deploying.
@@ -129,7 +125,6 @@ class DeploymentUtility:
             analyze_workflow(workflow),
             config=config,
             cloud=self._cloud,
-            kv_region=kv_region or config.home_region,
         )
         executor = CaribouExecutor(deployed)
         if subscribe:

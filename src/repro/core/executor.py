@@ -37,7 +37,7 @@ relevant subgraph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.cloud.faults import ReliabilityStats
@@ -254,7 +254,12 @@ class DeployedWorkflow:
     dag: WorkflowDAG
     config: WorkflowConfig
     cloud: SimulatedCloud
-    kv_region: str
+    #: The region hosting the framework KV store: always the home region
+    #: (§4, Fig. 5).  A plain attribute, since every KV operation reads it.
+    kv_region: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.kv_region = self.config.home_region
 
     @property
     def name(self) -> str:

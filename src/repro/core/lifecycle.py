@@ -134,7 +134,6 @@ def plan_evaluator(
         cost_model=CostModel(cloud.pricing_source),
         latency_model=TransferLatencyModel(cloud.latency_source),
         rng=cloud.env.rng.get(f"solver:{deployed.name}"),
-        kv_region=deployed.kv_region,
         settings=settings,
         stats=stats,
         cache=cache,

@@ -158,7 +158,11 @@ class DeploymentManager:
     def make_evaluator(self) -> PlanEvaluator:
         """An evaluator over the *current* learned metrics, backed by
         the persistent evaluation cache (invalidated here iff the
-        metrics or forecasts changed since the last solve)."""
+        metrics or forecasts changed since the last solve).
+
+        The evaluator prices hour of day ``h`` at the first absolute
+        hour at or after now's that is ``h`` mod 24: the coming day."""
+        now_h = int(self._cloud.now() // SECONDS_PER_HOUR)
         self.evaluation_cache.sync(
             self.metrics.version,
             # Forecast refits only stale the cache when forecasts
@@ -168,8 +172,8 @@ class DeploymentManager:
         return plan_evaluator(
             self._d,
             self.metrics,
-            lambda region, hour: self.metrics.carbon_for_hour(
-                region, hour, use_forecast=self._use_forecast
+            lambda region, hour: self._planning_intensity(
+                region, now_h + (hour - now_h) % 24
             ),
             self._scenario,
             self._solver_settings,
@@ -307,6 +311,12 @@ class DeploymentManager:
         return handle.cancel()
 
     # -- internals ---------------------------------------------------------------
+    def _planning_intensity(self, region: str, absolute_hour: int) -> float:
+        """The grid intensity a plan for ``absolute_hour`` is priced with."""
+        return self.metrics.carbon_for_hour(
+            region, absolute_hour % 24, use_forecast=self._use_forecast
+        )
+
     def _solve_and_migrate(
         self, granularity_hours: int, now: float
     ) -> MigrationReport:
@@ -346,27 +356,25 @@ class DeploymentManager:
         mean per-invocation carbon of home-routed requests minus that of
         plan-routed requests, scaled to the period's plan-routed volume.
         """
-        ledger = self._cloud.ledger
         home_region = self._d.config.home_region
-        footprints = self._accountant.price_by_request(
-            ledger, self._d.name, since_s=since_s, until_s=until_s
+        # One pass over the window, grouped by invocation; framework
+        # traffic (empty request id) belongs to none.
+        groups = self._cloud.ledger.group(
+            "request_id", self._d.name, since_s, until_s
         )
-        if not footprints:
-            return 0.0
-        # Classify each invocation by where its executions ran: the
-        # same window grouped the same way, so the ledger's index keeps
-        # this O(window) too.
-        by_rid = ledger.group("request_id", self._d.name, since_s, until_s)
+        groups.pop("", None)
         home_carbons: List[float] = []
         routed_carbons: List[float] = []
-        for rid, fp in footprints.items():
-            regions = set(by_rid[rid].executions.values("region"))
+        for group in groups.values():
+            # Classify each invocation by where its executions ran.
+            regions = set(group.executions.values("region"))
             if not regions:
                 continue
+            carbon = self._accountant.price(group).carbon_g
             if regions == {home_region}:
-                home_carbons.append(fp.carbon_g)
+                home_carbons.append(carbon)
             else:
-                routed_carbons.append(fp.carbon_g)
+                routed_carbons.append(carbon)
         if not home_carbons or not routed_carbons:
             return 0.0
         saving_per_inv = float(np.mean(home_carbons) - np.mean(routed_carbons))

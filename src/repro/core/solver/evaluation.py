@@ -236,8 +236,6 @@ class PlanEvaluator:
         cost_model: CostModel,
         latency_model: TransferLatencyModel,
         rng: np.random.Generator,
-        kv_region: Optional[str] = None,
-        client_region: Optional[str] = None,
         settings: SolverSettings = SolverSettings(),
         stats: Optional[SolverStats] = None,
         cache: Optional[EvaluationCache] = None,
@@ -249,12 +247,6 @@ class PlanEvaluator:
             Metrics Manager's forecast-aware accessor.
         carbon_model / cost_model / latency_model: Pricing models.
         rng: Solver-owned random stream.
-        kv_region: Framework KV-store region (defaults to home).
-        client_region: Where the invocation client sits (defaults to
-            home).  Distinct from ``kv_region``: the client sources the
-            end-user input transfer, the KV region relays sync-node
-            fan-in data.  Conflating them would price a shifted start
-            node's input transfer as free.
         settings: Fidelity and HBSS hyper-parameters.
         stats: Counter object to accumulate into (a fresh
             :class:`SolverStats` is created when omitted).
@@ -271,8 +263,6 @@ class PlanEvaluator:
         self._intensity_fn = intensity_fn
         #: ``{hour: {region: intensity}}``, filled on first lookup.
         self._intensities: Dict[int, LazyTable] = {}
-        self._kv_region = kv_region or config.home_region
-        self._client_region = client_region or config.home_region
         self._data = data
         self._carbon_model = carbon_model
         self._cost_model = cost_model
@@ -284,8 +274,7 @@ class PlanEvaluator:
             cost_model,
             latency_model,
             rng,
-            kv_region=self._kv_region,
-            client_region=self._client_region,
+            config.home_region,
             batch_size=settings.batch_size,
             max_samples=settings.max_samples,
             cov_threshold=settings.cov_threshold,
@@ -323,14 +312,6 @@ class PlanEvaluator:
     @property
     def latency_model(self) -> TransferLatencyModel:
         return self._latency_model
-
-    @property
-    def kv_region(self) -> str:
-        return self._kv_region
-
-    @property
-    def client_region(self) -> str:
-        return self._client_region
 
     def intensity(self, region: str, hour: int) -> float:
         """The grid intensity :meth:`estimate` prices ``hour`` with.

@@ -118,8 +118,8 @@ class LowerBoundTables:
         cost = ev.cost_model
         carbon = ev.carbon_model
         latency = ev.latency_model
-        kv = ev.kv_region
-        client = ev.client_region
+        # The home region hosts the KV store and the invocation client.
+        kv = client = ev.config.home_region
 
         # Only contributions guaranteed to occur in *every* sample may
         # enter the bound; everything else prices as 0.

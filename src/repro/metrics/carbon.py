@@ -85,23 +85,18 @@ class TransmissionScenario:
 
 
 class CarbonModel:
-    """Computes operational carbon for executions and transmissions."""
+    """Computes operational carbon for executions and transmissions.
 
-    def __init__(
-        self,
-        scenario: TransmissionScenario,
-        pue: float = PUE,
-        p_mem_kw_per_gb: float = P_MEM_KW_PER_GB,
-        p_min_kw: float = P_MIN_KW,
-        p_max_kw: float = P_MAX_KW,
-    ):
-        if pue < 1.0:
-            raise ValueError(f"PUE cannot be below 1.0, got {pue}")
+    The power model is the paper's (§7.1); only the transmission
+    scenario varies."""
+
+    pue = PUE
+    p_mem = P_MEM_KW_PER_GB
+    p_min = P_MIN_KW
+    p_max = P_MAX_KW
+
+    def __init__(self, scenario: TransmissionScenario):
         self.scenario = scenario
-        self.pue = pue
-        self.p_mem = p_mem_kw_per_gb
-        self.p_min = p_min_kw
-        self.p_max = p_max_kw
 
     # -- energy ------------------------------------------------------------
     def memory_energy_kwh(self, memory_mb: float, duration_s: float) -> float:
@@ -194,10 +189,4 @@ class CarbonModel:
     def with_scenario(self, scenario: TransmissionScenario) -> "CarbonModel":
         """A copy of this model under a different transmission scenario
         (used to re-price one simulated run under both paper scenarios)."""
-        return CarbonModel(
-            scenario,
-            pue=self.pue,
-            p_mem_kw_per_gb=self.p_mem,
-            p_min_kw=self.p_min,
-            p_max_kw=self.p_max,
-        )
+        return CarbonModel(scenario)

@@ -54,14 +54,8 @@ class HoltWintersParams:
 class HoltWintersForecaster:
     """Additive Holt-Winters with a daily (24-hour) season."""
 
-    def __init__(
-        self,
-        season_length: int = SEASON_LENGTH,
-        params: Optional[HoltWintersParams] = None,
-    ):
-        if season_length < 2:
-            raise ValueError(f"season_length must be >= 2, got {season_length}")
-        self._m = season_length
+    def __init__(self, params: Optional[HoltWintersParams] = None):
+        self._m = SEASON_LENGTH
         self._params = params
         # Fitted state.
         self._level: Optional[float] = None

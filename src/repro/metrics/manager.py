@@ -211,7 +211,6 @@ class MetricsManager:
         )
 
         self._invocations: "OrderedDict[str, InvocationSummary]" = OrderedDict()
-        self._info_counts: Dict[Tuple, int] = {}
         # Cursors into the append-only ledger.
         self._exec_cursor = 0
         self._trans_cursor = 0
@@ -297,13 +296,6 @@ class MetricsManager:
             return
         summary = self._summary_for(request_id, start_s)
         summary.first_start_s = min(summary.first_start_s, start_s)
-        if node not in summary.node_executions:
-            self._bump(("exec", node, region), +1)
-        else:
-            old_region = summary.node_executions[node][0]
-            if old_region != region:
-                self._bump(("exec", node, old_region), -1)
-                self._bump(("exec", node, region), +1)
         summary.node_executions[node] = (region, duration_s)
         # Insights utilisation.
         if duration_s > 0 and n_vcpu > 0:
@@ -327,22 +319,7 @@ class MetricsManager:
         if src not in nodes or dst not in nodes:
             return
         summary = self._summary_for(request_id, start_s)
-        key = (src, dst)
-        if key not in summary.edge_transfers:
-            self._bump(("route", src_region, dst_region), +1)
-        else:
-            old = summary.edge_transfers[key]
-            if (old[0], old[1]) != (src_region, dst_region):
-                self._bump(("route", old[0], old[1]), -1)
-                self._bump(("route", src_region, dst_region), +1)
-        summary.edge_transfers[key] = (src_region, dst_region, size_bytes)
-
-    def _bump(self, key: Tuple, delta: int) -> None:
-        new = self._info_counts.get(key, 0) + delta
-        if new <= 0:
-            self._info_counts.pop(key, None)
-        else:
-            self._info_counts[key] = new
+        summary.edge_transfers[(src, dst)] = (src_region, dst_region, size_bytes)
 
     def _expire(self, now_s: float) -> None:
         """Hard 30-day retention window (§7.2)."""
@@ -360,24 +337,29 @@ class MetricsManager:
 
         Walk from the oldest invocation; remove it unless it is the sole
         representative of some DAG information key, in which case it is
-        retained and the walk continues.  Each removal counts down its
-        keys before the next invocation is judged, and a key one
+        retained and the walk continues.  The keys are counted over the
+        store once, when it is over the cap; each removal counts down
+        its keys before the next invocation is judged, and a key one
         invocation holds several times (two edges over one region pair)
         needs a representative outside it.
         """
         if len(self._invocations) <= self._max_invocations:
             return
+        counts = Counter(
+            key
+            for summary in self._invocations.values()
+            for key in summary.info_keys()
+        )
         for rid, summary in list(self._invocations.items()):
             if len(self._invocations) <= self._max_invocations:
                 break
             held = Counter(summary.info_keys())
-            if all(self._info_counts.get(k, 0) > n for k, n in held.items()):
+            if all(counts[k] > n for k, n in held.items()):
+                counts.subtract(held)
                 self._remove(rid)
 
     def _remove(self, request_id: str) -> None:
-        summary = self._invocations.pop(request_id)
-        for key in summary.info_keys():
-            self._bump(key, -1)
+        del self._invocations[request_id]
         self._snapshot = None
         self.version += 1
 

@@ -85,9 +85,10 @@ alone.  Each quantity is therefore paid for at the rate it changes:
   execution-time support, appended to one array per quantity and node
   (``_Gather``); per *(client, region)* arrival latency and egress over
   the input-size support, appended likewise; per *route* three scalars
-  (one-way latency, bandwidth, USD/GB); per region the SNS publish and
-  KV request costs.  The models' ``*_batch`` methods run here, on the
-  supports, with all their validation;
+  (one-way latency, bandwidth, USD/GB); per region the SNS publish
+  cost.  The models' ``*_batch`` methods run here, on the supports,
+  with all their validation.  The two KV request costs at the home
+  region are priced at construction;
 * **once per plan**: its substream, and dictionary lookups resolving it
   against those tables (``_compile``): where each of its tables starts
   in the gathered arrays, the rows its regions and routes own in the
@@ -146,7 +147,6 @@ lock down.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -217,7 +217,7 @@ class WorkflowModelData(Protocol):
         """Distribution of end-user input payload sizes.
 
         The invocation client sits at/near the home region (§6.2) — the
-        estimator's ``client_region`` — so a plan that moves the start
+        estimator's ``home_region`` — so a plan that moves the start
         node pays this transfer cross-region; without it the solver
         would under-price offloading the entry stage of input-heavy
         workflows."""
@@ -708,10 +708,6 @@ class _Cohort(NamedTuple):
     #: support a batch draws indices into, one row per distribution in
     #: draw order.
     highs: Tuple["np.ndarray", ...]
-    #: (P, 1): plan retrieval per executed node; and a sync fan-in's
-    #: annotation update + data write + data read.
-    kv_read_cost: "np.ndarray"
-    kv_relay_cost: "np.ndarray"
 
 
 def _add(target: "np.ndarray", values, mask: Optional["np.ndarray"]) -> None:
@@ -758,8 +754,7 @@ class MonteCarloEstimator:
         cost_model: CostModel,
         latency_model: TransferLatencyModel,
         rng: np.random.Generator,
-        kv_region: Optional[str] = None,
-        client_region: Optional[str] = None,
+        home_region: str,
         batch_size: int = BATCH_SIZE,
         max_samples: int = MAX_SAMPLES,
         cov_threshold: float = COV_THRESHOLD,
@@ -770,17 +765,11 @@ class MonteCarloEstimator:
         data: Learned behaviour (distributions, probabilities).
         carbon_model / cost_model / latency_model: Pricing models.
         rng: Random stream (callers pass a solver-owned stream).
-        kv_region: Region hosting the distributed KV store; sync-node
-            intermediate data is relayed through it (§4 / Fig. 5).
-            Defaults to the plan's start-node region per evaluation.
-        client_region: Region the invocation client sits at/near (§6.2)
-            — the source of the end-user input transfer.  The
-            :class:`~repro.core.solver.evaluation.PlanEvaluator` threads
-            the workflow home region here; when ``None`` the estimator
-            falls back to ``kv_region`` and then to the plan's
-            start-node region (so a shifted start node would be priced
-            as free input transfer — a ``UserWarning`` is emitted at
-            construction; pass it explicitly).
+        home_region: The workflow's home region.  It hosts the
+            framework KV store, through which sync-node intermediate
+            data is relayed (§4 / Fig. 5), and the invocation client sits
+            at/near it (§6.2), so it is the source of the end-user input
+            transfer: a plan that shifts the start node pays for it.
         batch_size / max_samples / cov_threshold: Stopping rule knobs
             (paper defaults: 200 / 2000 / 0.05).
         stats: Optional counter sink (``SolverStats``); the estimator
@@ -790,16 +779,6 @@ class MonteCarloEstimator:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         if max_samples <= 0:
             raise ValueError(f"max_samples must be positive, got {max_samples}")
-        if client_region is None:
-            warnings.warn(
-                "MonteCarloEstimator constructed without client_region: the "
-                "end-user input transfer will be priced from the KV region "
-                "or the plan's start-node region, so a plan that shifts the "
-                "start node gets its input transfer under-priced (or free). "
-                "Pass the workflow home region explicitly.",
-                UserWarning,
-                stacklevel=2,
-            )
         self._dag = dag
         self._data = data
         self._carbon = carbon_model
@@ -810,8 +789,13 @@ class MonteCarloEstimator:
         # substream keyed by (salt, plan digest) — see the module
         # docstring's determinism note.
         self._plan_salt = int(rng.integers(0, 2**63 - 1))
-        self._kv_region = kv_region
-        self._client_region = client_region
+        self._home = home_region
+        # Per executed node: the plan retrieval; per taken sync fan-in
+        # edge: the annotation update + data write + data read.
+        self._kv_read_cost = _scalar(cost_model.kv_cost(home_region, n_reads=1))
+        self._kv_relay_cost = _scalar(
+            cost_model.kv_cost(home_region, n_reads=1, n_writes=2)
+        )
         self._batch = batch_size
         self._max = max_samples
         self._cov = cov_threshold
@@ -826,7 +810,6 @@ class MonteCarloEstimator:
         self._input_gather = _Gather()
         self._route_legs: Dict[Tuple[str, str], Tuple[float, float, float]] = {}
         self._publish_costs: Dict[str, float] = {}
-        self._kv_costs: Dict[str, Tuple[float, float]] = {}
 
     def estimate(
         self,
@@ -985,12 +968,6 @@ class MonteCarloEstimator:
         converged = (std == 0.0) | ~((mean <= 0) | (relative_error >= self._cov))
         return converged.all(axis=0)
 
-    def _client_and_kv(self, plan: DeploymentPlan) -> Tuple[str, str]:
-        """Resolve the client and KV regions for one evaluation."""
-        kv = self._kv_region or plan.region_of(self._dag.start_node)
-        client = self._client_region or kv
-        return client, kv
-
     def plan_rng(self, plan: DeploymentPlan) -> np.random.Generator:
         """The plan's dedicated substream (fresh generator each call)."""
         return np.random.default_rng(
@@ -1134,16 +1111,6 @@ class MonteCarloEstimator:
             cost = self._publish_costs[region] = self._cost.messaging_cost(region)
         return cost
 
-    def _kv_cost(self, kv: str) -> Tuple[float, float]:
-        """``(plan retrieval, sync fan-in relay)`` at KV region ``kv``."""
-        costs = self._kv_costs.get(kv)
-        if costs is None:
-            costs = self._kv_costs[kv] = (
-                self._cost.kv_cost(kv, n_reads=1),
-                self._cost.kv_cost(kv, n_reads=1, n_writes=2),
-            )
-        return costs
-
     # -- per cohort ---------------------------------------------------------
     def _compile(
         self,
@@ -1162,6 +1129,7 @@ class MonteCarloEstimator:
         input_offset = self._input_gather.offset
         route_legs = self._route_legs
         publish_costs = self._publish_costs
+        kv = client = self._home
         floats_by_plan, ints_by_plan, bounds_by_plan = [], [], []
         layouts, block_starts = [], []
         start = 0
@@ -1170,12 +1138,11 @@ class MonteCarloEstimator:
                 start = int(starts[p])
             block_starts.append(start)
             region_of = plan.assignments
-            client, kv = self._client_and_kv(plan)
             # Region or route -> its row in the plan's block, numbered in
             # processing order after the latency and cost rows.
             regions: Dict[str, int] = {}
             routes: Dict[Tuple[str, str], int] = {}
-            floats = list(self._kv_cost(kv))
+            floats = []
             ints = []
             bounds = [len(workflow.input_sizes)]
             for spec in workflow.nodes:
@@ -1250,7 +1217,7 @@ class MonteCarloEstimator:
             columns = values.T[:, :, None]
             offsets = index.T[:, :, None]
             rows = index.T
-        f, i, draw = 2, 0, 1  # draw row 0 is the end-user input size
+        f, i, draw = 0, 0, 1  # draw row 0 is the end-user input size
         nodes = []
         for spec in workflow.nodes:
             input_step = None
@@ -1308,8 +1275,6 @@ class MonteCarloEstimator:
             starts=np.array(block_starts),
             nodes=tuple(nodes),
             highs=tuple(highs),
-            kv_read_cost=columns[0, ...],
-            kv_relay_cost=columns[1, ...],
         )
 
     # -- per batch ------------------------------------------------------------
@@ -1361,7 +1326,7 @@ class MonteCarloEstimator:
         """
         shape = indices.shape[:-2] + indices.shape[-1:]  # (P, n), or (n,)
         cost = np.zeros(shape)
-        kv_read_cost = cohort.kv_read_cost
+        kv_read_cost = self._kv_read_cost
         executed: Dict[str, Optional[np.ndarray]] = {}
         finish: Dict[str, np.ndarray] = {}
         # The start node runs in every sample, so the running maximum is
@@ -1405,7 +1370,7 @@ class MonteCarloEstimator:
                         _add(cost, per_gb * size_gb, active)
                     if spec.is_sync:
                         # Annotation update + data write + data read.
-                        _add(cost, cohort.kv_relay_cost, active)
+                        _add(cost, self._kv_relay_cost, active)
                     # One SNS publish per taken edge (§6.2).
                     _add(cost, step.publish_cost, active)
                     reached = np.maximum(arrival, finish[edge.src] + edge_latency)

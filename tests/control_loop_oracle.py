@@ -15,7 +15,10 @@ hourly check scanned whole histories:
   home and pooled fallbacks and a per-key cache of its own (dropped
   whenever the store changes), and whose ``collect`` walks the ledger
   one record at a time (moving the version on any new execution or
-  data transmission, as production does).
+  data transmission, as production does).  It also keeps §7.2's
+  forgetting counts as it did: one count per DAG information key,
+  moved on every ingested record and every removal, where production
+  counts the store's keys only when it is over the cap.
 
 ``tests/test_control_loop.py`` requires production's saving to equal
 :func:`realized_savings` with ``==`` on every check of the capture run;
@@ -29,6 +32,7 @@ itself.  Not shipped: nothing under ``src/`` imports this module.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -79,8 +83,28 @@ class ScanMetricsManager(MetricsManager):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._scan_cache: Dict[Tuple, object] = {}
+        self._info_counts: Dict[Tuple, int] = {}
+
+    def _bump(self, key: Tuple, delta: int) -> None:
+        new = self._info_counts.get(key, 0) + delta
+        if new <= 0:
+            self._info_counts.pop(key, None)
+        else:
+            self._info_counts[key] = new
+
+    def _evict_to_cap(self) -> None:
+        if len(self._invocations) <= self._max_invocations:
+            return
+        for rid, summary in list(self._invocations.items()):
+            if len(self._invocations) <= self._max_invocations:
+                break
+            held = Counter(summary.info_keys())
+            if all(self._info_counts.get(k, 0) > n for k, n in held.items()):
+                self._remove(rid)
 
     def _remove(self, request_id: str) -> None:
+        for key in self._invocations[request_id].info_keys():
+            self._bump(key, -1)
         super()._remove(request_id)
         self._scan_cache.clear()
 
@@ -110,6 +134,28 @@ class ScanMetricsManager(MetricsManager):
             self._scan_cache.clear()
             self.version += 1
         return new_execs
+
+    def _ingest_execution(
+        self, request_id: str, start_s: float, node: str, region: str,
+        duration_s: float, n_vcpu: float, cpu_total_time_s: float,
+    ) -> None:
+        if not request_id:
+            return
+        summary = self._summary_for(request_id, start_s)
+        summary.first_start_s = min(summary.first_start_s, start_s)
+        if node not in summary.node_executions:
+            self._bump(("exec", node, region), +1)
+        else:
+            old_region = summary.node_executions[node][0]
+            if old_region != region:
+                self._bump(("exec", node, old_region), -1)
+                self._bump(("exec", node, region), +1)
+        summary.node_executions[node] = (region, duration_s)
+        # Insights utilisation.
+        if duration_s > 0 and n_vcpu > 0:
+            util = cpu_total_time_s / (duration_s * n_vcpu)
+            self._util_sum[node] = self._util_sum.get(node, 0.0) + util
+            self._util_n[node] = self._util_n.get(node, 0) + 1
 
     def _ingest_transmission(self, rec: TransmissionRecord) -> None:  # type: ignore[override]
         if not rec.request_id or "->" not in rec.edge:

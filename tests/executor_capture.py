@@ -91,7 +91,7 @@ def _deploy_shape(cloud: SimulatedCloud, shape: dict):
         )(make_handler(node.name))
     config = WorkflowConfig(home_region=HOME, benchmarking_fraction=0.0)
     deployed = DeployedWorkflow(
-        workflow=workflow, dag=dag, config=config, cloud=cloud, kv_region=HOME
+        workflow=workflow, dag=dag, config=config, cloud=cloud
     )
     executor = CaribouExecutor(deployed)
     utility = DeploymentUtility(cloud)

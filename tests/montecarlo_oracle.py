@@ -204,7 +204,7 @@ class ScalarReferenceEstimator(MonteCarloEstimator):
 
     def _plan_steps(self, plan: DeploymentPlan) -> _PlanSteps:
         """``plan`` against the tables, in topological order."""
-        client, kv = self._client_and_kv(plan)
+        client = kv = self._home
         workflow = self._workflow_spec()
         region_of = plan.assignments
         nodes = []
@@ -292,7 +292,7 @@ class ScalarReferenceEstimator(MonteCarloEstimator):
         testing and as the baseline of
         ``benchmarks/test_estimator_throughput.py``."""
         dag = self._dag
-        client, kv_region = self._client_and_kv(plan)
+        client = kv_region = self._home
         edge_prob = {
             (e.src, e.dst): self._data.edge_probability(e.src, e.dst)
             for e in dag.edges

@@ -9,11 +9,8 @@ The contracts under test:
   on hand-built DAGs and on random cohorts of the five Table-1 apps;
   duplicate plans share one profile object.
 * ``PlanEvaluator.prefetch_profiles`` returns how many profiles it built.
-* The PR 6 bugfix regressions: estimator knob guards and the
-  ``client_region`` warning.
+* The estimator's stopping-rule knobs validate their domain.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +28,7 @@ from repro.model.config import WorkflowConfig
 from repro.model.plan import DeploymentPlan
 from tests.montecarlo_oracle import ScalarReferenceEstimator
 from tests.test_montecarlo_kernel import (
+    HOME,
     learned_app,
     make_estimator as make_app_estimator,
 )
@@ -86,8 +84,8 @@ def intensity_fn(region, hour):
     return INTENSITY[region]
 
 
-def make_estimator(dag, data=None, seed=0, client_region="us-east-1",
-                   estimator=MonteCarloEstimator, **kwargs):
+def make_estimator(dag, data=None, seed=0, estimator=MonteCarloEstimator,
+                   **kwargs):
     return estimator(
         dag,
         data or FixtureData(),
@@ -95,7 +93,7 @@ def make_estimator(dag, data=None, seed=0, client_region="us-east-1",
         CostModel(PricingSource()),
         TransferLatencyModel(LatencySource()),
         np.random.default_rng(seed),
-        client_region=client_region,
+        "us-east-1",
         **kwargs,
     )
 
@@ -217,14 +215,14 @@ class TestEstimateProfilesDifferential:
     }
 
     @pytest.mark.parametrize("app_name", sorted(ALL_APPS))
-    @pytest.mark.parametrize("kv_region", ["us-east-1", None])
-    def test_random_cohorts_on_the_apps(self, app_name, kv_region):
-        # Cohorts of 1-24 plans with duplicates; ``kv_region=None`` puts
-        # each plan's KV store at its own start region, so one cohort
-        # mixes KV regions; a tight stopping rule staggers convergence.
+    # ``None``: the deployment's own home region, ``HOME``.
+    @pytest.mark.parametrize("home_region", ["us-west-2", None])
+    def test_random_cohorts_on_the_apps(self, app_name, home_region):
+        # Cohorts of 1-24 plans with duplicates, their start nodes in
+        # several regions; a tight stopping rule staggers convergence.
         cloud, dag, metrics = learned_app(app_name)
-        kwargs = dict(cloud=cloud, kv_region=kv_region, batch_size=20,
-                      max_samples=100,
+        kwargs = dict(cloud=cloud, home_region=home_region or HOME,
+                      batch_size=20, max_samples=100,
                       cov_threshold=self.COHORT_COV[app_name])
         cohort_est = make_app_estimator(dag, metrics, seed=9, **kwargs)
         solo_est = make_app_estimator(dag, metrics, seed=9, **kwargs)
@@ -291,27 +289,6 @@ class TestEstimatorGuards:
                              cov_threshold=1e-12)
         plan = DeploymentPlan.single_region(chain_dag, "us-east-1")
         assert est.estimate_profile(plan).n_samples == 70
-
-
-class TestClientRegionWarning:
-    """PR 6 bugfix: a missing client region silently priced the
-    shifted-start input transfer as free; now it warns."""
-
-    def test_warns_without_client_region(self, chain_dag):
-        with pytest.warns(UserWarning, match="client_region"):
-            make_estimator(chain_dag, client_region=None)
-
-    def test_no_warning_with_client_region(self, chain_dag):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            make_estimator(chain_dag, client_region="us-east-1")
-
-    def test_evaluator_always_threads_home_region(self, chain_dag):
-        # PlanEvaluator must never build the silent-fallback estimator:
-        # when no client region is given it uses the workflow's home.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            make_evaluator(chain_dag)
 
 
 class TestBatchedSolverEquivalence:

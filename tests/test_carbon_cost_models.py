@@ -81,10 +81,6 @@ class TestExecutionCarbon:
         with pytest.raises(ValueError):
             model.vcpu_power_kw(1.0, 0.0, 1.0)
 
-    def test_invalid_pue_rejected(self):
-        with pytest.raises(ValueError):
-            CarbonModel(TransmissionScenario.best_case(), pue=0.9)
-
 
 class TestTransmissionCarbon:
     def test_eq75(self, model):

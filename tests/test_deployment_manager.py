@@ -256,6 +256,40 @@ class TestPersistentEvaluationCache:
         assert calls == [("us-east-1", 5)] * 2
 
 
+@pytest.mark.parametrize("use_forecast", [False, True])
+def test_planning_asks_for_absolute_hours_of_the_coming_day(
+        monkeypatch, use_forecast):
+    # Every intensity a solve prices is asked for at an absolute hour in
+    # [now_h, now_h + 24): after a solving check, and after the clock
+    # crosses a day boundary with no check (so no forecast refit).
+    cloud, app, deployed, executor, dm = make_dm(
+        use_token_bucket=False, use_forecast=use_forecast, seed=3
+    )
+    asked = []
+    real = dm._planning_intensity
+
+    def spy(region, absolute_hour):
+        asked.append((int(cloud.now() // 3600), absolute_hour))
+        return real(region, absolute_hour)
+
+    monkeypatch.setattr(dm, "_planning_intensity", spy)
+    cloud.env.clock.advance(8 * SECONDS_PER_DAY + 5 * 3600)
+    warm_up(executor, app, "small", n=3)
+    assert dm.check().solved
+    assert dm.metrics.forecasts.has_forecast("us-east-1") == use_forecast
+    solved = len(asked)
+    assert solved > 0
+
+    cloud.env.clock.advance(21 * 3600)
+    now_h = int(cloud.now() // 3600)
+    evaluator = dm.make_evaluator()
+    for region in cloud.regions:
+        for hour in range(24):
+            evaluator.intensity(region, hour)
+    assert {a for _, a in asked[solved:]} == set(range(now_h, now_h + 24))
+    assert all(now <= a < now + 24 for now, a in asked)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="make_evaluator hands CarbonForecastProvider.forecast_at the "

@@ -92,7 +92,6 @@ def build_runtime(dag: WorkflowDAG, decisions, seed: int):
     config = WorkflowConfig(home_region="us-east-1", benchmarking_fraction=0.0)
     deployed = DeployedWorkflow(
         workflow=workflow, dag=dag, config=config, cloud=cloud,
-        kv_region="us-east-1",
     )
     executor = CaribouExecutor(deployed)
     utility = DeploymentUtility(cloud)

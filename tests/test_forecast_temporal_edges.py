@@ -58,10 +58,6 @@ class TestForecastEdges:
         with pytest.raises(ValueError, match="non-finite"):
             HoltWintersForecaster().fit(bad)
 
-    def test_season_length_below_two_rejected(self):
-        with pytest.raises(ValueError, match="season_length"):
-            HoltWintersForecaster(season_length=1)
-
     def test_forecast_never_negative(self):
         # A steeply decreasing trend would extrapolate below zero.
         y = np.linspace(100.0, 1.0, 24 * 7)

@@ -251,7 +251,6 @@ class TestRetention:
                 "a", "us-east-1", f"r{i:03d}", start=2.0 + i))
         mm.collect(100.0)
         assert mm.invocation_count == 5
-        assert mm._info_counts[("exec", "a", "ca-central-1")] == 1
         assert list(mm._invocations) == ["ca1", "r006", "r007", "r008", "r009"]
         assert mm.execution_time_dist("a", "ca-central-1").support().tolist() == [9.0]
 
@@ -273,7 +272,6 @@ class TestRetention:
                 append_record(ledger, exec_rec(node, "us-east-1", f"r{i}", start=1.0 + i))
         mm.collect(100.0)
         assert list(mm._invocations) == ["old", "r2"]
-        assert mm._info_counts[("route", "us-east-1", "us-west-2")] == 2
 
     def test_average_runtime(self, setup):
         mm, ledger = setup
@@ -417,7 +415,6 @@ class TestLearnedDistributionsDifferential:
             now += data.draw(st.sampled_from((0.0, 0.7 * SECONDS_PER_DAY)))
             assert mm.collect(now) == ref.collect(now)
             assert mm._invocations == ref._invocations
-            assert mm._info_counts == ref._info_counts
             assert mm.version == ref.version
             for key in data.draw(st.permutations(keys)):
                 assert read(mm, key) == read(ref, key), key

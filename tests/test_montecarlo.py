@@ -70,7 +70,7 @@ class FixtureData:
 
 
 def make_estimator(dag, data=None, scenario=None, seed=0,
-                   client_region="us-east-1", estimator=MonteCarloEstimator,
+                   home_region="us-east-1", estimator=MonteCarloEstimator,
                    **kwargs):
     return estimator(
         dag,
@@ -79,7 +79,7 @@ def make_estimator(dag, data=None, scenario=None, seed=0,
         CostModel(PricingSource()),
         TransferLatencyModel(LatencySource()),
         np.random.default_rng(seed),
-        client_region=client_region,
+        home_region,
         **kwargs,
     )
 
@@ -217,7 +217,7 @@ class TestEstimates:
     def test_sync_node_data_relays_through_kv_region(self, diamond_dag):
         est = make_estimator(
             diamond_dag, FixtureData(cond_prob=1.0, edge_bytes=20e6),
-            kv_region="us-east-1",
+            home_region="us-east-1",
         )
         plan = DeploymentPlan(
             {"a": "us-east-1", "b": "us-west-1", "c": "us-east-1", "d": "us-west-1"}
@@ -269,8 +269,6 @@ class TestDifferential:
             dag,
             RichData(cond_prob=0.5, edge_bytes=2e6),
             seed=123,
-            kv_region="us-east-1",
-            client_region="us-east-1",
             estimator=(
                 MonteCarloEstimator if vectorized else ScalarReferenceEstimator
             ),
@@ -327,8 +325,8 @@ class TestDifferential:
 
 
 class TestClientRegion:
-    """The invocation client is distinct from the KV region: shifting
-    the start node must not make the end-user input transfer free."""
+    """The invocation client sits at the home region: shifting the start
+    node must not make the end-user input transfer free."""
 
     class InputHeavy(FixtureData):
         def input_size_dist(self):
@@ -338,7 +336,7 @@ class TestClientRegion:
         est = make_estimator(
             chain_dag, self.InputHeavy(edge_bytes=1e3),
             scenario=TransmissionScenario.worst_case(),
-            client_region="us-east-1",
+            home_region="us-east-1",
         )
         shifted = DeploymentPlan.single_region(chain_dag, "us-west-1")
         profile = est.estimate_profile(shifted)
@@ -348,27 +346,12 @@ class TestClientRegion:
             profile.bytes_by_route[("us-east-1", "us-west-1")] == 50e6
         )
 
-    def test_default_client_follows_kv_then_plan(self, chain_dag):
-        # Without client_region or kv_region the legacy fallback keeps
-        # the client co-located with the start node (documented).
-        with pytest.warns(UserWarning, match="client_region"):
-            est = make_estimator(
-                chain_dag, self.InputHeavy(edge_bytes=1e3),
-                client_region=None,
-            )
-        shifted = DeploymentPlan.single_region(chain_dag, "us-west-1")
-        profile = est.estimate_profile(shifted)
-        assert ("us-west-1", "us-west-1") in profile.bytes_by_route
-        assert ("us-east-1", "us-west-1") not in profile.bytes_by_route
-
     def test_input_transfer_raises_carbon_when_shifted(self, chain_dag):
-        # Worst case: intra free, inter expensive.  With an explicit
-        # client the shifted plan shows input-transfer carbon; the
-        # home plan does not.
+        # Worst case: intra free, inter expensive.  The shifted plan
+        # shows input-transfer carbon; the home plan does not.
         worst = TransmissionScenario.worst_case()
         est = make_estimator(
             chain_dag, self.InputHeavy(edge_bytes=1e3), scenario=worst,
-            client_region="us-east-1",
         )
         home = est.estimate(
             DeploymentPlan.single_region(chain_dag, "us-east-1"),
@@ -376,7 +359,6 @@ class TestClientRegion:
         )
         est2 = make_estimator(
             chain_dag, self.InputHeavy(edge_bytes=1e3), scenario=worst,
-            client_region="us-east-1",
         )
         shifted = est2.estimate(
             DeploymentPlan.single_region(chain_dag, "us-west-1"),
@@ -446,9 +428,7 @@ class TestProfileArraysAreFrozen:
             {"a": "us-west-1", "b": "us-east-1", "c": "ca-central-1",
              "d": "us-west-2"}
         )
-        profile = make_estimator(
-            diamond_dag, kv_region="us-east-1"
-        ).estimate_profile(plan)
+        profile = make_estimator(diamond_dag).estimate_profile(plan)
         arrays = [profile.latencies, profile.costs]
         arrays += list(profile.energy_by_region.values())
         arrays += list(profile.bytes_by_route.values())
@@ -631,8 +611,7 @@ class TestRepricingWorkCounts:
     ``ndarray.mean`` — not on the first pricing, not after."""
 
     def _profile(self, diamond_dag):
-        est = make_estimator(diamond_dag, RichData(cond_prob=0.5),
-                             kv_region="us-east-1")
+        est = make_estimator(diamond_dag, RichData(cond_prob=0.5))
         return est.estimate_profile(DeploymentPlan(
             {"a": "us-west-1", "b": "us-east-1", "c": "ca-central-1",
              "d": "us-west-2"}

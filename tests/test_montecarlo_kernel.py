@@ -38,6 +38,8 @@ from repro.model.plan import DeploymentPlan
 from tests.montecarlo_oracle import ScalarReferenceEstimator
 
 REGIONS = ("us-east-1", "us-west-1", "us-west-2", "ca-central-1")
+#: The home region of every fixture and of the apps' default config.
+HOME = "us-east-1"
 
 
 class TableData:
@@ -92,8 +94,7 @@ def diamond_data(cond_prob=0.5, **overrides):
     return TableData(**spec)
 
 
-def make_estimator(dag, data, vectorized=True, seed=123,
-                   kv_region="us-east-1", client_region="us-east-1",
+def make_estimator(dag, data, vectorized=True, seed=123, home_region=HOME,
                    cloud=None, **kwargs):
     kwargs.setdefault("cov_threshold", 1e-9)  # run to the cap
     estimator = MonteCarloEstimator if vectorized else ScalarReferenceEstimator
@@ -104,8 +105,7 @@ def make_estimator(dag, data, vectorized=True, seed=123,
         CostModel(cloud.pricing_source if cloud else PricingSource()),
         TransferLatencyModel(cloud.latency_source if cloud else LatencySource()),
         np.random.default_rng(seed),
-        kv_region=kv_region,
-        client_region=client_region,
+        home_region,
         **kwargs,
     )
 
@@ -165,17 +165,18 @@ class TestAppsDifferential:
     """Every Table-1 app, learned metrics, 20 random plans each."""
 
     @pytest.mark.parametrize("app_name", sorted(ALL_APPS))
-    @pytest.mark.parametrize("kv_region", ["us-east-1", None])
-    def test_bit_identical_to_the_scalar_reference(self, app_name, kv_region):
+    # ``None``: the deployment's own home region, ``HOME``; ``us-west-2``
+    # puts the client and the KV store away from the deployed functions.
+    @pytest.mark.parametrize("home_region", ["us-west-2", None])
+    def test_bit_identical_to_the_scalar_reference(self, app_name, home_region):
         cloud, dag, metrics = learned_app(app_name)
         plans = random_plans(dag, 20)
-        if kv_region is None and len(dag) > 1:
-            # The KV region is then the *plan's* start region: the
-            # tables must not be shared across plans that differ in it.
-            starts = {plan.region_of(dag.start_node) for plan in plans}
-            assert len(starts) > 1
+        # Some plans shift the start node away from the home region and
+        # so pay the input transfer.
+        starts = {plan.region_of(dag.start_node) for plan in plans}
+        assert len(starts) > 1
         assert_kernel_equals_reference(
-            dag, metrics, plans, cloud=cloud, kv_region=kv_region,
+            dag, metrics, plans, cloud=cloud, home_region=home_region or HOME,
             batch_size=40, max_samples=100,
         )
 
@@ -199,16 +200,17 @@ class TestAppsDifferential:
 # ------------------------------------------------------- hand-built shapes
 class TestShapesDifferential:
     @pytest.mark.parametrize("cond_prob", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("kv_region", ["us-west-2", None])
+    # ``None``: the fixtures' home region, ``HOME``.
+    @pytest.mark.parametrize("home_region", ["us-west-2", None])
     def test_conditional_probabilities(self, diamond_dag, cond_prob,
-                                       kv_region):
+                                       home_region):
         # 0: ``c`` never runs (its in-edge never fires, so neither does
         # c -> d); 1: the conditional edge fires in every sample but is
         # still masked — "always active" is a property of the DAG, not
         # of the probability.
         assert_kernel_equals_reference(
             diamond_dag, diamond_data(cond_prob),
-            random_plans(diamond_dag, 12), kv_region=kv_region,
+            random_plans(diamond_dag, 12), home_region=home_region or HOME,
             batch_size=50, max_samples=150,
         )
 
@@ -298,12 +300,12 @@ def small_workflows(draw):
 class TestRandomDagProperty:
     @settings(max_examples=60, deadline=None)
     @given(workflow=small_workflows(),
-           kv_region=st.sampled_from((None,) + REGIONS),
+           home_region=st.sampled_from(REGIONS),
            seed=st.integers(0, 2**32 - 1))
-    def test_kernel_equals_reference(self, workflow, kv_region, seed):
+    def test_kernel_equals_reference(self, workflow, home_region, seed):
         dag, data, plans = workflow
         assert_kernel_equals_reference(
-            dag, data, plans, seed=seed, kv_region=kv_region,
+            dag, data, plans, seed=seed, home_region=home_region,
             batch_size=7, max_samples=20,
         )
 
@@ -336,8 +338,7 @@ class TestDataIsReadOncePerKey:
 
     def test_however_many_plans_are_profiled(self, diamond_dag):
         data = CountingData(diamond_data(0.5))
-        est = make_estimator(diamond_dag, data, kv_region=None,
-                             batch_size=20, max_samples=100)
+        est = make_estimator(diamond_dag, data, batch_size=20, max_samples=100)
         for plan in random_plans(diamond_dag, 40):
             est.estimate_profile(plan)
         after_forty = dict(data.calls)
@@ -478,9 +479,8 @@ class TestBroadcastDrawDifferential:
         # (P, m, n) indices is the oracle's per-distribution rows, and
         # each stream ends where the oracle's does.
         _cloud, dag, metrics = learned_app(app_name)
-        est = make_estimator(dag, metrics, kv_region=None)
-        reference = make_estimator(dag, metrics, vectorized=False,
-                                   kv_region=None)
+        est = make_estimator(dag, metrics)
+        reference = make_estimator(dag, metrics, vectorized=False)
         plans = random_plans(dag, 10)
         highs = est._compile(plans).highs
         twins = [est.plan_rng(plan) for plan in plans]

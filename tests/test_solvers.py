@@ -756,8 +756,7 @@ def app_twins():
                 regions=base.regions, intensity_fn=base._intensity_fn,
                 carbon_model=base.carbon_model, cost_model=base.cost_model,
                 latency_model=base.latency_model,
-                rng=np.random.default_rng(seed), kv_region=base.kv_region,
-                client_region=base.client_region, settings=base.settings,
+                rng=np.random.default_rng(seed), settings=base.settings,
             )
 
         return make
