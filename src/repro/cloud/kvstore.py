@@ -39,6 +39,10 @@ if TYPE_CHECKING:
 BASE_LATENCY_S = 0.004
 
 
+#: Exact types whose values are immutable: a snapshot shares them.
+_ATOMS = frozenset({str, int, float, bool, type(None)})
+
+
 def _snapshot(value: Any) -> Any:
     """Deep-copy a stored value the fast way.
 
@@ -46,11 +50,31 @@ def _snapshot(value: Any) -> Any:
     store's internals (DynamoDB hands back serialised items, never
     references) — and at open-loop request rates those copies are the
     simulation's hottest allocation site.  Values here are JSON-shaped
-    (plans, annotations, message bodies), so a direct structural walk
-    copies them ~10x faster than ``copy.deepcopy``'s generic machinery;
-    anything exotic falls back to ``deepcopy`` for identical semantics.
+    (plans, annotations, message bodies), so the common shapes are
+    dispatched on their exact type: atoms are shared, and an exact
+    ``dict`` or ``list`` is copied at C speed, then only its non-atom
+    entries are copied again.  Every other value takes the structural
+    walk: subclasses of the atoms (``np.float64``, an ``IntEnum``) are
+    shared, dict and list subclasses become a plain ``dict``/``list``,
+    a tuple a plain tuple, and anything exotic falls back to
+    ``copy.deepcopy``.
     """
-    if value is None or isinstance(value, (str, int, float, bool)):
+    cls = type(value)
+    if cls in _ATOMS:
+        return value
+    if cls is dict:
+        out = value.copy()
+        for k, v in value.items():
+            if type(v) not in _ATOMS:
+                out[k] = _snapshot(v)
+        return out
+    if cls is list:
+        out = value.copy()
+        for i, v in enumerate(value):
+            if type(v) not in _ATOMS:
+                out[i] = _snapshot(v)
+        return out
+    if isinstance(value, (str, int, float, bool)):
         return value
     if isinstance(value, dict):
         return {k: _snapshot(v) for k, v in value.items()}
@@ -201,11 +225,11 @@ class KeyValueStore:
         With ``decode`` the value comes back as ``decode(copy of the
         item)``, computed once per write of the item: the result is
         kept until the stored object is replaced.  Every write path
-        stores a fresh copy (and ``delete`` removes it), so the stored
-        object's identity *is* the item's version and the writers need
-        no invalidation.  The read itself — fault check, ledger record,
-        latency, span, counters — is the same with or without
-        ``decode``.  A missing key returns ``default`` undecoded.  The
+        stores a fresh copy (and ``delete``/``expire`` remove it), so
+        the stored object's identity *is* the item's version and the
+        writers need no invalidation.  The read itself — fault check,
+        ledger record, latency, span, counters — is the same with or
+        without ``decode``.  A missing key returns ``default`` undecoded.  The
         decoded object is shared by every reader of that version: treat
         it as read-only, and pass a ``decode`` that is a pure function
         of the item.
@@ -241,6 +265,17 @@ class KeyValueStore:
         caller = caller_region or self.region
         self._table(table).pop(key, None)
         return self._meter(table, caller, True, workflow, request_id, op="delete")
+
+    def expire(self, table: str, key: str) -> None:
+        """Drop ``key`` the way DynamoDB's TTL expiry does: in the
+        background, at no request-unit cost, so it takes no fault
+        check, no ledger record, no latency and no span.  The
+        ``get(decode=…)`` memo of the key goes with it.  A missing key
+        is a no-op."""
+        tbl = self._tables.get(table)
+        if tbl is not None:
+            tbl.pop(key, None)
+        self._decoded.pop((table, key), None)
 
     def update(
         self,

@@ -287,12 +287,15 @@ class _Request:
     ``t0`` and ``watchdog``; ``None`` marks an untracked request whose
     join arrivals are recorded for a tracer."""
 
-    __slots__ = ("status", "t0", "watchdog", "arrivals")
+    __slots__ = ("status", "t0", "watchdog", "arrivals", "inflight")
 
     def __init__(self, status: Optional[str], t0: Optional[float] = None):
         self.status = status
         self.t0 = t0  # virtual admission time
         self.watchdog: Optional[EventHandle] = None
+        #: Continuations scheduled and messages published, not yet done
+        #: (see :meth:`CaribouExecutor._release`); tracked requests only.
+        self.inflight = 0
         #: Edge annotations in arrival order, ``(edge, value, t)``; kept
         #: only while a tracer is attached.
         self.arrivals: Optional[List[Tuple[str, int, float]]] = None
@@ -395,6 +398,7 @@ class CaribouExecutor(_NodeRunner):
         self._plan_entries = len(self._dag)
         self._annotation_table = deployed.annotation_table
         self._data_table = deployed.data_table
+        self._sync_nodes = tuple(self._join.in_keys)
         # -- observability --------------------------------------------------
         self._tracer = getattr(deployed.cloud, "tracer", NULL_TRACER)
         self._metrics = getattr(deployed.cloud, "metrics", NULL_METRICS)
@@ -536,21 +540,26 @@ class CaribouExecutor(_NodeRunner):
         def subscriber(message: Message) -> None:
             body = message.body
             node = body["node"]
+            rid = body["request_id"]
             if body["plan"] is None:
                 # Direct-to-home request (§6.2): resolve the DP here and
                 # re-route to the planned region when it is not us.
                 plan = self.fetch_active_plan()
                 body = dict(body, plan=dict(plan.assignments))
                 if plan.region_of(node) != region:
-                    self._send(node, body["request_id"], body["plan"],
+                    self._send(node, rid, body["plan"],
                                body["payloads"], body["benchmark"],
                                sum([p["size_bytes"] for p in body["payloads"]]),
                                region, f"$reroute->{node}")
+                    self._release(rid)
                     return
             if self._routes[node].sync:
                 self._start_sync_node(node, region, body)
             else:
                 self._execute_node(node, region, [_decode(p) for p in body["payloads"]], body)
+            # Acknowledged.  A raising subscriber keeps its count: pub/sub
+            # redelivers the message or dead-letters it.
+            self._release(rid)
 
         return subscriber
 
@@ -654,7 +663,8 @@ class CaribouExecutor(_NodeRunner):
         fired: List[str] = []
 
         def mutate(current: Optional[Dict]) -> Dict:
-            ann: Dict = dict(current or {})
+            # ``update`` hands over a private copy: edit it in place.
+            ann: Dict = current if current is not None else {}
             fired.extend(self._join.apply(ann, marks))
             return ann
 
@@ -743,6 +753,9 @@ class CaribouExecutor(_NodeRunner):
             workflow=self._name,
             request_id=rid,
         )
+        # Counted before either path: ``dead_letter`` calls the listener,
+        # which releases it, synchronously.
+        self._hold(rid)
         if not deliverable:
             # The home region itself is unusable.  Raising here would
             # escape a scheduled callback and crash the event loop, so
@@ -830,23 +843,55 @@ class CaribouExecutor(_NodeRunner):
         self._finished[status] += 1
 
     def _on_dead_letter(self, topic: str, message: Message, error: str) -> None:
-        """Pub/sub gave up on one of our messages: the request cannot
-        finish normally, so mark it failed."""
+        """Pub/sub gave up on our message: fail its request; it is no longer in flight."""
         if message.workflow == self._name and message.request_id:
             self._finish(message.request_id, "failed")
+            self._release(message.request_id)
 
     def _guarded(self, rid: str, fn: Callable[..., None], *args: Any) -> Callable[[], None]:
         """Wrap a scheduled continuation so a framework fault marks the
         request failed instead of crashing the event loop (exceptions in
-        scheduled callbacks are not retried by pub/sub)."""
+        scheduled callbacks are not retried by pub/sub).
+
+        The request counts the continuation in flight from here until
+        it has run, so every caller passes the wrapper straight to
+        ``schedule``/``schedule_at``: a wrapper never scheduled would
+        keep the request's KV items forever."""
+        self._hold(rid)
 
         def run() -> None:
             try:
                 fn(*args)
             except CaribouError:
                 self._finish(rid, "failed")
+            finally:
+                self._release(rid)
 
         return run
+
+    def _hold(self, rid: str) -> None:
+        """Count one more continuation or message of ``rid`` in flight."""
+        rec = self._requests.get(rid)
+        if rec is not None and rec.status is not None:
+            rec.inflight += 1
+
+    def _release(self, rid: str) -> None:
+        """One continuation or message of ``rid`` is done.  When none is
+        left in flight, no event can read or write the request's edge
+        annotation or fan-in data again, whatever its status, so the
+        items expire (:meth:`KeyValueStore.expire`: free, like DynamoDB
+        TTL, so ledger and traces are unchanged).  Only tracked requests
+        are counted: an untracked one (the SNS baseline, a direct
+        ``_annotate``) keeps its items."""
+        rec = self._requests.get(rid)
+        if rec is None or rec.status is None:
+            return
+        rec.inflight -= 1
+        if not rec.inflight:
+            kv = self._d.kv()
+            kv.expire(self._annotation_table, rid)
+            for node in self._sync_nodes:
+                kv.expire(self._data_table, f"{rid}:{node}")
 
     def request_status(self, rid: str) -> Optional[str]:
         """``"pending"``/``"completed"``/``"failed"``/``"timed_out"``, or

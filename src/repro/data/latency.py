@@ -53,12 +53,18 @@ class LatencySource:
                 self._rtt[(a.name, b.name)] = rtt
 
     def rtt(self, src: "Region | str", dst: "Region | str") -> float:
-        """Round-trip time between two regions in seconds."""
+        """Round-trip time between two regions in seconds.  An unknown
+        region raises ``get_region``'s ``KeyError``, which names the
+        known regions; the names are checked only on a miss, since
+        every transfer and KV access asks."""
         src_name = src.name if isinstance(src, Region) else src
         dst_name = dst.name if isinstance(dst, Region) else dst
-        get_region(src_name)
-        get_region(dst_name)
-        return self._rtt[(src_name, dst_name)]
+        try:
+            return self._rtt[(src_name, dst_name)]
+        except KeyError:
+            get_region(src_name)
+            get_region(dst_name)
+            raise
 
     def one_way(self, src: "Region | str", dst: "Region | str") -> float:
         """One-way latency estimate (half the RTT)."""

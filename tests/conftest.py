@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings as hypothesis_settings
 
+from repro.cloud.kvstore import KeyValueStore
 from repro.cloud.provider import SimulatedCloud
 from repro.model.dag import Edge, Node, WorkflowDAG
 
@@ -22,6 +23,25 @@ hypothesis_settings.load_profile("repro-deterministic")
 def cloud() -> SimulatedCloud:
     """A fresh four-region simulated cloud with a fixed seed."""
     return SimulatedCloud(seed=42)
+
+
+@pytest.fixture
+def expired_items(monkeypatch) -> dict:
+    """Every item :meth:`KeyValueStore.expire` drops, as it stood at
+    that moment: ``{(table, key): value}``.  The executor expires a
+    request's items once nothing in flight can reach them, so a test
+    that reads a finished request's fan-in data reads it here."""
+    seen: dict = {}
+    expire = KeyValueStore.expire
+
+    def recording(self, table: str, key: str) -> None:
+        item = self._tables.get(table, {}).get(key)  # noqa: SLF001
+        if item is not None:
+            seen[(table, key)] = item
+        expire(self, table, key)
+
+    monkeypatch.setattr(KeyValueStore, "expire", recording)
+    return seen
 
 
 @pytest.fixture

@@ -124,13 +124,15 @@ class TestAppSemantics:
         for e in recognize_execs:
             assert e.payload_bytes == pytest.approx(mb(2.4) / 4)
 
-    def test_image_processing_results_collected(self):
+    def test_image_processing_results_collected(self, expired_items):
         cloud = SimulatedCloud(seed=34)
         app = get_app("image_processing")
         deployed, executor, _ = deploy_benchmark(app, cloud)
         rid = executor.invoke(app.make_input("small"), force_home=True)
         cloud.run_until_idle()
-        stored, _ = deployed.kv().get(deployed.data_table, f"{rid}:collect")
+        # The fan-in data as it stood when the finished request's items
+        # expired.
+        stored = expired_items[(deployed.data_table, f"{rid}:collect")]
         ops = sorted(p["content"]["op"] for p in stored)
         assert ops == ["blur", "flip", "grayscale", "resize", "rotate"]
 

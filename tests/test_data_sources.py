@@ -186,6 +186,15 @@ class TestLatency:
         rtt = LatencySource().rtt("us-east-1", "ca-central-1")
         assert 0.008 < rtt < 0.03
 
+    @pytest.mark.parametrize(
+        "pair", [("nowhere-1", "us-east-1"), ("us-east-1", "nowhere-1")]
+    )
+    def test_unknown_region_raises_the_guidance(self, pair):
+        # The names are checked only when the lookup misses; the error
+        # is still get_region's, naming the known regions.
+        with pytest.raises(KeyError, match="unknown region 'nowhere-1'; known regions: "):
+            LatencySource().rtt(*pair)
+
     def test_one_way_is_half_rtt(self):
         src = LatencySource()
         assert src.one_way("us-east-1", "us-west-2") == pytest.approx(

@@ -151,14 +151,15 @@ class TestFanOut:
         assert {f"transform:{i}" for i in range(5)} <= nodes
         assert "collect" in nodes
 
-    def test_collect_receives_all_payloads(self):
+    def test_collect_receives_all_payloads(self, expired_items):
         cloud = SimulatedCloud(seed=8)
         app = get_app("image_processing")
         deployed, executor, _ = deploy_benchmark(app, cloud)
         rid = executor.invoke(app.make_input("small"), force_home=True)
         cloud.run_until_idle()
-        # The sync store held 5 intermediate payloads for collect.
-        stored, _ = deployed.kv().get(deployed.data_table, f"{rid}:collect")
+        # The sync store held 5 intermediate payloads for collect until
+        # the finished request's items expired.
+        stored = expired_items[(deployed.data_table, f"{rid}:collect")]
         assert len(stored) == 5
 
     def test_partial_fanout_still_joins(self):

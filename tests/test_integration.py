@@ -109,7 +109,7 @@ class TestLifecycle:
 
 
 class TestConcurrency:
-    def test_interleaved_invocations_do_not_cross_talk(self):
+    def test_interleaved_invocations_do_not_cross_talk(self, expired_items):
         """Many in-flight requests share topics/KV without mixing state."""
         cloud = SimulatedCloud(seed=53)
         app = get_app("image_processing")
@@ -126,7 +126,8 @@ class TestConcurrency:
         for rid in rids:
             execs = cloud.ledger.executions_for(deployed.name, rid)
             assert len(execs) == len(deployed.dag), rid
-            stored, _ = deployed.kv().get(deployed.data_table, f"{rid}:collect")
+            # The fan-in data as it stood when this request's items expired.
+            stored = expired_items[(deployed.data_table, f"{rid}:collect")]
             assert len(stored) == 5  # exactly this request's fan-out
 
     def test_token_bucket_loop_under_bursty_traffic(self):

@@ -1,8 +1,24 @@
 """Tests for the distributed key-value store (DynamoDB substitute)."""
 
-import pytest
+import enum
+from collections import OrderedDict
+from dataclasses import dataclass
 
-from repro.common.errors import ConditionalCheckFailed, KeyValueStoreError
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cloud.faults import FaultPlan
+from repro.cloud.kvstore import _snapshot
+from repro.cloud.provider import SimulatedCloud
+from repro.common.errors import (
+    ConditionalCheckFailed,
+    KeyValueStoreError,
+    RegionUnavailableError,
+)
+from repro.obs.trace import Tracer
+from tests import kv_snapshot_oracle
 
 
 @pytest.fixture
@@ -215,9 +231,6 @@ class TestDecodedGet:
     def test_same_simulated_read_as_a_plain_get(self):
         """Ledger, latency, spans, counters, fault tally and the
         injector's RNG position do not depend on ``decode``."""
-        from repro.cloud.faults import FaultPlan
-        from repro.cloud.provider import SimulatedCloud
-        from repro.obs.trace import Tracer
 
         def run(decode):
             tracer = Tracer()
@@ -252,3 +265,175 @@ class TestDecodedGet:
         plain, decoded = run(None), run(CountingDecoder())
         assert None in plain[0] and any(plain[0])  # both outcomes occurred
         assert plain == decoded
+
+
+class TestExpire:
+    """``expire`` models DynamoDB TTL expiry: the item goes, and nothing
+    else happens — no request unit, no latency, no span, no fault."""
+
+    def test_drops_the_item_and_tolerates_a_missing_one(self, kv):
+        kv.put("t", "k", {"a": [1]})
+        kv.put("t", "other", 2)
+        kv.expire("t", "k")
+        assert kv.get("t", "k")[0] is None
+        assert kv.get("t", "other")[0] == 2
+        kv.expire("t", "k")
+        kv.expire("never-written", "k")
+
+    def test_adds_no_ledger_record_span_or_metric(self):
+        tracer = Tracer()
+        cloud = SimulatedCloud(seed=3, tracer=tracer)
+        kv = cloud.kvstore("us-east-1")
+        kv.put("t", "k", {"a": 1}, caller_region="us-west-1", workflow="wf")
+        before = (
+            list(cloud.ledger.kv_accesses), tracer.to_jsonl(),
+            cloud.metrics.snapshot(), cloud.now(),
+        )
+        kv.expire("t", "k")
+        after = (
+            list(cloud.ledger.kv_accesses), tracer.to_jsonl(),
+            cloud.metrics.snapshot(), cloud.now(),
+        )
+        assert before == after
+        assert len(before[0]) == 1
+
+    def test_ignores_an_injected_outage(self):
+        plan = (
+            FaultPlan()
+            .with_region_outage("us-east-1", start_s=10.0)
+            .with_kv_errors(1.0, start_s=10.0)
+        )
+        cloud = SimulatedCloud(seed=3, fault_plan=plan)
+        kv = cloud.kvstore("us-east-1")
+        kv.put("t", "k", 1)
+        cloud.env.clock.advance(20.0)
+        with pytest.raises(RegionUnavailableError):
+            kv.get("t", "k")
+        injected = cloud.faults.snapshot()
+        kv.expire("t", "k")
+        assert cloud.faults.snapshot() == injected
+        assert "k" not in kv._tables["t"]  # noqa: SLF001
+
+    def test_drops_the_decode_memo(self, kv):
+        calls = []
+
+        def decode(item):
+            calls.append(item)
+            return ("decoded", item)
+
+        kv.put("t", "k", {"v": 1})
+        first = kv.get("t", "k", decode=decode)[0]
+        assert ("t", "k") in kv._decoded  # noqa: SLF001
+        kv.expire("t", "k")
+        assert ("t", "k") not in kv._decoded  # noqa: SLF001
+        assert kv.get("t", "k", decode=decode)[0] is None
+        kv.put("t", "k", {"v": 1})
+        again = kv.get("t", "k", decode=decode)[0]
+        assert again == first and again is not first
+        assert len(calls) == 2
+
+
+class StrSub(str):
+    pass
+
+
+class IntSub(int):
+    pass
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+class DictSub(dict):
+    pass
+
+
+class ListSub(list):
+    pass
+
+
+@dataclass
+class Point:
+    x: float
+    y: float
+
+
+ATOMS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.floats(allow_nan=False).map(np.float64),
+    st.text(max_size=4).map(StrSub),
+    st.integers().map(IntSub),
+    st.sampled_from(list(Colour)),
+    st.builds(Point, st.floats(allow_nan=False), st.floats(allow_nan=False)),
+)
+
+
+def _containers(children):
+    keys = st.text(max_size=3)
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(keys, children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.lists(children, max_size=3).map(ListSub),
+        st.dictionaries(keys, children, max_size=3).map(DictSub),
+        st.dictionaries(keys, children, max_size=3).map(OrderedDict),
+        # One sub-object reachable twice.
+        children.map(lambda child: [child, {"again": child}]),
+    )
+
+
+JSON_SHAPED = st.recursive(ATOMS, _containers, max_leaves=20)
+
+
+def _shape(value, seen):
+    """Types all the way down, plus the aliasing of mutable containers
+    (the index of each one's first sighting), in traversal order."""
+    if isinstance(value, (dict, list)):
+        first = seen.setdefault(id(value), len(seen))
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return (type(value), first, tuple((k, _shape(v, seen)) for k, v in items))
+    if isinstance(value, tuple):
+        return (tuple, tuple(_shape(v, seen) for v in value))
+    return (type(value), value)
+
+
+def _mutable_ids(value, out):
+    if isinstance(value, (dict, list)):
+        out.add(id(value))
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            _mutable_ids(v, out)
+    return out
+
+
+class TestSnapshotDifferential:
+    """The exact-type fast path copies as the former ``isinstance`` walk
+    (``tests/kv_snapshot_oracle.py``) did: equal values of the same
+    types, subclasses and the ``deepcopy`` fallback included, the same
+    sharing (a sub-object reached twice is copied twice), and nothing
+    mutable shared with the input."""
+
+    @settings(max_examples=300)
+    @given(JSON_SHAPED)
+    def test_matches_the_isinstance_walk(self, value):
+        fast = _snapshot(value)
+        slow = kv_snapshot_oracle.snapshot(value)
+        assert fast == slow
+        assert _shape(fast, {}) == _shape(slow, {})
+        assert _mutable_ids(fast, set()).isdisjoint(_mutable_ids(value, set()))
+
+    def test_atoms_are_shared_and_containers_copied(self):
+        leaf = np.float64(2.5)
+        value = {"a": [leaf, "s"], "b": {"c": None}}
+        copied = _snapshot(value)
+        assert copied == value
+        assert copied["a"][0] is leaf
+        assert copied["a"] is not value["a"] and copied["b"] is not value["b"]
