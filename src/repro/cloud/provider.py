@@ -95,6 +95,10 @@ class SimulatedCloud:
         self.iam = IamService()
         self._kvstores: Dict[str, KeyValueStore] = {}
         self._stepfunctions: Dict[str, StepFunctionsService] = {}
+        #: Per workflow, how many Caribou executors have run it on this
+        #: cloud: the epoch the next one numbers its requests under, so
+        #: request ids stay unique across an engine restart.
+        self.executor_epochs: Dict[str, int] = {}
 
     def kvstore(self, region: str) -> KeyValueStore:
         """The distributed key-value store hosted in ``region``.

@@ -415,6 +415,16 @@ class CaribouExecutor(_NodeRunner):
         self._counters: Dict[Tuple[str, str], Any] = {}
         self._finished = {"completed": 0, "failed": 0, "timed_out": 0}
         self._home_fallbacks = 0
+        # Request ids: ``{workflow}-r{n:06d}`` for the workflow's first
+        # executor on this cloud, ``{workflow}-e{epoch}-r{n:06d}`` for
+        # the ones ``DeploymentUtility.attach`` builds after a restart,
+        # so a new executor never reuses an id its predecessor issued.
+        epochs = deployed.cloud.executor_epochs
+        epoch = epochs.get(self._name, 0)
+        epochs[self._name] = epoch + 1
+        self._rid_prefix = (
+            f"{self._name}-r" if epoch == 0 else f"{self._name}-e{epoch}-r"
+        )
         deployed.cloud.pubsub.add_dead_letter_listener(self._on_dead_letter)
 
     @property
@@ -806,7 +816,7 @@ class CaribouExecutor(_NodeRunner):
         """Track a request end to end: every tracked request finishes as
         completed, failed, or timed out — never silently lost."""
         self._request_counter += 1
-        rid = request_id or f"{self._name}-r{self._request_counter:06d}"
+        rid = request_id or f"{self._rid_prefix}{self._request_counter:06d}"
         rec = self._requests[rid] = _Request("pending", self._env.now())
         self._tracer.open_request(rid, self._name)
         self._counter("executor.requests").inc()

@@ -141,14 +141,16 @@ class SolverStats:
 
 
 class EvaluationCache:
-    """Persistent, digest-keyed store of plan profiles.
+    """Persistent store of plan profiles, keyed by placement.
 
     A :class:`PlanEvaluator` is cheap, stateless glue over its inputs;
     the *expensive* state — Monte-Carlo :class:`PlanProfile` runs —
-    lives here, keyed by :meth:`DeploymentPlan.digest` so it survives
-    evaluator reconstruction (the Deployment Manager builds a fresh
-    evaluator on every token check, §5.2, but the workload's plan space
-    barely moves between checks).
+    lives here, keyed by the plan's regions in ``dag.node_names`` order
+    (:meth:`PlanEvaluator.plan_key`) so it survives evaluator
+    reconstruction (the Deployment Manager builds a fresh evaluator on
+    every token check, §5.2, but the workload's plan space barely moves
+    between checks).  Equal placements share one entry, whatever their
+    dict order or metadata.
 
     Entries are only valid for one version of the learned inputs:
     callers declare the current ``(metrics_version, forecast_version)``
@@ -157,10 +159,10 @@ class EvaluationCache:
     """
 
     def __init__(self) -> None:
-        self._profiles: Dict[str, PlanProfile] = {}
+        self._profiles: Dict[Tuple[str, ...], PlanProfile] = {}
         #: Profiles :meth:`PlanEvaluator.prefetch_profiles` built that no
         #: request has asked for yet (see ``SolverStats``).
-        self._prefetched: Dict[str, PlanProfile] = {}
+        self._prefetched: Dict[Tuple[str, ...], PlanProfile] = {}
         self._version: Optional[Tuple[object, object]] = None
         #: Times :meth:`sync` dropped a populated cache (observability).
         self.invalidations = 0
@@ -220,9 +222,19 @@ class LazyTable(dict):
 class PlanEvaluator:
     """Answers metric/tolerance queries over a shared evaluation cache.
 
-    The same plan is only ever simulated once per cache version, and the
-    per-plan RNG substreams of the underlying estimator make every
-    cached value independent of build order.
+    The same placement is only ever simulated once per cache version,
+    and the per-plan RNG substreams of the underlying estimator make
+    every cached value independent of build order.
+
+    Plans are priced two ways over the same profiles.  The plan methods
+    (:meth:`profile`, :meth:`estimate`, :meth:`metric`,
+    :meth:`tolerance_violated`) serve every solver.  The key methods
+    (:meth:`profiled`, :meth:`metric_of`, :meth:`checked_metric`) serve
+    the HBSS walk, which holds a deployment as its key and builds a
+    :class:`DeploymentPlan` only for a key whose profile is not built
+    yet: they make no plan, no digest and — unless a tolerance needs
+    the tails — no :class:`WorkflowEstimate`.  Both count requests in
+    ``SolverStats`` alike, and give the same doubles.
     """
 
     def __init__(
@@ -292,7 +304,15 @@ class PlanEvaluator:
                 )
             self._permitted[node] = allowed
         self.regions = tuple(regions)
+        self._nodes = dag.node_names
         self._home_plan = DeploymentPlan.single_region(dag, config.home_region)
+        #: ``{hour: the home plan's estimate}``, the QoS anchor of every
+        #: tolerance check that hour.
+        self._baselines: Dict[int, WorkflowEstimate] = {}
+        tol = config.tolerances
+        self._checks_tolerances = not (
+            tol.latency is None and tol.carbon is None and tol.cost is None
+        )
 
     # -- model access (read-only; the exact solver's bound tables price
     # -- minimum-support contributions through the same models the
@@ -356,26 +376,38 @@ class PlanEvaluator:
         )
 
     # -- evaluation -------------------------------------------------------------
-    def profile(self, plan: DeploymentPlan) -> PlanProfile:
-        digest = plan.digest()
+    def plan_key(self, plan: DeploymentPlan) -> Tuple[str, ...]:
+        """``plan``'s regions in ``dag.node_names`` order: its key in the
+        evaluation cache (a ``ValueError`` if it misses a node)."""
+        return plan.regions_for(self._nodes)
+
+    def profiled(self, key: Tuple[str, ...]) -> bool:
+        """Whether the profile of the placement ``key`` is built, so
+        pricing it simulates nothing."""
+        cache = self._cache
+        return key in cache._profiles or key in cache._prefetched
+
+    def _profile_of(
+        self, key: Tuple[str, ...], plan: Optional[DeploymentPlan] = None
+    ) -> PlanProfile:
+        """One profile request: the cached profile of ``key``, built
+        from ``plan`` (or a plan made from the key) on a miss."""
         profiles = self._cache._profiles
-        profile = profiles.get(digest)
+        profile = profiles.get(key)
         if profile is not None:
             self.stats.profile_cache_hits += 1
             return profile
-        profile = self._cache._prefetched.pop(digest, None)
+        profile = self._cache._prefetched.pop(key, None)
         if profile is None:
+            if plan is None:
+                plan = DeploymentPlan(dict(zip(self._nodes, key)))
             profile = self._estimator.estimate_profile(plan)
-        profiles[digest] = profile
+        profiles[key] = profile
         self.stats.profiles_built += 1
         return profile
 
-    def has_profile(self, plan: DeploymentPlan) -> bool:
-        """Whether ``plan``'s profile is built, so pricing it simulates
-        nothing."""
-        digest = plan.digest()
-        cache = self._cache
-        return digest in cache._profiles or digest in cache._prefetched
+    def profile(self, plan: DeploymentPlan) -> PlanProfile:
+        return self._profile_of(self.plan_key(plan), plan)
 
     def prefetch_profiles(self, plans: Sequence[DeploymentPlan]) -> int:
         """Build the profiles of ``plans`` not built yet as one
@@ -390,7 +422,11 @@ class PlanEvaluator:
         request finds it (the estimator's ``simulations_run`` and
         ``samples_drawn`` count at build time).
         """
-        missing = {p.digest(): p for p in plans if not self.has_profile(p)}
+        missing: Dict[Tuple[str, ...], DeploymentPlan] = {}
+        for plan in plans:
+            key = self.plan_key(plan)
+            if not self.profiled(key):
+                missing.setdefault(key, plan)
         if missing:
             self._cache._prefetched.update(
                 zip(missing, self._estimator.estimate_profiles(list(missing.values())))
@@ -402,11 +438,35 @@ class PlanEvaluator:
         return self.profile(plan).estimate_at(self._intensities_at(hour))
 
     def baseline(self, hour: int) -> WorkflowEstimate:
-        """Home-region single-deployment estimate: the QoS anchor."""
-        return self.estimate(self.home_plan(), hour)
+        """Home-region single-deployment estimate: the QoS anchor, made
+        once per hour (its tails, once read, are kept with it)."""
+        base = self._baselines.get(hour)
+        if base is None:
+            base = self._baselines[hour] = self.estimate(self._home_plan, hour)
+        return base
 
     def metric(self, plan: DeploymentPlan, hour: int) -> float:
-        return self.estimate(plan, hour).metric(self.config.priority)
+        return self._profile_of(self.plan_key(plan), plan).metric_at(
+            self.config.priority, self._intensities_at(hour)
+        )
+
+    def metric_of(self, key: Tuple[str, ...], hour: int) -> float:
+        """:meth:`metric` of the placement ``key``."""
+        return self._profile_of(key).metric_at(
+            self.config.priority, self._intensities_at(hour)
+        )
+
+    def checked_metric(self, key: Tuple[str, ...], hour: int) -> Optional[float]:
+        """The placement ``key``'s metric at ``hour``, or ``None`` when it
+        violates a tolerance: :meth:`tolerance_violated` and then
+        :meth:`metric`, counted as those two requests, but priced once."""
+        if not self._checks_tolerances:
+            return self.metric_of(key, hour)
+        est = self._profile_of(key).estimate_at(self._intensities_at(hour))
+        if self._violates(est, hour):
+            return None
+        self.stats.profile_cache_hits += 1  # the metric's request
+        return est.metric(self.config.priority)
 
     @property
     def plans_profiled(self) -> int:
@@ -416,10 +476,12 @@ class PlanEvaluator:
     def tolerance_violated(self, plan: DeploymentPlan, hour: int) -> bool:
         """Alg. 1's ``ToleranceViolated``: tail metrics vs the augmented
         home baseline (§9.4)."""
-        tol = self.config.tolerances
-        if tol.latency is None and tol.carbon is None and tol.cost is None:
+        if not self._checks_tolerances:
             return False
-        est = self.estimate(plan, hour)
+        return self._violates(self.estimate(plan, hour), hour)
+
+    def _violates(self, est: WorkflowEstimate, hour: int) -> bool:
+        tol = self.config.tolerances
         base = self.baseline(hour)
         if tol.latency is not None and est.tail_latency_s > base.tail_latency_s * (
             1.0 + tol.latency

@@ -52,15 +52,21 @@ the former one-hour-after-another driver kept in
 One iteration, draw for draw
 ----------------------------
 Inside the walk a deployment is its regions in ``dag.node_names``
-order, and the memo is keyed by that tuple; a :class:`DeploymentPlan`
-is built only on a memo miss, for the plans that get a tolerance check
-and a price.  An iteration makes exactly the generator calls that
-drawing with ``Generator.choice`` makes, in the same order, and gets
-the same indices:
+order.  That tuple keys the walk's memo and the evaluation cache alike
+(:meth:`PlanEvaluator.plan_key`): a memo miss is priced by key
+(:meth:`PlanEvaluator.checked_metric`, the metric itself, or ``None``
+for a tolerance violator), and a :class:`DeploymentPlan` is built only
+for a key whose profile is not built yet — the plan the walk yields —
+and for the hour's result.  Its SHA-256 digest is taken only where the
+estimator seeds the plan's substream from it.  An iteration makes
+exactly the draws that drawing with ``Generator.choice`` makes, in the
+same order, and gets the same indices — each through the bit
+generator's own C function (:class:`_Draws`), not a ``Generator``
+method call:
 
 * the mutated nodes are ``rng.choice(n, k, replace=False)`` for
-  ``k in (1, 2)`` rebuilt from ``rng.integers`` — numpy's Floyd sample
-  followed by its one-step shuffle (:func:`_choose_nodes`);
+  ``k in (1, 2)`` rebuilt from bounded integer draws — numpy's Floyd
+  sample followed by its one-step shuffle (:func:`_choose_nodes`);
 * the biased region is ``rng.choice(len(options), p=weights)``: one
   ``rng.random()`` bisected into a CDF over the node's permitted
   regions, which :func:`_bias_cdf` computes with choice's numpy
@@ -69,12 +75,14 @@ the same indices:
 
 Neither ``Generator.choice`` nor a weight array appears on the
 per-iteration path.  ``tests/test_solvers.py`` pins both draws against
-``Generator.choice`` and the whole walk against the former
+``Generator.choice``, :class:`_Draws` against ``Generator.random`` and
+``Generator.integers``, and the whole walk against the former
 implementation kept in ``tests/hbss_walk_oracle.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -121,7 +129,55 @@ class SolveResult:
     plans_evaluated: int
 
 
-def _choose_nodes(rng: np.random.Generator, n: int, k: int) -> Tuple[int, ...]:
+class _Draws:
+    """The two draws the walk makes on its generator — ``rng.random()``
+    and ``rng.integers(n)`` — through the bit generator's own C
+    functions (numpy's ``BitGenerator.ctypes``), minus the Python-level
+    argument handling that made up most of each ``Generator`` call.
+
+    They are the functions ``Generator`` calls: ``random()`` is the bit
+    generator's ``next_double``, and ``integers(n)`` for ``1 <= n <
+    2**32`` is numpy's bounded draw for such a range — no draw at all
+    for ``n == 1``, else Lemire's multiply-and-reject on
+    ``next_uint32``.  So a walk leaves its generator exactly where
+    ``Generator`` calls would, whatever its bit generator (pinned by
+    ``tests/test_solvers.py::TestDrawsDifferential`` on numpy's five,
+    on the numpy floor too).  The generator stays usable alongside:
+    both advance the one bit-generator state.
+    """
+
+    __slots__ = ("random", "_next_uint32", "_state", "_rng")
+
+    def __init__(self, rng: np.random.Generator):
+        bits = rng.bit_generator.ctypes
+        # The state pointer lives in the generator's bit generator: keep
+        # it alive for as long as the draws can be made.
+        self._rng = rng
+        self._state = bits.state
+        self._next_uint32 = bits.next_uint32
+        #: ``rng.random()``: one double in ``[0, 1)``.
+        self.random: Callable[[], float] = functools.partial(
+            bits.next_double, bits.state
+        )
+
+    def integers(self, n: int) -> int:
+        """``int(rng.integers(n))`` for ``1 <= n < 2**32``."""
+        if n == 1:
+            return 0
+        next_uint32, state = self._next_uint32, self._state
+        m = next_uint32(state) * n
+        leftover = m & 0xFFFFFFFF
+        if leftover < n:
+            threshold = (0x100000000 - n) % n
+            while leftover < threshold:
+                m = next_uint32(state) * n
+                leftover = m & 0xFFFFFFFF
+        return m >> 32
+
+
+def _choose_nodes(
+    rng: "np.random.Generator | _Draws", n: int, k: int
+) -> Tuple[int, ...]:
     """``tuple(rng.choice(n, size=k, replace=False))`` for ``k in (1, 2)``
     — the same indices from the same generator calls (equality pinned by
     ``tests/test_solvers.py::TestChoiceReproductionDifferential``).
@@ -337,16 +393,19 @@ class HBSSSolver:
         steps: List[Tuple[int, float, bool]] = []
 
         home = ev.home_plan()
-        if not ev.has_profile(home):
+        # The walk's deployment: its regions in ``nodes`` order, which is
+        # also its evaluation-cache key.
+        home_key = ev.plan_key(home)
+        if not ev.profiled(home_key):
             yield home
-        # The walk's deployment: its regions in ``nodes`` order.
-        current = [home.assignments[node] for node in nodes]
-        current_metric = ev.metric(home, hour)
+        current = list(home_key)
+        current_metric = ev.metric_of(home_key, hour)
         gamma = settings.gamma
 
         accepted_regions: Dict[str, int] = {r: 0 for r in ev.regions}
         # The carbon half of the region bias, per region for this
         # hour (looked up on first use, like the intensity itself).
+        draws = _Draws(rng)
         bias_denominators = LazyTable(
             lambda region: max(1.0, ev.intensity(region, hour))
         )
@@ -358,10 +417,11 @@ class HBSSSolver:
         # not — so complete exploration (Alg. 1 line 9) can actually
         # fire.  Tolerance violators are memoized as +inf: evaluated,
         # never a candidate for "best".
-        deployments: Dict[Tuple[str, ...], float] = {
-            tuple(current): current_metric
-        }
-        best_plan, best_metric = home, current_metric
+        deployments: Dict[Tuple[str, ...], float] = {home_key: current_metric}
+        # The best key, and its plan when the walk did not make it (home
+        # or the warm start, returned as the very objects it was given).
+        best_key, best_metric = home_key, current_metric
+        best_plan: Optional[DeploymentPlan] = home
 
         # Warm start (§5.2 re-solves a barely-moved problem): begin
         # the walk at the previous plan set's plan for this hour when
@@ -372,17 +432,18 @@ class HBSSSolver:
             and warm_start_plan.covers(dag)
             and ev.is_plan_compliant(warm_start_plan)
         ):
-            if not ev.has_profile(warm_start_plan):
+            warm_key = ev.plan_key(warm_start_plan)
+            if not ev.profiled(warm_key):
                 yield warm_start_plan
-            warm = [warm_start_plan.assignments[node] for node in nodes]
-            if ev.tolerance_violated(warm_start_plan, hour):
-                deployments[tuple(warm)] = math.inf
+            warm_metric = ev.checked_metric(warm_key, hour)
+            if warm_metric is None:
+                deployments[warm_key] = math.inf
             else:
-                warm_metric = ev.metric(warm_start_plan, hour)
-                deployments[tuple(warm)] = warm_metric
-                current, current_metric = warm, warm_metric
+                deployments[warm_key] = warm_metric
+                current, current_metric = list(warm_key), warm_metric
                 if warm_metric < best_metric:
-                    best_plan, best_metric = warm_start_plan, warm_metric
+                    best_key, best_metric = warm_key, warm_metric
+                    best_plan = warm_start_plan
 
         iterations = 0
         accepted = 0
@@ -390,15 +451,13 @@ class HBSSSolver:
             # GenNewDeplWBias: re-draw 1-2 nodes' regions with a
             # carbon-and-history-biased draw.
             regions = current.copy()
-            k = 1 if rng.random() < 0.7 else min(2, n_nodes)
-            for idx in _choose_nodes(rng, n_nodes, k):
+            k = 1 if draws.random() < 0.7 else min(2, n_nodes)
+            for idx in _choose_nodes(draws, n_nodes, k):
                 node_options = options[idx]
                 if len(node_options) == 1:
                     regions[idx] = node_options[0]
-                elif rng.random() < beta:
-                    regions[idx] = node_options[
-                        int(rng.integers(len(node_options)))
-                    ]
+                elif draws.random() < beta:
+                    regions[idx] = node_options[draws.integers(len(node_options))]
                 else:
                     cdf = cdfs.get(node_options)
                     if cdf is None:
@@ -410,22 +469,21 @@ class HBSSSolver:
                             ]
                         )
                     regions[idx] = node_options[
-                        bisect_right(cdf, rng.random())
+                        bisect_right(cdf, draws.random())
                     ]
             iterations += 1
             key = tuple(regions)
             if key in deployments:
                 continue
-            candidate = DeploymentPlan(dict(zip(nodes, regions)))
-            if not ev.has_profile(candidate):
-                yield candidate
-            if ev.tolerance_violated(candidate, hour):
+            if not ev.profiled(key):
+                yield DeploymentPlan(dict(zip(nodes, regions)))
+            metric = ev.checked_metric(key, hour)
+            if metric is None:
                 deployments[key] = math.inf
                 continue
-            metric = ev.metric(candidate, hour)
             deployments[key] = metric
             took = metric < current_metric or self._mut(
-                gamma, current_metric, metric, rng
+                gamma, current_metric, metric, draws
             )
             if traced:
                 steps.append((iterations, metric, took))
@@ -439,8 +497,10 @@ class HBSSSolver:
                     )
                 cdfs.clear()
                 if metric < best_metric:
-                    best_plan, best_metric = candidate, metric
+                    best_key, best_metric, best_plan = key, metric, None
 
+        if best_plan is None:
+            best_plan = DeploymentPlan(dict(zip(nodes, best_key)))
         result = SolveResult(
             hour=hour,
             best_plan=best_plan,
@@ -457,7 +517,7 @@ class HBSSSolver:
         gamma: float,
         current_metric: float,
         new_metric: float,
-        rng: np.random.Generator,
+        rng: "np.random.Generator | _Draws",
     ) -> bool:
         """``Mut``: stochastic acceptance of a non-improving move.
 

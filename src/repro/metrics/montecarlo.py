@@ -25,16 +25,18 @@ Determinism note (RNG stream discipline)
 ----------------------------------------
 Each plan is simulated from its *own* derived substream: at
 construction the estimator draws a single 63-bit salt from the
-caller-supplied generator, and a profile run seeds a fresh ``numpy``
-generator from ``derive_seed(salt, plan.digest())``.  Two consequences
-the solver stack relies on:
+caller-supplied generator, and a profile run seeds a fresh
+``Generator(PCG64(derive_seed(salt, plan.digest())))`` — what
+``np.random.default_rng`` builds for that int seed.  The SHA-256
+digest is taken there and nowhere else on the solver's path: once per
+profile built.  Two consequences the solver stack relies on:
 
 * profiles are **order-independent** — the order in which hours are
   solved, which plans share a cohort (see below), or a re-ordered
   cache-warming schedule cannot perturb any plan's draws;
-* re-profiling the same plan on the same estimator reproduces the same
-  result, which is what makes a digest-keyed profile cache semantically
-  transparent (a hit equals a recompute).
+* re-profiling the same placement on the same estimator reproduces the
+  same result, which is what makes a profile cache keyed by placement
+  semantically transparent (a hit equals a recompute).
 
 Within one plan's profile run, randomness is consumed in *batch-major,
 structure-minor* order, and only by ``_draw``.  Every bootstrap
@@ -88,26 +90,28 @@ alone.  Each quantity is therefore paid for at the rate it changes:
   (one-way latency, bandwidth, USD/GB); per region the SNS publish
   cost.  The models' ``*_batch`` methods run here, on the supports,
   with all their validation.  The two KV request costs at the home
-  region are priced at construction;
-* **once per plan**: its substream, and dictionary lookups resolving it
-  against those tables (``_compile``): where each of its tables starts
-  in the gathered arrays, the rows its regions and routes own in the
-  run's result buffer, its route and cost scalars, and the column of
-  support lengths its draw reads;
-* **once per cohort**: those per-plan lists as one float and one int
-  matrix, whose columns are the ``(P, 1)`` scalars and ``(P,)`` rows a
-  batch reads, and one zeroed result buffer holding a block of rows per
-  plan — latency, cost, one energy row per region, one byte row per
-  route — every result vector of a profile a row of it;
+  region are priced at construction.  Every value a cohort reads per
+  (node, region), per region and per route is also entered, on first
+  use, in one flat table addressed by region ids (``_Tables``);
+* **once per plan**: its substream, its regions as ids, and the rows its
+  regions and routes own in the run's result buffer, numbered in
+  processing order (``_Layout``, a walk over the plan's nodes);
+* **once per cohort**: one gather from that table by the plans'
+  region-id rows (``_compile``) gives every plan's table offsets, route
+  and cost scalars and support lengths as one matrix, whose columns
+  are the ``(P, 1)`` scalars a batch reads; its result rows make the
+  ``(P,)`` row columns; and one zeroed result buffer holds a block of
+  rows per plan — latency, cost, one energy row per region, one byte
+  row per route — every result vector of a profile a row of it;
 * **once per cohort batch**: each running plan's two draw calls on its
   own stream; per table one gather through the per-plan offsets; the
   route arithmetic on the gathered payload sizes; each plan's additions
   into its own rows, in the order a lone run makes them; and the
   stopping rule, last-axis reductions over every running plan's
   latency and cost series at once (``_converged``).  A plan that has
-  converged leaves the cohort, which is compiled again for the plans
-  that run on; they all share the sample count, so the last batch is
-  clamped for all of them.  A lone plan's batch runs on 1-D arrays, as
+  converged leaves the cohort, whose matrices keep the rows of the
+  plans that run on; they all share the sample count, so the last batch
+  is clamped for all of them.  A lone plan's batch runs on 1-D arrays, as
   a per-plan kernel would: its scalars are 0-d and its rows row
   numbers rather than columns and index arrays (cheaper numpy calls,
   the same doubles).
@@ -432,6 +436,12 @@ class PlanProfile:
     energy_by_region: Dict[str, "np.ndarray"]
     bytes_by_route: Dict[Tuple[str, str], "np.ndarray"]
     carbon_model: CarbonModel
+    #: The ``(2 + regions + routes, n)`` array whose rows are the
+    #: latencies, the costs, the energy vectors and the byte vectors, in
+    #: that order.  The estimator hands over its read-only result buffer,
+    #: whose rows the other fields are; a hand-built profile gets them
+    #: stacked on construction.
+    rows: Optional["np.ndarray"] = field(default=None, repr=False, compare=False)
     #: (mean latency, mean cost, per-region energy means, per-route
     #: byte means in GB), in ``energy_by_region`` / ``bytes_by_route``
     #: order; set by the first pricing together with the route-bytes
@@ -443,6 +453,17 @@ class PlanProfile:
     _tail_values: Optional[Tuple[float, float]] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        if self.rows is None:
+            self.rows = np.array(
+                [
+                    self.latencies,
+                    self.costs,
+                    *self.energy_by_region.values(),
+                    *self.bytes_by_route.values(),
+                ]
+            )
 
     @property
     def n_samples(self) -> int:
@@ -465,16 +486,9 @@ class PlanProfile:
         as an O(regions + routes) sum — within a few ulps of the mean of
         :meth:`carbon_samples`, which only the carbon tail reads."""
         mean_latency, mean_cost, energy_means, gb_means = self._first_pricing()
-        exec_carbon = 0.0
-        for region, energy in zip(self.energy_by_region, energy_means):
-            exec_carbon += energy * carbon_at(region)
-        energy_factor = self.carbon_model.scenario.energy_factor
-        intra, inter = energy_factor(True), energy_factor(False)
-        trans_carbon = 0.0
-        for (src, dst), size_gb in zip(self.bytes_by_route, gb_means):
-            route_intensity = (carbon_at(src) + carbon_at(dst)) / 2.0
-            factor = intra if src == dst else inter
-            trans_carbon += (route_intensity * factor) * size_gb
+        exec_carbon, trans_carbon = self._mean_carbon(
+            carbon_at, energy_means, gb_means
+        )
         return WorkflowEstimate(
             self,
             carbon_at,
@@ -485,25 +499,55 @@ class PlanProfile:
             mean_trans_carbon_g=trans_carbon,
         )
 
+    def metric_at(self, priority: str, carbon_at: Callable[[str], float]) -> float:
+        """``estimate_at(carbon_at).metric(priority)`` — the same double,
+        without the estimate: the HBSS walk prices each new candidate
+        with it, and only a carbon priority sums the carbon terms."""
+        mean_latency, mean_cost, energy_means, gb_means = self._first_pricing()
+        if priority == "latency":
+            return mean_latency
+        if priority == "cost":
+            return mean_cost
+        if priority != "carbon":
+            raise ValueError(f"unknown priority {priority!r}")
+        exec_carbon, trans_carbon = self._mean_carbon(
+            carbon_at, energy_means, gb_means
+        )
+        return exec_carbon + trans_carbon
+
+    def _mean_carbon(
+        self,
+        carbon_at: Callable[[str], float],
+        energy_means: Tuple[float, ...],
+        gb_means: Tuple[float, ...],
+    ) -> Tuple[float, float]:
+        """(execution, transmission) mean carbon: Eq. 7.1 per region,
+        then Eq. 7.5 per route, each added in key order."""
+        exec_carbon = 0.0
+        for region, energy in zip(self.energy_by_region, energy_means):
+            exec_carbon += energy * carbon_at(region)
+        energy_factor = self.carbon_model.scenario.energy_factor
+        intra, inter = energy_factor(True), energy_factor(False)
+        trans_carbon = 0.0
+        for (src, dst), size_gb in zip(self.bytes_by_route, gb_means):
+            route_intensity = (carbon_at(src) + carbon_at(dst)) / 2.0
+            factor = intra if src == dst else inter
+            trans_carbon += (route_intensity * factor) * size_gb
+        return exec_carbon, trans_carbon
+
     def _first_pricing(
         self,
     ) -> Tuple[float, float, Tuple[float, ...], Tuple[float, ...]]:
         means = self._means
         if means is None:
             n_regions = len(self.energy_by_region)
-            rows = np.array(
-                [
-                    self.latencies,
-                    self.costs,
-                    *self.energy_by_region.values(),
-                    *self.bytes_by_route.values(),
-                ]
-            )
+            rows = self.rows
             if self.bytes_by_route and _min(rows[2 + n_regions:], axis=None) < 0:
                 raise ValueError("size_bytes must be non-negative")
             # Row by row the double ``np.add.reduce(row) / n`` gives each
             # row alone (the axis-1 reduction contract ``_mean_and_std``
-            # relies on).
+            # relies on), so reducing the buffer itself, not a stacked
+            # copy of its rows, changes no mean.
             row_means = (_sum(rows, axis=1) / rows.shape[1]).tolist()
             means = self._means = (
                 row_means[0],
@@ -692,13 +736,18 @@ class _Layout(NamedTuple):
     def size(self) -> int:
         return 2 + len(self.regions) + len(self.routes)
 
+    def profile_order(self) -> List[int]:
+        """The block's rows in :class:`PlanProfile` order: latency, cost,
+        the regions', then the routes'."""
+        return [0, 1, *self.regions.values(), *self.routes.values()]
+
 
 class _Cohort(NamedTuple):
     """Plans resolved against the estimator's tables, in topological
     order: everything a batch needs besides its random draws.  Result
     rows are rows of the run's buffer, where each plan owns a block.
     A lone plan's ``(P, 1)`` columns are 0-d and its ``(P,)`` rows one
-    row number (see ``MonteCarloEstimator._compile``)."""
+    row number (see ``MonteCarloEstimator._assemble``)."""
 
     layouts: Tuple[_Layout, ...]
     #: (P,) the first row of each plan's block.
@@ -708,6 +757,117 @@ class _Cohort(NamedTuple):
     #: support a batch draws indices into, one row per distribution in
     #: draw order.
     highs: Tuple["np.ndarray", ...]
+    #: The ``(P, ·)`` matrices the other fields are views of — the
+    #: gathered floats, the gathered table offsets, the result rows and
+    #: the support lengths — so the plans that run on after others
+    #: converge are a row subset (``MonteCarloEstimator._assemble``).
+    parts: Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]
+
+
+class _Tables:
+    """Every value a cohort reads per (node, region), per region and per
+    route, in one flat array addressed by region ids, so that resolving
+    a cohort is one gather rather than dictionary lookups per plan.
+
+    With ``c`` the capacity (region ids run below it) and ``j`` a node's
+    topological position, ``values`` holds each route's ``(one-way s,
+    bandwidth B/s, USD/GB)`` at ``3 * (src * c + dst)``, then each
+    region's SNS publish cost, then per (node, region) the
+    external-data cost, the offset into the node's gathered tables and
+    the execution-time support length, then each start region's offset
+    into the input tables, then the support lengths no placement
+    changes.  Offsets and lengths are integers well below 2**53, so
+    their doubles convert back exactly.  Entry ``e`` is priced once
+    ``priced[e]`` is.
+
+    Column ``k`` of a cohort is an affine function of each plan's
+    region-id row: ``[*ids, 1] @ weights[:, k]``, the last weight row
+    being the column's base.  The float columns come first
+    (``n_floats``), then the table offsets (``n_offsets``), then the
+    support lengths in draw order.  The home region, which hosts the
+    KV relay, is region id 0, so a sync hop's fixed end adds nothing.
+    """
+
+    __slots__ = (
+        "capacity", "values", "priced", "weights", "n_floats", "n_offsets",
+        "_publish", "_node", "_input",
+    )
+
+    def __init__(
+        self,
+        workflow: _WorkflowSpec,
+        position: Dict[str, int],
+        capacity: int,
+    ):
+        c = capacity
+        n = len(workflow.nodes)
+        self.capacity = c
+        self._publish = 3 * c * c
+        self._node = self._publish + c  # 3 entries per (node, region)
+        self._input = self._node + 3 * n * c
+        constants = [len(workflow.input_sizes)] + [
+            len(edge.sizes) for spec in workflow.nodes for edge in spec.in_edges
+        ]
+        constant = self._input + c
+        self.values = np.zeros(constant + len(constants))
+        self.priced = np.zeros(len(self.values), dtype=bool)
+        self.values[constant:] = constants
+        self.priced[constant:] = True
+
+        floats: List[Tuple[Dict[int, int], int]] = []
+        offsets: List[Tuple[Dict[int, int], int]] = []
+        highs: List[Tuple[Dict[int, int], int]] = [({}, constant)]
+        for j, spec in enumerate(workflow.nodes):
+            node = self._node + 3 * j * c
+            if not spec.in_edges:
+                offsets.append(({j: 1}, self._input))
+            for edge in spec.in_edges:
+                u = position[edge.src]
+                # (src, dst) as weights on the two ends' region ids; the
+                # KV end of a sync hop is id 0.
+                hops = ((u, None), (None, j)) if spec.is_sync else ((u, j),)
+                for src, dst in hops:
+                    weights: Dict[int, int] = {}
+                    if src is not None:
+                        weights[src] = 3 * c
+                    if dst is not None:
+                        weights[dst] = 3
+                    floats += [(weights, k) for k in range(3)]
+                constant += 1
+                highs.append(({}, constant))
+            if spec.external is not None:
+                floats.append(({j: 3}, node))
+            floats.append(({j: 1}, self._publish))
+            offsets.append(({j: 3}, node + 1))
+            highs.append(({j: 3}, node + 2))
+        columns = floats + offsets + highs
+        self.n_floats = len(floats)
+        self.n_offsets = len(offsets)
+        self.weights = np.zeros((n + 1, len(columns)), dtype=np.int64)
+        for k, (weights, base) in enumerate(columns):
+            for j, w in weights.items():
+                self.weights[j, k] += w
+            self.weights[n, k] = base
+
+    def set_node(
+        self, j: int, region: int, external_cost: float, offset: int, length: int
+    ) -> None:
+        at = self._node + 3 * (j * self.capacity + region)
+        self.values[at:at + 3] = external_cost, offset, length
+        self.priced[at:at + 3] = True
+
+    def set_input(self, region: int, offset: int) -> None:
+        self.values[self._input + region] = offset
+        self.priced[self._input + region] = True
+
+    def set_leg(self, src: int, dst: int, leg: Tuple[float, float, float]) -> None:
+        at = 3 * (src * self.capacity + dst)
+        self.values[at:at + 3] = leg
+        self.priced[at:at + 3] = True
+
+    def set_publish(self, region: int, cost: float) -> None:
+        self.values[self._publish + region] = cost
+        self.priced[self._publish + region] = True
 
 
 def _add(target: "np.ndarray", values, mask: Optional["np.ndarray"]) -> None:
@@ -801,9 +961,22 @@ class MonteCarloEstimator:
         self._cov = cov_threshold
         self._stats = stats
         self._order = dag.topological_order()
+        self._position = {node: j for j, node in enumerate(self._order)}
         # Everything read from ``data`` or priced by the models, filled
         # on first use and kept for the estimator's lifetime.
         self._workflow: Optional[_WorkflowSpec] = None
+        #: Region name -> id, in first-seen order; the home region is 0.
+        self._region_ids: Dict[str, int] = {home_region: 0}
+        self._tables: Optional[_Tables] = None
+        #: Per node in topological order, built with ``_workflow``: what
+        #: numbers a block's rows (start node?, in-edge sources'
+        #: positions, sync node?, pinned data's region or None) ...
+        self._layout_steps: List[Tuple[bool, Tuple[int, ...], bool, Optional[str]]] = []
+        #: ... and what its cohort step holds whatever the cohort (see
+        #: ``_templates``).
+        self._node_templates: List[
+            Tuple[_NodeSpec, Tuple[int, ...], int, range, Optional["np.ndarray"]]
+        ] = []
         self._node_tables: Dict[Tuple[str, str], _NodeTable] = {}
         self._node_gathers: Dict[str, _Gather] = {}
         self._input_tables: Dict[Tuple[str, str], _InputTable] = {}
@@ -829,8 +1002,7 @@ class MonteCarloEstimator:
         """Run the Monte-Carlo simulation collecting an hour-independent
         :class:`PlanProfile` (see its docstring): a cohort of one, see
         :meth:`estimate_profiles`."""
-        self._check_coverage(plan)
-        return self._profile_cohort([plan])[0]
+        return self._profile_cohort([plan], [plan.regions_for(self._order)])[0]
 
     def estimate_profiles(
         self, plans: Sequence[DeploymentPlan]
@@ -842,29 +1014,28 @@ class MonteCarloEstimator:
         Each plan draws from its own digest-keyed substream and stops on
         its own, so every profile is bit-identical to a solo
         :meth:`estimate_profile` call, in any order and in any company.
-        Duplicate plans (same digest) are simulated once and share the
-        resulting profile object.
+        Duplicate plans (equal placements) are simulated once and share
+        the resulting profile object.
         """
-        for plan in plans:
-            self._check_coverage(plan)
-        distinct: Dict[str, DeploymentPlan] = {}
-        for plan in plans:
-            distinct.setdefault(plan.digest(), plan)
+        keys = [plan.regions_for(self._order) for plan in plans]
+        distinct: Dict[Tuple[str, ...], DeploymentPlan] = {}
+        for key, plan in zip(keys, plans):
+            distinct.setdefault(key, plan)
         if not distinct:
             return []
-        by_digest = dict(
-            zip(distinct, self._profile_cohort(list(distinct.values())))
+        by_key = dict(
+            zip(
+                distinct,
+                self._profile_cohort(list(distinct.values()), list(distinct)),
+            )
         )
-        return [by_digest[plan.digest()] for plan in plans]
+        return [by_key[key] for key in keys]
 
     # -- internals -----------------------------------------------------------
-    def _check_coverage(self, plan: DeploymentPlan) -> None:
-        if not plan.covers(self._dag):
-            missing = set(self._dag.node_names) - set(plan.assignments)
-            raise ValueError(f"plan does not cover nodes: {sorted(missing)}")
-
     def _profile_cohort(
-        self, plans: Sequence[DeploymentPlan]
+        self,
+        plans: Sequence[DeploymentPlan],
+        regions: Sequence[Tuple[str, ...]],
     ) -> List[PlanProfile]:
         """Simulate distinct ``plans`` batch by batch until each plan's
         stopping rule fires.
@@ -875,13 +1046,15 @@ class MonteCarloEstimator:
         the final batch is clamped to the remaining budget for all of
         them and the sample cap is honoured exactly even when
         ``batch_size`` does not divide ``max_samples``.  A plan that has
-        converged leaves the cohort; the others run on.
+        converged leaves the cohort; the others run on.  ``regions[i]``
+        is plan ``i``'s regions in topological order.
         """
         rngs = [self.plan_rng(plan) for plan in plans]
-        cohort = self._compile(plans)
-        starts = cohort.starts
-        sizes = [layout.size for layout in cohort.layouts]
-        full = np.zeros((sum(sizes), self._max))
+        cohort = self._compile(regions)
+        starts = cohort.starts.tolist()
+        full = np.zeros(
+            (sum(layout.size for layout in cohort.layouts), self._max)
+        )
         profiles: List[Optional[PlanProfile]] = [None] * len(plans)
         running = list(range(len(plans)))
         n_total = 0
@@ -905,18 +1078,40 @@ class MonteCarloEstimator:
                 stopped = self._converged(
                     full[first, :hi], full[first + 1, :hi]
                 ).tolist()
-            for i, layout, stop in zip(running, cohort.layouts, stopped):
-                if stop:
-                    start = starts[i]
+            if any(stopped):
+                # One copy of every stopping plan's filled prefix, each
+                # block's rows in profile order; a profile's vectors are
+                # rows of its block, read-only so what the profile
+                # computes once on its first pricing can never go stale.
+                done = [
+                    (i, layout)
+                    for i, layout, stop in zip(running, cohort.layouts, stopped)
+                    if stop
+                ]
+                copied = full[
+                    [
+                        starts[i] + row
+                        for i, layout in done
+                        for row in layout.profile_order()
+                    ],
+                    :hi,
+                ]
+                copied.setflags(write=False)
+                at = 0
+                for i, layout in done:
                     profiles[i] = self._profile_from(
-                        full[start:start + sizes[i], :hi].copy(), layout
+                        copied[at:at + layout.size], layout
                     )
+                    at += layout.size
             if all(stopped):
                 break
             if any(stopped):
-                running = [i for i, stop in zip(running, stopped) if not stop]
-                cohort = self._compile(
-                    [plans[i] for i in running], starts[running]
+                keep = [k for k, stop in enumerate(stopped) if not stop]
+                running = [running[k] for k in keep]
+                cohort = self._assemble(
+                    [cohort.layouts[k] for k in keep],
+                    cohort.starts[keep],
+                    *(part[keep] for part in cohort.parts),
                 )
 
         if self._stats is not None:
@@ -925,16 +1120,14 @@ class MonteCarloEstimator:
         return profiles
 
     def _profile_from(self, buffer: "np.ndarray", layout: _Layout) -> PlanProfile:
-        # A copy of the plan's filled prefix, read-only so what the
-        # profile computes once on its first pricing can never go stale;
-        # every vector the profile holds is a row of it.
-        buffer.setflags(write=False)
+        n_regions = len(layout.regions)
         return PlanProfile(
             latencies=buffer[0],
             costs=buffer[1],
-            energy_by_region={r: buffer[i] for r, i in layout.regions.items()},
-            bytes_by_route={k: buffer[i] for k, i in layout.routes.items()},
+            energy_by_region=dict(zip(layout.regions, buffer[2:2 + n_regions])),
+            bytes_by_route=dict(zip(layout.routes, buffer[2 + n_regions:])),
             carbon_model=self._carbon,
+            rows=buffer,
         )
 
     def _converged(self, *series: "np.ndarray") -> "np.ndarray":
@@ -969,9 +1162,12 @@ class MonteCarloEstimator:
         return converged.all(axis=0)
 
     def plan_rng(self, plan: DeploymentPlan) -> np.random.Generator:
-        """The plan's dedicated substream (fresh generator each call)."""
-        return np.random.default_rng(
-            derive_seed(self._plan_salt, plan.digest())
+        """The plan's dedicated substream (fresh generator each call):
+        ``Generator(PCG64(seed))`` is what ``default_rng(seed)`` builds
+        for an int seed, minus its argument dispatch."""
+        random = np.random
+        return random.Generator(
+            random.PCG64(derive_seed(self._plan_salt, plan.digest()))
         )
 
     # -- per-estimator tables (filled lazily, never invalidated) -----------
@@ -1035,6 +1231,17 @@ class MonteCarloEstimator:
             n_conditional=len(cond_cols),
             input_sizes=data.input_size_dist().support(),
         )
+        position = self._position
+        self._layout_steps = [
+            (
+                not spec.in_edges,
+                tuple(position[edge.src] for edge in spec.in_edges),
+                spec.is_sync,
+                spec.external[0] if spec.external is not None else None,
+            )
+            for spec in specs
+        ]
+        self._node_templates = self._templates(specs)
         return self._workflow
 
     def _node_table(self, spec: _NodeSpec, region: str) -> _NodeTable:
@@ -1112,170 +1319,212 @@ class MonteCarloEstimator:
         return cost
 
     # -- per cohort ---------------------------------------------------------
-    def _compile(
-        self,
-        plans: Sequence[DeploymentPlan],
-        starts: Optional[Sequence[int]] = None,
-    ) -> _Cohort:
-        """Resolve ``plans`` against the tables, once every key they
-        touch has been priced: dictionary lookups into two flat lists
-        per plan, then one float and one int matrix for the cohort whose
-        columns every batch reads.  Plan ``i``'s result rows start at
-        ``starts[i]`` (default: each plan's block right after the
-        previous one's)."""
+    def _compile(self, regions: Sequence[Tuple[str, ...]]) -> _Cohort:
+        """Resolve a cohort — each plan as its regions in topological
+        order — against the tables, pricing whatever it is the first to
+        touch.  Every value is gathered from :class:`_Tables` by the
+        plans' region ids; only the row numbering of each plan's block
+        (its :class:`_Layout`, whose key order bit-identity needs) is a
+        walk per plan.  Plan ``i``'s block starts right after plan
+        ``i - 1``'s."""
         workflow = self._workflow_spec()
-        node_tables = self._node_tables
-        node_gathers = self._node_gathers
-        input_offset = self._input_gather.offset
-        route_legs = self._route_legs
-        publish_costs = self._publish_costs
+        tables = self._tables
+        region_ids = self._region_ids
+        try:
+            ids = [[region_ids[r] for r in plan] for plan in regions]
+        except KeyError:
+            for plan in regions:
+                for region in plan:
+                    region_ids.setdefault(region, len(region_ids))
+            ids = [[region_ids[r] for r in plan] for plan in regions]
+        if tables is None or len(region_ids) > tables.capacity:
+            # Room for the regions seen so far, doubled as more appear; a
+            # new table starts unpriced and fills from the memos below.
+            capacity = 2
+            while capacity < len(region_ids):
+                capacity *= 2
+            tables = self._tables = _Tables(workflow, self._position, capacity)
+        at = np.array([[*plan_ids, 1] for plan_ids in ids]) @ tables.weights
+        if not tables.priced[at].all():
+            missing = np.flatnonzero(~tables.priced[at].all(axis=1)).tolist()
+            self._price([regions[p] for p in missing], [ids[p] for p in missing])
+        gathered = tables.values[at]
+        n_floats = tables.n_floats
+        ints = gathered[:, n_floats:].astype(np.int64)
+
         kv = client = self._home
-        floats_by_plan, ints_by_plan, bounds_by_plan = [], [], []
-        layouts, block_starts = [], []
+        steps = self._layout_steps
+        layouts = []
+        block_rows = []
+        starts = []
         start = 0
-        for p, plan in enumerate(plans):
-            if starts is not None:
-                start = int(starts[p])
-            block_starts.append(start)
-            region_of = plan.assignments
-            # Region or route -> its row in the plan's block, numbered in
-            # processing order after the latency and cost rows.
-            regions: Dict[str, int] = {}
-            routes: Dict[Tuple[str, str], int] = {}
-            floats = []
-            ints = []
-            bounds = [len(workflow.input_sizes)]
-            for spec in workflow.nodes:
-                region = region_of[spec.name]
-                table = node_tables.get((spec.name, region)) or self._node_table(
-                    spec, region
+        for plan in regions:
+            # Region (a str) or route (a pair) -> its row in the plan's
+            # block, numbered in processing order after the latency and
+            # cost rows.
+            seen: Dict[object, int] = {}
+            rows = []
+            add = rows.append
+            for (first, sources, sync, external), region in zip(steps, plan):
+                if first:
+                    # The end-user input arrives from the client near
+                    # the home region (§6.2).
+                    add(seen.setdefault((client, region), 2 + len(seen)))
+                for u in sources:
+                    if sync:
+                        # Fan-in data is relayed through the KV store
+                        # (Fig. 5): src -> KV region -> sync node.
+                        add(seen.setdefault((plan[u], kv), 2 + len(seen)))
+                        add(seen.setdefault((kv, region), 2 + len(seen)))
+                    else:
+                        add(seen.setdefault((plan[u], region), 2 + len(seen)))
+                if external is not None:
+                    add(seen.setdefault((external, region), 2 + len(seen)))
+                add(seen.setdefault(region, 2 + len(seen)))
+            layout = _Layout(
+                {k: row for k, row in seen.items() if k.__class__ is str},
+                {k: row for k, row in seen.items() if k.__class__ is tuple},
+            )
+            layouts.append(layout)
+            block_rows.append([start + row for row in rows])
+            starts.append(start)
+            start += layout.size
+        return self._assemble(
+            layouts,
+            np.array(starts),
+            gathered[:, :n_floats],
+            ints[:, :tables.n_offsets],
+            np.array(block_rows, dtype=np.intp),
+            ints[:, tables.n_offsets:],
+        )
+
+    def _price(self, regions: Sequence[Tuple[str, ...]], ids: List[List[int]]) -> None:
+        """Price every table, route and region the cohort touches that
+        no earlier cohort has, and enter it in :class:`_Tables`."""
+        workflow = self._workflow_spec()
+        tables = self._tables
+        kv = client = self._home
+        position = self._position
+        for plan, plan_ids in zip(regions, ids):
+            for j, (spec, region, r) in enumerate(zip(workflow.nodes, plan, plan_ids)):
+                table = self._node_table(spec, region)
+                tables.set_node(
+                    j,
+                    r,
+                    table.external_cost,
+                    self._node_gathers[spec.name].offset[region],
+                    len(table.exec_times),
                 )
                 if not spec.in_edges:
                     # The end-user input arrives from the client near
                     # the home region (§6.2); a shifted start node pays
                     # for it.
-                    route = (client, region)
-                    if route not in input_offset:
-                        self._input_table(client, region)
-                    ints.append(input_offset[route])
-                    ints.append(
-                        start
-                        + routes.setdefault(route, 2 + len(regions) + len(routes))
-                    )
+                    self._input_table(client, region)
+                    tables.set_input(r, self._input_gather.offset[(client, region)])
                 for edge in spec.in_edges:
-                    src = region_of[edge.src]
-                    # Fan-in data is relayed through the KV store
-                    # (Fig. 5): src -> KV region -> sync node.
-                    for route in (
-                        ((src, kv), (kv, region))
-                        if spec.is_sync
-                        else ((src, region),)
-                    ):
-                        ints.append(
-                            start
-                            + routes.setdefault(route, 2 + len(regions) + len(routes))
-                        )
-                        floats.extend(route_legs.get(route) or self._leg(*route))
-                    bounds.append(len(edge.sizes))
-                route = table.external_route
-                if route is not None:
-                    ints.append(
-                        start + routes.setdefault(route, 2 + len(regions) + len(routes))
-                    )
-                    floats.append(table.external_cost)
-                ints.append(node_gathers[spec.name].offset[region])
-                ints.append(
-                    start + regions.setdefault(region, 2 + len(regions) + len(routes))
-                )
-                publish = publish_costs.get(region)
-                floats.append(
-                    publish if publish is not None else self._publish_cost(region)
-                )
-                bounds.append(len(table.exec_times))
-            layout = _Layout(regions, routes)
-            layouts.append(layout)
-            start += layout.size
-            floats_by_plan.append(floats)
-            ints_by_plan.append(ints)
-            bounds_by_plan.append(bounds)
+                    u = position[edge.src]
+                    src, s = plan[u], plan_ids[u]
+                    if spec.is_sync:
+                        tables.set_leg(s, 0, self._leg(src, kv))
+                        tables.set_leg(0, r, self._leg(kv, region))
+                    else:
+                        tables.set_leg(s, r, self._leg(src, region))
+                tables.set_publish(r, self._publish_cost(region))
 
-        # The same walk again, over the columns in the order they were
-        # filled.  A column is every plan's value as a ``(P, 1)`` array
-        # broadcast along its samples, and a row column every plan's
-        # ``(P,)`` result rows.  A lone plan's batch is 1-D (see
-        # ``_draw``): its columns are 0-d, which numpy broadcasts at the
-        # cost of a same-shape op (a ``(P, 1)`` column costs twice
-        # that), and its rows are row numbers, whose ``+=`` updates a
-        # view in place instead of gathering and scattering a copy.
-        values = np.array(floats_by_plan, dtype=float)
-        index = np.array(ints_by_plan, dtype=np.intp)
-        if len(plans) == 1:
-            columns = values.reshape(-1)
-            offsets = index.reshape(-1)
-            rows = index[0].tolist()
+    def _assemble(
+        self,
+        layouts: Sequence[_Layout],
+        starts: "np.ndarray",
+        values: "np.ndarray",
+        offsets: "np.ndarray",
+        rows: "np.ndarray",
+        highs: "np.ndarray",
+    ) -> _Cohort:
+        """The cohort's per-node steps over its ``(P, ·)`` matrices, read
+        column by column in the order :class:`_Tables` and
+        :meth:`_compile` fill them.  A column is every plan's value as a
+        ``(P, 1)`` array broadcast along its samples, and a row column
+        every plan's ``(P,)`` result rows.  A lone plan's batch is 1-D
+        (see ``_draw``): its columns are 0-d, which numpy broadcasts at
+        the cost of a same-shape op (a ``(P, 1)`` column costs twice
+        that), and its rows are row numbers, whose ``+=`` updates a view
+        in place instead of gathering and scattering a copy."""
+        parts = (values, offsets, rows, highs)
+        if len(layouts) == 1:
+            values, offsets = values.reshape(-1), offsets.reshape(-1)
+            columns = iter([values[f, ...] for f in range(len(values))])
+            at = iter([offsets[o, ...] for o in range(len(offsets))])
+            rows = iter(rows[0].tolist())
         else:
-            columns = values.T[:, :, None]
-            offsets = index.T[:, :, None]
-            rows = index.T
-        f, i, draw = 0, 0, 1  # draw row 0 is the end-user input size
+            columns = iter(values.T[:, :, None])
+            at = iter(offsets.T[:, :, None])
+            rows = iter(rows.T)
         nodes = []
-        for spec in workflow.nodes:
+        for spec, edge_draws, exec_draw, hops, external_bytes in self._node_templates:
             input_step = None
             if not spec.in_edges:
                 input_step = _InputStep(
-                    offsets[i, ...], rows[i + 1], *self._input_gather.arrays
+                    next(at), next(rows), *self._input_gather.arrays
                 )
-                i += 2
             legs = []
-            for _edge in spec.in_edges:
+            for _edge in edge_draws:
                 edge_legs = []
-                for _hop in range(2 if spec.is_sync else 1):
+                for _hop in hops:
                     edge_legs.append(
-                        _Leg(
-                            rows[i],
-                            columns[f, ...],
-                            columns[f + 1, ...],
-                            columns[f + 2, ...],
-                        )
+                        _Leg(next(rows), next(columns), next(columns), next(columns))
                     )
-                    i += 1
-                    f += 3
                 legs.append(tuple(edge_legs))
-            external_rows, external_bytes, external_cost = None, _ZERO, _ZERO
-            if spec.external is not None:
-                external_rows = rows[i]
-                external_bytes = _scalar(spec.external[1])
-                external_cost = columns[f, ...]
-                i += 1
-                f += 1
-            edge_draws = tuple(range(draw, draw + len(spec.in_edges)))
-            draw += len(spec.in_edges)
+            external_rows, external_cost = None, _ZERO
+            if external_bytes is not None:
+                external_rows, external_cost = next(rows), next(columns)
             nodes.append(
                 _NodeStep(
                     spec,
                     edge_draws,
-                    draw,
+                    exec_draw,
                     input_step,
                     tuple(legs),
                     external_rows,
-                    external_bytes,
+                    external_bytes if external_bytes is not None else _ZERO,
                     external_cost,
-                    offsets[i, ...],
-                    rows[i + 1],
-                    columns[f, ...],
-                    *node_gathers[spec.name].arrays,
+                    next(at),
+                    next(rows),
+                    next(columns),
+                    *self._node_gathers[spec.name].arrays,
                 )
             )
-            i += 2
-            f += 1
-            draw += 1
-        highs = np.array(bounds_by_plan, dtype=np.int64)[:, :, None]
         return _Cohort(
             layouts=tuple(layouts),
-            starts=np.array(block_starts),
+            starts=starts,
             nodes=tuple(nodes),
-            highs=tuple(highs),
+            highs=tuple(highs[:, :, None]),
+            parts=parts,
         )
+
+    @staticmethod
+    def _templates(
+        specs: Sequence[_NodeSpec],
+    ) -> List[Tuple[_NodeSpec, Tuple[int, ...], int, range, Optional["np.ndarray"]]]:
+        """Per node in topological order, what its step holds whatever
+        the cohort: its spec, the draw rows of its in-edges' payload
+        sizes and of its execution time, its hops per in-edge, and its
+        pinned data's bytes (``None`` without)."""
+        templates = []
+        draw = 1  # draw row 0 is the end-user input size
+        for spec in specs:
+            edge_draws = tuple(range(draw, draw + len(spec.in_edges)))
+            draw += len(spec.in_edges)
+            templates.append(
+                (
+                    spec,
+                    edge_draws,
+                    draw,
+                    range(2 if spec.is_sync else 1),
+                    _scalar(spec.external[1]) if spec.external is not None else None,
+                )
+            )
+            draw += 1
+        return templates
 
     # -- per batch ------------------------------------------------------------
     def _draw(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.model.dag import WorkflowDAG
@@ -51,13 +51,31 @@ class DeploymentPlan:
     def is_single_region(self) -> bool:
         return len(set(self.assignments.values())) == 1
 
+    def regions_for(self, nodes: Sequence[str]) -> Tuple[str, ...]:
+        """The regions of ``nodes``, in that order: the key solvers and
+        the Monte-Carlo estimator index a placement by.  Equal plans
+        give equal keys, whatever their dict order or metadata.
+
+        Raises:
+            ValueError: the plan assigns no region to some of ``nodes``.
+        """
+        try:
+            return tuple([self.assignments[node] for node in nodes])
+        except KeyError:
+            missing = set(nodes) - set(self.assignments)
+            raise ValueError(
+                f"plan does not cover nodes: {sorted(missing)}"
+            ) from None
+
     def digest(self) -> str:
         """Stable content hash of the node-to-region mapping.
 
         Covers only :attr:`assignments` (what evaluation depends on),
         never the bookkeeping metadata, so re-versioned or re-stamped
-        copies of the same placement share cache entries.  Memoized —
-        the solver calls this on every evaluator lookup.
+        copies of the same placement hash alike.  Memoized.  The
+        Monte-Carlo estimator seeds a plan's substream from it
+        (``MonteCarloEstimator.plan_rng``), once per profile built; no
+        cache is keyed by it.
         """
         cached = self.__dict__.get("_digest")
         if cached is None:
@@ -104,8 +122,7 @@ class DeploymentPlan:
         )
 
     def __hash__(self) -> int:
-        # Memoized like :meth:`digest`: HBSS hashes every candidate
-        # into its per-hour memo of examined deployments.
+        # Memoized like :meth:`digest`.
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash(tuple(sorted(self.assignments.items())))

@@ -145,7 +145,7 @@ class ScalarReferenceEstimator(MonteCarloEstimator):
     def estimate_profile(self, plan: DeploymentPlan) -> PlanProfile:
         """The former per-plan batch loop, over the reference draw and
         kernel."""
-        self._check_coverage(plan)
+        plan.regions_for(self._order)  # a ValueError if it misses a node
         rng = self.plan_rng(plan)
         steps = self._plan_steps(plan)
         full = self._make_accumulators(steps, self._max)
@@ -179,7 +179,7 @@ class ScalarReferenceEstimator(MonteCarloEstimator):
     ) -> List[PlanProfile]:
         """One :meth:`estimate_profile` run per distinct plan."""
         for plan in plans:
-            self._check_coverage(plan)
+            plan.regions_for(self._order)  # a ValueError if it misses a node
         by_digest: Dict[str, PlanProfile] = {}
         for plan in plans:
             digest = plan.digest()

@@ -310,8 +310,8 @@ class TestBatchedSolverEquivalence:
         assert eager.prefetch_profiles(plans[:4]) == 4
         assert eager.stats.profiles_built == 0
         assert eager.stats.simulations_run == 4
-        assert all(eager.has_profile(p) for p in plans[:4])
-        assert not eager.has_profile(plans[4])
+        assert all(eager.profiled(eager.plan_key(p)) for p in plans[:4])
+        assert not eager.profiled(eager.plan_key(plans[4]))
         for plan in plans:
             assert_profiles_identical(eager.profile(plan), lazy.profile(plan))
         assert eager.stats == lazy.stats

@@ -802,3 +802,90 @@ class TestConvergedDifferential:
         arr.setflags(write=False)
         _mean_and_std(arr)
         assert np.array_equal(arr, before)
+
+
+class TestPlanStreamDifferential:
+    """``plan_rng`` builds ``Generator(PCG64(seed))``: the generator
+    ``np.random.default_rng(seed)`` returns for an int seed, so every
+    plan's draws are the ones the dispatching constructor gave."""
+
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_same_draws_and_state(self, seed):
+        ours = np.random.Generator(np.random.PCG64(seed))
+        theirs = np.random.default_rng(seed)
+        highs = np.array([[5], [1], [40], [7]], dtype=np.int64)
+        assert np.array_equal(ours.random((3, 2)), theirs.random((3, 2)))
+        assert np.array_equal(
+            ours.integers(0, highs, size=(4, 9)),
+            theirs.integers(0, highs, size=(4, 9)),
+        )
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_plan_rng_is_the_digest_seeded_default_rng(self, diamond_dag):
+        from repro.common.rng import derive_seed
+
+        est = make_estimator(diamond_dag, seed=3)
+        plan = DeploymentPlan(
+            {"a": "us-west-1", "b": "us-east-1", "c": "ca-central-1",
+             "d": "us-west-2"}
+        )
+        want = np.random.default_rng(derive_seed(est._plan_salt, plan.digest()))
+        got = est.plan_rng(plan)
+        assert np.array_equal(got.random(50), want.random(50))
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+class TestBufferMeansDifferential:
+    """A profile's first pricing reduces the estimator's read-only
+    buffer, whose rows are the profile's vectors: each row's mean is the
+    double the former stacked copy of those rows gave, and the direct
+    ``metric_at`` is ``estimate_at(...).metric`` to the bit."""
+
+    PLANS = (
+        {"a": "us-west-1", "b": "us-east-1", "c": "ca-central-1", "d": "us-west-2"},
+        {"a": "us-east-1", "b": "us-east-1", "c": "us-west-1", "d": "us-east-1"},
+        {"a": "ca-central-1", "b": "us-west-2", "c": "us-west-2", "d": "ca-central-1"},
+    )
+
+    def test_buffer_rows_are_the_profile_vectors(self, diamond_dag):
+        est = make_estimator(diamond_dag, RichData(cond_prob=0.5))
+        for profile in est.estimate_profiles([DeploymentPlan(p) for p in self.PLANS]):
+            vectors = [profile.latencies, profile.costs,
+                       *profile.energy_by_region.values(),
+                       *profile.bytes_by_route.values()]
+            assert profile.rows.flags.c_contiguous
+            assert not profile.rows.flags.writeable
+            assert len(vectors) == len(profile.rows)
+            for vector, row in zip(vectors, profile.rows):
+                assert np.shares_memory(vector, profile.rows)
+                assert np.array_equal(vector, row)
+
+    def test_means_equal_the_stacked_copy(self, diamond_dag):
+        est = make_estimator(diamond_dag, RichData(cond_prob=0.5))
+        intensities = {"us-east-1": 400.0, "us-west-1": 375.0,
+                       "us-west-2": 392.0, "ca-central-1": 34.0}
+        for profile in est.estimate_profiles([DeploymentPlan(p) for p in self.PLANS]):
+            stacked = np.array([profile.latencies, profile.costs,
+                                *profile.energy_by_region.values(),
+                                *profile.bytes_by_route.values()])
+            n = profile.n_samples
+            assert (np.add.reduce(profile.rows, axis=1) / n).tolist() == (
+                np.add.reduce(stacked, axis=1) / n
+            ).tolist()
+            # A hand-built twin stacks its own copy: the same pricing.
+            twin = PlanProfile(
+                latencies=profile.latencies.copy(),
+                costs=profile.costs.copy(),
+                energy_by_region={r: v.copy() for r, v in profile.energy_by_region.items()},
+                bytes_by_route={k: v.copy() for k, v in profile.bytes_by_route.items()},
+                carbon_model=profile.carbon_model,
+            )
+            assert twin._first_pricing() == profile._first_pricing()
+            at = intensities.__getitem__
+            est_at = profile.estimate_at(at)
+            assert est_at == twin.estimate_at(at)
+            for priority in ("carbon", "cost", "latency"):
+                assert profile.metric_at(priority, at) == est_at.metric(priority)
+            with pytest.raises(ValueError, match="unknown priority"):
+                profile.metric_at("speed", at)

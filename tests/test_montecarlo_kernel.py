@@ -197,6 +197,33 @@ class TestAppsDifferential:
         assert 20 < min(stopped_at) < max(stopped_at) < 400
 
 
+    def test_the_region_table_grows_with_the_regions_plans_use(self):
+        # The estimator's region-id table starts with room for the
+        # regions its first cohort names and is rebuilt, unpriced, as
+        # plans name more; every profile still equals the oracle's.
+        from repro.data.regions import all_regions
+
+        cloud, dag, metrics = learned_app("image_processing")
+        names = [r.name for r in all_regions()]
+        assert len(names) > 4
+        kwargs = dict(cloud=cloud, batch_size=40, max_samples=80)
+        production = make_estimator(dag, metrics, **kwargs)
+        reference = make_estimator(dag, metrics, vectorized=False, **kwargs)
+        nodes = dag.node_names
+        capacities = []
+        for used in (1, 2, 3, 5, len(names)):
+            regions = [HOME] + [r for r in names if r != HOME][:used - 1]
+            plan = DeploymentPlan(
+                {node: regions[i % used] for i, node in enumerate(nodes)}
+            )
+            assert_profiles_identical(
+                production.estimate_profile(plan),
+                reference.estimate_profile(plan),
+            )
+            capacities.append(production._tables.capacity)
+        assert capacities == [2, 2, 4, 8, 8]
+
+
 # ------------------------------------------------------- hand-built shapes
 class TestShapesDifferential:
     @pytest.mark.parametrize("cond_prob", [0.0, 0.5, 1.0])
@@ -482,7 +509,7 @@ class TestBroadcastDrawDifferential:
         est = make_estimator(dag, metrics)
         reference = make_estimator(dag, metrics, vectorized=False)
         plans = random_plans(dag, 10)
-        highs = est._compile(plans).highs
+        highs = est._compile([p.regions_for(est._order) for p in plans]).highs
         twins = [est.plan_rng(plan) for plan in plans]
         oracles = [reference.plan_rng(plan) for plan in plans]
         for n in (1, 37, 200):

@@ -24,7 +24,7 @@ from repro.core.solver import (
     SolverStats,
 )
 from repro.core.solver import hbss
-from repro.core.solver.hbss import _bias_cdf, _choose_nodes
+from repro.core.solver.hbss import _bias_cdf, _choose_nodes, _Draws
 from repro.core.lifecycle import build_plan_evaluator, deploy_benchmark, warm_up
 from repro.model.dag import Edge, Node, WorkflowDAG
 from repro.data.latency import LatencySource
@@ -688,6 +688,56 @@ class TestChoiceReproductionDifferential:
                     assert _choose_nodes(twin, n, k) == want, (seed, n, k)
                     assert twin.random() == reference.random()
 
+    def test_the_walk_draws_pick_the_same_nodes(self):
+        for seed in range(300):
+            reference = np.random.default_rng(seed)
+            twin = np.random.default_rng(seed)
+            draws = _Draws(twin)
+            for n in range(1, 14):
+                for k in (1, 2)[:n]:
+                    want = tuple(
+                        int(i) for i in reference.choice(n, k, replace=False)
+                    )
+                    assert _choose_nodes(draws, n, k) == want, (seed, n, k)
+                    assert draws.random() == reference.random()
+            assert twin.bit_generator.state == reference.bit_generator.state
+
+
+class TestDrawsDifferential:
+    """The walk's draws through the bit generator's C functions equal
+    ``Generator.random()`` and ``Generator.integers(n)``, value for value,
+    and leave the generator where those calls leave it — mixed with
+    ``Generator`` calls on the same generator, too."""
+
+    BOUNDS = (1, 2, 3, 7, 13, 1000, 2**31 - 1, 2**31, 2**31 + 11, 2**32 - 1)
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+        np.random.SFC64, np.random.MT19937,
+    ])
+    def test_values_and_state(self, bit_generator):
+        for seed in range(40):
+            reference = np.random.Generator(bit_generator(seed))
+            twin = np.random.Generator(bit_generator(seed))
+            draws = _Draws(twin)
+            pick = np.random.default_rng(seed + 1000)
+            for _ in range(300):
+                what = pick.integers(3)
+                if what == 0:
+                    assert draws.random() == reference.random()
+                elif what == 1:
+                    n = self.BOUNDS[pick.integers(len(self.BOUNDS))]
+                    got = draws.integers(n)
+                    assert type(got) is int
+                    assert got == int(reference.integers(n)), (seed, n)
+                else:
+                    # The generator itself, between the walk's draws.
+                    assert twin.integers(9) == reference.integers(9)
+                    assert twin.random() == reference.random()
+            np.testing.assert_equal(
+                twin.bit_generator.state, reference.bit_generator.state
+            )
+
 
 class CountingGenerator(np.random.Generator):
     """A generator that counts its ``choice`` calls (numpy's methods are
@@ -982,19 +1032,143 @@ def _count_walk_work(solver, hour, warm_start_plan=None):
     return result, counts, cdf_builds
 
 
+class TestPlanKeyDifferential:
+    """The evaluation cache is keyed by a placement's regions in
+    ``dag.node_names`` order: equal placements share one profile, every
+    solver on one evaluator reads the same profile objects, and a plan
+    the walk did not make is returned as the very object it was given."""
+
+    def test_equal_placements_share_one_profile(self, diamond_dag):
+        ev = make_evaluator(diamond_dag)
+        plan = DeploymentPlan({"a": "us-west-1", "b": "us-east-1",
+                               "c": "ca-central-1", "d": "us-west-2"})
+        reordered = DeploymentPlan(
+            dict(reversed(list(plan.assignments.items()))),
+            version=3, created_at_s=7.0,
+        )
+        assert list(reordered.assignments) != list(plan.assignments)
+        assert ev.plan_key(plan) == ev.plan_key(reordered) == (
+            "us-west-1", "us-east-1", "ca-central-1", "us-west-2"
+        )
+        assert ev.profile(plan) is ev.profile(reordered)
+        assert ev.metric(plan, 5) == ev.metric(reordered, 5)
+        assert ev.stats.profiles_built == 1
+        assert ev.stats.profile_cache_hits == 3
+        with pytest.raises(ValueError, match="does not cover"):
+            ev.plan_key(DeploymentPlan({"a": "us-east-1"}))
+
+    def test_every_solver_reads_the_walks_profiles(self, diamond_dag,
+                                                   monkeypatch):
+        from repro.metrics.montecarlo import MonteCarloEstimator
+
+        ev = make_evaluator(diamond_dag)
+        HBSSSolver(ev, np.random.default_rng(2)).solve_day([0, 9])
+        walked = dict(ev._cache._profiles)
+        assert len(walked) == ev.stats.profiles_built > 1
+        built = []
+        solo = MonteCarloEstimator.estimate_profile
+
+        def spy(self, plan):
+            built.append(ev.plan_key(plan))
+            return solo(self, plan)
+
+        monkeypatch.setattr(MonteCarloEstimator, "estimate_profile", spy)
+        best, _estimate = ExactSolver(ev).solve_hour(0)
+        coarse = CoarseSolver(ev).solve_day([0, 9])
+        # No placement the walk profiled was simulated again, and every
+        # one of its profiles is the object the walk's cache holds.
+        assert not set(built) & set(walked)
+        for key, profile in walked.items():
+            assert ev._cache._profiles[key] is profile
+        for plan in (best, *coarse.distinct_plans()):
+            key = ev.plan_key(plan)
+            assert ev.profile(plan) is ev._cache._profiles[key]
+            if key in walked:
+                assert ev.profile(plan) is walked[key]
+
+    def test_a_winning_warm_start_is_returned_as_given(self, chain_dag):
+        ev = make_evaluator(chain_dag)
+        optimum, _estimate = ExactSolver(ev).solve_hour(0)
+        assert optimum != ev.home_plan()
+        warm = DeploymentPlan(
+            dict(reversed(list(optimum.assignments.items()))),
+            version=7, created_at_s=12.0, expires_at_s=99.0,
+        )
+        result = HBSSSolver(ev, np.random.default_rng(5)).solve_hour(0, warm)
+        assert result.best_plan is warm
+        plan_set, _ = HBSSSolver(ev, np.random.default_rng(6)).solve_day(
+            [0], warm_start=HourlyPlanSet.daily(warm)
+        )
+        assert plan_set.plan_for_hour(0) is warm
+
+    def test_home_is_returned_as_given(self, chain_dag):
+        # Home is the only clean grid: no placement beats it.
+        ev = make_evaluator(
+            chain_dag,
+            intensity_fn=lambda region, hour: (
+                1.0 if region == "us-east-1" else 1000.0
+            ),
+        )
+        result = HBSSSolver(ev, np.random.default_rng(1)).solve_hour(0)
+        assert result.plans_evaluated > 1
+        assert result.best_plan is ev.home_plan()
+
+
+class TestBaselineOncePerHour:
+    """A tolerance check prices the home baseline once per hour: its
+    per-sample carbon vector and p95 are built once, whatever the
+    number of candidates checked against it."""
+
+    def test_home_carbon_samples_once_per_hour(self, app_twins, monkeypatch):
+        from repro.metrics.montecarlo import PlanProfile
+
+        base = app_twins("text2speech_censoring")(3)
+        config = dataclasses.replace(
+            base.config, tolerances=Tolerances(carbon=0.5)
+        )
+        ev = app_twins("text2speech_censoring")(3, config)
+        calls = collections.Counter()
+        samples = PlanProfile.carbon_samples
+
+        def spy(self, carbon_at):
+            calls[id(self)] += 1
+            return samples(self, carbon_at)
+
+        monkeypatch.setattr(PlanProfile, "carbon_samples", spy)
+        hours = [0, 7, 13, 20]
+        _plans, results = HBSSSolver(ev, np.random.default_rng(3)).solve_day(hours)
+        home = ev.profile(ev.home_plan())
+        assert calls[id(home)] == len(hours)
+        # Every candidate's tail was read too: one check per candidate.
+        assert sum(calls.values()) - len(hours) == sum(
+            r.plans_evaluated - 1 for r in results
+        )
+
+
 class TestWalkWorkCounts:
     """What one iteration costs, counted rather than timed: no
     ``Generator.choice``, no ``numpy.array`` outside a bias-CDF rebuild,
-    a ``DeploymentPlan`` only for a newly memoised candidate, and a
-    node's CDF rebuilt only after an accept."""
+    a ``DeploymentPlan`` only for a key the walk asks to have profiled
+    and for its result, and a node's CDF rebuilt only after an accept."""
 
     def _check(self, ev, hour, seed, warm_start_plan=None):
         rng = CountingGenerator(np.random.PCG64(seed))
         solver = HBSSSolver(ev, np.random.default_rng(seed),
                             rng_factory=lambda h: rng)
-        result, counts, cdf_builds = _count_walk_work(
-            solver, hour, warm_start_plan
-        )
+        asked = []
+        prefetch = ev.prefetch_profiles
+
+        def spy(plans):
+            asked.extend(plans)
+            return prefetch(plans)
+
+        ev.prefetch_profiles = spy
+        try:
+            result, counts, cdf_builds = _count_walk_work(
+                solver, hour, warm_start_plan
+            )
+        finally:
+            del ev.prefetch_profiles
         assert result.iterations > result.plans_evaluated > 1
         assert rng.choices == 0
         assert counts["np.array in _solve_hour"] == 0
@@ -1002,25 +1176,60 @@ class TestWalkWorkCounts:
         assert set(counts) <= {
             "DeploymentPlan.__init__", "np.array in _bias_cdf"
         }
-        # Home (and a priced warm start) were built before the walk.
-        seeded = 1 + (warm_start_plan is not None)
-        assert counts["DeploymentPlan.__init__"] == (
-            result.plans_evaluated - seeded
-        )
+        # One plan per key asked for (home and the warm start are the
+        # caller's objects), plus the result unless home or the warm
+        # start won.
+        given = (ev.home_plan(), warm_start_plan)
+        made = [p for p in asked if not any(p is g for g in given)]
+        result_made = not any(result.best_plan is g for g in given)
+        assert counts["DeploymentPlan.__init__"] == len(made) + result_made
+        assert len({ev.plan_key(p) for p in asked}) == len(asked)
         # At most one build per node between two accepts.
         assert len(set(cdf_builds)) == len(cdf_builds)
         assert len(cdf_builds) <= len(ev.dag) * (result.accepted + 1)
-        return result
+        return result, asked
+
+    def _check_cold_then_warm(self, ev, hour, seed, warm_start_plan=None):
+        """A cold walk asks for every key it prices; the same walk again
+        over the filled cache asks for none and makes at most its
+        result."""
+        cold, asked = self._check(ev, hour, seed, warm_start_plan)
+        assert len(asked) == cold.plans_evaluated
+        again, asked = self._check(ev, hour, seed, warm_start_plan)
+        assert asked == []
+        assert again == cold
 
     def test_app_walk(self, app_twins):
         make = app_twins("text2speech_censoring")
         for seed in (1, 2):
-            self._check(make(seed), 3, seed)
+            self._check_cold_then_warm(make(seed), 3, seed)
 
     def test_warm_started_walk(self, diamond_dag):
         ev = make_evaluator(diamond_dag)
         warm = DeploymentPlan.single_region(diamond_dag, "us-west-1")
-        self._check(ev, 0, 4, warm)
+        self._check_cold_then_warm(ev, 0, 4, warm)
+
+    def test_one_digest_per_profile_built(self, app_twins, monkeypatch):
+        """A cold day hashes a plan with SHA-256 exactly once per profile
+        it builds: where the plan's substream is seeded."""
+        import hashlib
+        import types
+
+        import repro.model.plan as plan_module
+
+        digests = []
+
+        def sha256(data):
+            digests.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(
+            plan_module, "hashlib", types.SimpleNamespace(sha256=sha256)
+        )
+        ev = app_twins("video_analytics")(4)
+        HBSSSolver(ev, np.random.default_rng(4)).solve_day()
+        assert len(digests) == len(set(digests))
+        assert len(digests) == ev.stats.simulations_run == ev.stats.profiles_built
 
     def test_the_oracle_is_what_was_counted(self, diamond_dag):
         """The counters see what the former walk did: one ``choice``
