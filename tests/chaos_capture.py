@@ -22,8 +22,10 @@ tests.golden diff chaos_serve`` shows what a change moves (see
 import dataclasses
 import functools
 import json
+from typing import Optional
 
 from repro.apps import get_app
+from repro.cloud.faults import FaultPlan
 from repro.cloud.provider import SimulatedCloud
 from repro.core.manager import DeploymentManager
 from repro.core.migrator import DeploymentMigrator
@@ -31,6 +33,7 @@ from repro.core.temporal import TemporalPolicy, TemporalShifter
 from repro.core.lifecycle import deploy_benchmark, warm_up
 from repro.metrics.carbon import TransmissionScenario
 from repro.model.plan import DeploymentPlan, HourlyPlanSet
+from repro.obs.timeseries import WindowedSampler
 from repro.obs.trace import Tracer
 from tests import golden, test_faults
 
@@ -55,16 +58,25 @@ def _rotating_plan_set(dag, now_s: float) -> HourlyPlanSet:
     return HourlyPlanSet(plans, created_at_s=now_s, expires_at_s=now_s + 2.25 * DAY)
 
 
+def chaos_plan() -> FaultPlan:
+    """The ``tests/test_faults.py`` chaos plan plus 2 % KV errors."""
+    return test_faults.TestChaosRegression()._chaos_plan().with_kv_errors(0.02)  # noqa: SLF001
+
+
 def chaos_run(app_name: str, seed: int = 3):
     """Returns ``(cloud, tracer, executor)`` after the scenario ran."""
-    chaos = test_faults.TestChaosRegression()
     tracer = Tracer()
     cloud = SimulatedCloud(
-        seed=seed,
-        regions=REGIONS,
-        fault_plan=chaos._chaos_plan().with_kv_errors(0.02),  # noqa: SLF001
-        tracer=tracer,
+        seed=seed, regions=REGIONS, fault_plan=chaos_plan(), tracer=tracer
     )
+    return cloud, tracer, serve(cloud, app_name)
+
+
+def serve(cloud: SimulatedCloud, app_name: str, sampler: Optional[WindowedSampler] = None):
+    """Deploy ``app_name`` on ``cloud``, run the scenario to idle and
+    return its executor; ``sampler`` samples the traffic, from its
+    first arrival to idle."""
+    chaos = test_faults.TestChaosRegression()
     app = get_app(app_name)
     deployed, executor, utility = deploy_benchmark(
         app, cloud, benchmarking_fraction=0.1
@@ -85,6 +97,8 @@ def chaos_run(app_name: str, seed: int = 3):
     )
     assert report.activated, report.error
 
+    if sampler is not None:
+        sampler.attach(cloud.env)
     shifter = TemporalShifter(executor)
     policy = TemporalPolicy(max_delay_s=3 * 3600.0)
     start = cloud.now()
@@ -106,7 +120,9 @@ def chaos_run(app_name: str, seed: int = 3):
     # After the staged set expired (2.25 d), inside the slow-KV day.
     cloud.env.schedule_at(start + 2.5 * DAY, manager.check)
     cloud.run_until_idle()
-    return cloud, tracer, executor
+    if sampler is not None:
+        sampler.close()
+    return executor
 
 
 def _ledger_text(ledger) -> str:
@@ -143,4 +159,40 @@ def capture(app_name: str) -> dict:
         "final_time_s": cloud.now(),
         "injected": cloud.faults.snapshot(),
         "reliability": dataclasses.asdict(executor.reliability()),
+    }
+
+
+#: The series capture's sampling window: six virtual hours, sixteen
+#: windows over the four days.
+SERIES_WINDOW_S = 6 * 3600.0
+
+
+def series_plan() -> FaultPlan:
+    """:func:`chaos_plan` plus half a day of partition between two
+    regions before the outage, and half a day of 50 % invocation
+    failures on the last day, so deliveries exhaust their retries."""
+    return (
+        chaos_plan()
+        .with_network_partition("us-east-1", "us-west-1", start_s=0.5 * DAY, end_s=DAY)
+        .with_invocation_failures(0.5, start_s=3 * DAY, end_s=3.5 * DAY)
+    )
+
+
+def capture_series(app_name: str) -> dict:
+    """The windowed series of the chaos scenario under :func:`series_plan`,
+    one compact JSON line per point, sampled over the traffic: retries, dead letters, partition refusals and fault aborts land
+    in sampled windows beside every per-operation family.  Pinned in
+    ``golden/chaos_series.json``, captured before the per-operation
+    families were folded from the ledger; every point must stay
+    byte-equal."""
+    cloud = SimulatedCloud(seed=3, regions=REGIONS, fault_plan=series_plan())
+    sampler = WindowedSampler(cloud.metrics, window_s=SERIES_WINDOW_S)
+    serve(cloud, app_name, sampler)
+    return {
+        "injected": cloud.faults.snapshot(),
+        "windows": sampler.windows_flushed,
+        "points": [
+            json.dumps(point, sort_keys=True, separators=(",", ":"))
+            for point in sampler.points
+        ],
     }

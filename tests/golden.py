@@ -94,6 +94,7 @@ class Golden:
 #: name (the file's stem) -> golden, one for every file under ``tests/golden/``.
 REGISTRY = {pathlib.Path(g.file).stem: g for g in (
     Golden("chaos_serve.json", "tests.chaos_capture:capture", cases="APPS"),
+    Golden("chaos_series.json", "tests.chaos_capture:capture_series", cases="APPS"),
     Golden("control_loop.json", "tests.control_loop_capture:capture"),
     Golden("dag_structure.json", "tests.front_end_capture:dag_structure"),
     Golden("executor_paths.json", "tests.executor_capture:capture_all"),

@@ -31,6 +31,7 @@ from repro.obs.timeseries import (
     merge_series,
     render_prometheus,
 )
+from tests import chaos_capture, golden
 from tests.test_bundle import write_bundle
 
 REGIONS = ("us-east-1", "ca-central-1")
@@ -458,3 +459,15 @@ class TestServingTelemetry:
         assert events == plain_events + sampler.windows_flushed
         assert len({e[0] for e in executions}) > 1000
         assert executions == plain_executions
+
+
+class TestChaosSeriesCapture:
+    """Every windowed point of a chaos run (outage, invocation failures,
+    KV errors and latency, a partition; retries, dead letters and fault
+    aborts among the points) serialises byte-equal to the capture taken
+    before the per-operation families were folded from the ledger (see
+    ``tests/chaos_capture.py::capture_series``)."""
+
+    @pytest.mark.parametrize("app_name", chaos_capture.APPS)
+    def test_points_match_the_capture(self, app_name):
+        golden.check("chaos_series", chaos_capture.capture_series(app_name), app_name)
