@@ -171,11 +171,6 @@ class FunctionService:
         self._warm_until: Dict[Tuple[str, str], float] = {}
         self._rng = env.rng.get("faas")
         self._region_down: Dict[str, bool] = {}
-        # Per-region counters resolved once (invoke runs per message at
-        # open-loop rates; registry lookups cost there).
-        self._ctr_invocations: Dict[str, Any] = {}
-        self._ctr_cold_starts: Dict[str, Any] = {}
-        self._hist_duration = self._metrics.histogram("faas.duration_s")
 
     # -- deployment management ----------------------------------------------
     def deploy(self, deployment: FunctionDeployment) -> None:
@@ -303,21 +298,6 @@ class FunctionService:
                 memory_mb=deployment.memory_mb,
                 payload_bytes=payload_bytes,
             )
-        ctr = self._ctr_invocations.get(region)
-        if ctr is None:
-            ctr = self._ctr_invocations[region] = self._metrics.counter(
-                "faas.invocations", region=region
-            )
-        ctr.inc()
-        if cold:
-            cctr = self._ctr_cold_starts.get(region)
-            if cctr is None:
-                cctr = self._ctr_cold_starts[region] = self._metrics.counter(
-                    "faas.cold_starts", region=region
-                )
-            cctr.inc()
-        self._hist_duration.observe(duration)
-
         ctx = FaasContext(
             env=self._env,
             region=region,

@@ -110,7 +110,7 @@ class KeyValueStore:
         faults: Optional fault injector (KV op errors, latency
             inflation, host-region outages).
         tracer: Span tracer (one ``kv`` span per operation).
-        metrics: Metrics registry (read/write units, latency).
+        metrics: Metrics registry (access latency).
         """
         self._env = env
         self.region = region
@@ -124,10 +124,8 @@ class KeyValueStore:
         # :meth:`get`.  Holding the stored object keeps its identity
         # from being reused while the entry lives.
         self._decoded: Dict[Tuple[str, str], Tuple[Any, Callable, Any]] = {}
-        # Instruments are fixed for the store's lifetime (one region
-        # label); resolve them once instead of per operation.
-        self._ctr_reads = self._metrics.counter("kv.reads", region=region)
-        self._ctr_writes = self._metrics.counter("kv.writes", region=region)
+        for family in ("kv.reads", "kv.writes"):  # folded from KV rows (LedgerMetrics)
+            self._metrics.counter(family, region=region)
         self._hist_latency = self._metrics.histogram("kv.access_latency_s")
 
     # -- infrastructure ----------------------------------------------------
@@ -161,7 +159,7 @@ class KeyValueStore:
         write: bool,
         workflow: str,
         request_id: str,
-        op: str = "",
+        op: str,
     ) -> float:
         self._ledger.record_kv_access(
             workflow=workflow,
@@ -172,7 +170,6 @@ class KeyValueStore:
             request_id=request_id,
         )
         latency = self._access_latency(caller_region)
-        op = op or ("write" if write else "read")
         if self._tracer.enabled:
             now = self._env.now()
             self._tracer.record(
@@ -187,7 +184,6 @@ class KeyValueStore:
                 region=self.region,
                 caller_region=caller_region,
             )
-        (self._ctr_writes if write else self._ctr_reads).inc()
         self._hist_latency.observe(latency)
         return latency
 

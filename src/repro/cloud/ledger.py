@@ -113,6 +113,9 @@ class KvAccessRecord:
 
 K = TypeVar("K")
 
+#: Histogram bucket bounds of ``network.transfer_bytes``, bytes.
+SIZE_BUCKETS = (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)
+
 #: Rows per chunk of the index behind :meth:`MeteringLedger.group`.
 _CHUNK = 512
 #: Rows a selection masks at a time, so a query over a whole served
@@ -590,3 +593,53 @@ class MeteringLedger:
 
 #: What an empty :class:`RecordGroup` reads its (no) rows from.
 _NO_TABLES = MeteringLedger()._tables
+
+
+class LedgerMetrics:
+    """The registry families that restate a ledger row, folded from the rows.
+
+    :meth:`fold` is the simulated cloud's registry read hook.  It feeds
+    the rows appended since it last ran (a cursor per kind, in rows)
+    through the ``inc``/``observe`` calls the services made per
+    operation, in append order, so every double is the same; the
+    registry is read between events, after each operation's row.  A
+    labelled series appears at its first row (``kv.reads``/``writes``
+    at their store's construction).
+    """
+
+    def __init__(self, ledger: MeteringLedger, registry: Any) -> None:
+        self._registry = registry
+        self._tables = ledger._tables
+        self._folded = [0] * len(self._tables)
+
+    def _new_rows(self, kind: int, *names: str) -> Iterator[Tuple[Any, ...]]:
+        """The named fields of each row of ``kind`` not yet folded; moves the cursor."""
+        table = self._tables[kind]
+        rows = range(self._folded[kind], len(table))
+        self._folded[kind] = len(table)
+        return zip(*[table.readers[name](rows) for name in names])
+
+    def fold(self) -> None:
+        counter, histogram = self._registry.counter, self._registry.histogram
+        # Got at every fold: they show, zero-valued, from the first read on.
+        duration = histogram("faas.duration_s").observe
+        for region, cold, seconds in self._new_rows(0, "region", "cold_start", "duration_s"):
+            counter("faas.invocations", region=region).inc()
+            if cold:
+                counter("faas.cold_starts", region=region).inc()
+            duration(seconds)
+        egress = counter("network.egress_bytes").inc
+        latency = histogram("network.transfer_latency_s").observe
+        size = histogram("network.transfer_bytes", bounds=SIZE_BUCKETS).observe
+        for kind, src, dst, size_bytes, latency_s in self._new_rows(
+            1, "kind", "src_region", "dst_region", "size_bytes", "latency_s"
+        ):
+            counter("network.transfers", kind=kind).inc()
+            if src != dst:
+                egress(size_bytes)
+            latency(latency_s)
+            size(size_bytes)
+        for (region,) in self._new_rows(2, "region"):
+            counter("pubsub.publishes", region=region).inc()
+        for region, write in self._new_rows(3, "region", "write"):
+            counter("kv.writes" if write else "kv.reads", region=region).inc()

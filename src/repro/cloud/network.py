@@ -27,9 +27,6 @@ if TYPE_CHECKING:
     from repro.cloud.faults import FaultInjector
     from repro.obs.trace import Tracer
 
-#: Histogram bucket bounds for transfer sizes, bytes.
-SIZE_BUCKETS = (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)
-
 #: Effective cross-region throughput for serverless payloads, bytes/sec.
 #: (Conservative relative to backbone capacity: per-connection TCP over
 #: long fat pipes, as SNS/Lambda payload hops see in practice.)
@@ -69,15 +66,6 @@ class Network:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics if metrics is not None else NULL_METRICS
         self._rng = env.rng.get("network")
-        # Per-instance instrument cache: transfers happen per message at
-        # open-loop rates and registry lookups (key formatting + dict
-        # get) are measurable there.
-        self._transfer_counters: dict = {}
-        self._ctr_egress = self._metrics.counter("network.egress_bytes")
-        self._hist_latency = self._metrics.histogram("network.transfer_latency_s")
-        self._hist_bytes = self._metrics.histogram(
-            "network.transfer_bytes", bounds=SIZE_BUCKETS
-        )
 
     def transfer_latency(
         self, src: str, dst: str, size_bytes: float, jitter: bool = True
@@ -131,16 +119,6 @@ class Network:
                 size_bytes=size_bytes,
                 transfer_kind=kind,
             )
-        ctr = self._transfer_counters.get(kind)
-        if ctr is None:
-            ctr = self._transfer_counters[kind] = self._metrics.counter(
-                "network.transfers", kind=kind
-            )
-        ctr.inc()
-        if src != dst:
-            self._ctr_egress.inc(size_bytes)
-        self._hist_latency.observe(latency)
-        self._hist_bytes.observe(size_bytes)
         self._ledger.record_transmission(
             workflow=workflow,
             src_region=src,

@@ -14,7 +14,7 @@ from typing import Dict, Mapping, Optional, Sequence
 from repro.cloud.faults import FaultInjector, FaultPlan
 from repro.cloud.functions import FunctionService
 from repro.cloud.kvstore import KeyValueStore
-from repro.cloud.ledger import MeteringLedger
+from repro.cloud.ledger import LedgerMetrics, MeteringLedger
 from repro.cloud.network import Network
 from repro.cloud.pubsub import PubSubService
 from repro.cloud.registry import ContainerRegistry, IamService
@@ -29,7 +29,8 @@ from repro.obs.trace import NULL_TRACER, Tracer
 
 
 class SimulatedCloud:
-    """All services of the provider, sharing one clock, RNG, and ledger."""
+    """All services of the provider, sharing one clock, RNG, and ledger;
+    ``metrics`` folds ``ledger``'s rows at each read (:class:`LedgerMetrics`)."""
 
     def __init__(
         self,
@@ -39,7 +40,6 @@ class SimulatedCloud:
         carbon_overrides: Optional[Mapping[str, Sequence[float]]] = None,
         fault_plan: Optional[FaultPlan] = None,
         tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         """Build a cloud.
 
@@ -59,9 +59,6 @@ class SimulatedCloud:
                 Defaults to the no-op tracer; traced runs stay
                 byte-identical (ledger, RNG, event order) to untraced
                 ones because tracing only *observes*.
-            metrics: Metrics registry for operational counters,
-                gauges, and histograms.  Defaults to a fresh enabled
-                registry (aggregation is cheap and side-effect-free).
         """
         self.regions: tuple = tuple(regions if regions is not None else EVALUATION_REGIONS)
         for name in self.regions:
@@ -76,7 +73,8 @@ class SimulatedCloud:
         )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.bind_clock(self.env.clock)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
+        self.metrics._read_hook = LedgerMetrics(self.ledger, self.metrics).fold
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self.faults = FaultInjector(self.fault_plan, self.env)
         self.network = Network(

@@ -79,9 +79,7 @@ class PubSubService:
         self._retries_by_workflow: Dict[str, int] = {}
         self._dead_letters_by_workflow: Dict[str, int] = {}
         self._dead_letter_listeners: List[Callable[[str, Message, str], None]] = []
-        # Per-region publish/delivery counters, resolved once per region
-        # (two registry lookups per message otherwise).
-        self._ctr_publishes: Dict[str, Any] = {}
+        # Per-region delivery counters, resolved once per region.
         self._ctr_deliveries: Dict[str, Any] = {}
 
     # -- topic management ---------------------------------------------------
@@ -181,12 +179,6 @@ class PubSubService:
                 raise RegionUnavailableError(
                     f"pub/sub in {region} is down; cannot accept publish to {name!r}"
                 )
-            ctr = self._ctr_publishes.get(region)
-            if ctr is None:
-                ctr = self._ctr_publishes[region] = self._metrics.counter(
-                    "pubsub.publishes", region=region
-                )
-            ctr.inc()
             self._ledger.record_message(
                 workflow=message.workflow,
                 topic=name,

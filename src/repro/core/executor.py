@@ -614,10 +614,10 @@ class CaribouExecutor(_NodeRunner):
                 end, self._guarded(rid, step, rid, region, hop, payload, body)
             )
         # A terminal node executing is the request reaching its end: mark
-        # it completed.  Done synchronously (its execution record is
-        # already written) rather than via an event at ``end`` — an extra
-        # event there would extend the run's idle point and shift the
-        # virtual clock relative to fault-free pre-tracking behaviour.
+        # it completed, its latency ending at ``faas_ctx.end_s`` (its
+        # execution record is appended only after this handler returns).
+        # Synchronously, not via an event at ``end``: one there would
+        # extend the run's idle point and shift the virtual clock.
         if not route.out:
             self._finish(rid, "completed", end)
 

@@ -1,11 +1,11 @@
 """Lightweight metrics registry (counters, gauges, histograms).
 
-The services of the simulated cloud and the Caribou runtime report
-operational metrics here — invocation counts per region, cold starts,
-pub/sub retries, KV read/write units, network egress, solver progress.
-Unlike the :class:`~repro.cloud.ledger.MeteringLedger` (which stores
-every record for the paper's carbon/cost models), the registry keeps
-only aggregates, so it stays cheap at any traffic volume.
+Operational metrics, kept as aggregates.  The families that restate a
+ledger row (``faas.invocations``/``cold_starts``/``duration_s``,
+``network.transfers``/``egress_bytes``/``transfer_latency_s``/
+``transfer_bytes``, ``pubsub.publishes``, ``kv.reads``/``writes``) are
+folded from a simulated cloud's ledger before every read
+(:class:`~repro.cloud.ledger.LedgerMetrics`); the rest are updated live.
 
 Instruments are identified by a name plus optional labels; repeated
 lookups return the same instrument.  A registry built with
@@ -18,7 +18,7 @@ events — so recording metrics can never perturb a simulation.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 #: Default histogram bucket upper bounds (seconds-oriented; byte-sized
 #: histograms pass their own).  The terminal +inf bucket is implicit.
@@ -164,6 +164,8 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        # Run before every read: a simulated cloud's ledger fold.
+        self._read_hook: Callable[[], None] = lambda: None
 
     # -- instrument accessors (get-or-create) --------------------------------
     def counter(self, name: str, **labels: str) -> Counter:
@@ -202,6 +204,7 @@ class MetricsRegistry:
 
     # -- iteration (sorted, for deterministic export) --------------------------
     def iter_counters(self) -> Iterable[Tuple[str, Counter]]:
+        self._read_hook()
         for key in sorted(self._counters):
             yield key, self._counters[key]
 
@@ -210,6 +213,7 @@ class MetricsRegistry:
             yield key, self._gauges[key]
 
     def iter_histograms(self) -> Iterable[Tuple[str, Histogram]]:
+        self._read_hook()
         for key in sorted(self._histograms):
             yield key, self._histograms[key]
 
@@ -225,13 +229,9 @@ class MetricsRegistry:
         keys (``count``/``sum``/``mean``/``min``/``max``) are stable;
         ``buckets`` is purely additive.
         """
-        out: Dict[str, Any] = {}
-        for key in sorted(self._counters):
-            out[key] = self._counters[key].value
-        for key in sorted(self._gauges):
-            out[key] = self._gauges[key].value
-        for key in sorted(self._histograms):
-            h = self._histograms[key]
+        out: Dict[str, Any] = {key: c.value for key, c in self.iter_counters()}
+        out.update((key, g.value) for key, g in self.iter_gauges())
+        for key, h in self.iter_histograms():
             buckets = {
                 format_bound(b): h.bucket_counts[i]
                 for i, b in enumerate(h.bounds)
@@ -248,7 +248,7 @@ class MetricsRegistry:
         return out
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
+        return len(self.snapshot())
 
 
 #: Shared disabled registry for call sites that want a hard no-op.

@@ -20,10 +20,11 @@ the solve took on the wall clock.  A run without a sampler attached schedules no
 byte-identical to today (the :data:`~repro.obs.trace.NULL_TRACER`
 contract, extended to time series).
 
-Post-run, :func:`ledger_series` turns the metering ledger into the same
-point shape — per-window, per-region, per-workflow carbon/cost/traffic
-priced under one transmission scenario — which is what figure-grade
-per-hour emission timelines (GreenCourier-style) are plotted from.
+The per-operation families are folded from the ledger at each flush
+(:class:`~repro.cloud.ledger.LedgerMetrics`).  Post-run,
+:func:`ledger_series` prices that ledger into the same point shape —
+per-window, per-region, per-workflow carbon/cost/traffic under one
+transmission scenario — which per-hour emission timelines plot.
 
 The points go into the run bundle (:class:`~repro.obs.report.RunBundle`);
 :func:`render_prometheus` exports a registry's cumulative state as
